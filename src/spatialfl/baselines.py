@@ -30,22 +30,35 @@ class BaselineKind(str, Enum):
     FLAT_FEDAVG_WEIGHTED = "flat_fedavg_weighted"
 
 
+def stack_rows(
+    clients: Sequence[ClientDataset],
+    vocab: SpatialVocabulary | None,
+    split: str | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoded rows of the clients, in the order given, written into one
+    preallocated matrix; also the labels and the client row offsets
+    (client ``i`` owns rows ``offsets[i]:offsets[i + 1]``)."""
+    offsets = np.cumsum([0] + [c.count(split) for c in clients])
+    n_raw = clients[0].features.shape[1] if clients else 0
+    width = (vocab.encoding_length if vocab is not None else 0) + n_raw
+    features = np.empty((offsets[-1], width))
+    labels = np.empty(offsets[-1], dtype=np.int64)
+    for client, lo, hi in zip(clients, offsets, offsets[1:]):
+        feats, labs = client.rows(split)
+        labels[lo:hi] = labs
+        encode_rows(client.spatial, feats, vocab, out=features[lo:hi])
+    return features, labels, offsets
+
+
 def pooled_training_rows(
     clients: Iterable[ClientDataset],
     vocab: SpatialVocabulary | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encoded training rows pooled in canonical (client_id, row) order."""
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    blocks, labels = [], []
-    for client in ordered:
-        feats, labs = client.rows("train")
-        if feats.shape[0] == 0:
-            continue
-        blocks.append(encode_rows(client.spatial, feats, vocab))
-        labels.append(labs)
-    if not blocks:
+    features, labels, _ = stack_rows(sorted(clients, key=lambda c: c.client_id), vocab, "train")
+    if labels.size == 0:
         raise EmptyDatasetError("pooled training set is empty")
-    return np.vstack(blocks), np.concatenate(labels)
+    return features, labels
 
 
 def train_centralized(
@@ -80,13 +93,17 @@ def ensemble_predict(models: Sequence[ModelParams], features: np.ndarray) -> int
 
 
 def ensemble_predict_batch(models: Sequence[ModelParams], batch: np.ndarray) -> np.ndarray:
+    """Hard majority vote per row (ties to the lowest class), counted one
+    member at a time into a classes x rows array."""
     if not models:
         raise EmptyAggregationError("ensemble needs at least one model")
     dims = models[0].dims
     if any(m.dims != dims for m in models):
         raise ShapeError("ensemble members disagree on dims")
-    votes = np.stack([predict_batch(m, batch) for m in models])
-    counts = np.apply_along_axis(np.bincount, 0, votes, minlength=dims[2])
+    rows = np.arange(len(batch))
+    counts = np.zeros((dims[2], rows.size), dtype=np.int64)
+    for m in models:
+        counts[predict_batch(m, batch), rows] += 1
     return np.argmax(counts, axis=0)
 
 

@@ -112,6 +112,10 @@ class ClientDataset:
     def n_rows(self) -> int:
         return int(self.features.shape[0])
 
+    def count(self, split: str | None = None) -> int:
+        """Number of rows, optionally only those with the given split tag."""
+        return self.n_rows if split is None else int(np.count_nonzero(self.split_tags == split))
+
     def rows(self, split: str | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Feature matrix and labels, optionally filtered by split tag."""
         if split is None:

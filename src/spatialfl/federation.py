@@ -17,7 +17,7 @@ inputs are presented or how client training is scheduled.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -53,13 +53,41 @@ class TierNode:
 
 @dataclass(frozen=True)
 class TierTopology:
-    """A tree of nodes: clients at tier 0, one parentless root on top."""
+    """A tree of nodes: clients at tier 0, one parentless root on top.
+
+    Indexed once on construction: the sorted children of every node, and
+    the clients in depth-first order from the root (children ascending),
+    in which every node's clients form one contiguous span.
+    """
 
     nodes: tuple[TierNode, ...]
+    client_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
+    _client_spans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         validate_topology(self)
+        kids: dict[str, list[str]] = {n.node_id: [] for n in self.nodes}
+        for n in self.nodes:
+            if n.parent is not None:
+                kids[n.parent].append(n.node_id)
+        children = {nid: tuple(sorted(ks)) for nid, ks in kids.items()}
+        order: list[str] = []
+        spans: dict[str, tuple[int, int]] = {}
+
+        def visit(node_id: str) -> None:
+            lo = len(order)
+            if not children[node_id]:
+                order.append(node_id)
+            for child in children[node_id]:
+                visit(child)
+            spans[node_id] = (lo, len(order))
+
+        visit(self.root_id)
+        object.__setattr__(self, "client_order", tuple(order))
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_client_spans", spans)
 
     def node_ids(self) -> list[str]:
         return [n.node_id for n in self.nodes]
@@ -76,28 +104,16 @@ class TierTopology:
         return max(n.tier for n in self.nodes)
 
     def children(self, node_id: str) -> list[str]:
-        return sorted(n.node_id for n in self.nodes if n.parent == node_id)
+        return list(self._children[node_id])
 
-    def tier_of(self, node_id: str) -> int:
-        return next(n.tier for n in self.nodes if n.node_id == node_id)
-
-    def subtree_nodes(self, node_id: str) -> list[str]:
-        """All node ids at or below a node, ascending."""
-        by_parent: dict[str, list[str]] = {}
-        for n in self.nodes:
-            if n.parent is not None:
-                by_parent.setdefault(n.parent, []).append(n.node_id)
-        out, stack = [], [node_id]
-        while stack:
-            nid = stack.pop()
-            out.append(nid)
-            stack.extend(by_parent.get(nid, []))
-        return sorted(out)
+    def client_span(self, node_id: str) -> tuple[int, int]:
+        """The ``[lo, hi)`` slice of :attr:`client_order` below (or at) a node."""
+        return self._client_spans[node_id]
 
     def subtree_clients(self, node_id: str) -> list[str]:
         """Client ids below (or at) a node, ascending."""
-        tiers = {n.node_id: n.tier for n in self.nodes}
-        return [nid for nid in self.subtree_nodes(node_id) if tiers[nid] == 0]
+        lo, hi = self._client_spans[node_id]
+        return sorted(self.client_order[lo:hi])
 
 
 def validate_topology(topology: TierTopology) -> None:

@@ -24,6 +24,7 @@ from .baselines import (
     BaselineKind,
     ensemble_predict_batch,
     flat_fedavg,
+    stack_rows,
     train_centralized,
     train_client_models,
 )
@@ -49,7 +50,7 @@ from .federation import (
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_batch
 from .seeding import derive_seed
-from .spatial import SpatialVocabulary, build_vocabulary, encode_rows
+from .spatial import SpatialVocabulary, build_vocabulary
 
 METHOD_TIERED = "n_tier_fl"
 METHOD_CENTRALIZED_REGIONAL = "centralized_nn_regional"
@@ -235,22 +236,6 @@ def accuracy_score(predicted: Sequence[int], actual: Sequence[int]) -> float:
     return float(np.mean(predicted == actual))
 
 
-def _collect_rows(
-    datasets: Iterable[ClientDataset],
-    vocab: SpatialVocabulary | None,
-    split: str | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    blocks, labels = [], []
-    for ds in sorted(datasets, key=lambda d: d.client_id):
-        feats, labs = ds.rows(split)
-        if feats.shape[0]:
-            blocks.append(encode_rows(ds.spatial, feats, vocab))
-            labels.append(labs)
-    if not blocks:
-        raise EmptyEvaluationError("no rows to evaluate")
-    return np.vstack(blocks), np.concatenate(labels)
-
-
 def evaluate(
     model: ModelParams,
     datasets: Iterable[ClientDataset],
@@ -258,13 +243,10 @@ def evaluate(
     split: str | None = "validation",
 ) -> float:
     """Accuracy of one model over the pooled rows of the given clients."""
-    features, labels = _collect_rows(datasets, vocab, split)
+    features, labels, _ = stack_rows(list(datasets), vocab, split)
+    if labels.size == 0:
+        raise EmptyEvaluationError("no rows to evaluate")
     return accuracy_score(predict_batch(model, features), labels)
-
-
-def evaluate_predictor(predict_fn, datasets, vocab, split: str | None = "validation") -> float:
-    features, labels = _collect_rows(datasets, vocab, split)
-    return accuracy_score(predict_fn(features), labels)
 
 
 # -- config loading -------------------------------------------------------------
@@ -579,6 +561,32 @@ def _load_datasets(config: ExperimentConfig):
     return datasets, topology, None
 
 
+def validation_matrix(
+    topology: TierTopology,
+    datasets: Mapping[str, ClientDataset],
+    vocab: SpatialVocabulary | None,
+) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[int, int]]]:
+    """Every client's encoded validation rows, stacked in depth-first client
+    order, so that each node's rows are one contiguous span ``[lo, hi)``."""
+    features, labels, offsets = stack_rows(
+        [datasets[c] for c in topology.client_order], vocab, "validation")
+    spans = {}
+    for node_id in topology.node_ids():
+        first, last = topology.client_span(node_id)
+        spans[node_id] = (int(offsets[first]), int(offsets[last]))
+    return features, labels, spans
+
+
+def fold_correct(
+    predicted: np.ndarray,
+    labels: np.ndarray,
+    spans: Mapping[str, tuple[int, int]],
+) -> dict[str, int]:
+    """Correct counts of one prediction per row, summed over each node's span."""
+    cum = np.concatenate(([0], np.cumsum(predicted == labels)))
+    return {nid: int(cum[hi] - cum[lo]) for nid, (lo, hi) in spans.items()}
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the tiered method plus enabled baselines; deterministic per seed."""
     with _stage("data"):
@@ -611,48 +619,39 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("federated"):
         node_models = run_tier_round(topology, datasets, init, config.policy, training, vocab)
 
-    tier_rows: list[dict] = []
-    global_accuracy: dict[str, float] = {}
-
-    def add_rows(method: str, accuracy_of) -> None:
-        for node in node_order:
-            subtree = [datasets[c] for c in topology.subtree_clients(node.node_id)]
-            acc = accuracy_of(node, subtree)
-            tier_rows.append({
-                "node_id": node.node_id, "tier": node.tier,
-                "method": method, "accuracy": acc,
-            })
-            if node.node_id == topology.root_id:
-                global_accuracy[method] = acc
-
     with _stage("evaluate"):
-        add_rows(METHOD_TIERED, lambda node, subtree: evaluate(node_models[node.node_id], subtree, vocab))
-        client_predictions: dict[str, dict] = {}
+        features, labels, spans = validation_matrix(topology, datasets, vocab)
+        tiered = {nid: predict_batch(node_models[nid], features[lo:hi]) for nid, (lo, hi) in spans.items()}
+        correct = {METHOD_TIERED: {nid: int(np.count_nonzero(tiered[nid] == labels[lo:hi]))
+                                   for nid, (lo, hi) in spans.items()}}
+        client_predictions = {}
         for cid in clients:
-            feats, labels = datasets[cid].rows("validation")
-            encoded = encode_rows(datasets[cid].spatial, feats, vocab)
-            predicted = predict_batch(node_models[cid], encoded)
-            client_predictions[cid] = {
-                "predicted": [int(p) for p in predicted],
-                "actual": [int(a) for a in labels],
-            }
+            lo, hi = spans[cid]
+            client_predictions[cid] = {"predicted": tiered[cid].tolist(), "actual": labels[lo:hi].tolist()}
 
     with _stage("baselines"):
         ordered_clients = [datasets[c] for c in clients]
         for kind in config.baselines:
             if kind is BaselineKind.CENTRALIZED_NN:
                 pooled = train_centralized(ordered_clients, init, training, vocab)
-                add_rows(kind.value, lambda node, subtree: evaluate(pooled, subtree, vocab))
-                _add_regional_rows(add_rows, topology, datasets, init, training, vocab)
+                correct[kind.value] = fold_correct(predict_batch(pooled, features), labels, spans)
+                # One network per child of the root, trained on and scoring
+                # only its own subtree's rows.
+                regional = np.empty_like(labels)
+                for region in topology.children(topology.root_id):
+                    model = train_centralized(
+                        [datasets[c] for c in topology.subtree_clients(region)], init, training, vocab)
+                    lo, hi = spans[region]
+                    regional[lo:hi] = predict_batch(model, features[lo:hi])
+                correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
             elif kind is BaselineKind.ENSEMBLE:
                 members = train_client_models(ordered_clients, init, training, vocab)
-                models = [members[c] for c in clients]
-                add_rows(kind.value, lambda node, subtree: evaluate_predictor(
-                    lambda X: ensemble_predict_batch(models, X), subtree, vocab))
+                votes = ensemble_predict_batch([members[c] for c in clients], features)
+                correct[kind.value] = fold_correct(votes, labels, spans)
             else:
                 weighted = kind is BaselineKind.FLAT_FEDAVG_WEIGHTED
                 model = flat_fedavg(ordered_clients, init, training, vocab, weighted=weighted)
-                add_rows(kind.value, lambda node, subtree: evaluate(model, subtree, vocab))
+                correct[kind.value] = fold_correct(predict_batch(model, features), labels, spans)
 
     with _stage("report"):
         seeds = {
@@ -661,6 +660,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "split": {cid: derive_seed(config.seed, "split", cid) for cid in clients},
             "train_round1": {cid: derive_seed(config.seed, "train", cid, 1) for cid in clients},
         }
+        tier_rows = []
+        for method, counts in correct.items():
+            for node in node_order:
+                lo, hi = spans[node.node_id]
+                tier_rows.append({
+                    "node_id": node.node_id, "tier": node.tier,
+                    "method": method, "accuracy": counts[node.node_id] / (hi - lo),
+                })
+        global_accuracy = {row["method"]: row["accuracy"] for row in tier_rows
+                           if row["node_id"] == topology.root_id}
         report = MetricsReport(
             version=__version__,
             config=config.to_json_dict(),
@@ -672,35 +681,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             client_predictions=client_predictions,
         )
     return ExperimentResult(report, node_models)
-
-
-def _add_regional_rows(add_rows, topology, datasets, init, training, vocab) -> None:
-    """The per-region variant of the centralized baseline: one network per
-    child of the root, trained on that subtree's pooled rows only."""
-    regions = topology.children(topology.root_id)
-    region_models = {
-        region: train_centralized(
-            [datasets[c] for c in topology.subtree_clients(region)], init, training, vocab)
-        for region in regions
-    }
-    owner: dict[str, str] = {}
-    for region in regions:
-        for node_id in topology.subtree_nodes(region):
-            owner[node_id] = region
-
-    def regional_accuracy(node, subtree):
-        if node.node_id == topology.root_id:
-            correct = total = 0
-            for region in regions:
-                feats, labels = _collect_rows(
-                    [datasets[c] for c in topology.subtree_clients(region)], vocab, "validation")
-                predicted = predict_batch(region_models[region], feats)
-                correct += int((predicted == labels).sum())
-                total += labels.size
-            return correct / total
-        return evaluate(region_models[owner[node.node_id]], subtree, vocab)
-
-    add_rows(METHOD_CENTRALIZED_REGIONAL, regional_accuracy)
 
 
 # -- report emission --------------------------------------------------------------

@@ -280,7 +280,3 @@ def predict_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Bit-exact equality of dims and every parameter."""
     return a.dims == b.dims and np.array_equal(flatten(a), flatten(b))
-
-
-def params_allclose(a: ModelParams, b: ModelParams, atol: float = 0.0, rtol: float = 0.0) -> bool:
-    return a.dims == b.dims and np.allclose(flatten(a), flatten(b), atol=atol, rtol=rtol)

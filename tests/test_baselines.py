@@ -8,6 +8,7 @@ from spatialfl.baselines import (
     ensemble_predict,
     ensemble_predict_batch,
     flat_fedavg,
+    stack_rows,
     train_centralized,
     train_client_models,
 )
@@ -22,7 +23,7 @@ from spatialfl.federation import (
 from spatialfl.harness import evaluate
 from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, unflatten
 from spatialfl.seeding import derive_seed
-from spatialfl.spatial import build_vocabulary
+from spatialfl.spatial import build_vocabulary, encode_rows
 
 
 def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
@@ -76,6 +77,20 @@ class TestCentralized:
         assert evaluate(model, datasets.values(), vocab) >= 0.95
 
 
+class TestStackRows:
+    def test_matches_stacked_encode_rows(self):
+        clients = [separable_client(f"c{i}", n=6 + i, seed=i) for i in range(4)]
+        for i, ds in enumerate(clients):
+            ds.split_tags[:: i + 2] = "validation"
+        vocab = build_vocabulary([c.spatial for c in clients])
+        for v in (vocab, None):
+            features, labels, offsets = stack_rows(clients, v, "validation")
+            blocks = [encode_rows(c.spatial, c.rows("validation")[0], v) for c in clients]
+            assert np.array_equal(features, np.vstack(blocks))
+            assert np.array_equal(labels, np.concatenate([c.rows("validation")[1] for c in clients]))
+            assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
+
+
 class TestEnsemblePredict:
     def test_majority_wins(self):
         models = [constant_class_model(2, 1), constant_class_model(2, 1),
@@ -98,6 +113,15 @@ class TestEnsemblePredict:
         single = predict_batch(model, batch)
         for k in (2, 3, 5):
             assert np.array_equal(ensemble_predict_batch([model] * k, batch), single)
+
+    def test_votes_match_per_row_bincount(self):
+        rng = np.random.default_rng(21)
+        models = [init_params((3, 4, 3), seed=k) for k in range(7)]
+        batch = rng.normal(size=(40, 3)) * 3.0
+        from spatialfl.nn import predict_batch
+        votes = np.stack([predict_batch(m, batch) for m in models])
+        expected = [np.argmax(np.bincount(votes[:, i], minlength=3)) for i in range(batch.shape[0])]
+        assert np.array_equal(ensemble_predict_batch(models, batch), expected)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(EmptyAggregationError):

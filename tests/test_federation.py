@@ -60,6 +60,44 @@ class TestTopology:
         assert topo.subtree_clients("m1") == ["c1", "c2"]
         assert topo.subtree_clients("root") == ["c1", "c2", "c3"]
 
+    def test_depth_first_client_order(self):
+        topo = TierTopology((
+            TierNode("a", 0, "m2"), TierNode("b", 0, "m1"), TierNode("c", 0, "m2"),
+            TierNode("m1", 1, "root"), TierNode("m2", 1, "root"),
+            TierNode("root", 2, None),
+        ))
+        assert topo.client_order == ("b", "a", "c")
+        assert topo.client_span("m1") == (0, 1)
+        assert topo.client_span("m2") == (1, 3)
+        assert topo.client_span("root") == (0, 3)
+        assert topo.client_span("c") == (2, 3)
+        assert topo.subtree_clients("m2") == ["a", "c"]
+
+    @given(st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_depth_first_spans_cover_each_subtree(self, seed):
+        rng = np.random.default_rng(seed)
+        topo = random_tree(rng, int(rng.integers(2, 14)))
+        parent = {n.node_id: n.parent for n in topo.nodes}
+
+        def ancestors(node_id):
+            while node_id is not None:
+                yield node_id
+                node_id = parent[node_id]
+
+        assert sorted(topo.client_order) == topo.clients()
+        for node_id in topo.node_ids():
+            below = sorted(c for c in topo.clients() if node_id in ancestors(c))
+            lo, hi = topo.client_span(node_id)
+            assert sorted(topo.client_order[lo:hi]) == below == topo.subtree_clients(node_id)
+            kids = topo.children(node_id)
+            assert kids == sorted(n for n, p in parent.items() if p == node_id)
+            if kids:
+                # The children's spans tile the node's span in ascending id order.
+                bounds = [topo.client_span(k) for k in kids]
+                assert bounds[0][0] == lo and bounds[-1][1] == hi
+                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(TopologyError, match="duplicate"):
             TierTopology((TierNode("a", 0, "r"), TierNode("a", 0, "r"), TierNode("r", 1, None)))

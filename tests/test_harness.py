@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spatialfl.baselines import BaselineKind
+from helpers import random_tree
+from spatialfl.baselines import BaselineKind, ensemble_predict_batch
 from spatialfl.data import ClientDataset, SyntheticSpec
 from spatialfl.errors import ConfigError, EmptyEvaluationError
 from spatialfl.harness import (
@@ -20,14 +23,16 @@ from spatialfl.harness import (
     config_from_dict,
     emit_report,
     evaluate,
+    fold_correct,
     grouped_topology,
     load_config,
     run_experiment,
+    validation_matrix,
     write_models,
 )
 from spatialfl.federation import AggregationPolicy, deserialize_model
-from spatialfl.nn import TrainingConfig, flat_length, params_equal, unflatten
-from spatialfl.spatial import SpatialAttribute
+from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, predict_batch, unflatten
+from spatialfl.spatial import SpatialAttribute, build_vocabulary, encode_rows
 
 FAST_TRAINING = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=32)
 
@@ -94,6 +99,39 @@ class TestEvaluate:
         ds = self.make_identity_client([0, 1], [0, 1])
         with pytest.raises(EmptyEvaluationError):
             evaluate(self.identity_model(), [ds], None, split="validation")
+
+
+class TestFoldedAccuracy:
+    @given(st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_folded_counts_equal_per_subtree_scoring(self, seed):
+        rng = np.random.default_rng(seed)
+        topo = random_tree(rng, int(rng.integers(2, 12)))
+        datasets = {}
+        for cid in topo.clients():
+            n = int(rng.integers(2, 14))
+            tags = np.where(rng.random(n) < 0.5, "train", "validation")
+            tags[0] = "validation"
+            spatial = SpatialAttribute(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)), (cid,))
+            datasets[cid] = ClientDataset(cid, spatial, rng.normal(size=(n, 2)) * 3.0,
+                                          rng.integers(0, 3, n), n_classes=3, split_tags=tags)
+        vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
+        dims = (vocab.encoding_length + 2, 4, 3)
+        model = init_params(dims, seed=int(rng.integers(0, 2 ** 31)))
+        members = [init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for _ in range(3)]
+
+        features, labels, spans = validation_matrix(topo, datasets, vocab)
+        single = fold_correct(predict_batch(model, features), labels, spans)
+        voted = fold_correct(ensemble_predict_batch(members, features), labels, spans)
+        for node_id, (lo, hi) in spans.items():
+            subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
+            assert single[node_id] / (hi - lo) == evaluate(model, subtree, vocab)
+            blocks = [(encode_rows(d.spatial, d.rows("validation")[0], vocab), d.rows("validation")[1])
+                      for d in subtree]
+            pooled = np.vstack([b[0] for b in blocks])
+            pooled_labels = np.concatenate([b[1] for b in blocks])
+            assert voted[node_id] / (hi - lo) == accuracy_score(
+                ensemble_predict_batch(members, pooled), pooled_labels)
 
 
 class TestConfigValidation:
