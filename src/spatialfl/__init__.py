@@ -6,13 +6,7 @@ centralized, ensemble, and flat federated baselines.
 """
 
 from ._version import __version__
-from .baselines import (
-    BaselineKind,
-    ensemble_predict,
-    flat_fedavg,
-    train_centralized,
-    train_client_models,
-)
+from .baselines import BaselineKind, ensemble_predict, train_centralized
 from .data import (
     ClientDataset,
     CsvSchema,
@@ -72,11 +66,9 @@ from .nn import (
 )
 from .spatial import (
     SpatialAttribute,
-    SpatialEncoding,
     SpatialVocabulary,
     build_vocabulary,
     encode_spatial,
-    feature_vector,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,12 +1,14 @@
 """Comparison methods that share the tiered protocol's primitives: a
-centralized network over pooled rows, a per-client majority-vote
-ensemble, and single-level federated averaging (uniform or
-sample-weighted).
+centralized network over pooled rows and a per-client majority-vote
+ensemble.
 
-All baselines encode inputs exactly like the tiered method (pass
-``vocab=None`` for the encoding-off ablation) and train clients with the
-same per-client seed derivation, so accuracy differences isolate the
-aggregation strategy.
+The ensemble members and the single-level federated averages (uniform or
+sample-weighted) are not trained here: they are built from the round-1
+client updates that :func:`~spatialfl.federation.run_tier_round`
+returns, so every client is trained once per round. All baselines encode
+inputs exactly like the tiered method (pass ``vocab=None`` for the
+encoding-off ablation), so accuracy differences isolate the aggregation
+strategy.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClientDataset
-from .errors import EmptyAggregationError, EmptyDatasetError, ShapeError
-from .federation import fedavg, local_train, per_round_config, weighted_aggregate
+from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from .nn import ModelParams, TrainingConfig, predict_batch, train
 from .spatial import SpatialVocabulary, encode_rows
 
@@ -71,20 +72,10 @@ def train_centralized(
     features, labels = pooled_training_rows(clients, vocab)
     if features.shape[1] != init.input_dim:
         raise ShapeError(f"pooled feature length {features.shape[1]} != input_dim {init.input_dim}")
-    return train(init, features, labels, config)
-
-
-def train_client_models(
-    clients: Iterable[ClientDataset],
-    init: ModelParams,
-    config: TrainingConfig,
-    vocab: SpatialVocabulary | None,
-) -> dict[str, ModelParams]:
-    """Independently trained per-client models (ensemble members)."""
-    return {
-        c.client_id: local_train(c, init, per_round_config(config, c.client_id, 1), vocab).params
-        for c in sorted(clients, key=lambda c: c.client_id)
-    }
+    try:
+        return train(init, features, labels, config)
+    except DivergenceError as exc:
+        raise DivergenceError(f"centralized baseline: {exc}") from None
 
 
 def ensemble_predict(models: Sequence[ModelParams], features: np.ndarray) -> int:
@@ -105,19 +96,3 @@ def ensemble_predict_batch(models: Sequence[ModelParams], batch: np.ndarray) -> 
     for m in models:
         counts[predict_batch(m, batch), rows] += 1
     return np.argmax(counts, axis=0)
-
-
-def flat_fedavg(
-    clients: Iterable[ClientDataset],
-    init: ModelParams,
-    config: TrainingConfig,
-    vocab: SpatialVocabulary | None,
-    weighted: bool = False,
-) -> ModelParams:
-    """Single-level federated averaging: every client trains from one
-    shared init, then one aggregation step produces the global model."""
-    updates = [
-        local_train(c, init, per_round_config(config, c.client_id, 1), vocab)
-        for c in sorted(clients, key=lambda c: c.client_id)
-    ]
-    return weighted_aggregate(updates) if weighted else fedavg(updates)

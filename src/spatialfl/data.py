@@ -196,26 +196,31 @@ def _parse_row(
         return value.strip()
 
     def number(column: str, *, required: bool) -> float:
+        # An empty cell is the only missing-value marker; "nan" and "inf"
+        # text would otherwise pass float() and poison training later.
         text = cell(column)
         if text == "":
             if required:
                 raise ValueError(f"column {column!r} must not be empty")
             return math.nan
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"column {column!r} holds non-finite value {text!r}")
+        return value
 
-    leaf = cell(schema.client_label)
-    if leaf == "":
-        raise ValueError(f"column {schema.client_label!r} must not be empty")
-    path = [leaf]
-    for column in hierarchy:
-        label = cell(column)
-        if label == "":
+    def label(column: str) -> str:
+        text = cell(column)
+        if text == "":
             raise ValueError(f"column {column!r} must not be empty")
-        path.append(label)
+        if text == ROOT_ID:
+            raise ValueError(f"column {column!r} holds {ROOT_ID!r}, the reserved label of the root node")
+        return text
+
+    path = tuple(label(c) for c in (schema.client_label, *hierarchy))
     spatial = SpatialAttribute(
         latitude=number(schema.latitude, required=True),
         longitude=number(schema.longitude, required=True),
-        hierarchy_path=tuple(path),
+        hierarchy_path=path,
     )
     return RawRecord(
         spatial=spatial,

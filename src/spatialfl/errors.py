@@ -19,6 +19,10 @@ class InvalidLabelError(SpatialFLError):
     """A class label lies outside [0, n_classes)."""
 
 
+class DivergenceError(SpatialFLError):
+    """Training drove a parameter to a non-finite value."""
+
+
 # -- spatial encoding ---------------------------------------------------------
 
 class EmptyCorpusError(SpatialFLError):

@@ -5,7 +5,7 @@ spatial weight (their training sample count) upward. Every interior node
 replaces its model with the uniform mean of its children's models, or
 with the convex combination given by the children's normalised raw
 weights; an interior node's own raw weight is the sum of its descendants'
-sample counts, which makes hierarchical weighted aggregation compose
+raw weights, which makes hierarchical weighted aggregation compose
 exactly with flat weighted aggregation. After each round the root model
 is broadcast back down and the cycle repeats.
 
@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     CorruptModelError,
     DegenerateWeightsError,
+    DivergenceError,
     EmptyAggregationError,
     EmptyClientError,
     MissingClientError,
@@ -156,12 +157,9 @@ class ClientUpdate:
 
     client_id: str
     params: ModelParams
-    sample_count: int
     spatial_weight_raw: float
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
         if self.spatial_weight_raw < 0:
             raise ValueError("spatial_weight_raw must be non-negative")
 
@@ -207,8 +205,7 @@ def local_train(
     if dataset.n_classes != init.n_classes:
         raise ShapeError(f"dataset has {dataset.n_classes} classes, model {init.n_classes}")
     params = train(init, encoded, labels, config)
-    n = int(features.shape[0])
-    return ClientUpdate(dataset.client_id, params, n, float(n))
+    return ClientUpdate(dataset.client_id, params, float(features.shape[0]))
 
 
 def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
@@ -269,9 +266,9 @@ def aggregate_tree(
 ) -> dict[str, ModelParams]:
     """Fold client updates up the tree; returns one model per node.
 
-    Interior nodes carry the sum of their descendants' sample counts and
-    raw weights, so with the sample-weighted mode the root equals the flat
-    weighted average over all clients (up to rounding).
+    Interior nodes carry the sum of their descendants' raw weights, so
+    with the sample-weighted mode the root equals the flat weighted
+    average over all clients (up to rounding).
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -285,19 +282,15 @@ def aggregate_tree(
         raise TopologyError(f"updates for unknown clients: {extra}")
 
     models = {c: by_id[c].params for c in clients}
-    samples = {c: by_id[c].sample_count for c in clients}
     weights = {c: by_id[c].spatial_weight_raw for c in clients}
     for tier in range(1, topology.max_tier + 1):
         for node in sorted(n.node_id for n in topology.nodes if n.tier == tier):
             kids = topology.children(node)
-            child_updates = [
-                ClientUpdate(k, models[k], samples[k], weights[k]) for k in kids
-            ]
+            child_updates = [ClientUpdate(k, models[k], weights[k]) for k in kids]
             if mode == "uniform":
                 models[node] = fedavg(child_updates)
             else:
                 models[node] = weighted_aggregate(child_updates)
-            samples[node] = sum(samples[k] for k in kids)
             weights[node] = float(sum(weights[k] for k in kids))
     return models
 
@@ -309,29 +302,36 @@ def run_tier_round(
     policy: AggregationPolicy,
     config: TrainingConfig,
     vocab: SpatialVocabulary | None,
-) -> dict[str, ModelParams]:
+) -> tuple[dict[str, ModelParams], list[ClientUpdate]]:
     """Run the full tiered protocol for ``policy.rounds`` rounds.
 
     Each round every client trains from the current broadcast model
     (round 1 broadcasts ``global_init``), updates flow up the tree, and
     the root model becomes the next broadcast. Returns the final model of
-    every node: localized models at tier 0, one aggregate per interior
-    node, and the global model at the root.
+    every node (localized models at tier 0, one aggregate per interior
+    node, the global model at the root) and the round-1 client updates in
+    ascending client order. Those are the clients' models trained once
+    from ``global_init``; one-round flat federated averaging and the
+    per-client ensemble are built from them.
     """
     clients = topology.clients()
     missing = [c for c in clients if c not in datasets]
     if missing:
         raise MissingClientError(f"no dataset for clients: {missing}")
     broadcast = global_init
-    models: dict[str, ModelParams] = {}
     for round_index in range(1, policy.rounds + 1):
-        updates = [
-            local_train(datasets[c], broadcast, per_round_config(config, c, round_index), vocab)
-            for c in clients
-        ]
+        updates = []
+        for c in clients:
+            try:
+                updates.append(local_train(
+                    datasets[c], broadcast, per_round_config(config, c, round_index), vocab))
+            except DivergenceError as exc:
+                raise DivergenceError(f"client {c!r} in round {round_index}: {exc}") from None
+        if round_index == 1:
+            first_round = updates
         models = aggregate_tree(topology, updates, policy.mode)
         broadcast = models[topology.root_id]
-    return models
+    return models, first_round
 
 
 def serialize_model(params: ModelParams) -> bytes:

@@ -20,14 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .baselines import (
-    BaselineKind,
-    ensemble_predict_batch,
-    flat_fedavg,
-    stack_rows,
-    train_centralized,
-    train_client_models,
-)
+from .baselines import BaselineKind, ensemble_predict_batch, stack_rows, train_centralized
 from .data import (
     ROOT_ID,
     ClientDataset,
@@ -45,8 +38,10 @@ from .federation import (
     AggregationPolicy,
     TierNode,
     TierTopology,
+    fedavg,
     run_tier_round,
     serialize_model,
+    weighted_aggregate,
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_batch
 from .seeding import derive_seed
@@ -617,7 +612,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     node_order = sorted(topology.nodes, key=lambda n: (-n.tier, n.node_id))
 
     with _stage("federated"):
-        node_models = run_tier_round(topology, datasets, init, config.policy, training, vocab)
+        node_models, client_updates = run_tier_round(
+            topology, datasets, init, config.policy, training, vocab)
 
     with _stage("evaluate"):
         features, labels, spans = validation_matrix(topology, datasets, vocab)
@@ -630,10 +626,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             client_predictions[cid] = {"predicted": tiered[cid].tolist(), "actual": labels[lo:hi].tolist()}
 
     with _stage("baselines"):
-        ordered_clients = [datasets[c] for c in clients]
         for kind in config.baselines:
             if kind is BaselineKind.CENTRALIZED_NN:
-                pooled = train_centralized(ordered_clients, init, training, vocab)
+                pooled = train_centralized(datasets.values(), init, training, vocab)
                 correct[kind.value] = fold_correct(predict_batch(pooled, features), labels, spans)
                 # One network per child of the root, trained on and scoring
                 # only its own subtree's rows.
@@ -645,12 +640,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     regional[lo:hi] = predict_batch(model, features[lo:hi])
                 correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
             elif kind is BaselineKind.ENSEMBLE:
-                members = train_client_models(ordered_clients, init, training, vocab)
-                votes = ensemble_predict_batch([members[c] for c in clients], features)
+                votes = ensemble_predict_batch([u.params for u in client_updates], features)
                 correct[kind.value] = fold_correct(votes, labels, spans)
             else:
-                weighted = kind is BaselineKind.FLAT_FEDAVG_WEIGHTED
-                model = flat_fedavg(ordered_clients, init, training, vocab, weighted=weighted)
+                # One round of flat federated averaging over the clients'
+                # round-1 models, which the tiered run already trained.
+                aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
+                model = aggregate(client_updates)
                 correct[kind.value] = fold_correct(predict_batch(model, features), labels, spans)
 
     with _stage("report"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidLabelError, ShapeError
+from .errors import DivergenceError, InvalidDimensionError, InvalidLabelError, ShapeError
 
 Dims = tuple[int, int, int]  # (input_dim, hidden_dim, n_classes)
 
@@ -241,7 +241,8 @@ def train(
 
     The minibatch order is drawn from a generator seeded with
     ``config.seed``, so identical inputs reproduce bit-identical
-    parameters. Zero epochs return ``init`` untouched.
+    parameters. Zero epochs return ``init`` untouched. A step that leaves
+    a non-finite parameter raises :class:`DivergenceError`.
     """
     features = _check_batch(init, features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -253,14 +254,20 @@ def train(
     params = init
     state = init_optimizer_state(init)
     n = features.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits = forward(params, features[idx])
-            _, grad_logits = loss_and_grad(logits, labels[idx])
-            grad = backward(params, features[idx], grad_logits)
-            params, state = adam_step(params, grad, state, config)
+    # Overflow is reported once, as the non-finite parameters that
+    # ModelParams rejects, not as numpy warnings along the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for _ in range(config.epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, config.batch_size):
+                    idx = order[start:start + config.batch_size]
+                    logits = forward(params, features[idx])
+                    _, grad_logits = loss_and_grad(logits, labels[idx])
+                    grad = backward(params, features[idx], grad_logits)
+                    params, state = adam_step(params, grad, state, config)
+        except ValueError as exc:
+            raise DivergenceError(f"training diverged ({exc})") from None
     return params
 
 

@@ -11,7 +11,7 @@ vocabulary is built.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,16 +84,6 @@ class SpatialVocabulary:
         }
 
 
-@dataclass(frozen=True)
-class SpatialEncoding:
-    """Fixed-length numeric encoding of one spatial attribute."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def build_vocabulary(
     records: list[SpatialAttribute],
     *,
@@ -128,8 +118,9 @@ def _normalise(value: float, bounds: tuple[float, float]) -> float:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> SpatialEncoding:
-    """Encode one attribute against a vocabulary; pure and deterministic."""
+def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> np.ndarray:
+    """Encode one attribute against a vocabulary as a vector of
+    ``vocab.encoding_length`` floats; pure and deterministic."""
     parts = []
     if vocab.include_coordinates:
         parts.append(np.array([
@@ -145,13 +136,7 @@ def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> SpatialE
             block = np.zeros(len(vocab.levels[level]))
             block[vocab.level_index(level, label)] = 1.0
             parts.append(block)
-    return SpatialEncoding(np.concatenate(parts))
-
-
-def feature_vector(raw_features: np.ndarray, encoding: SpatialEncoding) -> np.ndarray:
-    """Model input for one row: encoding followed by the raw features."""
-    raw = np.asarray(raw_features, dtype=np.float64).ravel()
-    return np.concatenate([encoding.values, raw])
+    return np.concatenate(parts)
 
 
 def encode_rows(
@@ -173,6 +158,6 @@ def encode_rows(
             return features
         out = np.empty((features.shape[0], width + features.shape[1]))
     if vocab is not None:
-        out[:, :width] = encode_spatial(attr, vocab).values
+        out[:, :width] = encode_spatial(attr, vocab)
     out[:, width:] = features
     return out

@@ -16,7 +16,6 @@ def random_update(client_id, dims, rng, max_count=50):
     return ClientUpdate(
         client_id=client_id,
         params=init_params(dims, seed=int(rng.integers(0, 2 ** 32))),
-        sample_count=int(rng.integers(1, max_count + 1)),
         spatial_weight_raw=float(rng.integers(1, max_count + 1)),
     )
 

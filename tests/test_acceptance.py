@@ -133,7 +133,7 @@ def test_aggregation_algebra():
         dims = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 4)))
         p = init_params(dims, seed=int(rng.integers(0, 2 ** 32)))
         k = int(rng.integers(2, 9))
-        out = fedavg([ClientUpdate(f"c{i:02d}", p, 1, 1.0) for i in range(k)])
+        out = fedavg([ClientUpdate(f"c{i:02d}", p, 1.0) for i in range(k)])
         gap = float(np.max(np.abs(flatten(out) - flatten(p))))
         idempotent &= gap <= 1e-15
         if k & (k - 1) == 0:

@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 from helpers import separable_client
-from spatialfl.baselines import (
-    ensemble_predict,
-    ensemble_predict_batch,
-    flat_fedavg,
-    stack_rows,
-    train_centralized,
-    train_client_models,
-)
+from spatialfl.baselines import ensemble_predict, ensemble_predict_batch, stack_rows, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
-from spatialfl.errors import EmptyAggregationError, EmptyDatasetError, ShapeError
+from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from spatialfl.federation import (
     AggregationPolicy,
+    TierNode,
+    TierTopology,
+    fedavg,
     local_train,
     per_round_config,
     run_tier_round,
+    weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, unflatten
+from spatialfl.nn import TrainingConfig, flat_length, flatten, init_params, params_equal, unflatten
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import build_vocabulary, encode_rows
 
@@ -63,6 +60,12 @@ class TestCentralized:
         ds.split_tags[:] = "validation"
         with pytest.raises(EmptyDatasetError):
             train_centralized([ds], init_params((2, 4, 2), 0), TrainingConfig(), None)
+
+    def test_divergence_names_the_baseline(self):
+        ds = separable_client("c", n=12, seed=0)
+        config = TrainingConfig(learning_rate=1e300, epochs=2, seed=1)
+        with pytest.raises(DivergenceError, match="^centralized baseline: training diverged"):
+            train_centralized([ds], init_params((2, 4, 2), 0), config, None)
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
@@ -134,47 +137,55 @@ class TestEnsemblePredict:
 
 
 class TestFlatFedavg:
+    """The flat baselines are one aggregation step over the tiered run's
+    round-1 client updates, and the ensemble members are their params."""
+
+    @staticmethod
+    def one_level_run(clients, init, config, mode="uniform", rounds=1):
+        nodes = [TierNode(c.client_id, 0, "root") for c in clients]
+        nodes.append(TierNode("root", 1, None))
+        datasets = {c.client_id: c for c in clients}
+        return run_tier_round(TierTopology(tuple(nodes)), datasets, init,
+                              AggregationPolicy(mode, rounds), config, None)
+
     def test_single_client_returns_its_model(self):
         ds = separable_client("solo", n=12, seed=3)
         init = init_params((2, 4, 2), seed=2)
         config = TrainingConfig(learning_rate=0.05, epochs=4, seed=19)
-        out = flat_fedavg([ds], init, config, None)
+        _, first_round = self.one_level_run([ds], init, config)
         direct = local_train(ds, init, per_round_config(config, "solo", 1), None)
-        assert params_equal(out, direct.params)
+        assert params_equal(fedavg(first_round), direct.params)
+        assert params_equal(weighted_aggregate(first_round), direct.params)
 
     def test_equal_counts_weighted_matches_unweighted(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(3)]
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=2, seed=8)
-        plain = flat_fedavg(clients, init, config, None, weighted=False)
-        weighted = flat_fedavg(clients, init, config, None, weighted=True)
-        assert np.allclose(
-            np.abs(np.concatenate([plain.layer1_weights.ravel() - weighted.layer1_weights.ravel(),
-                                   plain.layer1_bias - weighted.layer1_bias,
-                                   plain.layer2_weights.ravel() - weighted.layer2_weights.ravel(),
-                                   plain.layer2_bias - weighted.layer2_bias])),
-            0.0, atol=1e-15)
+        _, first_round = self.one_level_run(clients, init, config)
+        plain = flatten(fedavg(first_round))
+        weighted = flatten(weighted_aggregate(first_round))
+        assert np.allclose(np.abs(plain - weighted), 0.0, atol=1e-15)
 
     def test_matches_degenerate_tier_round_bit_exact(self):
-        # A one-level tree run through the full protocol must reproduce the
-        # flat implementation bit for bit, for both policies.
-        from spatialfl.federation import TierNode, TierTopology
-
-        clients = {f"c{i}": separable_client(f"c{i}", n=8 + 2 * i, seed=i) for i in range(4)}
-        nodes = [TierNode(c, 0, "root") for c in clients]
-        nodes.append(TierNode("root", 1, None))
-        topo = TierTopology(tuple(nodes))
+        # One round over a one-level tree must equal one aggregation step
+        # over clients trained directly from the init with round-1 seeds,
+        # for both policies; later rounds must not alter the round-1 updates.
+        clients = [separable_client(f"c{i}", n=8 + 2 * i, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=5)
         config = TrainingConfig(learning_rate=0.03, epochs=3, seed=31)
-        for mode, weighted in (("uniform", False), ("sample_weighted", True)):
-            tree_models = run_tier_round(topo, clients, init, AggregationPolicy(mode, 1),
-                                         config, None)
-            flat = flat_fedavg(list(clients.values()), init, config, None, weighted=weighted)
-            assert params_equal(tree_models["root"], flat)
+        direct = [local_train(c, init, per_round_config(config, c.client_id, 1), None)
+                  for c in clients]
+        for mode, aggregate in (("uniform", fedavg), ("sample_weighted", weighted_aggregate)):
+            tree_models, first_round = self.one_level_run(clients, init, config, mode)
+            assert params_equal(tree_models["root"], aggregate(direct))
+            assert params_equal(aggregate(first_round), aggregate(direct))
+            _, kept = self.one_level_run(clients, init, config, mode, rounds=3)
+            assert [u.client_id for u in kept] == [u.client_id for u in direct]
+            assert all(params_equal(a.params, b.params) for a, b in zip(kept, direct))
 
     def test_client_models_use_per_client_seeds(self):
         clients = [separable_client(f"c{i}", n=10, seed=0) for i in range(2)]
         init = init_params((2, 4, 2), seed=0)
-        members = train_client_models(clients, init, TrainingConfig(epochs=2, seed=3), None)
+        _, (c0, c1) = self.one_level_run(clients, init, TrainingConfig(epochs=2, seed=3))
         # identical data but distinct derived seeds produce distinct models
-        assert not params_equal(members["c0"], members["c1"])
+        assert not params_equal(c0.params, c1.params)

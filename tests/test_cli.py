@@ -18,6 +18,15 @@ def write_json(path, payload):
     return path
 
 
+def run_module(*args):
+    """Run ``python -m spatialfl`` in a fresh interpreter, as a user would."""
+    env_src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "spatialfl", *args],
+        capture_output=True, text=True, env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+    )
+
+
 def synthetic_config_file(tmp_path, **overrides):
     raw = {
         "seed": 4,
@@ -73,6 +82,31 @@ class TestRun:
         config = write_json(tmp_path / "config.json",
                             {"data": {"kind": "csv", "path": str(csv_path)}})
         assert main(["run", "--config", str(config)]) == 3
+
+    @pytest.mark.parametrize("header, row, named", [
+        ("client_label", "NB,45.0,-66.0,2020-01-01,1.0,inf",
+         "line 2: column 'feature_1' holds non-finite value 'inf'"),
+        ("client_label", "global,45.0,-66.0,2020-01-01,1.0,0.5",
+         "line 2: column 'client_label' holds 'global', the reserved label"),
+        ("client_label,level_1", "stn1,global,45.0,-66.0,2020-01-01,1.0,0.5",
+         "line 2: column 'level_1' holds 'global', the reserved label"),
+    ])
+    def test_bad_cell_exits_three_naming_it(self, tmp_path, capsys, header, row, named):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(f"{header},latitude,longitude,ref_date,target,feature_1\n{row}\n")
+        config = write_json(tmp_path / "config.json",
+                            {"data": {"kind": "csv", "path": str(csv_path)}})
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0]
+
+    def test_divergent_training_exits_four_naming_client_and_round(self, tmp_path):
+        path = synthetic_config_file(tmp_path, training={"learning_rate": 1e300, "epochs": 2})
+        result = run_module("run", "--config", str(path))
+        assert result.returncode == 4
+        err = result.stderr.splitlines()
+        assert len(err) == 1, result.stderr
+        assert "client 'r00c00' in round 1: training diverged" in err[0]
 
 
 class TestGenSynthetic:
@@ -151,10 +185,6 @@ class TestArgumentParsing:
 
     def test_module_entry_point(self, tmp_path):
         path = synthetic_config_file(tmp_path)
-        env_src = str(Path(__file__).resolve().parents[1] / "src")
-        result = subprocess.run(
-            [sys.executable, "-m", "spatialfl", "validate-config", "--config", str(path)],
-            capture_output=True, text=True, env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-        )
+        result = run_module("validate-config", "--config", str(path))
         assert result.returncode == 0
         assert "config OK" in result.stdout

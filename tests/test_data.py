@@ -78,6 +78,15 @@ class TestIngestCsv:
         with pytest.raises(RowError, match="line 3"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "nan"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER
+                        + "NB,45.0,-66.0,2020-01-01,10.5,1.0\n"
+                        + f"NB,45.0,-66.0,2020-01-02,11.0,{cell}\n")
+        with pytest.raises(RowError, match="line 3: column 'feature_1'"):
+            ingest_csv(path)
+
     def test_hierarchy_levels_autodetected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("client_label,level_1,latitude,longitude,ref_date,target,feature_1\n"

@@ -43,7 +43,7 @@ DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
 
 
 def update(client_id, values, count=1, raw=None):
-    return ClientUpdate(client_id, vector_params(DIMS, values), count,
+    return ClientUpdate(client_id, vector_params(DIMS, values),
                         float(count if raw is None else raw))
 
 
@@ -132,7 +132,6 @@ class TestLocalTrain:
     def test_sample_count_matches_rows(self):
         ds = separable_client("c", n=37, seed=2)
         out = local_train(ds, init_params((2, 4, 2), 0), TrainingConfig(epochs=1), None)
-        assert out.sample_count == 37
         assert out.spatial_weight_raw == 37.0
 
     def test_separable_client_reaches_full_training_accuracy(self):
@@ -166,12 +165,12 @@ class TestFedavg:
     def test_power_of_two_identical_models_bit_exact(self):
         p = init_params((2, 3, 2), seed=8)
         for k in (2, 4, 8):
-            out = fedavg([ClientUpdate(f"c{i}", p, 1, 1.0) for i in range(k)])
+            out = fedavg([ClientUpdate(f"c{i}", p, 1.0) for i in range(k)])
             assert params_equal(out, p)
 
     def test_other_counts_within_1e15(self):
         p = init_params((2, 3, 2), seed=8)
-        out = fedavg([ClientUpdate(f"c{i}", p, 1, 1.0) for i in range(3)])
+        out = fedavg([ClientUpdate(f"c{i}", p, 1.0) for i in range(3)])
         assert np.allclose(flatten(out), flatten(p), atol=1e-15, rtol=0.0)
 
     def test_empty_rejected(self):
@@ -181,7 +180,7 @@ class TestFedavg:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             fedavg([update("a", [0] * 4),
-                    ClientUpdate("b", init_params((2, 3, 2), 0), 1, 1.0)])
+                    ClientUpdate("b", init_params((2, 3, 2), 0), 1.0)])
 
 
 class TestNormalizeWeights:
@@ -221,7 +220,7 @@ class TestWeightedAggregate:
 
     def test_single_update_identity(self):
         p = init_params((3, 2, 2), seed=5)
-        out = weighted_aggregate([ClientUpdate("only", p, 9, 9.0)])
+        out = weighted_aggregate([ClientUpdate("only", p, 9.0)])
         assert params_equal(out, p)
 
     def test_zero_total_weight_rejected(self):
@@ -271,7 +270,7 @@ class TestAggregationProperties:
             nodes.append(TierNode(f"g{g}", 1, "root"))
         nodes.append(TierNode("root", 2, None))
         topo = TierTopology(tuple(nodes))
-        updates = [ClientUpdate(c, init_params((2, 3, 2), int(rng.integers(0, 99))), 10, 10.0)
+        updates = [ClientUpdate(c, init_params((2, 3, 2), int(rng.integers(0, 99))), 10.0)
                    for c in topo.clients()]
         root = aggregate_tree(topo, updates, "uniform")[topo.root_id]
         assert np.allclose(flatten(root), flatten(fedavg(updates)), atol=1e-12, rtol=0.0)
@@ -294,18 +293,21 @@ class TestRunTierRound:
         ds = {"c0": separable_client("c0", n=12, seed=0)}
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=42)
-        models = run_tier_round(topo, ds, init, AggregationPolicy("uniform", 1), config, None)
+        models, first_round = run_tier_round(
+            topo, ds, init, AggregationPolicy("uniform", 1), config, None)
         direct = local_train(ds["c0"], init, per_round_config(config, "c0", 1), None)
         assert params_equal(models["root"], direct.params)
         assert params_equal(models["c0"], direct.params)
+        assert [u.client_id for u in first_round] == ["c0"]
+        assert params_equal(first_round[0].params, direct.params)
 
     def test_zero_epochs_returns_init_everywhere(self):
         rng = np.random.default_rng(7)
         topo = random_tree(rng, 4)
         ds = {c: separable_client(c, n=8, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=9)
-        models = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
-                                TrainingConfig(epochs=0), None)
+        models, _ = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
+                                   TrainingConfig(epochs=0), None)
         for node_id, model in models.items():
             assert params_equal(model, init), node_id
 
@@ -320,8 +322,8 @@ class TestRunTierRound:
         ds = {c: separable_client(c, n=10, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=3, seed=5)
-        models = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
-                                config, None)
+        models, _ = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
+                                   config, None)
         updates = [local_train(ds[c], init, per_round_config(config, c, 1), None)
                    for c in topo.clients()]
         assert np.allclose(flatten(models["root"]), flatten(weighted_aggregate(updates)),
@@ -341,8 +343,8 @@ class TestRunTierRound:
         init = init_params((2, 6, 2), seed=2)
         config = TrainingConfig(learning_rate=0.03, epochs=4, seed=77)
         policy = AggregationPolicy("sample_weighted", 3)
-        first = run_tier_round(topo, ds, init, policy, config, None)
-        second = run_tier_round(topo, ds, init, policy, config, None)
+        first, _ = run_tier_round(topo, ds, init, policy, config, None)
+        second, _ = run_tier_round(topo, ds, init, policy, config, None)
         assert set(first) == set(second)
         for node_id in first:
             assert params_equal(first[node_id], second[node_id])
@@ -358,8 +360,8 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=21)
 
         def root_accuracy(rounds):
-            models = run_tier_round(topo, datasets, init,
-                                    AggregationPolicy("sample_weighted", rounds), config, vocab)
+            models, _ = run_tier_round(topo, datasets, init,
+                                       AggregationPolicy("sample_weighted", rounds), config, vocab)
             return evaluate(models[topo.root_id], datasets.values(), vocab)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

@@ -2,6 +2,8 @@
 report emission."""
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from spatialfl.harness import (
     validation_matrix,
     write_models,
 )
+from spatialfl import federation
 from spatialfl.federation import AggregationPolicy, deserialize_model
 from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, predict_batch, unflatten
 from spatialfl.spatial import SpatialAttribute, build_vocabulary, encode_rows
@@ -247,6 +250,26 @@ class TestRunExperiment:
         assert files_a == files_b
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
+
+    def test_each_client_trains_once_per_round(self, monkeypatch):
+        # The ensemble and both flat baselines are built from the tiered
+        # run's round-1 updates, so enabling them trains no client again.
+        trained = []
+        original = federation.local_train
+
+        def counting(dataset, *args):
+            trained.append(dataset.client_id)
+            return original(dataset, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spatialfl") and getattr(module, "local_train", None) is original:
+                monkeypatch.setattr(module, "local_train", counting)
+        config = synthetic_config(baselines=("centralized_nn", "ensemble", "flat_fedavg",
+                                             "flat_fedavg_weighted"), rounds=2)
+        result = run_experiment(config)
+        clients = sorted(result.report.client_predictions)
+        assert len(clients) == 4
+        assert Counter(trained) == {cid: 2 for cid in clients}
 
     def test_different_seed_changes_report(self):
         a = run_experiment(synthetic_config(seed=5))

@@ -11,7 +11,6 @@ from spatialfl.spatial import (
     build_vocabulary,
     encode_rows,
     encode_spatial,
-    feature_vector,
 )
 
 
@@ -43,7 +42,7 @@ class TestBuildVocabulary:
         assert all(len(level) == 1 for level in vocab.levels)
         assert vocab.lat_bounds == (45.0, 45.0)
         enc = encode_spatial(attr(45.0, -66.0, "only", "NB"), vocab)
-        assert np.array_equal(enc.values, [0.5, 0.5, 1.0, 1.0])
+        assert np.array_equal(enc, [0.5, 0.5, 1.0, 1.0])
 
     def test_ragged_paths_rejected(self):
         with pytest.raises(InconsistentHierarchyError):
@@ -64,19 +63,19 @@ class TestEncodeSpatial:
         vocab = build_vocabulary(records)
         low = encode_spatial(records[0], vocab)
         high = encode_spatial(records[1], vocab)
-        assert low.values[0] == 0.0 and low.values[1] == 0.0
-        assert high.values[0] == 1.0 and high.values[1] == 1.0
+        assert low[0] == 0.0 and low[1] == 0.0
+        assert high[0] == 1.0 and high[1] == 1.0
 
     def test_out_of_bounds_coordinates_clamp(self):
         vocab = build_vocabulary([attr(40.0, -70.0, "a"), attr(50.0, -60.0, "a")])
         enc = encode_spatial(attr(55.0, -75.0, "a"), vocab)
-        assert enc.values[0] == 1.0 and enc.values[1] == 0.0
+        assert enc[0] == 1.0 and enc[1] == 0.0
 
     def test_one_hot_block_position(self):
         records = [attr(0, 0, leaf) for leaf in ("a", "b", "c", "d")]
         vocab = build_vocabulary(records)
         enc = encode_spatial(attr(0, 0, "c"), vocab)
-        assert np.array_equal(enc.values[2:], [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(enc[2:], [0.0, 0.0, 1.0, 0.0])
 
     def test_unknown_label_rejected(self):
         vocab = build_vocabulary([attr(0, 0, "a", "NB"), attr(0, 0, "b", "ON")])
@@ -87,13 +86,13 @@ class TestEncodeSpatial:
         vocab = build_vocabulary([attr(40, -70, "a"), attr(50, -60, "b")],
                                  include_hierarchy=False)
         assert vocab.encoding_length == 2
-        assert encode_spatial(attr(45, -65, "a"), vocab).values.shape == (2,)
+        assert encode_spatial(attr(45, -65, "a"), vocab).shape == (2,)
 
     def test_hierarchy_only_encoding(self):
         vocab = build_vocabulary([attr(40, -70, "a"), attr(50, -60, "b")],
                                  include_coordinates=False)
         assert vocab.encoding_length == 2
-        assert np.array_equal(encode_spatial(attr(40, -70, "b"), vocab).values, [0.0, 1.0])
+        assert np.array_equal(encode_spatial(attr(40, -70, "b"), vocab), [0.0, 1.0])
 
     def test_total_length_matches_contract(self):
         records = [attr(0, 0, leaf, region) for leaf, region in
@@ -104,23 +103,13 @@ class TestEncodeSpatial:
 
 
 class TestFeatureVector:
-    def test_concatenation_order(self):
-        vocab = build_vocabulary([attr(0, 0, "a"), attr(0, 0, "b")])
-        enc = encode_spatial(attr(0, 0, "a"), vocab)
-        out = feature_vector(np.array([3.2]), enc)
-        assert np.array_equal(out, np.concatenate([enc.values, [3.2]]))
-
-    def test_empty_raw_features(self):
-        vocab = build_vocabulary([attr(0, 0, "a")])
-        enc = encode_spatial(attr(0, 0, "a"), vocab)
-        assert np.array_equal(feature_vector(np.array([]), enc), enc.values)
-
     def test_encode_rows_tiles_encoding(self):
         vocab = build_vocabulary([attr(0, 0, "a"), attr(0, 0, "b")])
         rows = np.array([[1.0], [2.0], [3.0]])
         out = encode_rows(attr(0, 0, "b"), rows, vocab)
         assert out.shape == (3, vocab.encoding_length + 1)
         assert np.array_equal(out[:, -1], [1.0, 2.0, 3.0])
+        assert np.array_equal(out[0, :-1], encode_spatial(attr(0, 0, "b"), vocab))
         assert np.array_equal(out[0, :-1], out[2, :-1])
 
     def test_encode_rows_without_vocab_is_identity(self):
@@ -144,7 +133,7 @@ class TestProperties:
         vocab = build_vocabulary([attr(0, 0, label) for label in labels])
         enc_a = encode_spatial(attr(0, 0, first), vocab)
         enc_b = encode_spatial(attr(0, 0, second), vocab)
-        assert not np.array_equal(enc_a.values, enc_b.values)
+        assert not np.array_equal(enc_a, enc_b)
 
     @given(st.floats(40.0, 50.0), st.floats(40.0, 50.0))
     @settings(max_examples=100, deadline=None)
@@ -153,9 +142,9 @@ class TestProperties:
         enc_a = encode_spatial(attr(lat_a, 0, "a"), vocab)
         enc_b = encode_spatial(attr(lat_b, 0, "a"), vocab)
         if lat_a <= lat_b:
-            assert enc_a.values[0] <= enc_b.values[0]
+            assert enc_a[0] <= enc_b[0]
         else:
-            assert enc_a.values[0] >= enc_b.values[0]
+            assert enc_a[0] >= enc_b[0]
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=100, deadline=None)
@@ -166,7 +155,7 @@ class TestProperties:
                         f"leaf{i}", f"region{i % 3}") for i in range(n)]
         vocab = build_vocabulary(records)
         enc = encode_spatial(records[int(rng.integers(0, n))], vocab)
-        blocks = enc.values[2:]
+        blocks = enc[2:]
         leaf_block = blocks[:len(vocab.levels[0])]
         region_block = blocks[len(vocab.levels[0]):]
         assert leaf_block.sum() == 1.0
@@ -176,4 +165,4 @@ class TestProperties:
         vocab = build_vocabulary([attr(1, 2, "a", "x"), attr(3, 4, "b", "y")])
         a1 = encode_spatial(attr(1, 2, "a", "x"), vocab)
         a2 = encode_spatial(attr(1, 2, "a", "x"), vocab)
-        assert np.array_equal(a1.values, a2.values)
+        assert np.array_equal(a1, a2)
