@@ -20,8 +20,9 @@ import numpy as np
 
 from .data import ClientDataset
 from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
+from .federation import stack_rows
 from .nn import ModelParams, TrainingConfig, predict_batch, train
-from .spatial import SpatialVocabulary, encode_rows
+from .spatial import SpatialVocabulary
 
 
 class BaselineKind(str, Enum):
@@ -29,26 +30,6 @@ class BaselineKind(str, Enum):
     ENSEMBLE = "ensemble"
     FLAT_FEDAVG = "flat_fedavg"
     FLAT_FEDAVG_WEIGHTED = "flat_fedavg_weighted"
-
-
-def stack_rows(
-    clients: Sequence[ClientDataset],
-    vocab: SpatialVocabulary | None,
-    split: str | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encoded rows of the clients, in the order given, written into one
-    preallocated matrix; also the labels and the client row offsets
-    (client ``i`` owns rows ``offsets[i]:offsets[i + 1]``)."""
-    offsets = np.cumsum([0] + [c.count(split) for c in clients])
-    n_raw = clients[0].features.shape[1] if clients else 0
-    width = (vocab.encoding_length if vocab is not None else 0) + n_raw
-    features = np.empty((offsets[-1], width))
-    labels = np.empty(offsets[-1], dtype=np.int64)
-    for client, lo, hi in zip(clients, offsets, offsets[1:]):
-        feats, labs = client.rows(split)
-        labels[lo:hi] = labs
-        encode_rows(client.spatial, feats, vocab, out=features[lo:hi])
-    return features, labels, offsets
 
 
 def pooled_training_rows(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .nn import ModelParams, TrainingConfig, flat_length, flatten, train, unflatten
+from .nn import ModelParams, TrainingConfig, flat_length, flatten, train, train_cohort, unflatten
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_rows
 
@@ -187,25 +187,84 @@ def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -
     return replace(config, seed=derive_seed(config.seed, "train", client_id, round_index))
 
 
+def stack_rows(
+    clients: Sequence["ClientDataset"],
+    vocab: SpatialVocabulary | None,
+    split: str | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoded rows of the clients, in the order given, written into one
+    preallocated matrix; also the labels and the client row offsets
+    (client ``i`` owns rows ``offsets[i]:offsets[i + 1]``)."""
+    offsets = np.cumsum([0] + [c.count(split) for c in clients])
+    n_raw = clients[0].features.shape[1] if clients else 0
+    width = (vocab.encoding_length if vocab is not None else 0) + n_raw
+    features = np.empty((offsets[-1], width))
+    labels = np.empty(offsets[-1], dtype=np.int64)
+    for client, lo, hi in zip(clients, offsets, offsets[1:]):
+        feats, labs = client.rows(split)
+        labels[lo:hi] = labs
+        encode_rows(client.spatial, feats, vocab, out=features[lo:hi])
+    return features, labels, offsets
+
+
+# Upper bound on one cohort's stacked training features. Cohort rows are
+# encoded afresh every round and dropped after it, so training holds at
+# most about this much encoded data whatever the number of clients, and
+# a cohort this large already shares the per-step numpy overhead among
+# enough clients that larger ones gain little.
+COHORT_BYTES = 1 << 20
+
+
+def cohorts(
+    clients: Sequence[str],
+    datasets: Mapping[str, "ClientDataset"],
+    input_dim: int,
+) -> list[list[str]]:
+    """The clients grouped by training-row count, in the given order within
+    a group, each group cut into cohorts whose stacked features fit in
+    :data:`COHORT_BYTES` (a cohort holds at least one client)."""
+    groups: dict[int, list[str]] = {}
+    for c in clients:
+        groups.setdefault(datasets[c].count("train"), []).append(c)
+    out = []
+    for n, ids in groups.items():
+        size = max(1, COHORT_BYTES // max(1, 8 * n * input_dim))
+        out += [ids[i:i + size] for i in range(0, len(ids), size)]
+    return out
+
+
+def _cohort_rows(
+    cohort: Sequence["ClientDataset"],
+    init: ModelParams,
+    vocab: SpatialVocabulary | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded training rows ``(K, n, input_dim)`` and labels ``(K, n)`` of
+    clients that all have ``n`` training rows."""
+    features, labels, offsets = stack_rows(cohort, vocab, "train")
+    n = int(offsets[1])
+    if n == 0:
+        raise EmptyClientError(f"client {cohort[0].client_id!r} has no training rows")
+    if features.shape[1] != init.input_dim:
+        raise ShapeError(
+            f"encoded feature length {features.shape[1]} != model input_dim {init.input_dim}"
+        )
+    for dataset in cohort:
+        if dataset.n_classes != init.n_classes:
+            raise ShapeError(f"dataset has {dataset.n_classes} classes, model {init.n_classes}")
+    return features.reshape(len(cohort), n, -1), labels.reshape(len(cohort), n)
+
+
 def local_train(
     dataset: "ClientDataset",
     init: ModelParams,
     config: TrainingConfig,
     vocab: SpatialVocabulary | None,
 ) -> ClientUpdate:
-    """Train one client from ``init`` on its encoded training rows."""
-    features, labels = dataset.rows("train")
-    if features.shape[0] == 0:
-        raise EmptyClientError(f"client {dataset.client_id!r} has no training rows")
-    encoded = encode_rows(dataset.spatial, features, vocab)
-    if encoded.shape[1] != init.input_dim:
-        raise ShapeError(
-            f"encoded feature length {encoded.shape[1]} != model input_dim {init.input_dim}"
-        )
-    if dataset.n_classes != init.n_classes:
-        raise ShapeError(f"dataset has {dataset.n_classes} classes, model {init.n_classes}")
-    params = train(init, encoded, labels, config)
-    return ClientUpdate(dataset.client_id, params, float(features.shape[0]))
+    """Train one client from ``init`` on its encoded training rows, as a
+    cohort of one."""
+    features, labels = _cohort_rows([dataset], init, vocab)
+    params = train(init, features[0], labels[0], config)
+    return ClientUpdate(dataset.client_id, params, float(labels.shape[1]))
 
 
 def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
@@ -313,20 +372,35 @@ def run_tier_round(
     ascending client order. Those are the clients' models trained once
     from ``global_init``; one-round flat federated averaging and the
     per-client ensemble are built from them.
+
+    Clients train through the cohort kernel, one call per cohort of
+    :func:`cohorts`, with their rows encoded afresh each round. A client
+    whose training diverges fails the round once every cohort has
+    trained, naming the lowest such client id.
     """
     clients = topology.clients()
     missing = [c for c in clients if c not in datasets]
     if missing:
         raise MissingClientError(f"no dataset for clients: {missing}")
+    groups = cohorts(clients, datasets, global_init.input_dim)
     broadcast = global_init
     for round_index in range(1, policy.rounds + 1):
-        updates = []
-        for c in clients:
-            try:
-                updates.append(local_train(
-                    datasets[c], broadcast, per_round_config(config, c, round_index), vocab))
-            except DivergenceError as exc:
-                raise DivergenceError(f"client {c!r} in round {round_index}: {exc}") from None
+        trained: dict[str, ClientUpdate] = {}
+        diverged: dict[str, str] = {}
+        for cohort in groups:
+            features, labels = _cohort_rows([datasets[c] for c in cohort], broadcast, vocab)
+            seeds = [per_round_config(config, c, round_index).seed for c in cohort]
+            params, failed = train_cohort(broadcast, features, labels, config, seeds)
+            for i, c in enumerate(cohort):
+                if i in failed:
+                    diverged[c] = failed[i]
+                else:
+                    trained[c] = ClientUpdate(c, unflatten(broadcast.dims, params[i]),
+                                              float(labels.shape[1]))
+        if diverged:
+            c = min(diverged)
+            raise DivergenceError(f"client {c!r} in round {round_index}: {diverged[c]}")
+        updates = [trained[c] for c in clients]
         if round_index == 1:
             first_round = updates
         models = aggregate_tree(topology, updates, policy.mode)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .baselines import BaselineKind, ensemble_predict_batch, stack_rows, train_centralized
+from .baselines import BaselineKind, ensemble_predict_batch, train_centralized
 from .data import (
     ROOT_ID,
     ClientDataset,
@@ -41,6 +41,7 @@ from .federation import (
     fedavg,
     run_tier_round,
     serialize_model,
+    stack_rows,
     weighted_aggregate,
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_batch
@@ -433,6 +434,9 @@ def config_from_dict(raw: Mapping, base_dir: Path = Path(".")) -> ExperimentConf
                 if not isinstance(leaves, list) or not leaves or not all(isinstance(v, str) for v in leaves):
                     errors.append(f"topology.{name} must be a non-empty list of leaf labels")
                     continue
+                if name == ROOT_ID:
+                    errors.append(f"topology group {name!r} is the reserved id of the root node")
+                    continue
                 for leaf in leaves:
                     if leaf in seen:
                         errors.append(f"topology assigns leaf {leaf!r} to both {seen[leaf]!r} and {name!r}")
@@ -538,6 +542,9 @@ def grouped_topology(leaves: Iterable[str], groups: Mapping[str, Sequence[str]])
     unassigned = sorted(set(leaves) - set(assigned))
     if unassigned:
         raise ConfigError([f"topology override leaves clients unassigned: {unassigned}"])
+    clashes = sorted(set(groups) & set(leaves))
+    if clashes:
+        raise ConfigError([f"topology group {name!r} has the name of a leaf" for name in clashes])
     nodes = [TierNode(leaf, 0, assigned[leaf]) for leaf in leaves]
     nodes += [TierNode(name, 1, ROOT_ID) for name in sorted(groups)]
     nodes.append(TierNode(ROOT_ID, 2, None))

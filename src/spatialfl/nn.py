@@ -5,11 +5,21 @@ backpropagation, and a bias-corrected Adam step over the flattened
 parameter vector. The flattening order (layer-1 weights row-major,
 layer-1 bias, layer-2 weights row-major, layer-2 bias) is a contract: the
 binary model file format stores parameters in exactly this order.
+
+All training runs through one kernel, :func:`train_cohort`. It trains a
+cohort of clients that share ``init``, row count and config, each with
+its own minibatch seed, over one ``(K, P)`` parameter buffer whose rows
+the layers view and which Adam updates in place. Its contract is
+bit-exactness: every client's parameters equal, bit for bit, those of
+the reference chain :func:`forward` -> :func:`loss_and_grad` ->
+:func:`backward` -> :func:`adam_step` run for that client alone, which
+the tests check on random shapes. :func:`train` is a cohort of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -133,22 +143,25 @@ def flatten(params: ModelParams) -> np.ndarray:
     ])
 
 
+def _layer_views(buffer: np.ndarray, dims: Dims) -> tuple[np.ndarray, ...]:
+    """The layers of a flat vector, or of every row of a ``(K, P)``
+    buffer, as views in the model-file order: ``W1, b1, W2, b2``."""
+    input_dim, hidden_dim, n_classes = dims
+    a = hidden_dim * input_dim
+    b = a + hidden_dim
+    c = b + n_classes * hidden_dim
+    lead = buffer.shape[:-1]
+    return (buffer[..., :a].reshape(*lead, hidden_dim, input_dim), buffer[..., a:b],
+            buffer[..., b:c].reshape(*lead, n_classes, hidden_dim), buffer[..., c:])
+
+
 def unflatten(dims: Dims, vector: np.ndarray) -> ModelParams:
     """Inverse of :func:`flatten`; bit-exact round trip."""
     vector = np.asarray(vector, dtype=np.float64)
     if vector.ndim != 1 or vector.size != flat_length(dims):
         raise ShapeError(f"expected flat vector of length {flat_length(dims)}, got shape {vector.shape}")
-    input_dim, hidden_dim, n_classes = dims
-    a = hidden_dim * input_dim
-    b = a + hidden_dim
-    c = b + n_classes * hidden_dim
-    return ModelParams(
-        layer1_weights=vector[:a].reshape(hidden_dim, input_dim).copy(),
-        layer1_bias=vector[a:b].copy(),
-        layer2_weights=vector[b:c].reshape(n_classes, hidden_dim).copy(),
-        layer2_bias=vector[c:].copy(),
-        dims=dims,
-    )
+    w1, b1, w2, b2 = (view.copy() for view in _layer_views(vector, dims))
+    return ModelParams(w1, b1, w2, b2, dims=dims)
 
 
 def _check_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -231,6 +244,106 @@ def adam_step(
     return unflatten(params.dims, flat), OptimizerState(m, v, t)
 
 
+def train_cohort(
+    init: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    config: TrainingConfig,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Train a cohort of K clients from ``init``: the training kernel.
+
+    ``features`` is ``(K, n, input_dim)`` and ``labels`` is ``(K, n)``:
+    every client has the same number of rows and the same ``config``,
+    and client ``k`` draws its minibatch order from a generator seeded
+    with ``seeds[k]``. Client ``k``'s parameters are row ``k`` of the
+    returned ``(K, P)`` buffer, in the model-file order. Each row is
+    bit-identical to chaining :func:`forward`, :func:`loss_and_grad`,
+    :func:`backward` and :func:`adam_step` for that client alone: the
+    3-D matmuls make the same BLAS call per client, and every
+    elementwise step keeps the reference's operation order. The returned
+    dict maps the index of each client whose parameters went non-finite
+    to the message of its first such step; that client's row is garbage.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if (labels.ndim != 2 or not labels.shape[0] or len(seeds) != labels.shape[0]
+            or features.shape != (*labels.shape, init.input_dim)):
+        raise ShapeError(f"cohort features {features.shape}, labels {labels.shape} and "
+                         f"{len(seeds)} seeds disagree for input_dim {init.input_dim}")
+    k, n = labels.shape
+    if labels.size and (labels.min() < 0 or labels.max() >= init.n_classes):
+        raise InvalidLabelError(f"labels must lie in [0, {init.n_classes})")
+    params = np.tile(flatten(init), (k, 1))
+    grad = np.zeros_like(params)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    m_hat, v_hat = np.empty_like(params), np.empty_like(params)  # also scratch
+    w1, b1, w2, b2 = _layer_views(params, init.dims)
+    g_w1, g_b1, g_w2, g_b2 = _layer_views(grad, init.dims)
+    lr, beta1, beta2, eps = (config.learning_rate, config.adam_beta1,
+                             config.adam_beta2, config.adam_epsilon)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    clients = np.arange(k)[:, None]
+    diverged: dict[int, str] = {}
+    t = 0
+    # Overflow is reported once, as the client's divergence message, not
+    # as numpy warnings along the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, config.batch_size):
+                idx = order[:, start:start + config.batch_size]
+                batch, batch_labels = features[clients, idx], labels[clients, idx]
+                rows = idx.shape[1]
+                # Forward, keeping the pre-activation for backward.
+                pre_hidden = np.matmul(batch, w1.transpose(0, 2, 1))
+                pre_hidden += b1[:, None, :]
+                hidden = np.maximum(pre_hidden, 0.0)
+                probs = np.matmul(hidden, w2.transpose(0, 2, 1))
+                probs += b2[:, None, :]
+                # Softmax cross-entropy gradient w.r.t. the logits, in place.
+                probs -= probs.max(axis=2, keepdims=True)
+                np.exp(probs, out=probs)
+                probs /= probs.sum(axis=2, keepdims=True)
+                probs[clients, np.arange(rows), batch_labels] -= 1.0
+                probs /= rows
+                # Backward into the flat gradient buffer.
+                np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2)
+                np.sum(probs, axis=1, out=g_b2)
+                grad_hidden = np.where(pre_hidden > 0.0, np.matmul(probs, w2), 0.0)
+                np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1)
+                np.sum(grad_hidden, axis=1, out=g_b1)
+                # Bias-corrected Adam, in place, in adam_step's order.
+                t += 1
+                m *= beta1
+                np.multiply(1.0 - beta1, grad, out=m_hat)
+                m += m_hat
+                v *= beta2
+                np.multiply(1.0 - beta2, grad, out=v_hat)
+                v_hat *= grad
+                v += v_hat
+                np.divide(m, 1.0 - beta1 ** t, out=m_hat)
+                np.multiply(lr, m_hat, out=m_hat)
+                np.divide(v, 1.0 - beta2 ** t, out=v_hat)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += eps
+                m_hat /= v_hat
+                params -= m_hat
+                finite = np.isfinite(params).all(axis=1)
+                if not finite.all():
+                    for i in np.flatnonzero(~finite).tolist():
+                        if i not in diverged:
+                            diverged[i] = _divergence_message(params[i], init.dims)
+    return params, diverged
+
+
+def _divergence_message(vector: np.ndarray, dims: Dims) -> str:
+    names = ("layer1_weights", "layer1_bias", "layer2_weights", "layer2_bias")
+    name = next(name for name, layer in zip(names, _layer_views(vector, dims))
+                if not np.isfinite(layer).all())
+    return f"training diverged ({name} contains non-finite entries)"
+
+
 def train(
     init: ModelParams,
     features: np.ndarray,
@@ -239,36 +352,16 @@ def train(
 ) -> ModelParams:
     """Run ``config.epochs`` epochs of seeded minibatch Adam from ``init``.
 
-    The minibatch order is drawn from a generator seeded with
-    ``config.seed``, so identical inputs reproduce bit-identical
-    parameters. Zero epochs return ``init`` untouched. A step that leaves
-    a non-finite parameter raises :class:`DivergenceError`.
+    A cohort of one through :func:`train_cohort`: the minibatch order is
+    drawn from a generator seeded with ``config.seed``, so identical
+    inputs reproduce bit-identical parameters. A step that leaves a
+    non-finite parameter raises :class:`DivergenceError`.
     """
-    features = _check_batch(init, features)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (features.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} vs features {features.shape}")
-    if config.epochs == 0:
-        return init
-    rng = np.random.default_rng(config.seed)
-    params = init
-    state = init_optimizer_state(init)
-    n = features.shape[0]
-    # Overflow is reported once, as the non-finite parameters that
-    # ModelParams rejects, not as numpy warnings along the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for _ in range(config.epochs):
-                order = rng.permutation(n)
-                for start in range(0, n, config.batch_size):
-                    idx = order[start:start + config.batch_size]
-                    logits = forward(params, features[idx])
-                    _, grad_logits = loss_and_grad(logits, labels[idx])
-                    grad = backward(params, features[idx], grad_logits)
-                    params, state = adam_step(params, grad, state, config)
-        except ValueError as exc:
-            raise DivergenceError(f"training diverged ({exc})") from None
-    return params
+    features, labels = np.asarray(features), np.asarray(labels)
+    params, diverged = train_cohort(init, features[None], labels[None], config, [config.seed])
+    if diverged:
+        raise DivergenceError(diverged[0])
+    return unflatten(init.dims, params[0])
 
 
 def predict(params: ModelParams, features: np.ndarray) -> int:

@@ -109,6 +109,17 @@ class TestRun:
         assert "client 'r00c00' in round 1: training diverged" in err[0]
 
 
+    @pytest.mark.parametrize("group", ["global", "r00c00"])
+    def test_group_named_like_root_or_leaf_exits_two(self, tmp_path, group):
+        leaves = ["r00c00", "r00c01", "r01c00", "r01c01"]
+        path = synthetic_config_file(tmp_path, topology={group: leaves})
+        result = run_module("run", "--config", str(path))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1, result.stderr
+        assert err[0].startswith("config error:") and f"topology group {group!r}" in err[0]
+
+
 class TestGenSynthetic:
     def test_writes_ingestable_csv(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "spec.json", SPEC)

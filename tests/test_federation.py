@@ -13,12 +13,14 @@ from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import (
     CorruptModelError,
     DegenerateWeightsError,
+    DivergenceError,
     EmptyAggregationError,
     EmptyClientError,
     MissingClientError,
     ShapeError,
     TopologyError,
 )
+from spatialfl import federation
 from spatialfl.federation import (
     MODEL_MAGIC,
     AggregationPolicy,
@@ -26,6 +28,7 @@ from spatialfl.federation import (
     TierNode,
     TierTopology,
     aggregate_tree,
+    cohorts,
     deserialize_model,
     fedavg,
     local_train,
@@ -328,6 +331,38 @@ class TestRunTierRound:
                    for c in topo.clients()]
         assert np.allclose(flatten(models["root"]), flatten(weighted_aggregate(updates)),
                            atol=1e-12, rtol=0.0)
+
+    def diverging_round(self, blown_up):
+        # Adam's step is about the learning rate whatever the gradient's
+        # scale, so scaled features alone stay finite; with this rate the
+        # first step's weights times 1e300-scaled features overflow.
+        topo = self.two_level_topology(["c0", "c1"])
+        ds = {c: separable_client(c, n=12, seed=i) for i, c in enumerate(["c0", "c1"])}
+        for c in blown_up:
+            ds[c].features *= 1e300
+        init = init_params((2, 4, 2), 1)
+        assert cohorts(["c0", "c1"], ds, init.input_dim) == [["c0", "c1"]]
+        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=3)
+        with pytest.raises(DivergenceError) as info:
+            run_tier_round(topo, ds, init, AggregationPolicy("uniform", 2), config, None)
+        return str(info.value)
+
+    def test_divergence_inside_a_cohort_names_the_client(self):
+        # Pinned to the message of the per-client loop that preceded cohorts.
+        assert self.diverging_round(["c1"]) == (
+            "client 'c1' in round 1: training diverged (layer1_weights contains non-finite entries)")
+
+    def test_divergence_of_two_members_names_the_lower_id(self):
+        assert self.diverging_round(["c0", "c1"]) == (
+            "client 'c0' in round 1: training diverged (layer1_weights contains non-finite entries)")
+
+    def test_cohorts_group_by_row_count_within_the_byte_budget(self, monkeypatch):
+        ds = {c: separable_client(c, n=n) for c, n in
+              [("a", 10), ("b", 12), ("c", 10), ("d", 10), ("e", 12)]}
+        assert cohorts(sorted(ds), ds, 3) == [["a", "c", "d"], ["b", "e"]]
+        # Two clients of 10 rows x 3 float64 features fit in 480 bytes.
+        monkeypatch.setattr(federation, "COHORT_BYTES", 480)
+        assert cohorts(sorted(ds), ds, 3) == [["a", "c"], ["d"], ["b"], ["e"]]
 
     def test_missing_dataset_rejected(self):
         topo = self.two_level_topology(["c0", "c1"])

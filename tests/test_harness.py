@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import random_tree
 from spatialfl.baselines import BaselineKind, ensemble_predict_batch
-from spatialfl.data import ClientDataset, SyntheticSpec
+from spatialfl.data import ROOT_ID, ClientDataset, SyntheticSpec
 from spatialfl.errors import ConfigError, EmptyEvaluationError
 from spatialfl.harness import (
     METHOD_CENTRALIZED_REGIONAL,
@@ -32,9 +32,10 @@ from spatialfl.harness import (
     validation_matrix,
     write_models,
 )
-from spatialfl import federation
+from spatialfl import federation, nn
 from spatialfl.federation import AggregationPolicy, deserialize_model
 from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, predict_batch, unflatten
+from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute, build_vocabulary, encode_rows
 
 FAST_TRAINING = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=32)
@@ -194,6 +195,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="both"):
             config_from_dict(raw)
 
+    def test_group_named_like_root_rejected(self):
+        raw = minimal_raw_config()
+        raw["topology"] = {ROOT_ID: ["a", "b"]}
+        with pytest.raises(ConfigError, match=f"topology group '{ROOT_ID}' is the reserved id"):
+            config_from_dict(raw)
+
     def test_fully_disabled_encoding_rejected(self):
         raw = minimal_raw_config()
         raw["encoding"] = {"use_coordinates": False, "use_hierarchy": False}
@@ -233,6 +240,10 @@ class TestGroupedTopology:
         with pytest.raises(ConfigError, match="unassigned"):
             grouped_topology(["a", "b", "c"], {"g1": ["a", "b"]})
 
+    def test_group_named_like_leaf_rejected(self):
+        with pytest.raises(ConfigError, match="topology group 'a' has the name of a leaf"):
+            grouped_topology(["a", "b"], {"a": ["a", "b"]})
+
 
 class TestRunExperiment:
     def test_deterministic_reports_and_files(self, tmp_path):
@@ -251,25 +262,50 @@ class TestRunExperiment:
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
+    @staticmethod
+    def spy_on_kernel(monkeypatch, calls):
+        """Record the seeds of every call to the cohort kernel, at every
+        ``spatialfl`` module alias."""
+        original = nn.train_cohort
+
+        def spy(init, features, labels, config, seeds):
+            calls.append(list(seeds))
+            return original(init, features, labels, config, seeds)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spatialfl") and getattr(module, "train_cohort", None) is original:
+                monkeypatch.setattr(module, "train_cohort", spy)
+
     def test_each_client_trains_once_per_round(self, monkeypatch):
         # The ensemble and both flat baselines are built from the tiered
         # run's round-1 updates, so enabling them trains no client again.
-        trained = []
-        original = federation.local_train
-
-        def counting(dataset, *args):
-            trained.append(dataset.client_id)
-            return original(dataset, *args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("spatialfl") and getattr(module, "local_train", None) is original:
-                monkeypatch.setattr(module, "local_train", counting)
+        # A client's round seed names it on its way into the kernel.
         config = synthetic_config(baselines=("centralized_nn", "ensemble", "flat_fedavg",
                                              "flat_fedavg_weighted"), rounds=2)
+        clients = ["r00c00", "r00c01", "r01c00", "r01c01"]
+        owner = {derive_seed(config.seed, "train", c, r): (c, r) for c in clients for r in (1, 2)}
+        calls = []
+        self.spy_on_kernel(monkeypatch, calls)
         result = run_experiment(config)
-        clients = sorted(result.report.client_predictions)
-        assert len(clients) == 4
-        assert Counter(trained) == {cid: 2 for cid in clients}
+        assert sorted(result.report.client_predictions) == clients
+        trained = Counter(owner.get(seed, "centralized") for seeds in calls for seed in seeds)
+        # The pooled centralized network and one per region, each a cohort of one.
+        assert trained.pop("centralized") == 3
+        assert trained == {(c, r): 1 for c in clients for r in (1, 2)}
+
+    def test_cohorts_of_one_give_identical_models(self, monkeypatch):
+        config = synthetic_config(rounds=2)
+        calls = []
+        self.spy_on_kernel(monkeypatch, calls)
+        cohort = run_experiment(config).node_models
+        assert [len(seeds) for seeds in calls] == [4, 4]
+        calls.clear()
+        monkeypatch.setattr(federation, "COHORT_BYTES", 1)
+        single = run_experiment(config).node_models
+        assert [len(seeds) for seeds in calls] == [1] * 8
+        assert sorted(cohort) == sorted(single)
+        for node_id in cohort:
+            assert params_equal(cohort[node_id], single[node_id]), node_id
 
     def test_different_seed_changes_report(self):
         a = run_experiment(synthetic_config(seed=5))

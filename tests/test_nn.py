@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatialfl.errors import InvalidDimensionError, InvalidLabelError, ShapeError
@@ -24,6 +24,7 @@ from spatialfl.nn import (
     predict_batch,
     softmax,
     train,
+    train_cohort,
     unflatten,
 )
 
@@ -322,3 +323,77 @@ class TestTrain:
         model = train(init_params((2, 8, 2), seed=0), features, labels,
                       TrainingConfig(learning_rate=0.5, epochs=50, seed=1))
         assert np.all(np.isfinite(flatten(model)))
+
+
+def reference_train(init, features, labels, config, seed):
+    """The per-step chain that the training kernel must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    params, state = init, init_optimizer_state(init)
+    n = features.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            _, grad_logits = loss_and_grad(forward(params, features[idx]), labels[idx])
+            grad = backward(params, features[idx], grad_logits)
+            params, state = adam_step(params, grad, state, config)
+    return params
+
+
+class TestTrainCohort:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        dims=st.tuples(st.integers(1, 48), st.integers(1, 24), st.integers(1, 4)),
+        k=st.integers(1, 5),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 48),
+        epochs=st.integers(1, 3),
+    )
+    @example(seed=1, dims=(3, 4, 2), k=3, n=10, batch_size=32, epochs=2)  # batch_size > n
+    @example(seed=2, dims=(5, 8, 3), k=4, n=23, batch_size=8, epochs=2)   # ragged last batch
+    @example(seed=3, dims=(160, 16, 3), k=2, n=40, batch_size=32, epochs=1)
+    @settings(max_examples=40, deadline=None)
+    def test_every_member_matches_reference_chain(self, seed, dims, k, n, batch_size, epochs):
+        # Bit-exact, not allclose: BLAS may tile differently as shapes
+        # grow, so the shapes are drawn at random and never skipped.
+        rng = np.random.default_rng(seed)
+        init = init_params(dims, seed)
+        features = rng.normal(size=(k, n, dims[0]))
+        labels = rng.integers(0, dims[2], size=(k, n))
+        config = TrainingConfig(learning_rate=0.05, epochs=epochs, batch_size=batch_size)
+        seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=k)]
+        params, diverged = train_cohort(init, features, labels, config, seeds)
+        assert diverged == {}
+        assert params.shape == (k, init.n_params)
+        for i in range(k):
+            expected = flatten(reference_train(init, features[i], labels[i], config, seeds[i]))
+            assert params[i].tobytes() == expected.tobytes()
+
+    def test_members_train_independently(self):
+        # A member diverging leaves the others' rows equal to training alone.
+        # Its message is the one the per-step chain raises for it alone.
+        rng = np.random.default_rng(8)
+        init = init_params((3, 4, 2), seed=1)
+        features = rng.normal(size=(3, 12, 3))
+        features[1] *= 1e300
+        labels = rng.integers(0, 2, size=(3, 12))
+        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=5)
+        params, diverged = train_cohort(init, features, labels, config, [4, 5, 6])
+        assert diverged == {1: "training diverged (layer2_weights contains non-finite entries)"}
+        for i in (0, 2):
+            alone, _ = train_cohort(init, features[i:i + 1], labels[i:i + 1], config, [4 + i])
+            assert params[i].tobytes() == alone[0].tobytes()
+
+    def test_labels_checked_once_per_call(self):
+        init = init_params((2, 3, 2), seed=0)
+        labels = np.zeros((2, 6), dtype=np.int64)
+        labels[1, 5] = 2
+        with pytest.raises(InvalidLabelError):
+            train_cohort(init, np.zeros((2, 6, 2)), labels, TrainingConfig(epochs=1), [0, 1])
+
+    def test_shape_mismatch_rejected(self):
+        init = init_params((2, 3, 2), seed=0)
+        with pytest.raises(ShapeError):
+            train_cohort(init, np.zeros((2, 6, 3)), np.zeros((2, 6)), TrainingConfig(), [0, 1])
+        with pytest.raises(ShapeError):
+            train_cohort(init, np.zeros((2, 6, 2)), np.zeros((2, 6)), TrainingConfig(), [0])
