@@ -16,6 +16,7 @@ inputs are presented or how client training is scheduled.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -187,6 +188,24 @@ def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -
     return replace(config, seed=derive_seed(config.seed, "train", client_id, round_index))
 
 
+def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float64 matrix on pages mapped for it alone, which
+    go back to the OS as soon as the matrix and its views are dropped.
+
+    Stacked rows are the largest arrays of a run (the pooled centralized
+    training set is megabytes) and are rebuilt at the same size every
+    run. From malloc, glibc places such a block on the heap once it has
+    freed one like it (its mmap threshold rises to the freed size), and
+    whether the next one fits in a free hole or grows the heap by its
+    full size depends on how other allocations have split the heap, so
+    peak memory jumped by the block's size at an unpredictable run.
+    """
+    nbytes = shape[0] * shape[1] * 8
+    if nbytes == 0:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(shape)
+
+
 def stack_rows(
     clients: Sequence["ClientDataset"],
     vocab: SpatialVocabulary | None,
@@ -198,7 +217,7 @@ def stack_rows(
     offsets = np.cumsum([0] + [c.count(split) for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
     width = (vocab.encoding_length if vocab is not None else 0) + n_raw
-    features = np.empty((offsets[-1], width))
+    features = _mapped_empty((int(offsets[-1]), width))
     labels = np.empty(offsets[-1], dtype=np.int64)
     for client, lo, hi in zip(clients, offsets, offsets[1:]):
         feats, labs = client.rows(split)

@@ -1,5 +1,8 @@
 """Tests for the centralized, ensemble, and flat-averaging baselines."""
 
+import mmap
+import weakref
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,28 @@ class TestStackRows:
             assert np.array_equal(features, np.vstack(blocks))
             assert np.array_equal(labels, np.concatenate([c.rows("validation")[1] for c in clients]))
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
+
+    def test_matrix_has_its_own_mapping_released_with_its_last_view(self):
+        clients = [separable_client(f"c{i}", n=6, seed=i) for i in range(3)]
+        vocab = build_vocabulary([c.spatial for c in clients])
+        features, _, _ = stack_rows(clients, vocab, "train")
+        mapping = features
+        while not isinstance(mapping, mmap.mmap):
+            mapping = mapping.obj if isinstance(mapping, memoryview) else mapping.base
+        released = weakref.ref(mapping)
+        del mapping
+        view = features[1:]
+        del features
+        assert released() is not None
+        del view
+        assert released() is None
+
+    def test_no_rows_gives_an_empty_matrix(self):
+        clients = [separable_client("c0", n=4, seed=0)]
+        vocab = build_vocabulary([c.spatial for c in clients])
+        features, labels, offsets = stack_rows(clients, vocab, "validation")
+        assert features.shape == (0, vocab.encoding_length + 2)
+        assert labels.shape == (0,) and offsets.tolist() == [0, 0]
 
 
 class TestEnsemblePredict:
