@@ -10,8 +10,8 @@ from .baselines import BaselineKind, ensemble_predict, train_centralized
 from .data import (
     ClientDataset,
     CsvSchema,
+    GeoTable,
     PreprocessConfig,
-    RawRecord,
     SyntheticSpec,
     discretize_target,
     export_csv,

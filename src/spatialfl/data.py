@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .federation import TierNode, TierTopology
 from .seeding import derive_seed
-from .spatial import SpatialAttribute
+from .spatial import SpatialAttribute, check_coordinates
 
 ROOT_ID = "global"
 SPLIT_TRAIN = "train"
@@ -58,14 +58,51 @@ class CsvSchema:
             object.__setattr__(self, "features", tuple(self.features))
 
 
-@dataclass
-class RawRecord:
-    """One ingested row; missing numeric cells are NaN markers."""
+@dataclass(frozen=True)
+class GeoTable:
+    """Geo-tagged rows held as columns, one array per field.
 
-    spatial: SpatialAttribute
-    ref_date: date
+    Row ``i`` lies on the hierarchy path ``paths[path_index[i]]`` (leaf
+    first); ``paths`` holds each distinct path once. ``ordinals`` are the
+    rows' reference dates as ``date.toordinal()`` values. Missing feature
+    and target cells are NaN markers.
+    """
+
+    paths: tuple[tuple[str, ...], ...]
+    path_index: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    ordinals: np.ndarray
     features: np.ndarray
-    target: float
+    target: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "paths", tuple(tuple(p) for p in self.paths))
+        for name, dtype in (("path_index", np.int64), ("latitude", np.float64),
+                            ("longitude", np.float64), ("ordinals", np.int64),
+                            ("features", np.float64), ("target", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = self.target.shape[0]
+        columns = (self.path_index, self.latitude, self.longitude, self.ordinals, self.target)
+        if any(c.shape != (n,) for c in columns) or self.features.ndim != 2 or self.features.shape[0] != n:
+            raise ValueError("table columns must all hold one value per row")
+        if n and not 0 <= self.path_index.min() <= self.path_index.max() < len(self.paths):
+            raise ValueError("path_index points outside paths")
+
+    def __len__(self) -> int:
+        return int(self.target.shape[0])
+
+    def take(self, rows: np.ndarray) -> GeoTable:
+        """The given rows, in the given order."""
+        return GeoTable(self.paths, self.path_index[rows], self.latitude[rows], self.longitude[rows],
+                        self.ordinals[rows], self.features[rows], self.target[rows])
+
+    def leaf_codes(self) -> tuple[list[str], np.ndarray]:
+        """The distinct leaf labels, sorted, and each row's index into them."""
+        leaves = sorted({path[0] for path in self.paths})
+        rank = {leaf: k for k, leaf in enumerate(leaves)}
+        of_path = np.array([rank[path[0]] for path in self.paths], dtype=np.int64)
+        return leaves, of_path[self.path_index]
 
 
 @dataclass(frozen=True)
@@ -156,12 +193,18 @@ class SyntheticSpec:
             raise ValueError("region_separation must be non-negative")
 
 
-def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[RawRecord]:
-    """Read geo-tagged rows; empty numeric cells become NaN, never zero."""
+def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
+    """Read geo-tagged rows; empty numeric cells become NaN, never zero.
+
+    Each row's cells are checked in the order labels, latitude, longitude,
+    coordinate range, reference date, features, target; the first bad cell
+    raises a RowError naming its file line and column. Blank lines are
+    skipped and cells beyond the mapped columns are ignored.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         hierarchy = schema.hierarchy
         if hierarchy is None:
             hierarchy = tuple(c for c in ("level_1", "level_2") if c in header)
@@ -174,60 +217,76 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> list[RawRec
         if missing:
             raise SchemaError(f"CSV header is missing mapped columns: {missing}")
 
-        records = []
-        for line_no, row in enumerate(reader, start=2):
+        # A repeated header name maps to its last column, as in csv.DictReader.
+        index = {name: i for i, name in enumerate(header)}
+        label_cols = [(index[c], c) for c in (schema.client_label, *hierarchy)]
+        lat_i, lon_i, date_i, target_i = (index[c] for c in (
+            schema.latitude, schema.longitude, schema.ref_date, schema.target))
+        feature_cols = [(index[c], c) for c in features]
+        # The order in which a row's cells are read, to name a short row's
+        # first missing column.
+        read_order = [*label_cols, (lat_i, schema.latitude), (lon_i, schema.longitude),
+                      (date_i, schema.ref_date), *feature_cols, (target_i, schema.target)]
+
+        path_codes: dict[tuple[str, ...], int] = {}
+        path_index, lats, lons, ordinals, feats, targets = [], [], [], [], [], []
+        for row in reader:
+            if not row:
+                continue
             try:
-                records.append(_parse_row(row, schema, hierarchy, features))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RowError(f"line {line_no}: {exc}") from exc
-    return records
+                row_path = tuple([_label(row[i], c) for i, c in label_cols])
+                lat = _number(row[lat_i], schema.latitude, required=True)
+                lon = _number(row[lon_i], schema.longitude, required=True)
+                check_coordinates(lat, lon)
+                ordinal = _ordinal(row[date_i], schema.ref_date)
+                feats.extend([_number(row[i], c, required=False) for i, c in feature_cols])
+                target = _number(row[target_i], schema.target, required=False)
+            except IndexError:
+                column = next(c for i, c in read_order if i >= len(row))
+                raise RowError(f"line {reader.line_num}: row is short a value for column {column!r}") from None
+            except ValueError as exc:
+                raise RowError(f"line {reader.line_num}: {exc}") from exc
+            path_index.append(path_codes.setdefault(row_path, len(path_codes)))
+            lats.append(lat)
+            lons.append(lon)
+            ordinals.append(ordinal)
+            targets.append(target)
+    return GeoTable(tuple(path_codes), path_index, lats, lons, ordinals,
+                    np.array(feats, dtype=np.float64).reshape(len(targets), len(features)), targets)
 
 
-def _parse_row(
-    row: Mapping[str, str],
-    schema: CsvSchema,
-    hierarchy: tuple[str, ...],
-    features: tuple[str, ...],
-) -> RawRecord:
-    def cell(column: str) -> str:
-        value = row[column]
-        if value is None:
-            raise ValueError(f"row is short a value for column {column!r}")
-        return value.strip()
+def _label(text: str, column: str) -> str:
+    text = text.strip()
+    if text == "":
+        raise ValueError(f"column {column!r} must not be empty")
+    if text == ROOT_ID:
+        raise ValueError(f"column {column!r} holds {ROOT_ID!r}, the reserved label of the root node")
+    return text
 
-    def number(column: str, *, required: bool) -> float:
-        # An empty cell is the only missing-value marker; "nan" and "inf"
-        # text would otherwise pass float() and poison training later.
-        text = cell(column)
-        if text == "":
-            if required:
-                raise ValueError(f"column {column!r} must not be empty")
-            return math.nan
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"column {column!r} holds non-finite value {text!r}")
-        return value
 
-    def label(column: str) -> str:
-        text = cell(column)
-        if text == "":
+def _number(text: str, column: str, required: bool) -> float:
+    # An empty cell is the only missing-value marker; "nan" and "inf"
+    # text would otherwise pass float() and poison training later.
+    text = text.strip()
+    if text == "":
+        if required:
             raise ValueError(f"column {column!r} must not be empty")
-        if text == ROOT_ID:
-            raise ValueError(f"column {column!r} holds {ROOT_ID!r}, the reserved label of the root node")
-        return text
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"column {column!r} holds {text!r}, not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"column {column!r} holds non-finite value {text!r}")
+    return value
 
-    path = tuple(label(c) for c in (schema.client_label, *hierarchy))
-    spatial = SpatialAttribute(
-        latitude=number(schema.latitude, required=True),
-        longitude=number(schema.longitude, required=True),
-        hierarchy_path=path,
-    )
-    return RawRecord(
-        spatial=spatial,
-        ref_date=date.fromisoformat(cell(schema.ref_date)),
-        features=np.array([number(c, required=False) for c in features], dtype=np.float64),
-        target=number(schema.target, required=False),
-    )
+
+def _ordinal(text: str, column: str) -> int:
+    text = text.strip()
+    try:
+        return date.fromisoformat(text).toordinal()
+    except ValueError:
+        raise ValueError(f"column {column!r} holds {text!r}, not a date") from None
 
 
 def _interpolate(values: np.ndarray) -> np.ndarray:
@@ -240,8 +299,10 @@ def _interpolate(values: np.ndarray) -> np.ndarray:
 def _outlier_keep(targets: np.ndarray, threshold: float) -> np.ndarray:
     # Iterated to a fixed point so that preprocessing is idempotent: no
     # retained row is an outlier with respect to the retained sample.
+    # A threshold below 1 can drop every row; the loop then stops before
+    # taking the moments of an empty sample.
     keep = np.ones(targets.size, dtype=bool)
-    while True:
+    while keep.any():
         vals = targets[keep]
         std = vals.std()
         if std == 0.0:
@@ -251,59 +312,52 @@ def _outlier_keep(targets: np.ndarray, threshold: float) -> np.ndarray:
         if not drop.any():
             return keep
         keep &= ~drop
+    return keep
 
 
-def preprocess(
-    records: Sequence[RawRecord],
-    config: PreprocessConfig = PreprocessConfig(),
-) -> list[RawRecord]:
+def preprocess(table: GeoTable, config: PreprocessConfig = PreprocessConfig()) -> GeoTable:
     """Clean a corpus unit by unit (a unit is one leaf label).
 
-    Rows are date-ordered per unit, missing feature and target values are
-    filled by linear interpolation along the series (nearest value at the
-    boundaries), and rows whose target z-score within the unit exceeds
-    the threshold are dropped. Output carries no missing markers.
+    Rows are date-ordered per unit (equal dates keep input order), missing
+    feature and target values are filled by linear interpolation along the
+    series (nearest value at the boundaries), and rows whose target z-score
+    within the unit exceeds the threshold are dropped. The output holds
+    the units in sorted leaf order and carries no missing markers.
     """
-    if not records:
-        return []
-    groups: dict[str, list[RawRecord]] = {}
-    for record in records:
-        groups.setdefault(record.spatial.leaf, []).append(record)
+    if not len(table):
+        return table
+    leaves, leaf = table.leaf_codes()
+    order = np.lexsort((np.arange(len(table)), table.ordinals, leaf))
+    table, leaf = table.take(order), leaf[order]
+    # take() copies, so the unit slices below are filled in place.
+    targets, feats = table.target, table.features
+    if config.fill_missing:
+        keep = np.ones(len(table), dtype=bool)
+    else:
+        keep = ~(np.isnan(targets) | np.isnan(feats).any(axis=1))
 
-    out: list[RawRecord] = []
-    for leaf in sorted(groups):
-        rows = sorted(enumerate(groups[leaf]), key=lambda t: (t[1].ref_date, t[0]))
-        unit = [r for _, r in rows]
-        targets = np.array([r.target for r in unit], dtype=np.float64)
-        if np.isnan(targets).all():
-            raise UnitUnusableError(f"unit {leaf!r} has no target values")
-        feats = np.stack([r.features for r in unit])
-
+    starts = np.flatnonzero(np.diff(leaf)) + 1
+    for lo, hi in zip([0, *starts], [*starts, len(table)]):
+        unit = leaves[leaf[lo]]
+        if np.isnan(targets[lo:hi]).all():
+            raise UnitUnusableError(f"unit {unit!r} has no target values")
         if config.fill_missing:
-            targets = _interpolate(targets)
+            targets[lo:hi] = _interpolate(targets[lo:hi])
             for j in range(feats.shape[1]):
-                if np.isnan(feats[:, j]).all():
-                    raise UnitUnusableError(f"unit {leaf!r} has no values for feature {j}")
-                feats[:, j] = _interpolate(feats[:, j])
-            keep = np.ones(len(unit), dtype=bool)
-        else:
-            keep = ~(np.isnan(targets) | np.isnan(feats).any(axis=1))
-            if not keep.any():
-                raise UnitUnusableError(f"unit {leaf!r} has no complete rows")
+                if np.isnan(feats[lo:hi, j]).all():
+                    raise UnitUnusableError(f"unit {unit!r} has no values for feature {j}")
+                feats[lo:hi, j] = _interpolate(feats[lo:hi, j])
+        elif not keep[lo:hi].any():
+            raise UnitUnusableError(f"unit {unit!r} has no complete rows")
 
         if config.drop_outliers:
-            kept_idx = np.flatnonzero(keep)
-            inlier = _outlier_keep(targets[kept_idx], config.outlier_zscore)
-            keep[kept_idx[~inlier]] = False
-
-        for i in np.flatnonzero(keep):
-            out.append(RawRecord(
-                spatial=unit[i].spatial,
-                ref_date=unit[i].ref_date,
-                features=feats[i].copy(),
-                target=float(targets[i]),
-            ))
-    return out
+            kept_idx = np.flatnonzero(keep[lo:hi])
+            inlier = _outlier_keep(targets[lo:hi][kept_idx], config.outlier_zscore)
+            keep[lo + kept_idx[~inlier]] = False
+            if not inlier.any():
+                raise UnitUnusableError(
+                    f"unit {unit!r} has no rows left after dropping target outliers at z > {config.outlier_zscore}")
+    return table.take(np.flatnonzero(keep))
 
 
 def discretize_target(values: Iterable[float], n_classes: int) -> np.ndarray:
@@ -330,7 +384,7 @@ def discretize_target(values: Iterable[float], n_classes: int) -> np.ndarray:
 
 
 def partition_clients(
-    records: Sequence[RawRecord],
+    table: GeoTable,
     n_classes: int,
     min_rows: int = 5,
     include_date_feature: bool = True,
@@ -341,44 +395,45 @@ def partition_clients(
     shares one class scale. The tier tree is derived from the hierarchy
     paths: leaves at tier 0, one node per distinct label above them, and a
     root on top. The reference date enters the feature matrix as a
-    min-max normalised ordinal unless switched off.
+    min-max normalised ordinal unless switched off. Each client keeps its
+    rows in table order.
     """
-    if not records:
+    if not len(table):
         raise EmptyCorpusError("cannot partition an empty corpus")
-    depth = len(records[0].spatial.hierarchy_path)
-    if any(len(r.spatial.hierarchy_path) != depth for r in records):
+    if len({len(table.paths[c]) for c in np.unique(table.path_index)}) > 1:
         raise InconsistentHierarchyError("hierarchy paths have mixed lengths")
 
-    labels = discretize_target([r.target for r in records], n_classes)
-    ordinals = np.array([r.ref_date.toordinal() for r in records], dtype=np.float64)
+    labels = discretize_target(table.target, n_classes)
+    ordinals = table.ordinals.astype(np.float64)
     lo, hi = ordinals.min(), ordinals.max()
     date_feature = np.full(ordinals.size, 0.5) if lo == hi else (ordinals - lo) / (hi - lo)
 
-    by_leaf: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        by_leaf.setdefault(record.spatial.leaf, []).append(i)
-
-    thin = sorted(leaf for leaf, idx in by_leaf.items() if len(idx) < min_rows)
+    leaves, leaf = table.leaf_codes()
+    counts = np.bincount(leaf, minlength=len(leaves))
+    thin = [leaves[k] for k in np.flatnonzero((counts > 0) & (counts < min_rows))]
     if thin:
         raise ThinClientError(f"leaves with fewer than {min_rows} rows: {thin}")
 
+    by_leaf = np.argsort(leaf, kind="stable")
+    ends = np.cumsum(counts)
     datasets: dict[str, ClientDataset] = {}
     paths: dict[str, tuple[str, ...]] = {}
-    for leaf in sorted(by_leaf):
-        idx = by_leaf[leaf]
-        leaf_paths = {records[i].spatial.hierarchy_path for i in idx}
+    for k in np.flatnonzero(counts):
+        leaf_id = leaves[k]
+        idx = by_leaf[ends[k] - counts[k]:ends[k]]
+        leaf_paths = {table.paths[c] for c in np.unique(table.path_index[idx])}
         if len(leaf_paths) > 1:
-            raise InconsistentHierarchyError(f"leaf {leaf!r} appears under multiple paths: {sorted(leaf_paths)}")
-        paths[leaf] = next(iter(leaf_paths))
-        feats = np.stack([records[i].features for i in idx])
+            raise InconsistentHierarchyError(f"leaf {leaf_id!r} appears under multiple paths: {sorted(leaf_paths)}")
+        paths[leaf_id] = next(iter(leaf_paths))
+        feats = table.features[idx]
         if include_date_feature:
             feats = np.hstack([feats, date_feature[idx][:, None]])
         attr = SpatialAttribute(
-            latitude=float(np.mean([records[i].spatial.latitude for i in idx])),
-            longitude=float(np.mean([records[i].spatial.longitude for i in idx])),
-            hierarchy_path=paths[leaf],
+            latitude=float(np.mean(table.latitude[idx])),
+            longitude=float(np.mean(table.longitude[idx])),
+            hierarchy_path=paths[leaf_id],
         )
-        datasets[leaf] = ClientDataset(leaf, attr, feats, labels[idx], n_classes)
+        datasets[leaf_id] = ClientDataset(leaf_id, attr, feats, labels[idx], n_classes)
     return datasets, topology_from_paths(paths)
 
 

@@ -538,7 +538,8 @@ def grouped_topology(leaves: Iterable[str], groups: Mapping[str, Sequence[str]])
             assigned[leaf] = name
     unknown = sorted(set(assigned) - set(leaves))
     if unknown:
-        raise ConfigError([f"topology override references unknown leaves: {unknown}"])
+        raise ConfigError([f"topology override references unknown leaves: {unknown} "
+                           "(groups hold leaf labels only: they form one tier and do not nest)"])
     unassigned = sorted(set(leaves) - set(assigned))
     if unassigned:
         raise ConfigError([f"topology override leaves clients unassigned: {unassigned}"])

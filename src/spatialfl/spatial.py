@@ -18,6 +18,14 @@ import numpy as np
 from .errors import EmptyCorpusError, InconsistentHierarchyError, UnknownRegionError
 
 
+def check_coordinates(latitude: float, longitude: float) -> None:
+    """Raise ValueError unless the coordinates lie on the globe."""
+    if not -90.0 <= latitude <= 90.0:
+        raise ValueError(f"latitude {latitude} outside [-90, 90]")
+    if not -180.0 <= longitude <= 180.0:
+        raise ValueError(f"longitude {longitude} outside [-180, 180]")
+
+
 @dataclass(frozen=True)
 class SpatialAttribute:
     """Raw geographic identity: coordinates plus a leaf-to-root label path."""
@@ -28,10 +36,7 @@ class SpatialAttribute:
 
     def __post_init__(self):
         object.__setattr__(self, "hierarchy_path", tuple(str(p) for p in self.hierarchy_path))
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
+        check_coordinates(self.latitude, self.longitude)
         if not self.hierarchy_path:
             raise ValueError("hierarchy_path must be non-empty")
 

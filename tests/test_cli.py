@@ -1,11 +1,16 @@
 """Tests for the command-line surface and its exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spatialfl.cli import main
 
@@ -118,6 +123,58 @@ class TestRun:
         err = result.stderr.splitlines()
         assert len(err) == 1, result.stderr
         assert err[0].startswith("config error:") and f"topology group {group!r}" in err[0]
+
+
+GEO_HEADER = "client_label,level_1,latitude,longitude,ref_date,target,feature_1"
+GEO_ROWS = [
+    f"s{i % 3},c{i % 3 % 2},{44.0 + i % 3},{-66.0 - i % 3},2020-01-{1 + i // 3:02d},{i * 1.5},{i % 5 / 4}"
+    for i in range(24)
+]
+BAD_CELLS = ["inf", "-Infinity", "nan", "1e999", "text", "", " ", "global", "2020-02-30", "95.0"]
+CONFIG_FAULTS = [
+    {}, {"n_classes": 5}, {"split_ratio": 1.0}, {"split_ratio": 0.01}, {"min_rows": 50},
+    {"min_rows": 0}, {"hidden_dim": "wide"}, {"training": {"epochs": -1}},
+    {"training": {"learning_rate": 1e300}}, {"training": {"batch_size": 0}},
+    {"aggregation": {"mode": "median"}}, {"preprocess": {"outlier_zscore": 0.01}},
+    {"preprocess": {"fill_missing": False}}, {"baselines": ["nonesuch"]},
+    {"topology": {"g": ["nope"]}}, {"topology": {"g": ["s0", "s1"]}},
+    {"topology": {"g1": ["s0", "s1"], "g2": ["g1", "s2"]}}, {"topology": {"global": ["s0", "s1", "s2"]}},
+    {"encoding": {"use_coordinates": False, "use_hierarchy": False}}, {"surplus": 1},
+    {"data": {"kind": "csv", "path": "absent.csv"}},
+    {"data": {"kind": "csv", "path": "geo.csv", "schema": {"target": "yield"}}},
+]
+
+
+class TestMalformedInputs:
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 6), st.sampled_from(BAD_CELLS)),
+                       max_size=3),
+        short=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 6)), max_size=1),
+        fault=st.sampled_from(CONFIG_FAULTS),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_run_exits_with_a_known_code_and_one_line(self, tmp_path, cells, short, fault):
+        rows = [row.split(",") for row in GEO_ROWS]
+        for i, j, text in cells:
+            rows[i][j] = text
+        for i, width in short:
+            rows[i] = rows[i][:width]
+        (tmp_path / "geo.csv").write_text("\n".join([GEO_HEADER, *map(",".join, rows)]) + "\n")
+        raw = {"data": {"kind": "csv", "path": "geo.csv"}, "training": {"epochs": 1},
+               "min_rows": 3, "baselines": [], "output_dir": str(tmp_path / "out")}
+        raw.update(fault)
+        config = write_json(tmp_path / "config.json", raw)
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(config)])
+        # Outside a test run a warning prints to stderr as well.
+        assert [str(w.message) for w in warned] == []
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestGenSynthetic:

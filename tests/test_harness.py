@@ -236,6 +236,13 @@ class TestGroupedTopology:
         with pytest.raises(ConfigError, match="unknown"):
             grouped_topology(["a", "b"], {"g1": ["a", "b", "z"]})
 
+    def test_group_of_groups_rejected_naming_the_one_tier_limit(self):
+        with pytest.raises(ConfigError) as info:
+            grouped_topology(["a", "b", "c"], {"g1": ["a", "b"], "g2": ["g1", "c"]})
+        assert info.value.errors == [
+            "topology override references unknown leaves: ['g1'] "
+            "(groups hold leaf labels only: they form one tier and do not nest)"]
+
     def test_unassigned_leaf_rejected(self):
         with pytest.raises(ConfigError, match="unassigned"):
             grouped_topology(["a", "b", "c"], {"g1": ["a", "b"]})
