@@ -20,8 +20,8 @@ import numpy as np
 
 from .data import ClientDataset
 from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
-from .federation import stack_rows
-from .nn import ModelParams, TrainingConfig, predict_batch, train
+from .federation import training_rows
+from .nn import ModelParams, TrainingConfig, predict_batch, train_cohort, unflatten
 from .spatial import SpatialVocabulary
 
 
@@ -32,31 +32,22 @@ class BaselineKind(str, Enum):
     FLAT_FEDAVG_WEIGHTED = "flat_fedavg_weighted"
 
 
-def pooled_training_rows(
-    clients: Iterable[ClientDataset],
-    vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded training rows pooled in canonical (client_id, row) order."""
-    features, labels, _ = stack_rows(sorted(clients, key=lambda c: c.client_id), vocab, "train")
-    if labels.size == 0:
-        raise EmptyDatasetError("pooled training set is empty")
-    return features, labels
-
-
 def train_centralized(
     clients: Iterable[ClientDataset],
     init: ModelParams,
     config: TrainingConfig,
     vocab: SpatialVocabulary | None,
 ) -> ModelParams:
-    """One model over every client's training rows, seeded and deterministic."""
-    features, labels = pooled_training_rows(clients, vocab)
-    if features.shape[1] != init.input_dim:
-        raise ShapeError(f"pooled feature length {features.shape[1]} != input_dim {init.input_dim}")
-    try:
-        return train(init, features, labels, config)
-    except DivergenceError as exc:
-        raise DivergenceError(f"centralized baseline: {exc}") from None
+    """One model over every client's training rows, pooled in canonical
+    (client_id, row) order, seeded and deterministic: a cohort of one
+    whose rows carry their own clients' encodings."""
+    raw, labels, codes, enc, _ = training_rows(sorted(clients, key=lambda c: c.client_id), vocab)
+    if labels.size == 0:
+        raise EmptyDatasetError("pooled training set is empty")
+    params, diverged = train_cohort(init, raw, labels, codes, enc, [0, labels.size], config, [config.seed])
+    if diverged:
+        raise DivergenceError(f"centralized baseline: {diverged[0]}")
+    return unflatten(init.dims, params[0])
 
 
 def ensemble_predict(models: Sequence[ModelParams], features: np.ndarray) -> int:

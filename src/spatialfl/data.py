@@ -5,8 +5,10 @@ spatially-clustered benchmarks with a known best achievable accuracy.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -204,7 +206,8 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+        rows = _read_rows(reader, path)
+        header = next(rows, [])
         hierarchy = schema.hierarchy
         if hierarchy is None:
             hierarchy = tuple(c for c in ("level_1", "level_2") if c in header)
@@ -230,7 +233,7 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
 
         path_codes: dict[tuple[str, ...], int] = {}
         path_index, lats, lons, ordinals, feats, targets = [], [], [], [], [], []
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             try:
@@ -253,6 +256,28 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
             targets.append(target)
     return GeoTable(tuple(path_codes), path_index, lats, lons, ordinals,
                     np.array(feats, dtype=np.float64).reshape(len(targets), len(features)), targets)
+
+
+def _read_rows(reader, path: Path):
+    """The reader's rows, with a failure to read one raised as a RowError
+    naming its line. Text is decoded in blocks of the file, ahead of the
+    row being parsed, so a byte that is not UTF-8 is located by a scan of
+    the file's bytes."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise RowError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        data = path.read_bytes()
+        start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        try:
+            data[start:].decode("utf-8")
+        except UnicodeDecodeError as scan:
+            at = start + scan.start
+            line = len(re.findall(rb"\r\n|\r|\n", data[:at])) + 1
+            raise RowError(f"line {line}: byte 0x{data[at]:02x} is not UTF-8 text; "
+                           "the file must be UTF-8 encoded") from None
+        raise RowError(f"the file is not UTF-8 text ({exc.reason})") from None
 
 
 def _label(text: str, column: str) -> str:

@@ -12,6 +12,11 @@ is broadcast back down and the cycle repeats.
 Aggregation accumulates over children in ascending node-id order using a
 fixed pairwise reduction, so results are bit-identical no matter how the
 inputs are presented or how client training is scheduled.
+
+A run stacks every client's raw training rows and spatial encoding once
+(:func:`training_rows`), in order of descending training-row count, and
+each round trains the clients through the training kernel in
+consecutive cohorts whose working memory fits :data:`COHORT_BYTES`.
 """
 
 from __future__ import annotations
@@ -33,9 +38,17 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .nn import ModelParams, TrainingConfig, flat_length, flatten, train, train_cohort, unflatten
+from .nn import (
+    ModelParams,
+    TrainingConfig,
+    flat_length,
+    flatten,
+    train_cohort,
+    unflatten,
+    working_set_bytes,
+)
 from .seeding import derive_seed
-from .spatial import SpatialVocabulary, encode_rows
+from .spatial import SpatialVocabulary, encode_rows, encode_spatial
 
 if TYPE_CHECKING:
     from .data import ClientDataset
@@ -226,51 +239,60 @@ def stack_rows(
     return features, labels, offsets
 
 
-# Upper bound on one cohort's stacked training features. Cohort rows are
-# encoded afresh every round and dropped after it, so training holds at
-# most about this much encoded data whatever the number of clients, and
-# a cohort this large already shares the per-step numpy overhead among
-# enough clients that larger ones gain little.
-COHORT_BYTES = 1 << 20
+def training_rows(
+    clients: Sequence["ClientDataset"],
+    vocab: SpatialVocabulary | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The clients' training rows as the training kernel reads them.
+
+    Returns the raw ``(N, F)`` feature rows and labels of the clients, in
+    the order given, each row's code (the index of its client), the
+    ``(K, E)`` table of the clients' encodings (``E`` is 0 with
+    ``vocab=None``) and the client row offsets. Nothing is encoded per
+    row: the kernel assembles ``[enc[code], raw]`` one minibatch at a time.
+    """
+    offsets = np.cumsum([0] + [c.count("train") for c in clients])
+    n_raw = clients[0].features.shape[1] if clients else 0
+    raw = _mapped_empty((int(offsets[-1]), n_raw))
+    labels = np.empty(offsets[-1], dtype=np.int64)
+    enc = np.empty((len(clients), vocab.encoding_length if vocab is not None else 0))
+    for i, (client, lo, hi) in enumerate(zip(clients, offsets, offsets[1:])):
+        raw[lo:hi], labels[lo:hi] = client.rows("train")
+        if vocab is not None:
+            enc[i] = encode_spatial(client.spatial, vocab)
+    codes = np.repeat(np.arange(len(clients)), np.diff(offsets))
+    return raw, labels, codes, enc, offsets
 
 
-def cohorts(
-    clients: Sequence[str],
-    datasets: Mapping[str, "ClientDataset"],
-    input_dim: int,
-) -> list[list[str]]:
-    """The clients grouped by training-row count, in the given order within
-    a group, each group cut into cohorts whose stacked features fit in
-    :data:`COHORT_BYTES` (a cohort holds at least one client)."""
-    groups: dict[int, list[str]] = {}
-    for c in clients:
-        groups.setdefault(datasets[c].count("train"), []).append(c)
-    out = []
-    for n, ids in groups.items():
-        size = max(1, COHORT_BYTES // max(1, 8 * n * input_dim))
-        out += [ids[i:i + size] for i in range(0, len(ids), size)]
-    return out
-
-
-def _cohort_rows(
-    cohort: Sequence["ClientDataset"],
+def _client_rows(
+    clients: Sequence["ClientDataset"],
     init: ModelParams,
     vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded training rows ``(K, n, input_dim)`` and labels ``(K, n)`` of
-    clients that all have ``n`` training rows."""
-    features, labels, offsets = stack_rows(cohort, vocab, "train")
-    n = int(offsets[1])
-    if n == 0:
-        raise EmptyClientError(f"client {cohort[0].client_id!r} has no training rows")
-    if features.shape[1] != init.input_dim:
-        raise ShapeError(
-            f"encoded feature length {features.shape[1]} != model input_dim {init.input_dim}"
-        )
-    for dataset in cohort:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`training_rows` of clients that must each train ``init``."""
+    for dataset in clients:
         if dataset.n_classes != init.n_classes:
             raise ShapeError(f"dataset has {dataset.n_classes} classes, model {init.n_classes}")
-    return features.reshape(len(cohort), n, -1), labels.reshape(len(cohort), n)
+    raw, labels, codes, enc, offsets = training_rows(clients, vocab)
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    if empty.size:
+        raise EmptyClientError(f"client {clients[empty[0]].client_id!r} has no training rows")
+    return raw, labels, codes, enc, offsets
+
+
+# Upper bound on the memory one call of the training kernel works in
+# (nn.working_set_bytes per client). Training rows are held raw, once per
+# run, so this bounds training's memory beyond them whatever the number of
+# clients; a cohort this large already shares the per-step numpy overhead
+# among enough clients that larger ones gain little.
+COHORT_BYTES = 4 << 20
+
+
+def cohort_slices(n_clients: int, dims: tuple[int, int, int], batch_size: int) -> list[slice]:
+    """Consecutive clients cut into cohorts whose kernel working set fits
+    :data:`COHORT_BYTES`; a client that alone exceeds it is a cohort of one."""
+    size = max(1, COHORT_BYTES // working_set_bytes(dims, batch_size))
+    return [slice(lo, min(lo + size, n_clients)) for lo in range(0, n_clients, size)]
 
 
 def local_train(
@@ -279,11 +301,13 @@ def local_train(
     config: TrainingConfig,
     vocab: SpatialVocabulary | None,
 ) -> ClientUpdate:
-    """Train one client from ``init`` on its encoded training rows, as a
-    cohort of one."""
-    features, labels = _cohort_rows([dataset], init, vocab)
-    params = train(init, features[0], labels[0], config)
-    return ClientUpdate(dataset.client_id, params, float(labels.shape[1]))
+    """Train one client from ``init`` on its training rows, as a cohort of
+    one."""
+    raw, labels, codes, enc, offsets = _client_rows([dataset], init, vocab)
+    params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, [config.seed])
+    if diverged:
+        raise DivergenceError(diverged[0])
+    return ClientUpdate(dataset.client_id, unflatten(init.dims, params[0]), float(offsets[1]))
 
 
 def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
@@ -392,30 +416,36 @@ def run_tier_round(
     from ``global_init``; one-round flat federated averaging and the
     per-client ensemble are built from them.
 
-    Clients train through the cohort kernel, one call per cohort of
-    :func:`cohorts`, with their rows encoded afresh each round. A client
-    whose training diverges fails the round once every cohort has
-    trained, naming the lowest such client id.
+    Every client's training rows are stacked once, before the first
+    round, in order of descending training-row count and then id, and
+    cut into cohorts by :func:`cohort_slices`; each round trains every
+    cohort in one call of the training kernel. A client whose training
+    diverges fails the round once every cohort has trained, naming the
+    lowest such client id.
     """
     clients = topology.clients()
     missing = [c for c in clients if c not in datasets]
     if missing:
         raise MissingClientError(f"no dataset for clients: {missing}")
-    groups = cohorts(clients, datasets, global_init.input_dim)
+    # Within a cohort in this order, the clients still training at any
+    # step are a prefix.
+    order = sorted(clients, key=lambda c: (-datasets[c].count("train"), c))
+    raw, labels, codes, enc, offsets = _client_rows([datasets[c] for c in order], global_init, vocab)
+    counts = np.diff(offsets).tolist()
     broadcast = global_init
     for round_index in range(1, policy.rounds + 1):
+        seeds = [per_round_config(config, c, round_index).seed for c in order]
         trained: dict[str, ClientUpdate] = {}
         diverged: dict[str, str] = {}
-        for cohort in groups:
-            features, labels = _cohort_rows([datasets[c] for c in cohort], broadcast, vocab)
-            seeds = [per_round_config(config, c, round_index).seed for c in cohort]
-            params, failed = train_cohort(broadcast, features, labels, config, seeds)
-            for i, c in enumerate(cohort):
+        for part in cohort_slices(len(order), global_init.dims, config.batch_size):
+            params, failed = train_cohort(broadcast, raw, labels, codes, enc,
+                                          offsets[part.start:part.stop + 1], config, seeds[part])
+            for i, c in enumerate(order[part]):
                 if i in failed:
                     diverged[c] = failed[i]
                 else:
                     trained[c] = ClientUpdate(c, unflatten(broadcast.dims, params[i]),
-                                              float(labels.shape[1]))
+                                              float(counts[part.start + i]))
         if diverged:
             c = min(diverged)
             raise DivergenceError(f"client {c!r} in round {round_index}: {diverged[c]}")

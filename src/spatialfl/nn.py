@@ -7,13 +7,18 @@ layer-1 bias, layer-2 weights row-major, layer-2 bias) is a contract: the
 binary model file format stores parameters in exactly this order.
 
 All training runs through one kernel, :func:`train_cohort`. It trains a
-cohort of clients that share ``init``, row count and config, each with
-its own minibatch seed, over one ``(K, P)`` parameter buffer whose rows
-the layers view and which Adam updates in place. Its contract is
-bit-exactness: every client's parameters equal, bit for bit, those of
-the reference chain :func:`forward` -> :func:`loss_and_grad` ->
-:func:`backward` -> :func:`adam_step` run for that client alone, which
-the tests check on random shapes. :func:`train` is a cohort of one.
+cohort of clients that share ``init`` and config, each with its own rows
+(any count) and minibatch seed, over one ``(K, P)`` parameter buffer
+whose rows the layers view and which Adam updates in place. Rows arrive
+raw, each with a code into a table of encodings, and the kernel
+assembles a minibatch's inputs only when it trains on them. Training is
+step-aligned: iteration ``g`` takes every client's own ``g``-th step,
+grouping neighbouring clients whose batches have the same size. Its
+contract is bit-exactness: every client's parameters equal, bit for bit,
+those of the reference chain :func:`forward` -> :func:`loss_and_grad` ->
+:func:`backward` -> :func:`adam_step` run for that client alone on its
+encoded rows, which the tests check on random ragged cohorts.
+:func:`train` is a cohort of one.
 """
 
 from __future__ import annotations
@@ -244,96 +249,204 @@ def adam_step(
     return unflatten(params.dims, flat), OptimizerState(m, v, t)
 
 
+def working_set_bytes(dims: Dims, batch_size: int) -> int:
+    """Bytes :func:`train_cohort` works in per client of a cohort whose
+    clients each use one encoding, beyond the rows themselves.
+
+    Six rows of ``P`` floats (parameters, gradient, both Adam moments and
+    two scratch rows) and a ``P``-byte finiteness mask; the client's row
+    of the full-width encoding table; and one minibatch of ``batch_size``
+    rows with what a step computes from it: the assembled inputs and
+    their raw part, four hidden-layer arrays, the logits, the ReLU mask
+    and four index vectors.
+    """
+    input_dim, hidden_dim, n_classes = dims
+    n_params = flat_length(dims)
+    words = 6 * n_params + input_dim + batch_size * (2 * input_dim + 4 * hidden_dim + n_classes + 4)
+    return 8 * words + n_params + batch_size * hidden_dim
+
+
+def _view(buffer: np.ndarray, clients: int, rows: int, cols: int) -> np.ndarray:
+    """The start of a flat scratch buffer, shaped ``(clients, rows, cols)``."""
+    return buffer[:clients * rows * cols].reshape(clients, rows, cols)
+
+
+def _schedule(counts: np.ndarray, batch_size: int, epochs: int) -> list:
+    """The step-aligned schedule of a cohort whose row counts do not increase.
+
+    Iteration ``g`` takes the ``g``-th step of every client that still has
+    one; those clients are a prefix of the cohort. For each iteration the
+    result holds the clients whose step starts an epoch, and the runs
+    ``(lo, hi, rows, starts)`` of neighbouring clients whose batch holds
+    ``rows`` rows, with ``starts[i]`` the position of client ``lo + i``'s
+    batch in the cohort's epoch orders. Its size grows with the number of
+    client steps, not with clients times iterations.
+    """
+    steps = -(-counts // batch_size)  # per epoch
+    total = steps * epochs
+    # One entry per (iteration g, client k) with k still training at g,
+    # ordered by g, then k.
+    active = np.searchsorted(-total, -np.arange(int(total[0])), side="left")
+    g = np.repeat(np.arange(active.size), active)
+    k = np.arange(g.size) - np.repeat(np.cumsum(active) - active, active)
+    step = g % steps[k]
+    size = np.where(step == steps[k] - 1, counts[k] - (steps[k] - 1) * batch_size, batch_size)
+    starts = np.cumsum(counts)[k] - counts[k] + step * batch_size
+    schedule: list = [([], []) for _ in range(active.size)]
+    its, clients, sizes = g.tolist(), k.tolist(), size.tolist()
+    for i in np.flatnonzero(step == 0).tolist():
+        schedule[its[i]][0].append(clients[i])
+    cuts = (np.flatnonzero((g[1:] != g[:-1]) | (size[1:] != size[:-1])) + 1).tolist()
+    for i, j in zip([0, *cuts], [*cuts, g.size]):
+        if i < j:
+            schedule[its[i]][1].append((clients[i], clients[j - 1] + 1, sizes[i], starts[i:j]))
+    return schedule
+
+
 def train_cohort(
     init: ModelParams,
-    features: np.ndarray,
+    raw: np.ndarray,
     labels: np.ndarray,
+    codes: np.ndarray,
+    enc: np.ndarray,
+    offsets: Sequence[int],
     config: TrainingConfig,
     seeds: Sequence[int],
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Train a cohort of K clients from ``init``: the training kernel.
 
-    ``features`` is ``(K, n, input_dim)`` and ``labels`` is ``(K, n)``:
-    every client has the same number of rows and the same ``config``,
-    and client ``k`` draws its minibatch order from a generator seeded
-    with ``seeds[k]``. Client ``k``'s parameters are row ``k`` of the
-    returned ``(K, P)`` buffer, in the model-file order. Each row is
-    bit-identical to chaining :func:`forward`, :func:`loss_and_grad`,
-    :func:`backward` and :func:`adam_step` for that client alone: the
-    3-D matmuls make the same BLAS call per client, and every
-    elementwise step keeps the reference's operation order. The returned
-    dict maps the index of each client whose parameters went non-finite
-    to the message of its first such step; that client's row is garbage.
+    Client ``k`` owns rows ``offsets[k]:offsets[k + 1]`` of the raw
+    feature matrix ``raw`` ``(N, F)`` and of ``labels`` ``(N,)``, and its
+    row counts must not increase along the cohort. Row ``i``'s model input
+    is ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding table
+    (``E`` is 0 with encoding off) followed by the raw features. Every
+    client shares ``config`` and draws its minibatch order at the start of
+    each of its epochs from a generator seeded with ``seeds[k]``.
+
+    Training is step-aligned: iteration ``g`` takes every client's own
+    ``g``-th step, so every client still training has taken the same
+    number of Adam steps, and those clients, a prefix of the cohort, take
+    one in-place Adam update over their rows of the ``(K, P)`` buffers.
+    Forward and backward run once per run of neighbouring clients whose
+    step has the same batch size (a full ``batch_size``, or an epoch's
+    ragged last batch), as 3-D matmuls that make the same BLAS call per
+    client as training it alone.
+
+    Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
+    buffer, in the model-file order, bit-identical to chaining
+    :func:`forward`, :func:`loss_and_grad`, :func:`backward` and
+    :func:`adam_step` on its assembled rows alone. The returned dict maps
+    the index of each client whose parameters went non-finite to the
+    message of its first such step; that client's row is garbage.
     """
-    features = np.asarray(features, dtype=np.float64)
+    raw = np.asarray(raw, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if (labels.ndim != 2 or not labels.shape[0] or len(seeds) != labels.shape[0]
-            or features.shape != (*labels.shape, init.input_dim)):
-        raise ShapeError(f"cohort features {features.shape}, labels {labels.shape} and "
+    codes = np.asarray(codes, dtype=np.intp)
+    enc = np.asarray(enc, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(offsets)
+    k = counts.size
+    if (raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != init.input_dim
+            or labels.shape != raw.shape[:1] or codes.shape != raw.shape[:1]
+            or k == 0 or len(seeds) != k or offsets[0] < 0 or offsets[-1] > len(raw)):
+        raise ShapeError(f"cohort raw rows {raw.shape}, labels {labels.shape}, codes "
+                         f"{codes.shape}, encodings {enc.shape}, {len(offsets)} offsets and "
                          f"{len(seeds)} seeds disagree for input_dim {init.input_dim}")
-    k, n = labels.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= init.n_classes):
+    if counts.min() < 1 or (np.diff(counts) > 0).any():
+        raise ShapeError(f"cohort row counts {counts.tolist()} must be positive and not increase")
+    # From here on, rows are numbered within the cohort.
+    rows = slice(int(offsets[0]), int(offsets[-1]))
+    raw, labels, codes, offsets = raw[rows], labels[rows], codes[rows], offsets - offsets[0]
+    if labels.min() < 0 or labels.max() >= init.n_classes:
         raise InvalidLabelError(f"labels must lie in [0, {init.n_classes})")
+    first_code, last_code = int(codes.min()), int(codes.max())
+    if first_code < 0 or last_code >= len(enc):
+        raise ShapeError(f"row codes must lie in [0, {len(enc)})")
+    e_dim, (i_dim, h_dim, c_dim) = enc.shape[1], init.dims
+    # The encodings the cohort's rows use, as full input rows whose raw
+    # columns each batch overwrites: one take then assembles a batch.
+    table = np.zeros((last_code + 1 - first_code, i_dim))
+    table[:, :e_dim] = enc[first_code:last_code + 1]
+    codes = codes - first_code
+    schedule = _schedule(counts, config.batch_size, config.epochs)
+    width = min(config.batch_size, int(counts[0]))
+    positions = np.arange(width)
+    bounds = offsets.tolist()
+
     params = np.tile(flatten(init), (k, 1))
     grad = np.zeros_like(params)
     m, v = np.zeros_like(params), np.zeros_like(params)
     m_hat, v_hat = np.empty_like(params), np.empty_like(params)  # also scratch
+    finite = np.empty(params.shape, dtype=bool)
     w1, b1, w2, b2 = _layer_views(params, init.dims)
     g_w1, g_b1, g_w2, g_b2 = _layer_views(grad, init.dims)
+    # One minibatch per client, viewed per run at the run's shape.
+    batch_buf = np.empty(k * width * i_dim)
+    pre_buf, hidden_buf = np.empty(k * width * h_dim), np.empty(k * width * h_dim)
+    probs_buf = np.empty(k * width * c_dim)
+    order = np.empty(bounds[-1], dtype=np.int64)  # each client's epoch order, as row numbers
+    clients = np.arange(k)[:, None]
+
     lr, beta1, beta2, eps = (config.learning_rate, config.adam_beta1,
                              config.adam_beta2, config.adam_epsilon)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    clients = np.arange(k)[:, None]
     diverged: dict[int, str] = {}
-    t = 0
     # Overflow is reported once, as the client's divergence message, not
     # as numpy warnings along the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            order = np.stack([rng.permutation(n) for rng in rngs])
-            for start in range(0, n, config.batch_size):
-                idx = order[:, start:start + config.batch_size]
-                batch, batch_labels = features[clients, idx], labels[clients, idx]
-                rows = idx.shape[1]
+        for t, (new, group) in enumerate(schedule, start=1):
+            for c in new:
+                start, stop = bounds[c], bounds[c + 1]
+                np.add(rngs[c].permutation(stop - start), start, out=order[start:stop])
+            for lo, hi, n, starts in group:
+                g = hi - lo
+                idx = order[starts[:, None] + positions[:n]]
+                # The rows' inputs [enc[codes[idx]], raw[idx]], assembled as
+                # one contiguous (clients, rows, input_dim) batch.
+                batch = np.take(table, codes[idx], axis=0, mode="clip", out=_view(batch_buf, g, n, i_dim))
+                batch[..., e_dim:] = raw[idx]
                 # Forward, keeping the pre-activation for backward.
-                pre_hidden = np.matmul(batch, w1.transpose(0, 2, 1))
-                pre_hidden += b1[:, None, :]
-                hidden = np.maximum(pre_hidden, 0.0)
-                probs = np.matmul(hidden, w2.transpose(0, 2, 1))
-                probs += b2[:, None, :]
+                pre_hidden = np.matmul(batch, w1[lo:hi].transpose(0, 2, 1),
+                                       out=_view(pre_buf, g, n, h_dim))
+                pre_hidden += b1[lo:hi, None, :]
+                hidden = np.maximum(pre_hidden, 0.0, out=_view(hidden_buf, g, n, h_dim))
+                probs = np.matmul(hidden, w2[lo:hi].transpose(0, 2, 1), out=_view(probs_buf, g, n, c_dim))
+                probs += b2[lo:hi, None, :]
                 # Softmax cross-entropy gradient w.r.t. the logits, in place.
                 probs -= probs.max(axis=2, keepdims=True)
                 np.exp(probs, out=probs)
                 probs /= probs.sum(axis=2, keepdims=True)
-                probs[clients, np.arange(rows), batch_labels] -= 1.0
-                probs /= rows
+                probs[clients[:g], positions[:n], labels[idx]] -= 1.0
+                probs /= n
                 # Backward into the flat gradient buffer.
-                np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2)
-                np.sum(probs, axis=1, out=g_b2)
-                grad_hidden = np.where(pre_hidden > 0.0, np.matmul(probs, w2), 0.0)
-                np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1)
-                np.sum(grad_hidden, axis=1, out=g_b1)
-                # Bias-corrected Adam, in place, in adam_step's order.
-                t += 1
-                m *= beta1
-                np.multiply(1.0 - beta1, grad, out=m_hat)
-                m += m_hat
-                v *= beta2
-                np.multiply(1.0 - beta2, grad, out=v_hat)
-                v_hat *= grad
-                v += v_hat
-                np.divide(m, 1.0 - beta1 ** t, out=m_hat)
-                np.multiply(lr, m_hat, out=m_hat)
-                np.divide(v, 1.0 - beta2 ** t, out=v_hat)
-                np.sqrt(v_hat, out=v_hat)
-                v_hat += eps
-                m_hat /= v_hat
-                params -= m_hat
-                finite = np.isfinite(params).all(axis=1)
-                if not finite.all():
-                    for i in np.flatnonzero(~finite).tolist():
-                        if i not in diverged:
-                            diverged[i] = _divergence_message(params[i], init.dims)
+                np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2[lo:hi])
+                np.sum(probs, axis=1, out=g_b2[lo:hi])
+                grad_hidden = np.where(pre_hidden > 0.0, np.matmul(probs, w2[lo:hi]), 0.0)
+                np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
+                np.sum(grad_hidden, axis=1, out=g_b1[lo:hi])
+            # Bias-corrected Adam over the clients still training, in place,
+            # in adam_step's order: each of them has now taken t steps.
+            live = group[-1][1]
+            x, dx, m1, v1, m1_hat, v1_hat = (
+                buf[:live] for buf in (params, grad, m, v, m_hat, v_hat))
+            m1 *= beta1
+            np.multiply(1.0 - beta1, dx, out=m1_hat)
+            m1 += m1_hat
+            v1 *= beta2
+            np.multiply(1.0 - beta2, dx, out=v1_hat)
+            v1_hat *= dx
+            v1 += v1_hat
+            np.divide(m1, 1.0 - beta1 ** t, out=m1_hat)
+            np.multiply(lr, m1_hat, out=m1_hat)
+            np.divide(v1, 1.0 - beta2 ** t, out=v1_hat)
+            np.sqrt(v1_hat, out=v1_hat)
+            v1_hat += eps
+            m1_hat /= v1_hat
+            x -= m1_hat
+            if not np.isfinite(x, out=finite[:live]).all():
+                for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
+                    if i not in diverged:
+                        diverged[i] = _divergence_message(params[i], init.dims)
     return params, diverged
 
 
@@ -352,13 +465,16 @@ def train(
 ) -> ModelParams:
     """Run ``config.epochs`` epochs of seeded minibatch Adam from ``init``.
 
-    A cohort of one through :func:`train_cohort`: the minibatch order is
-    drawn from a generator seeded with ``config.seed``, so identical
-    inputs reproduce bit-identical parameters. A step that leaves a
-    non-finite parameter raises :class:`DivergenceError`.
+    A cohort of one through :func:`train_cohort`, with ``features`` as
+    the raw rows and no encoding: the minibatch order is drawn from a
+    generator seeded with ``config.seed``, so identical inputs reproduce
+    bit-identical parameters. A step that leaves a non-finite parameter
+    raises :class:`DivergenceError`.
     """
-    features, labels = np.asarray(features), np.asarray(labels)
-    params, diverged = train_cohort(init, features[None], labels[None], config, [config.seed])
+    features = np.asarray(features, dtype=np.float64)
+    n = len(features)
+    params, diverged = train_cohort(init, features, labels, np.zeros(n, dtype=np.intp),
+                                    np.empty((1, 0)), [0, n], config, [config.seed])
     if diverged:
         raise DivergenceError(diverged[0])
     return unflatten(init.dims, params[0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import separable_client
-from spatialfl.baselines import ensemble_predict, ensemble_predict_batch, stack_rows, train_centralized
+from spatialfl.baselines import ensemble_predict, ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from spatialfl.federation import (
@@ -18,6 +18,7 @@ from spatialfl.federation import (
     local_train,
     per_round_config,
     run_tier_round,
+    stack_rows,
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate

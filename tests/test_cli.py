@@ -177,6 +177,24 @@ class TestMalformedInputs:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+    @pytest.mark.parametrize("row", [
+        b"N\xffB,c0,44.0,-66.0,2020-01-09,1.5,0.5",
+        b'"' + b"s" * 140_000 + b'",c0,44.0,-66.0,2020-01-09,1.5,0.5',
+    ], ids=["not-utf8", "cell-too-long"])
+    def test_unreadable_row_exits_three_naming_its_line(self, tmp_path, row):
+        lines = [GEO_HEADER.encode(), *(r.encode() for r in GEO_ROWS), row, b""]
+        (tmp_path / "geo.csv").write_bytes(b"\n".join(lines))
+        config = write_json(tmp_path / "config.json", {
+            "data": {"kind": "csv", "path": "geo.csv"}, "training": {"epochs": 1}, "min_rows": 3,
+            "baselines": [], "output_dir": str(tmp_path / "out")})
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config)])
+        assert code == 3
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert "line 26: " in err.getvalue()
+
+
 class TestGenSynthetic:
     def test_writes_ingestable_csv(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "spec.json", SPEC)

@@ -149,6 +149,24 @@ class TestIngestCsv:
         with pytest.raises(RowError, match="line 3: column 'feature_1'"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        # The decoder reads the file in blocks, ahead of the row parsed.
+        pytest.param([b"N\xffB,45.0,-66.0,2020-01-02,11.0,2.0"],
+                     "line 3: byte 0xff is not UTF-8 text; the file must be UTF-8 encoded", id="not-utf8"),
+        pytest.param([b"NB,45.0,-66.0,2020-01-02,11.0,2.0"] * 600 + [b"\xe9,45.0,-66.0,2020-01-02,11.0,2.0"],
+                     "line 603: byte 0xe9 is not UTF-8 text; the file must be UTF-8 encoded",
+                     id="not-utf8-past-the-first-block"),
+        pytest.param([b'"' + b"x" * 140_000 + b'",45.0,-66.0,2020-01-02,11.0,2.0'],
+                     "line 3: field larger than field limit (131072)", id="cell-too-long"),
+    ])
+    def test_unreadable_row_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join([self.HEADER.encode() + b"NB,45.0,-66.0,2020-01-01,10.5,1.0",
+                                      *rows, b""]))
+        with pytest.raises(RowError) as info:
+            ingest_csv(path)
+        assert str(info.value) == message
+
     def test_hierarchy_levels_autodetected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("client_label,level_1,latitude,longitude,ref_date,target,feature_1\n"

@@ -28,7 +28,7 @@ from spatialfl.federation import (
     TierNode,
     TierTopology,
     aggregate_tree,
-    cohorts,
+    cohort_slices,
     deserialize_model,
     fedavg,
     local_train,
@@ -39,7 +39,14 @@ from spatialfl.federation import (
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import TrainingConfig, flatten, init_params, params_equal, predict_batch
+from spatialfl.nn import (
+    TrainingConfig,
+    flatten,
+    init_params,
+    params_equal,
+    predict_batch,
+    working_set_bytes,
+)
 from spatialfl.seeding import derive_seed
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
@@ -341,8 +348,8 @@ class TestRunTierRound:
         for c in blown_up:
             ds[c].features *= 1e300
         init = init_params((2, 4, 2), 1)
-        assert cohorts(["c0", "c1"], ds, init.input_dim) == [["c0", "c1"]]
         config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=3)
+        assert cohort_slices(2, init.dims, config.batch_size) == [slice(0, 2)]
         with pytest.raises(DivergenceError) as info:
             run_tier_round(topo, ds, init, AggregationPolicy("uniform", 2), config, None)
         return str(info.value)
@@ -357,12 +364,46 @@ class TestRunTierRound:
             "client 'c0' in round 1: training diverged (layer1_weights contains non-finite entries)")
 
     def test_cohorts_group_by_row_count_within_the_byte_budget(self, monkeypatch):
-        ds = {c: separable_client(c, n=n) for c, n in
-              [("a", 10), ("b", 12), ("c", 10), ("d", 10), ("e", 12)]}
-        assert cohorts(sorted(ds), ds, 3) == [["a", "c", "d"], ["b", "e"]]
-        # Two clients of 10 rows x 3 float64 features fit in 480 bytes.
-        monkeypatch.setattr(federation, "COHORT_BYTES", 480)
-        assert cohorts(sorted(ds), ds, 3) == [["a", "c"], ["d"], ["b"], ["e"]]
+        # Cohorts are consecutive runs of the clients in descending
+        # training-row order (ties by id), each within the byte budget.
+        ds = {c: separable_client(c, n=n, seed=i) for i, (c, n) in
+              enumerate([("a", 10), ("b", 12), ("c", 10), ("d", 14), ("e", 12)])}
+        topo = self.two_level_topology(sorted(ds))
+        init = init_params((2, 4, 2), 1)
+        config = TrainingConfig(epochs=1, batch_size=4, seed=3)
+        per_client = working_set_bytes(init.dims, config.batch_size)
+        owner = {per_round_config(config, c, 1).seed: c for c in ds}
+        calls = []
+        original = federation.train_cohort
+
+        def spy(init, raw, labels, codes, enc, offsets, config, seeds):
+            calls.append(([owner[s] for s in seeds], np.diff(offsets).tolist()))
+            return original(init, raw, labels, codes, enc, offsets, config, seeds)
+
+        monkeypatch.setattr(federation, "train_cohort", spy)
+        run_tier_round(topo, ds, init, AggregationPolicy(), config, None)
+        assert calls == [(["d", "b", "e", "a", "c"], [14, 12, 12, 10, 10])]
+        calls.clear()
+        monkeypatch.setattr(federation, "COHORT_BYTES", 2 * per_client + 1)
+        run_tier_round(topo, ds, init, AggregationPolicy(), config, None)
+        assert calls == [(["d", "b"], [14, 12]), (["e", "a"], [12, 10]), (["c"], [10])]
+        assert all(len(ids) * per_client <= federation.COHORT_BYTES for ids, _ in calls)
+
+    def test_cohort_cut_stays_bounded_at_scale(self):
+        # Pure arithmetic at the scale config's dims: 20 regions x 100
+        # clients, a one-hot leaf encoding of about 2,024 inputs.
+        for dims in [(2024, 16, 3), (2024, 16, 2), (170, 16, 3), (12, 16, 2)]:
+            per_client = working_set_bytes(dims, 32)
+            parts = cohort_slices(2000, dims, 32)
+            assert [i for p in parts for i in range(p.start, p.stop)] == list(range(2000))
+            assert all((p.stop - p.start) * per_client <= federation.COHORT_BYTES for p in parts)
+            # Tight: one more client would not have fitted.
+            assert all((p.stop - p.start + 1) * per_client > federation.COHORT_BYTES
+                       for p in parts[:-1])
+        # A client whose working set alone exceeds the budget trains alone.
+        huge = (200_000, 16, 3)
+        assert working_set_bytes(huge, 32) > federation.COHORT_BYTES
+        assert cohort_slices(3, huge, 32) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     def test_missing_dataset_rejected(self):
         topo = self.two_level_topology(["c0", "c1"])

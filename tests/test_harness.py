@@ -275,9 +275,9 @@ class TestRunExperiment:
         ``spatialfl`` module alias."""
         original = nn.train_cohort
 
-        def spy(init, features, labels, config, seeds):
+        def spy(init, raw, labels, codes, enc, offsets, config, seeds):
             calls.append(list(seeds))
-            return original(init, features, labels, config, seeds)
+            return original(init, raw, labels, codes, enc, offsets, config, seeds)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("spatialfl") and getattr(module, "train_cohort", None) is original:

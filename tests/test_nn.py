@@ -1,6 +1,7 @@
 """Tests for the two-layer classifier: forward, loss, backprop, Adam."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -340,60 +341,128 @@ def reference_train(init, features, labels, config, seed):
     return params
 
 
-class TestTrainCohort:
-    @given(
-        seed=st.integers(0, 2 ** 32 - 1),
-        dims=st.tuples(st.integers(1, 48), st.integers(1, 24), st.integers(1, 4)),
-        k=st.integers(1, 5),
-        n=st.integers(1, 40),
-        batch_size=st.integers(1, 48),
-        epochs=st.integers(1, 3),
+class Cohort(NamedTuple):
+    """Shape of a random ragged cohort: clients with ``counts`` rows (not
+    increasing) after ``lead`` rows of other clients, rows coded into a
+    table of ``tables`` encodings ``e_dim`` wide."""
+
+    seed: int
+    dims: tuple
+    e_dim: int
+    tables: int
+    counts: list
+    batch_size: int
+    epochs: int
+    lead: int
+
+
+@st.composite
+def ragged_cohorts(draw):
+    batch_size = draw(st.integers(1, 16))
+    # Distinct counts, drawn to hit a short client (n < batch_size) and
+    # whole multiples of batch_size (no ragged last batch) often.
+    count = st.one_of(st.integers(1, 70), st.integers(1, batch_size),
+                      st.integers(1, 4).map(lambda q: q * batch_size))
+    counts = draw(st.lists(count, min_size=1, max_size=5, unique=True))
+    input_dim = draw(st.integers(1, 48))
+    return Cohort(
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        dims=(input_dim, draw(st.integers(1, 24)), draw(st.integers(1, 4))),
+        e_dim=draw(st.one_of(st.just(0), st.integers(0, input_dim))),
+        tables=draw(st.integers(1, 4)),
+        counts=sorted(counts, reverse=True),
+        batch_size=batch_size,
+        epochs=draw(st.integers(1, 3)),
+        lead=draw(st.integers(0, 3)),
     )
-    @example(seed=1, dims=(3, 4, 2), k=3, n=10, batch_size=32, epochs=2)  # batch_size > n
-    @example(seed=2, dims=(5, 8, 3), k=4, n=23, batch_size=8, epochs=2)   # ragged last batch
-    @example(seed=3, dims=(160, 16, 3), k=2, n=40, batch_size=32, epochs=1)
-    @settings(max_examples=40, deadline=None)
-    def test_every_member_matches_reference_chain(self, seed, dims, k, n, batch_size, epochs):
+
+
+def cohort_arrays(case):
+    """Raw rows, labels, codes, encoding table, offsets and seeds of a case;
+    two rows of no client trail the cohort's."""
+    rng = np.random.default_rng(case.seed)
+    offsets = case.lead + np.cumsum([0] + case.counts)
+    n = int(offsets[-1]) + 2
+    raw = rng.normal(size=(n, case.dims[0] - case.e_dim))
+    labels = rng.integers(0, case.dims[2], size=n)
+    codes = rng.integers(0, case.tables, size=n)
+    enc = rng.normal(size=(case.tables, case.e_dim))
+    seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(case.counts))]
+    return raw, labels, codes, enc, offsets, seeds
+
+
+def assembled(raw, codes, enc, lo, hi):
+    """Rows ``lo:hi`` as the model sees them: encoding, then raw features."""
+    return np.hstack([enc[codes[lo:hi]], raw[lo:hi]])
+
+
+class TestTrainCohort:
+    @given(case=ragged_cohorts())
+    # batch_size above every count: one ragged step per epoch.
+    @example(case=Cohort(1, (3, 4, 2), 1, 3, [10, 9, 7], 32, 2, 0))
+    # Ragged last batches at different iterations, multiples of batch_size
+    # among them, a short client, no encoding.
+    @example(case=Cohort(2, (5, 8, 3), 0, 1, [23, 16, 8, 5], 8, 3, 2))
+    # K = 1 over pooled rows of mixed codes.
+    @example(case=Cohort(3, (12, 6, 3), 9, 4, [57], 8, 2, 1))
+    @example(case=Cohort(4, (160, 16, 3), 150, 4, [40, 33], 32, 1, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_member_matches_reference_chain(self, case):
         # Bit-exact, not allclose: BLAS may tile differently as shapes
         # grow, so the shapes are drawn at random and never skipped.
-        rng = np.random.default_rng(seed)
-        init = init_params(dims, seed)
-        features = rng.normal(size=(k, n, dims[0]))
-        labels = rng.integers(0, dims[2], size=(k, n))
-        config = TrainingConfig(learning_rate=0.05, epochs=epochs, batch_size=batch_size)
-        seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=k)]
-        params, diverged = train_cohort(init, features, labels, config, seeds)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        init = init_params(case.dims, case.seed)
+        config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, seeds)
         assert diverged == {}
-        assert params.shape == (k, init.n_params)
-        for i in range(k):
-            expected = flatten(reference_train(init, features[i], labels[i], config, seeds[i]))
-            assert params[i].tobytes() == expected.tobytes()
+        assert params.shape == (len(case.counts), init.n_params)
+        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
+                                       config, seeds[i])
+            assert params[i].tobytes() == flatten(expected).tobytes()
 
     def test_members_train_independently(self):
         # A member diverging leaves the others' rows equal to training alone.
         # Its message is the one the per-step chain raises for it alone.
-        rng = np.random.default_rng(8)
-        init = init_params((3, 4, 2), seed=1)
-        features = rng.normal(size=(3, 12, 3))
-        features[1] *= 1e300
-        labels = rng.integers(0, 2, size=(3, 12))
-        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=5)
-        params, diverged = train_cohort(init, features, labels, config, [4, 5, 6])
-        assert diverged == {1: "training diverged (layer2_weights contains non-finite entries)"}
+        case = Cohort(8, (3, 4, 2), 1, 3, [14, 12, 9], 5, 2, 0)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw[offsets[1]:offsets[2]] *= 1e300
+        init = init_params(case.dims, seed=1)
+        config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, seeds)
+        assert diverged == {1: "training diverged (layer1_weights contains non-finite entries)"}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^layer1_weights contains non-finite entries$"):
+            reference_train(init, assembled(raw, codes, enc, offsets[1], offsets[2]),
+                            labels[offsets[1]:offsets[2]], config, seeds[1])
         for i in (0, 2):
-            alone, _ = train_cohort(init, features[i:i + 1], labels[i:i + 1], config, [4 + i])
+            alone, _ = train_cohort(init, raw, labels, codes, enc, offsets[i:i + 2], config, [seeds[i]])
             assert params[i].tobytes() == alone[0].tobytes()
 
     def test_labels_checked_once_per_call(self):
         init = init_params((2, 3, 2), seed=0)
-        labels = np.zeros((2, 6), dtype=np.int64)
-        labels[1, 5] = 2
+        labels = np.zeros(12, dtype=np.int64)
+        labels[10] = 2
+        args = (np.zeros((12, 2)), labels, np.zeros(12), np.empty((1, 0)))
         with pytest.raises(InvalidLabelError):
-            train_cohort(init, np.zeros((2, 6, 2)), labels, TrainingConfig(epochs=1), [0, 1])
+            train_cohort(init, *args, [0, 6, 12], TrainingConfig(epochs=1), [0, 1])
+        # Rows outside the cohort are not its labels.
+        train_cohort(init, *args, [0, 6], TrainingConfig(epochs=1), [0])
 
     def test_shape_mismatch_rejected(self):
-        init = init_params((2, 3, 2), seed=0)
-        with pytest.raises(ShapeError):
-            train_cohort(init, np.zeros((2, 6, 3)), np.zeros((2, 6)), TrainingConfig(), [0, 1])
-        with pytest.raises(ShapeError):
-            train_cohort(init, np.zeros((2, 6, 2)), np.zeros((2, 6)), TrainingConfig(), [0])
+        init = init_params((4, 3, 2), seed=0)
+        raw, labels, codes, enc = np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1))
+        config = TrainingConfig(epochs=1)
+        train_cohort(init, raw, labels, codes, enc, [0, 6, 12], config, [0, 1])
+        bad = [
+            (np.zeros((12, 2)), labels, codes, enc, [0, 6, 12], [0, 1]),  # width != input_dim
+            (raw, labels, codes, enc, [0, 6, 12], [0]),                  # one seed for two
+            (raw, labels[:11], codes, enc, [0, 6, 12], [0, 1]),          # labels per row
+            (raw, labels, codes, enc, [0, 6, 13], [0, 1]),               # past the last row
+            (raw, labels, codes, enc, [0, 5, 12], [0, 1]),               # counts increase
+            (raw, labels, codes, enc, [0, 6, 6], [0, 1]),                # a client without rows
+            (raw, labels, codes + 2, enc, [0, 6, 12], [0, 1]),           # code past the table
+        ]
+        for case in bad:
+            with pytest.raises(ShapeError):
+                train_cohort(init, *case[:5], config, case[5])
