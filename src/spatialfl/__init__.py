@@ -6,7 +6,7 @@ centralized, ensemble, and flat federated baselines.
 """
 
 from ._version import __version__
-from .baselines import BaselineKind, ensemble_predict, train_centralized
+from .baselines import BaselineKind, train_centralized
 from .data import (
     ClientDataset,
     CsvSchema,
@@ -61,6 +61,7 @@ from .nn import (
     loss_and_grad,
     predict,
     predict_batch,
+    predict_rows,
     train,
     unflatten,
 )

@@ -20,8 +20,8 @@ import numpy as np
 
 from .data import ClientDataset
 from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
-from .federation import training_rows
-from .nn import ModelParams, TrainingConfig, predict_batch, train_cohort, unflatten
+from .federation import stack_rows
+from .nn import ModelParams, TrainingConfig, predict_rows, train_cohort, unflatten
 from .spatial import SpatialVocabulary
 
 
@@ -41,7 +41,7 @@ def train_centralized(
     """One model over every client's training rows, pooled in canonical
     (client_id, row) order, seeded and deterministic: a cohort of one
     whose rows carry their own clients' encodings."""
-    raw, labels, codes, enc, _ = training_rows(sorted(clients, key=lambda c: c.client_id), vocab)
+    raw, labels, codes, enc, _ = stack_rows(sorted(clients, key=lambda c: c.client_id), vocab, "train")
     if labels.size == 0:
         raise EmptyDatasetError("pooled training set is empty")
     params, diverged = train_cohort(init, raw, labels, codes, enc, [0, labels.size], config, [config.seed])
@@ -50,21 +50,22 @@ def train_centralized(
     return unflatten(init.dims, params[0])
 
 
-def ensemble_predict(models: Sequence[ModelParams], features: np.ndarray) -> int:
-    """Hard majority vote; ties resolve to the lowest class index."""
-    return int(ensemble_predict_batch(models, np.asarray(features, dtype=np.float64)[None, :])[0])
-
-
-def ensemble_predict_batch(models: Sequence[ModelParams], batch: np.ndarray) -> np.ndarray:
-    """Hard majority vote per row (ties to the lowest class), counted one
-    member at a time into a classes x rows array."""
+def ensemble_predict_batch(
+    models: Sequence[ModelParams],
+    raw: np.ndarray,
+    codes: np.ndarray,
+    enc: np.ndarray,
+) -> np.ndarray:
+    """Hard majority vote per row (ties to the lowest class) over rows in
+    the training kernel's format (see :func:`~spatialfl.nn.predict_rows`),
+    counted one member at a time into a classes x rows array."""
     if not models:
         raise EmptyAggregationError("ensemble needs at least one model")
     dims = models[0].dims
     if any(m.dims != dims for m in models):
         raise ShapeError("ensemble members disagree on dims")
-    rows = np.arange(len(batch))
+    rows = np.arange(len(raw))
     counts = np.zeros((dims[2], rows.size), dtype=np.int64)
     for m in models:
-        counts[predict_batch(m, batch), rows] += 1
+        counts[predict_rows(m, raw, codes, enc), rows] += 1
     return np.argmax(counts, axis=0)

@@ -394,7 +394,10 @@ def discretize_target(values: Iterable[float], n_classes: int) -> np.ndarray:
     """
     if n_classes not in (2, 3):
         raise ValueError("n_classes must be 2 or 3")
-    values = np.asarray(list(values), dtype=np.float64)
+    if isinstance(values, np.ndarray):
+        values = values.astype(np.float64, copy=False)
+    else:
+        values = np.fromiter(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot discretise an empty corpus")
     if np.isnan(values).any():

@@ -14,7 +14,7 @@ fixed pairwise reduction, so results are bit-identical no matter how the
 inputs are presented or how client training is scheduled.
 
 A run stacks every client's raw training rows and spatial encoding once
-(:func:`training_rows`), in order of descending training-row count, and
+(:func:`stack_rows`), in order of descending training-row count, and
 each round trains the clients through the training kernel in
 consecutive cohorts whose working memory fits :data:`COHORT_BYTES`.
 """
@@ -48,7 +48,7 @@ from .nn import (
     working_set_bytes,
 )
 from .seeding import derive_seed
-from .spatial import SpatialVocabulary, encode_rows, encode_spatial
+from .spatial import SpatialVocabulary, encode_spatial
 
 if TYPE_CHECKING:
     from .data import ClientDataset
@@ -223,41 +223,24 @@ def stack_rows(
     clients: Sequence["ClientDataset"],
     vocab: SpatialVocabulary | None,
     split: str | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encoded rows of the clients, in the order given, written into one
-    preallocated matrix; also the labels and the client row offsets
-    (client ``i`` owns rows ``offsets[i]:offsets[i + 1]``)."""
-    offsets = np.cumsum([0] + [c.count(split) for c in clients])
-    n_raw = clients[0].features.shape[1] if clients else 0
-    width = (vocab.encoding_length if vocab is not None else 0) + n_raw
-    features = _mapped_empty((int(offsets[-1]), width))
-    labels = np.empty(offsets[-1], dtype=np.int64)
-    for client, lo, hi in zip(clients, offsets, offsets[1:]):
-        feats, labs = client.rows(split)
-        labels[lo:hi] = labs
-        encode_rows(client.spatial, feats, vocab, out=features[lo:hi])
-    return features, labels, offsets
-
-
-def training_rows(
-    clients: Sequence["ClientDataset"],
-    vocab: SpatialVocabulary | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The clients' training rows as the training kernel reads them.
+    """The clients' rows of one split in the format the training kernel
+    and the scorer read.
 
     Returns the raw ``(N, F)`` feature rows and labels of the clients, in
     the order given, each row's code (the index of its client), the
     ``(K, E)`` table of the clients' encodings (``E`` is 0 with
-    ``vocab=None``) and the client row offsets. Nothing is encoded per
-    row: the kernel assembles ``[enc[code], raw]`` one minibatch at a time.
+    ``vocab=None``) and the client row offsets (client ``k`` owns rows
+    ``offsets[k]:offsets[k + 1]``). Nothing is encoded per row: row
+    ``i``'s model input is ``[enc[codes[i]], raw[i]]``.
     """
-    offsets = np.cumsum([0] + [c.count("train") for c in clients])
+    offsets = np.cumsum([0] + [c.count(split) for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
     raw = _mapped_empty((int(offsets[-1]), n_raw))
     labels = np.empty(offsets[-1], dtype=np.int64)
     enc = np.empty((len(clients), vocab.encoding_length if vocab is not None else 0))
     for i, (client, lo, hi) in enumerate(zip(clients, offsets, offsets[1:])):
-        raw[lo:hi], labels[lo:hi] = client.rows("train")
+        raw[lo:hi], labels[lo:hi] = client.rows(split)
         if vocab is not None:
             enc[i] = encode_spatial(client.spatial, vocab)
     codes = np.repeat(np.arange(len(clients)), np.diff(offsets))
@@ -269,11 +252,12 @@ def _client_rows(
     init: ModelParams,
     vocab: SpatialVocabulary | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`training_rows` of clients that must each train ``init``."""
+    """The training rows (:func:`stack_rows`) of clients that must each
+    train ``init``."""
     for dataset in clients:
         if dataset.n_classes != init.n_classes:
             raise ShapeError(f"dataset has {dataset.n_classes} classes, model {init.n_classes}")
-    raw, labels, codes, enc, offsets = training_rows(clients, vocab)
+    raw, labels, codes, enc, offsets = stack_rows(clients, vocab, "train")
     empty = np.flatnonzero(np.diff(offsets) == 0)
     if empty.size:
         raise EmptyClientError(f"client {clients[empty[0]].client_id!r} has no training rows")

@@ -44,7 +44,7 @@ from .federation import (
     stack_rows,
     weighted_aggregate,
 )
-from .nn import ModelParams, TrainingConfig, init_params, predict_batch
+from .nn import ModelParams, TrainingConfig, init_params, predict_rows
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, build_vocabulary
 
@@ -239,10 +239,10 @@ def evaluate(
     split: str | None = "validation",
 ) -> float:
     """Accuracy of one model over the pooled rows of the given clients."""
-    features, labels, _ = stack_rows(list(datasets), vocab, split)
+    raw, labels, codes, enc, _ = stack_rows(list(datasets), vocab, split)
     if labels.size == 0:
         raise EmptyEvaluationError("no rows to evaluate")
-    return accuracy_score(predict_batch(model, features), labels)
+    return accuracy_score(predict_rows(model, raw, codes, enc), labels)
 
 
 # -- config loading -------------------------------------------------------------
@@ -564,20 +564,21 @@ def _load_datasets(config: ExperimentConfig):
     return datasets, topology, None
 
 
-def validation_matrix(
+def validation_rows(
     topology: TierTopology,
     datasets: Mapping[str, ClientDataset],
     vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[int, int]]]:
-    """Every client's encoded validation rows, stacked in depth-first client
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]:
+    """Every client's validation rows (:func:`stack_rows`: raw rows, labels,
+    row codes and one encoding per client), stacked in depth-first client
     order, so that each node's rows are one contiguous span ``[lo, hi)``."""
-    features, labels, offsets = stack_rows(
+    raw, labels, codes, enc, offsets = stack_rows(
         [datasets[c] for c in topology.client_order], vocab, "validation")
     spans = {}
     for node_id in topology.node_ids():
         first, last = topology.client_span(node_id)
         spans[node_id] = (int(offsets[first]), int(offsets[last]))
-    return features, labels, spans
+    return raw, labels, codes, enc, spans
 
 
 def fold_correct(
@@ -624,8 +625,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             topology, datasets, init, config.policy, training, vocab)
 
     with _stage("evaluate"):
-        features, labels, spans = validation_matrix(topology, datasets, vocab)
-        tiered = {nid: predict_batch(node_models[nid], features[lo:hi]) for nid, (lo, hi) in spans.items()}
+        raw, labels, codes, enc, spans = validation_rows(topology, datasets, vocab)
+
+        def score(model: ModelParams, lo: int = 0, hi: int = labels.size) -> np.ndarray:
+            return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
+
+        tiered = {nid: score(node_models[nid], lo, hi) for nid, (lo, hi) in spans.items()}
         correct = {METHOD_TIERED: {nid: int(np.count_nonzero(tiered[nid] == labels[lo:hi]))
                                    for nid, (lo, hi) in spans.items()}}
         client_predictions = {}
@@ -637,7 +642,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for kind in config.baselines:
             if kind is BaselineKind.CENTRALIZED_NN:
                 pooled = train_centralized(datasets.values(), init, training, vocab)
-                correct[kind.value] = fold_correct(predict_batch(pooled, features), labels, spans)
+                correct[kind.value] = fold_correct(score(pooled), labels, spans)
                 # One network per child of the root, trained on and scoring
                 # only its own subtree's rows.
                 regional = np.empty_like(labels)
@@ -645,17 +650,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     model = train_centralized(
                         [datasets[c] for c in topology.subtree_clients(region)], init, training, vocab)
                     lo, hi = spans[region]
-                    regional[lo:hi] = predict_batch(model, features[lo:hi])
+                    regional[lo:hi] = score(model, lo, hi)
                 correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
             elif kind is BaselineKind.ENSEMBLE:
-                votes = ensemble_predict_batch([u.params for u in client_updates], features)
+                votes = ensemble_predict_batch([u.params for u in client_updates], raw, codes, enc)
                 correct[kind.value] = fold_correct(votes, labels, spans)
             else:
                 # One round of flat federated averaging over the clients'
                 # round-1 models, which the tiered run already trained.
                 aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
                 model = aggregate(client_updates)
-                correct[kind.value] = fold_correct(predict_batch(model, features), labels, spans)
+                correct[kind.value] = fold_correct(score(model), labels, spans)
 
     with _stage("report"):
         seeds = {

@@ -19,6 +19,16 @@ those of the reference chain :func:`forward` -> :func:`loss_and_grad` ->
 :func:`backward` -> :func:`adam_step` run for that client alone on its
 encoded rows, which the tests check on random ragged cohorts.
 :func:`train` is a cohort of one.
+
+All scoring runs through one scorer, :func:`predict_rows`, which reads
+rows in the kernel's format and never assembles them: its first layer is
+factored into a matmul over the raw columns plus, per row, its code's
+row of ``enc @ W1_enc'``, computed once per call for the table rows the
+codes span. :func:`predict_batch` is its call with no encoding (``E =
+0``), the same float operations as :func:`forward`. With an encoding,
+the factored sums round differently from :func:`forward` on the
+assembled rows, so logits may differ in the last bits; the golden
+digests pin the predictions.
 """
 
 from __future__ import annotations
@@ -488,9 +498,51 @@ def predict(params: ModelParams, features: np.ndarray) -> int:
     return int(np.argmax(forward(params, features[None, :])[0]))
 
 
+def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np.ndarray) -> np.ndarray:
+    """The hidden layer, ``relu(x W1' + b1)``, of rows in the training
+    kernel's format: row ``i``'s input is ``[enc[codes[i]], raw[i]]``.
+
+    The first layer is factored, so no row is ever assembled: the raw
+    columns are one matmul over the rows, and the encoding columns one
+    matmul over the table rows ``first:last + 1`` that the codes span,
+    gathered per row. With ``E = 0`` this is exactly :func:`forward`'s
+    first layer; with ``E > 0`` sums are grouped differently from
+    :func:`forward` on the assembled rows, so they may differ in the last
+    bits.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.intp)
+    enc = np.asarray(enc, dtype=np.float64)
+    if raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != params.input_dim:
+        raise ShapeError(f"rows of {enc.shape[-1]} encoding + {raw.shape[-1]} raw columns do not "
+                         f"fit input_dim {params.input_dim} (raw rows {raw.shape}, encodings {enc.shape})")
+    if codes.shape != raw.shape[:1]:
+        raise ShapeError(f"{codes.size} row codes for {len(raw)} rows")
+    e_dim, w1 = enc.shape[1], params.layer1_weights
+    pre_hidden = raw @ w1[:, e_dim:].T
+    if codes.size:
+        first, last = int(codes.min()), int(codes.max())
+        if first < 0 or last >= len(enc):
+            raise ShapeError(f"row codes must lie in [0, {len(enc)})")
+        if e_dim:
+            pre_hidden += np.take(enc[first:last + 1] @ w1[:, :e_dim].T, codes - first, axis=0)
+    pre_hidden += params.layer1_bias
+    return np.maximum(pre_hidden, 0.0, out=pre_hidden)
+
+
+def predict_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np.ndarray) -> np.ndarray:
+    """Argmax class per row of the training kernel's format (see
+    :func:`hidden_rows`); ties resolve to the lowest index."""
+    hidden = hidden_rows(params, raw, codes, enc)
+    return np.argmax(hidden @ params.layer2_weights.T + params.layer2_bias, axis=1)
+
+
 def predict_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest index."""
-    return np.argmax(forward(params, batch), axis=1)
+    """Argmax class per row of assembled inputs; ties resolve to the
+    lowest index. The ``E = 0`` call of :func:`predict_rows`, so the same
+    float operations as :func:`forward`."""
+    batch = np.asarray(batch, dtype=np.float64)
+    return predict_rows(params, batch, np.zeros(batch.shape[:1], dtype=np.intp), np.empty((1, 0)))
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

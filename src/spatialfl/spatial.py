@@ -142,27 +142,3 @@ def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> np.ndarr
             block[vocab.level_index(level, label)] = 1.0
             parts.append(block)
     return np.concatenate(parts)
-
-
-def encode_rows(
-    attr: SpatialAttribute,
-    features: np.ndarray,
-    vocab: SpatialVocabulary | None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Prepend one client's encoding to every row of its feature matrix.
-
-    ``vocab=None`` switches the spatial encoding off and returns the raw
-    features unchanged. With ``out``, the encoded rows are written into
-    it (one row per feature row) and it is returned.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    width = vocab.encoding_length if vocab is not None else 0
-    if out is None:
-        if vocab is None:
-            return features
-        out = np.empty((features.shape[0], width + features.shape[1]))
-    if vocab is not None:
-        out[:, :width] = encode_spatial(attr, vocab)
-    out[:, width:] = features
-    return out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import separable_client
-from spatialfl.baselines import ensemble_predict, ensemble_predict_batch, train_centralized
+from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from spatialfl.federation import (
@@ -22,9 +22,17 @@ from spatialfl.federation import (
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import TrainingConfig, flat_length, flatten, init_params, params_equal, unflatten
+from spatialfl.nn import (
+    TrainingConfig,
+    flat_length,
+    flatten,
+    init_params,
+    params_equal,
+    predict_batch,
+    unflatten,
+)
 from spatialfl.seeding import derive_seed
-from spatialfl.spatial import build_vocabulary, encode_rows
+from spatialfl.spatial import build_vocabulary, encode_spatial
 
 
 def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
@@ -84,30 +92,44 @@ class TestCentralized:
         assert evaluate(model, datasets.values(), vocab) >= 0.95
 
 
+def encoded_blocks(clients, vocab, split):
+    """Each client's rows of a split with its encoding prepended, built
+    row by row: the model inputs the row format stands for."""
+    blocks = []
+    for c in clients:
+        feats = c.rows(split)[0]
+        head = encode_spatial(c.spatial, vocab) if vocab is not None else np.empty(0)
+        rows = [np.concatenate([head, row]) for row in feats]
+        blocks.append(np.array(rows).reshape(len(feats), head.size + feats.shape[1]))
+    return blocks
+
+
 class TestStackRows:
-    def test_matches_stacked_encode_rows(self):
+    def test_assembled_rows_match_per_client_encoded_rows(self):
         clients = [separable_client(f"c{i}", n=6 + i, seed=i) for i in range(4)]
         for i, ds in enumerate(clients):
             ds.split_tags[:: i + 2] = "validation"
         vocab = build_vocabulary([c.spatial for c in clients])
         for v in (vocab, None):
-            features, labels, offsets = stack_rows(clients, v, "validation")
-            blocks = [encode_rows(c.spatial, c.rows("validation")[0], v) for c in clients]
-            assert np.array_equal(features, np.vstack(blocks))
+            raw, labels, codes, enc, offsets = stack_rows(clients, v, "validation")
+            blocks = encoded_blocks(clients, v, "validation")
+            assert np.array_equal(np.hstack([enc[codes], raw]), np.vstack(blocks))
             assert np.array_equal(labels, np.concatenate([c.rows("validation")[1] for c in clients]))
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
+            assert enc.shape == (len(clients), v.encoding_length if v is not None else 0)
+            assert codes.tolist() == np.repeat(np.arange(len(clients)), np.diff(offsets)).tolist()
 
     def test_matrix_has_its_own_mapping_released_with_its_last_view(self):
         clients = [separable_client(f"c{i}", n=6, seed=i) for i in range(3)]
         vocab = build_vocabulary([c.spatial for c in clients])
-        features, _, _ = stack_rows(clients, vocab, "train")
-        mapping = features
+        raw, *_ = stack_rows(clients, vocab, "train")
+        mapping = raw
         while not isinstance(mapping, mmap.mmap):
             mapping = mapping.obj if isinstance(mapping, memoryview) else mapping.base
         released = weakref.ref(mapping)
         del mapping
-        view = features[1:]
-        del features
+        view = raw[1:]
+        del raw
         assert released() is not None
         del view
         assert released() is None
@@ -115,51 +137,59 @@ class TestStackRows:
     def test_no_rows_gives_an_empty_matrix(self):
         clients = [separable_client("c0", n=4, seed=0)]
         vocab = build_vocabulary([c.spatial for c in clients])
-        features, labels, offsets = stack_rows(clients, vocab, "validation")
-        assert features.shape == (0, vocab.encoding_length + 2)
-        assert labels.shape == (0,) and offsets.tolist() == [0, 0]
+        raw, labels, codes, enc, offsets = stack_rows(clients, vocab, "validation")
+        assert raw.shape == (0, 2) and enc.shape == (1, vocab.encoding_length)
+        assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0, 0]
+
+
+def no_encoding(batch):
+    """Rows of raw features in the row format with no encoding."""
+    return batch, np.zeros(len(batch), dtype=np.intp), np.empty((1, 0))
+
+
+def one_row(features):
+    """A single feature vector as one row of that format."""
+    return no_encoding(np.asarray(features, dtype=np.float64)[None, :])
 
 
 class TestEnsemblePredict:
     def test_majority_wins(self):
         models = [constant_class_model(2, 1), constant_class_model(2, 1),
                   constant_class_model(2, 0)]
-        assert ensemble_predict(models, np.zeros(2)) == 1
+        assert ensemble_predict_batch(models, *one_row(np.zeros(2))).tolist() == [1]
 
     def test_tie_breaks_to_lowest_class(self):
         models = [constant_class_model(2, 0), constant_class_model(2, 1)]
-        assert ensemble_predict(models, np.zeros(2)) == 0
+        assert ensemble_predict_batch(models, *one_row(np.zeros(2))).tolist() == [0]
 
     def test_single_model_is_its_prediction(self):
         model = constant_class_model(3, 2)
-        assert ensemble_predict([model], np.ones(2)) == 2
+        assert ensemble_predict_batch([model], *one_row(np.ones(2))).tolist() == [2]
 
     def test_copies_of_one_model_predict_like_it(self):
         rng = np.random.default_rng(8)
         model = init_params((3, 5, 3), seed=4)
         batch = rng.normal(size=(20, 3))
-        from spatialfl.nn import predict_batch
         single = predict_batch(model, batch)
         for k in (2, 3, 5):
-            assert np.array_equal(ensemble_predict_batch([model] * k, batch), single)
+            assert np.array_equal(ensemble_predict_batch([model] * k, *no_encoding(batch)), single)
 
     def test_votes_match_per_row_bincount(self):
         rng = np.random.default_rng(21)
         models = [init_params((3, 4, 3), seed=k) for k in range(7)]
         batch = rng.normal(size=(40, 3)) * 3.0
-        from spatialfl.nn import predict_batch
         votes = np.stack([predict_batch(m, batch) for m in models])
         expected = [np.argmax(np.bincount(votes[:, i], minlength=3)) for i in range(batch.shape[0])]
-        assert np.array_equal(ensemble_predict_batch(models, batch), expected)
+        assert np.array_equal(ensemble_predict_batch(models, *no_encoding(batch)), expected)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(EmptyAggregationError):
-            ensemble_predict([], np.zeros(2))
+            ensemble_predict_batch([], *one_row(np.zeros(2)))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ensemble_predict([init_params((2, 3, 2), 0), init_params((3, 3, 2), 0)],
-                             np.zeros(2))
+            ensemble_predict_batch([init_params((2, 3, 2), 0), init_params((3, 3, 2), 0)],
+                                   *one_row(np.zeros(2)))
 
 
 class TestFlatFedavg:

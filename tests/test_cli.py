@@ -263,6 +263,30 @@ class TestEvaluateModel:
                      "--data", str(csv_path), "--config", str(config)]) == 4
 
 
+    def test_model_of_other_width_exits_four_naming_both_widths(self, tmp_path):
+        # A leaf's model scored on only that leaf's rows: the vocabulary
+        # rebuilt from those rows is narrower than the one it trained with.
+        spec_path = write_json(tmp_path / "spec.json", SPEC)
+        csv_path = tmp_path / "bench.csv"
+        main(["gen-synthetic", "--spec", str(spec_path), "--out", str(csv_path)])
+        config = write_json(tmp_path / "config.json", {
+            "seed": 9,
+            "data": {"kind": "csv", "path": str(csv_path)},
+            "n_classes": 2,
+            "training": {"learning_rate": 0.05, "epochs": 2},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", "--config", str(config)]) == 0
+        lines = csv_path.read_text().splitlines()
+        leaf_csv = tmp_path / "leaf.csv"
+        leaf_csv.write_text("\n".join([lines[0]] + [x for x in lines if x.startswith("r00c00,")]) + "\n")
+        result = run_module("evaluate-model", "--model", str(tmp_path / "out" / "models" / "r00c00.bin"),
+                            "--data", str(leaf_csv), "--config", str(config))
+        assert result.returncode == 4
+        assert result.stderr.splitlines() == [
+            "error: rows of 4 encoding + 3 raw columns do not fit input_dim 11 "
+            "(raw rows (30, 3), encodings (1, 4))"]
+
 class TestArgumentParsing:
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as info:

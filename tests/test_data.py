@@ -296,6 +296,14 @@ class TestDiscretizeTarget:
         values = [9.0, -3.0, 4.5, 0.1, 7.7, 2.2, -8.0]
         assert list(discretize_target(values, 3)) == oracle_classes(values, 3)
 
+    def test_array_and_generator_inputs_agree(self):
+        values = np.random.default_rng(3).normal(size=500)
+        from_array = discretize_target(values, 3)
+        from_generator = discretize_target((float(v) for v in values), 3)
+        assert from_array.dtype == from_generator.dtype == np.int64
+        assert from_array.tobytes() == from_generator.tobytes()
+        assert from_array.tolist() == oracle_classes(values.tolist(), 3)
+
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=40, unique=True),
            st.sampled_from([2, 3]))
     @settings(max_examples=150, deadline=None)

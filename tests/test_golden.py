@@ -1,5 +1,6 @@
 """Golden digests: pinned sha256 of every output file for two small fixed
-configs, one synthetic and one CSV, both multi-round with all baselines.
+configs, one synthetic and one CSV, both multi-round with all baselines,
+each with the default encoding and with three encoding variants.
 
 The determinism tests compare two runs of the same code, so they cannot
 catch a refactor that moves the numerics. These digests can. A change
@@ -10,6 +11,8 @@ import hashlib
 import json
 import random
 from datetime import date, timedelta
+
+import pytest
 
 from spatialfl.harness import config_from_dict, emit_report, run_experiment, write_models
 
@@ -58,6 +61,60 @@ GOLDEN = {
 }
 
 
+# The same configs with the encoding switched off, or reduced to one of
+# its parts: the E = 0 and coordinates-only scoring paths.
+ENCODING_VARIANTS = {
+    "off": {"enabled": False},
+    "no_hierarchy": {"use_hierarchy": False},
+    "no_coordinates": {"use_coordinates": False},
+}
+
+GOLDEN_VARIANTS = {
+    ("synthetic", "off"): {
+        "report.json": "00daf0a936b8229c0e5c9faed62b651ce15a3050036d1ab0749190de6ad6f903",
+        "tier_accuracy.csv": "ba8a0c1f473c215c870139321a6cf29927654aa8a71175f3a989217df1475811",
+        "global_comparison.csv": "4eb77ab9d8da4e175eef59f5398d5863e72a340d373e0a6831dc4232eb513cd3",
+        "client_predictions.csv": "7afa0568c723c6c889eaf82adb342a42e37380a04bf36e6fe203122827f8e49f",
+        "models": "842d1483a225b6ef9be70beca107f7a7697c3b6ae94e84d15854ae750b5484f5",
+    },
+    ("synthetic", "no_hierarchy"): {
+        "report.json": "b8591b1ae330e6dda6ddf90fc981336dce74248f4f91dfe26ff09e5c72cf3631",
+        "tier_accuracy.csv": "a732e7c6c7bee67535061f76343d87f3b442af3be7d63ae9550d202f56f84be9",
+        "global_comparison.csv": "1a07d54e3540304349d2c4ecf6d5bdeab495fe888cf61abd399a93135110a5e4",
+        "client_predictions.csv": "c4e919b41b0433865958c8bdecf14a3cf537a34b9a97749984af12af0071c4e2",
+        "models": "15dccb6e76e174a18c12922b1b1caad9afe14380ce77f0ebdb303fe3100b9ec5",
+    },
+    ("synthetic", "no_coordinates"): {
+        "report.json": "f26804113453cc47c570bb0ac4d2a269fcaae2b2c85c0c941365b4dc56bfbc5b",
+        "tier_accuracy.csv": "40ee497292a332e63a02676529f3246b55d0613fa3bf6e4d898423d56bedca0d",
+        "global_comparison.csv": "d5651d304b986a83edd8e4906fcbdd9684b1f494489650f0817da2312a380ccc",
+        "client_predictions.csv": "e3200eb4d68ecc01b266d96c410c13dc6b1a3bb8307deeb285f38d6b8c6b55f0",
+        "models": "b9234965590b9c8cb33e221f7ee59f55203f7599b8cc6af5f26cbf6e5a062b75",
+    },
+    ("csv", "off"): {
+        "report.json": "b813d9b7479a3a3656e4dfa43ed2c819ad7306fd31eb79fc494ebf3132233779",
+        "tier_accuracy.csv": "25f89e32d70977b182683dd49d4ed44199f487763d0fe15b5396143fbb0ca1e1",
+        "global_comparison.csv": "d71612d19bee12effdcaebc4e0a0c501669f0f4180b19c568f1a41e1700be5ed",
+        "client_predictions.csv": "cb872ea782cdc13dd36a14fe7f1065e65775bdfab13c5377c7669694b5c79bdb",
+        "models": "1164bfa4ffbad83f369c55ab7e23b4ee3a931bb52369c54f0336d8c0fd869997",
+    },
+    ("csv", "no_hierarchy"): {
+        "report.json": "5c6f8c6b1485355bc581048fab096d3a38382ff47bb9b66bc52d073591910927",
+        "tier_accuracy.csv": "863448e5f0c11c26e9a830c37a4ccd838b7a8cf067ab9ca7d435d159edbc2058",
+        "global_comparison.csv": "a08ffb7db478b8eefefe0c41b9b28c1478602a1774a872bcf8a94ff3fa92fe80",
+        "client_predictions.csv": "c16f72d352ddba4e75eb025bcdbbab0de2d3ab29dfe64a69720dedd7ca74c2c2",
+        "models": "1c416371164bcad5fcfe1b1d33a5a169916b1ddfbad0c6ca10d824bab538c2a2",
+    },
+    ("csv", "no_coordinates"): {
+        "report.json": "82e91267e5cb0a11833165d20f367495e22ba0a3a4ca0c749483c52c47dab54c",
+        "tier_accuracy.csv": "a8ca9a03e218d7ae519d7e42bce4abfdf51ce7f37ae4608997a1ab2df49673e1",
+        "global_comparison.csv": "f54ac2319296c544c7ec07f2549d039400ff0410bdd75f5d29f502a8d06a7f1e",
+        "client_predictions.csv": "ca5c93ce9b04cc575075dd89124f38702a368051e03256e39c436429c035ecb0",
+        "models": "dead40f307518c5e1b2ad6c0f2377e237f9375ca4451ed6a98f5765fffaa635f",
+    },
+}
+
+
 def geo_csv_text():
     """2 provinces x 2 cities x 3 stations with ragged sizes, a few empty
     cells and one target spike: station -> city -> province -> global."""
@@ -101,3 +158,10 @@ def test_synthetic_outputs_match_golden_digests(tmp_path):
 def test_csv_outputs_match_golden_digests(tmp_path):
     (tmp_path / "geo.csv").write_text(geo_csv_text(), encoding="utf-8")
     assert output_digests(CSV_RAW, tmp_path, tmp_path / "out") == GOLDEN["csv"]
+
+
+@pytest.mark.parametrize("source, variant", sorted(GOLDEN_VARIANTS))
+def test_encoding_variants_match_golden_digests(tmp_path, source, variant):
+    raw = dict(SYNTHETIC_RAW if source == "synthetic" else CSV_RAW, encoding=ENCODING_VARIANTS[variant])
+    (tmp_path / "geo.csv").write_text(geo_csv_text(), encoding="utf-8")
+    assert output_digests(raw, tmp_path, tmp_path / "out") == GOLDEN_VARIANTS[source, variant]

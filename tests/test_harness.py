@@ -29,14 +29,14 @@ from spatialfl.harness import (
     grouped_topology,
     load_config,
     run_experiment,
-    validation_matrix,
+    validation_rows,
     write_models,
 )
 from spatialfl import federation, nn
-from spatialfl.federation import AggregationPolicy, deserialize_model
-from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, predict_batch, unflatten
+from spatialfl.federation import AggregationPolicy, deserialize_model, stack_rows
+from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, predict_rows, unflatten
 from spatialfl.seeding import derive_seed
-from spatialfl.spatial import SpatialAttribute, build_vocabulary, encode_rows
+from spatialfl.spatial import SpatialAttribute, build_vocabulary
 
 FAST_TRAINING = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=32)
 
@@ -124,18 +124,15 @@ class TestFoldedAccuracy:
         model = init_params(dims, seed=int(rng.integers(0, 2 ** 31)))
         members = [init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for _ in range(3)]
 
-        features, labels, spans = validation_matrix(topo, datasets, vocab)
-        single = fold_correct(predict_batch(model, features), labels, spans)
-        voted = fold_correct(ensemble_predict_batch(members, features), labels, spans)
+        raw, labels, codes, enc, spans = validation_rows(topo, datasets, vocab)
+        single = fold_correct(predict_rows(model, raw, codes, enc), labels, spans)
+        voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
             subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
             assert single[node_id] / (hi - lo) == evaluate(model, subtree, vocab)
-            blocks = [(encode_rows(d.spatial, d.rows("validation")[0], vocab), d.rows("validation")[1])
-                      for d in subtree]
-            pooled = np.vstack([b[0] for b in blocks])
-            pooled_labels = np.concatenate([b[1] for b in blocks])
+            pooled_raw, pooled_labels, pooled_codes, pooled_enc, _ = stack_rows(subtree, vocab, "validation")
             assert voted[node_id] / (hi - lo) == accuracy_score(
-                ensemble_predict_batch(members, pooled), pooled_labels)
+                ensemble_predict_batch(members, pooled_raw, pooled_codes, pooled_enc), pooled_labels)
 
 
 class TestConfigValidation:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spatialfl.baselines import ensemble_predict_batch
 from spatialfl.errors import InvalidDimensionError, InvalidLabelError, ShapeError
 from spatialfl.nn import (
     ModelParams,
@@ -17,12 +18,14 @@ from spatialfl.nn import (
     flat_length,
     flatten,
     forward,
+    hidden_rows,
     init_optimizer_state,
     init_params,
     loss_and_grad,
     params_equal,
     predict,
     predict_batch,
+    predict_rows,
     softmax,
     train,
     train_cohort,
@@ -272,6 +275,112 @@ class TestPredict:
         p = init_params((3, 2, 2), seed=0)
         with pytest.raises(ShapeError):
             predict(p, np.zeros(2))
+
+
+class Scoring(NamedTuple):
+    """A random scoring case: ``rows`` rows coded into a table of
+    ``tables`` encodings ``e_dim`` wide, of which rows ``lo:hi`` are
+    scored by a model and an ensemble of ``members``."""
+
+    seed: int
+    dims: tuple
+    e_dim: int
+    tables: int
+    rows: int
+    lo: int
+    hi: int
+    members: int
+
+
+@st.composite
+def scoring_cases(draw):
+    input_dim = draw(st.integers(1, 48))
+    rows = draw(st.integers(0, 60))
+    lo = draw(st.integers(0, rows))
+    return Scoring(
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        dims=(input_dim, draw(st.integers(1, 24)), draw(st.integers(1, 4))),
+        e_dim=draw(st.one_of(st.just(0), st.integers(0, input_dim))),
+        tables=draw(st.integers(1, 6)),
+        rows=rows,
+        lo=lo,
+        hi=draw(st.integers(lo, rows)),
+        members=draw(st.integers(1, 5)),
+    )
+
+
+def random_model(dims, rng):
+    """Every parameter drawn, biases included, so no layer is trivially zero."""
+    return unflatten(dims, rng.normal(size=flat_length(dims)))
+
+
+class TestPredictRows:
+    @given(case=scoring_cases())
+    # The fan-out shape: one-hot-wide encodings, many table rows, a span.
+    @example(case=Scoring(1, (164, 16, 3), 160, 40, 60, 10, 55, 5))
+    @example(case=Scoring(2, (5, 4, 3), 0, 1, 30, 0, 30, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_forward_on_assembled_rows(self, case):
+        rng = np.random.default_rng(case.seed)
+        raw = rng.normal(size=(case.rows, case.dims[0] - case.e_dim)) * 3.0
+        codes = rng.integers(0, case.tables, size=case.rows)
+        enc = rng.normal(size=(case.tables, case.e_dim))
+        model = random_model(case.dims, rng)
+        members = [random_model(case.dims, rng) for _ in range(case.members)]
+        raw, codes = raw[case.lo:case.hi], codes[case.lo:case.hi]
+        batch = np.hstack([enc[codes], raw])
+
+        hidden = hidden_rows(model, raw, codes, enc)
+        logits = hidden @ model.layer2_weights.T + model.layer2_bias
+        predicted = predict_rows(model, raw, codes, enc)
+        expected = forward(model, batch)
+        assert np.array_equal(predicted, np.argmax(logits, axis=1))
+        if case.e_dim == 0:
+            # The same float operations as forward, so the same bits.
+            reference = np.maximum(batch @ model.layer1_weights.T + model.layer1_bias, 0.0)
+            assert hidden.tobytes() == reference.tobytes()
+            assert logits.tobytes() == expected.tobytes()
+            assert predicted.tobytes() == np.argmax(expected, axis=1).tobytes()
+            assert predict_batch(model, batch).tobytes() == predicted.tobytes()
+        else:
+            assert np.allclose(logits, expected, rtol=1e-9)
+        # Predictions agree wherever the top two logits are not within
+        # rounding of each other.
+        top = np.sort(expected, axis=1)
+        margin = top[:, -1] - top[:, -2] if case.dims[2] > 1 else np.full(len(top), np.inf)
+        clear = margin > 1e-9 * np.abs(expected).max(axis=1, initial=0.0)
+        assert np.array_equal(predicted[clear], np.argmax(expected, axis=1)[clear])
+
+        votes = np.stack([predict_rows(m, raw, codes, enc) for m in members])
+        tally = [np.argmax(np.bincount(votes[:, i], minlength=case.dims[2])) for i in range(len(raw))]
+        assert ensemble_predict_batch(members, raw, codes, enc).tolist() == tally
+
+    def test_tie_breaks_to_lowest_class_with_encoding(self):
+        dims = (4, 2, 3)
+        vec = np.zeros(flat_length(dims))
+        vec[-3:] = [0.5, 0.5, 0.1]
+        model = unflatten(dims, vec)
+        raw, enc = np.array([[3.0, -1.0], [0.0, 2.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert predict_rows(model, raw, np.array([1, 0]), enc).tolist() == [0, 0]
+
+    def test_shape_errors_name_both_widths(self):
+        model = init_params((6, 3, 2), seed=0)
+        raw, codes, enc = np.zeros((4, 3)), np.array([0, 1, 1, 0]), np.zeros((2, 3))
+        predict_rows(model, raw, codes, enc)
+        with pytest.raises(ShapeError, match=r"^rows of 3 encoding \+ 2 raw columns do not fit input_dim 6 "):
+            predict_rows(model, raw[:, :2], codes, enc)
+        with pytest.raises(ShapeError, match=r"^rows of 0 encoding \+ 10 raw columns do not fit input_dim 6 "):
+            predict_batch(model, np.zeros((5, 10)))
+        bad = [
+            (raw[0], codes, enc),            # one row, not a matrix of rows
+            (raw, codes, enc[0]),            # one encoding, not a table
+            (raw, codes[:3], enc),           # a code per row
+            (raw, codes + 1, enc),           # a code past the table
+            (raw, codes - 1, enc),           # a negative code
+        ]
+        for case in bad:
+            with pytest.raises(ShapeError):
+                predict_rows(model, *case)
 
 
 class TestFlattenRoundTrip:

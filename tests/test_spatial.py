@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialfl.data import ClientDataset
 from spatialfl.errors import EmptyCorpusError, InconsistentHierarchyError, UnknownRegionError
+from spatialfl.federation import stack_rows
 from spatialfl.spatial import (
     SpatialAttribute,
     build_vocabulary,
-    encode_rows,
     encode_spatial,
 )
 
@@ -102,19 +103,27 @@ class TestEncodeSpatial:
         assert len(encode_spatial(records[0], vocab)) == vocab.encoding_length
 
 
+def model_inputs(spatial, rows, vocab):
+    """One client's rows as the model sees them, ``[enc[codes], raw]``,
+    from the row format that :func:`stack_rows` returns."""
+    client = ClientDataset("c", spatial, rows, np.zeros(len(rows)), n_classes=2)
+    raw, _, codes, enc, _ = stack_rows([client], vocab, None)
+    return np.hstack([enc[codes], raw])
+
+
 class TestFeatureVector:
-    def test_encode_rows_tiles_encoding(self):
+    def test_stacked_rows_tile_encoding(self):
         vocab = build_vocabulary([attr(0, 0, "a"), attr(0, 0, "b")])
         rows = np.array([[1.0], [2.0], [3.0]])
-        out = encode_rows(attr(0, 0, "b"), rows, vocab)
+        out = model_inputs(attr(0, 0, "b"), rows, vocab)
         assert out.shape == (3, vocab.encoding_length + 1)
         assert np.array_equal(out[:, -1], [1.0, 2.0, 3.0])
         assert np.array_equal(out[0, :-1], encode_spatial(attr(0, 0, "b"), vocab))
         assert np.array_equal(out[0, :-1], out[2, :-1])
 
-    def test_encode_rows_without_vocab_is_identity(self):
+    def test_stacked_rows_without_vocab_are_raw(self):
         rows = np.array([[1.0, 2.0]])
-        assert np.array_equal(encode_rows(attr(0, 0, "a"), rows, None), rows)
+        assert np.array_equal(model_inputs(attr(0, 0, "a"), rows, None), rows)
 
 
 @st.composite
