@@ -70,12 +70,13 @@ class TierNode:
 class TierTopology:
     """A tree of nodes: clients at tier 0, one parentless root on top.
 
-    Indexed once on construction: the sorted children of every node, and
-    the clients in depth-first order from the root (children ascending),
-    in which every node's clients form one contiguous span.
+    Indexed once on construction: the root, the sorted children of every
+    node, and the clients in depth-first order from the root (children
+    ascending), in which every node's clients form one contiguous span.
     """
 
     nodes: tuple[TierNode, ...]
+    root_id: str = field(init=False, repr=False, compare=False)
     client_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
     _client_spans: dict = field(init=False, repr=False, compare=False)
@@ -83,6 +84,7 @@ class TierTopology:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         validate_topology(self)
+        object.__setattr__(self, "root_id", next(n.node_id for n in self.nodes if n.parent is None))
         kids: dict[str, list[str]] = {n.node_id: [] for n in self.nodes}
         for n in self.nodes:
             if n.parent is not None:
@@ -109,10 +111,6 @@ class TierTopology:
 
     def clients(self) -> list[str]:
         return sorted(n.node_id for n in self.nodes if n.tier == 0)
-
-    @property
-    def root_id(self) -> str:
-        return next(n.node_id for n in self.nodes if n.parent is None)
 
     @property
     def max_tier(self) -> int:

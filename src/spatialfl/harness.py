@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -51,21 +53,6 @@ from .spatial import SpatialVocabulary, build_vocabulary
 METHOD_TIERED = "n_tier_fl"
 METHOD_CENTRALIZED_REGIONAL = "centralized_nn_regional"
 
-_TOP_KEYS = {
-    "seed", "data", "n_classes", "preprocess", "encoding", "topology", "training",
-    "hidden_dim", "aggregation", "baselines", "split_ratio", "min_rows",
-    "include_date_feature", "output_dir",
-}
-_DATA_KEYS = {"kind", "path", "schema", "spec"}
-_SCHEMA_KEYS = {"client_label", "hierarchy", "latitude", "longitude", "ref_date", "target", "features"}
-_SPEC_KEYS = {"n_regions", "clients_per_region", "rows_per_client", "n_classes",
-              "region_separation", "noise_rate", "seed"}
-_PREPROCESS_KEYS = {"fill_missing", "drop_outliers", "outlier_zscore"}
-_ENCODING_KEYS = {"enabled", "use_coordinates", "use_hierarchy"}
-_TRAINING_KEYS = {"learning_rate", "epochs", "batch_size", "adam_beta1", "adam_beta2", "adam_epsilon"}
-_AGGREGATION_KEYS = {"mode", "rounds"}
-
-
 @dataclass(frozen=True)
 class EncodingConfig:
     """Whether spatial encodings are prepended to model inputs at all, and
@@ -75,11 +62,15 @@ class EncodingConfig:
     use_coordinates: bool = True
     use_hierarchy: bool = True
 
+    def __post_init__(self):
+        if self.enabled and not (self.use_coordinates or self.use_hierarchy):
+            raise ValueError("enable coordinates or hierarchy, or disable encoding entirely")
+
 
 @dataclass(frozen=True)
 class CsvSource:
     path: str
-    resolved: Path
+    resolved: Path = field(metadata={"key": None})  # ``path`` against the config's directory
     schema: CsvSchema
 
 
@@ -90,17 +81,25 @@ class SyntheticSource:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description; see README for the JSON shape."""
+    """Fully resolved experiment description; see README for the JSON shape.
+
+    Its fields and those of its sections (``SyntheticSpec``, ``CsvSchema``,
+    ``PreprocessConfig``, ``EncodingConfig``, ``TrainingConfig``,
+    ``AggregationPolicy``) are the config schema. A field's key is its
+    name, or ``metadata["key"]`` where that is set (``None`` for a field
+    that is no key); the field's default is the key's default and its
+    annotation picks how the key is read.
+    """
 
     data: CsvSource | SyntheticSource
     seed: int = 0
     n_classes: int = 3
     preprocess: PreprocessConfig = PreprocessConfig()
     encoding: EncodingConfig = EncodingConfig()
-    topology_groups: dict[str, tuple[str, ...]] | None = None
+    topology_groups: dict[str, tuple[str, ...]] | None = field(default=None, metadata={"key": "topology"})
     training: TrainingConfig = TrainingConfig()
     hidden_dim: int = 16
-    policy: AggregationPolicy = AggregationPolicy()
+    policy: AggregationPolicy = field(default=AggregationPolicy(), metadata={"key": "aggregation"})
     baselines: tuple[BaselineKind, ...] = ()
     split_ratio: float = 0.8
     min_rows: int = 5
@@ -113,60 +112,11 @@ class ExperimentConfig:
             self.n_classes = self.data.spec.n_classes
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.data, SyntheticSource):
-            spec = self.data.spec
-            data = {"kind": "synthetic", "spec": {
-                "n_regions": spec.n_regions,
-                "clients_per_region": spec.clients_per_region,
-                "rows_per_client": spec.rows_per_client,
-                "n_classes": spec.n_classes,
-                "region_separation": spec.region_separation,
-                "noise_rate": spec.noise_rate,
-                "seed": spec.seed,
-            }}
-        else:
-            schema = self.data.schema
-            data = {"kind": "csv", "path": self.data.path, "schema": {
-                "client_label": schema.client_label,
-                "hierarchy": list(schema.hierarchy) if schema.hierarchy is not None else None,
-                "latitude": schema.latitude,
-                "longitude": schema.longitude,
-                "ref_date": schema.ref_date,
-                "target": schema.target,
-                "features": list(schema.features) if schema.features is not None else None,
-            }}
-        return {
-            "seed": self.seed,
-            "data": data,
-            "n_classes": self.n_classes,
-            "preprocess": {
-                "fill_missing": self.preprocess.fill_missing,
-                "drop_outliers": self.preprocess.drop_outliers,
-                "outlier_zscore": self.preprocess.outlier_zscore,
-            },
-            "encoding": {
-                "enabled": self.encoding.enabled,
-                "use_coordinates": self.encoding.use_coordinates,
-                "use_hierarchy": self.encoding.use_hierarchy,
-            },
-            "topology": {k: list(v) for k, v in self.topology_groups.items()}
-            if self.topology_groups is not None else None,
-            "training": {
-                "learning_rate": self.training.learning_rate,
-                "epochs": self.training.epochs,
-                "batch_size": self.training.batch_size,
-                "adam_beta1": self.training.adam_beta1,
-                "adam_beta2": self.training.adam_beta2,
-                "adam_epsilon": self.training.adam_epsilon,
-            },
-            "hidden_dim": self.hidden_dim,
-            "aggregation": {"mode": self.policy.mode, "rounds": self.policy.rounds},
-            "baselines": [b.value for b in self.baselines],
-            "split_ratio": self.split_ratio,
-            "min_rows": self.min_rows,
-            "include_date_feature": self.include_date_feature,
-            "output_dir": self.output_dir,
-        }
+        """Every key written from its field; :func:`config_from_dict` reads
+        the result back to an equal config."""
+        out = _to_json(self)
+        out["data"]["kind"] = "synthetic" if isinstance(self.data, SyntheticSource) else "csv"
+        return out
 
 
 @dataclass
@@ -247,74 +197,103 @@ def evaluate(
 
 # -- config loading -------------------------------------------------------------
 
-def _reject_unknown(section: Mapping, allowed: set, where: str, errors: list) -> None:
-    for key in section:
-        if key not in allowed:
-            errors.append(f"unknown key {key!r}" + (f" in {where}" if where else ""))
+# The section dataclasses are the schema (see ExperimentConfig): one
+# reader and one writer walk their fields.
+
+# Per field annotation: which JSON values the key accepts, what its field
+# then holds, and the error otherwise. A float must be finite: the bound
+# also rejects NaN, which Python's JSON reader accepts, and integers
+# beyond the float range.
+_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), int, "must be an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+              float, "must be a finite number"),
+    "bool": (lambda v: isinstance(v, bool), bool, "must be a boolean"),
+    "str": (lambda v: isinstance(v, str), str, "must be a string"),
+    "tuple[str, ...] | None": (
+        lambda v: v is None or isinstance(v, list) and all(isinstance(s, str) for s in v),
+        lambda v: None if v is None else tuple(v), "must be a list of column names"),
+}
+
+# Bounds reported per key, so that each violation names its key. Every
+# other invariant is checked by its section's __post_init__.
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_BOUNDS = {
+    **dict.fromkeys(("n_regions", "clients_per_region", "rows_per_client", "hidden_dim", "min_rows"),
+                    _AT_LEAST_ONE),
+    "split_ratio": (lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+    "outlier_zscore": (lambda v: v > 0, "must be positive"),
+}
+
+_SECTIONS = {cls.__name__: cls for cls in (PreprocessConfig, EncodingConfig, TrainingConfig, AggregationPolicy)}
 
 
-def _expect_int(section: Mapping, key: str, default, errors: list, where: str,
-                minimum: int | None = None):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{where}{key} must be an integer")
-        return default
-    if minimum is not None and value < minimum:
-        errors.append(f"{where}{key} must be >= {minimum}")
-        return default
-    return value
+def _keyed_fields(cls) -> dict:
+    """The fields of a dataclass that are config keys, by key."""
+    return {key: f for f in fields(cls) if (key := f.metadata.get("key", f.name)) is not None}
 
 
-def _expect_number(section: Mapping, key: str, default, errors: list, where: str):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{where}{key} must be a number")
-        return default
-    return float(value)
+def _to_json(value):
+    """A config value as JSON: a dataclass as an object of its keys, tuples
+    as lists, enums by value."""
+    if is_dataclass(value):
+        return {key: _to_json(getattr(value, f.name)) for key, f in _keyed_fields(type(value)).items()}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value.value if isinstance(value, Enum) else value
 
 
-def _expect_bool(section: Mapping, key: str, default, errors: list, where: str):
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        errors.append(f"{where}{key} must be a boolean")
-        return default
-    return value
+def _read(cls, raw: Mapping, where: str, errors: list, by_hand: Sequence[str] = ()) -> dict:
+    """The valid values of the keys of ``cls`` given in ``raw``, by field name.
+
+    Reports every unknown key, missing required key and value of the wrong
+    type or out of bounds; such a value is left out, so its field keeps its
+    default. A section key is read into its dataclass, and null stands for
+    the default section. The fields named in ``by_hand`` are the caller's.
+    """
+    prefix = f"{where}." if where else ""
+    keyed = _keyed_fields(cls)
+    errors.extend(f"unknown key {key!r}" + (f" in {where}" if where else "") for key in raw if key not in keyed)
+    values = {}
+    for key, f in keyed.items():
+        if f.name in by_hand:
+            continue
+        if key not in raw:
+            if f.default is MISSING:
+                errors.append(f"{prefix}{key} is required")
+            continue
+        value = raw[key]
+        if f.type in _SECTIONS:
+            if value is not None:
+                value = _section(_SECTIONS[f.type], value, prefix + key, errors)
+                if value is not None:
+                    values[f.name] = value
+            continue
+        accepts, convert, problem = _TYPES[f.type]
+        if accepts(value):
+            value = convert(value)
+            within, problem = _BOUNDS.get(key, (lambda v: True, problem))
+            if within(value):
+                values[f.name] = value
+                continue
+        errors.append(f"{prefix}{key} {problem}")
+    return values
 
 
-def _expect_str(section: Mapping, key: str, default, errors: list, where: str):
-    value = section.get(key, default)
-    if not isinstance(value, str):
-        errors.append(f"{where}{key} must be a string")
-        return default
-    return value
-
-
-def _section(raw: Mapping, key: str, errors: list) -> Mapping:
-    value = raw.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        errors.append(f"{key} must be an object")
-        return {}
-    return value
-
-
-def _parse_spec(spec_raw: Mapping, errors: list, where: str) -> SyntheticSpec | None:
-    _reject_unknown(spec_raw, _SPEC_KEYS, where, errors)
-    fields = {
-        "n_regions": _expect_int(spec_raw, "n_regions", 1, errors, f"{where}.", minimum=1),
-        "clients_per_region": _expect_int(spec_raw, "clients_per_region", 1, errors, f"{where}.", minimum=1),
-        "rows_per_client": _expect_int(spec_raw, "rows_per_client", 1, errors, f"{where}.", minimum=1),
-        "n_classes": _expect_int(spec_raw, "n_classes", 3, errors, f"{where}."),
-        "region_separation": _expect_number(spec_raw, "region_separation", 1.0, errors, f"{where}."),
-        "noise_rate": _expect_number(spec_raw, "noise_rate", 0.0, errors, f"{where}."),
-        "seed": _expect_int(spec_raw, "seed", 0, errors, f"{where}."),
-    }
-    for key in ("n_regions", "clients_per_region", "rows_per_client"):
-        if key not in spec_raw:
-            errors.append(f"{where}.{key} is required")
+def _section(cls, raw, where: str, errors: list):
+    """A section dataclass built from its JSON object; None, with the
+    reasons reported, when it cannot be."""
+    if not isinstance(raw, Mapping):
+        errors.append(f"{where} must be an object")
+        return None
+    values = _read(cls, raw, where, errors)
+    # Every required key is a count. One that failed (and is reported)
+    # stands at 1, so that the section's own invariants are still checked.
+    required = {f.name: 1 for f in fields(cls) if f.default is MISSING}
     try:
-        return SyntheticSpec(**fields)
+        return cls(**required | values)
     except ValueError as exc:
         errors.append(f"{where}: {exc}")
         return None
@@ -322,61 +301,45 @@ def _parse_spec(spec_raw: Mapping, errors: list, where: str) -> SyntheticSpec | 
 
 def synthetic_spec_from_dict(raw: Mapping) -> SyntheticSpec:
     """Validate a bare synthetic-spec document (the gen-synthetic input)."""
-    errors: list[str] = []
     if not isinstance(raw, Mapping):
         raise ConfigError(["spec root must be an object"])
-    spec = _parse_spec(raw, errors, "spec")
+    errors: list[str] = []
+    spec = _section(SyntheticSpec, raw, "spec", errors)
     if errors:
         raise ConfigError(errors)
-    assert spec is not None
     return spec
 
 
-def _parse_data(raw: Mapping, base_dir: Path, errors: list):
-    data = raw.get("data")
+def _read_data(data, base_dir: Path, errors: list) -> CsvSource | SyntheticSource | None:
+    """The data source: ``kind`` picks its class, and a CSV path resolves
+    against the config's directory."""
     if not isinstance(data, Mapping):
         errors.append("data section is required and must be an object")
-        return None, None
-    _reject_unknown(data, _DATA_KEYS, "data", errors)
+        return None
+    known = {"kind", *_keyed_fields(CsvSource), *_keyed_fields(SyntheticSource)}
+    errors.extend(f"unknown key {key!r} in data" for key in data if key not in known)
     kind = data.get("kind")
     if kind == "synthetic":
-        spec_raw = data.get("spec")
-        if not isinstance(spec_raw, Mapping):
+        if not isinstance(data.get("spec"), Mapping):
             errors.append("data.spec is required for synthetic data")
-            return None, None
-        spec = _parse_spec(spec_raw, errors, "data.spec")
-        if spec is None:
-            return None, None
-        return SyntheticSource(spec), spec
+            return None
+        spec = _section(SyntheticSpec, data["spec"], "data.spec", errors)
+        return None if spec is None else SyntheticSource(spec)
     if kind == "csv":
-        path = _expect_str(data, "path", "", errors, "data.")
+        path = data.get("path", "")
+        if not isinstance(path, str):
+            errors.append("data.path must be a string")
+            path = ""
         if not path:
             errors.append("data.path is required for csv data")
-            return None, None
-        resolved = Path(path)
-        if not resolved.is_absolute():
-            resolved = base_dir / resolved
+            return None
+        resolved = Path(path) if Path(path).is_absolute() else base_dir / path
         if not resolved.exists():
             errors.append(f"data.path does not exist: {resolved}")
-        schema_raw = data.get("schema", {})
-        if not isinstance(schema_raw, Mapping):
-            errors.append("data.schema must be an object")
-            schema_raw = {}
-        _reject_unknown(schema_raw, _SCHEMA_KEYS, "data.schema", errors)
-        kwargs = {}
-        for key in ("client_label", "latitude", "longitude", "ref_date", "target"):
-            if key in schema_raw:
-                kwargs[key] = _expect_str(schema_raw, key, getattr(CsvSchema, key), errors, "data.schema.")
-        for key in ("hierarchy", "features"):
-            if key in schema_raw and schema_raw[key] is not None:
-                value = schema_raw[key]
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    errors.append(f"data.schema.{key} must be a list of column names")
-                else:
-                    kwargs[key] = tuple(value)
-        return CsvSource(path=path, resolved=resolved, schema=CsvSchema(**kwargs)), None
+        schema = _section(CsvSchema, data.get("schema", {}), "data.schema", errors)
+        return None if schema is None else CsvSource(path=path, resolved=resolved, schema=schema)
     errors.append("data.kind must be 'csv' or 'synthetic'")
-    return None, None
+    return None
 
 
 def config_from_dict(raw: Mapping, base_dir: Path = Path(".")) -> ExperimentConfig:
@@ -384,45 +347,20 @@ def config_from_dict(raw: Mapping, base_dir: Path = Path(".")) -> ExperimentConf
     errors: list[str] = []
     if not isinstance(raw, Mapping):
         raise ConfigError(["config root must be an object"])
-    _reject_unknown(raw, _TOP_KEYS, "", errors)
+    values = _read(ExperimentConfig, raw, "", errors,
+                   by_hand=("data", "n_classes", "topology_groups", "baselines"))
+    values["data"] = source = _read_data(raw.get("data"), base_dir, errors)
 
-    seed = _expect_int(raw, "seed", 0, errors, "")
-    source, spec = _parse_data(raw, base_dir, errors)
-
-    n_classes_given = raw.get("n_classes")
-    if spec is not None:
-        n_classes = spec.n_classes
-        if n_classes_given is not None and n_classes_given != spec.n_classes:
+    # Synthetic data owns the class count; a count given next to it must agree.
+    n_classes = raw.get("n_classes")
+    if isinstance(source, SyntheticSource):
+        if n_classes is not None and n_classes != source.spec.n_classes:
             errors.append("n_classes conflicts with data.spec.n_classes")
-    else:
-        n_classes = n_classes_given if n_classes_given is not None else 3
-    if not isinstance(n_classes, int) or isinstance(n_classes, bool) or n_classes not in (2, 3):
-        errors.append("n_classes must be 2 or 3")
-        n_classes = 3
+    elif n_classes is not None:
+        if not isinstance(n_classes, int) or isinstance(n_classes, bool) or n_classes not in (2, 3):
+            errors.append("n_classes must be 2 or 3")
+        values["n_classes"] = n_classes
 
-    pre_raw = _section(raw, "preprocess", errors)
-    _reject_unknown(pre_raw, _PREPROCESS_KEYS, "preprocess", errors)
-    zscore = _expect_number(pre_raw, "outlier_zscore", 3.0, errors, "preprocess.")
-    if zscore <= 0:
-        errors.append("preprocess.outlier_zscore must be positive")
-        zscore = 3.0
-    pre = PreprocessConfig(
-        fill_missing=_expect_bool(pre_raw, "fill_missing", True, errors, "preprocess."),
-        drop_outliers=_expect_bool(pre_raw, "drop_outliers", True, errors, "preprocess."),
-        outlier_zscore=zscore,
-    )
-
-    enc_raw = _section(raw, "encoding", errors)
-    _reject_unknown(enc_raw, _ENCODING_KEYS, "encoding", errors)
-    enc = EncodingConfig(
-        enabled=_expect_bool(enc_raw, "enabled", True, errors, "encoding."),
-        use_coordinates=_expect_bool(enc_raw, "use_coordinates", True, errors, "encoding."),
-        use_hierarchy=_expect_bool(enc_raw, "use_hierarchy", True, errors, "encoding."),
-    )
-    if enc.enabled and not (enc.use_coordinates or enc.use_hierarchy):
-        errors.append("encoding: enable coordinates or hierarchy, or disable encoding entirely")
-
-    groups = None
     if raw.get("topology") is not None:
         topo_raw = raw["topology"]
         if not isinstance(topo_raw, Mapping):
@@ -442,34 +380,7 @@ def config_from_dict(raw: Mapping, base_dir: Path = Path(".")) -> ExperimentConf
                         errors.append(f"topology assigns leaf {leaf!r} to both {seen[leaf]!r} and {name!r}")
                     seen[leaf] = name
                 groups[name] = tuple(leaves)
-
-    train_raw = _section(raw, "training", errors)
-    _reject_unknown(train_raw, _TRAINING_KEYS, "training", errors)
-    try:
-        training = TrainingConfig(
-            learning_rate=_expect_number(train_raw, "learning_rate", 0.01, errors, "training."),
-            epochs=_expect_int(train_raw, "epochs", 50, errors, "training."),
-            batch_size=_expect_int(train_raw, "batch_size", 32, errors, "training."),
-            adam_beta1=_expect_number(train_raw, "adam_beta1", 0.9, errors, "training."),
-            adam_beta2=_expect_number(train_raw, "adam_beta2", 0.999, errors, "training."),
-            adam_epsilon=_expect_number(train_raw, "adam_epsilon", 1e-8, errors, "training."),
-            seed=seed if isinstance(seed, int) else 0,
-        )
-    except ValueError as exc:
-        errors.append(f"training: {exc}")
-        training = TrainingConfig(seed=0)
-
-    hidden_dim = _expect_int(raw, "hidden_dim", 16, errors, "", minimum=1)
-
-    agg_raw = _section(raw, "aggregation", errors)
-    _reject_unknown(agg_raw, _AGGREGATION_KEYS, "aggregation", errors)
-    mode = _expect_str(agg_raw, "mode", "sample_weighted", errors, "aggregation.")
-    rounds = _expect_int(agg_raw, "rounds", 1, errors, "aggregation.")
-    try:
-        policy = AggregationPolicy(mode=mode, rounds=rounds)
-    except ValueError as exc:
-        errors.append(f"aggregation: {exc}")
-        policy = AggregationPolicy()
+            values["topology_groups"] = groups
 
     baselines: list[BaselineKind] = []
     baselines_raw = raw.get("baselines", [])
@@ -484,24 +395,11 @@ def config_from_dict(raw: Mapping, base_dir: Path = Path(".")) -> ExperimentConf
                 errors.append(f"baseline {name!r} listed twice")
             else:
                 baselines.append(BaselineKind(name))
-
-    split_ratio = _expect_number(raw, "split_ratio", 0.8, errors, "")
-    if not 0.0 < split_ratio < 1.0:
-        errors.append("split_ratio must lie strictly between 0 and 1")
-        split_ratio = 0.8
-    min_rows = _expect_int(raw, "min_rows", 5, errors, "", minimum=1)
-    include_date = _expect_bool(raw, "include_date_feature", True, errors, "")
-    output_dir = _expect_str(raw, "output_dir", "out", errors, "")
+    values["baselines"] = tuple(baselines)
 
     if errors:
         raise ConfigError(errors)
-    assert source is not None
-    return ExperimentConfig(
-        data=source, seed=seed, n_classes=n_classes, preprocess=pre, encoding=enc,
-        topology_groups=groups, training=training, hidden_dim=hidden_dim, policy=policy,
-        baselines=tuple(baselines), split_ratio=split_ratio, min_rows=min_rows,
-        include_date_feature=include_date, output_dir=output_dir,
-    )
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

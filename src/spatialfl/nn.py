@@ -33,7 +33,7 @@ digests pin the predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -97,7 +97,8 @@ class TrainingConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    seed: int = 0
+    # Derived per run from the master seed, so it is no config key.
+    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -195,6 +195,35 @@ class TestMalformedInputs:
         assert "line 26: " in err.getvalue()
 
 
+class TestNonFiniteNumbers:
+    # Python's JSON reader accepts NaN and Infinity; every number in a
+    # config or spec must be finite.
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "data.spec.region_separation", float("inf")),
+        ("run", "data.spec.region_separation", float("nan")),
+        ("run", "training.adam_epsilon", float("inf")),
+        ("run", "training.adam_epsilon", float("nan")),
+        ("run", "training.learning_rate", float("nan")),
+        ("run", "training.learning_rate", float("inf")),
+        ("run", "preprocess.outlier_zscore", float("nan")),
+        ("gen-synthetic", "spec.region_separation", float("inf")),
+    ], ids=str)
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, command, key, value):
+        *sections, name = key.split(".")
+        if command == "gen-synthetic":
+            path = write_json(tmp_path / "spec.json", dict(SPEC, **{name: value}))
+            args = ["gen-synthetic", "--spec", str(path), "--out", str(tmp_path / "bench.csv")]
+        else:
+            raw = json.loads(synthetic_config_file(tmp_path).read_text())
+            section = raw
+            for part in sections:
+                section = section.setdefault(part, {})
+            section[name] = value
+            args = ["run", "--config", str(write_json(tmp_path / "config.json", raw))]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {key} must be a finite number"]
+
+
 class TestGenSynthetic:
     def test_writes_ingestable_csv(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "spec.json", SPEC)

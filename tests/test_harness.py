@@ -1,13 +1,16 @@
 """Tests for config validation, evaluation, the experiment pipeline, and
 report emission."""
 
+import dataclasses
 import json
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tree
@@ -220,6 +223,99 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+def optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+LEAVES = ["a", "b", "c", "d"]
+NAME = st.text(max_size=8)
+# Float keys are given ints as well as floats wherever an int is valid.
+SPEC_RAW = st.fixed_dictionaries(
+    {"n_regions": st.integers(1, 4), "clients_per_region": st.integers(1, 4), "rows_per_client": st.integers(1, 500)},
+    optional={"n_classes": st.sampled_from([2, 3]), "region_separation": st.integers(0, 5) | st.floats(0, 10),
+              "noise_rate": st.just(0) | st.floats(0, 0.49), "seed": st.integers(0, 2 ** 31)})
+SCHEMA_RAW = optional(
+    client_label=NAME, latitude=NAME, longitude=NAME, ref_date=NAME, target=NAME,
+    hierarchy=st.none() | st.lists(NAME, max_size=3), features=st.none() | st.lists(NAME, max_size=3))
+DATA_RAW = (st.fixed_dictionaries({"kind": st.just("synthetic"), "spec": SPEC_RAW})
+            | st.fixed_dictionaries({"kind": st.just("csv"), "path": st.just("geo.csv")},
+                                    optional={"schema": SCHEMA_RAW}))
+# Every leaf in exactly one group.
+TOPOLOGY_RAW = st.lists(st.sampled_from(["east", "west", "north"]), min_size=len(LEAVES), max_size=len(LEAVES)).map(
+    lambda names: {g: [leaf for leaf, n in zip(LEAVES, names) if n == g] for g in sorted(set(names))})
+CONFIG_RAW = st.fixed_dictionaries({"data": DATA_RAW}, optional={
+    "seed": st.integers(0, 2 ** 32),
+    "n_classes": st.sampled_from([2, 3]),
+    "preprocess": optional(fill_missing=st.booleans(), drop_outliers=st.booleans(),
+                           outlier_zscore=st.integers(1, 5) | st.floats(0.1, 10)),
+    "encoding": optional(enabled=st.booleans(), use_coordinates=st.booleans(), use_hierarchy=st.booleans()).filter(
+        lambda e: not e.get("enabled", True) or e.get("use_coordinates", True) or e.get("use_hierarchy", True)),
+    "topology": st.none() | TOPOLOGY_RAW,
+    "training": optional(learning_rate=st.integers(1, 2) | st.floats(1e-6, 1.0), epochs=st.integers(0, 100),
+                         batch_size=st.integers(1, 64), adam_beta1=st.floats(0.01, 0.99),
+                         adam_beta2=st.floats(0.01, 0.999), adam_epsilon=st.integers(1, 2) | st.floats(1e-12, 1e-3)),
+    "hidden_dim": st.integers(1, 64),
+    "aggregation": optional(mode=st.sampled_from(["uniform", "sample_weighted"]), rounds=st.integers(1, 5)),
+    "baselines": st.lists(st.sampled_from([b.value for b in BaselineKind]), unique=True),
+    "split_ratio": st.floats(0.05, 0.95) | st.just(0.5),
+    "min_rows": st.integers(1, 10),
+    "include_date_feature": st.booleans(),
+    "output_dir": NAME,
+})
+
+
+def assert_holds_given(written, raw):
+    """Every key given in ``raw`` is written back with the value given."""
+    for key, value in raw.items():
+        if isinstance(value, dict) and key != "topology":
+            assert_holds_given(written[key], value)
+        else:
+            assert written[key] == value, key
+
+
+def assert_floats_are_floats(obj):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float":
+            assert type(value) is float, f.name
+        elif dataclasses.is_dataclass(value):
+            assert_floats_are_floats(value)
+
+
+class TestConfigRoundTrip:
+    @given(raw=CONFIG_RAW)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_and_writer_round_trip(self, tmp_path, raw):
+        (tmp_path / "geo.csv").touch()
+        if raw["data"]["kind"] == "synthetic" and "n_classes" in raw:
+            raw["data"]["spec"]["n_classes"] = raw["n_classes"]
+        config = config_from_dict(raw, tmp_path)
+        assert_floats_are_floats(config)
+        written = config.to_json_dict()
+        assert_holds_given(written, raw)
+        again = config_from_dict(written, tmp_path)
+        assert again == config
+        assert json.dumps(again.to_json_dict(), sort_keys=True) == json.dumps(written, sort_keys=True)
+
+    def test_readme_examples_carry_exactly_the_accepted_keys(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text[text.index("## Config file"):]
+        section = section[:section.index("\n## ")]
+        full, csv = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+        (tmp_path / csv["data"]["path"]).touch()
+
+        def assert_same_keys(example, written):
+            for key, value in example.items():
+                if isinstance(value, dict):
+                    assert set(value) == set(written[key]), key
+                    assert_same_keys(value, written[key])
+
+        for example in (full, csv):
+            written = config_from_dict(example, tmp_path).to_json_dict()
+            assert_same_keys(example, written)
+        assert set(full) == set(config_from_dict(full, tmp_path).to_json_dict())
 
 
 class TestGroupedTopology:
