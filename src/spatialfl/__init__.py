@@ -6,70 +6,41 @@ centralized, ensemble, and flat federated baselines.
 """
 
 from ._version import __version__
-from .baselines import BaselineKind, train_centralized
-from .data import (
-    ClientDataset,
-    CsvSchema,
-    GeoTable,
-    PreprocessConfig,
-    SyntheticSpec,
-    discretize_target,
-    export_csv,
-    generate_synthetic,
-    ingest_csv,
-    partition_clients,
-    preprocess,
-    train_valid_split,
-)
-from .federation import (
-    AggregationPolicy,
-    ClientUpdate,
-    TierNode,
-    TierTopology,
-    aggregate_tree,
-    deserialize_model,
-    fedavg,
-    local_train,
-    normalize_weights,
-    run_tier_round,
-    serialize_model,
-    weighted_aggregate,
-)
+from .baselines import BaselineKind
+from .data import CsvSchema, PreprocessConfig, SyntheticSpec, export_csv, generate_synthetic
+from .federation import AggregationPolicy, deserialize_model, serialize_model
 from .harness import (
+    CsvSource,
     EncodingConfig,
     ExperimentConfig,
     ExperimentResult,
     MetricsReport,
     SyntheticSource,
-    CsvSource,
-    accuracy_score,
+    config_from_dict,
     emit_report,
     evaluate,
     load_config,
+    load_datasets,
     run_experiment,
+    synthetic_spec_from_dict,
+    vocabulary,
     write_models,
 )
-from .nn import (
-    ModelParams,
-    OptimizerState,
-    TrainingConfig,
-    adam_step,
-    backward,
-    flatten,
-    forward,
-    init_params,
-    loss_and_grad,
-    predict,
-    predict_batch,
-    predict_rows,
-    train,
-    unflatten,
-)
-from .spatial import (
-    SpatialAttribute,
-    SpatialVocabulary,
-    build_vocabulary,
-    encode_spatial,
-)
+from .nn import ModelParams, TrainingConfig, init_params, predict_rows, train_cohort
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# What the CLI, scripts/, the benchmark and the README use: the config
+# sections, the pipeline and the model file. Everything else is reached
+# through its module.
+__all__ = [
+    "__version__",
+    # Config sections.
+    "ExperimentConfig", "SyntheticSource", "CsvSource", "SyntheticSpec", "CsvSchema",
+    "PreprocessConfig", "EncodingConfig", "TrainingConfig", "AggregationPolicy", "BaselineKind",
+    # The pipeline.
+    "load_config", "config_from_dict", "synthetic_spec_from_dict", "load_datasets", "vocabulary",
+    "run_experiment", "ExperimentResult", "MetricsReport", "emit_report", "write_models",
+    "evaluate", "generate_synthetic", "export_csv",
+    # Models: the training kernel, the scorer and the model file.
+    "ModelParams", "init_params", "train_cohort", "predict_rows",
+    "serialize_model", "deserialize_model",
+]

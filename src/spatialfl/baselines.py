@@ -21,7 +21,7 @@ import numpy as np
 from .data import ClientDataset
 from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from .federation import stack_rows
-from .nn import ModelParams, TrainingConfig, predict_rows, train_cohort, unflatten
+from .nn import ModelParams, TrainingConfig, predict_rows, train_cohort
 from .spatial import SpatialVocabulary
 
 
@@ -47,7 +47,7 @@ def train_centralized(
     params, diverged = train_cohort(init, raw, labels, codes, enc, [0, labels.size], config, [config.seed])
     if diverged:
         raise DivergenceError(f"centralized baseline: {diverged[0]}")
-    return unflatten(init.dims, params[0])
+    return ModelParams(params[0], init.dims)
 
 
 def ensemble_predict_batch(

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .data import CsvSchema, export_csv, generate_synthetic, ingest_csv, partition_clients, preprocess
+from .data import export_csv, generate_synthetic
 from .errors import (
     ConfigError,
     EmptyClientError,
@@ -32,15 +32,15 @@ from .errors import (
 )
 from .federation import deserialize_model
 from .harness import (
-    CsvSource,
     emit_report,
     evaluate,
     load_config,
+    load_datasets,
     run_experiment,
     synthetic_spec_from_dict,
+    vocabulary,
     write_models,
 )
-from .spatial import build_vocabulary
 
 _DATA_ERRORS = (
     SchemaError, RowError, UnitUnusableError, ThinClientError, SplitError,
@@ -103,18 +103,8 @@ def cmd_evaluate_model(args: argparse.Namespace) -> int:
         print(f"data error: data file does not exist: {data_path}", file=sys.stderr)
         return 3
     model = deserialize_model(model_path.read_bytes())
-    schema = config.data.schema if isinstance(config.data, CsvSource) else CsvSchema()
-    records = preprocess(ingest_csv(data_path, schema), config.preprocess)
-    datasets, _ = partition_clients(
-        records, config.n_classes, config.min_rows, config.include_date_feature)
-    vocab = None
-    if config.encoding.enabled:
-        vocab = build_vocabulary(
-            [datasets[cid].spatial for cid in sorted(datasets)],
-            include_coordinates=config.encoding.use_coordinates,
-            include_hierarchy=config.encoding.use_hierarchy,
-        )
-    accuracy = evaluate(model, datasets.values(), vocab, split=None)
+    datasets, _, _ = load_datasets(config, data_path)
+    accuracy = evaluate(model, datasets.values(), vocabulary(config, datasets), split=None)
     print(f"accuracy={accuracy:.6f}")
     return 0
 
@@ -163,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (SpatialFLError, OSError) as exc:
         print(f"error{_stage_suffix(exc)}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return 4
 
 

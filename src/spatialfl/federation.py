@@ -38,15 +38,7 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .nn import (
-    ModelParams,
-    TrainingConfig,
-    flat_length,
-    flatten,
-    train_cohort,
-    unflatten,
-    working_set_bytes,
-)
+from .nn import ModelParams, TrainingConfig, flat_length, train_cohort, working_set_bytes
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_spatial
 
@@ -277,21 +269,6 @@ def cohort_slices(n_clients: int, dims: tuple[int, int, int], batch_size: int) -
     return [slice(lo, min(lo + size, n_clients)) for lo in range(0, n_clients, size)]
 
 
-def local_train(
-    dataset: "ClientDataset",
-    init: ModelParams,
-    config: TrainingConfig,
-    vocab: SpatialVocabulary | None,
-) -> ClientUpdate:
-    """Train one client from ``init`` on its training rows, as a cohort of
-    one."""
-    raw, labels, codes, enc, offsets = _client_rows([dataset], init, vocab)
-    params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, [config.seed])
-    if diverged:
-        raise DivergenceError(diverged[0])
-    return ClientUpdate(dataset.client_id, unflatten(init.dims, params[0]), float(offsets[1]))
-
-
 def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
     ordered = sorted(updates, key=lambda u: u.client_id)
     if not ordered:
@@ -314,12 +291,24 @@ def _tree_sum(vectors: list[np.ndarray]) -> np.ndarray:
     return vectors[0]
 
 
+def _combine(vectors: list[np.ndarray], raws: list[float], mode: str) -> np.ndarray:
+    """The aggregate of parameter vectors given in ascending id order: their
+    mean, or with ``sample_weighted`` their convex combination by the
+    normalised raw weights. Always a new array."""
+    if mode == "uniform":
+        return _tree_sum(vectors) / len(vectors)
+    return _tree_sum([w * v for w, v in zip(normalize_weights(raws), vectors)])
+
+
+def _aggregate(updates: Iterable[ClientUpdate], mode: str) -> ModelParams:
+    ordered = _sorted_consistent(updates)
+    vector = _combine([u.params.vector for u in ordered], [u.spatial_weight_raw for u in ordered], mode)
+    return ModelParams(vector, ordered[0].params.dims)
+
+
 def fedavg(updates: Iterable[ClientUpdate]) -> ModelParams:
     """Uniform federated average: the elementwise mean of the parameters."""
-    ordered = _sorted_consistent(updates)
-    vectors = [flatten(u.params) for u in ordered]
-    mean = _tree_sum(vectors) / len(vectors)
-    return unflatten(ordered[0].params.dims, mean)
+    return _aggregate(updates, "uniform")
 
 
 def normalize_weights(raws: Iterable[float]) -> list[float]:
@@ -337,10 +326,7 @@ def normalize_weights(raws: Iterable[float]) -> list[float]:
 
 def weighted_aggregate(updates: Iterable[ClientUpdate]) -> ModelParams:
     """Convex combination of parameters weighted by normalised raw weights."""
-    ordered = _sorted_consistent(updates)
-    weights = normalize_weights([u.spatial_weight_raw for u in ordered])
-    vectors = [w * flatten(u.params) for w, u in zip(weights, ordered)]
-    return unflatten(ordered[0].params.dims, _tree_sum(vectors))
+    return _aggregate(updates, "sample_weighted")
 
 
 def aggregate_tree(
@@ -352,7 +338,9 @@ def aggregate_tree(
 
     Interior nodes carry the sum of their descendants' raw weights, so
     with the sample-weighted mode the root equals the flat weighted
-    average over all clients (up to rounding).
+    average over all clients (up to rounding). Every interior node
+    combines its children's vectors in ascending id order, exactly as
+    :func:`fedavg` or :func:`weighted_aggregate` over their updates would.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -364,17 +352,16 @@ def aggregate_tree(
     extra = sorted(set(by_id) - set(clients))
     if extra:
         raise TopologyError(f"updates for unknown clients: {extra}")
+    dims = _sorted_consistent(by_id.values())[0].params.dims
 
     models = {c: by_id[c].params for c in clients}
+    vectors = {c: models[c].vector for c in clients}
     weights = {c: by_id[c].spatial_weight_raw for c in clients}
     for tier in range(1, topology.max_tier + 1):
         for node in sorted(n.node_id for n in topology.nodes if n.tier == tier):
             kids = topology.children(node)
-            child_updates = [ClientUpdate(k, models[k], weights[k]) for k in kids]
-            if mode == "uniform":
-                models[node] = fedavg(child_updates)
-            else:
-                models[node] = weighted_aggregate(child_updates)
+            vectors[node] = _combine([vectors[k] for k in kids], [weights[k] for k in kids], mode)
+            models[node] = ModelParams(vectors[node], dims)
             weights[node] = float(sum(weights[k] for k in kids))
     return models
 
@@ -426,7 +413,10 @@ def run_tier_round(
                 if i in failed:
                     diverged[c] = failed[i]
                 else:
-                    trained[c] = ClientUpdate(c, unflatten(broadcast.dims, params[i]),
+                    # A view of the client's row: every kernel call
+                    # allocates its buffer afresh and nothing writes it
+                    # once the call returns.
+                    trained[c] = ClientUpdate(c, ModelParams(params[i], broadcast.dims),
                                               float(counts[part.start + i]))
         if diverged:
             c = min(diverged)
@@ -443,11 +433,11 @@ def serialize_model(params: ModelParams) -> bytes:
     """Binary model format: magic, version, u32 dims, float64 payload.
 
     Layout (all little-endian): ``b"ESFL"``, one version byte, three u32
-    dims (input, hidden, classes), then the flattened parameters as
+    dims (input, hidden, classes), then the parameter vector as
     64-bit IEEE-754 floats. No padding.
     """
     header = MODEL_MAGIC + bytes([MODEL_VERSION]) + struct.pack("<III", *params.dims)
-    payload = np.ascontiguousarray(flatten(params), dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(params.vector, dtype="<f8").tobytes()
     return header + payload
 
 
@@ -470,6 +460,6 @@ def deserialize_model(blob: bytes) -> ModelParams:
         )
     vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     try:
-        return unflatten(dims, vector)
+        return ModelParams(vector, dims)
     except (ShapeError, ValueError) as exc:
         raise CorruptModelError(f"payload rejected: {exc}") from exc

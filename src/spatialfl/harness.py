@@ -316,9 +316,15 @@ def _read_data(data, base_dir: Path, errors: list) -> CsvSource | SyntheticSourc
     if not isinstance(data, Mapping):
         errors.append("data section is required and must be an object")
         return None
-    known = {"kind", *_keyed_fields(CsvSource), *_keyed_fields(SyntheticSource)}
-    errors.extend(f"unknown key {key!r} in data" for key in data if key not in known)
+    # Each kind accepts only its own keys; with no valid kind, only keys of
+    # neither kind are named.
     kind = data.get("kind")
+    sources = {"csv": CsvSource, "synthetic": SyntheticSource}
+    if isinstance(kind, str) and kind in sources:
+        known, where = _keyed_fields(sources[kind]), f"data for kind {kind!r}"
+    else:
+        known, where = {**_keyed_fields(CsvSource), **_keyed_fields(SyntheticSource)}, "data"
+    errors.extend(f"unknown key {key!r} in {where}" for key in data if key != "kind" and key not in known)
     if kind == "synthetic":
         if not isinstance(data.get("spec"), Mapping):
             errors.append("data.spec is required for synthetic data")
@@ -450,16 +456,31 @@ def grouped_topology(leaves: Iterable[str], groups: Mapping[str, Sequence[str]])
     return TierTopology(tuple(nodes))
 
 
-def _load_datasets(config: ExperimentConfig):
-    if isinstance(config.data, SyntheticSource):
-        datasets, topology, oracle = generate_synthetic(config.data.spec)
-        return datasets, topology, oracle
-    records = ingest_csv(config.data.resolved, config.data.schema)
+def load_datasets(config: ExperimentConfig, csv_path: str | Path | None = None):
+    """The clients, topology and oracle accuracy (None for CSV data) of a
+    config's data source. With ``csv_path``, that CSV is read in the
+    config's schema (the default schema for a synthetic config) instead."""
+    if csv_path is None and isinstance(config.data, SyntheticSource):
+        return generate_synthetic(config.data.spec)
+    schema = config.data.schema if isinstance(config.data, CsvSource) else CsvSchema()
+    records = ingest_csv(config.data.resolved if csv_path is None else csv_path, schema)
     records = preprocess(records, config.preprocess)
     datasets, topology = partition_clients(
         records, config.n_classes, config.min_rows, config.include_date_feature,
     )
     return datasets, topology, None
+
+
+def vocabulary(config: ExperimentConfig, datasets: Mapping[str, ClientDataset]) -> SpatialVocabulary | None:
+    """The spatial vocabulary of the clients under the config's encoding
+    settings; None with encoding off."""
+    if not config.encoding.enabled:
+        return None
+    return build_vocabulary(
+        [datasets[cid].spatial for cid in sorted(datasets)],
+        include_coordinates=config.encoding.use_coordinates,
+        include_hierarchy=config.encoding.use_hierarchy,
+    )
 
 
 def validation_rows(
@@ -492,7 +513,7 @@ def fold_correct(
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the tiered method plus enabled baselines; deterministic per seed."""
     with _stage("data"):
-        datasets, topology, oracle = _load_datasets(config)
+        datasets, topology, oracle = load_datasets(config)
     with _stage("split"):
         datasets = {
             cid: train_valid_split(datasets[cid], config.split_ratio, derive_seed(config.seed, "split", cid))
@@ -502,13 +523,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.topology_groups is not None:
             topology = grouped_topology(datasets.keys(), config.topology_groups)
     with _stage("encoding"):
-        vocab = None
-        if config.encoding.enabled:
-            vocab = build_vocabulary(
-                [datasets[cid].spatial for cid in sorted(datasets)],
-                include_coordinates=config.encoding.use_coordinates,
-                include_hierarchy=config.encoding.use_hierarchy,
-            )
+        vocab = vocabulary(config, datasets)
 
     clients = topology.clients()
     n_raw = datasets[clients[0]].features.shape[1]

@@ -1,10 +1,11 @@
 """Dense two-layer classifier trained with softmax cross-entropy and Adam.
 
-Everything here is plain float64 numpy: forward pass, loss, hand-written
-backpropagation, and a bias-corrected Adam step over the flattened
-parameter vector. The flattening order (layer-1 weights row-major,
-layer-1 bias, layer-2 weights row-major, layer-2 bias) is a contract: the
-binary model file format stores parameters in exactly this order.
+Everything here is plain float64 numpy. A model is one flat parameter
+vector (:class:`ModelParams`) whose layers are views of it. Its order
+(layer-1 weights row-major, layer-1 bias, layer-2 weights row-major,
+layer-2 bias) is a contract: the kernel's ``(K, P)`` buffer rows, the
+aggregation algebra and the binary model file all use exactly this
+order, so a model moves between them without conversion.
 
 All training runs through one kernel, :func:`train_cohort`. It trains a
 cohort of clients that share ``init`` and config, each with its own rows
@@ -15,20 +16,18 @@ assembles a minibatch's inputs only when it trains on them. Training is
 step-aligned: iteration ``g`` takes every client's own ``g``-th step,
 grouping neighbouring clients whose batches have the same size. Its
 contract is bit-exactness: every client's parameters equal, bit for bit,
-those of the reference chain :func:`forward` -> :func:`loss_and_grad` ->
-:func:`backward` -> :func:`adam_step` run for that client alone on its
-encoded rows, which the tests check on random ragged cohorts.
-:func:`train` is a cohort of one.
+those of a per-step reference chain (forward, softmax cross-entropy,
+backpropagation, Adam; ``tests/reference.py``) run for that client alone
+on its encoded rows, which the tests check on random ragged cohorts.
 
 All scoring runs through one scorer, :func:`predict_rows`, which reads
 rows in the kernel's format and never assembles them: its first layer is
 factored into a matmul over the raw columns plus, per row, its code's
 row of ``enc @ W1_enc'``, computed once per call for the table rows the
-codes span. :func:`predict_batch` is its call with no encoding (``E =
-0``), the same float operations as :func:`forward`. With an encoding,
-the factored sums round differently from :func:`forward` on the
-assembled rows, so logits may differ in the last bits; the golden
-digests pin the predictions.
+codes span. With no encoding (``E = 0``) it makes the same float
+operations as a dense forward pass. With an encoding, the factored sums
+round differently from a dense pass over the assembled rows, so logits
+may differ in the last bits; the golden digests pin the predictions.
 """
 
 from __future__ import annotations
@@ -38,37 +37,36 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidDimensionError, InvalidLabelError, ShapeError
+from .errors import InvalidDimensionError, InvalidLabelError, ShapeError
 
 Dims = tuple[int, int, int]  # (input_dim, hidden_dim, n_classes)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Weights and biases of a two-layer ReLU classifier."""
+    """A two-layer ReLU classifier: one flat float64 vector in the
+    model-file order, whose layers are views of it."""
 
-    layer1_weights: np.ndarray  # (hidden, input)
-    layer1_bias: np.ndarray     # (hidden,)
-    layer2_weights: np.ndarray  # (classes, hidden)
-    layer2_bias: np.ndarray     # (classes,)
+    vector: np.ndarray  # (n_params,)
     dims: Dims
+    layer1_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (hidden, input)
+    layer1_bias: np.ndarray = field(init=False, repr=False, compare=False)     # (hidden,)
+    layer2_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (classes, hidden)
+    layer2_bias: np.ndarray = field(init=False, repr=False, compare=False)     # (classes,)
 
     def __post_init__(self):
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise InvalidDimensionError(f"dims must be three integers >= 1, got {self.dims}")
-        input_dim, hidden_dim, n_classes = self.dims
-        expected = {
-            "layer1_weights": (hidden_dim, input_dim),
-            "layer1_bias": (hidden_dim,),
-            "layer2_weights": (n_classes, hidden_dim),
-            "layer2_bias": (n_classes,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+        vector = np.asarray(self.vector, dtype=np.float64)
+        if vector.shape != (flat_length(self.dims),):
+            raise ShapeError(f"expected flat vector of length {flat_length(self.dims)}, "
+                             f"got shape {vector.shape}")
+        name = _non_finite_layer(vector, self.dims)
+        if name is not None:
+            raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "vector", vector)
+        for name, view in zip(_LAYERS, _layer_views(vector, self.dims)):
+            object.__setattr__(self, name, view)
 
     @property
     def input_dim(self) -> int:
@@ -113,15 +111,6 @@ class TrainingConfig:
             raise ValueError("batch_size must be positive")
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Adam moment estimates over the flattened parameter vector."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int
-
-
 def flat_length(dims: Dims) -> int:
     input_dim, hidden_dim, n_classes = dims
     return hidden_dim * input_dim + hidden_dim + n_classes * hidden_dim + n_classes
@@ -133,30 +122,16 @@ def init_params(dims: Dims, seed: int) -> ModelParams:
         raise InvalidDimensionError(f"dims must be three integers >= 1, got {dims}")
     input_dim, hidden_dim, n_classes = dims
     rng = np.random.default_rng(seed)
+    vector = np.zeros(flat_length(dims))
+    w1, _, w2, _ = _layer_views(vector, dims)
     scale1 = 1.0 / np.sqrt(input_dim)
     scale2 = 1.0 / np.sqrt(hidden_dim)
-    return ModelParams(
-        layer1_weights=rng.uniform(-scale1, scale1, size=(hidden_dim, input_dim)),
-        layer1_bias=np.zeros(hidden_dim),
-        layer2_weights=rng.uniform(-scale2, scale2, size=(n_classes, hidden_dim)),
-        layer2_bias=np.zeros(n_classes),
-        dims=(input_dim, hidden_dim, n_classes),
-    )
+    w1[...] = rng.uniform(-scale1, scale1, size=w1.shape)
+    w2[...] = rng.uniform(-scale2, scale2, size=w2.shape)
+    return ModelParams(vector, (input_dim, hidden_dim, n_classes))
 
 
-def init_optimizer_state(params: ModelParams) -> OptimizerState:
-    n = params.n_params
-    return OptimizerState(np.zeros(n), np.zeros(n), 0)
-
-
-def flatten(params: ModelParams) -> np.ndarray:
-    """Flatten to a single vector in the model-file order."""
-    return np.concatenate([
-        params.layer1_weights.ravel(),
-        params.layer1_bias,
-        params.layer2_weights.ravel(),
-        params.layer2_bias,
-    ])
+_LAYERS = ("layer1_weights", "layer1_bias", "layer2_weights", "layer2_bias")
 
 
 def _layer_views(buffer: np.ndarray, dims: Dims) -> tuple[np.ndarray, ...]:
@@ -171,93 +146,13 @@ def _layer_views(buffer: np.ndarray, dims: Dims) -> tuple[np.ndarray, ...]:
             buffer[..., b:c].reshape(*lead, n_classes, hidden_dim), buffer[..., c:])
 
 
-def unflatten(dims: Dims, vector: np.ndarray) -> ModelParams:
-    """Inverse of :func:`flatten`; bit-exact round trip."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1 or vector.size != flat_length(dims):
-        raise ShapeError(f"expected flat vector of length {flat_length(dims)}, got shape {vector.shape}")
-    w1, b1, w2, b2 = (view.copy() for view in _layer_views(vector, dims))
-    return ModelParams(w1, b1, w2, b2, dims=dims)
-
-
-def _check_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
-        raise ShapeError(f"batch shape {batch.shape} incompatible with input_dim {params.input_dim}")
-    return batch
-
-
-def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits for a batch: relu(x W1' + b1) W2' + b2."""
-    batch = _check_batch(params, batch)
-    hidden = np.maximum(batch @ params.layer1_weights.T + params.layer1_bias, 0.0)
-    return hidden @ params.layer2_weights.T + params.layer2_bias
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits.
-
-    The gradient of the mean loss is (softmax(row) - onehot(label)) / n.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError(f"logits {logits.shape} vs labels {labels.shape}")
-    n, n_classes = logits.shape
-    if n == 0:
-        raise ShapeError("cannot take the loss of an empty batch")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise InvalidLabelError(f"labels must lie in [0, {n_classes})")
-    labels = labels.astype(np.int64)
-    probs = softmax(logits)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, np.finfo(np.float64).tiny))))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return loss, grad
-
-
-def backward(params: ModelParams, batch: np.ndarray, grad_logits: np.ndarray) -> np.ndarray:
-    """Backpropagate a logits gradient to the flattened parameter gradient."""
-    batch = _check_batch(params, batch)
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    if grad_logits.shape != (batch.shape[0], params.n_classes):
-        raise ShapeError(f"grad_logits shape {grad_logits.shape} incompatible with model {params.dims}")
-    pre_hidden = batch @ params.layer1_weights.T + params.layer1_bias
-    hidden = np.maximum(pre_hidden, 0.0)
-    grad_w2 = grad_logits.T @ hidden
-    grad_b2 = grad_logits.sum(axis=0)
-    grad_hidden = grad_logits @ params.layer2_weights
-    grad_hidden = np.where(pre_hidden > 0.0, grad_hidden, 0.0)
-    grad_w1 = grad_hidden.T @ batch
-    grad_b1 = grad_hidden.sum(axis=0)
-    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
-
-
-def adam_step(
-    params: ModelParams,
-    grad: np.ndarray,
-    state: OptimizerState,
-    config: TrainingConfig,
-) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update over the flattened parameters."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != (params.n_params,):
-        raise ShapeError(f"gradient length {grad.shape} != parameter count {params.n_params}")
-    t = state.step_count + 1
-    m = config.adam_beta1 * state.first_moment + (1.0 - config.adam_beta1) * grad
-    v = config.adam_beta2 * state.second_moment + (1.0 - config.adam_beta2) * grad * grad
-    m_hat = m / (1.0 - config.adam_beta1 ** t)
-    v_hat = v / (1.0 - config.adam_beta2 ** t)
-    flat = flatten(params) - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-    return unflatten(params.dims, flat), OptimizerState(m, v, t)
+def _non_finite_layer(vector: np.ndarray, dims: Dims) -> str | None:
+    """The name of the first layer of a flat vector that holds a
+    non-finite entry, or None if every entry is finite."""
+    if np.isfinite(vector).all():
+        return None
+    return next(name for name, layer in zip(_LAYERS, _layer_views(vector, dims))
+                if not np.isfinite(layer).all())
 
 
 def working_set_bytes(dims: Dims, batch_size: int) -> int:
@@ -344,9 +239,9 @@ def train_cohort(
     client as training it alone.
 
     Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
-    buffer, in the model-file order, bit-identical to chaining
-    :func:`forward`, :func:`loss_and_grad`, :func:`backward` and
-    :func:`adam_step` on its assembled rows alone. The returned dict maps
+    buffer, in the model-file order, bit-identical to the reference
+    chain's (forward, loss gradient, backward, Adam step) on its
+    assembled rows alone. Every call allocates the buffer afresh. The returned dict maps
     the index of each client whose parameters went non-finite to the
     message of its first such step; that client's row is garbage.
     """
@@ -384,7 +279,7 @@ def train_cohort(
     positions = np.arange(width)
     bounds = offsets.tolist()
 
-    params = np.tile(flatten(init), (k, 1))
+    params = np.tile(init.vector, (k, 1))
     grad = np.zeros_like(params)
     m, v = np.zeros_like(params), np.zeros_like(params)
     m_hat, v_hat = np.empty_like(params), np.empty_like(params)  # also scratch
@@ -436,7 +331,7 @@ def train_cohort(
                 np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
                 np.sum(grad_hidden, axis=1, out=g_b1[lo:hi])
             # Bias-corrected Adam over the clients still training, in place,
-            # in adam_step's order: each of them has now taken t steps.
+            # in the reference Adam step's order: each of them has now taken t steps.
             live = group[-1][1]
             x, dx, m1, v1, m1_hat, v1_hat = (
                 buf[:live] for buf in (params, grad, m, v, m_hat, v_hat))
@@ -462,41 +357,7 @@ def train_cohort(
 
 
 def _divergence_message(vector: np.ndarray, dims: Dims) -> str:
-    names = ("layer1_weights", "layer1_bias", "layer2_weights", "layer2_bias")
-    name = next(name for name, layer in zip(names, _layer_views(vector, dims))
-                if not np.isfinite(layer).all())
-    return f"training diverged ({name} contains non-finite entries)"
-
-
-def train(
-    init: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    config: TrainingConfig,
-) -> ModelParams:
-    """Run ``config.epochs`` epochs of seeded minibatch Adam from ``init``.
-
-    A cohort of one through :func:`train_cohort`, with ``features`` as
-    the raw rows and no encoding: the minibatch order is drawn from a
-    generator seeded with ``config.seed``, so identical inputs reproduce
-    bit-identical parameters. A step that leaves a non-finite parameter
-    raises :class:`DivergenceError`.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    n = len(features)
-    params, diverged = train_cohort(init, features, labels, np.zeros(n, dtype=np.intp),
-                                    np.empty((1, 0)), [0, n], config, [config.seed])
-    if diverged:
-        raise DivergenceError(diverged[0])
-    return unflatten(init.dims, params[0])
-
-
-def predict(params: ModelParams, features: np.ndarray) -> int:
-    """Argmax class for one feature vector; ties resolve to the lowest index."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (params.input_dim,):
-        raise ShapeError(f"feature length {features.shape} != input_dim {params.input_dim}")
-    return int(np.argmax(forward(params, features[None, :])[0]))
+    return f"training diverged ({_non_finite_layer(vector, dims)} contains non-finite entries)"
 
 
 def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np.ndarray) -> np.ndarray:
@@ -506,9 +367,9 @@ def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np
     The first layer is factored, so no row is ever assembled: the raw
     columns are one matmul over the rows, and the encoding columns one
     matmul over the table rows ``first:last + 1`` that the codes span,
-    gathered per row. With ``E = 0`` this is exactly :func:`forward`'s
-    first layer; with ``E > 0`` sums are grouped differently from
-    :func:`forward` on the assembled rows, so they may differ in the last
+    gathered per row. With ``E = 0`` this is exactly a dense forward
+    pass's first layer; with ``E > 0`` sums are grouped differently from
+    a dense pass over the assembled rows, so they may differ in the last
     bits.
     """
     raw = np.asarray(raw, dtype=np.float64)
@@ -536,16 +397,3 @@ def predict_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: n
     :func:`hidden_rows`); ties resolve to the lowest index."""
     hidden = hidden_rows(params, raw, codes, enc)
     return np.argmax(hidden @ params.layer2_weights.T + params.layer2_bias, axis=1)
-
-
-def predict_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Argmax class per row of assembled inputs; ties resolve to the
-    lowest index. The ``E = 0`` call of :func:`predict_rows`, so the same
-    float operations as :func:`forward`."""
-    batch = np.asarray(batch, dtype=np.float64)
-    return predict_rows(params, batch, np.zeros(batch.shape[:1], dtype=np.intp), np.empty((1, 0)))
-
-
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Bit-exact equality of dims and every parameter."""
-    return a.dims == b.dims and np.array_equal(flatten(a), flatten(b))

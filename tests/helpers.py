@@ -3,13 +3,34 @@
 import numpy as np
 
 from spatialfl.data import ClientDataset
-from spatialfl.federation import ClientUpdate, TierNode, TierTopology
-from spatialfl.nn import init_params, unflatten
+from spatialfl.federation import ClientUpdate, TierNode, TierTopology, stack_rows
+from spatialfl.nn import ModelParams, init_params, train_cohort
 from spatialfl.spatial import SpatialAttribute
 
 
 def vector_params(dims, values):
-    return unflatten(dims, np.asarray(values, dtype=np.float64))
+    return ModelParams(np.asarray(values, dtype=np.float64), dims)
+
+
+def no_encoding(batch):
+    """Rows of raw features in the row format with no encoding."""
+    batch = np.asarray(batch, dtype=np.float64)
+    return batch, np.zeros(len(batch), dtype=np.intp), np.empty((1, 0))
+
+
+def train_alone(dataset, init, config, vocab=None):
+    """A client's model trained from ``init`` on its training rows alone:
+    a cohort of one of the training kernel, seeded with ``config.seed``."""
+    raw, labels, codes, enc, offsets = stack_rows([dataset], vocab, "train")
+    params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, [config.seed])
+    assert diverged == {}
+    return ModelParams(params[0], init.dims)
+
+
+def alone_update(dataset, init, config, vocab=None):
+    """:func:`train_alone` as the client's update, weighted by its rows."""
+    return ClientUpdate(dataset.client_id, train_alone(dataset, init, config, vocab),
+                        float(dataset.count("train")))
 
 
 def random_update(client_id, dims, rng, max_count=50):

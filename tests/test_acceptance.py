@@ -12,7 +12,15 @@ import time
 
 import numpy as np
 
-from helpers import random_tree, random_update
+from helpers import no_encoding, random_tree, random_update
+from reference import (
+    adam_step,
+    backward,
+    forward,
+    init_optimizer_state,
+    loss_and_grad,
+    params_equal,
+)
 from spatialfl.baselines import BaselineKind
 from spatialfl.data import ClientDataset, SyntheticSpec
 from spatialfl.errors import CorruptModelError
@@ -37,19 +45,7 @@ from spatialfl.harness import (
     run_experiment,
     write_models,
 )
-from spatialfl.nn import (
-    TrainingConfig,
-    adam_step,
-    backward,
-    flat_length,
-    flatten,
-    forward,
-    init_optimizer_state,
-    init_params,
-    loss_and_grad,
-    params_equal,
-    unflatten,
-)
+from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, train_cohort
 from spatialfl.spatial import SpatialAttribute
 
 
@@ -61,12 +57,14 @@ def check(name, ok, detail=""):
 
 
 def test_gradient_oracle_finite_differences():
-    """backward matches central finite differences on 20 random instances."""
+    """backward matches central finite differences on 20 random instances,
+    and the training kernel's first step is the Adam step of that gradient."""
     rng = np.random.default_rng(20240901)
     h = 1e-6
     worst = 0.0
+    kernel_exact = True
     start = time.perf_counter()
-    for _ in range(20):
+    for instance in range(20):
         dims = (int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(2, 5)))
         n = int(rng.integers(1, 17))
         model = init_params(dims, seed=int(rng.integers(0, 2 ** 32)))
@@ -74,12 +72,12 @@ def test_gradient_oracle_finite_differences():
         labels = rng.integers(0, dims[2], size=n)
 
         def loss_of(flat_vec):
-            m = unflatten(dims, flat_vec)
+            m = ModelParams(flat_vec, dims)
             return loss_and_grad(forward(m, batch), labels)[0]
 
         _, grad_logits = loss_and_grad(forward(model, batch), labels)
         analytic = backward(model, batch, grad_logits)
-        flat = flatten(model)
+        flat = model.vector
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             plus, minus = flat.copy(), flat.copy()
@@ -88,9 +86,21 @@ def test_gradient_oracle_finite_differences():
             numeric[i] = (loss_of(plus) - loss_of(minus)) / (2.0 * h)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+
+        # One full-batch epoch of the kernel, whose rows come in the order
+        # its seeded generator draws, takes the Adam step of this gradient.
+        config = TrainingConfig(epochs=1, batch_size=n)
+        raw, codes, enc = no_encoding(batch)
+        params, _ = train_cohort(model, raw, labels, codes, enc, [0, n], config, [instance])
+        order = np.random.default_rng(instance).permutation(n)
+        _, grad_logits = loss_and_grad(forward(model, batch[order]), labels[order])
+        stepped, _ = adam_step(model, backward(model, batch[order], grad_logits),
+                               init_optimizer_state(model), config)
+        kernel_exact &= params[0].tobytes() == stepped.vector.tobytes()
     elapsed = time.perf_counter() - start
     check("gradient oracle", worst < 1e-5 and elapsed < 5.0,
           f"max rel err {worst:.2e}, {elapsed:.2f}s")
+    check("gradient oracle: training kernel step", kernel_exact, "20 instances bit-exact")
 
 
 def test_adam_oracle_reference_trajectory():
@@ -113,14 +123,39 @@ def test_adam_oracle_reference_trajectory():
             x[i] -= lr * (m[i] / (1 - b1 ** t)) / (math.sqrt(v[i] / (1 - b2 ** t)) + eps)
         reference.append(list(x))
 
-    params = unflatten(dims, np.full(n, 0.5))
+    params = ModelParams(np.full(n, 0.5), dims)
     state = init_optimizer_state(params)
     worst = 0.0
     for t in range(10):
-        grad = flatten(params) - target
+        grad = params.vector - target
         params, state = adam_step(params, grad, state, config)
-        worst = max(worst, float(np.max(np.abs(flatten(params) - reference[t]))))
+        worst = max(worst, float(np.max(np.abs(params.vector - reference[t]))))
     check("adam oracle", worst <= 1e-12, f"max trajectory gap {worst:.2e}")
+
+    # The training kernel follows the same straight-line loop fed with the
+    # network's full-batch gradient, its rows in the kernel's seeded order.
+    data = np.random.default_rng(5)
+    rows, labels = data.normal(size=(6, dims[0])), data.integers(0, dims[2], size=6)
+    raw, codes, enc = no_encoding(rows)
+    init = init_params(dims, seed=3)
+    orders = np.random.default_rng(11)
+    x, m, v = init.vector.tolist(), [0.0] * n, [0.0] * n
+    kernel_worst = 0.0
+    for t in range(1, 11):
+        order = orders.permutation(6)
+        current = ModelParams(np.array(x), dims)
+        _, grad_logits = loss_and_grad(forward(current, rows[order]), labels[order])
+        g = backward(current, rows[order], grad_logits).tolist()
+        for i in range(n):
+            m[i] = b1 * m[i] + (1 - b1) * g[i]
+            v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i]
+            x[i] -= lr * (m[i] / (1 - b1 ** t)) / (math.sqrt(v[i] / (1 - b2 ** t)) + eps)
+        kernel_config = TrainingConfig(learning_rate=lr, epochs=t, batch_size=6, adam_beta1=b1,
+                                       adam_beta2=b2, adam_epsilon=eps)
+        trained, _ = train_cohort(init, raw, labels, codes, enc, [0, 6], kernel_config, [11])
+        kernel_worst = max(kernel_worst, float(np.max(np.abs(trained[0] - x))))
+    check("adam oracle: training kernel", kernel_worst <= 1e-12,
+          f"max trajectory gap {kernel_worst:.2e}")
 
 
 def test_aggregation_algebra():
@@ -134,7 +169,7 @@ def test_aggregation_algebra():
         p = init_params(dims, seed=int(rng.integers(0, 2 ** 32)))
         k = int(rng.integers(2, 9))
         out = fedavg([ClientUpdate(f"c{i:02d}", p, 1.0) for i in range(k)])
-        gap = float(np.max(np.abs(flatten(out) - flatten(p))))
+        gap = float(np.max(np.abs(out.vector - p.vector)))
         idempotent &= gap <= 1e-15
         if k & (k - 1) == 0:
             idempotent &= params_equal(out, p)
@@ -144,9 +179,9 @@ def test_aggregation_algebra():
     for _ in range(cases):
         dims = (2, 3, 2)
         updates = [random_update(f"c{i:02d}", dims, rng) for i in range(int(rng.integers(1, 8)))]
-        stacked = np.stack([flatten(u.params) for u in updates])
+        stacked = np.stack([u.params.vector for u in updates])
         for aggregate in (fedavg, weighted_aggregate):
-            vec = flatten(aggregate(updates))
+            vec = aggregate(updates).vector
             convex &= bool(np.all(vec >= stacked.min(axis=0) - 1e-15))
             convex &= bool(np.all(vec <= stacked.max(axis=0) + 1e-15))
     check("aggregation algebra: convexity", convex, f"{cases} cases")
@@ -178,7 +213,7 @@ def test_hierarchical_flat_equivalence():
         updates = [random_update(c, (2, 3, 2), rng) for c in topology.clients()]
         root = aggregate_tree(topology, updates, "sample_weighted")[topology.root_id]
         flat = weighted_aggregate(updates)
-        worst = max(worst, float(np.max(np.abs(flatten(root) - flatten(flat)))))
+        worst = max(worst, float(np.max(np.abs(root.vector - flat.vector))))
     check("hierarchical/flat equivalence", worst <= 1e-12, f"50 trees, max gap {worst:.2e}")
 
 
@@ -201,7 +236,7 @@ def test_per_client_accuracy_vectors():
     vec[:n_classes * n_classes] = eye
     offset = n_classes * n_classes + n_classes
     vec[offset:offset + n_classes * n_classes] = eye
-    identity_model = unflatten(dims, vec)
+    identity_model = ModelParams(vec, dims)
     for predicted, actual, expected in cases:
         dataset = ClientDataset(
             "c", SpatialAttribute(0.0, 0.0, ("c",)),

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import separable_client
+from helpers import alone_update, no_encoding, separable_client, train_alone
+from reference import params_equal
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
@@ -15,22 +16,13 @@ from spatialfl.federation import (
     TierNode,
     TierTopology,
     fedavg,
-    local_train,
     per_round_config,
     run_tier_round,
     stack_rows,
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import (
-    TrainingConfig,
-    flat_length,
-    flatten,
-    init_params,
-    params_equal,
-    predict_batch,
-    unflatten,
-)
+from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import build_vocabulary, encode_spatial
 
@@ -42,7 +34,7 @@ def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
     vec[-n_classes + winner] = 9.0 if winner else 0.0
     if winner == 0:
         vec[-n_classes] = 9.0
-    return unflatten(dims, vec)
+    return ModelParams(vec, dims)
 
 
 class TestCentralized:
@@ -51,8 +43,7 @@ class TestCentralized:
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=6, seed=33)
         pooled = train_centralized([ds], init, config, None)
-        direct = local_train(ds, init, config, None)
-        assert params_equal(pooled, direct.params)
+        assert params_equal(pooled, train_alone(ds, init, config))
 
     def test_zero_epochs_return_init(self):
         ds = separable_client("c", n=8, seed=0)
@@ -142,11 +133,6 @@ class TestStackRows:
         assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0, 0]
 
 
-def no_encoding(batch):
-    """Rows of raw features in the row format with no encoding."""
-    return batch, np.zeros(len(batch), dtype=np.intp), np.empty((1, 0))
-
-
 def one_row(features):
     """A single feature vector as one row of that format."""
     return no_encoding(np.asarray(features, dtype=np.float64)[None, :])
@@ -170,7 +156,7 @@ class TestEnsemblePredict:
         rng = np.random.default_rng(8)
         model = init_params((3, 5, 3), seed=4)
         batch = rng.normal(size=(20, 3))
-        single = predict_batch(model, batch)
+        single = predict_rows(model, *no_encoding(batch))
         for k in (2, 3, 5):
             assert np.array_equal(ensemble_predict_batch([model] * k, *no_encoding(batch)), single)
 
@@ -178,7 +164,7 @@ class TestEnsemblePredict:
         rng = np.random.default_rng(21)
         models = [init_params((3, 4, 3), seed=k) for k in range(7)]
         batch = rng.normal(size=(40, 3)) * 3.0
-        votes = np.stack([predict_batch(m, batch) for m in models])
+        votes = np.stack([predict_rows(m, *no_encoding(batch)) for m in models])
         expected = [np.argmax(np.bincount(votes[:, i], minlength=3)) for i in range(batch.shape[0])]
         assert np.array_equal(ensemble_predict_batch(models, *no_encoding(batch)), expected)
 
@@ -209,17 +195,17 @@ class TestFlatFedavg:
         init = init_params((2, 4, 2), seed=2)
         config = TrainingConfig(learning_rate=0.05, epochs=4, seed=19)
         _, first_round = self.one_level_run([ds], init, config)
-        direct = local_train(ds, init, per_round_config(config, "solo", 1), None)
-        assert params_equal(fedavg(first_round), direct.params)
-        assert params_equal(weighted_aggregate(first_round), direct.params)
+        direct = train_alone(ds, init, per_round_config(config, "solo", 1))
+        assert params_equal(fedavg(first_round), direct)
+        assert params_equal(weighted_aggregate(first_round), direct)
 
     def test_equal_counts_weighted_matches_unweighted(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(3)]
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=2, seed=8)
         _, first_round = self.one_level_run(clients, init, config)
-        plain = flatten(fedavg(first_round))
-        weighted = flatten(weighted_aggregate(first_round))
+        plain = fedavg(first_round).vector
+        weighted = weighted_aggregate(first_round).vector
         assert np.allclose(np.abs(plain - weighted), 0.0, atol=1e-15)
 
     def test_matches_degenerate_tier_round_bit_exact(self):
@@ -229,8 +215,7 @@ class TestFlatFedavg:
         clients = [separable_client(f"c{i}", n=8 + 2 * i, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=5)
         config = TrainingConfig(learning_rate=0.03, epochs=3, seed=31)
-        direct = [local_train(c, init, per_round_config(config, c.client_id, 1), None)
-                  for c in clients]
+        direct = [alone_update(c, init, per_round_config(config, c.client_id, 1)) for c in clients]
         for mode, aggregate in (("uniform", fedavg), ("sample_weighted", weighted_aggregate)):
             tree_models, first_round = self.one_level_run(clients, init, config, mode)
             assert params_equal(tree_models["root"], aggregate(direct))

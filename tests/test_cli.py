@@ -59,6 +59,12 @@ class TestValidateConfig:
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["validate-config", "--config", str(tmp_path / "none.json")]) == 2
 
+    def test_key_of_the_other_data_kind_exits_two_naming_it(self, tmp_path, capsys):
+        path = synthetic_config_file(tmp_path, data={"kind": "synthetic", "spec": SPEC, "path": 5})
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: unknown key 'path' in data for kind 'synthetic'"]
+
 
 class TestRun:
     def test_run_writes_reports_and_models(self, tmp_path, capsys):
@@ -112,6 +118,19 @@ class TestRun:
         err = result.stderr.splitlines()
         assert len(err) == 1, result.stderr
         assert "client 'r00c00' in round 1: training diverged" in err[0]
+
+    def test_out_of_memory_exits_four_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # A config such as hidden_dim 1e12 asks for more memory than there
+        # is; the allocation is simulated, not made.
+        def allocate(config):
+            raise MemoryError("Unable to allocate 116. TiB for an array with shape (1000000000000, 16)")
+
+        monkeypatch.setattr("spatialfl.cli.run_experiment", allocate)
+        path = synthetic_config_file(tmp_path, hidden_dim=1_000_000_000_000)
+        assert main(["run", "--config", str(path)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory (Unable to allocate 116. TiB for an array with shape "
+            "(1000000000000, 16))"]
 
 
     @pytest.mark.parametrize("group", ["global", "r00c00"])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tree, random_update, separable_client, vector_params
+from helpers import alone_update, no_encoding, random_tree, random_update, separable_client, train_alone, vector_params
+from reference import params_equal
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import (
     CorruptModelError,
@@ -31,7 +32,6 @@ from spatialfl.federation import (
     cohort_slices,
     deserialize_model,
     fedavg,
-    local_train,
     normalize_weights,
     per_round_config,
     run_tier_round,
@@ -39,14 +39,7 @@ from spatialfl.federation import (
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import (
-    TrainingConfig,
-    flatten,
-    init_params,
-    params_equal,
-    predict_batch,
-    working_set_bytes,
-)
+from spatialfl.nn import TrainingConfig, init_params, predict_rows, working_set_bytes
 from spatialfl.seeding import derive_seed
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
@@ -133,44 +126,52 @@ class TestTopology:
 
 
 class TestLocalTrain:
+    """A client's local training in a tier round: a one-client tree."""
+
+    @staticmethod
+    def first_update(ds, init, config):
+        topo = TierTopology((TierNode(ds.client_id, 0, "root"), TierNode("root", 1, None)))
+        _, (update,) = run_tier_round(topo, {ds.client_id: ds}, init, AggregationPolicy(), config, None)
+        return update
+
     def test_zero_epochs_returns_init_bit_equal(self):
         ds = separable_client("c", n=10, seed=1)
         init = init_params((2, 4, 2), seed=0)
-        out = local_train(ds, init, TrainingConfig(epochs=0), vocab=None)
+        out = self.first_update(ds, init, TrainingConfig(epochs=0))
         assert params_equal(out.params, init)
 
     def test_sample_count_matches_rows(self):
         ds = separable_client("c", n=37, seed=2)
-        out = local_train(ds, init_params((2, 4, 2), 0), TrainingConfig(epochs=1), None)
+        out = self.first_update(ds, init_params((2, 4, 2), 0), TrainingConfig(epochs=1))
         assert out.spatial_weight_raw == 37.0
 
     def test_separable_client_reaches_full_training_accuracy(self):
         ds = separable_client("c", n=20, seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=200, seed=4)
-        out = local_train(ds, init_params((2, 16, 2), seed=3), config, None)
+        out = self.first_update(ds, init_params((2, 16, 2), seed=3), config)
         features, labels = ds.rows("train")
-        assert np.mean(predict_batch(out.params, features) == labels) == 1.0
+        assert np.mean(predict_rows(out.params, *no_encoding(features)) == labels) == 1.0
 
     def test_no_training_rows_rejected(self):
         ds = separable_client("c", n=6, seed=0)
         ds.split_tags[:] = "validation"
         with pytest.raises(EmptyClientError):
-            local_train(ds, init_params((2, 4, 2), 0), TrainingConfig(), None)
+            self.first_update(ds, init_params((2, 4, 2), 0), TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
         with pytest.raises(ShapeError):
-            local_train(ds, init_params((5, 4, 2), 0), TrainingConfig(epochs=1), None)
+            self.first_update(ds, init_params((5, 4, 2), 0), TrainingConfig(epochs=1))
 
 
 class TestFedavg:
     def test_mean_of_two(self):
         out = fedavg([update("a", [1, 2, 3, 4]), update("b", [5, 6, 7, 8])])
-        assert np.array_equal(flatten(out), [3.0, 4.0, 5.0, 6.0])
+        assert np.array_equal(out.vector, [3.0, 4.0, 5.0, 6.0])
 
     def test_mean_of_three_constants(self):
         out = fedavg([update("a", [0] * 4), update("b", [3] * 4), update("c", [6] * 4)])
-        assert np.array_equal(flatten(out), [3.0] * 4)
+        assert np.array_equal(out.vector, [3.0] * 4)
 
     def test_power_of_two_identical_models_bit_exact(self):
         p = init_params((2, 3, 2), seed=8)
@@ -181,7 +182,7 @@ class TestFedavg:
     def test_other_counts_within_1e15(self):
         p = init_params((2, 3, 2), seed=8)
         out = fedavg([ClientUpdate(f"c{i}", p, 1.0) for i in range(3)])
-        assert np.allclose(flatten(out), flatten(p), atol=1e-15, rtol=0.0)
+        assert np.allclose(out.vector, p.vector, atol=1e-15, rtol=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyAggregationError):
@@ -220,13 +221,13 @@ class TestNormalizeWeights:
 class TestWeightedAggregate:
     def test_quarter_three_quarters(self):
         out = weighted_aggregate([update("a", [0] * 4, raw=1), update("b", [4] * 4, raw=3)])
-        assert np.array_equal(flatten(out), [3.0] * 4)
+        assert np.array_equal(out.vector, [3.0] * 4)
 
     def test_equal_raw_weights_match_fedavg(self):
         updates = [update("a", [1, 2, 3, 4], raw=7), update("b", [5, 6, 7, 8], raw=7),
                    update("c", [0, 1, 0, 1], raw=7)]
-        assert np.allclose(flatten(weighted_aggregate(updates)),
-                           flatten(fedavg(updates)), atol=1e-15, rtol=0.0)
+        assert np.allclose(weighted_aggregate(updates).vector,
+                           fedavg(updates).vector, atol=1e-15, rtol=0.0)
 
     def test_single_update_identity(self):
         p = init_params((3, 2, 2), seed=5)
@@ -255,9 +256,9 @@ class TestAggregationProperties:
         rng = np.random.default_rng(seed)
         dims = (2, 3, 2)
         updates = [random_update(f"c{i:02d}", dims, rng) for i in range(int(rng.integers(1, 7)))]
-        stacked = np.stack([flatten(u.params) for u in updates])
+        stacked = np.stack([u.params.vector for u in updates])
         for aggregate in (fedavg, weighted_aggregate):
-            vec = flatten(aggregate(updates))
+            vec = aggregate(updates).vector
             assert np.all(vec >= stacked.min(axis=0) - 1e-15)
             assert np.all(vec <= stacked.max(axis=0) + 1e-15)
 
@@ -269,7 +270,7 @@ class TestAggregationProperties:
         updates = [random_update(c, (2, 3, 2), rng) for c in topo.clients()]
         root = aggregate_tree(topo, updates, "sample_weighted")[topo.root_id]
         flat = weighted_aggregate(updates)
-        assert np.allclose(flatten(root), flatten(flat), atol=1e-12, rtol=0.0)
+        assert np.allclose(root.vector, flat.vector, atol=1e-12, rtol=0.0)
 
     def test_uniform_equals_flat_on_balanced_tree(self):
         rng = np.random.default_rng(3)
@@ -283,7 +284,7 @@ class TestAggregationProperties:
         updates = [ClientUpdate(c, init_params((2, 3, 2), int(rng.integers(0, 99))), 10.0)
                    for c in topo.clients()]
         root = aggregate_tree(topo, updates, "uniform")[topo.root_id]
-        assert np.allclose(flatten(root), flatten(fedavg(updates)), atol=1e-12, rtol=0.0)
+        assert np.allclose(root.vector, fedavg(updates).vector, atol=1e-12, rtol=0.0)
 
     def test_aggregate_tree_missing_update_rejected(self):
         topo = random_tree(np.random.default_rng(0), 3)
@@ -305,11 +306,11 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=42)
         models, first_round = run_tier_round(
             topo, ds, init, AggregationPolicy("uniform", 1), config, None)
-        direct = local_train(ds["c0"], init, per_round_config(config, "c0", 1), None)
-        assert params_equal(models["root"], direct.params)
-        assert params_equal(models["c0"], direct.params)
+        direct = train_alone(ds["c0"], init, per_round_config(config, "c0", 1))
+        assert params_equal(models["root"], direct)
+        assert params_equal(models["c0"], direct)
         assert [u.client_id for u in first_round] == ["c0"]
-        assert params_equal(first_round[0].params, direct.params)
+        assert params_equal(first_round[0].params, direct)
 
     def test_zero_epochs_returns_init_everywhere(self):
         rng = np.random.default_rng(7)
@@ -334,9 +335,8 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=3, seed=5)
         models, _ = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
                                    config, None)
-        updates = [local_train(ds[c], init, per_round_config(config, c, 1), None)
-                   for c in topo.clients()]
-        assert np.allclose(flatten(models["root"]), flatten(weighted_aggregate(updates)),
+        updates = [alone_update(ds[c], init, per_round_config(config, c, 1)) for c in topo.clients()]
+        assert np.allclose(models["root"].vector, weighted_aggregate(updates).vector,
                            atol=1e-12, rtol=0.0)
 
     def diverging_round(self, blown_up):

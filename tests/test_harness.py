@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tree
+from reference import params_equal
 from spatialfl.baselines import BaselineKind, ensemble_predict_batch
 from spatialfl.data import ROOT_ID, ClientDataset, SyntheticSpec
 from spatialfl.errors import ConfigError, EmptyEvaluationError
@@ -37,7 +38,7 @@ from spatialfl.harness import (
 )
 from spatialfl import federation, nn
 from spatialfl.federation import AggregationPolicy, deserialize_model, stack_rows
-from spatialfl.nn import TrainingConfig, flat_length, init_params, params_equal, predict_rows, unflatten
+from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute, build_vocabulary
 
@@ -95,7 +96,7 @@ class TestEvaluate:
         vec[:n_classes * n_classes] = eye
         vec[n_classes * n_classes + n_classes:
             n_classes * n_classes + n_classes + n_classes * n_classes] = eye
-        return unflatten(dims, vec)
+        return ModelParams(vec, dims)
 
     def test_reproduces_hand_computed_accuracy(self):
         model = self.identity_model()
@@ -206,6 +207,19 @@ class TestConfigValidation:
         raw["encoding"] = {"use_coordinates": False, "use_hierarchy": False}
         with pytest.raises(ConfigError, match="encoding"):
             config_from_dict(raw)
+
+    def test_keys_of_the_other_kind_rejected(self, tmp_path):
+        (tmp_path / "rows.csv").write_text("client_label\n")
+        raw = {"data": {"kind": "csv", "path": "rows.csv", "spec": {"bogus": 1}}}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw, base_dir=tmp_path)
+        assert info.value.errors == ["unknown key 'spec' in data for kind 'csv'"]
+        raw = minimal_raw_config()
+        raw["data"].update(path=5, schema="x")
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.errors == ["unknown key 'path' in data for kind 'synthetic'",
+                                     "unknown key 'schema' in data for kind 'synthetic'"]
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "config.json"

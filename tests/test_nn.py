@@ -1,4 +1,6 @@
-"""Tests for the two-layer classifier: forward, loss, backprop, Adam."""
+"""Tests for the two-layer classifier: the model vector, the training
+kernel and the scorer, and the reference chain (forward, loss, backprop,
+Adam) that the kernel is checked against."""
 
 import math
 from typing import NamedTuple
@@ -8,28 +10,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import no_encoding
+from reference import (
+    adam_step,
+    backward,
+    forward,
+    init_optimizer_state,
+    loss_and_grad,
+    params_equal,
+    reference_train,
+    softmax,
+)
 from spatialfl.baselines import ensemble_predict_batch
 from spatialfl.errors import InvalidDimensionError, InvalidLabelError, ShapeError
 from spatialfl.nn import (
     ModelParams,
     TrainingConfig,
-    adam_step,
-    backward,
     flat_length,
-    flatten,
-    forward,
     hidden_rows,
-    init_optimizer_state,
     init_params,
-    loss_and_grad,
-    params_equal,
-    predict,
-    predict_batch,
     predict_rows,
-    softmax,
-    train,
     train_cohort,
-    unflatten,
 )
 
 
@@ -91,20 +92,17 @@ class TestInitParams:
 class TestForward:
     def test_all_zero_model_gives_zero_logits(self):
         dims = (3, 4, 2)
-        p = unflatten(dims, np.zeros(flat_length(dims)))
+        p = ModelParams(np.zeros(flat_length(dims)), dims)
         out = forward(p, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.array_equal(out, np.zeros((5, 2)))
 
     def test_hand_computed_product(self):
         # hidden = relu(I x) for the identity first layer, so the logits are
         # just the second layer applied to the positive part of the input.
-        p = ModelParams(
-            layer1_weights=np.eye(2),
-            layer1_bias=np.zeros(2),
-            layer2_weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            layer2_bias=np.array([0.5, -0.5]),
-            dims=(2, 2, 2),
-        )
+        p = ModelParams(np.array([1.0, 0.0, 0.0, 1.0,     # layer-1 weights: identity
+                                  0.0, 0.0,               # layer-1 bias
+                                  1.0, 2.0, 3.0, 4.0,     # layer-2 weights
+                                  0.5, -0.5]), (2, 2, 2))  # layer-2 bias
         out = forward(p, np.array([[1.0, 0.0]]))
         assert np.allclose(out, [[1.0 * 1.0 + 0.5, 3.0 * 1.0 - 0.5]])
 
@@ -160,12 +158,12 @@ class TestBackward:
         labels = rng.integers(0, 2, size=4)
 
         def loss_of(flat):
-            model = unflatten(p.dims, flat)
+            model = ModelParams(flat, p.dims)
             return loss_and_grad(forward(model, batch), labels)[0]
 
         _, grad_logits = loss_and_grad(forward(p, batch), labels)
         analytic = backward(p, batch, grad_logits)
-        numeric = numerical_gradient(loss_of, flatten(p))
+        numeric = numerical_gradient(loss_of, p.vector)
         assert max_relative_error(analytic, numeric) < 1e-5
 
     def test_duplicated_rows_match_single_row(self):
@@ -201,12 +199,12 @@ class TestAdamStep:
         # With fresh moments the bias correction cancels, so the update is
         # exactly lr * g / (|g| + eps).
         dims = (1, 1, 1)
-        p = unflatten(dims, np.zeros(flat_length(dims)))
+        p = ModelParams(np.zeros(flat_length(dims)), dims)
         grad = np.array([0.5, 0.0, 0.0, 0.0])
         config = TrainingConfig(learning_rate=0.001)
         new_p, state = adam_step(p, grad, state=init_optimizer_state(p), config=config)
         expected = 0.001 * 0.5 / (0.5 + 1e-8)
-        updated = flatten(new_p)
+        updated = new_p.vector
         assert updated[0] == pytest.approx(-expected, rel=1e-15)
         assert np.array_equal(updated[1:], np.zeros(3))
         assert state.step_count == 1
@@ -235,17 +233,22 @@ class TestAdamStep:
                 x[i] = x[i] - lr * m_hat / (math.sqrt(v_hat) + eps)
             reference.append(list(x))
 
-        p = unflatten(dims, np.zeros(n))
+        p = ModelParams(np.zeros(n), dims)
         state = init_optimizer_state(p)
         for t in range(10):
-            grad = flatten(p) - target
+            grad = p.vector - target
             p, state = adam_step(p, grad, state, config)
-            assert np.allclose(flatten(p), reference[t], atol=1e-12, rtol=0.0)
+            assert np.allclose(p.vector, reference[t], atol=1e-12, rtol=0.0)
 
     def test_length_mismatch_rejected(self):
         p = init_params((2, 3, 2), seed=0)
         with pytest.raises(ShapeError):
             adam_step(p, np.zeros(p.n_params + 1), init_optimizer_state(p), TrainingConfig())
+
+
+def predict(params, features):
+    """The class :func:`predict_rows` gives one feature vector as a row."""
+    return int(predict_rows(params, *no_encoding(np.asarray(features)[None, :]))[0])
 
 
 class TestPredict:
@@ -254,19 +257,19 @@ class TestPredict:
         dims = (2, 2, 3)
         vec = np.zeros(flat_length(dims))
         vec[-3:] = [0.5, 0.5, 0.1]
-        p = unflatten(dims, vec)
+        p = ModelParams(vec, dims)
         assert predict(p, np.array([3.0, -1.0])) == 0
 
     def test_clear_winner(self):
         dims = (2, 2, 3)
         vec = np.zeros(flat_length(dims))
         vec[-3:] = [0.0, 0.0, 9.0]
-        p = unflatten(dims, vec)
+        p = ModelParams(vec, dims)
         assert predict(p, np.array([1.0, 1.0])) == 2
 
     def test_all_zero_model_predicts_class_zero(self):
         dims = (2, 3, 3)
-        p = unflatten(dims, np.zeros(flat_length(dims)))
+        p = ModelParams(np.zeros(flat_length(dims)), dims)
         rng = np.random.default_rng(4)
         for _ in range(5):
             assert predict(p, rng.normal(size=2)) == 0
@@ -311,7 +314,7 @@ def scoring_cases(draw):
 
 def random_model(dims, rng):
     """Every parameter drawn, biases included, so no layer is trivially zero."""
-    return unflatten(dims, rng.normal(size=flat_length(dims)))
+    return ModelParams(rng.normal(size=flat_length(dims)), dims)
 
 
 class TestPredictRows:
@@ -341,7 +344,7 @@ class TestPredictRows:
             assert hidden.tobytes() == reference.tobytes()
             assert logits.tobytes() == expected.tobytes()
             assert predicted.tobytes() == np.argmax(expected, axis=1).tobytes()
-            assert predict_batch(model, batch).tobytes() == predicted.tobytes()
+            assert predict_rows(model, *no_encoding(batch)).tobytes() == predicted.tobytes()
         else:
             assert np.allclose(logits, expected, rtol=1e-9)
         # Predictions agree wherever the top two logits are not within
@@ -359,7 +362,7 @@ class TestPredictRows:
         dims = (4, 2, 3)
         vec = np.zeros(flat_length(dims))
         vec[-3:] = [0.5, 0.5, 0.1]
-        model = unflatten(dims, vec)
+        model = ModelParams(vec, dims)
         raw, enc = np.array([[3.0, -1.0], [0.0, 2.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
         assert predict_rows(model, raw, np.array([1, 0]), enc).tolist() == [0, 0]
 
@@ -370,7 +373,7 @@ class TestPredictRows:
         with pytest.raises(ShapeError, match=r"^rows of 3 encoding \+ 2 raw columns do not fit input_dim 6 "):
             predict_rows(model, raw[:, :2], codes, enc)
         with pytest.raises(ShapeError, match=r"^rows of 0 encoding \+ 10 raw columns do not fit input_dim 6 "):
-            predict_batch(model, np.zeros((5, 10)))
+            predict_rows(model, *no_encoding(np.zeros((5, 10))))
         bad = [
             (raw[0], codes, enc),            # one row, not a matrix of rows
             (raw, codes, enc[0]),            # one encoding, not a table
@@ -384,15 +387,16 @@ class TestPredictRows:
 
 
 class TestFlattenRoundTrip:
+    """A model is its flat vector; the layers are views of it."""
+
     def test_flattening_order_contract(self):
-        p = ModelParams(
-            layer1_weights=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            layer1_bias=np.array([7.0, 8.0, 9.0]),
-            layer2_weights=np.array([[10.0, 11.0, 12.0], [13.0, 14.0, 15.0]]),
-            layer2_bias=np.array([16.0, 17.0]),
-            dims=(2, 3, 2),
-        )
-        assert np.array_equal(flatten(p), np.arange(1.0, 18.0))
+        p = ModelParams(np.arange(1.0, 18.0), (2, 3, 2))
+        assert np.array_equal(p.layer1_weights, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(p.layer1_bias, [7.0, 8.0, 9.0])
+        assert np.array_equal(p.layer2_weights, [[10.0, 11.0, 12.0], [13.0, 14.0, 15.0]])
+        assert np.array_equal(p.layer2_bias, [16.0, 17.0])
+        layers = (p.layer1_weights, p.layer1_bias, p.layer2_weights, p.layer2_bias)
+        assert all(layer.base is not None and np.shares_memory(layer, p.vector) for layer in layers)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=50, deadline=None)
@@ -400,54 +404,60 @@ class TestFlattenRoundTrip:
         rng = np.random.default_rng(seed)
         dims = (int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 5)))
         vec = rng.normal(scale=1e3, size=flat_length(dims))
-        assert np.array_equal(flatten(unflatten(dims, vec)), vec)
+        p = ModelParams(vec, dims)
+        layers = (p.layer1_weights, p.layer1_bias, p.layer2_weights, p.layer2_bias)
+        assert p.vector.tobytes() == vec.tobytes()
+        assert np.concatenate([layer.ravel() for layer in layers]).tobytes() == vec.tobytes()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeError):
-            unflatten((2, 3, 2), np.zeros(5))
+            ModelParams(np.zeros(5), (2, 3, 2))
+
+    def test_non_finite_entry_names_its_layer(self):
+        for i, name in [(0, "layer1_weights"), (6, "layer1_bias"), (10, "layer2_weights"),
+                        (16, "layer2_bias")]:
+            vec = np.zeros(17)
+            vec[i] = np.inf
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                ModelParams(vec, (2, 3, 2))
+
+
+def train_one(init, features, labels, config):
+    """``init`` trained on raw rows as a cohort of one, seeded with
+    ``config.seed``; None if training diverged."""
+    raw, codes, enc = no_encoding(features)
+    params, diverged = train_cohort(init, raw, labels, codes, enc, [0, len(raw)], config, [config.seed])
+    return None if diverged else ModelParams(params[0], init.dims)
 
 
 class TestTrain:
+    """Training one client: a cohort of one of the kernel."""
+
     def test_zero_epochs_return_init_bit_equal(self):
         p = init_params((2, 4, 2), seed=1)
         features, labels = separable_toy_set()
-        out = train(p, features, labels, TrainingConfig(epochs=0, seed=3))
+        out = train_one(p, features, labels, TrainingConfig(epochs=0, seed=3))
         assert params_equal(p, out)
 
     def test_separable_set_reaches_full_training_accuracy(self):
         features, labels = separable_toy_set(n=20, seed=0)
         init = init_params((2, 16, 2), seed=2)
         config = TrainingConfig(learning_rate=0.05, epochs=200, batch_size=32, seed=2)
-        model = train(init, features, labels, config)
-        assert np.mean(predict_batch(model, features) == labels) == 1.0
+        model = train_one(init, features, labels, config)
+        assert np.mean(predict_rows(model, *no_encoding(features)) == labels) == 1.0
 
     def test_training_is_deterministic(self):
         features, labels = separable_toy_set(n=20, seed=1)
         init = init_params((2, 8, 2), seed=5)
         config = TrainingConfig(learning_rate=0.02, epochs=7, batch_size=8, seed=9)
-        assert params_equal(train(init, features, labels, config),
-                            train(init, features, labels, config))
+        assert params_equal(train_one(init, features, labels, config),
+                            train_one(init, features, labels, config))
 
     def test_all_outputs_finite_after_training(self):
         features, labels = separable_toy_set(n=16, seed=3)
-        model = train(init_params((2, 8, 2), seed=0), features, labels,
-                      TrainingConfig(learning_rate=0.5, epochs=50, seed=1))
-        assert np.all(np.isfinite(flatten(model)))
-
-
-def reference_train(init, features, labels, config, seed):
-    """The per-step chain that the training kernel must reproduce bit for bit."""
-    rng = np.random.default_rng(seed)
-    params, state = init, init_optimizer_state(init)
-    n = features.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            _, grad_logits = loss_and_grad(forward(params, features[idx]), labels[idx])
-            grad = backward(params, features[idx], grad_logits)
-            params, state = adam_step(params, grad, state, config)
-    return params
+        model = train_one(init_params((2, 8, 2), seed=0), features, labels,
+                          TrainingConfig(learning_rate=0.5, epochs=50, seed=1))
+        assert model is not None and np.all(np.isfinite(model.vector))
 
 
 class Cohort(NamedTuple):
@@ -528,7 +538,7 @@ class TestTrainCohort:
         for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
                                        config, seeds[i])
-            assert params[i].tobytes() == flatten(expected).tobytes()
+            assert params[i].tobytes() == expected.vector.tobytes()
 
     def test_members_train_independently(self):
         # A member diverging leaves the others' rows equal to training alone.
