@@ -1,5 +1,5 @@
-"""Comparison methods that share the tiered protocol's primitives: a
-centralized network over pooled rows and a per-client majority-vote
+"""Comparison methods that share the tiered protocol's primitives:
+centralized networks over pooled rows and a per-client majority-vote
 ensemble.
 
 The ensemble members and the single-level federated averages (uniform or
@@ -33,21 +33,43 @@ class BaselineKind(str, Enum):
 
 
 def train_centralized(
-    clients: Iterable[ClientDataset],
+    groups: Sequence[Iterable[ClientDataset]],
     init: ModelParams,
     config: TrainingConfig,
     vocab: SpatialVocabulary | None,
-) -> ModelParams:
-    """One model over every client's training rows, pooled in canonical
-    (client_id, row) order, seeded and deterministic: a cohort of one
-    whose rows carry their own clients' encodings."""
-    raw, labels, codes, enc, _ = stack_rows(sorted(clients, key=lambda c: c.client_id), vocab, "train")
-    if labels.size == 0:
+) -> list[ModelParams]:
+    """One model per group of clients, in the order given, each over its
+    clients' training rows pooled in canonical (client_id, row) order,
+    seeded with ``config.seed`` and deterministic.
+
+    Every group trains in one call of the training kernel, as one of its
+    clients. The clients' rows and encodings are stacked once; a group's
+    rows are copies of its clients' rows with the same codes, so each
+    client's encoding is in the table once and every row keeps its own
+    client's encoding. A group without training rows raises
+    :class:`EmptyDatasetError`; if training diverges, the first such group
+    in the order given is reported.
+    """
+    groups = [list(group) for group in groups]
+    clients = sorted({c.client_id: c for group in groups for c in group}.values(), key=lambda c: c.client_id)
+    raw, labels, codes, enc, _ = stack_rows(clients, vocab, "train")
+    # A row's code is its client's index, so a group's rows in (client_id,
+    # row) order are the rows whose codes are its clients', ascending.
+    position = {c.client_id: i for i, c in enumerate(clients)}
+    rows = [np.flatnonzero(np.isin(codes, [position[c.client_id] for c in group])) for group in groups]
+    if any(r.size == 0 for r in rows):
         raise EmptyDatasetError("pooled training set is empty")
-    params, diverged = train_cohort(init, raw, labels, codes, enc, [0, labels.size], config, [config.seed])
+    # The kernel takes groups in order of row counts that do not increase.
+    order = sorted(range(len(groups)), key=lambda i: -rows[i].size)
+    take = np.concatenate([rows[i] for i in order])
+    bounds = np.cumsum([0] + [rows[i].size for i in order])
+    params, diverged = train_cohort(init, raw[take], labels[take], codes[take], enc, bounds,
+                                    config, [config.seed] * len(groups))
     if diverged:
-        raise DivergenceError(f"centralized baseline: {diverged[0]}")
-    return ModelParams(params[0], init.dims)
+        first = min(diverged, key=order.__getitem__)
+        raise DivergenceError(f"centralized baseline: {diverged[first]}")
+    row_of = {i: j for j, i in enumerate(order)}
+    return [ModelParams(params[row_of[i]], init.dims) for i in range(len(groups))]
 
 
 def ensemble_predict_batch(

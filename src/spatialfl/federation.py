@@ -15,15 +15,16 @@ inputs are presented or how client training is scheduled.
 
 A run stacks every client's raw training rows and spatial encoding once
 (:func:`stack_rows`), in order of descending training-row count, and
-each round trains the clients through the training kernel in
-consecutive cohorts whose working memory fits :data:`COHORT_BYTES`.
+each round trains every client in one call of the training kernel,
+which cuts them into cohorts whose working memory fits
+:data:`~spatialfl.nn.COHORT_BYTES`.
 """
 
 from __future__ import annotations
 
 import mmap
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .nn import ModelParams, TrainingConfig, flat_length, train_cohort, working_set_bytes
+from .nn import ModelParams, TrainingConfig, flat_length, train_cohort
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_spatial
 
@@ -182,13 +183,13 @@ class AggregationPolicy:
             raise ValueError("rounds must be >= 1")
 
 
-def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -> TrainingConfig:
-    """The training config a client uses in a given round.
+def round_seed(master: int, client_id: str, round_index: int) -> int:
+    """The minibatch seed a client trains with in a given round.
 
     Seeds derive from (master seed, client id, round), so every client and
     round gets an independent minibatch stream.
     """
-    return replace(config, seed=derive_seed(config.seed, "train", client_id, round_index))
+    return derive_seed(master, "train", client_id, round_index)
 
 
 def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
@@ -252,21 +253,6 @@ def _client_rows(
     if empty.size:
         raise EmptyClientError(f"client {clients[empty[0]].client_id!r} has no training rows")
     return raw, labels, codes, enc, offsets
-
-
-# Upper bound on the memory one call of the training kernel works in
-# (nn.working_set_bytes per client). Training rows are held raw, once per
-# run, so this bounds training's memory beyond them whatever the number of
-# clients; a cohort this large already shares the per-step numpy overhead
-# among enough clients that larger ones gain little.
-COHORT_BYTES = 4 << 20
-
-
-def cohort_slices(n_clients: int, dims: tuple[int, int, int], batch_size: int) -> list[slice]:
-    """Consecutive clients cut into cohorts whose kernel working set fits
-    :data:`COHORT_BYTES`; a client that alone exceeds it is a cohort of one."""
-    size = max(1, COHORT_BYTES // working_set_bytes(dims, batch_size))
-    return [slice(lo, min(lo + size, n_clients)) for lo in range(0, n_clients, size)]
 
 
 def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
@@ -386,42 +372,32 @@ def run_tier_round(
     per-client ensemble are built from them.
 
     Every client's training rows are stacked once, before the first
-    round, in order of descending training-row count and then id, and
-    cut into cohorts by :func:`cohort_slices`; each round trains every
-    cohort in one call of the training kernel. A client whose training
-    diverges fails the round once every cohort has trained, naming the
-    lowest such client id.
+    round, in order of descending training-row count and then id; each
+    round trains every client in one call of the training kernel, seeded
+    by :func:`round_seed` with ``config.seed`` as the master seed. A
+    client whose training diverges fails the round once every client has
+    trained, naming the lowest such client id.
     """
     clients = topology.clients()
     missing = [c for c in clients if c not in datasets]
     if missing:
         raise MissingClientError(f"no dataset for clients: {missing}")
-    # Within a cohort in this order, the clients still training at any
-    # step are a prefix.
+    # The kernel takes clients in order of row counts that do not increase.
     order = sorted(clients, key=lambda c: (-datasets[c].count("train"), c))
     raw, labels, codes, enc, offsets = _client_rows([datasets[c] for c in order], global_init, vocab)
     counts = np.diff(offsets).tolist()
+    row_of = {c: i for i, c in enumerate(order)}
     broadcast = global_init
     for round_index in range(1, policy.rounds + 1):
-        seeds = [per_round_config(config, c, round_index).seed for c in order]
-        trained: dict[str, ClientUpdate] = {}
-        diverged: dict[str, str] = {}
-        for part in cohort_slices(len(order), global_init.dims, config.batch_size):
-            params, failed = train_cohort(broadcast, raw, labels, codes, enc,
-                                          offsets[part.start:part.stop + 1], config, seeds[part])
-            for i, c in enumerate(order[part]):
-                if i in failed:
-                    diverged[c] = failed[i]
-                else:
-                    # A view of the client's row: every kernel call
-                    # allocates its buffer afresh and nothing writes it
-                    # once the call returns.
-                    trained[c] = ClientUpdate(c, ModelParams(params[i], broadcast.dims),
-                                              float(counts[part.start + i]))
-        if diverged:
-            c = min(diverged)
-            raise DivergenceError(f"client {c!r} in round {round_index}: {diverged[c]}")
-        updates = [trained[c] for c in clients]
+        seeds = [round_seed(config.seed, c, round_index) for c in order]
+        params, failed = train_cohort(broadcast, raw, labels, codes, enc, offsets, config, seeds)
+        if failed:
+            c = min(order[i] for i in failed)
+            raise DivergenceError(f"client {c!r} in round {round_index}: {failed[row_of[c]]}")
+        # Views of the clients' rows: every kernel call allocates its
+        # buffer afresh and nothing writes it once the call returns.
+        updates = [ClientUpdate(c, ModelParams(params[row_of[c]], broadcast.dims), float(counts[row_of[c]]))
+                   for c in clients]
         if round_index == 1:
             first_round = updates
         models = aggregate_tree(topology, updates, policy.mode)

@@ -41,6 +41,7 @@ from .federation import (
     TierNode,
     TierTopology,
     fedavg,
+    round_seed,
     run_tier_round,
     serialize_model,
     stack_rows,
@@ -554,14 +555,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("baselines"):
         for kind in config.baselines:
             if kind is BaselineKind.CENTRALIZED_NN:
-                pooled = train_centralized(datasets.values(), init, training, vocab)
+                # The pooled network, and one per child of the root, trained
+                # on and scoring only its own subtree's rows.
+                regions = topology.children(topology.root_id)
+                pooled, *regional_models = train_centralized(
+                    [datasets.values()] + [[datasets[c] for c in topology.subtree_clients(region)]
+                                           for region in regions], init, training, vocab)
                 correct[kind.value] = fold_correct(score(pooled), labels, spans)
-                # One network per child of the root, trained on and scoring
-                # only its own subtree's rows.
                 regional = np.empty_like(labels)
-                for region in topology.children(topology.root_id):
-                    model = train_centralized(
-                        [datasets[c] for c in topology.subtree_clients(region)], init, training, vocab)
+                for region, model in zip(regions, regional_models):
                     lo, hi = spans[region]
                     regional[lo:hi] = score(model, lo, hi)
                 correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
@@ -580,7 +582,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "master": config.seed,
             "init": derive_seed(config.seed, "init"),
             "split": {cid: derive_seed(config.seed, "split", cid) for cid in clients},
-            "train_round1": {cid: derive_seed(config.seed, "train", cid, 1) for cid in clients},
+            "train_round1": {cid: round_seed(config.seed, cid, 1) for cid in clients},
         }
         tier_rows = []
         for method, counts in correct.items():

@@ -7,12 +7,15 @@ layer-2 bias) is a contract: the kernel's ``(K, P)`` buffer rows, the
 aggregation algebra and the binary model file all use exactly this
 order, so a model moves between them without conversion.
 
-All training runs through one kernel, :func:`train_cohort`. It trains a
-cohort of clients that share ``init`` and config, each with its own rows
-(any count) and minibatch seed, over one ``(K, P)`` parameter buffer
-whose rows the layers view and which Adam updates in place. Rows arrive
-raw, each with a code into a table of encodings, and the kernel
-assembles a minibatch's inputs only when it trains on them. Training is
+All training runs through one kernel, :func:`train_cohort`. One call
+trains any number of clients that share ``init`` and config, each with
+its own rows (any count) and minibatch seed, into one freshly allocated
+``(K, P)`` parameter buffer whose rows the layers view and which Adam
+updates in place. Rows arrive raw, each with a code into a table of
+encodings, and the kernel assembles a minibatch's inputs only when it
+trains on them. The call cuts its clients into consecutive cohorts whose
+working set fits :data:`COHORT_BYTES` and trains them one after another
+in one set of scratch buffers. Within a cohort training is
 step-aligned: iteration ``g`` takes every client's own ``g``-th step,
 grouping neighbouring clients whose batches have the same size. Its
 contract is bit-exactness: every client's parameters equal, bit for bit,
@@ -33,7 +36,7 @@ may differ in the last bits; the golden digests pin the predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,6 +175,51 @@ def working_set_bytes(dims: Dims, batch_size: int) -> int:
     return 8 * words + n_params + batch_size * hidden_dim
 
 
+# Upper bound on the memory one call of the training kernel works in
+# (working_set_bytes per client of a cohort), beyond its rows, its
+# encoding table and its (K, P) result. Training rows are held raw, so this bounds training's
+# memory beyond them whatever the number of clients; a cohort this large
+# already shares the per-step numpy overhead among enough clients that
+# larger ones gain little.
+COHORT_BYTES = 4 << 20
+
+
+def cohort_slices(n_clients: int, dims: Dims, batch_size: int) -> list[slice]:
+    """Consecutive clients cut into cohorts whose kernel working set fits
+    :data:`COHORT_BYTES`; a client that alone exceeds it is a cohort of one."""
+    size = max(1, COHORT_BYTES // working_set_bytes(dims, batch_size))
+    return [slice(lo, min(lo + size, n_clients)) for lo in range(0, n_clients, size)]
+
+
+class _Scratch(NamedTuple):
+    """The working buffers of one kernel call, sized for its first cohort
+    (the most clients, the most rows, the widest batch). Every cohort
+    works in their start."""
+
+    grad: np.ndarray      # (clients, P), like the Adam moments and scratch rows
+    m: np.ndarray
+    v: np.ndarray
+    m_hat: np.ndarray
+    v_hat: np.ndarray
+    finite: np.ndarray    # (clients, P) bool
+    batch: np.ndarray     # one minibatch per client, flat, viewed per run
+    pre: np.ndarray
+    hidden: np.ndarray
+    probs: np.ndarray
+    order: np.ndarray     # each client's epoch order, as row numbers within the cohort
+
+
+def _scratch(clients: int, rows: int, width: int, dims: Dims) -> _Scratch:
+    i_dim, h_dim, c_dim = dims
+    shape = (clients, flat_length(dims))
+    return _Scratch(
+        np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape),
+        np.empty(shape, dtype=bool),
+        np.empty(clients * width * i_dim), np.empty(clients * width * h_dim),
+        np.empty(clients * width * h_dim), np.empty(clients * width * c_dim),
+        np.empty(rows, dtype=np.int64))
+
+
 def _view(buffer: np.ndarray, clients: int, rows: int, cols: int) -> np.ndarray:
     """The start of a flat scratch buffer, shaped ``(clients, rows, cols)``."""
     return buffer[:clients * rows * cols].reshape(clients, rows, cols)
@@ -219,31 +267,34 @@ def train_cohort(
     config: TrainingConfig,
     seeds: Sequence[int],
 ) -> tuple[np.ndarray, dict[int, str]]:
-    """Train a cohort of K clients from ``init``: the training kernel.
+    """Train K clients from ``init``: the training kernel.
 
     Client ``k`` owns rows ``offsets[k]:offsets[k + 1]`` of the raw
     feature matrix ``raw`` ``(N, F)`` and of ``labels`` ``(N,)``, and its
-    row counts must not increase along the cohort. Row ``i``'s model input
-    is ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding table
-    (``E`` is 0 with encoding off) followed by the raw features. Every
-    client shares ``config`` and draws its minibatch order at the start of
-    each of its epochs from a generator seeded with ``seeds[k]``.
+    row counts must not increase along the clients. Row ``i``'s model
+    input is ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding
+    table (``E`` is 0 with encoding off) followed by the raw features.
+    Every client shares ``config`` and draws its minibatch order at the
+    start of each of its epochs from a generator seeded with ``seeds[k]``.
 
-    Training is step-aligned: iteration ``g`` takes every client's own
-    ``g``-th step, so every client still training has taken the same
-    number of Adam steps, and those clients, a prefix of the cohort, take
-    one in-place Adam update over their rows of the ``(K, P)`` buffers.
-    Forward and backward run once per run of neighbouring clients whose
-    step has the same batch size (a full ``batch_size``, or an epoch's
-    ragged last batch), as 3-D matmuls that make the same BLAS call per
-    client as training it alone.
+    The clients train in consecutive cohorts (:func:`cohort_slices`) whose
+    working set fits :data:`COHORT_BYTES`, one after another in one set
+    of scratch buffers allocated per call. Within a cohort, training is
+    step-aligned: iteration ``g`` takes every client's own ``g``-th step,
+    so every client still training has taken the same number of Adam
+    steps, and those clients, a prefix of the cohort, take one in-place
+    Adam update over their rows. Forward and backward run once per run of
+    neighbouring clients whose step has the same batch size (a full
+    ``batch_size``, or an epoch's ragged last batch), as 3-D matmuls that
+    make the same BLAS call per client as training it alone.
 
     Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
     buffer, in the model-file order, bit-identical to the reference
     chain's (forward, loss gradient, backward, Adam step) on its
-    assembled rows alone. Every call allocates the buffer afresh. The returned dict maps
-    the index of each client whose parameters went non-finite to the
-    message of its first such step; that client's row is garbage.
+    assembled rows alone. Every call allocates the buffer afresh. The
+    returned dict maps the index of each client whose parameters went
+    non-finite to the message of its first such step; that client's row
+    is garbage.
     """
     raw = np.asarray(raw, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -260,100 +311,130 @@ def train_cohort(
                          f"{len(seeds)} seeds disagree for input_dim {init.input_dim}")
     if counts.min() < 1 or (np.diff(counts) > 0).any():
         raise ShapeError(f"cohort row counts {counts.tolist()} must be positive and not increase")
-    # From here on, rows are numbered within the cohort.
+    # From here on, rows are numbered within the call.
     rows = slice(int(offsets[0]), int(offsets[-1]))
     raw, labels, codes, offsets = raw[rows], labels[rows], codes[rows], offsets - offsets[0]
     if labels.min() < 0 or labels.max() >= init.n_classes:
         raise InvalidLabelError(f"labels must lie in [0, {init.n_classes})")
-    first_code, last_code = int(codes.min()), int(codes.max())
-    if first_code < 0 or last_code >= len(enc):
+    last_code = int(codes.max())
+    if codes.min() < 0 or last_code >= len(enc):
         raise ShapeError(f"row codes must lie in [0, {len(enc)})")
-    e_dim, (i_dim, h_dim, c_dim) = enc.shape[1], init.dims
-    # The encodings the cohort's rows use, as full input rows whose raw
-    # columns each batch overwrites: one take then assembles a batch.
-    table = np.zeros((last_code + 1 - first_code, i_dim))
-    table[:, :e_dim] = enc[first_code:last_code + 1]
-    codes = codes - first_code
-    schedule = _schedule(counts, config.batch_size, config.epochs)
-    width = min(config.batch_size, int(counts[0]))
-    positions = np.arange(width)
-    bounds = offsets.tolist()
+    # The encodings up to the last one the rows use, as full input rows
+    # whose raw columns each batch overwrites: one take then assembles a
+    # batch.
+    table = np.zeros((last_code + 1, init.input_dim))
+    table[:, :enc.shape[1]] = enc[:last_code + 1]
 
     params = np.tile(init.vector, (k, 1))
-    grad = np.zeros_like(params)
-    m, v = np.zeros_like(params), np.zeros_like(params)
-    m_hat, v_hat = np.empty_like(params), np.empty_like(params)  # also scratch
-    finite = np.empty(params.shape, dtype=bool)
+    parts = cohort_slices(k, init.dims, config.batch_size)
+    size = parts[0].stop
+    scratch = _scratch(size, int(offsets[size]), min(config.batch_size, int(counts[0])), init.dims)
+    diverged: dict[int, str] = {}
+    # Overflow is reported once, as the client's divergence message, not
+    # as numpy warnings along the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in parts:
+            lo, hi = int(offsets[part.start]), int(offsets[part.stop])
+            failed = _train_part(init, raw[lo:hi], labels[lo:hi], codes[lo:hi], table,
+                                 counts[part], config, seeds[part], params[part], scratch)
+            diverged.update((part.start + i, message) for i, message in failed.items())
+    return params, diverged
+
+
+def _train_part(
+    init: ModelParams,
+    raw: np.ndarray,
+    labels: np.ndarray,
+    codes: np.ndarray,
+    table: np.ndarray,
+    counts: np.ndarray,
+    config: TrainingConfig,
+    seeds: Sequence[int],
+    params: np.ndarray,
+    scratch: _Scratch,
+) -> dict[int, str]:
+    """Train one cohort of :func:`train_cohort` in the start of the
+    call's scratch buffers, resetting the Adam moments first.
+
+    The cohort's ``len(counts)`` clients own consecutive runs of its rows;
+    row ``i``'s input is ``table[codes[i]]`` with its raw columns replaced
+    by ``raw[i]``. ``params`` are the cohort's rows of the result and hold
+    ``init`` on entry. Returns the divergence messages by client number
+    within the cohort.
+    """
+    k = counts.size
+    i_dim, h_dim, c_dim = init.dims
+    e_dim = i_dim - raw.shape[1]
+    schedule = _schedule(counts, config.batch_size, config.epochs)
+    bounds = [0, *np.cumsum(counts).tolist()]
+    # The six (clients, P) buffers, cut to the cohort's clients.
+    grad, m, v, m_hat, v_hat, finite = (buf[:k] for buf in scratch[:6])
+    m.fill(0.0)
+    v.fill(0.0)
+    order = scratch.order
+    clients = np.arange(k)[:, None]
+    positions = np.arange(min(config.batch_size, int(counts[0])))
     w1, b1, w2, b2 = _layer_views(params, init.dims)
     g_w1, g_b1, g_w2, g_b2 = _layer_views(grad, init.dims)
-    # One minibatch per client, viewed per run at the run's shape.
-    batch_buf = np.empty(k * width * i_dim)
-    pre_buf, hidden_buf = np.empty(k * width * h_dim), np.empty(k * width * h_dim)
-    probs_buf = np.empty(k * width * c_dim)
-    order = np.empty(bounds[-1], dtype=np.int64)  # each client's epoch order, as row numbers
-    clients = np.arange(k)[:, None]
 
     lr, beta1, beta2, eps = (config.learning_rate, config.adam_beta1,
                              config.adam_beta2, config.adam_epsilon)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     diverged: dict[int, str] = {}
-    # Overflow is reported once, as the client's divergence message, not
-    # as numpy warnings along the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, (new, group) in enumerate(schedule, start=1):
-            for c in new:
-                start, stop = bounds[c], bounds[c + 1]
-                np.add(rngs[c].permutation(stop - start), start, out=order[start:stop])
-            for lo, hi, n, starts in group:
-                g = hi - lo
-                idx = order[starts[:, None] + positions[:n]]
-                # The rows' inputs [enc[codes[idx]], raw[idx]], assembled as
-                # one contiguous (clients, rows, input_dim) batch.
-                batch = np.take(table, codes[idx], axis=0, mode="clip", out=_view(batch_buf, g, n, i_dim))
-                batch[..., e_dim:] = raw[idx]
-                # Forward, keeping the pre-activation for backward.
-                pre_hidden = np.matmul(batch, w1[lo:hi].transpose(0, 2, 1),
-                                       out=_view(pre_buf, g, n, h_dim))
-                pre_hidden += b1[lo:hi, None, :]
-                hidden = np.maximum(pre_hidden, 0.0, out=_view(hidden_buf, g, n, h_dim))
-                probs = np.matmul(hidden, w2[lo:hi].transpose(0, 2, 1), out=_view(probs_buf, g, n, c_dim))
-                probs += b2[lo:hi, None, :]
-                # Softmax cross-entropy gradient w.r.t. the logits, in place.
-                probs -= probs.max(axis=2, keepdims=True)
-                np.exp(probs, out=probs)
-                probs /= probs.sum(axis=2, keepdims=True)
-                probs[clients[:g], positions[:n], labels[idx]] -= 1.0
-                probs /= n
-                # Backward into the flat gradient buffer.
-                np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2[lo:hi])
-                np.sum(probs, axis=1, out=g_b2[lo:hi])
-                grad_hidden = np.where(pre_hidden > 0.0, np.matmul(probs, w2[lo:hi]), 0.0)
-                np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
-                np.sum(grad_hidden, axis=1, out=g_b1[lo:hi])
-            # Bias-corrected Adam over the clients still training, in place,
-            # in the reference Adam step's order: each of them has now taken t steps.
-            live = group[-1][1]
-            x, dx, m1, v1, m1_hat, v1_hat = (
-                buf[:live] for buf in (params, grad, m, v, m_hat, v_hat))
-            m1 *= beta1
-            np.multiply(1.0 - beta1, dx, out=m1_hat)
-            m1 += m1_hat
-            v1 *= beta2
-            np.multiply(1.0 - beta2, dx, out=v1_hat)
-            v1_hat *= dx
-            v1 += v1_hat
-            np.divide(m1, 1.0 - beta1 ** t, out=m1_hat)
-            np.multiply(lr, m1_hat, out=m1_hat)
-            np.divide(v1, 1.0 - beta2 ** t, out=v1_hat)
-            np.sqrt(v1_hat, out=v1_hat)
-            v1_hat += eps
-            m1_hat /= v1_hat
-            x -= m1_hat
-            if not np.isfinite(x, out=finite[:live]).all():
-                for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
-                    if i not in diverged:
-                        diverged[i] = _divergence_message(params[i], init.dims)
-    return params, diverged
+    for t, (new, group) in enumerate(schedule, start=1):
+        for c in new:
+            start, stop = bounds[c], bounds[c + 1]
+            np.add(rngs[c].permutation(stop - start), start, out=order[start:stop])
+        for lo, hi, n, starts in group:
+            g = hi - lo
+            idx = order[starts[:, None] + positions[:n]]
+            # The rows' inputs [enc[codes[idx]], raw[idx]], assembled as
+            # one contiguous (clients, rows, input_dim) batch.
+            batch = np.take(table, codes[idx], axis=0, mode="clip", out=_view(scratch.batch, g, n, i_dim))
+            batch[..., e_dim:] = raw[idx]
+            # Forward, keeping the pre-activation for backward.
+            pre_hidden = np.matmul(batch, w1[lo:hi].transpose(0, 2, 1),
+                                   out=_view(scratch.pre, g, n, h_dim))
+            pre_hidden += b1[lo:hi, None, :]
+            hidden = np.maximum(pre_hidden, 0.0, out=_view(scratch.hidden, g, n, h_dim))
+            probs = np.matmul(hidden, w2[lo:hi].transpose(0, 2, 1), out=_view(scratch.probs, g, n, c_dim))
+            probs += b2[lo:hi, None, :]
+            # Softmax cross-entropy gradient w.r.t. the logits, in place.
+            probs -= probs.max(axis=2, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=2, keepdims=True)
+            probs[clients[:g], positions[:n], labels[idx]] -= 1.0
+            probs /= n
+            # Backward into the flat gradient buffer.
+            np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2[lo:hi])
+            np.sum(probs, axis=1, out=g_b2[lo:hi])
+            grad_hidden = np.where(pre_hidden > 0.0, np.matmul(probs, w2[lo:hi]), 0.0)
+            np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
+            np.sum(grad_hidden, axis=1, out=g_b1[lo:hi])
+        # Bias-corrected Adam over the clients still training, in place,
+        # in the reference Adam step's order: each of them has now taken t steps.
+        live = group[-1][1]
+        x, dx, m1, v1, m1_hat, v1_hat = (
+            buf[:live] for buf in (params, grad, m, v, m_hat, v_hat))
+        m1 *= beta1
+        np.multiply(1.0 - beta1, dx, out=m1_hat)
+        m1 += m1_hat
+        v1 *= beta2
+        np.multiply(1.0 - beta2, dx, out=v1_hat)
+        v1_hat *= dx
+        v1 += v1_hat
+        np.divide(m1, 1.0 - beta1 ** t, out=m1_hat)
+        np.multiply(lr, m1_hat, out=m1_hat)
+        np.divide(v1, 1.0 - beta2 ** t, out=v1_hat)
+        np.sqrt(v1_hat, out=v1_hat)
+        v1_hat += eps
+        m1_hat /= v1_hat
+        x -= m1_hat
+        if not np.isfinite(x, out=finite[:live]).all():
+            for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
+                if i not in diverged:
+                    diverged[i] = _divergence_message(params[i], init.dims)
+    return diverged
 
 
 def _divergence_message(vector: np.ndarray, dims: Dims) -> str:

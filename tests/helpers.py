@@ -1,10 +1,12 @@
 """Shared builders for federation-level tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from spatialfl.data import ClientDataset
-from spatialfl.federation import ClientUpdate, TierNode, TierTopology, stack_rows
-from spatialfl.nn import ModelParams, init_params, train_cohort
+from spatialfl.federation import ClientUpdate, TierNode, TierTopology, round_seed, stack_rows
+from spatialfl.nn import ModelParams, TrainingConfig, init_params, train_cohort
 from spatialfl.spatial import SpatialAttribute
 
 
@@ -16,6 +18,12 @@ def no_encoding(batch):
     """Rows of raw features in the row format with no encoding."""
     batch = np.asarray(batch, dtype=np.float64)
     return batch, np.zeros(len(batch), dtype=np.intp), np.empty((1, 0))
+
+
+def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -> TrainingConfig:
+    """``config`` seeded as the tiered loop seeds a client in a given round,
+    with ``config.seed`` as the master seed."""
+    return replace(config, seed=round_seed(config.seed, client_id, round_index))
 
 
 def train_alone(dataset, init, config, vocab=None):

@@ -6,8 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import alone_update, no_encoding, separable_client, train_alone
+from helpers import alone_update, no_encoding, per_round_config, separable_client, train_alone
 from reference import params_equal
+from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
@@ -16,13 +17,12 @@ from spatialfl.federation import (
     TierNode,
     TierTopology,
     fedavg,
-    per_round_config,
     run_tier_round,
     stack_rows,
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
+from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows, train_cohort
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import build_vocabulary, encode_spatial
 
@@ -42,33 +42,83 @@ class TestCentralized:
         ds = separable_client("only", n=14, seed=2)
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=6, seed=33)
-        pooled = train_centralized([ds], init, config, None)
+        [pooled] = train_centralized([[ds]], init, config, None)
         assert params_equal(pooled, train_alone(ds, init, config))
 
     def test_zero_epochs_return_init(self):
         ds = separable_client("c", n=8, seed=0)
         init = init_params((2, 4, 2), seed=7)
-        assert params_equal(train_centralized([ds], init, TrainingConfig(epochs=0), None), init)
+        [model] = train_centralized([[ds]], init, TrainingConfig(epochs=0), None)
+        assert params_equal(model, init)
 
     def test_pool_order_does_not_matter(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.02, epochs=3, seed=11)
-        forward_order = train_centralized(clients, init, config, None)
-        reverse_order = train_centralized(list(reversed(clients)), init, config, None)
+        [forward_order] = train_centralized([clients], init, config, None)
+        [reverse_order] = train_centralized([list(reversed(clients))], init, config, None)
         assert params_equal(forward_order, reverse_order)
 
     def test_empty_pool_rejected(self):
         ds = separable_client("c", n=6, seed=0)
         ds.split_tags[:] = "validation"
         with pytest.raises(EmptyDatasetError):
-            train_centralized([ds], init_params((2, 4, 2), 0), TrainingConfig(), None)
+            train_centralized([[ds]], init_params((2, 4, 2), 0), TrainingConfig(), None)
 
     def test_divergence_names_the_baseline(self):
         ds = separable_client("c", n=12, seed=0)
         config = TrainingConfig(learning_rate=1e300, epochs=2, seed=1)
         with pytest.raises(DivergenceError, match="^centralized baseline: training diverged"):
-            train_centralized([ds], init_params((2, 4, 2), 0), config, None)
+            train_centralized([[ds]], init_params((2, 4, 2), 0), config, None)
+
+    @staticmethod
+    def pooled_alone(group, init, config, vocab):
+        """A group's pooled training rows trained as the only client of a
+        kernel call."""
+        raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab, "train")
+        params, diverged = train_cohort(init, raw, labels, codes, enc, [0, labels.size], config, [config.seed])
+        assert diverged == {}
+        return ModelParams(params[0], init.dims)
+
+    @pytest.mark.parametrize("cohort_bytes", [None, 1])
+    def test_each_group_matches_it_trained_alone(self, monkeypatch, cohort_bytes):
+        # Overlapping, ragged groups in no order of size, the first one
+        # repeated last; every row keeps its own client's encoding.
+        clients = [separable_client(f"c{i}", n=6 + 3 * i, seed=i) for i in range(4)]
+        c0, c1, c2, c3 = clients
+        groups = [[c1], [c3, c0], clients, [c2, c1, c3], [c1]]
+        vocab = build_vocabulary([c.spatial for c in clients])
+        init = init_params((vocab.encoding_length + 2, 5, 2), seed=3)
+        config = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=12)
+        if cohort_bytes is not None:
+            monkeypatch.setattr(nn, "COHORT_BYTES", cohort_bytes)
+        models = train_centralized(groups, init, config, vocab)
+        assert len(models) == len(groups)
+        for group, model in zip(groups, models):
+            assert params_equal(model, self.pooled_alone(group, init, config, vocab))
+
+    def test_divergence_in_a_later_group_names_the_baseline(self):
+        calm = separable_client("c0", n=12, seed=0)
+        wild = separable_client("c1", n=10, seed=1)
+        wild.features *= 1e300
+        init = init_params((2, 4, 2), 1)
+        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=1)
+        train_centralized([[calm]], init, config, None)
+        # The two diverging groups fail in different layers; the first of
+        # them in the order given is reported.
+        for groups, layer in [([[calm], [calm, wild], [wild]], "layer2_weights"),
+                              ([[calm], [wild], [calm, wild]], "layer1_weights")]:
+            with pytest.raises(DivergenceError) as info:
+                train_centralized(groups, init, config, None)
+            assert str(info.value) == (
+                f"centralized baseline: training diverged ({layer} contains non-finite entries)")
+
+    def test_empty_group_rejected(self):
+        ds = separable_client("c0", n=6, seed=0)
+        empty = separable_client("c1", n=6, seed=1)
+        empty.split_tags[:] = "validation"
+        with pytest.raises(EmptyDatasetError):
+            train_centralized([[ds, empty], [empty]], init_params((2, 4, 2), 0), TrainingConfig(), None)
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
@@ -79,7 +129,7 @@ class TestCentralized:
         vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=100, seed=2)
-        model = train_centralized(list(datasets.values()), init, config, vocab)
+        [model] = train_centralized([datasets.values()], init, config, vocab)
         assert evaluate(model, datasets.values(), vocab) >= 0.95
 
 

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alone_update, no_encoding, random_tree, random_update, separable_client, train_alone, vector_params
+from helpers import (
+    alone_update,
+    no_encoding,
+    per_round_config,
+    random_tree,
+    random_update,
+    separable_client,
+    train_alone,
+    vector_params,
+)
 from reference import params_equal
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import (
@@ -21,7 +30,7 @@ from spatialfl.errors import (
     ShapeError,
     TopologyError,
 )
-from spatialfl import federation
+from spatialfl import nn
 from spatialfl.federation import (
     MODEL_MAGIC,
     AggregationPolicy,
@@ -29,17 +38,15 @@ from spatialfl.federation import (
     TierNode,
     TierTopology,
     aggregate_tree,
-    cohort_slices,
     deserialize_model,
     fedavg,
     normalize_weights,
-    per_round_config,
     run_tier_round,
     serialize_model,
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import TrainingConfig, init_params, predict_rows, working_set_bytes
+from spatialfl.nn import TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
 from spatialfl.seeding import derive_seed
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
@@ -374,20 +381,20 @@ class TestRunTierRound:
         per_client = working_set_bytes(init.dims, config.batch_size)
         owner = {per_round_config(config, c, 1).seed: c for c in ds}
         calls = []
-        original = federation.train_cohort
+        original = nn._train_part
 
-        def spy(init, raw, labels, codes, enc, offsets, config, seeds):
-            calls.append(([owner[s] for s in seeds], np.diff(offsets).tolist()))
-            return original(init, raw, labels, codes, enc, offsets, config, seeds)
+        def spy(init, raw, labels, codes, table, counts, config, seeds, params, scratch):
+            calls.append(([owner[s] for s in seeds], counts.tolist()))
+            return original(init, raw, labels, codes, table, counts, config, seeds, params, scratch)
 
-        monkeypatch.setattr(federation, "train_cohort", spy)
+        monkeypatch.setattr(nn, "_train_part", spy)
         run_tier_round(topo, ds, init, AggregationPolicy(), config, None)
         assert calls == [(["d", "b", "e", "a", "c"], [14, 12, 12, 10, 10])]
         calls.clear()
-        monkeypatch.setattr(federation, "COHORT_BYTES", 2 * per_client + 1)
+        monkeypatch.setattr(nn, "COHORT_BYTES", 2 * per_client + 1)
         run_tier_round(topo, ds, init, AggregationPolicy(), config, None)
         assert calls == [(["d", "b"], [14, 12]), (["e", "a"], [12, 10]), (["c"], [10])]
-        assert all(len(ids) * per_client <= federation.COHORT_BYTES for ids, _ in calls)
+        assert all(len(ids) * per_client <= nn.COHORT_BYTES for ids, _ in calls)
 
     def test_cohort_cut_stays_bounded_at_scale(self):
         # Pure arithmetic at the scale config's dims: 20 regions x 100
@@ -396,13 +403,13 @@ class TestRunTierRound:
             per_client = working_set_bytes(dims, 32)
             parts = cohort_slices(2000, dims, 32)
             assert [i for p in parts for i in range(p.start, p.stop)] == list(range(2000))
-            assert all((p.stop - p.start) * per_client <= federation.COHORT_BYTES for p in parts)
+            assert all((p.stop - p.start) * per_client <= nn.COHORT_BYTES for p in parts)
             # Tight: one more client would not have fitted.
-            assert all((p.stop - p.start + 1) * per_client > federation.COHORT_BYTES
+            assert all((p.stop - p.start + 1) * per_client > nn.COHORT_BYTES
                        for p in parts[:-1])
         # A client whose working set alone exceeds the budget trains alone.
         huge = (200_000, 16, 3)
-        assert working_set_bytes(huge, 32) > federation.COHORT_BYTES
+        assert working_set_bytes(huge, 32) > nn.COHORT_BYTES
         assert cohort_slices(3, huge, 32) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     def test_missing_dataset_rejected(self):

@@ -36,7 +36,7 @@ from spatialfl.harness import (
     validation_rows,
     write_models,
 )
-from spatialfl import federation, nn
+from spatialfl import nn
 from spatialfl.federation import AggregationPolicy, deserialize_model, stack_rows
 from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
 from spatialfl.seeding import derive_seed
@@ -403,18 +403,26 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert sorted(result.report.client_predictions) == clients
         trained = Counter(owner.get(seed, "centralized") for seeds in calls for seed in seeds)
-        # The pooled centralized network and one per region, each a cohort of one.
+        # One kernel call per round, and one for the pooled centralized
+        # network and one network per region.
+        assert len(calls) == 3
         assert trained.pop("centralized") == 3
         assert trained == {(c, r): 1 for c in clients for r in (1, 2)}
 
     def test_cohorts_of_one_give_identical_models(self, monkeypatch):
         config = synthetic_config(rounds=2)
         calls = []
-        self.spy_on_kernel(monkeypatch, calls)
+        original = nn._train_part
+
+        def spy(init, raw, labels, codes, table, counts, config, seeds, params, scratch):
+            calls.append(list(seeds))
+            return original(init, raw, labels, codes, table, counts, config, seeds, params, scratch)
+
+        monkeypatch.setattr(nn, "_train_part", spy)
         cohort = run_experiment(config).node_models
         assert [len(seeds) for seeds in calls] == [4, 4]
         calls.clear()
-        monkeypatch.setattr(federation, "COHORT_BYTES", 1)
+        monkeypatch.setattr(nn, "COHORT_BYTES", 1)
         single = run_experiment(config).node_models
         assert [len(seeds) for seeds in calls] == [1] * 8
         assert sorted(cohort) == sorted(single)

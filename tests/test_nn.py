@@ -3,6 +3,7 @@ kernel and the scorer, and the reference chain (forward, loss, backprop,
 Adam) that the kernel is checked against."""
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -21,16 +22,19 @@ from reference import (
     reference_train,
     softmax,
 )
+from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch
 from spatialfl.errors import InvalidDimensionError, InvalidLabelError, ShapeError
 from spatialfl.nn import (
     ModelParams,
     TrainingConfig,
+    cohort_slices,
     flat_length,
     hidden_rows,
     init_params,
     predict_rows,
     train_cohort,
+    working_set_bytes,
 )
 
 
@@ -557,6 +561,50 @@ class TestTrainCohort:
         for i in (0, 2):
             alone, _ = train_cohort(init, raw, labels, codes, enc, offsets[i:i + 2], config, [seeds[i]])
             assert params[i].tobytes() == alone[0].tobytes()
+
+    def test_cohort_budget_changes_no_bit(self, monkeypatch):
+        # One ragged call cut into cohorts of one, of two (the last one
+        # smaller) and one cohort of all. Client 1 diverges in the first
+        # cohort, so Adam moments or other scratch carried into a later
+        # cohort would change its clients' rows or spread the divergence.
+        case = Cohort(9, (3, 4, 2), 1, 3, [14, 12, 9, 7, 5], 5, 2, 0)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw[offsets[1]:offsets[2]] *= 1e300
+        init = init_params(case.dims, seed=1)
+        config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
+        per_client = working_set_bytes(init.dims, config.batch_size)
+        results = []
+        for size, cut in [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (5, [5])]:
+            monkeypatch.setattr(nn, "COHORT_BYTES", size * per_client)
+            assert [p.stop - p.start for p in cohort_slices(5, init.dims, config.batch_size)] == cut
+            results.append(train_cohort(init, raw, labels, codes, enc, offsets, config, seeds))
+        (params, diverged), *others = results
+        assert list(diverged) == [1]
+        for other, failed in others:
+            assert failed == diverged
+            assert other.tobytes() == params.tobytes()
+
+    def test_scratch_is_sized_for_one_cohort(self, monkeypatch):
+        # tracemalloc sees numpy's buffers. Twelve clients in cohorts of
+        # three: the call's peak is one cohort's working set plus the
+        # (K, P) result and the encoding table, not twelve working sets.
+        case = Cohort(10, (40, 16, 3), 8, 12, [40] * 6 + [33] * 6, 32, 2, 0)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        init = init_params(case.dims, seed=2)
+        config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
+        per_client = working_set_bytes(init.dims, config.batch_size)
+        monkeypatch.setattr(nn, "COHORT_BYTES", 3 * per_client)
+        assert len(cohort_slices(12, init.dims, config.batch_size)) == 4
+        tracemalloc.start()
+        try:
+            params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diverged == {}
+        table = case.tables * case.dims[0] * 8
+        assert peak <= nn.COHORT_BYTES + params.nbytes + table
+        assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + table
 
     def test_labels_checked_once_per_call(self):
         init = init_params((2, 3, 2), seed=0)
