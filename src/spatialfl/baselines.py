@@ -44,11 +44,10 @@ def train_centralized(
 
     Every group trains in one call of the training kernel, as one of its
     clients. The clients' rows and encodings are stacked once; a group's
-    rows are copies of its clients' rows with the same codes, so each
-    client's encoding is in the table once and every row keeps its own
-    client's encoding. A group without training rows raises
-    :class:`EmptyDatasetError`; if training diverges, the first such group
-    in the order given is reported.
+    row set is its clients' rows, so each client's encoding is in the
+    table once and every row keeps its own client's encoding. A group
+    without training rows raises :class:`EmptyDatasetError`; if training
+    diverges, the first such group in the order given is reported.
     """
     groups = [list(group) for group in groups]
     clients = sorted({c.client_id: c for group in groups for c in group}.values(), key=lambda c: c.client_id)
@@ -59,17 +58,10 @@ def train_centralized(
     rows = [np.flatnonzero(np.isin(codes, [position[c.client_id] for c in group])) for group in groups]
     if any(r.size == 0 for r in rows):
         raise EmptyDatasetError("pooled training set is empty")
-    # The kernel takes groups in order of row counts that do not increase.
-    order = sorted(range(len(groups)), key=lambda i: -rows[i].size)
-    take = np.concatenate([rows[i] for i in order])
-    bounds = np.cumsum([0] + [rows[i].size for i in order])
-    params, diverged = train_cohort(init, raw[take], labels[take], codes[take], enc, bounds,
-                                    config, [config.seed] * len(groups))
+    params, diverged = train_cohort(init, raw, labels, codes, enc, rows, config, [config.seed] * len(groups))
     if diverged:
-        first = min(diverged, key=order.__getitem__)
-        raise DivergenceError(f"centralized baseline: {diverged[first]}")
-    row_of = {i: j for j, i in enumerate(order)}
-    return [ModelParams(params[row_of[i]], init.dims) for i in range(len(groups))]
+        raise DivergenceError(f"centralized baseline: {diverged[min(diverged)]}")
+    return [ModelParams(vector, init.dims) for vector in params]
 
 
 def ensemble_predict_batch(

@@ -14,15 +14,14 @@ fixed pairwise reduction, so results are bit-identical no matter how the
 inputs are presented or how client training is scheduled.
 
 A run stacks every client's raw training rows and spatial encoding once
-(:func:`stack_rows`), in order of descending training-row count, and
-each round trains every client in one call of the training kernel,
-which cuts them into cohorts whose working memory fits
-:data:`~spatialfl.nn.COHORT_BYTES`.
+(:func:`stack_rows`), in ascending client order, and each round trains
+every client on its own span of those rows in one call of the training
+kernel, which orders them and cuts them into cohorts whose working
+memory fits :data:`~spatialfl.nn.COHORT_BYTES`.
 """
 
 from __future__ import annotations
 
-import mmap
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -192,24 +191,6 @@ def round_seed(master: int, client_id: str, round_index: int) -> int:
     return derive_seed(master, "train", client_id, round_index)
 
 
-def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised float64 matrix on pages mapped for it alone, which
-    go back to the OS as soon as the matrix and its views are dropped.
-
-    Stacked rows are the largest arrays of a run (the pooled centralized
-    training set is megabytes) and are rebuilt at the same size every
-    run. From malloc, glibc places such a block on the heap once it has
-    freed one like it (its mmap threshold rises to the freed size), and
-    whether the next one fits in a free hole or grows the heap by its
-    full size depends on how other allocations have split the heap, so
-    peak memory jumped by the block's size at an unpredictable run.
-    """
-    nbytes = shape[0] * shape[1] * 8
-    if nbytes == 0:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(shape)
-
-
 def stack_rows(
     clients: Sequence["ClientDataset"],
     vocab: SpatialVocabulary | None,
@@ -227,7 +208,7 @@ def stack_rows(
     """
     offsets = np.cumsum([0] + [c.count(split) for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
-    raw = _mapped_empty((int(offsets[-1]), n_raw))
+    raw = np.empty((offsets[-1], n_raw))
     labels = np.empty(offsets[-1], dtype=np.int64)
     enc = np.empty((len(clients), vocab.encoding_length if vocab is not None else 0))
     for i, (client, lo, hi) in enumerate(zip(clients, offsets, offsets[1:])):
@@ -235,23 +216,6 @@ def stack_rows(
         if vocab is not None:
             enc[i] = encode_spatial(client.spatial, vocab)
     codes = np.repeat(np.arange(len(clients)), np.diff(offsets))
-    return raw, labels, codes, enc, offsets
-
-
-def _client_rows(
-    clients: Sequence["ClientDataset"],
-    init: ModelParams,
-    vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The training rows (:func:`stack_rows`) of clients that must each
-    train ``init``."""
-    for dataset in clients:
-        if dataset.n_classes != init.n_classes:
-            raise ShapeError(f"dataset has {dataset.n_classes} classes, model {init.n_classes}")
-    raw, labels, codes, enc, offsets = stack_rows(clients, vocab, "train")
-    empty = np.flatnonzero(np.diff(offsets) == 0)
-    if empty.size:
-        raise EmptyClientError(f"client {clients[empty[0]].client_id!r} has no training rows")
     return raw, labels, codes, enc, offsets
 
 
@@ -372,32 +336,35 @@ def run_tier_round(
     per-client ensemble are built from them.
 
     Every client's training rows are stacked once, before the first
-    round, in order of descending training-row count and then id; each
-    round trains every client in one call of the training kernel, seeded
-    by :func:`round_seed` with ``config.seed`` as the master seed. A
-    client whose training diverges fails the round once every client has
-    trained, naming the lowest such client id.
+    round, in ascending client order; each round trains every client in
+    one call of the training kernel, seeded by :func:`round_seed` with
+    ``config.seed`` as the master seed. A client whose training diverges
+    fails the round once every client has trained, naming the lowest such
+    client id.
     """
     clients = topology.clients()
     missing = [c for c in clients if c not in datasets]
     if missing:
         raise MissingClientError(f"no dataset for clients: {missing}")
-    # The kernel takes clients in order of row counts that do not increase.
-    order = sorted(clients, key=lambda c: (-datasets[c].count("train"), c))
-    raw, labels, codes, enc, offsets = _client_rows([datasets[c] for c in order], global_init, vocab)
+    for c in clients:
+        if datasets[c].n_classes != global_init.n_classes:
+            raise ShapeError(f"dataset has {datasets[c].n_classes} classes, model {global_init.n_classes}")
+    raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in clients], vocab, "train")
     counts = np.diff(offsets).tolist()
-    row_of = {c: i for i, c in enumerate(order)}
+    if 0 in counts:
+        raise EmptyClientError(f"client {clients[counts.index(0)]!r} has no training rows")
+    rows = [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     broadcast = global_init
     for round_index in range(1, policy.rounds + 1):
-        seeds = [round_seed(config.seed, c, round_index) for c in order]
-        params, failed = train_cohort(broadcast, raw, labels, codes, enc, offsets, config, seeds)
+        seeds = [round_seed(config.seed, c, round_index) for c in clients]
+        params, failed = train_cohort(broadcast, raw, labels, codes, enc, rows, config, seeds)
         if failed:
-            c = min(order[i] for i in failed)
-            raise DivergenceError(f"client {c!r} in round {round_index}: {failed[row_of[c]]}")
+            i = min(failed)
+            raise DivergenceError(f"client {clients[i]!r} in round {round_index}: {failed[i]}")
         # Views of the clients' rows: every kernel call allocates its
         # buffer afresh and nothing writes it once the call returns.
-        updates = [ClientUpdate(c, ModelParams(params[row_of[c]], broadcast.dims), float(counts[row_of[c]]))
-                   for c in clients]
+        updates = [ClientUpdate(c, ModelParams(vector, broadcast.dims), float(count))
+                   for c, vector, count in zip(clients, params, counts)]
         if round_index == 1:
             first_round = updates
         models = aggregate_tree(topology, updates, policy.mode)

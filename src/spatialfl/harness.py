@@ -10,14 +10,15 @@ adding a client or a baseline never perturbs the others.
 
 from __future__ import annotations
 
+import csv
 import json
-import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+from urllib.parse import quote
 
 import numpy as np
 
@@ -609,10 +610,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # -- report emission --------------------------------------------------------------
 
-def _safe_filename(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
-
-
 def emit_report(
     report: MetricsReport,
     out_dir: str | Path,
@@ -629,39 +626,37 @@ def emit_report(
                             encoding="utf-8")
             written.append(path)
         elif fmt == "csv":
-            path = out_dir / "tier_accuracy.csv"
-            lines = ["node_id,tier,method,accuracy"]
-            lines += [f"{r['node_id']},{r['tier']},{r['method']},{r['accuracy']!r}"
-                      for r in report.tier_accuracy]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
-
-            path = out_dir / "global_comparison.csv"
-            lines = ["method,accuracy"]
-            lines += [f"{method},{acc!r}" for method, acc in report.global_accuracy.items()]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
-
-            path = out_dir / "client_predictions.csv"
-            lines = ["client_id,row_index,predicted,actual"]
-            for cid in sorted(report.client_predictions):
-                vectors = report.client_predictions[cid]
-                lines += [f"{cid},{i},{p},{a}"
-                          for i, (p, a) in enumerate(zip(vectors["predicted"], vectors["actual"]))]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
+            predictions = report.client_predictions
+            tables = {
+                "tier_accuracy.csv": (["node_id", "tier", "method", "accuracy"],
+                                      [[r["node_id"], r["tier"], r["method"], r["accuracy"]]
+                                       for r in report.tier_accuracy]),
+                "global_comparison.csv": (["method", "accuracy"], report.global_accuracy.items()),
+                "client_predictions.csv": (["client_id", "row_index", "predicted", "actual"], [
+                    [cid, i, p, a] for cid in sorted(predictions)
+                    for i, (p, a) in enumerate(zip(predictions[cid]["predicted"], predictions[cid]["actual"]))]),
+            }
+            for name, (header, rows) in tables.items():
+                path = out_dir / name
+                with path.open("w", encoding="utf-8", newline="") as handle:
+                    writer = csv.writer(handle, lineterminator="\n")
+                    writer.writerow(header)
+                    writer.writerows(rows)
+                written.append(path)
         else:
             raise ValueError(f"unknown report format {fmt!r}")
     return written
 
 
 def write_models(node_models: Mapping[str, ModelParams], out_dir: str | Path) -> list[Path]:
-    """Serialize every node's final model under ``out_dir/models/``."""
+    """Serialize every node's final model under ``out_dir/models/``, one
+    file per node named by its percent-encoded id, so that distinct ids
+    never share a file."""
     models_dir = Path(out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for node_id in sorted(node_models):
-        path = models_dir / f"{_safe_filename(node_id)}.bin"
+        path = models_dir / f"{quote(node_id, safe='')}.bin"
         path.write_bytes(serialize_model(node_models[node_id]))
         written.append(path)
     return written

@@ -9,13 +9,15 @@ order, so a model moves between them without conversion.
 
 All training runs through one kernel, :func:`train_cohort`. One call
 trains any number of clients that share ``init`` and config, each with
-its own rows (any count) and minibatch seed, into one freshly allocated
-``(K, P)`` parameter buffer whose rows the layers view and which Adam
-updates in place. Rows arrive raw, each with a code into a table of
-encodings, and the kernel assembles a minibatch's inputs only when it
-trains on them. The call cuts its clients into consecutive cohorts whose
-working set fits :data:`COHORT_BYTES` and trains them one after another
-in one set of scratch buffers. Within a cohort training is
+its own set of row numbers (any count, in any order, overlapping or not)
+and minibatch seed, and returns their parameters as the rows of one
+freshly allocated ``(K, P)`` buffer, in the order the clients were
+given. Rows arrive raw, each with a code into a table of encodings, and
+the kernel assembles a minibatch's inputs only when it trains on them.
+The call orders its clients by row count, most first, cuts them into
+consecutive cohorts whose working set fits :data:`COHORT_BYTES` and
+trains them one after another in one set of scratch buffers, where Adam
+updates each cohort's parameters in place. Within a cohort training is
 step-aligned: iteration ``g`` takes every client's own ``g``-th step,
 grouping neighbouring clients whose batches have the same size. Its
 contract is bit-exactness: every client's parameters equal, bit for bit,
@@ -196,7 +198,8 @@ class _Scratch(NamedTuple):
     (the most clients, the most rows, the widest batch). Every cohort
     works in their start."""
 
-    grad: np.ndarray      # (clients, P), like the Adam moments and scratch rows
+    params: np.ndarray    # (clients, P), like the gradient, Adam moments and scratch rows
+    grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
     m_hat: np.ndarray
@@ -206,15 +209,14 @@ class _Scratch(NamedTuple):
     pre: np.ndarray
     hidden: np.ndarray
     probs: np.ndarray
-    order: np.ndarray     # each client's epoch order, as row numbers within the cohort
+    order: np.ndarray     # each client's epoch order, as row numbers of the call
 
 
 def _scratch(clients: int, rows: int, width: int, dims: Dims) -> _Scratch:
     i_dim, h_dim, c_dim = dims
     shape = (clients, flat_length(dims))
     return _Scratch(
-        np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape),
-        np.empty(shape, dtype=bool),
+        *(np.empty(shape) for _ in range(6)), np.empty(shape, dtype=bool),
         np.empty(clients * width * i_dim), np.empty(clients * width * h_dim),
         np.empty(clients * width * h_dim), np.empty(clients * width * c_dim),
         np.empty(rows, dtype=np.int64))
@@ -263,61 +265,68 @@ def train_cohort(
     labels: np.ndarray,
     codes: np.ndarray,
     enc: np.ndarray,
-    offsets: Sequence[int],
+    rows: Sequence[np.ndarray],
     config: TrainingConfig,
     seeds: Sequence[int],
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Train K clients from ``init``: the training kernel.
 
-    Client ``k`` owns rows ``offsets[k]:offsets[k + 1]`` of the raw
-    feature matrix ``raw`` ``(N, F)`` and of ``labels`` ``(N,)``, and its
-    row counts must not increase along the clients. Row ``i``'s model
-    input is ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding
-    table (``E`` is 0 with encoding off) followed by the raw features.
-    Every client shares ``config`` and draws its minibatch order at the
-    start of each of its epochs from a generator seeded with ``seeds[k]``.
+    Client ``k`` trains on the rows numbered ``rows[k]`` (a 1-D integer
+    array, at least one row) of the raw feature matrix ``raw`` ``(N, F)``
+    and of ``labels`` ``(N,)``. Clients may come in any order, and their
+    row sets may overlap or leave gaps. Row ``i``'s model input is
+    ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding table
+    (``E`` is 0 with encoding off) followed by the raw features. Every
+    client shares ``config`` and draws its minibatch order at the start of
+    each of its epochs from a generator seeded with ``seeds[k]``, as a
+    permutation of ``rows[k]``.
 
-    The clients train in consecutive cohorts (:func:`cohort_slices`) whose
-    working set fits :data:`COHORT_BYTES`, one after another in one set
-    of scratch buffers allocated per call. Within a cohort, training is
-    step-aligned: iteration ``g`` takes every client's own ``g``-th step,
-    so every client still training has taken the same number of Adam
-    steps, and those clients, a prefix of the cohort, take one in-place
-    Adam update over their rows. Forward and backward run once per run of
-    neighbouring clients whose step has the same batch size (a full
-    ``batch_size``, or an epoch's ragged last batch), as 3-D matmuls that
-    make the same BLAS call per client as training it alone.
+    The kernel orders the clients by row count, most first (ties keep the
+    order given), and trains them in consecutive cohorts
+    (:func:`cohort_slices`) whose working set fits :data:`COHORT_BYTES`,
+    one after another in one set of scratch buffers allocated per call.
+    Within a cohort, training is step-aligned: iteration ``g`` takes
+    every client's own ``g``-th step, so every client still training has
+    taken the same number of Adam steps, and those clients, a prefix of
+    the cohort, take one in-place Adam update over their rows. Forward
+    and backward run once per run of neighbouring clients whose step has
+    the same batch size (a full ``batch_size``, or an epoch's ragged last
+    batch), as 3-D matmuls that make the same BLAS call per client as
+    training it alone.
 
     Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
     buffer, in the model-file order, bit-identical to the reference
     chain's (forward, loss gradient, backward, Adam step) on its
     assembled rows alone. Every call allocates the buffer afresh. The
-    returned dict maps the index of each client whose parameters went
-    non-finite to the message of its first such step; that client's row
-    is garbage.
+    returned dict maps the index ``k`` of each client whose parameters
+    went non-finite to the message of its first such step; that client's
+    row is garbage.
     """
     raw = np.asarray(raw, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.intp)
     enc = np.asarray(enc, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    counts = np.diff(offsets)
-    k = counts.size
+    rows = [np.asarray(r, dtype=np.intp) for r in rows]
+    k = len(rows)
     if (raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != init.input_dim
             or labels.shape != raw.shape[:1] or codes.shape != raw.shape[:1]
-            or k == 0 or len(seeds) != k or offsets[0] < 0 or offsets[-1] > len(raw)):
+            or k == 0 or len(seeds) != k or any(r.ndim != 1 for r in rows)):
         raise ShapeError(f"cohort raw rows {raw.shape}, labels {labels.shape}, codes "
-                         f"{codes.shape}, encodings {enc.shape}, {len(offsets)} offsets and "
+                         f"{codes.shape}, encodings {enc.shape}, {k} row sets and "
                          f"{len(seeds)} seeds disagree for input_dim {init.input_dim}")
-    if counts.min() < 1 or (np.diff(counts) > 0).any():
-        raise ShapeError(f"cohort row counts {counts.tolist()} must be positive and not increase")
-    # From here on, rows are numbered within the call.
-    rows = slice(int(offsets[0]), int(offsets[-1]))
-    raw, labels, codes, offsets = raw[rows], labels[rows], codes[rows], offsets - offsets[0]
-    if labels.min() < 0 or labels.max() >= init.n_classes:
+    counts = np.array([r.size for r in rows])
+    if counts.min() < 1:
+        raise ShapeError(f"client {int(np.argmin(counts))} has no rows")
+    # Only the rows some client trains on are checked.
+    used = np.zeros(len(raw), dtype=bool)
+    for r in rows:
+        if r.min() < 0 or r.max() >= len(raw):
+            raise ShapeError(f"row numbers must lie in [0, {len(raw)})")
+        used[r] = True
+    if labels.min(where=used, initial=0) < 0 or labels.max(where=used, initial=0) >= init.n_classes:
         raise InvalidLabelError(f"labels must lie in [0, {init.n_classes})")
-    last_code = int(codes.max())
-    if codes.min() < 0 or last_code >= len(enc):
+    last_code = int(codes.max(where=used, initial=0))
+    if codes.min(where=used, initial=0) < 0 or last_code >= len(enc):
         raise ShapeError(f"row codes must lie in [0, {len(enc)})")
     # The encodings up to the last one the rows use, as full input rows
     # whose raw columns each batch overwrites: one take then assembles a
@@ -325,19 +334,23 @@ def train_cohort(
     table = np.zeros((last_code + 1, init.input_dim))
     table[:, :enc.shape[1]] = enc[:last_code + 1]
 
-    params = np.tile(init.vector, (k, 1))
+    # The schedule needs row counts that do not increase along a cohort.
+    order = np.argsort(-counts, kind="stable")
     parts = cohort_slices(k, init.dims, config.batch_size)
-    size = parts[0].stop
-    scratch = _scratch(size, int(offsets[size]), min(config.batch_size, int(counts[0])), init.dims)
+    first = order[parts[0]]
+    scratch = _scratch(first.size, int(counts[first].sum()),
+                       min(config.batch_size, int(counts[first[0]])), init.dims)
+    params = np.empty((k, init.n_params))
     diverged: dict[int, str] = {}
     # Overflow is reported once, as the client's divergence message, not
     # as numpy warnings along the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for part in parts:
-            lo, hi = int(offsets[part.start]), int(offsets[part.stop])
-            failed = _train_part(init, raw[lo:hi], labels[lo:hi], codes[lo:hi], table,
-                                 counts[part], config, seeds[part], params[part], scratch)
-            diverged.update((part.start + i, message) for i, message in failed.items())
+            members = order[part]
+            failed = _train_part(init, raw, labels, codes, table, [rows[i] for i in members],
+                                 config, [seeds[i] for i in members], scratch)
+            params[members] = scratch.params[:members.size]
+            diverged.update((int(members[i]), message) for i, message in failed.items())
     return params, diverged
 
 
@@ -347,28 +360,29 @@ def _train_part(
     labels: np.ndarray,
     codes: np.ndarray,
     table: np.ndarray,
-    counts: np.ndarray,
+    rows: Sequence[np.ndarray],
     config: TrainingConfig,
     seeds: Sequence[int],
-    params: np.ndarray,
     scratch: _Scratch,
 ) -> dict[int, str]:
-    """Train one cohort of :func:`train_cohort` in the start of the
-    call's scratch buffers, resetting the Adam moments first.
+    """Train one cohort of :func:`train_cohort` from ``init`` in the start
+    of the call's scratch buffers, leaving client ``i``'s parameters in
+    ``scratch.params[i]``.
 
-    The cohort's ``len(counts)`` clients own consecutive runs of its rows;
-    row ``i``'s input is ``table[codes[i]]`` with its raw columns replaced
-    by ``raw[i]``. ``params`` are the cohort's rows of the result and hold
-    ``init`` on entry. Returns the divergence messages by client number
-    within the cohort.
+    The cohort's clients train on the rows ``rows[i]`` of the call, whose
+    counts do not increase; row ``j``'s input is ``table[codes[j]]`` with
+    its raw columns replaced by ``raw[j]``. Returns the divergence
+    messages by client number within the cohort.
     """
-    k = counts.size
+    k = len(rows)
+    counts = np.array([r.size for r in rows])
     i_dim, h_dim, c_dim = init.dims
     e_dim = i_dim - raw.shape[1]
     schedule = _schedule(counts, config.batch_size, config.epochs)
     bounds = [0, *np.cumsum(counts).tolist()]
-    # The six (clients, P) buffers, cut to the cohort's clients.
-    grad, m, v, m_hat, v_hat, finite = (buf[:k] for buf in scratch[:6])
+    # The seven (clients, P) buffers, cut to the cohort's clients.
+    params, grad, m, v, m_hat, v_hat, finite = (buf[:k] for buf in scratch[:7])
+    params[:] = init.vector
     m.fill(0.0)
     v.fill(0.0)
     order = scratch.order
@@ -383,8 +397,7 @@ def _train_part(
     diverged: dict[int, str] = {}
     for t, (new, group) in enumerate(schedule, start=1):
         for c in new:
-            start, stop = bounds[c], bounds[c + 1]
-            np.add(rngs[c].permutation(stop - start), start, out=order[start:stop])
+            np.take(rows[c], rngs[c].permutation(rows[c].size), out=order[bounds[c]:bounds[c + 1]])
         for lo, hi, n, starts in group:
             g = hi - lo
             idx = order[starts[:, None] + positions[:n]]

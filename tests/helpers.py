@@ -20,6 +20,12 @@ def no_encoding(batch):
     return batch, np.zeros(len(batch), dtype=np.intp), np.empty((1, 0))
 
 
+def spans(offsets):
+    """Contiguous client row sets: client ``k`` owns rows
+    ``offsets[k]:offsets[k + 1]``."""
+    return [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+
+
 def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -> TrainingConfig:
     """``config`` seeded as the tiered loop seeds a client in a given round,
     with ``config.seed`` as the master seed."""
@@ -30,7 +36,7 @@ def train_alone(dataset, init, config, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
     a cohort of one of the training kernel, seeded with ``config.seed``."""
     raw, labels, codes, enc, offsets = stack_rows([dataset], vocab, "train")
-    params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, [config.seed])
+    params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, [config.seed])
     assert diverged == {}
     return ModelParams(params[0], init.dims)
 

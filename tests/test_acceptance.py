@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import no_encoding, random_tree, random_update
+from helpers import no_encoding, random_tree, random_update, spans
 from reference import (
     adam_step,
     backward,
@@ -91,7 +91,7 @@ def test_gradient_oracle_finite_differences():
         # its seeded generator draws, takes the Adam step of this gradient.
         config = TrainingConfig(epochs=1, batch_size=n)
         raw, codes, enc = no_encoding(batch)
-        params, _ = train_cohort(model, raw, labels, codes, enc, [0, n], config, [instance])
+        params, _ = train_cohort(model, raw, labels, codes, enc, spans([0, n]), config, [instance])
         order = np.random.default_rng(instance).permutation(n)
         _, grad_logits = loss_and_grad(forward(model, batch[order]), labels[order])
         stepped, _ = adam_step(model, backward(model, batch[order], grad_logits),
@@ -152,7 +152,7 @@ def test_adam_oracle_reference_trajectory():
             x[i] -= lr * (m[i] / (1 - b1 ** t)) / (math.sqrt(v[i] / (1 - b2 ** t)) + eps)
         kernel_config = TrainingConfig(learning_rate=lr, epochs=t, batch_size=6, adam_beta1=b1,
                                        adam_beta2=b2, adam_epsilon=eps)
-        trained, _ = train_cohort(init, raw, labels, codes, enc, [0, 6], kernel_config, [11])
+        trained, _ = train_cohort(init, raw, labels, codes, enc, spans([0, 6]), kernel_config, [11])
         kernel_worst = max(kernel_worst, float(np.max(np.abs(trained[0] - x))))
     check("adam oracle: training kernel", kernel_worst <= 1e-12,
           f"max trajectory gap {kernel_worst:.2e}")

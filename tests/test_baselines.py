@@ -1,12 +1,9 @@
 """Tests for the centralized, ensemble, and flat-averaging baselines."""
 
-import mmap
-import weakref
-
 import numpy as np
 import pytest
 
-from helpers import alone_update, no_encoding, per_round_config, separable_client, train_alone
+from helpers import alone_update, no_encoding, per_round_config, separable_client, spans, train_alone
 from reference import params_equal
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
@@ -76,7 +73,7 @@ class TestCentralized:
         """A group's pooled training rows trained as the only client of a
         kernel call."""
         raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab, "train")
-        params, diverged = train_cohort(init, raw, labels, codes, enc, [0, labels.size], config, [config.seed])
+        params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, labels.size]), config, [config.seed])
         assert diverged == {}
         return ModelParams(params[0], init.dims)
 
@@ -159,21 +156,6 @@ class TestStackRows:
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
             assert enc.shape == (len(clients), v.encoding_length if v is not None else 0)
             assert codes.tolist() == np.repeat(np.arange(len(clients)), np.diff(offsets)).tolist()
-
-    def test_matrix_has_its_own_mapping_released_with_its_last_view(self):
-        clients = [separable_client(f"c{i}", n=6, seed=i) for i in range(3)]
-        vocab = build_vocabulary([c.spatial for c in clients])
-        raw, *_ = stack_rows(clients, vocab, "train")
-        mapping = raw
-        while not isinstance(mapping, mmap.mmap):
-            mapping = mapping.obj if isinstance(mapping, memoryview) else mapping.base
-        released = weakref.ref(mapping)
-        del mapping
-        view = raw[1:]
-        del raw
-        assert released() is not None
-        del view
-        assert released() is None
 
     def test_no_rows_gives_an_empty_matrix(self):
         clients = [separable_client("c0", n=4, seed=0)]

@@ -1,6 +1,7 @@
 """Tests for the command-line surface and its exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -85,6 +86,35 @@ class TestRun:
         report_b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report_a != report_b
         assert report_a["seeds"]["master"] == 1
+
+    def test_labels_with_commas_quotes_and_spaces(self, tmp_path, capsys):
+        # The report CSVs quote what must be quoted, and every node gets a
+        # model file of its own, though "st 1" and "st_1" differ only in a
+        # character that is not safe in a file name.
+        labels = ["Paris, FR", 'say "hi"', "st 1", "st_1"]
+        with (tmp_path / "geo.csv").open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(GEO_HEADER.split(","))
+            for i in range(32):
+                k = i % 4
+                writer.writerow([labels[k], f"c{k % 2}", 44.0 + k, -66.0 - k,
+                                 f"2020-01-{1 + i // 4:02d}", i * 1.5, i % 5 / 4])
+        config = write_json(tmp_path / "config.json", {
+            "data": {"kind": "csv", "path": "geo.csv"}, "training": {"epochs": 1}, "min_rows": 3,
+            "baselines": [], "output_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        ids = {}
+        for name in ("tier_accuracy.csv", "client_predictions.csv"):
+            with (out / name).open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert {len(row) for row in rows} == {4}, name
+            ids[name] = {row[0] for row in rows[1:]}
+        assert ids["client_predictions.csv"] == set(labels)
+        assert ids["tier_accuracy.csv"] == {*labels, "c0", "c1", "global"}
+        models = list((out / "models").glob("*.bin"))
+        assert len(models) == 7
+        assert f"wrote {4 + len(models)} files" in capsys.readouterr().out
 
     def test_thin_client_data_exits_three(self, tmp_path):
         csv_path = tmp_path / "tiny.csv"

@@ -383,9 +383,9 @@ class TestRunTierRound:
         calls = []
         original = nn._train_part
 
-        def spy(init, raw, labels, codes, table, counts, config, seeds, params, scratch):
-            calls.append(([owner[s] for s in seeds], counts.tolist()))
-            return original(init, raw, labels, codes, table, counts, config, seeds, params, scratch)
+        def spy(init, raw, labels, codes, table, rows, config, seeds, scratch):
+            calls.append(([owner[s] for s in seeds], [r.size for r in rows]))
+            return original(init, raw, labels, codes, table, rows, config, seeds, scratch)
 
         monkeypatch.setattr(nn, "_train_part", spy)
         run_tier_round(topo, ds, init, AggregationPolicy(), config, None)

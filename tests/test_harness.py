@@ -382,9 +382,9 @@ class TestRunExperiment:
         ``spatialfl`` module alias."""
         original = nn.train_cohort
 
-        def spy(init, raw, labels, codes, enc, offsets, config, seeds):
+        def spy(init, raw, labels, codes, enc, rows, config, seeds):
             calls.append(list(seeds))
-            return original(init, raw, labels, codes, enc, offsets, config, seeds)
+            return original(init, raw, labels, codes, enc, rows, config, seeds)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("spatialfl") and getattr(module, "train_cohort", None) is original:
@@ -414,9 +414,9 @@ class TestRunExperiment:
         calls = []
         original = nn._train_part
 
-        def spy(init, raw, labels, codes, table, counts, config, seeds, params, scratch):
+        def spy(init, raw, labels, codes, table, rows, config, seeds, scratch):
             calls.append(list(seeds))
-            return original(init, raw, labels, codes, table, counts, config, seeds, params, scratch)
+            return original(init, raw, labels, codes, table, rows, config, seeds, scratch)
 
         monkeypatch.setattr(nn, "_train_part", spy)
         cohort = run_experiment(config).node_models
@@ -533,6 +533,15 @@ class TestEmitReport:
         for node_id in result.node_models:
             blob = (tmp_path / "models" / f"{node_id}.bin").read_bytes()
             assert params_equal(deserialize_model(blob), result.node_models[node_id])
+
+    def test_ids_differing_in_unsafe_characters_get_files_of_their_own(self, tmp_path):
+        ids = ["st 1", "st_1", "st%201", "a/b"]
+        models = {node_id: init_params((2, 3, 2), seed) for seed, node_id in enumerate(ids)}
+        paths = write_models(models, tmp_path)
+        assert sorted((tmp_path / "models").iterdir()) == sorted(paths)
+        assert len(set(paths)) == len(ids)
+        for node_id, path in zip(sorted(ids), paths):
+            assert params_equal(deserialize_model(path.read_bytes()), models[node_id])
 
     def test_unknown_format_rejected(self, tmp_path):
         report = run_experiment(synthetic_config()).report

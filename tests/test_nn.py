@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import no_encoding
+from helpers import no_encoding, spans
 from reference import (
     adam_step,
     backward,
@@ -430,7 +430,7 @@ def train_one(init, features, labels, config):
     """``init`` trained on raw rows as a cohort of one, seeded with
     ``config.seed``; None if training diverged."""
     raw, codes, enc = no_encoding(features)
-    params, diverged = train_cohort(init, raw, labels, codes, enc, [0, len(raw)], config, [config.seed])
+    params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, len(raw)]), config, [config.seed])
     return None if diverged else ModelParams(params[0], init.dims)
 
 
@@ -519,6 +519,43 @@ def assembled(raw, codes, enc, lo, hi):
     return np.hstack([enc[codes[lo:hi]], raw[lo:hi]])
 
 
+class RowSets(NamedTuple):
+    """Shape of a random call whose clients come in no order of size:
+    ``rows`` rows coded into a table of ``tables`` encodings ``e_dim``
+    wide; client ``k`` trains on ``counts[k]`` of them drawn at random, so
+    row sets overlap and leave gaps, and the clients in ``poisoned`` also
+    train on one more row, of NaNs."""
+
+    seed: int
+    dims: tuple
+    e_dim: int
+    tables: int
+    rows: int
+    counts: list
+    poisoned: tuple
+    batch_size: int
+    epochs: int
+
+
+@st.composite
+def row_set_calls(draw):
+    rows = draw(st.integers(1, 70))
+    input_dim = draw(st.integers(1, 48))
+    counts = draw(st.lists(st.integers(1, rows), min_size=1, max_size=6))
+    return RowSets(
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        dims=(input_dim, draw(st.integers(1, 24)), draw(st.integers(1, 4))),
+        # At least one raw column, which the poisoned row fills with NaN.
+        e_dim=draw(st.one_of(st.just(0), st.integers(0, input_dim - 1))),
+        tables=draw(st.integers(1, 4)),
+        rows=rows,
+        counts=counts,
+        poisoned=tuple(sorted(draw(st.sets(st.integers(0, len(counts) - 1))))),
+        batch_size=draw(st.integers(1, 16)),
+        epochs=draw(st.integers(1, 3)),
+    )
+
+
 class TestTrainCohort:
     @given(case=ragged_cohorts())
     # batch_size above every count: one ragged step per epoch.
@@ -536,13 +573,42 @@ class TestTrainCohort:
         raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
         init = init_params(case.dims, case.seed)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, seeds)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
         assert diverged == {}
         assert params.shape == (len(case.counts), init.n_params)
         for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
                                        config, seeds[i])
             assert params[i].tobytes() == expected.vector.tobytes()
+
+    @given(case=row_set_calls())
+    # Counts rising, tied and falling; the second client diverges.
+    @example(case=RowSets(5, (4, 6, 3), 2, 3, 20, [3, 9, 9, 14, 1], (1,), 4, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_row_sets_in_any_order_match_reference_chain(self, case):
+        # The kernel orders the clients itself; every result row and
+        # divergence key belongs to the client at that index of the call.
+        rng = np.random.default_rng(case.seed)
+        n = case.rows
+        raw = rng.normal(size=(n + 1, case.dims[0] - case.e_dim))
+        raw[n] = np.nan
+        labels = rng.integers(0, case.dims[2], size=n + 1)
+        codes = rng.integers(0, case.tables, size=n + 1)
+        enc = rng.normal(size=(case.tables, case.e_dim))
+        rows = [rng.choice(n, size=count, replace=False) for count in case.counts]
+        for k in case.poisoned:
+            rows[k] = np.insert(rows[k], rng.integers(0, rows[k].size + 1), n)
+        seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(rows))]
+        init = init_params(case.dims, case.seed)
+        config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, rows, config, seeds)
+        assert params.shape == (len(rows), init.n_params)
+        assert sorted(diverged) == list(case.poisoned)
+        for k, r in enumerate(rows):
+            if k not in diverged:
+                expected = reference_train(init, np.hstack([enc[codes[r]], raw[r]]), labels[r],
+                                           config, seeds[k])
+                assert params[k].tobytes() == expected.vector.tobytes()
 
     def test_members_train_independently(self):
         # A member diverging leaves the others' rows equal to training alone.
@@ -552,14 +618,14 @@ class TestTrainCohort:
         raw[offsets[1]:offsets[2]] *= 1e300
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, seeds)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
         assert diverged == {1: "training diverged (layer1_weights contains non-finite entries)"}
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="^layer1_weights contains non-finite entries$"):
             reference_train(init, assembled(raw, codes, enc, offsets[1], offsets[2]),
                             labels[offsets[1]:offsets[2]], config, seeds[1])
         for i in (0, 2):
-            alone, _ = train_cohort(init, raw, labels, codes, enc, offsets[i:i + 2], config, [seeds[i]])
+            alone, _ = train_cohort(init, raw, labels, codes, enc, spans(offsets[i:i + 2]), config, [seeds[i]])
             assert params[i].tobytes() == alone[0].tobytes()
 
     def test_cohort_budget_changes_no_bit(self, monkeypatch):
@@ -577,7 +643,7 @@ class TestTrainCohort:
         for size, cut in [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (5, [5])]:
             monkeypatch.setattr(nn, "COHORT_BYTES", size * per_client)
             assert [p.stop - p.start for p in cohort_slices(5, init.dims, config.batch_size)] == cut
-            results.append(train_cohort(init, raw, labels, codes, enc, offsets, config, seeds))
+            results.append(train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds))
         (params, diverged), *others = results
         assert list(diverged) == [1]
         for other, failed in others:
@@ -597,7 +663,7 @@ class TestTrainCohort:
         assert len(cohort_slices(12, init.dims, config.batch_size)) == 4
         tracemalloc.start()
         try:
-            params, diverged = train_cohort(init, raw, labels, codes, enc, offsets, config, seeds)
+            params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -612,23 +678,24 @@ class TestTrainCohort:
         labels[10] = 2
         args = (np.zeros((12, 2)), labels, np.zeros(12), np.empty((1, 0)))
         with pytest.raises(InvalidLabelError):
-            train_cohort(init, *args, [0, 6, 12], TrainingConfig(epochs=1), [0, 1])
+            train_cohort(init, *args, spans([0, 6, 12]), TrainingConfig(epochs=1), [0, 1])
         # Rows outside the cohort are not its labels.
-        train_cohort(init, *args, [0, 6], TrainingConfig(epochs=1), [0])
+        train_cohort(init, *args, spans([0, 6]), TrainingConfig(epochs=1), [0])
 
     def test_shape_mismatch_rejected(self):
         init = init_params((4, 3, 2), seed=0)
         raw, labels, codes, enc = np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1))
         config = TrainingConfig(epochs=1)
-        train_cohort(init, raw, labels, codes, enc, [0, 6, 12], config, [0, 1])
+        train_cohort(init, raw, labels, codes, enc, spans([0, 6, 12]), config, [0, 1])
         bad = [
-            (np.zeros((12, 2)), labels, codes, enc, [0, 6, 12], [0, 1]),  # width != input_dim
-            (raw, labels, codes, enc, [0, 6, 12], [0]),                  # one seed for two
-            (raw, labels[:11], codes, enc, [0, 6, 12], [0, 1]),          # labels per row
-            (raw, labels, codes, enc, [0, 6, 13], [0, 1]),               # past the last row
-            (raw, labels, codes, enc, [0, 5, 12], [0, 1]),               # counts increase
-            (raw, labels, codes, enc, [0, 6, 6], [0, 1]),                # a client without rows
-            (raw, labels, codes + 2, enc, [0, 6, 12], [0, 1]),           # code past the table
+            (np.zeros((12, 2)), labels, codes, enc, spans([0, 6, 12]), [0, 1]),  # width != input_dim
+            (raw, labels, codes, enc, spans([0, 6, 12]), [0]),                  # one seed for two
+            (raw, labels[:11], codes, enc, spans([0, 6, 12]), [0, 1]),          # labels per row
+            (raw, labels, codes, enc, spans([0, 6, 13]), [0, 1]),               # past the last row
+            (raw, labels, codes, enc, [np.arange(6), [6, -1]], [0, 1]),         # a negative row
+            (raw, labels, codes, enc, [np.arange(6), [12]], [0, 1]),            # row N
+            (raw, labels, codes, enc, spans([0, 6, 6]), [0, 1]),                # a client without rows
+            (raw, labels, codes + 2, enc, spans([0, 6, 12]), [0, 1]),           # code past the table
         ]
         for case in bad:
             with pytest.raises(ShapeError):
