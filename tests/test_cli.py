@@ -141,6 +141,24 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and named in err[0]
 
+    @pytest.mark.parametrize("paths, named", [
+        ([("s1", "c1", "p1"), ("c1", "c1", "p1")], "label 'c1' is used at levels [0, 1]"),
+        ([("s1", "c1", "p1"), ("s2", "c1", "p2")],
+         "label 'c1' at level 1 has conflicting parents: ['p1', 'p2']"),
+    ], ids=["label-at-two-levels", "two-parents"])
+    def test_hierarchy_label_collision_exits_three_naming_it(self, tmp_path, capsys, paths, named):
+        rows = [f"{','.join(path)},45.0,-66.0,2020-01-{day:02d},{day}.5,0.{day}"
+                for path in paths for day in range(1, 9)]
+        csv_path = tmp_path / "geo.csv"
+        csv_path.write_text("\n".join(["client_label,level_1,level_2,latitude,longitude,ref_date,target,feature_1",
+                                       *rows]) + "\n")
+        config = write_json(tmp_path / "config.json", {
+            "data": {"kind": "csv", "path": str(csv_path)}, "training": {"epochs": 1}, "baselines": [],
+            "output_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0], err
+
     def test_divergent_training_exits_four_naming_client_and_round(self, tmp_path):
         path = synthetic_config_file(tmp_path, training={"learning_rate": 1e300, "epochs": 2})
         result = run_module("run", "--config", str(path))

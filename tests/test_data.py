@@ -2,7 +2,9 @@
 the synthetic benchmark generator."""
 
 import csv
+import io
 import math
+import random
 from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -38,6 +40,8 @@ from spatialfl.errors import (
     UnitUnusableError,
 )
 from spatialfl.spatial import SpatialAttribute
+
+from reference_csv import reference_ingest
 
 Row = namedtuple("Row", "path lat lon ref_date features target")
 
@@ -182,6 +186,94 @@ class TestIngestCsv:
                            ref_date="when", target="emission", features=("x1",), hierarchy=())
         rows = ingest_csv(path, schema)
         assert rows.target[0] == 3.5
+
+
+# Cells that strip to nothing, and padding that str.strip() removes
+# although float() alone would reject it (the information separators).
+BLANKS = ["", " ", "\t", "\x1c", " "]
+PADS = ["", " ", "\t", "\x1f"]
+FAULTS = {
+    "label": ["", " ", "global", " global "],
+    "latitude": ["", " ", "north", "inf", "nan", "1e999", "90.5", "-91"],
+    "longitude": ["", "\x1c", "west", "-inf", "NaN", "180.25", "-181"],
+    "ref_date": ["", "2020-13-01", "2021-02-30", "soon"],
+    "number": ["x", "1.0.0", "inf", "nan", "-Infinity", "1e999"],
+}
+
+
+def geo_csv_bytes(rng, n_rows, depth, faults):
+    """A CSV of ``n_rows`` data rows (blank lines, quoted commas and
+    newlines, padded and whitespace-only cells among them) with ``faults``
+    injected, as ``(row, kind)`` pairs, into the row cell lists.
+    ``rng`` is a ``random.Random``."""
+    header = ["client_label", *(f"level_{k}" for k in range(1, depth + 1)), "latitude", "longitude",
+              "ref_date", "note", "target", "feature_1", "feature_2"]
+    lat_i = depth + 1
+    rows = []
+    for _ in range(n_rows):
+        leaf = rng.randrange(12)
+        path = [f"s{leaf}" if leaf % 5 else f"s{leaf}, north", f"c{leaf % 4}", f"p{leaf % 2}"][:depth + 1]
+        numbers = [rng.choice(BLANKS) if rng.random() < 0.05 else
+                   rng.choice(PADS) + repr(rng.gauss(0.0, 10.0)) + rng.choice(PADS) for _ in range(3)]
+        day = date(2021, 3, 1) + timedelta(days=rng.randrange(40))
+        note = rng.choice(["", "plain", "a, b", "two\nlines", '"quoted"'])
+        rows.append([*path, repr(rng.uniform(-90, 90)), f" {rng.uniform(-180, 180)!r}",
+                     rng.choice(PADS) + day.isoformat(), note, *numbers])
+    for i, kind in faults:
+        row = rows[i]
+        if kind == "short":
+            del row[rng.randrange(len(row) - 1):]
+        elif kind == "not-utf8":
+            j = rng.randrange(len(row))
+            row[j] = row[j][:1] + "\udcff" + row[j][1:]
+        elif kind == "long-field":
+            row[rng.choice([0, lat_i + 3])] = "x" * 140_000
+        elif kind == "label":
+            row[rng.randrange(lat_i)] = rng.choice(FAULTS["label"])
+        elif kind in ("latitude", "longitude", "ref_date"):
+            row[lat_i + ("latitude", "longitude", "ref_date").index(kind)] = rng.choice(FAULTS[kind])
+        else:
+            row[rng.randrange(lat_i + 4, len(row))] = rng.choice(FAULTS["number"])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=rng.choice(["\n", "\r\n"]))
+    writer.writerow(header)
+    for row in rows:
+        if rng.random() < 0.03:
+            writer.writerow([])
+        writer.writerow(row)
+    return text.getvalue().encode("utf-8", errors="surrogateescape")
+
+
+def table_bytes(rows):
+    return (rows.paths, *((a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (
+        rows.path_index, rows.latitude, rows.longitude, rows.ordinals, rows.features, rows.target)))
+
+
+class TestIngestMatchesPerRowReader:
+    # Files of two to four blocks, with at most two bad rows; the second is
+    # often a few rows after the first, in the same block.
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(300, 800), depth=st.integers(0, 2),
+           faults=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                     st.sampled_from(["short", "not-utf8", "long-field", "label", "latitude",
+                                                      "longitude", "ref_date", "number"])),
+                           max_size=2),
+           gap=st.one_of(st.none(), st.integers(1, 8)))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_table_or_same_error_as_per_row_reader(self, tmp_path, seed, n_rows, depth, faults, gap):
+        rows = [int(at * n_rows) for at, _ in faults]
+        if gap is not None and len(rows) == 2:
+            rows[1] = min(rows[0] + gap, n_rows - 1)
+        path = tmp_path / "geo.csv"
+        path.write_bytes(geo_csv_bytes(random.Random(seed), n_rows, depth,
+                                       [(i, kind) for i, (_, kind) in zip(rows, faults)]))
+        try:
+            expected = table_bytes(reference_ingest(path))
+        except RowError as exc:
+            with pytest.raises(RowError) as info:
+                ingest_csv(path)
+            assert str(info.value) == str(exc)
+        else:
+            assert table_bytes(ingest_csv(path)) == expected
 
 
 class TestPreprocess:
