@@ -4,8 +4,10 @@ ensemble.
 
 The ensemble members and the single-level federated averages (uniform or
 sample-weighted) are not trained here: they are built from the round-1
-client updates that :func:`~spatialfl.federation.run_tier_round`
-returns, so every client is trained once per round. All baselines encode
+client updates that :func:`~spatialfl.federation.run_tier_round` passes
+to its ``first_round`` callback, so every client is trained once per
+round. The run scores them in that callback, before round 2 trains, so
+round 1's models are released before round 2's exist. All baselines encode
 inputs exactly like the tiered method (pass ``vocab=None`` for the
 encoding-off ablation), so accuracy differences isolate the aggregation
 strategy.

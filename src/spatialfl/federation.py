@@ -11,20 +11,24 @@ is broadcast back down and the cycle repeats.
 
 Aggregation accumulates over children in ascending node-id order using a
 fixed pairwise reduction, so results are bit-identical no matter how the
-inputs are presented or how client training is scheduled.
+inputs are presented or how client training is scheduled. The reduction
+streams over the children, holding O(log K) partial sums, never K
+vectors.
 
 A run stacks every client's raw training rows and spatial encoding once
 (:func:`stack_rows`), in ascending client order, and each round trains
 every client on its own span of those rows in one call of the training
 kernel, which orders them and cuts them into cohorts whose working
-memory fits :data:`~spatialfl.nn.COHORT_BYTES`.
+memory fits :data:`~spatialfl.nn.COHORT_BYTES`. The call returns every
+client's parameters as one ``(K, P)`` buffer; a round's buffer is
+released before the next round trains, so a run holds one at a time.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .nn import ModelParams, TrainingConfig, flat_length, train_cohort
+from .nn import Dims, ModelParams, TrainingConfig, flat_length, train_cohort
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_spatial
 
@@ -230,34 +234,68 @@ def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
     return ordered
 
 
-def _tree_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    # Fixed pairwise reduction: deterministic, and exact for 2^k identical
-    # inputs, which plain left-to-right accumulation is not.
-    while len(vectors) > 1:
-        paired = [vectors[i] + vectors[i + 1] for i in range(0, len(vectors) - 1, 2)]
-        if len(vectors) % 2:
-            paired.append(vectors[-1])
-        vectors = paired
-    return vectors[0]
+def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
+    """The fixed pairwise sum of vectors in the order given: deterministic,
+    and exact for 2^k identical inputs, which plain left-to-right
+    accumulation is not.
+
+    The pairing is a level-by-level fold (sum neighbouring pairs, carry
+    an odd last vector up a level) computed as a binary counter over the
+    stream: each vector is pushed and merged with the partial sums of the
+    same level, and the stack is collapsed from its top at the end. So at
+    most one partial sum per level, O(log K) vectors, is held at once. The
+    inputs are never written: a level-0 merge allocates ``left + right``,
+    and every later merge adds into the left partial sum, which it owns.
+    """
+    stack: list[tuple[int, np.ndarray]] = []
+    for vector in vectors:
+        level = 0
+        while stack and stack[-1][0] == level:
+            _, left = stack.pop()
+            if level:
+                left += vector
+                vector = left
+            else:
+                vector = left + vector
+            level += 1
+        stack.append((level, vector))
+    _, total = stack.pop()
+    while stack:
+        # Every partial sum below the top has a level above 0: it is owned.
+        _, left = stack.pop()
+        left += total
+        total = left
+    return total
 
 
-def _combine(vectors: list[np.ndarray], raws: list[float], mode: str) -> np.ndarray:
-    """The aggregate of parameter vectors given in ascending id order: their
-    mean, or with ``sample_weighted`` their convex combination by the
-    normalised raw weights. Always a new array."""
-    if mode == "uniform":
-        return _tree_sum(vectors) / len(vectors)
-    return _tree_sum([w * v for w, v in zip(normalize_weights(raws), vectors)])
+def _combine(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, dims: Dims,
+             where: str = "") -> ModelParams:
+    """The aggregate of parameter vectors given in ascending id order, as a
+    model of ``dims``: their mean, or with ``sample_weighted`` their convex
+    combination by the normalised raw weights, each weighted vector formed
+    only when the sum takes it. Always a new vector. A non-finite entry (the
+    sum overflowed) raises :class:`DivergenceError`, its message led by
+    ``where``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "uniform":
+            vector = _tree_sum(vectors) / len(vectors)
+        else:
+            vector = _tree_sum(w * v for w, v in zip(normalize_weights(raws), vectors))
+    try:
+        return ModelParams(vector, dims)
+    except ValueError as exc:  # ModelParams' only ValueError: a non-finite entry
+        raise DivergenceError(f"{where}aggregate diverged ({exc})") from None
 
 
 def _aggregate(updates: Iterable[ClientUpdate], mode: str) -> ModelParams:
     ordered = _sorted_consistent(updates)
-    vector = _combine([u.params.vector for u in ordered], [u.spatial_weight_raw for u in ordered], mode)
-    return ModelParams(vector, ordered[0].params.dims)
+    return _combine([u.params.vector for u in ordered], [u.spatial_weight_raw for u in ordered], mode,
+                    ordered[0].params.dims)
 
 
 def fedavg(updates: Iterable[ClientUpdate]) -> ModelParams:
-    """Uniform federated average: the elementwise mean of the parameters."""
+    """Uniform federated average: the elementwise mean of the parameters.
+    A non-finite mean (the sum overflowed) raises :class:`DivergenceError`."""
     return _aggregate(updates, "uniform")
 
 
@@ -275,7 +313,8 @@ def normalize_weights(raws: Iterable[float]) -> list[float]:
 
 
 def weighted_aggregate(updates: Iterable[ClientUpdate]) -> ModelParams:
-    """Convex combination of parameters weighted by normalised raw weights."""
+    """Convex combination of parameters weighted by normalised raw weights.
+    A non-finite result raises :class:`DivergenceError`."""
     return _aggregate(updates, "sample_weighted")
 
 
@@ -291,6 +330,8 @@ def aggregate_tree(
     average over all clients (up to rounding). Every interior node
     combines its children's vectors in ascending id order, exactly as
     :func:`fedavg` or :func:`weighted_aggregate` over their updates would.
+    An aggregate with a non-finite entry raises :class:`DivergenceError`
+    naming the node.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -310,8 +351,9 @@ def aggregate_tree(
     for tier in range(1, topology.max_tier + 1):
         for node in sorted(n.node_id for n in topology.nodes if n.tier == tier):
             kids = topology.children(node)
-            vectors[node] = _combine([vectors[k] for k in kids], [weights[k] for k in kids], mode)
-            models[node] = ModelParams(vectors[node], dims)
+            models[node] = _combine([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims,
+                                    f"node {node!r}: ")
+            vectors[node] = models[node].vector
             weights[node] = float(sum(weights[k] for k in kids))
     return models
 
@@ -323,24 +365,31 @@ def run_tier_round(
     policy: AggregationPolicy,
     config: TrainingConfig,
     vocab: SpatialVocabulary | None,
-) -> tuple[dict[str, ModelParams], list[ClientUpdate]]:
+    first_round: Callable[[list[ClientUpdate]], None] | None = None,
+) -> dict[str, ModelParams]:
     """Run the full tiered protocol for ``policy.rounds`` rounds.
 
     Each round every client trains from the current broadcast model
     (round 1 broadcasts ``global_init``), updates flow up the tree, and
     the root model becomes the next broadcast. Returns the final model of
-    every node (localized models at tier 0, one aggregate per interior
-    node, the global model at the root) and the round-1 client updates in
-    ascending client order. Those are the clients' models trained once
+    every node: localized models at tier 0, one aggregate per interior
+    node, the global model at the root.
+
+    ``first_round``, if given, is called once with the round-1 client
+    updates in ascending client order, after round 1's aggregation and
+    before round 2 trains. Those are the clients' models trained once
     from ``global_init``; one-round flat federated averaging and the
-    per-client ensemble are built from them.
+    per-client ensemble are built from them. Before each round after the
+    first trains, the previous round's ``(K, P)`` parameter buffer,
+    updates and node models are released (unless the callback kept
+    them), so one round's buffer is held at a time.
 
     Every client's training rows are stacked once, before the first
     round, in ascending client order; each round trains every client in
     one call of the training kernel, seeded by :func:`round_seed` with
     ``config.seed`` as the master seed. A client whose training diverges
     fails the round once every client has trained, naming the lowest such
-    client id.
+    client id; a non-finite aggregate fails it naming the node.
     """
     clients = topology.clients()
     missing = [c for c in clients if c not in datasets]
@@ -356,6 +405,9 @@ def run_tier_round(
     rows = [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     broadcast = global_init
     for round_index in range(1, policy.rounds + 1):
+        if round_index > 1:
+            # Only the broadcast, a fresh vector, outlives a round.
+            del params, updates, models
         seeds = [round_seed(config.seed, c, round_index) for c in clients]
         params, failed = train_cohort(broadcast, raw, labels, codes, enc, rows, config, seeds)
         if failed:
@@ -365,11 +417,14 @@ def run_tier_round(
         # buffer afresh and nothing writes it once the call returns.
         updates = [ClientUpdate(c, ModelParams(vector, broadcast.dims), float(count))
                    for c, vector, count in zip(clients, params, counts)]
-        if round_index == 1:
-            first_round = updates
-        models = aggregate_tree(topology, updates, policy.mode)
+        try:
+            models = aggregate_tree(topology, updates, policy.mode)
+        except DivergenceError as exc:
+            raise DivergenceError(f"round {round_index}: {exc}") from None
+        if round_index == 1 and first_round is not None:
+            first_round(updates)
         broadcast = models[topology.root_id]
-    return models, first_round
+    return models
 
 
 def serialize_model(params: ModelParams) -> bytes:

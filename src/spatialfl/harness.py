@@ -36,9 +36,10 @@ from .data import (
     preprocess,
     train_valid_split,
 )
-from .errors import ConfigError, EmptyEvaluationError, SpatialFLError
+from .errors import ConfigError, DivergenceError, EmptyEvaluationError, SpatialFLError
 from .federation import (
     AggregationPolicy,
+    ClientUpdate,
     TierNode,
     TierTopology,
     fedavg,
@@ -535,16 +536,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     training = replace(config.training, seed=config.seed)
     node_order = sorted(topology.nodes, key=lambda n: (-n.tier, n.node_id))
 
-    with _stage("federated"):
-        node_models, client_updates = run_tier_round(
-            topology, datasets, init, config.policy, training, vocab)
-
     with _stage("evaluate"):
         raw, labels, codes, enc, spans = validation_rows(topology, datasets, vocab)
 
-        def score(model: ModelParams, lo: int = 0, hi: int = labels.size) -> np.ndarray:
-            return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
+    def score(model: ModelParams, lo: int = 0, hi: int = labels.size) -> np.ndarray:
+        return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
 
+    # The baselines built from the round-1 client models are scored as soon
+    # as round 1 is aggregated, so that those models need not outlive it.
+    first_round_correct: dict[str, dict[str, int]] = {}
+
+    def score_first_round(updates: list[ClientUpdate]) -> None:
+        with _stage("baselines"):
+            for kind in config.baselines:
+                if kind is BaselineKind.ENSEMBLE:
+                    predicted = ensemble_predict_batch([u.params for u in updates], raw, codes, enc)
+                elif kind is not BaselineKind.CENTRALIZED_NN:
+                    # One round of flat federated averaging over the clients'
+                    # round-1 models.
+                    aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
+                    try:
+                        predicted = score(aggregate(updates))
+                    except DivergenceError as exc:
+                        raise DivergenceError(f"{kind.value} baseline: {exc}") from None
+                else:
+                    continue
+                first_round_correct[kind.value] = fold_correct(predicted, labels, spans)
+
+    with _stage("federated"):
+        node_models = run_tier_round(
+            topology, datasets, init, config.policy, training, vocab, score_first_round)
+
+    with _stage("evaluate"):
         tiered = {nid: score(node_models[nid], lo, hi) for nid, (lo, hi) in spans.items()}
         correct = {METHOD_TIERED: {nid: int(np.count_nonzero(tiered[nid] == labels[lo:hi]))
                                    for nid, (lo, hi) in spans.items()}}
@@ -555,28 +578,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     with _stage("baselines"):
         for kind in config.baselines:
-            if kind is BaselineKind.CENTRALIZED_NN:
-                # The pooled network, and one per child of the root, trained
-                # on and scoring only its own subtree's rows.
-                regions = topology.children(topology.root_id)
-                pooled, *regional_models = train_centralized(
-                    [datasets.values()] + [[datasets[c] for c in topology.subtree_clients(region)]
-                                           for region in regions], init, training, vocab)
-                correct[kind.value] = fold_correct(score(pooled), labels, spans)
-                regional = np.empty_like(labels)
-                for region, model in zip(regions, regional_models):
-                    lo, hi = spans[region]
-                    regional[lo:hi] = score(model, lo, hi)
-                correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
-            elif kind is BaselineKind.ENSEMBLE:
-                votes = ensemble_predict_batch([u.params for u in client_updates], raw, codes, enc)
-                correct[kind.value] = fold_correct(votes, labels, spans)
-            else:
-                # One round of flat federated averaging over the clients'
-                # round-1 models, which the tiered run already trained.
-                aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
-                model = aggregate(client_updates)
-                correct[kind.value] = fold_correct(score(model), labels, spans)
+            if kind is not BaselineKind.CENTRALIZED_NN:
+                correct[kind.value] = first_round_correct[kind.value]
+                continue
+            # The pooled network, and one per child of the root, trained
+            # on and scoring only its own subtree's rows.
+            regions = topology.children(topology.root_id)
+            pooled, *regional_models = train_centralized(
+                [datasets.values()] + [[datasets[c] for c in topology.subtree_clients(region)]
+                                       for region in regions], init, training, vocab)
+            correct[kind.value] = fold_correct(score(pooled), labels, spans)
+            regional = np.empty_like(labels)
+            for region, model in zip(regions, regional_models):
+                lo, hi = spans[region]
+                regional[lo:hi] = score(model, lo, hi)
+            correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
 
     with _stage("report"):
         seeds = {

@@ -164,16 +164,16 @@ def working_set_bytes(dims: Dims, batch_size: int) -> int:
     """Bytes :func:`train_cohort` works in per client of a cohort whose
     clients each use one encoding, beyond the rows themselves.
 
-    Six rows of ``P`` floats (parameters, gradient, both Adam moments and
-    two scratch rows) and a ``P``-byte finiteness mask; the client's row
-    of the full-width encoding table; and one minibatch of ``batch_size``
+    Five rows of ``P`` floats (parameters, gradient, both Adam moments and
+    the Adam step) and a ``P``-byte finiteness mask; the client's row of
+    the full-width encoding table; and one minibatch of ``batch_size``
     rows with what a step computes from it: the assembled inputs and
     their raw part, four hidden-layer arrays, the logits, the ReLU mask
     and four index vectors.
     """
     input_dim, hidden_dim, n_classes = dims
     n_params = flat_length(dims)
-    words = 6 * n_params + input_dim + batch_size * (2 * input_dim + 4 * hidden_dim + n_classes + 4)
+    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 4 * hidden_dim + n_classes + 4)
     return 8 * words + n_params + batch_size * hidden_dim
 
 
@@ -198,12 +198,11 @@ class _Scratch(NamedTuple):
     (the most clients, the most rows, the widest batch). Every cohort
     works in their start."""
 
-    params: np.ndarray    # (clients, P), like the gradient, Adam moments and scratch rows
+    params: np.ndarray    # (clients, P), like the gradient, Adam moments and step
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    m_hat: np.ndarray
-    v_hat: np.ndarray
+    step: np.ndarray
     finite: np.ndarray    # (clients, P) bool
     batch: np.ndarray     # one minibatch per client, flat, viewed per run
     pre: np.ndarray
@@ -216,7 +215,7 @@ def _scratch(clients: int, rows: int, width: int, dims: Dims) -> _Scratch:
     i_dim, h_dim, c_dim = dims
     shape = (clients, flat_length(dims))
     return _Scratch(
-        *(np.empty(shape) for _ in range(6)), np.empty(shape, dtype=bool),
+        *(np.empty(shape) for _ in range(5)), np.empty(shape, dtype=bool),
         np.empty(clients * width * i_dim), np.empty(clients * width * h_dim),
         np.empty(clients * width * h_dim), np.empty(clients * width * c_dim),
         np.empty(rows, dtype=np.int64))
@@ -380,8 +379,8 @@ def _train_part(
     e_dim = i_dim - raw.shape[1]
     schedule = _schedule(counts, config.batch_size, config.epochs)
     bounds = [0, *np.cumsum(counts).tolist()]
-    # The seven (clients, P) buffers, cut to the cohort's clients.
-    params, grad, m, v, m_hat, v_hat, finite = (buf[:k] for buf in scratch[:7])
+    # The six (clients, P) buffers, cut to the cohort's clients.
+    params, grad, m, v, step, finite = (buf[:k] for buf in scratch[:6])
     params[:] = init.vector
     m.fill(0.0)
     v.fill(0.0)
@@ -425,24 +424,25 @@ def _train_part(
             np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
             np.sum(grad_hidden, axis=1, out=g_b1[lo:hi])
         # Bias-corrected Adam over the clients still training, in place,
-        # in the reference Adam step's order: each of them has now taken t steps.
+        # in the reference Adam step's order: each of them has now taken t
+        # steps. Once v is updated the gradient rows are free (the next
+        # backward rewrites them), so they hold the denominator.
         live = group[-1][1]
-        x, dx, m1, v1, m1_hat, v1_hat = (
-            buf[:live] for buf in (params, grad, m, v, m_hat, v_hat))
+        x, dx, m1, v1, s = (buf[:live] for buf in (params, grad, m, v, step))
         m1 *= beta1
-        np.multiply(1.0 - beta1, dx, out=m1_hat)
-        m1 += m1_hat
+        np.multiply(1.0 - beta1, dx, out=s)
+        m1 += s
         v1 *= beta2
-        np.multiply(1.0 - beta2, dx, out=v1_hat)
-        v1_hat *= dx
-        v1 += v1_hat
-        np.divide(m1, 1.0 - beta1 ** t, out=m1_hat)
-        np.multiply(lr, m1_hat, out=m1_hat)
-        np.divide(v1, 1.0 - beta2 ** t, out=v1_hat)
-        np.sqrt(v1_hat, out=v1_hat)
-        v1_hat += eps
-        m1_hat /= v1_hat
-        x -= m1_hat
+        np.multiply(1.0 - beta2, dx, out=s)
+        s *= dx
+        v1 += s
+        np.divide(m1, 1.0 - beta1 ** t, out=s)
+        s *= lr
+        np.divide(v1, 1.0 - beta2 ** t, out=dx)
+        np.sqrt(dx, out=dx)
+        dx += eps
+        s /= dx
+        x -= s
         if not np.isfinite(x, out=finite[:live]).all():
             for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
                 if i not in diverged:

@@ -135,3 +135,15 @@ def reference_train(init, features, labels, config, seed):
             grad = backward(params, features[idx], grad_logits)
             params, state = adam_step(params, grad, state, config)
     return params
+
+
+def tree_sum_levels(vectors: list[np.ndarray]) -> np.ndarray:
+    """The oracle of the aggregation's pairwise sum: a list folded level by
+    level, each level summing neighbouring pairs and carrying an odd last
+    vector up unchanged."""
+    while len(vectors) > 1:
+        paired = [vectors[i] + vectors[i + 1] for i in range(0, len(vectors) - 1, 2)]
+        if len(vectors) % 2:
+            paired.append(vectors[-1])
+        vectors = paired
+    return vectors[0]

@@ -219,8 +219,10 @@ class TestFlatFedavg:
         nodes = [TierNode(c.client_id, 0, "root") for c in clients]
         nodes.append(TierNode("root", 1, None))
         datasets = {c.client_id: c for c in clients}
-        return run_tier_round(TierTopology(tuple(nodes)), datasets, init,
-                              AggregationPolicy(mode, rounds), config, None)
+        first_round = []
+        models = run_tier_round(TierTopology(tuple(nodes)), datasets, init,
+                                AggregationPolicy(mode, rounds), config, None, first_round.extend)
+        return models, first_round
 
     def test_single_client_returns_its_model(self):
         ds = separable_client("solo", n=12, seed=3)

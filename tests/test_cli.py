@@ -167,6 +167,23 @@ class TestRun:
         assert len(err) == 1, result.stderr
         assert "client 'r00c00' in round 1: training diverged" in err[0]
 
+    @pytest.mark.parametrize("mode, baselines, message", [
+        ("uniform", [], "error [stage=federated]: round 1: node 'region00': aggregate diverged "
+                        "(layer1_weights contains non-finite entries)"),
+        ("sample_weighted", ["flat_fedavg"], "error [stage=baselines]: flat_fedavg baseline: aggregate "
+                                             "diverged (layer1_weights contains non-finite entries)"),
+    ])
+    def test_overflowing_aggregate_exits_four_naming_it(self, tmp_path, mode, baselines, message):
+        # One Adam step of about the learning rate leaves every client's
+        # parameters near +-1e308: finite, but a plain sum of three overflows.
+        path = synthetic_config_file(
+            tmp_path, data={"kind": "synthetic", "spec": {**SPEC, "clients_per_region": 3, "rows_per_client": 40}},
+            training={"learning_rate": 1e308, "epochs": 1, "batch_size": 64},
+            aggregation={"mode": mode, "rounds": 1}, baselines=baselines)
+        result = run_module("run", "--config", str(path))
+        assert result.returncode == 4, result.stderr
+        assert result.stderr.splitlines() == [message]
+
     def test_out_of_memory_exits_four_in_one_line(self, tmp_path, capsys, monkeypatch):
         # A config such as hidden_dim 1e12 asks for more memory than there
         # is; the allocation is simulated, not made.

@@ -11,9 +11,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from spatialfl import data
 from spatialfl.data import (
     ROOT_ID,
     ClientDataset,
@@ -219,10 +220,11 @@ def geo_csv_bytes(rng, n_rows, depth, faults):
         note = rng.choice(["", "plain", "a, b", "two\nlines", '"quoted"'])
         rows.append([*path, repr(rng.uniform(-90, 90)), f" {rng.uniform(-180, 180)!r}",
                      rng.choice(PADS) + day.isoformat(), note, *numbers])
-    for i, kind in faults:
+    # A row cut short first would leave no cell for a later fault in it.
+    for i, kind in sorted(faults, key=lambda fault: fault[1] == "short"):
         row = rows[i]
         if kind == "short":
-            del row[rng.randrange(len(row) - 1):]
+            del row[rng.randrange(max(len(row) - 1, 1)):]
         elif kind == "not-utf8":
             j = rng.randrange(len(row))
             row[j] = row[j][:1] + "\udcff" + row[j][1:]
@@ -251,29 +253,42 @@ def table_bytes(rows):
 
 class TestIngestMatchesPerRowReader:
     # Files of two to four blocks, with at most two bad rows; the second is
-    # often a few rows after the first, in the same block.
-    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(300, 800), depth=st.integers(0, 2),
+    # often a few rows after the first, in the same block. Blocks of 16 rows
+    # keep most examples, and every shrink step, to tens of rows.
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from([16, 256]).flatmap(lambda block: st.tuples(
+               st.just(block), st.integers(block + 1, 4 * block))),
+           depth=st.integers(0, 2),
            faults=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                      st.sampled_from(["short", "not-utf8", "long-field", "label", "latitude",
                                                       "longitude", "ref_date", "number"])),
                            max_size=2),
            gap=st.one_of(st.none(), st.integers(1, 8)))
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_table_or_same_error_as_per_row_reader(self, tmp_path, seed, n_rows, depth, faults, gap):
+    # A failure is shrunk and reported alone, without the explain phase:
+    # shrinking each distinct failure and explaining it re-ran thousands of
+    # examples, most of the time a failure took to report.
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+              phases=[phase for phase in Phase if phase is not Phase.explain], report_multiple_bugs=False)
+    # Two bad rows, 10 and 13, in the first block.
+    @example(seed=5, shape=(16, 40), depth=1, faults=[(0.25, "latitude"), (0.5, "number")], gap=3)
+    def test_same_table_or_same_error_as_per_row_reader(self, tmp_path, seed, shape, depth, faults, gap):
+        block, n_rows = shape
         rows = [int(at * n_rows) for at, _ in faults]
         if gap is not None and len(rows) == 2:
             rows[1] = min(rows[0] + gap, n_rows - 1)
         path = tmp_path / "geo.csv"
         path.write_bytes(geo_csv_bytes(random.Random(seed), n_rows, depth,
                                        [(i, kind) for i, (_, kind) in zip(rows, faults)]))
-        try:
-            expected = table_bytes(reference_ingest(path))
-        except RowError as exc:
-            with pytest.raises(RowError) as info:
-                ingest_csv(path)
-            assert str(info.value) == str(exc)
-        else:
-            assert table_bytes(ingest_csv(path)) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_BLOCK_ROWS", block)
+            try:
+                expected = table_bytes(reference_ingest(path))
+            except RowError as exc:
+                with pytest.raises(RowError) as info:
+                    ingest_csv(path)
+                assert str(info.value) == str(exc)
+            else:
+                assert table_bytes(ingest_csv(path)) == expected
 
 
 class TestPreprocess:

@@ -1,7 +1,9 @@
 """Tests for the tier tree, aggregation algebra, the round protocol, and
 the binary model format."""
 
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from helpers import (
     train_alone,
     vector_params,
 )
-from reference import params_equal
+from reference import params_equal, tree_sum_levels
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import (
     CorruptModelError,
@@ -30,7 +32,7 @@ from spatialfl.errors import (
     ShapeError,
     TopologyError,
 )
-from spatialfl import nn
+from spatialfl import federation, nn
 from spatialfl.federation import (
     MODEL_MAGIC,
     AggregationPolicy,
@@ -138,7 +140,9 @@ class TestLocalTrain:
     @staticmethod
     def first_update(ds, init, config):
         topo = TierTopology((TierNode(ds.client_id, 0, "root"), TierNode("root", 1, None)))
-        _, (update,) = run_tier_round(topo, {ds.client_id: ds}, init, AggregationPolicy(), config, None)
+        first_round = []
+        run_tier_round(topo, {ds.client_id: ds}, init, AggregationPolicy(), config, None, first_round.extend)
+        (update,) = first_round
         return update
 
     def test_zero_epochs_returns_init_bit_equal(self):
@@ -246,6 +250,56 @@ class TestWeightedAggregate:
             weighted_aggregate([update("a", [1] * 4, raw=0), update("b", [2] * 4, raw=0)])
 
 
+def traced_peak(call):
+    """The result of ``call()`` and the peak bytes tracemalloc saw it hold
+    beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedPairwiseSum:
+    """The streamed pairwise sum against the level-by-level list fold."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_as_level_by_level_fold(self, seed, k):
+        rng = np.random.default_rng(seed)
+        # Magnitudes from 1e-8 to 1e8, so every pairing rounds differently.
+        vectors = list(rng.standard_normal((k, 4)) * 10.0 ** rng.uniform(-8, 8, (k, 4)))
+        copies = [v.copy() for v in vectors]
+        raws = rng.integers(1, 1000, k).astype(float)
+        updates = [ClientUpdate(f"c{i:03d}", vector_params(DIMS, v), r)
+                   for i, (v, r) in enumerate(zip(vectors, raws))]
+        assert fedavg(updates).vector.tobytes() == (tree_sum_levels(copies) / k).tobytes()
+        weighted = tree_sum_levels([w * v for w, v in zip(normalize_weights(raws), copies)])
+        assert weighted_aggregate(updates).vector.tobytes() == weighted.tobytes()
+        # The clients' vectors are read, never written.
+        assert all(np.array_equal(v, c) for v, c in zip(vectors, copies))
+
+    def test_power_of_two_identical_inputs_sum_exactly(self):
+        v = np.random.default_rng(0).standard_normal(5) * 1e3
+        for k in (1, 2, 4, 8, 64, 256):
+            assert federation._tree_sum([v] * k).tobytes() == (k * v).tobytes()
+
+    @pytest.mark.parametrize("aggregate", [fedavg, weighted_aggregate])
+    def test_holds_logarithmically_many_vectors(self, aggregate):
+        # 64 updates of about 10,000 parameters: a list fold holds dozens
+        # of sums (or all 64 weighted products) at once.
+        dims = (400, 24, 16)
+        n = nn.flat_length(dims)
+        rng = np.random.default_rng(1)
+        updates = [ClientUpdate(f"c{i:02d}", vector_params(dims, rng.standard_normal(n)), 1.0 + i)
+                   for i in range(64)]
+        _, peak = traced_peak(lambda: aggregate(updates))
+        assert peak < (math.log2(64) + 3) * 8 * n
+
+
 class TestAggregationProperties:
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=100, deadline=None)
@@ -311,8 +365,9 @@ class TestRunTierRound:
         ds = {"c0": separable_client("c0", n=12, seed=0)}
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=42)
-        models, first_round = run_tier_round(
-            topo, ds, init, AggregationPolicy("uniform", 1), config, None)
+        first_round = []
+        models = run_tier_round(
+            topo, ds, init, AggregationPolicy("uniform", 1), config, None, first_round.extend)
         direct = train_alone(ds["c0"], init, per_round_config(config, "c0", 1))
         assert params_equal(models["root"], direct)
         assert params_equal(models["c0"], direct)
@@ -324,8 +379,8 @@ class TestRunTierRound:
         topo = random_tree(rng, 4)
         ds = {c: separable_client(c, n=8, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=9)
-        models, _ = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
-                                   TrainingConfig(epochs=0), None)
+        models = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
+                                TrainingConfig(epochs=0), None)
         for node_id, model in models.items():
             assert params_equal(model, init), node_id
 
@@ -340,8 +395,8 @@ class TestRunTierRound:
         ds = {c: separable_client(c, n=10, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=3, seed=5)
-        models, _ = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
-                                   config, None)
+        models = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
+                                config, None)
         updates = [alone_update(ds[c], init, per_round_config(config, c, 1)) for c in topo.clients()]
         assert np.allclose(models["root"].vector, weighted_aggregate(updates).vector,
                            atol=1e-12, rtol=0.0)
@@ -412,6 +467,28 @@ class TestRunTierRound:
         assert working_set_bytes(huge, 32) > nn.COHORT_BYTES
         assert cohort_slices(3, huge, 32) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
+    def test_holds_one_rounds_buffer_at_a_time(self, monkeypatch):
+        # At each kernel call after the first, no earlier round's (K, P)
+        # buffer, client update or client model is still held.
+        topo = self.two_level_topology([f"c{i}" for i in range(8)])
+        ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(topo.clients())}
+        init = init_params((2, 400, 2), seed=1)
+        buffer = 8 * init.n_params * 8
+        held = []
+        original = federation.train_cohort
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return original(*args)
+
+        monkeypatch.setattr(federation, "train_cohort", spy)
+        seen = []
+        traced_peak(lambda: run_tier_round(
+            topo, ds, init, AggregationPolicy("sample_weighted", 3), TrainingConfig(epochs=1, seed=2), None,
+            lambda updates: seen.append(len(updates))))
+        assert seen == [8] and len(held) == 3
+        assert all(later - held[0] < buffer / 2 for later in held[1:])
+
     def test_missing_dataset_rejected(self):
         topo = self.two_level_topology(["c0", "c1"])
         with pytest.raises(MissingClientError, match="c1"):
@@ -426,8 +503,8 @@ class TestRunTierRound:
         init = init_params((2, 6, 2), seed=2)
         config = TrainingConfig(learning_rate=0.03, epochs=4, seed=77)
         policy = AggregationPolicy("sample_weighted", 3)
-        first, _ = run_tier_round(topo, ds, init, policy, config, None)
-        second, _ = run_tier_round(topo, ds, init, policy, config, None)
+        first = run_tier_round(topo, ds, init, policy, config, None)
+        second = run_tier_round(topo, ds, init, policy, config, None)
         assert set(first) == set(second)
         for node_id in first:
             assert params_equal(first[node_id], second[node_id])
@@ -443,8 +520,8 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=21)
 
         def root_accuracy(rounds):
-            models, _ = run_tier_round(topo, datasets, init,
-                                       AggregationPolicy("sample_weighted", rounds), config, vocab)
+            models = run_tier_round(topo, datasets, init,
+                                    AggregationPolicy("sample_weighted", rounds), config, vocab)
             return evaluate(models[topo.root_id], datasets.values(), vocab)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

@@ -672,6 +672,27 @@ class TestTrainCohort:
         assert peak <= nn.COHORT_BYTES + params.nbytes + table
         assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + table
 
+    def test_five_float_scratch_rows_per_client(self):
+        # Parameters, gradient, both Adam moments and one Adam step: with a
+        # wide model and one-row batches the call's peak is those five
+        # (K, P) rows, the (K, P) result and the finiteness mask. A sixth
+        # float row would add another buffer's worth.
+        case = Cohort(11, (400, 25, 2), 0, 1, [1] * 8, 1, 2, 0)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        init = init_params(case.dims, seed=3)
+        config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
+        assert len(cohort_slices(8, init.dims, config.batch_size)) == 1
+        buffer = 8 * flat_length(init.dims) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert diverged == {} and params.nbytes == buffer
+        assert 6 * buffer < peak < 6.5 * buffer
+
     def test_labels_checked_once_per_call(self):
         init = init_params((2, 3, 2), seed=0)
         labels = np.zeros(12, dtype=np.int64)
