@@ -17,6 +17,7 @@ from ._version import __version__
 from .data import export_csv, generate_synthetic
 from .errors import (
     ConfigError,
+    DivergenceError,
     EmptyClientError,
     EmptyCorpusError,
     EmptyDatasetError,
@@ -104,7 +105,8 @@ def cmd_evaluate_model(args: argparse.Namespace) -> int:
         return 3
     model = deserialize_model(model_path.read_bytes())
     datasets, _, _ = load_datasets(config, data_path)
-    accuracy = evaluate(model, datasets.values(), vocabulary(config, datasets), split=None)
+    with DivergenceError.naming(f"model {model_path}"):
+        accuracy = evaluate(model, datasets.values(), vocabulary(config, datasets), split=None)
     print(f"accuracy={accuracy:.6f}")
     return 0
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SpatialFLError(Exception):
     """Base class for every error raised by this package."""
@@ -20,7 +22,16 @@ class InvalidLabelError(SpatialFLError):
 
 
 class DivergenceError(SpatialFLError):
-    """Training drove a parameter to a non-finite value."""
+    """Training, aggregation or scoring produced a non-finite value."""
+
+    @classmethod
+    @contextmanager
+    def naming(cls, where: str):
+        """Lead the message of a divergence raised inside with ``where``."""
+        try:
+            yield
+        except cls as exc:
+            raise cls(f"{where}: {exc}") from None
 
 
 # -- spatial encoding ---------------------------------------------------------

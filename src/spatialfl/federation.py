@@ -15,13 +15,13 @@ inputs are presented or how client training is scheduled. The reduction
 streams over the children, holding O(log K) partial sums, never K
 vectors.
 
-A run stacks every client's raw training rows and spatial encoding once
-(:func:`stack_rows`), in ascending client order, and each round trains
-every client on its own span of those rows in one call of the training
-kernel, which orders them and cuts them into cohorts whose working
-memory fits :data:`~spatialfl.nn.COHORT_BYTES`. The call returns every
-client's parameters as one ``(K, P)`` buffer; a round's buffer is
-released before the next round trains, so a run holds one at a time.
+A run stacks each split's rows once (:func:`stack_split`), for the tiered
+loop, the centralized baselines and scoring alike. Each round trains every
+client on its span of the training stack in one call of the training
+kernel, which cuts the clients into cohorts whose working memory fits
+:data:`~spatialfl.nn.COHORT_BYTES`. The call returns every client's
+parameters as one ``(K, P)`` buffer; a round's buffer is released before
+the next round trains, so a run holds one at a time.
 """
 
 from __future__ import annotations
@@ -223,6 +223,31 @@ def stack_rows(
     return raw, labels, codes, enc, offsets
 
 
+# :func:`stack_split`'s raw rows, labels, codes, encodings and node spans.
+StackedRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]
+
+
+def stack_split(
+    topology: TierTopology,
+    datasets: Mapping[str, "ClientDataset"],
+    vocab: SpatialVocabulary | None,
+    split: str,
+) -> StackedRows:
+    """Every topology client's rows of one split (:func:`stack_rows`), in
+    depth-first client order, with the ``[lo, hi)`` row span of every
+    node, clients included. A topology client without a dataset raises
+    :class:`MissingClientError`."""
+    missing = [c for c in topology.clients() if c not in datasets]
+    if missing:
+        raise MissingClientError(f"no dataset for clients: {missing}")
+    raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab, split)
+    spans = {}
+    for node_id in topology.node_ids():
+        first, last = topology.client_span(node_id)
+        spans[node_id] = (int(offsets[first]), int(offsets[last]))
+    return raw, labels, codes, enc, spans
+
+
 def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
     ordered = sorted(updates, key=lambda u: u.client_id)
     if not ordered:
@@ -268,14 +293,12 @@ def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _combine(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, dims: Dims,
-             where: str = "") -> ModelParams:
+def _combine(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, dims: Dims) -> ModelParams:
     """The aggregate of parameter vectors given in ascending id order, as a
     model of ``dims``: their mean, or with ``sample_weighted`` their convex
     combination by the normalised raw weights, each weighted vector formed
     only when the sum takes it. Always a new vector. A non-finite entry (the
-    sum overflowed) raises :class:`DivergenceError`, its message led by
-    ``where``."""
+    sum overflowed) raises :class:`DivergenceError`."""
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "uniform":
             vector = _tree_sum(vectors) / len(vectors)
@@ -284,7 +307,7 @@ def _combine(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, di
     try:
         return ModelParams(vector, dims)
     except ValueError as exc:  # ModelParams' only ValueError: a non-finite entry
-        raise DivergenceError(f"{where}aggregate diverged ({exc})") from None
+        raise DivergenceError(f"aggregate diverged ({exc})") from None
 
 
 def _aggregate(updates: Iterable[ClientUpdate], mode: str) -> ModelParams:
@@ -351,8 +374,8 @@ def aggregate_tree(
     for tier in range(1, topology.max_tier + 1):
         for node in sorted(n.node_id for n in topology.nodes if n.tier == tier):
             kids = topology.children(node)
-            models[node] = _combine([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims,
-                                    f"node {node!r}: ")
+            with DivergenceError.naming(f"node {node!r}"):
+                models[node] = _combine([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims)
             vectors[node] = models[node].vector
             weights[node] = float(sum(weights[k] for k in kids))
     return models
@@ -360,14 +383,14 @@ def aggregate_tree(
 
 def run_tier_round(
     topology: TierTopology,
-    datasets: Mapping[str, "ClientDataset"],
+    rows: StackedRows,
     global_init: ModelParams,
     policy: AggregationPolicy,
     config: TrainingConfig,
-    vocab: SpatialVocabulary | None,
     first_round: Callable[[list[ClientUpdate]], None] | None = None,
 ) -> dict[str, ModelParams]:
-    """Run the full tiered protocol for ``policy.rounds`` rounds.
+    """Run the full tiered protocol for ``policy.rounds`` rounds on the
+    training stack ``rows`` (:func:`stack_split`).
 
     Each round every client trains from the current broadcast model
     (round 1 broadcasts ``global_init``), updates flow up the tree, and
@@ -384,32 +407,26 @@ def run_tier_round(
     updates and node models are released (unless the callback kept
     them), so one round's buffer is held at a time.
 
-    Every client's training rows are stacked once, before the first
-    round, in ascending client order; each round trains every client in
-    one call of the training kernel, seeded by :func:`round_seed` with
-    ``config.seed`` as the master seed. A client whose training diverges
-    fails the round once every client has trained, naming the lowest such
-    client id; a non-finite aggregate fails it naming the node.
+    Each round trains every client on its span of ``rows`` in one call
+    of the training kernel, seeded by :func:`round_seed` with
+    ``config.seed`` as the master seed. A client without training rows,
+    or whose training diverges (which fails the round once every client
+    has trained), is named by the lowest such client id; a non-finite
+    aggregate fails the round naming the node.
     """
+    raw, labels, codes, enc, spans = rows
     clients = topology.clients()
-    missing = [c for c in clients if c not in datasets]
-    if missing:
-        raise MissingClientError(f"no dataset for clients: {missing}")
-    for c in clients:
-        if datasets[c].n_classes != global_init.n_classes:
-            raise ShapeError(f"dataset has {datasets[c].n_classes} classes, model {global_init.n_classes}")
-    raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in clients], vocab, "train")
-    counts = np.diff(offsets).tolist()
+    counts = [spans[c][1] - spans[c][0] for c in clients]
     if 0 in counts:
         raise EmptyClientError(f"client {clients[counts.index(0)]!r} has no training rows")
-    rows = [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    client_rows = [np.arange(*spans[c]) for c in clients]
     broadcast = global_init
     for round_index in range(1, policy.rounds + 1):
         if round_index > 1:
             # Only the broadcast, a fresh vector, outlives a round.
             del params, updates, models
         seeds = [round_seed(config.seed, c, round_index) for c in clients]
-        params, failed = train_cohort(broadcast, raw, labels, codes, enc, rows, config, seeds)
+        params, failed = train_cohort(broadcast, raw, labels, codes, enc, client_rows, config, seeds)
         if failed:
             i = min(failed)
             raise DivergenceError(f"client {clients[i]!r} in round {round_index}: {failed[i]}")
@@ -417,10 +434,8 @@ def run_tier_round(
         # buffer afresh and nothing writes it once the call returns.
         updates = [ClientUpdate(c, ModelParams(vector, broadcast.dims), float(count))
                    for c, vector, count in zip(clients, params, counts)]
-        try:
+        with DivergenceError.naming(f"round {round_index}"):
             models = aggregate_tree(topology, updates, policy.mode)
-        except DivergenceError as exc:
-            raise DivergenceError(f"round {round_index}: {exc}") from None
         if round_index == 1 and first_round is not None:
             first_round(updates)
         broadcast = models[topology.root_id]

@@ -47,6 +47,7 @@ from .federation import (
     run_tier_round,
     serialize_model,
     stack_rows,
+    stack_split,
     weighted_aggregate,
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_rows
@@ -147,23 +148,11 @@ class MetricsReport:
                 raise ValueError(f"client {client_id!r} prediction vectors differ in length")
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "vocabulary": self.vocabulary,
-            "oracle_accuracy": self.oracle_accuracy,
-            "tier_accuracy": self.tier_accuracy,
-            "global_accuracy": self.global_accuracy,
-            "client_predictions": self.client_predictions,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "MetricsReport":
-        return cls(**{k: payload[k] for k in (
-            "version", "config", "seeds", "vocabulary", "oracle_accuracy",
-            "tier_accuracy", "global_accuracy", "client_predictions",
-        )})
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -486,23 +475,6 @@ def vocabulary(config: ExperimentConfig, datasets: Mapping[str, ClientDataset]) 
     )
 
 
-def validation_rows(
-    topology: TierTopology,
-    datasets: Mapping[str, ClientDataset],
-    vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]:
-    """Every client's validation rows (:func:`stack_rows`: raw rows, labels,
-    row codes and one encoding per client), stacked in depth-first client
-    order, so that each node's rows are one contiguous span ``[lo, hi)``."""
-    raw, labels, codes, enc, offsets = stack_rows(
-        [datasets[c] for c in topology.client_order], vocab, "validation")
-    spans = {}
-    for node_id in topology.node_ids():
-        first, last = topology.client_span(node_id)
-        spans[node_id] = (int(offsets[first]), int(offsets[last]))
-    return raw, labels, codes, enc, spans
-
-
 def fold_correct(
     predicted: np.ndarray,
     labels: np.ndarray,
@@ -527,20 +499,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             topology = grouped_topology(datasets.keys(), config.topology_groups)
     with _stage("encoding"):
         vocab = vocabulary(config, datasets)
+        # The one row layout of the run: each split stacked once, in
+        # depth-first client order, every node's rows one span.
+        train = stack_split(topology, datasets, vocab, "train")
+        raw, labels, codes, enc, spans = stack_split(topology, datasets, vocab, "validation")
 
     clients = topology.clients()
-    n_raw = datasets[clients[0]].features.shape[1]
-    input_dim = (vocab.encoding_length if vocab is not None else 0) + n_raw
-    dims = (input_dim, config.hidden_dim, config.n_classes)
+    dims = (enc.shape[1] + raw.shape[1], config.hidden_dim, config.n_classes)
     init = init_params(dims, derive_seed(config.seed, "init"))
     training = replace(config.training, seed=config.seed)
     node_order = sorted(topology.nodes, key=lambda n: (-n.tier, n.node_id))
 
-    with _stage("evaluate"):
-        raw, labels, codes, enc, spans = validation_rows(topology, datasets, vocab)
-
-    def score(model: ModelParams, lo: int = 0, hi: int = labels.size) -> np.ndarray:
-        return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
+    def score(model: ModelParams, where: str, lo: int = 0, hi: int = labels.size) -> np.ndarray:
+        with DivergenceError.naming(where):
+            return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
 
     # The baselines built from the round-1 client models are scored as soon
     # as round 1 is aggregated, so that those models need not outlive it.
@@ -549,26 +521,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     def score_first_round(updates: list[ClientUpdate]) -> None:
         with _stage("baselines"):
             for kind in config.baselines:
-                if kind is BaselineKind.ENSEMBLE:
-                    predicted = ensemble_predict_batch([u.params for u in updates], raw, codes, enc)
-                elif kind is not BaselineKind.CENTRALIZED_NN:
-                    # One round of flat federated averaging over the clients'
-                    # round-1 models.
-                    aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
-                    try:
-                        predicted = score(aggregate(updates))
-                    except DivergenceError as exc:
-                        raise DivergenceError(f"{kind.value} baseline: {exc}") from None
-                else:
+                if kind is BaselineKind.CENTRALIZED_NN:
                     continue
+                with DivergenceError.naming(f"{kind.value} baseline"):
+                    if kind is BaselineKind.ENSEMBLE:
+                        members = {u.client_id: u.params for u in updates}
+                        predicted = ensemble_predict_batch(members, raw, codes, enc)
+                    else:
+                        # One round of flat federated averaging over the
+                        # clients' round-1 models.
+                        aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
+                        predicted = predict_rows(aggregate(updates), raw, codes, enc)
                 first_round_correct[kind.value] = fold_correct(predicted, labels, spans)
 
     with _stage("federated"):
-        node_models = run_tier_round(
-            topology, datasets, init, config.policy, training, vocab, score_first_round)
+        node_models = run_tier_round(topology, train, init, config.policy, training, score_first_round)
 
     with _stage("evaluate"):
-        tiered = {nid: score(node_models[nid], lo, hi) for nid, (lo, hi) in spans.items()}
+        tiered = {nid: score(node_models[nid], f"node {nid!r}", lo, hi) for nid, (lo, hi) in spans.items()}
         correct = {METHOD_TIERED: {nid: int(np.count_nonzero(tiered[nid] == labels[lo:hi]))
                                    for nid, (lo, hi) in spans.items()}}
         client_predictions = {}
@@ -585,13 +555,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # on and scoring only its own subtree's rows.
             regions = topology.children(topology.root_id)
             pooled, *regional_models = train_centralized(
-                [datasets.values()] + [[datasets[c] for c in topology.subtree_clients(region)]
-                                       for region in regions], init, training, vocab)
-            correct[kind.value] = fold_correct(score(pooled), labels, spans)
+                [clients] + [topology.subtree_clients(region) for region in regions], init, training, train)
+            correct[kind.value] = fold_correct(score(pooled, f"{kind.value} baseline"), labels, spans)
             regional = np.empty_like(labels)
             for region, model in zip(regions, regional_models):
                 lo, hi = spans[region]
-                regional[lo:hi] = score(model, lo, hi)
+                regional[lo:hi] = score(model, f"{METHOD_CENTRALIZED_REGIONAL} baseline: node {region!r}",
+                                        lo, hi)
             correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
 
     with _stage("report"):

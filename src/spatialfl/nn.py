@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidLabelError, ShapeError
+from .errors import DivergenceError, InvalidDimensionError, InvalidLabelError, ShapeError
 
 Dims = tuple[int, int, int]  # (input_dim, hidden_dim, n_classes)
 
@@ -488,6 +488,10 @@ def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np
 
 def predict_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np.ndarray) -> np.ndarray:
     """Argmax class per row of the training kernel's format (see
-    :func:`hidden_rows`); ties resolve to the lowest index."""
-    hidden = hidden_rows(params, raw, codes, enc)
-    return np.argmax(hidden @ params.layer2_weights.T + params.layer2_bias, axis=1)
+    :func:`hidden_rows`); ties resolve to the lowest index. A non-finite
+    logit (the forward pass overflowed) raises :class:`DivergenceError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = hidden_rows(params, raw, codes, enc) @ params.layer2_weights.T + params.layer2_bias
+    if not np.isfinite(logits).all():
+        raise DivergenceError("scoring diverged (non-finite logits)")
+    return np.argmax(logits, axis=1)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from spatialfl.data import ClientDataset
-from spatialfl.federation import ClientUpdate, TierNode, TierTopology, round_seed, stack_rows
+from spatialfl.federation import ClientUpdate, TierNode, TierTopology, round_seed, stack_rows, stack_split
 from spatialfl.nn import ModelParams, TrainingConfig, init_params, train_cohort
 from spatialfl.spatial import SpatialAttribute
 
@@ -24,6 +24,28 @@ def spans(offsets):
     """Contiguous client row sets: client ``k`` owns rows
     ``offsets[k]:offsets[k + 1]``."""
     return [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+
+
+def flat_topology(client_ids):
+    """One root over the given clients: depth-first order is id order."""
+    nodes = [TierNode(c, 0, "root") for c in client_ids]
+    nodes.append(TierNode("root", 1, None))
+    return TierTopology(tuple(nodes))
+
+
+def interleaved_topology(client_ids):
+    """Two regions taking every other id of two or more clients, ``east``
+    the odd ones, under one root: depth-first order (``east`` first) is
+    not id order. For ``c0``..``c3`` it is ``c1, c3, c0, c2``."""
+    nodes = [TierNode(c, 0, "east" if i % 2 else "west") for i, c in enumerate(sorted(client_ids))]
+    nodes += [TierNode("east", 1, "root"), TierNode("west", 1, "root"), TierNode("root", 2, None)]
+    return TierTopology(tuple(nodes))
+
+
+def train_rows(topology, datasets, vocab=None):
+    """The training split of ``datasets`` (by client id) laid out under
+    ``topology`` as a run lays it out (:func:`stack_split`)."""
+    return stack_split(topology, datasets, vocab, "train")
 
 
 def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -> TrainingConfig:

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import alone_update, no_encoding, per_round_config, separable_client, spans, train_alone
+from helpers import (
+    alone_update,
+    flat_topology,
+    interleaved_topology,
+    no_encoding,
+    per_round_config,
+    separable_client,
+    spans,
+    train_alone,
+    train_rows,
+)
 from reference import params_equal
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
@@ -11,8 +21,6 @@ from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from spatialfl.federation import (
     AggregationPolicy,
-    TierNode,
-    TierTopology,
     fedavg,
     run_tier_round,
     stack_rows,
@@ -34,39 +42,47 @@ def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
     return ModelParams(vec, dims)
 
 
+def pooled(groups, init, config, vocab=None, layout=flat_topology):
+    """:func:`train_centralized` over groups of clients, on the training
+    rows of all of them laid out under ``layout``."""
+    datasets = {c.client_id: c for group in groups for c in group}
+    rows = train_rows(layout(sorted(datasets)), datasets, vocab)
+    return train_centralized([[c.client_id for c in group] for group in groups], init, config, rows)
+
+
 class TestCentralized:
     def test_single_client_pool_matches_local_train(self):
         ds = separable_client("only", n=14, seed=2)
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=6, seed=33)
-        [pooled] = train_centralized([[ds]], init, config, None)
-        assert params_equal(pooled, train_alone(ds, init, config))
+        [model] = pooled([[ds]], init, config)
+        assert params_equal(model, train_alone(ds, init, config))
 
     def test_zero_epochs_return_init(self):
         ds = separable_client("c", n=8, seed=0)
         init = init_params((2, 4, 2), seed=7)
-        [model] = train_centralized([[ds]], init, TrainingConfig(epochs=0), None)
+        [model] = pooled([[ds]], init, TrainingConfig(epochs=0))
         assert params_equal(model, init)
 
     def test_pool_order_does_not_matter(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.02, epochs=3, seed=11)
-        [forward_order] = train_centralized([clients], init, config, None)
-        [reverse_order] = train_centralized([list(reversed(clients))], init, config, None)
+        [forward_order] = pooled([clients], init, config)
+        [reverse_order] = pooled([list(reversed(clients))], init, config)
         assert params_equal(forward_order, reverse_order)
 
     def test_empty_pool_rejected(self):
         ds = separable_client("c", n=6, seed=0)
         ds.split_tags[:] = "validation"
         with pytest.raises(EmptyDatasetError):
-            train_centralized([[ds]], init_params((2, 4, 2), 0), TrainingConfig(), None)
+            pooled([[ds]], init_params((2, 4, 2), 0), TrainingConfig())
 
     def test_divergence_names_the_baseline(self):
         ds = separable_client("c", n=12, seed=0)
         config = TrainingConfig(learning_rate=1e300, epochs=2, seed=1)
         with pytest.raises(DivergenceError, match="^centralized baseline: training diverged"):
-            train_centralized([[ds]], init_params((2, 4, 2), 0), config, None)
+            pooled([[ds]], init_params((2, 4, 2), 0), config)
 
     @staticmethod
     def pooled_alone(group, init, config, vocab):
@@ -80,7 +96,9 @@ class TestCentralized:
     @pytest.mark.parametrize("cohort_bytes", [None, 1])
     def test_each_group_matches_it_trained_alone(self, monkeypatch, cohort_bytes):
         # Overlapping, ragged groups in no order of size, the first one
-        # repeated last; every row keeps its own client's encoding.
+        # repeated last; every row keeps its own client's encoding. Under
+        # the interleaved tree the stack's client order (c1, c3, c0, c2) is
+        # not id order, and each group still pools in ascending id order.
         clients = [separable_client(f"c{i}", n=6 + 3 * i, seed=i) for i in range(4)]
         c0, c1, c2, c3 = clients
         groups = [[c1], [c3, c0], clients, [c2, c1, c3], [c1]]
@@ -89,10 +107,11 @@ class TestCentralized:
         config = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=12)
         if cohort_bytes is not None:
             monkeypatch.setattr(nn, "COHORT_BYTES", cohort_bytes)
-        models = train_centralized(groups, init, config, vocab)
-        assert len(models) == len(groups)
-        for group, model in zip(groups, models):
-            assert params_equal(model, self.pooled_alone(group, init, config, vocab))
+        for layout in (flat_topology, interleaved_topology):
+            models = pooled(groups, init, config, vocab, layout)
+            assert len(models) == len(groups)
+            for group, model in zip(groups, models):
+                assert params_equal(model, self.pooled_alone(group, init, config, vocab))
 
     def test_divergence_in_a_later_group_names_the_baseline(self):
         calm = separable_client("c0", n=12, seed=0)
@@ -100,13 +119,13 @@ class TestCentralized:
         wild.features *= 1e300
         init = init_params((2, 4, 2), 1)
         config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=1)
-        train_centralized([[calm]], init, config, None)
+        pooled([[calm]], init, config)
         # The two diverging groups fail in different layers; the first of
         # them in the order given is reported.
         for groups, layer in [([[calm], [calm, wild], [wild]], "layer2_weights"),
                               ([[calm], [wild], [calm, wild]], "layer1_weights")]:
             with pytest.raises(DivergenceError) as info:
-                train_centralized(groups, init, config, None)
+                pooled(groups, init, config)
             assert str(info.value) == (
                 f"centralized baseline: training diverged ({layer} contains non-finite entries)")
 
@@ -115,7 +134,7 @@ class TestCentralized:
         empty = separable_client("c1", n=6, seed=1)
         empty.split_tags[:] = "validation"
         with pytest.raises(EmptyDatasetError):
-            train_centralized([[ds, empty], [empty]], init_params((2, 4, 2), 0), TrainingConfig(), None)
+            pooled([[ds, empty], [empty]], init_params((2, 4, 2), 0), TrainingConfig())
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
@@ -126,7 +145,7 @@ class TestCentralized:
         vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=100, seed=2)
-        [model] = train_centralized([datasets.values()], init, config, vocab)
+        [model] = pooled([datasets.values()], init, config, vocab)
         assert evaluate(model, datasets.values(), vocab) >= 0.95
 
 
@@ -165,6 +184,11 @@ class TestStackRows:
         assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0, 0]
 
 
+def members(*models):
+    """Ensemble members keyed by made-up client ids, in the order given."""
+    return {f"c{i}": model for i, model in enumerate(models)}
+
+
 def one_row(features):
     """A single feature vector as one row of that format."""
     return no_encoding(np.asarray(features, dtype=np.float64)[None, :])
@@ -172,17 +196,16 @@ def one_row(features):
 
 class TestEnsemblePredict:
     def test_majority_wins(self):
-        models = [constant_class_model(2, 1), constant_class_model(2, 1),
-                  constant_class_model(2, 0)]
+        models = members(constant_class_model(2, 1), constant_class_model(2, 1), constant_class_model(2, 0))
         assert ensemble_predict_batch(models, *one_row(np.zeros(2))).tolist() == [1]
 
     def test_tie_breaks_to_lowest_class(self):
-        models = [constant_class_model(2, 0), constant_class_model(2, 1)]
+        models = members(constant_class_model(2, 0), constant_class_model(2, 1))
         assert ensemble_predict_batch(models, *one_row(np.zeros(2))).tolist() == [0]
 
     def test_single_model_is_its_prediction(self):
         model = constant_class_model(3, 2)
-        assert ensemble_predict_batch([model], *one_row(np.ones(2))).tolist() == [2]
+        assert ensemble_predict_batch(members(model), *one_row(np.ones(2))).tolist() == [2]
 
     def test_copies_of_one_model_predict_like_it(self):
         rng = np.random.default_rng(8)
@@ -190,7 +213,7 @@ class TestEnsemblePredict:
         batch = rng.normal(size=(20, 3))
         single = predict_rows(model, *no_encoding(batch))
         for k in (2, 3, 5):
-            assert np.array_equal(ensemble_predict_batch([model] * k, *no_encoding(batch)), single)
+            assert np.array_equal(ensemble_predict_batch(members(*[model] * k), *no_encoding(batch)), single)
 
     def test_votes_match_per_row_bincount(self):
         rng = np.random.default_rng(21)
@@ -198,15 +221,21 @@ class TestEnsemblePredict:
         batch = rng.normal(size=(40, 3)) * 3.0
         votes = np.stack([predict_rows(m, *no_encoding(batch)) for m in models])
         expected = [np.argmax(np.bincount(votes[:, i], minlength=3)) for i in range(batch.shape[0])]
-        assert np.array_equal(ensemble_predict_batch(models, *no_encoding(batch)), expected)
+        assert np.array_equal(ensemble_predict_batch(members(*models), *no_encoding(batch)), expected)
+
+    def test_overflowing_member_names_its_client(self):
+        dims = (2, 2, 2)
+        huge = ModelParams(np.full(flat_length(dims), 1e308), dims)
+        with pytest.raises(DivergenceError, match=r"^client 'c1': scoring diverged \(non-finite logits\)$"):
+            ensemble_predict_batch(members(constant_class_model(2, 0), huge), *one_row(np.ones(2)))
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(EmptyAggregationError):
-            ensemble_predict_batch([], *one_row(np.zeros(2)))
+            ensemble_predict_batch({}, *one_row(np.zeros(2)))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ensemble_predict_batch([init_params((2, 3, 2), 0), init_params((3, 3, 2), 0)],
+            ensemble_predict_batch(members(init_params((2, 3, 2), 0), init_params((3, 3, 2), 0)),
                                    *one_row(np.zeros(2)))
 
 
@@ -216,12 +245,10 @@ class TestFlatFedavg:
 
     @staticmethod
     def one_level_run(clients, init, config, mode="uniform", rounds=1):
-        nodes = [TierNode(c.client_id, 0, "root") for c in clients]
-        nodes.append(TierNode("root", 1, None))
-        datasets = {c.client_id: c for c in clients}
+        topo = flat_topology([c.client_id for c in clients])
         first_round = []
-        models = run_tier_round(TierTopology(tuple(nodes)), datasets, init,
-                                AggregationPolicy(mode, rounds), config, None, first_round.extend)
+        models = run_tier_round(topo, train_rows(topo, {c.client_id: c for c in clients}), init,
+                                AggregationPolicy(mode, rounds), config, first_round.extend)
         return models, first_round
 
     def test_single_client_returns_its_model(self):

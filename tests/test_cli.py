@@ -9,11 +9,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spatialfl.cli import main
+from spatialfl.federation import serialize_model
+from spatialfl.nn import ModelParams, flat_length
 
 SPEC = {"n_regions": 2, "clients_per_region": 2, "rows_per_client": 30,
         "n_classes": 2, "noise_rate": 0.0, "seed": 3}
@@ -183,6 +186,18 @@ class TestRun:
         result = run_module("run", "--config", str(path))
         assert result.returncode == 4, result.stderr
         assert result.stderr.splitlines() == [message]
+
+    def test_overflowing_logits_exit_four_naming_the_node(self, tmp_path):
+        # Sample-weighted aggregates of those near-overflow client models
+        # stay finite, but scoring them overflows.
+        path = synthetic_config_file(
+            tmp_path, data={"kind": "synthetic", "spec": {**SPEC, "clients_per_region": 3, "rows_per_client": 40}},
+            training={"learning_rate": 1e308, "epochs": 1, "batch_size": 64},
+            aggregation={"mode": "sample_weighted", "rounds": 1}, baselines=[])
+        result = run_module("run", "--config", str(path))
+        assert result.returncode == 4, result.stderr
+        assert result.stderr.splitlines() == [
+            "error [stage=evaluate]: node 'r00c00': scoring diverged (non-finite logits)"]
 
     def test_out_of_memory_exits_four_in_one_line(self, tmp_path, capsys, monkeypatch):
         # A config such as hidden_dim 1e12 asks for more memory than there
@@ -399,6 +414,21 @@ class TestEvaluateModel:
         assert result.stderr.splitlines() == [
             "error: rows of 4 encoding + 3 raw columns do not fit input_dim 11 "
             "(raw rows (30, 3), encodings (1, 4))"]
+
+    def test_overflowing_model_exits_four_naming_the_file(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path / "spec.json", SPEC)
+        csv_path = tmp_path / "bench.csv"
+        main(["gen-synthetic", "--spec", str(spec_path), "--out", str(csv_path)])
+        config = write_json(tmp_path / "config.json", {
+            "data": {"kind": "csv", "path": str(csv_path)}, "n_classes": 2, "encoding": {"enabled": False}})
+        model = tmp_path / "huge.bin"
+        dims = (3, 2, 2)
+        model.write_bytes(serialize_model(ModelParams(np.full(flat_length(dims), 1e308), dims)))
+        assert main(["evaluate-model", "--model", str(model),
+                     "--data", str(csv_path), "--config", str(config)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: model {model}: scoring diverged (non-finite logits)"]
+
 
 class TestArgumentParsing:
     def test_unknown_subcommand_exits_two(self):

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     alone_update,
+    flat_topology,
+    interleaved_topology,
     no_encoding,
     per_round_config,
     random_tree,
     random_update,
     separable_client,
     train_alone,
+    train_rows,
     vector_params,
 )
 from reference import params_equal, tree_sum_levels
@@ -45,6 +48,7 @@ from spatialfl.federation import (
     normalize_weights,
     run_tier_round,
     serialize_model,
+    stack_split,
     weighted_aggregate,
 )
 from spatialfl.harness import evaluate
@@ -139,9 +143,10 @@ class TestLocalTrain:
 
     @staticmethod
     def first_update(ds, init, config):
-        topo = TierTopology((TierNode(ds.client_id, 0, "root"), TierNode("root", 1, None)))
+        topo = flat_topology([ds.client_id])
         first_round = []
-        run_tier_round(topo, {ds.client_id: ds}, init, AggregationPolicy(), config, None, first_round.extend)
+        run_tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, AggregationPolicy(), config,
+                       first_round.extend)
         (update,) = first_round
         return update
 
@@ -168,6 +173,16 @@ class TestLocalTrain:
         ds.split_tags[:] = "validation"
         with pytest.raises(EmptyClientError):
             self.first_update(ds, init_params((2, 4, 2), 0), TrainingConfig())
+        # The lowest id without rows is named, also where depth-first order
+        # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
+        ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
+        for c in ("c0", "c3"):
+            ds[c].split_tags[:] = "validation"
+        for layout in (flat_topology, interleaved_topology):
+            topo = layout(sorted(ds))
+            with pytest.raises(EmptyClientError, match="^client 'c0' has no training rows$"):
+                run_tier_round(topo, train_rows(topo, ds), init_params((2, 4, 2), 0), AggregationPolicy(),
+                               TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
@@ -355,19 +370,14 @@ class TestAggregationProperties:
 
 
 class TestRunTierRound:
-    def two_level_topology(self, client_ids):
-        nodes = [TierNode(c, 0, "root") for c in client_ids]
-        nodes.append(TierNode("root", 1, None))
-        return TierTopology(tuple(nodes))
-
     def test_single_client_root_is_client_model(self):
-        topo = self.two_level_topology(["c0"])
+        topo = flat_topology(["c0"])
         ds = {"c0": separable_client("c0", n=12, seed=0)}
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=42)
         first_round = []
         models = run_tier_round(
-            topo, ds, init, AggregationPolicy("uniform", 1), config, None, first_round.extend)
+            topo, train_rows(topo, ds), init, AggregationPolicy("uniform", 1), config, first_round.extend)
         direct = train_alone(ds["c0"], init, per_round_config(config, "c0", 1))
         assert params_equal(models["root"], direct)
         assert params_equal(models["c0"], direct)
@@ -379,8 +389,8 @@ class TestRunTierRound:
         topo = random_tree(rng, 4)
         ds = {c: separable_client(c, n=8, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=9)
-        models = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
-                                TrainingConfig(epochs=0), None)
+        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1),
+                                TrainingConfig(epochs=0))
         for node_id, model in models.items():
             assert params_equal(model, init), node_id
 
@@ -395,17 +405,17 @@ class TestRunTierRound:
         ds = {c: separable_client(c, n=10, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=3, seed=5)
-        models = run_tier_round(topo, ds, init, AggregationPolicy("sample_weighted", 1),
-                                config, None)
+        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1),
+                                config)
         updates = [alone_update(ds[c], init, per_round_config(config, c, 1)) for c in topo.clients()]
         assert np.allclose(models["root"].vector, weighted_aggregate(updates).vector,
                            atol=1e-12, rtol=0.0)
 
-    def diverging_round(self, blown_up):
+    def diverging_round(self, blown_up, layout=flat_topology):
         # Adam's step is about the learning rate whatever the gradient's
         # scale, so scaled features alone stay finite; with this rate the
         # first step's weights times 1e300-scaled features overflow.
-        topo = self.two_level_topology(["c0", "c1"])
+        topo = layout(["c0", "c1"])
         ds = {c: separable_client(c, n=12, seed=i) for i, c in enumerate(["c0", "c1"])}
         for c in blown_up:
             ds[c].features *= 1e300
@@ -413,7 +423,7 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=3)
         assert cohort_slices(2, init.dims, config.batch_size) == [slice(0, 2)]
         with pytest.raises(DivergenceError) as info:
-            run_tier_round(topo, ds, init, AggregationPolicy("uniform", 2), config, None)
+            run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("uniform", 2), config)
         return str(info.value)
 
     def test_divergence_inside_a_cohort_names_the_client(self):
@@ -422,15 +432,17 @@ class TestRunTierRound:
             "client 'c1' in round 1: training diverged (layer1_weights contains non-finite entries)")
 
     def test_divergence_of_two_members_names_the_lower_id(self):
-        assert self.diverging_round(["c0", "c1"]) == (
-            "client 'c0' in round 1: training diverged (layer1_weights contains non-finite entries)")
+        # In the interleaved tree, depth-first order is c1, c0.
+        for layout in (flat_topology, interleaved_topology):
+            assert self.diverging_round(["c0", "c1"], layout) == (
+                "client 'c0' in round 1: training diverged (layer1_weights contains non-finite entries)")
 
     def test_cohorts_group_by_row_count_within_the_byte_budget(self, monkeypatch):
         # Cohorts are consecutive runs of the clients in descending
         # training-row order (ties by id), each within the byte budget.
         ds = {c: separable_client(c, n=n, seed=i) for i, (c, n) in
               enumerate([("a", 10), ("b", 12), ("c", 10), ("d", 14), ("e", 12)])}
-        topo = self.two_level_topology(sorted(ds))
+        topo = flat_topology(sorted(ds))
         init = init_params((2, 4, 2), 1)
         config = TrainingConfig(epochs=1, batch_size=4, seed=3)
         per_client = working_set_bytes(init.dims, config.batch_size)
@@ -443,11 +455,11 @@ class TestRunTierRound:
             return original(init, raw, labels, codes, table, rows, config, seeds, scratch)
 
         monkeypatch.setattr(nn, "_train_part", spy)
-        run_tier_round(topo, ds, init, AggregationPolicy(), config, None)
+        run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy(), config)
         assert calls == [(["d", "b", "e", "a", "c"], [14, 12, 12, 10, 10])]
         calls.clear()
         monkeypatch.setattr(nn, "COHORT_BYTES", 2 * per_client + 1)
-        run_tier_round(topo, ds, init, AggregationPolicy(), config, None)
+        run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy(), config)
         assert calls == [(["d", "b"], [14, 12]), (["e", "a"], [12, 10]), (["c"], [10])]
         assert all(len(ids) * per_client <= nn.COHORT_BYTES for ids, _ in calls)
 
@@ -470,7 +482,7 @@ class TestRunTierRound:
     def test_holds_one_rounds_buffer_at_a_time(self, monkeypatch):
         # At each kernel call after the first, no earlier round's (K, P)
         # buffer, client update or client model is still held.
-        topo = self.two_level_topology([f"c{i}" for i in range(8)])
+        topo = flat_topology([f"c{i}" for i in range(8)])
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 400, 2), seed=1)
         buffer = 8 * init.n_params * 8
@@ -483,18 +495,18 @@ class TestRunTierRound:
 
         monkeypatch.setattr(federation, "train_cohort", spy)
         seen = []
+        rows = train_rows(topo, ds)
         traced_peak(lambda: run_tier_round(
-            topo, ds, init, AggregationPolicy("sample_weighted", 3), TrainingConfig(epochs=1, seed=2), None,
+            topo, rows, init, AggregationPolicy("sample_weighted", 3), TrainingConfig(epochs=1, seed=2),
             lambda updates: seen.append(len(updates))))
         assert seen == [8] and len(held) == 3
         assert all(later - held[0] < buffer / 2 for later in held[1:])
 
     def test_missing_dataset_rejected(self):
-        topo = self.two_level_topology(["c0", "c1"])
-        with pytest.raises(MissingClientError, match="c1"):
-            run_tier_round(topo, {"c0": separable_client("c0", n=8)},
-                           init_params((2, 4, 2), 0), AggregationPolicy(),
-                           TrainingConfig(epochs=1), None)
+        topo = flat_topology(["c0", "c1"])
+        for split in ("train", "validation"):
+            with pytest.raises(MissingClientError, match="c1"):
+                stack_split(topo, {"c0": separable_client("c0", n=8)}, None, split)
 
     def test_full_run_bit_reproducible(self):
         rng = np.random.default_rng(13)
@@ -503,8 +515,8 @@ class TestRunTierRound:
         init = init_params((2, 6, 2), seed=2)
         config = TrainingConfig(learning_rate=0.03, epochs=4, seed=77)
         policy = AggregationPolicy("sample_weighted", 3)
-        first = run_tier_round(topo, ds, init, policy, config, None)
-        second = run_tier_round(topo, ds, init, policy, config, None)
+        first = run_tier_round(topo, train_rows(topo, ds), init, policy, config)
+        second = run_tier_round(topo, train_rows(topo, ds), init, policy, config)
         assert set(first) == set(second)
         for node_id in first:
             assert params_equal(first[node_id], second[node_id])
@@ -520,8 +532,8 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=21)
 
         def root_accuracy(rounds):
-            models = run_tier_round(topo, datasets, init,
-                                    AggregationPolicy("sample_weighted", rounds), config, vocab)
+            models = run_tier_round(topo, train_rows(topo, datasets, vocab), init,
+                                    AggregationPolicy("sample_weighted", rounds), config)
             return evaluate(models[topo.root_id], datasets.values(), vocab)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

@@ -33,11 +33,10 @@ from spatialfl.harness import (
     grouped_topology,
     load_config,
     run_experiment,
-    validation_rows,
     write_models,
 )
-from spatialfl import nn
-from spatialfl.federation import AggregationPolicy, deserialize_model, stack_rows
+from spatialfl import nn, spatial
+from spatialfl.federation import AggregationPolicy, deserialize_model, stack_rows, stack_split
 from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute, build_vocabulary
@@ -126,9 +125,9 @@ class TestFoldedAccuracy:
         vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
         dims = (vocab.encoding_length + 2, 4, 3)
         model = init_params(dims, seed=int(rng.integers(0, 2 ** 31)))
-        members = [init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for _ in range(3)]
+        members = {f"m{k}": init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for k in range(3)}
 
-        raw, labels, codes, enc, spans = validation_rows(topo, datasets, vocab)
+        raw, labels, codes, enc, spans = stack_split(topo, datasets, vocab, "validation")
         single = fold_correct(predict_rows(model, raw, codes, enc), labels, spans)
         voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
@@ -408,6 +407,23 @@ class TestRunExperiment:
         assert len(calls) == 3
         assert trained.pop("centralized") == 3
         assert trained == {(c, r): 1 for c in clients for r in (1, 2)}
+
+    def test_each_split_is_stacked_once(self, monkeypatch):
+        # The tiered loop, the centralized baselines and scoring share one
+        # stack per split: two stackings, each encoding every client once.
+        config = synthetic_config(baselines=("centralized_nn", "ensemble", "flat_fedavg",
+                                             "flat_fedavg_weighted"), rounds=2)
+        calls = Counter()
+        for function in (stack_rows, spatial.encode_spatial):
+            def spy(*args, original=function):
+                calls[original.__name__] += 1
+                return original(*args)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("spatialfl") and getattr(module, function.__name__, None) is function:
+                    monkeypatch.setattr(module, function.__name__, spy)
+        result = run_experiment(config)
+        assert calls == {"stack_rows": 2, "encode_spatial": 2 * len(result.report.client_predictions)}
 
     def test_cohorts_of_one_give_identical_models(self, monkeypatch):
         config = synthetic_config(rounds=2)

@@ -24,7 +24,7 @@ from reference import (
 )
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch
-from spatialfl.errors import InvalidDimensionError, InvalidLabelError, ShapeError
+from spatialfl.errors import DivergenceError, InvalidDimensionError, InvalidLabelError, ShapeError
 from spatialfl.nn import (
     ModelParams,
     TrainingConfig,
@@ -360,7 +360,7 @@ class TestPredictRows:
 
         votes = np.stack([predict_rows(m, raw, codes, enc) for m in members])
         tally = [np.argmax(np.bincount(votes[:, i], minlength=case.dims[2])) for i in range(len(raw))]
-        assert ensemble_predict_batch(members, raw, codes, enc).tolist() == tally
+        assert ensemble_predict_batch({f"m{i}": m for i, m in enumerate(members)}, raw, codes, enc).tolist() == tally
 
     def test_tie_breaks_to_lowest_class_with_encoding(self):
         dims = (4, 2, 3)
@@ -369,6 +369,20 @@ class TestPredictRows:
         model = ModelParams(vec, dims)
         raw, enc = np.array([[3.0, -1.0], [0.0, 2.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
         assert predict_rows(model, raw, np.array([1, 0]), enc).tolist() == [0, 0]
+
+    def test_overflowing_logits_raise_divergence_without_warning(self):
+        # Finite parameters near the float limit: the hidden layer (or, with
+        # a zero first layer, only the logits) overflow. Pytest turns any
+        # numpy warning into a failure.
+        dims = (2, 2, 2)
+        raw, codes, enc = np.array([[1.0, 1.0]]), np.array([0]), np.zeros((1, 0))
+        huge = np.full(flat_length(dims), 1e308)
+        hidden_overflow = ModelParams(huge, dims)
+        logit_overflow = ModelParams(np.where(np.arange(huge.size) < 4, 0.0, huge), dims)
+        assert np.isfinite(hidden_rows(logit_overflow, raw, codes, enc)).all()
+        for model in (hidden_overflow, logit_overflow):
+            with pytest.raises(DivergenceError, match=r"^scoring diverged \(non-finite logits\)$"):
+                predict_rows(model, raw, codes, enc)
 
     def test_shape_errors_name_both_widths(self):
         model = init_params((6, 3, 2), seed=0)
