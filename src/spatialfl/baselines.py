@@ -4,12 +4,15 @@ ensemble.
 
 The ensemble members and the single-level federated averages (uniform or
 sample-weighted) are not trained here: they are built from the round-1
-client updates that :func:`~spatialfl.federation.run_tier_round` passes
-to its ``first_round`` callback, so every client is trained once per
-round. The run scores them in that callback, before round 2 trains, so
-round 1's models are released before round 2's exist. All baselines read
-the tiered method's rows (:func:`~spatialfl.federation.stack_split`), so
-accuracy differences isolate the aggregation strategy.
+``(K, P)`` parameter buffer and training-row counts that
+:func:`~spatialfl.federation.run_tier_round` passes to its ``first_round``
+callback, so every client is trained once per round. The members are
+views of the buffer's rows, and a flat average is
+:func:`~spatialfl.federation.aggregate` over all of them. The run scores
+them in that callback, before round 2 trains, so round 1's buffer is
+released before round 2's exists. All baselines read the tiered method's
+rows (:func:`~spatialfl.federation.stack_split`), so accuracy differences
+isolate the aggregation strategy.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ Subcommands: ``run`` (full experiment), ``validate-config``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from .harness import (
     evaluate,
     load_config,
     load_datasets,
+    read_json_file,
     run_experiment,
     synthetic_spec_from_dict,
     vocabulary,
@@ -77,14 +77,7 @@ def cmd_validate_config(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError([f"spec file does not exist: {spec_path}"])
-    try:
-        raw = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"spec is not valid JSON: {exc}"]) from exc
-    spec = synthetic_spec_from_dict(raw)
+    spec = synthetic_spec_from_dict(read_json_file(Path(args.spec), "spec"))
     datasets, _, oracle = generate_synthetic(spec)
     export_csv(datasets, args.out)
     rows = sum(ds.n_rows for ds in datasets.values())

@@ -20,8 +20,12 @@ loop, the centralized baselines and scoring alike. Each round trains every
 client on its span of the training stack in one call of the training
 kernel, which cuts the clients into cohorts whose working memory fits
 :data:`~spatialfl.nn.COHORT_BYTES`. The call returns every client's
-parameters as one ``(K, P)`` buffer; a round's buffer is released before
-the next round trains, so a run holds one at a time.
+parameters as one ``(K, P)`` buffer, row ``k`` the ``k``-th client in
+ascending id order, and :func:`aggregate_tree` reads that buffer as it is:
+there is one aggregation function, :func:`aggregate`, and no per-client
+object until the last round's client models are returned. A round's
+buffer is released before the next round trains, so a run holds one at a
+time.
 """
 
 from __future__ import annotations
@@ -160,19 +164,6 @@ def validate_topology(topology: TierTopology) -> None:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """One client's contribution to a round of aggregation."""
-
-    client_id: str
-    params: ModelParams
-    spatial_weight_raw: float
-
-    def __post_init__(self):
-        if self.spatial_weight_raw < 0:
-            raise ValueError("spatial_weight_raw must be non-negative")
-
-
-@dataclass(frozen=True)
 class AggregationPolicy:
     """How each tier combines its children, and how many rounds to run."""
 
@@ -248,17 +239,6 @@ def stack_split(
     return raw, labels, codes, enc, spans
 
 
-def _sorted_consistent(updates: Iterable[ClientUpdate]) -> list[ClientUpdate]:
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    if not ordered:
-        raise EmptyAggregationError("no updates to aggregate")
-    dims = ordered[0].params.dims
-    for u in ordered:
-        if u.params.dims != dims:
-            raise ShapeError(f"update {u.client_id!r} has dims {u.params.dims}, expected {dims}")
-    return ordered
-
-
 def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
     """The fixed pairwise sum of vectors in the order given: deterministic,
     and exact for 2^k identical inputs, which plain left-to-right
@@ -293,12 +273,19 @@ def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _combine(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, dims: Dims) -> ModelParams:
-    """The aggregate of parameter vectors given in ascending id order, as a
-    model of ``dims``: their mean, or with ``sample_weighted`` their convex
-    combination by the normalised raw weights, each weighted vector formed
-    only when the sum takes it. Always a new vector. A non-finite entry (the
-    sum overflowed) raises :class:`DivergenceError`."""
+def aggregate(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, dims: Dims) -> ModelParams:
+    """The aggregate of parameter vectors (a ``(K, P)`` buffer or a list of
+    rows) as a model of ``dims``: their mean, or with ``sample_weighted``
+    their convex combination by the normalised raw weights ``raws``, one
+    per vector, each weighted vector formed only when the sum takes it.
+
+    The vectors are summed in the order given (see :func:`_tree_sum`), so
+    callers pass them in ascending id order. Always a new vector. No
+    vectors raises :class:`EmptyAggregationError`; a non-finite entry (the
+    sum overflowed) raises :class:`DivergenceError`.
+    """
+    if len(vectors) == 0:
+        raise EmptyAggregationError("no vectors to aggregate")
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "uniform":
             vector = _tree_sum(vectors) / len(vectors)
@@ -308,18 +295,6 @@ def _combine(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, di
         return ModelParams(vector, dims)
     except ValueError as exc:  # ModelParams' only ValueError: a non-finite entry
         raise DivergenceError(f"aggregate diverged ({exc})") from None
-
-
-def _aggregate(updates: Iterable[ClientUpdate], mode: str) -> ModelParams:
-    ordered = _sorted_consistent(updates)
-    return _combine([u.params.vector for u in ordered], [u.spatial_weight_raw for u in ordered], mode,
-                    ordered[0].params.dims)
-
-
-def fedavg(updates: Iterable[ClientUpdate]) -> ModelParams:
-    """Uniform federated average: the elementwise mean of the parameters.
-    A non-finite mean (the sum overflowed) raises :class:`DivergenceError`."""
-    return _aggregate(updates, "uniform")
 
 
 def normalize_weights(raws: Iterable[float]) -> list[float]:
@@ -335,47 +310,41 @@ def normalize_weights(raws: Iterable[float]) -> list[float]:
     return [r / total for r in raws]
 
 
-def weighted_aggregate(updates: Iterable[ClientUpdate]) -> ModelParams:
-    """Convex combination of parameters weighted by normalised raw weights.
-    A non-finite result raises :class:`DivergenceError`."""
-    return _aggregate(updates, "sample_weighted")
-
-
 def aggregate_tree(
     topology: TierTopology,
-    updates: Iterable[ClientUpdate],
+    params: Sequence[np.ndarray],
+    counts: Sequence[float],
+    dims: Dims,
     mode: str = "sample_weighted",
 ) -> dict[str, ModelParams]:
-    """Fold client updates up the tree; returns one model per node.
+    """Fold a round's client parameters up the tree; returns the model of
+    every interior node.
 
+    Row ``k`` of ``params`` (the training kernel's ``(K, P)`` buffer) and
+    ``counts[k]``, its raw weight, belong to the ``k``-th client of
+    :meth:`TierTopology.clients` (ascending id order); a row count or
+    weight count other than the client count raises :class:`ShapeError`.
     Interior nodes carry the sum of their descendants' raw weights, so
     with the sample-weighted mode the root equals the flat weighted
     average over all clients (up to rounding). Every interior node
     combines its children's vectors in ascending id order, exactly as
-    :func:`fedavg` or :func:`weighted_aggregate` over their updates would.
-    An aggregate with a non-finite entry raises :class:`DivergenceError`
-    naming the node.
+    :func:`aggregate` over their vectors would. An aggregate with a
+    non-finite entry raises :class:`DivergenceError` naming the node.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
-    by_id = {u.client_id: u for u in updates}
     clients = topology.clients()
-    missing = [c for c in clients if c not in by_id]
-    if missing:
-        raise MissingClientError(f"no update for clients: {missing}")
-    extra = sorted(set(by_id) - set(clients))
-    if extra:
-        raise TopologyError(f"updates for unknown clients: {extra}")
-    dims = _sorted_consistent(by_id.values())[0].params.dims
-
-    models = {c: by_id[c].params for c in clients}
-    vectors = {c: models[c].vector for c in clients}
-    weights = {c: by_id[c].spatial_weight_raw for c in clients}
+    if not len(params) == len(counts) == len(clients):
+        raise ShapeError(f"{len(params)} parameter rows and {len(counts)} weights "
+                         f"for {len(clients)} clients")
+    vectors = dict(zip(clients, params))
+    weights = dict(zip(clients, counts))
+    models = {}
     for tier in range(1, topology.max_tier + 1):
         for node in sorted(n.node_id for n in topology.nodes if n.tier == tier):
             kids = topology.children(node)
             with DivergenceError.naming(f"node {node!r}"):
-                models[node] = _combine([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims)
+                models[node] = aggregate([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims)
             vectors[node] = models[node].vector
             weights[node] = float(sum(weights[k] for k in kids))
     return models
@@ -387,25 +356,26 @@ def run_tier_round(
     global_init: ModelParams,
     policy: AggregationPolicy,
     config: TrainingConfig,
-    first_round: Callable[[list[ClientUpdate]], None] | None = None,
+    first_round: Callable[[np.ndarray, list[int]], None] | None = None,
 ) -> dict[str, ModelParams]:
     """Run the full tiered protocol for ``policy.rounds`` rounds on the
     training stack ``rows`` (:func:`stack_split`).
 
     Each round every client trains from the current broadcast model
-    (round 1 broadcasts ``global_init``), updates flow up the tree, and
-    the root model becomes the next broadcast. Returns the final model of
-    every node: localized models at tier 0, one aggregate per interior
-    node, the global model at the root.
+    (round 1 broadcasts ``global_init``), the round's parameters flow up
+    the tree, and the root model becomes the next broadcast. Returns the
+    final model of every node: localized models at tier 0, one aggregate
+    per interior node, the global model at the root.
 
-    ``first_round``, if given, is called once with the round-1 client
-    updates in ascending client order, after round 1's aggregation and
-    before round 2 trains. Those are the clients' models trained once
-    from ``global_init``; one-round flat federated averaging and the
-    per-client ensemble are built from them. Before each round after the
-    first trains, the previous round's ``(K, P)`` parameter buffer,
-    updates and node models are released (unless the callback kept
-    them), so one round's buffer is held at a time.
+    ``first_round``, if given, is called once with round 1's ``(K, P)``
+    parameter buffer and the clients' training-row counts (their raw
+    weights), both in ascending client order (:meth:`TierTopology.clients`),
+    after round 1's aggregation and before round 2 trains. Its rows are
+    the clients' models trained once from ``global_init``; one-round flat
+    federated averaging and the per-client ensemble are built from them.
+    Before each round after the first trains, the previous round's buffer
+    and node models are released (unless the callback kept them), so one
+    round's buffer is held at a time.
 
     Each round trains every client on its span of ``rows`` in one call
     of the training kernel, seeded by :func:`round_seed` with
@@ -424,22 +394,20 @@ def run_tier_round(
     for round_index in range(1, policy.rounds + 1):
         if round_index > 1:
             # Only the broadcast, a fresh vector, outlives a round.
-            del params, updates, models
+            del params, models
         seeds = [round_seed(config.seed, c, round_index) for c in clients]
         params, failed = train_cohort(broadcast, raw, labels, codes, enc, client_rows, config, seeds)
         if failed:
             i = min(failed)
             raise DivergenceError(f"client {clients[i]!r} in round {round_index}: {failed[i]}")
-        # Views of the clients' rows: every kernel call allocates its
-        # buffer afresh and nothing writes it once the call returns.
-        updates = [ClientUpdate(c, ModelParams(vector, broadcast.dims), float(count))
-                   for c, vector, count in zip(clients, params, counts)]
         with DivergenceError.naming(f"round {round_index}"):
-            models = aggregate_tree(topology, updates, policy.mode)
+            models = aggregate_tree(topology, params, counts, broadcast.dims, policy.mode)
         if round_index == 1 and first_round is not None:
-            first_round(updates)
+            first_round(params, counts)
         broadcast = models[topology.root_id]
-    return models
+    # Views of the last buffer's rows: every kernel call allocates its
+    # buffer afresh and nothing writes it once the call returns.
+    return {**{c: ModelParams(vector, broadcast.dims) for c, vector in zip(clients, params)}, **models}
 
 
 def serialize_model(params: ModelParams) -> bytes:

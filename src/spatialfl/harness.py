@@ -39,16 +39,14 @@ from .data import (
 from .errors import ConfigError, DivergenceError, EmptyEvaluationError, SpatialFLError
 from .federation import (
     AggregationPolicy,
-    ClientUpdate,
     TierNode,
     TierTopology,
-    fedavg,
+    aggregate,
     round_seed,
     run_tier_round,
     serialize_model,
     stack_rows,
     stack_split,
-    weighted_aggregate,
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_rows
 from .seeding import derive_seed
@@ -400,16 +398,26 @@ def config_from_dict(raw: Mapping, base_dir: Path = Path(".")) -> ExperimentConf
     return ExperimentConfig(**values)
 
 
+def read_json_file(path: Path, what: str):
+    """The JSON document in a UTF-8 file. A file that is missing, cannot be
+    read (a directory, say), is not UTF-8 or is not JSON raises a one-line
+    :class:`ConfigError` naming it as ``what`` (``config`` or ``spec``)."""
+    if not path.exists():
+        raise ConfigError([f"{what} file does not exist: {path}"])
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{what} is not valid JSON: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{what} file is not UTF-8 text: {path} (byte {exc.start}: {exc.reason})"]) from None
+    except OSError as exc:
+        raise ConfigError([f"{what} file cannot be read: {path} ({exc.strerror})"]) from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file; lists every problem at once."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"config file does not exist: {path}"])
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(read_json_file(path, "config"), base_dir=path.parent)
 
 
 # -- experiment pipeline ---------------------------------------------------------
@@ -518,20 +526,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # as round 1 is aggregated, so that those models need not outlive it.
     first_round_correct: dict[str, dict[str, int]] = {}
 
-    def score_first_round(updates: list[ClientUpdate]) -> None:
+    def score_first_round(params: np.ndarray, counts: list[int]) -> None:
         with _stage("baselines"):
             for kind in config.baselines:
                 if kind is BaselineKind.CENTRALIZED_NN:
                     continue
                 with DivergenceError.naming(f"{kind.value} baseline"):
                     if kind is BaselineKind.ENSEMBLE:
-                        members = {u.client_id: u.params for u in updates}
+                        members = {c: ModelParams(vector, dims) for c, vector in zip(clients, params)}
                         predicted = ensemble_predict_batch(members, raw, codes, enc)
                     else:
                         # One round of flat federated averaging over the
                         # clients' round-1 models.
-                        aggregate = weighted_aggregate if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else fedavg
-                        predicted = predict_rows(aggregate(updates), raw, codes, enc)
+                        mode = "sample_weighted" if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else "uniform"
+                        predicted = predict_rows(aggregate(params, counts, mode, dims), raw, codes, enc)
                 first_round_correct[kind.value] = fold_correct(predicted, labels, spans)
 
     with _stage("federated"):

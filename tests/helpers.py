@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from spatialfl.data import ClientDataset
-from spatialfl.federation import ClientUpdate, TierNode, TierTopology, round_seed, stack_rows, stack_split
+from spatialfl.federation import TierNode, TierTopology, round_seed, stack_rows, stack_split
 from spatialfl.nn import ModelParams, TrainingConfig, init_params, train_cohort
 from spatialfl.spatial import SpatialAttribute
 
@@ -63,18 +63,24 @@ def train_alone(dataset, init, config, vocab=None):
     return ModelParams(params[0], init.dims)
 
 
-def alone_update(dataset, init, config, vocab=None):
-    """:func:`train_alone` as the client's update, weighted by its rows."""
-    return ClientUpdate(dataset.client_id, train_alone(dataset, init, config, vocab),
-                        float(dataset.count("train")))
+def alone_round(datasets, init, config, vocab=None):
+    """Round 1 of the clients in ``datasets`` (by client id) as the tiered
+    loop hands it on, with each client trained alone (:func:`train_alone`,
+    with its round-1 seed): the ``(K, P)`` buffer in ascending client order
+    and the clients' training-row counts."""
+    ids = sorted(datasets)
+    params = np.stack([train_alone(datasets[c], init, per_round_config(config, c, 1), vocab).vector for c in ids])
+    return params, [datasets[c].count("train") for c in ids]
 
 
-def random_update(client_id, dims, rng, max_count=50):
-    return ClientUpdate(
-        client_id=client_id,
-        params=init_params(dims, seed=int(rng.integers(0, 2 ** 32))),
-        spatial_weight_raw=float(rng.integers(1, max_count + 1)),
-    )
+def random_buffer(k, dims, rng, max_count=50):
+    """``k`` random models of ``dims`` as a ``(K, P)`` buffer, and ``k`` raw
+    weights in ``1..max_count``, drawn model, weight, model, weight."""
+    rows, counts = [], []
+    for _ in range(k):
+        rows.append(init_params(dims, seed=int(rng.integers(0, 2 ** 32))).vector)
+        counts.append(float(rng.integers(1, max_count + 1)))
+    return np.stack(rows), counts
 
 
 def random_tree(rng, n_clients):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import no_encoding, random_tree, random_update, spans
+from helpers import no_encoding, random_buffer, random_tree, spans
 from reference import (
     adam_step,
     backward,
@@ -26,13 +26,13 @@ from spatialfl.data import ClientDataset, SyntheticSpec
 from spatialfl.errors import CorruptModelError
 from spatialfl.federation import (
     MODEL_MAGIC,
+    AGGREGATION_MODES,
     AggregationPolicy,
-    ClientUpdate,
+    TierTopology,
+    aggregate,
     aggregate_tree,
     deserialize_model,
-    fedavg,
     serialize_model,
-    weighted_aggregate,
 )
 from spatialfl.harness import (
     METHOD_TIERED,
@@ -168,7 +168,7 @@ def test_aggregation_algebra():
         dims = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 4)))
         p = init_params(dims, seed=int(rng.integers(0, 2 ** 32)))
         k = int(rng.integers(2, 9))
-        out = fedavg([ClientUpdate(f"c{i:02d}", p, 1.0) for i in range(k)])
+        out = aggregate(np.stack([p.vector] * k), [1.0] * k, "uniform", dims)
         gap = float(np.max(np.abs(out.vector - p.vector)))
         idempotent &= gap <= 1e-15
         if k & (k - 1) == 0:
@@ -178,29 +178,34 @@ def test_aggregation_algebra():
     convex = True
     for _ in range(cases):
         dims = (2, 3, 2)
-        updates = [random_update(f"c{i:02d}", dims, rng) for i in range(int(rng.integers(1, 8)))]
-        stacked = np.stack([u.params.vector for u in updates])
-        for aggregate in (fedavg, weighted_aggregate):
-            vec = aggregate(updates).vector
-            convex &= bool(np.all(vec >= stacked.min(axis=0) - 1e-15))
-            convex &= bool(np.all(vec <= stacked.max(axis=0) + 1e-15))
+        params, counts = random_buffer(int(rng.integers(1, 8)), dims, rng)
+        for mode in AGGREGATION_MODES:
+            vec = aggregate(params, counts, mode, dims).vector
+            convex &= bool(np.all(vec >= params.min(axis=0) - 1e-15))
+            convex &= bool(np.all(vec <= params.max(axis=0) + 1e-15))
     check("aggregation algebra: convexity", convex, f"{cases} cases")
 
+    # Rows come in the topology's client order, so invariance is to the
+    # order in which the tree's nodes are listed.
     permutation = True
     for _ in range(cases):
         dims = (2, 3, 2)
-        updates = [random_update(f"c{i:02d}", dims, rng) for i in range(int(rng.integers(2, 8)))]
-        shuffled = [updates[i] for i in rng.permutation(len(updates))]
-        permutation &= params_equal(fedavg(updates), fedavg(shuffled))
-        permutation &= params_equal(weighted_aggregate(updates), weighted_aggregate(shuffled))
+        topology = random_tree(rng, int(rng.integers(2, 8)))
+        params, counts = random_buffer(len(topology.clients()), dims, rng)
+        shuffled = TierTopology(tuple(topology.nodes[i] for i in rng.permutation(len(topology.nodes))))
+        for mode in AGGREGATION_MODES:
+            models = aggregate_tree(topology, params, counts, dims, mode)
+            again = aggregate_tree(shuffled, params, counts, dims, mode)
+            permutation &= models.keys() == again.keys()
+            permutation &= all(params_equal(models[n], again[n]) for n in models)
     check("aggregation algebra: permutation bit-invariance", permutation, f"{cases} cases")
 
     identity = True
     for _ in range(cases):
         dims = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 4)))
-        update = random_update("only", dims, rng)
-        identity &= params_equal(fedavg([update]), update.params)
-        identity &= params_equal(weighted_aggregate([update]), update.params)
+        params, counts = random_buffer(1, dims, rng)
+        for mode in AGGREGATION_MODES:
+            identity &= params_equal(aggregate(params, counts, mode, dims), ModelParams(params[0], dims))
     check("aggregation algebra: single-client identity", identity, f"{cases} cases")
 
 
@@ -210,9 +215,9 @@ def test_hierarchical_flat_equivalence():
     worst = 0.0
     for _ in range(50):
         topology = random_tree(rng, int(rng.integers(2, 12)))
-        updates = [random_update(c, (2, 3, 2), rng) for c in topology.clients()]
-        root = aggregate_tree(topology, updates, "sample_weighted")[topology.root_id]
-        flat = weighted_aggregate(updates)
+        params, counts = random_buffer(len(topology.clients()), (2, 3, 2), rng)
+        root = aggregate_tree(topology, params, counts, (2, 3, 2), "sample_weighted")[topology.root_id]
+        flat = aggregate(params, counts, "sample_weighted", (2, 3, 2))
         worst = max(worst, float(np.max(np.abs(root.vector - flat.vector))))
     check("hierarchical/flat equivalence", worst <= 1e-12, f"50 trees, max gap {worst:.2e}")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    alone_update,
+    alone_round,
     flat_topology,
     interleaved_topology,
     no_encoding,
@@ -19,13 +19,7 @@ from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
-from spatialfl.federation import (
-    AggregationPolicy,
-    fedavg,
-    run_tier_round,
-    stack_rows,
-    weighted_aggregate,
-)
+from spatialfl.federation import AGGREGATION_MODES, AggregationPolicy, aggregate, run_tier_round, stack_rows
 from spatialfl.harness import evaluate
 from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows, train_cohort
 from spatialfl.seeding import derive_seed
@@ -241,53 +235,56 @@ class TestEnsemblePredict:
 
 class TestFlatFedavg:
     """The flat baselines are one aggregation step over the tiered run's
-    round-1 client updates, and the ensemble members are their params."""
+    round-1 parameter buffer, and the ensemble members are its rows."""
 
     @staticmethod
     def one_level_run(clients, init, config, mode="uniform", rounds=1):
         topo = flat_topology([c.client_id for c in clients])
         first_round = []
         models = run_tier_round(topo, train_rows(topo, {c.client_id: c for c in clients}), init,
-                                AggregationPolicy(mode, rounds), config, first_round.extend)
-        return models, first_round
+                                AggregationPolicy(mode, rounds), config,
+                                lambda params, counts: first_round.append((params, counts)))
+        ((params, counts),) = first_round
+        return models, params, counts
 
     def test_single_client_returns_its_model(self):
         ds = separable_client("solo", n=12, seed=3)
         init = init_params((2, 4, 2), seed=2)
         config = TrainingConfig(learning_rate=0.05, epochs=4, seed=19)
-        _, first_round = self.one_level_run([ds], init, config)
+        _, params, counts = self.one_level_run([ds], init, config)
         direct = train_alone(ds, init, per_round_config(config, "solo", 1))
-        assert params_equal(fedavg(first_round), direct)
-        assert params_equal(weighted_aggregate(first_round), direct)
+        for mode in AGGREGATION_MODES:
+            assert params_equal(aggregate(params, counts, mode, init.dims), direct)
 
     def test_equal_counts_weighted_matches_unweighted(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(3)]
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=2, seed=8)
-        _, first_round = self.one_level_run(clients, init, config)
-        plain = fedavg(first_round).vector
-        weighted = weighted_aggregate(first_round).vector
+        _, params, counts = self.one_level_run(clients, init, config)
+        plain = aggregate(params, counts, "uniform", init.dims).vector
+        weighted = aggregate(params, counts, "sample_weighted", init.dims).vector
         assert np.allclose(np.abs(plain - weighted), 0.0, atol=1e-15)
 
     def test_matches_degenerate_tier_round_bit_exact(self):
         # One round over a one-level tree must equal one aggregation step
         # over clients trained directly from the init with round-1 seeds,
-        # for both policies; later rounds must not alter the round-1 updates.
+        # for both policies; later rounds must not alter the round-1 buffer.
         clients = [separable_client(f"c{i}", n=8 + 2 * i, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=5)
         config = TrainingConfig(learning_rate=0.03, epochs=3, seed=31)
-        direct = [alone_update(c, init, per_round_config(config, c.client_id, 1)) for c in clients]
-        for mode, aggregate in (("uniform", fedavg), ("sample_weighted", weighted_aggregate)):
-            tree_models, first_round = self.one_level_run(clients, init, config, mode)
-            assert params_equal(tree_models["root"], aggregate(direct))
-            assert params_equal(aggregate(first_round), aggregate(direct))
-            _, kept = self.one_level_run(clients, init, config, mode, rounds=3)
-            assert [u.client_id for u in kept] == [u.client_id for u in direct]
-            assert all(params_equal(a.params, b.params) for a, b in zip(kept, direct))
+        direct, direct_counts = alone_round({c.client_id: c for c in clients}, init, config)
+        expected = {mode: aggregate(direct, direct_counts, mode, init.dims) for mode in AGGREGATION_MODES}
+        for mode in AGGREGATION_MODES:
+            tree_models, params, counts = self.one_level_run(clients, init, config, mode)
+            assert params_equal(tree_models["root"], expected[mode])
+            assert params_equal(aggregate(params, counts, mode, init.dims), expected[mode])
+            _, kept, kept_counts = self.one_level_run(clients, init, config, mode, rounds=3)
+            assert kept_counts == counts == direct_counts
+            assert np.array_equal(kept, direct)
 
     def test_client_models_use_per_client_seeds(self):
         clients = [separable_client(f"c{i}", n=10, seed=0) for i in range(2)]
         init = init_params((2, 4, 2), seed=0)
-        _, (c0, c1) = self.one_level_run(clients, init, TrainingConfig(epochs=2, seed=3))
+        _, (c0, c1), _ = self.one_level_run(clients, init, TrainingConfig(epochs=2, seed=3))
         # identical data but distinct derived seeds produce distinct models
-        assert not params_equal(c0.params, c1.params)
+        assert not np.array_equal(c0, c1)

@@ -323,6 +323,27 @@ class TestNonFiniteNumbers:
         assert capsys.readouterr().err.splitlines() == [f"config error: {key} must be a finite number"]
 
 
+class TestUnreadableInputFile:
+    """A config or spec file that is not UTF-8 text, or a directory in its
+    place, exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("command, flag, what", [
+        ("run", "--config", "config"),
+        ("validate-config", "--config", "config"),
+        ("gen-synthetic", "--spec", "spec"),
+    ])
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, command, flag, what):
+        binary = tmp_path / "input.json"
+        binary.write_bytes(b"\xff\xfe{\"seed\": 1}")
+        folder = tmp_path / "folder.json"
+        folder.mkdir()
+        extra = ["--out", str(tmp_path / "x.csv")] if command == "gen-synthetic" else []
+        for path, problem in ((binary, "is not UTF-8 text"), (folder, "cannot be read")):
+            assert main([command, flag, str(path), *extra]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: {what} file {problem}: {path} ("), err
+
+
 class TestGenSynthetic:
     def test_writes_ingestable_csv(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "spec.json", SPEC)

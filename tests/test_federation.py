@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    alone_update,
+    alone_round,
     flat_topology,
     interleaved_topology,
     no_encoding,
     per_round_config,
+    random_buffer,
     random_tree,
-    random_update,
     separable_client,
     train_alone,
     train_rows,
@@ -37,30 +37,35 @@ from spatialfl.errors import (
 )
 from spatialfl import federation, nn
 from spatialfl.federation import (
+    AGGREGATION_MODES,
     MODEL_MAGIC,
     AggregationPolicy,
-    ClientUpdate,
     TierNode,
     TierTopology,
+    aggregate,
     aggregate_tree,
     deserialize_model,
-    fedavg,
     normalize_weights,
     run_tier_round,
     serialize_model,
     stack_split,
-    weighted_aggregate,
 )
 from spatialfl.harness import evaluate
-from spatialfl.nn import TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
+from spatialfl.nn import ModelParams, TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
 from spatialfl.seeding import derive_seed
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
 
 
-def update(client_id, values, count=1, raw=None):
-    return ClientUpdate(client_id, vector_params(DIMS, values),
-                        float(count if raw is None else raw))
+def uniform(*rows):
+    """The uniform aggregate of rows of DIMS."""
+    return aggregate(np.asarray(rows, dtype=np.float64), [1.0] * len(rows), "uniform", DIMS)
+
+
+def weighted(*pairs):
+    """The sample-weighted aggregate of (raw weight, row of DIMS) pairs."""
+    return aggregate(np.asarray([v for _, v in pairs], dtype=np.float64), [r for r, _ in pairs],
+                     "sample_weighted", DIMS)
 
 
 class TestTopology:
@@ -142,37 +147,39 @@ class TestLocalTrain:
     """A client's local training in a tier round: a one-client tree."""
 
     @staticmethod
-    def first_update(ds, init, config):
+    def first_model(ds, init, config):
+        """The client's round-1 model and training-row count, as the
+        ``first_round`` callback receives them."""
         topo = flat_topology([ds.client_id])
         first_round = []
         run_tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, AggregationPolicy(), config,
-                       first_round.extend)
-        (update,) = first_round
-        return update
+                       lambda params, counts: first_round.append((params, counts)))
+        ((params, (count,)),) = first_round
+        return ModelParams(params[0], init.dims), count
 
     def test_zero_epochs_returns_init_bit_equal(self):
         ds = separable_client("c", n=10, seed=1)
         init = init_params((2, 4, 2), seed=0)
-        out = self.first_update(ds, init, TrainingConfig(epochs=0))
-        assert params_equal(out.params, init)
+        out, _ = self.first_model(ds, init, TrainingConfig(epochs=0))
+        assert params_equal(out, init)
 
     def test_sample_count_matches_rows(self):
         ds = separable_client("c", n=37, seed=2)
-        out = self.first_update(ds, init_params((2, 4, 2), 0), TrainingConfig(epochs=1))
-        assert out.spatial_weight_raw == 37.0
+        _, count = self.first_model(ds, init_params((2, 4, 2), 0), TrainingConfig(epochs=1))
+        assert count == 37
 
     def test_separable_client_reaches_full_training_accuracy(self):
         ds = separable_client("c", n=20, seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=200, seed=4)
-        out = self.first_update(ds, init_params((2, 16, 2), seed=3), config)
+        out, _ = self.first_model(ds, init_params((2, 16, 2), seed=3), config)
         features, labels = ds.rows("train")
-        assert np.mean(predict_rows(out.params, *no_encoding(features)) == labels) == 1.0
+        assert np.mean(predict_rows(out, *no_encoding(features)) == labels) == 1.0
 
     def test_no_training_rows_rejected(self):
         ds = separable_client("c", n=6, seed=0)
         ds.split_tags[:] = "validation"
         with pytest.raises(EmptyClientError):
-            self.first_update(ds, init_params((2, 4, 2), 0), TrainingConfig())
+            self.first_model(ds, init_params((2, 4, 2), 0), TrainingConfig())
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
@@ -187,37 +194,34 @@ class TestLocalTrain:
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
         with pytest.raises(ShapeError):
-            self.first_update(ds, init_params((5, 4, 2), 0), TrainingConfig(epochs=1))
+            self.first_model(ds, init_params((5, 4, 2), 0), TrainingConfig(epochs=1))
 
 
 class TestFedavg:
+    """The uniform mode of :func:`aggregate`."""
+
     def test_mean_of_two(self):
-        out = fedavg([update("a", [1, 2, 3, 4]), update("b", [5, 6, 7, 8])])
+        out = uniform([1, 2, 3, 4], [5, 6, 7, 8])
         assert np.array_equal(out.vector, [3.0, 4.0, 5.0, 6.0])
 
     def test_mean_of_three_constants(self):
-        out = fedavg([update("a", [0] * 4), update("b", [3] * 4), update("c", [6] * 4)])
+        out = uniform([0] * 4, [3] * 4, [6] * 4)
         assert np.array_equal(out.vector, [3.0] * 4)
 
     def test_power_of_two_identical_models_bit_exact(self):
         p = init_params((2, 3, 2), seed=8)
         for k in (2, 4, 8):
-            out = fedavg([ClientUpdate(f"c{i}", p, 1.0) for i in range(k)])
+            out = aggregate(np.stack([p.vector] * k), [1.0] * k, "uniform", p.dims)
             assert params_equal(out, p)
 
     def test_other_counts_within_1e15(self):
         p = init_params((2, 3, 2), seed=8)
-        out = fedavg([ClientUpdate(f"c{i}", p, 1.0) for i in range(3)])
+        out = aggregate(np.stack([p.vector] * 3), [1.0] * 3, "uniform", p.dims)
         assert np.allclose(out.vector, p.vector, atol=1e-15, rtol=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyAggregationError):
-            fedavg([])
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            fedavg([update("a", [0] * 4),
-                    ClientUpdate("b", init_params((2, 3, 2), 0), 1.0)])
+            aggregate(np.empty((0, 4)), [], "uniform", DIMS)
 
 
 class TestNormalizeWeights:
@@ -245,24 +249,25 @@ class TestNormalizeWeights:
 
 
 class TestWeightedAggregate:
+    """The sample-weighted mode of :func:`aggregate`."""
+
     def test_quarter_three_quarters(self):
-        out = weighted_aggregate([update("a", [0] * 4, raw=1), update("b", [4] * 4, raw=3)])
+        out = weighted((1, [0] * 4), (3, [4] * 4))
         assert np.array_equal(out.vector, [3.0] * 4)
 
     def test_equal_raw_weights_match_fedavg(self):
-        updates = [update("a", [1, 2, 3, 4], raw=7), update("b", [5, 6, 7, 8], raw=7),
-                   update("c", [0, 1, 0, 1], raw=7)]
-        assert np.allclose(weighted_aggregate(updates).vector,
-                           fedavg(updates).vector, atol=1e-15, rtol=0.0)
+        rows = ([1, 2, 3, 4], [5, 6, 7, 8], [0, 1, 0, 1])
+        assert np.allclose(weighted(*((7, v) for v in rows)).vector, uniform(*rows).vector,
+                           atol=1e-15, rtol=0.0)
 
     def test_single_update_identity(self):
         p = init_params((3, 2, 2), seed=5)
-        out = weighted_aggregate([ClientUpdate("only", p, 9.0)])
+        out = aggregate(p.vector[None, :], [9.0], "sample_weighted", p.dims)
         assert params_equal(out, p)
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(DegenerateWeightsError):
-            weighted_aggregate([update("a", [1] * 4, raw=0), update("b", [2] * 4, raw=0)])
+            weighted((0, [1] * 4), (0, [2] * 4))
 
 
 def traced_peak(call):
@@ -286,32 +291,30 @@ class TestStreamedPairwiseSum:
     def test_same_bits_as_level_by_level_fold(self, seed, k):
         rng = np.random.default_rng(seed)
         # Magnitudes from 1e-8 to 1e8, so every pairing rounds differently.
-        vectors = list(rng.standard_normal((k, 4)) * 10.0 ** rng.uniform(-8, 8, (k, 4)))
-        copies = [v.copy() for v in vectors]
+        params = rng.standard_normal((k, 4)) * 10.0 ** rng.uniform(-8, 8, (k, 4))
+        copies = list(params.copy())
         raws = rng.integers(1, 1000, k).astype(float)
-        updates = [ClientUpdate(f"c{i:03d}", vector_params(DIMS, v), r)
-                   for i, (v, r) in enumerate(zip(vectors, raws))]
-        assert fedavg(updates).vector.tobytes() == (tree_sum_levels(copies) / k).tobytes()
-        weighted = tree_sum_levels([w * v for w, v in zip(normalize_weights(raws), copies)])
-        assert weighted_aggregate(updates).vector.tobytes() == weighted.tobytes()
-        # The clients' vectors are read, never written.
-        assert all(np.array_equal(v, c) for v, c in zip(vectors, copies))
+        assert aggregate(params, raws, "uniform", DIMS).vector.tobytes() == (tree_sum_levels(copies) / k).tobytes()
+        folded = tree_sum_levels([w * v for w, v in zip(normalize_weights(raws), copies)])
+        assert aggregate(params, raws, "sample_weighted", DIMS).vector.tobytes() == folded.tobytes()
+        # The clients' rows are read, never written.
+        assert np.array_equal(params, copies)
 
     def test_power_of_two_identical_inputs_sum_exactly(self):
         v = np.random.default_rng(0).standard_normal(5) * 1e3
         for k in (1, 2, 4, 8, 64, 256):
             assert federation._tree_sum([v] * k).tobytes() == (k * v).tobytes()
 
-    @pytest.mark.parametrize("aggregate", [fedavg, weighted_aggregate])
-    def test_holds_logarithmically_many_vectors(self, aggregate):
-        # 64 updates of about 10,000 parameters: a list fold holds dozens
+    @pytest.mark.parametrize("mode", AGGREGATION_MODES)
+    def test_holds_logarithmically_many_vectors(self, mode):
+        # 64 clients of about 10,000 parameters: a list fold holds dozens
         # of sums (or all 64 weighted products) at once.
         dims = (400, 24, 16)
         n = nn.flat_length(dims)
         rng = np.random.default_rng(1)
-        updates = [ClientUpdate(f"c{i:02d}", vector_params(dims, rng.standard_normal(n)), 1.0 + i)
-                   for i in range(64)]
-        _, peak = traced_peak(lambda: aggregate(updates))
+        params = rng.standard_normal((64, n))
+        raws = [1.0 + i for i in range(64)]
+        _, peak = traced_peak(lambda: aggregate(params, raws, mode, dims))
         assert peak < (math.log2(64) + 3) * 8 * n
 
 
@@ -319,33 +322,38 @@ class TestAggregationProperties:
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=100, deadline=None)
     def test_permutation_bit_invariance(self, seed):
+        # Rows come in the topology's client order, so invariance is to
+        # the order in which the tree's nodes are listed.
         rng = np.random.default_rng(seed)
         dims = (2, 3, 2)
-        updates = [random_update(f"c{i:02d}", dims, rng) for i in range(int(rng.integers(2, 7)))]
-        shuffled = [updates[i] for i in rng.permutation(len(updates))]
-        assert params_equal(fedavg(updates), fedavg(shuffled))
-        assert params_equal(weighted_aggregate(updates), weighted_aggregate(shuffled))
+        topo = random_tree(rng, int(rng.integers(2, 7)))
+        params, counts = random_buffer(len(topo.clients()), dims, rng)
+        shuffled = TierTopology(tuple(topo.nodes[i] for i in rng.permutation(len(topo.nodes))))
+        for mode in AGGREGATION_MODES:
+            models = aggregate_tree(topo, params, counts, dims, mode)
+            again = aggregate_tree(shuffled, params, counts, dims, mode)
+            assert models.keys() == again.keys()
+            assert all(params_equal(models[n], again[n]) for n in models)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=100, deadline=None)
     def test_convexity(self, seed):
         rng = np.random.default_rng(seed)
         dims = (2, 3, 2)
-        updates = [random_update(f"c{i:02d}", dims, rng) for i in range(int(rng.integers(1, 7)))]
-        stacked = np.stack([u.params.vector for u in updates])
-        for aggregate in (fedavg, weighted_aggregate):
-            vec = aggregate(updates).vector
-            assert np.all(vec >= stacked.min(axis=0) - 1e-15)
-            assert np.all(vec <= stacked.max(axis=0) + 1e-15)
+        params, counts = random_buffer(int(rng.integers(1, 7)), dims, rng)
+        for mode in AGGREGATION_MODES:
+            vec = aggregate(params, counts, mode, dims).vector
+            assert np.all(vec >= params.min(axis=0) - 1e-15)
+            assert np.all(vec <= params.max(axis=0) + 1e-15)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None)
     def test_hierarchical_equals_flat_weighted(self, seed):
         rng = np.random.default_rng(seed)
         topo = random_tree(rng, int(rng.integers(2, 10)))
-        updates = [random_update(c, (2, 3, 2), rng) for c in topo.clients()]
-        root = aggregate_tree(topo, updates, "sample_weighted")[topo.root_id]
-        flat = weighted_aggregate(updates)
+        params, counts = random_buffer(len(topo.clients()), (2, 3, 2), rng)
+        root = aggregate_tree(topo, params, counts, (2, 3, 2), "sample_weighted")[topo.root_id]
+        flat = aggregate(params, counts, "sample_weighted", (2, 3, 2))
         assert np.allclose(root.vector, flat.vector, atol=1e-12, rtol=0.0)
 
     def test_uniform_equals_flat_on_balanced_tree(self):
@@ -357,16 +365,20 @@ class TestAggregationProperties:
             nodes.append(TierNode(f"g{g}", 1, "root"))
         nodes.append(TierNode("root", 2, None))
         topo = TierTopology(tuple(nodes))
-        updates = [ClientUpdate(c, init_params((2, 3, 2), int(rng.integers(0, 99))), 10.0)
-                   for c in topo.clients()]
-        root = aggregate_tree(topo, updates, "uniform")[topo.root_id]
-        assert np.allclose(root.vector, fedavg(updates).vector, atol=1e-12, rtol=0.0)
+        params = np.stack([init_params((2, 3, 2), int(rng.integers(0, 99))).vector for _ in topo.clients()])
+        counts = [10.0] * len(params)
+        root = aggregate_tree(topo, params, counts, (2, 3, 2), "uniform")[topo.root_id]
+        assert np.allclose(root.vector, aggregate(params, counts, "uniform", (2, 3, 2)).vector,
+                           atol=1e-12, rtol=0.0)
 
     def test_aggregate_tree_missing_update_rejected(self):
+        # One row, or one weight, fewer than the tree has clients: nothing
+        # may pair the rest up silently.
         topo = random_tree(np.random.default_rng(0), 3)
-        updates = [random_update(c, DIMS, np.random.default_rng(1)) for c in topo.clients()[:-1]]
-        with pytest.raises(MissingClientError):
-            aggregate_tree(topo, updates, "uniform")
+        params, counts = random_buffer(len(topo.clients()), DIMS, np.random.default_rng(1))
+        for short in ((params[:-1], counts), (params, counts[:-1]), (params[:-1], counts[:-1])):
+            with pytest.raises(ShapeError):
+                aggregate_tree(topo, *short, DIMS, "uniform")
 
 
 class TestRunTierRound:
@@ -376,13 +388,14 @@ class TestRunTierRound:
         init = init_params((2, 4, 2), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=42)
         first_round = []
-        models = run_tier_round(
-            topo, train_rows(topo, ds), init, AggregationPolicy("uniform", 1), config, first_round.extend)
+        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("uniform", 1), config,
+                                lambda params, counts: first_round.append((params, counts)))
         direct = train_alone(ds["c0"], init, per_round_config(config, "c0", 1))
         assert params_equal(models["root"], direct)
         assert params_equal(models["c0"], direct)
-        assert [u.client_id for u in first_round] == ["c0"]
-        assert params_equal(first_round[0].params, direct)
+        ((params, counts),) = first_round
+        assert params.shape == (1, init.n_params) and counts == [ds["c0"].count("train")]
+        assert params_equal(ModelParams(params[0], init.dims), direct)
 
     def test_zero_epochs_returns_init_everywhere(self):
         rng = np.random.default_rng(7)
@@ -407,9 +420,32 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=3, seed=5)
         models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1),
                                 config)
-        updates = [alone_update(ds[c], init, per_round_config(config, c, 1)) for c in topo.clients()]
-        assert np.allclose(models["root"].vector, weighted_aggregate(updates).vector,
+        params, counts = alone_round(ds, init, config)
+        assert np.allclose(models["root"].vector, aggregate(params, counts, "sample_weighted", init.dims).vector,
                            atol=1e-12, rtol=0.0)
+
+    def test_first_round_buffer_rows_follow_ascending_client_ids(self):
+        # The interleaved tree trains in depth-first order c1, c3, c0, c2,
+        # yet row k of the buffer and counts[k] belong to the k-th client
+        # in ascending id order, and every node aggregates its own rows.
+        ds = {c: separable_client(c, n=n, seed=i) for i, (c, n) in
+              enumerate([("c0", 6), ("c1", 8), ("c2", 10), ("c3", 12)])}
+        topo = interleaved_topology(sorted(ds))
+        assert topo.client_order == ("c1", "c3", "c0", "c2")
+        init = init_params((2, 4, 2), seed=2)
+        config = TrainingConfig(learning_rate=0.05, epochs=2, seed=6)
+        first_round = []
+        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1), config,
+                                lambda params, counts: first_round.append((params, counts)))
+        ((params, counts),) = first_round
+        direct, direct_counts = alone_round(ds, init, config)
+        assert counts == direct_counts == [6, 8, 10, 12]
+        assert params.tobytes() == direct.tobytes()
+        east = aggregate(params[[1, 3]], [8, 12], "sample_weighted", init.dims)
+        west = aggregate(params[[0, 2]], [6, 10], "sample_weighted", init.dims)
+        root = aggregate([east.vector, west.vector], [20, 16], "sample_weighted", init.dims)
+        assert params_equal(models["east"], east) and params_equal(models["west"], west)
+        assert params_equal(models["root"], root)
 
     def diverging_round(self, blown_up, layout=flat_topology):
         # Adam's step is about the learning rate whatever the gradient's
@@ -498,7 +534,7 @@ class TestRunTierRound:
         rows = train_rows(topo, ds)
         traced_peak(lambda: run_tier_round(
             topo, rows, init, AggregationPolicy("sample_weighted", 3), TrainingConfig(epochs=1, seed=2),
-            lambda updates: seen.append(len(updates))))
+            lambda params, counts: seen.append(len(params))))
         assert seen == [8] and len(held) == 3
         assert all(later - held[0] < buffer / 2 for later in held[1:])
 
