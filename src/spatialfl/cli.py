@@ -3,7 +3,8 @@
 Subcommands: ``run`` (full experiment), ``validate-config``,
 ``gen-synthetic`` (write a benchmark as CSV), and ``evaluate-model``
 (score a serialized model file against a CSV). Exit codes: 0 success,
-2 config error, 3 data error, 4 runtime error.
+2 config error, 3 data error (:class:`~spatialfl.errors.DataError`),
+4 any other error.
 """
 
 from __future__ import annotations
@@ -14,22 +15,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .data import export_csv, generate_synthetic
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    EmptyClientError,
-    EmptyCorpusError,
-    EmptyDatasetError,
-    InconsistentHierarchyError,
-    MissingClientError,
-    RowError,
-    SchemaError,
-    SpatialFLError,
-    SplitError,
-    ThinClientError,
-    UnitUnusableError,
-    UnknownRegionError,
-)
+from .errors import ConfigError, DataError, DivergenceError, SpatialFLError
 from .federation import deserialize_model
 from .harness import (
     emit_report,
@@ -41,12 +27,6 @@ from .harness import (
     synthetic_spec_from_dict,
     vocabulary,
     write_models,
-)
-
-_DATA_ERRORS = (
-    SchemaError, RowError, UnitUnusableError, ThinClientError, SplitError,
-    EmptyCorpusError, InconsistentHierarchyError, EmptyDatasetError,
-    MissingClientError, UnknownRegionError, EmptyClientError,
 )
 
 
@@ -88,18 +68,17 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 def cmd_evaluate_model(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    model_path = Path(args.model)
+    model_path, data_path = Path(args.model), Path(args.data)
     if not model_path.exists():
-        print(f"error: model file does not exist: {model_path}", file=sys.stderr)
-        return 4
-    data_path = Path(args.data)
+        raise FileNotFoundError(f"model file does not exist: {model_path}")
     if not data_path.exists():
-        print(f"data error: data file does not exist: {data_path}", file=sys.stderr)
-        return 3
+        raise DataError(f"data file does not exist: {data_path}")
+    if data_path.is_dir():
+        raise DataError(f"data file is a directory: {data_path}")
     model = deserialize_model(model_path.read_bytes())
     datasets, _, _ = load_datasets(config, data_path)
     with DivergenceError.naming(f"model {model_path}"):
-        accuracy = evaluate(model, datasets.values(), vocabulary(config, datasets), split=None)
+        accuracy = evaluate(model, datasets.values(), vocabulary(config, datasets))
     print(f"accuracy={accuracy:.6f}")
     return 0
 
@@ -143,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"data error{_stage_suffix(exc)}: {exc}", file=sys.stderr)
         return 3
     except (SpatialFLError, OSError) as exc:

@@ -31,8 +31,6 @@ from .seeding import derive_seed
 from .spatial import SpatialAttribute, check_coordinates
 
 ROOT_ID = "global"
-SPLIT_TRAIN = "train"
-SPLIT_VALIDATION = "validation"
 
 
 @dataclass(frozen=True)
@@ -119,14 +117,15 @@ class PreprocessConfig:
 
 @dataclass
 class ClientDataset:
-    """One spatial unit's rows: features, class labels, and split tags."""
+    """One spatial unit's rows: features and class labels, at least one
+    row. A train/validation split is two of them
+    (:func:`train_valid_split`)."""
 
     client_id: str
     spatial: SpatialAttribute
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    split_tags: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -138,29 +137,10 @@ class ClientDataset:
             raise ValueError(f"client {self.client_id!r} has inconsistent row shapes")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError(f"client {self.client_id!r} has labels outside [0, {self.n_classes})")
-        if self.split_tags is None:
-            self.split_tags = np.full(n, SPLIT_TRAIN, dtype="<U10")
-        else:
-            self.split_tags = np.asarray(self.split_tags, dtype="<U10")
-            if self.split_tags.shape != (n,):
-                raise ValueError("split_tags length mismatch")
-            if not np.isin(self.split_tags, [SPLIT_TRAIN, SPLIT_VALIDATION]).all():
-                raise ValueError("split tags must be 'train' or 'validation'")
 
     @property
     def n_rows(self) -> int:
         return int(self.features.shape[0])
-
-    def count(self, split: str | None = None) -> int:
-        """Number of rows, optionally only those with the given split tag."""
-        return self.n_rows if split is None else int(np.count_nonzero(self.split_tags == split))
-
-    def rows(self, split: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Feature matrix and labels, optionally filtered by split tag."""
-        if split is None:
-            return self.features, self.labels
-        mask = self.split_tags == split
-        return self.features[mask], self.labels[mask]
 
 
 @dataclass(frozen=True)
@@ -624,20 +604,23 @@ def topology_from_paths(paths: Mapping[str, tuple[str, ...]]) -> TierTopology:
     return TierTopology(tuple(nodes))
 
 
-def train_valid_split(dataset: ClientDataset, ratio: float, seed: int) -> ClientDataset:
-    """Tag floor(ratio * n) rows as train via a seeded shuffle."""
+def train_valid_split(dataset: ClientDataset, ratio: float, seed: int) -> tuple[ClientDataset, ClientDataset]:
+    """The client's training and validation rows, as two datasets: a
+    seeded shuffle picks floor(ratio * n) rows to train on, the rest
+    validate, and each half keeps the client's row order. A split that
+    leaves either half empty raises :class:`SplitError`."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     n = dataset.n_rows
     n_train = int(math.floor(ratio * n))
     if n_train == 0 or n_train == n:
         raise SplitError(f"client {dataset.client_id!r}: ratio {ratio} leaves an empty split for {n} rows")
-    perm = np.random.default_rng(seed).permutation(n)
-    tags = np.full(n, SPLIT_VALIDATION, dtype="<U10")
-    tags[perm[:n_train]] = SPLIT_TRAIN
-    return ClientDataset(
-        dataset.client_id, dataset.spatial, dataset.features.copy(),
-        dataset.labels.copy(), dataset.n_classes, tags,
+    train = np.zeros(n, dtype=bool)
+    train[np.random.default_rng(seed).permutation(n)[:n_train]] = True
+    return tuple(
+        ClientDataset(dataset.client_id, dataset.spatial, dataset.features[rows], dataset.labels[rows],
+                      dataset.n_classes)
+        for rows in (train, ~train)
     )
 
 

@@ -1,10 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is a :class:`SpatialFLError`. The command line exits 2 for a
+:class:`ConfigError`, 3 for a :class:`DataError` (the input data cannot
+be used as given) and 4 for any other error.
+"""
 
 from contextlib import contextmanager
 
 
 class SpatialFLError(Exception):
     """Base class for every error raised by this package."""
+
+
+class DataError(SpatialFLError):
+    """Base class for errors whose cause is the input data: its file,
+    its rows, or the clients, hierarchy and splits derived from them."""
 
 
 # -- model arithmetic ---------------------------------------------------------
@@ -36,21 +46,21 @@ class DivergenceError(SpatialFLError):
 
 # -- spatial encoding ---------------------------------------------------------
 
-class EmptyCorpusError(SpatialFLError):
+class EmptyCorpusError(DataError):
     """A vocabulary was requested for an empty record set."""
 
 
-class InconsistentHierarchyError(SpatialFLError):
+class InconsistentHierarchyError(DataError):
     """Hierarchy paths disagree in length or parentage."""
 
 
-class UnknownRegionError(SpatialFLError):
+class UnknownRegionError(DataError):
     """A hierarchy label is absent from the vocabulary."""
 
 
 # -- federation ---------------------------------------------------------------
 
-class EmptyClientError(SpatialFLError):
+class EmptyClientError(DataError):
     """A client was asked to train on an empty dataset."""
 
 
@@ -62,7 +72,7 @@ class DegenerateWeightsError(SpatialFLError):
     """Aggregation weights are negative or sum to zero."""
 
 
-class MissingClientError(SpatialFLError):
+class MissingClientError(DataError):
     """A topology client has no dataset or no update."""
 
 
@@ -76,27 +86,27 @@ class CorruptModelError(SpatialFLError):
 
 # -- data pipeline ------------------------------------------------------------
 
-class SchemaError(SpatialFLError):
+class SchemaError(DataError):
     """The CSV header does not carry a mapped column."""
 
 
-class RowError(SpatialFLError):
+class RowError(DataError):
     """A CSV data row failed to parse."""
 
 
-class UnitUnusableError(SpatialFLError):
+class UnitUnusableError(DataError):
     """A spatial unit has no usable target values."""
 
 
-class ThinClientError(SpatialFLError):
+class ThinClientError(DataError):
     """One or more leaves carry fewer rows than the minimum."""
 
 
-class SplitError(SpatialFLError):
+class SplitError(DataError):
     """A train/validation split would leave one side empty."""
 
 
-class EmptyDatasetError(SpatialFLError):
+class EmptyDatasetError(DataError):
     """A pooled training set is empty."""
 
 

@@ -15,8 +15,9 @@ inputs are presented or how client training is scheduled. The reduction
 streams over the children, holding O(log K) partial sums, never K
 vectors.
 
-A run stacks each split's rows once (:func:`stack_split`), for the tiered
-loop, the centralized baselines and scoring alike. Each round trains every
+A run splits every client into a training and a validation dataset and
+stacks each side's rows once (:func:`stack_split`), for the tiered loop,
+the centralized baselines and scoring alike. Each round trains every
 client on its span of the training stack in one call of the training
 kernel, which cuts the clients into cohorts whose working memory fits
 :data:`~spatialfl.nn.COHORT_BYTES`. The call returns every client's
@@ -189,10 +190,9 @@ def round_seed(master: int, client_id: str, round_index: int) -> int:
 def stack_rows(
     clients: Sequence["ClientDataset"],
     vocab: SpatialVocabulary | None,
-    split: str | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The clients' rows of one split in the format the training kernel
-    and the scorer read.
+    """The clients' rows in the format the training kernel and the scorer
+    read.
 
     Returns the raw ``(N, F)`` feature rows and labels of the clients, in
     the order given, each row's code (the index of its client), the
@@ -201,13 +201,13 @@ def stack_rows(
     ``offsets[k]:offsets[k + 1]``). Nothing is encoded per row: row
     ``i``'s model input is ``[enc[codes[i]], raw[i]]``.
     """
-    offsets = np.cumsum([0] + [c.count(split) for c in clients])
+    offsets = np.cumsum([0] + [c.n_rows for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
     raw = np.empty((offsets[-1], n_raw))
     labels = np.empty(offsets[-1], dtype=np.int64)
     enc = np.empty((len(clients), vocab.encoding_length if vocab is not None else 0))
     for i, (client, lo, hi) in enumerate(zip(clients, offsets, offsets[1:])):
-        raw[lo:hi], labels[lo:hi] = client.rows(split)
+        raw[lo:hi], labels[lo:hi] = client.features, client.labels
         if vocab is not None:
             enc[i] = encode_spatial(client.spatial, vocab)
     codes = np.repeat(np.arange(len(clients)), np.diff(offsets))
@@ -222,16 +222,16 @@ def stack_split(
     topology: TierTopology,
     datasets: Mapping[str, "ClientDataset"],
     vocab: SpatialVocabulary | None,
-    split: str,
 ) -> StackedRows:
-    """Every topology client's rows of one split (:func:`stack_rows`), in
-    depth-first client order, with the ``[lo, hi)`` row span of every
-    node, clients included. A topology client without a dataset raises
-    :class:`MissingClientError`."""
+    """Every topology client's rows (:func:`stack_rows`), in depth-first
+    client order, with the ``[lo, hi)`` row span of every node, clients
+    included. A run stacks its training datasets and its validation
+    datasets this way, once each. A topology client without a dataset
+    raises :class:`MissingClientError`."""
     missing = [c for c in topology.clients() if c not in datasets]
     if missing:
         raise MissingClientError(f"no dataset for clients: {missing}")
-    raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab, split)
+    raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab)
     spans = {}
     for node_id in topology.node_ids():
         first, last = topology.client_span(node_id)

@@ -176,10 +176,11 @@ def evaluate(
     model: ModelParams,
     datasets: Iterable[ClientDataset],
     vocab: SpatialVocabulary | None,
-    split: str | None = "validation",
 ) -> float:
-    """Accuracy of one model over the pooled rows of the given clients."""
-    raw, labels, codes, enc, _ = stack_rows(list(datasets), vocab, split)
+    """Accuracy of one model over the pooled rows of the given datasets
+    (a run's validation halves, or every row of a scored file). No
+    datasets raises :class:`EmptyEvaluationError`."""
+    raw, labels, codes, enc, _ = stack_rows(list(datasets), vocab)
     if labels.size == 0:
         raise EmptyEvaluationError("no rows to evaluate")
     return accuracy_score(predict_rows(model, raw, codes, enc), labels)
@@ -332,6 +333,8 @@ def _read_data(data, base_dir: Path, errors: list) -> CsvSource | SyntheticSourc
         resolved = Path(path) if Path(path).is_absolute() else base_dir / path
         if not resolved.exists():
             errors.append(f"data.path does not exist: {resolved}")
+        elif resolved.is_dir():
+            errors.append(f"data.path is a directory: {resolved}")
         schema = _section(CsvSchema, data.get("schema", {}), "data.schema", errors)
         return None if schema is None else CsvSource(path=path, resolved=resolved, schema=schema)
     errors.append("data.kind must be 'csv' or 'synthetic'")
@@ -498,19 +501,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("data"):
         datasets, topology, oracle = load_datasets(config)
     with _stage("split"):
-        datasets = {
-            cid: train_valid_split(datasets[cid], config.split_ratio, derive_seed(config.seed, "split", cid))
-            for cid in sorted(datasets)
-        }
+        train_sets, valid_sets = {}, {}
+        for cid in sorted(datasets):
+            train_sets[cid], valid_sets[cid] = train_valid_split(
+                datasets[cid], config.split_ratio, derive_seed(config.seed, "split", cid))
+        del datasets
     with _stage("topology"):
         if config.topology_groups is not None:
-            topology = grouped_topology(datasets.keys(), config.topology_groups)
+            topology = grouped_topology(train_sets.keys(), config.topology_groups)
     with _stage("encoding"):
-        vocab = vocabulary(config, datasets)
-        # The one row layout of the run: each split stacked once, in
-        # depth-first client order, every node's rows one span.
-        train = stack_split(topology, datasets, vocab, "train")
-        raw, labels, codes, enc, spans = stack_split(topology, datasets, vocab, "validation")
+        vocab = vocabulary(config, train_sets)
+        # The one row layout of the run: each side of the split stacked
+        # once, in depth-first client order, every node's rows one span.
+        train = stack_split(topology, train_sets, vocab)
+        raw, labels, codes, enc, spans = stack_split(topology, valid_sets, vocab)
 
     clients = topology.clients()
     dims = (enc.shape[1] + raw.shape[1], config.hidden_dim, config.n_classes)

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from spatialfl.data import ClientDataset
+from spatialfl.data import ClientDataset, train_valid_split
 from spatialfl.federation import TierNode, TierTopology, round_seed, stack_rows, stack_split
 from spatialfl.nn import ModelParams, TrainingConfig, init_params, train_cohort
+from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute
 
 
@@ -43,9 +44,33 @@ def interleaved_topology(client_ids):
 
 
 def train_rows(topology, datasets, vocab=None):
-    """The training split of ``datasets`` (by client id) laid out under
-    ``topology`` as a run lays it out (:func:`stack_split`)."""
-    return stack_split(topology, datasets, vocab, "train")
+    """``datasets`` (by client id) laid out under ``topology`` as a run
+    lays out its training rows (:func:`stack_split`)."""
+    return stack_split(topology, datasets, vocab)
+
+
+def without_rows_of(rows, client_ids):
+    """The stack ``rows`` (:func:`stack_split`) with the rows of the given
+    clients removed and every node's span shrunk to match: those clients'
+    spans are empty, which no stack of datasets (each holding at least one
+    row) gives."""
+    raw, labels, codes, enc, node_spans = rows
+    keep = np.ones(labels.size, dtype=bool)
+    for c in client_ids:
+        keep[slice(*node_spans[c])] = False
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return (raw[keep], labels[keep], codes[keep], enc,
+            {node_id: (int(kept[lo]), int(kept[hi])) for node_id, (lo, hi) in node_spans.items()})
+
+
+def split_clients(datasets, seed):
+    """Every client of ``datasets`` (by client id) split 80/20 as a run
+    with master seed ``seed`` splits it: the training and the validation
+    datasets, each by client id."""
+    train, valid = {}, {}
+    for cid, ds in datasets.items():
+        train[cid], valid[cid] = train_valid_split(ds, 0.8, derive_seed(seed, "split", cid))
+    return train, valid
 
 
 def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -> TrainingConfig:
@@ -57,7 +82,7 @@ def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -
 def train_alone(dataset, init, config, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
     a cohort of one of the training kernel, seeded with ``config.seed``."""
-    raw, labels, codes, enc, offsets = stack_rows([dataset], vocab, "train")
+    raw, labels, codes, enc, offsets = stack_rows([dataset], vocab)
     params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, [config.seed])
     assert diverged == {}
     return ModelParams(params[0], init.dims)
@@ -70,7 +95,7 @@ def alone_round(datasets, init, config, vocab=None):
     and the clients' training-row counts."""
     ids = sorted(datasets)
     params = np.stack([train_alone(datasets[c], init, per_round_config(config, c, 1), vocab).vector for c in ids])
-    return params, [datasets[c].count("train") for c in ids]
+    return params, [datasets[c].n_rows for c in ids]
 
 
 def random_buffer(k, dims, rng, max_count=50):

@@ -247,7 +247,7 @@ def test_per_client_accuracy_vectors():
             "c", SpatialAttribute(0.0, 0.0, ("c",)),
             np.eye(n_classes)[predicted], np.array(actual), n_classes=n_classes,
         )
-        exact &= evaluate(identity_model, [dataset], None, split=None) == expected
+        exact &= evaluate(identity_model, [dataset], None) == expected
     check("per-client accuracy vectors", exact, "1.0 / 0.8 / 0.6 exact")
 
 

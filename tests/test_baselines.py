@@ -11,18 +11,19 @@ from helpers import (
     per_round_config,
     separable_client,
     spans,
+    split_clients,
     train_alone,
     train_rows,
+    without_rows_of,
 )
 from reference import params_equal
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
-from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
+from spatialfl.data import SyntheticSpec, generate_synthetic
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from spatialfl.federation import AGGREGATION_MODES, AggregationPolicy, aggregate, run_tier_round, stack_rows
 from spatialfl.harness import evaluate
 from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows, train_cohort
-from spatialfl.seeding import derive_seed
 from spatialfl.spatial import build_vocabulary, encode_spatial
 
 
@@ -67,10 +68,9 @@ class TestCentralized:
         assert params_equal(forward_order, reverse_order)
 
     def test_empty_pool_rejected(self):
-        ds = separable_client("c", n=6, seed=0)
-        ds.split_tags[:] = "validation"
+        rows = without_rows_of(train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)}), ["c"])
         with pytest.raises(EmptyDatasetError):
-            pooled([[ds]], init_params((2, 4, 2), 0), TrainingConfig())
+            train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), rows)
 
     def test_divergence_names_the_baseline(self):
         ds = separable_client("c", n=12, seed=0)
@@ -82,7 +82,7 @@ class TestCentralized:
     def pooled_alone(group, init, config, vocab):
         """A group's pooled training rows trained as the only client of a
         kernel call."""
-        raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab, "train")
+        raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
         params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, labels.size]), config, [config.seed])
         assert diverged == {}
         return ModelParams(params[0], init.dims)
@@ -124,31 +124,29 @@ class TestCentralized:
                 f"centralized baseline: training diverged ({layer} contains non-finite entries)")
 
     def test_empty_group_rejected(self):
-        ds = separable_client("c0", n=6, seed=0)
-        empty = separable_client("c1", n=6, seed=1)
-        empty.split_tags[:] = "validation"
+        ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1"])}
+        rows = without_rows_of(train_rows(flat_topology(sorted(ds)), ds), ["c1"])
         with pytest.raises(EmptyDatasetError):
-            pooled([[ds, empty], [empty]], init_params((2, 4, 2), 0), TrainingConfig())
+            train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), rows)
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
         # model over encoded features must get at least 0.95.
         datasets, _, _ = generate_synthetic(SyntheticSpec(3, 2, 100, n_classes=3, seed=6))
-        datasets = {cid: train_valid_split(ds, 0.8, derive_seed(6, "split", cid))
-                    for cid, ds in datasets.items()}
-        vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
+        train, valid = split_clients(datasets, 6)
+        vocab = build_vocabulary([train[c].spatial for c in sorted(train)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=100, seed=2)
-        [model] = pooled([datasets.values()], init, config, vocab)
-        assert evaluate(model, datasets.values(), vocab) >= 0.95
+        [model] = pooled([train.values()], init, config, vocab)
+        assert evaluate(model, valid.values(), vocab) >= 0.95
 
 
-def encoded_blocks(clients, vocab, split):
-    """Each client's rows of a split with its encoding prepended, built
-    row by row: the model inputs the row format stands for."""
+def encoded_blocks(clients, vocab):
+    """Each client's rows with its encoding prepended, built row by row:
+    the model inputs the row format stands for."""
     blocks = []
     for c in clients:
-        feats = c.rows(split)[0]
+        feats = c.features
         head = encode_spatial(c.spatial, vocab) if vocab is not None else np.empty(0)
         rows = [np.concatenate([head, row]) for row in feats]
         blocks.append(np.array(rows).reshape(len(feats), head.size + feats.shape[1]))
@@ -158,24 +156,21 @@ def encoded_blocks(clients, vocab, split):
 class TestStackRows:
     def test_assembled_rows_match_per_client_encoded_rows(self):
         clients = [separable_client(f"c{i}", n=6 + i, seed=i) for i in range(4)]
-        for i, ds in enumerate(clients):
-            ds.split_tags[:: i + 2] = "validation"
         vocab = build_vocabulary([c.spatial for c in clients])
         for v in (vocab, None):
-            raw, labels, codes, enc, offsets = stack_rows(clients, v, "validation")
-            blocks = encoded_blocks(clients, v, "validation")
+            raw, labels, codes, enc, offsets = stack_rows(clients, v)
+            blocks = encoded_blocks(clients, v)
             assert np.array_equal(np.hstack([enc[codes], raw]), np.vstack(blocks))
-            assert np.array_equal(labels, np.concatenate([c.rows("validation")[1] for c in clients]))
+            assert np.array_equal(labels, np.concatenate([c.labels for c in clients]))
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
             assert enc.shape == (len(clients), v.encoding_length if v is not None else 0)
             assert codes.tolist() == np.repeat(np.arange(len(clients)), np.diff(offsets)).tolist()
 
     def test_no_rows_gives_an_empty_matrix(self):
-        clients = [separable_client("c0", n=4, seed=0)]
-        vocab = build_vocabulary([c.spatial for c in clients])
-        raw, labels, codes, enc, offsets = stack_rows(clients, vocab, "validation")
-        assert raw.shape == (0, 2) and enc.shape == (1, vocab.encoding_length)
-        assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0, 0]
+        vocab = build_vocabulary([separable_client("c0", n=4, seed=0).spatial])
+        raw, labels, codes, enc, offsets = stack_rows([], vocab)
+        assert raw.shape == (0, 0) and enc.shape == (0, vocab.encoding_length)
+        assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0]
 
 
 def members(*models):

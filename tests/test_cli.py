@@ -14,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spatialfl import cli
 from spatialfl.cli import main
+from spatialfl.errors import ConfigError, SpatialFLError
 from spatialfl.federation import serialize_model
 from spatialfl.nn import ModelParams, flat_length
 
@@ -62,6 +64,14 @@ class TestValidateConfig:
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["validate-config", "--config", str(tmp_path / "none.json")]) == 2
+
+    def test_directory_as_data_path_exits_two_naming_it(self, tmp_path, capsys):
+        folder = tmp_path / "d1"
+        folder.mkdir()
+        path = write_json(tmp_path / "config.json", {"data": {"kind": "csv", "path": "d1"}})
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"config error: data.path is a directory: {folder}"]
 
     def test_key_of_the_other_data_kind_exits_two_naming_it(self, tmp_path, capsys):
         path = synthetic_config_file(tmp_path, data={"kind": "synthetic", "spec": SPEC, "path": 5})
@@ -385,19 +395,32 @@ class TestEvaluateModel:
         assert out.startswith("accuracy=")
         assert 0.0 <= float(out.split("=")[1]) <= 1.0
 
-    def test_missing_model_exits_four(self, tmp_path):
+    def test_missing_model_exits_four(self, tmp_path, capsys):
         config = synthetic_config_file(tmp_path)
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("client_label,latitude,longitude,ref_date,target,feature_1\n")
         assert main(["evaluate-model", "--model", str(tmp_path / "none.bin"),
                      "--data", str(csv_path), "--config", str(config)]) == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: model file does not exist: {tmp_path / 'none.bin'}"]
 
-    def test_missing_data_exits_three(self, tmp_path):
+    def test_missing_data_exits_three(self, tmp_path, capsys):
         config = synthetic_config_file(tmp_path)
         model = tmp_path / "m.bin"
         model.write_bytes(b"ESFL")
         assert main(["evaluate-model", "--model", str(model),
                      "--data", str(tmp_path / "none.csv"), "--config", str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: data file does not exist: {tmp_path / 'none.csv'}"]
+
+    def test_directory_as_data_exits_three_naming_it(self, tmp_path, capsys):
+        config = synthetic_config_file(tmp_path)
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"ESFL")
+        folder = tmp_path / "d1"
+        folder.mkdir()
+        assert main(["evaluate-model", "--model", str(model),
+                     "--data", str(folder), "--config", str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"data error: data file is a directory: {folder}"]
 
     def test_corrupt_model_exits_four(self, tmp_path):
         spec_path = write_json(tmp_path / "spec.json", SPEC)
@@ -449,6 +472,35 @@ class TestEvaluateModel:
                      "--data", str(csv_path), "--config", str(config)]) == 4
         assert capsys.readouterr().err.splitlines() == [
             f"error: model {model}: scoring diverged (non-finite logits)"]
+
+
+def error_classes(cls=SpatialFLError):
+    """Every subclass of ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+# The errors of unusable input data; every other error but ConfigError
+# exits 4.
+DATA_ERRORS = {
+    "DataError", "SchemaError", "RowError", "UnitUnusableError", "ThinClientError", "SplitError",
+    "EmptyCorpusError", "InconsistentHierarchyError", "EmptyDatasetError", "MissingClientError",
+    "UnknownRegionError", "EmptyClientError",
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", sorted(set(error_classes()), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_every_error_class_exits_with_its_code(self, monkeypatch, capsys, cls):
+        def fail(args):
+            raise cls(["boom"]) if cls is ConfigError else cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate_config", fail)
+        expected = 2 if cls is ConfigError else 3 if cls.__name__ in DATA_ERRORS else 4
+        assert main(["validate-config", "--config", "config.json"]) == expected
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestArgumentParsing:

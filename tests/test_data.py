@@ -11,7 +11,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spatialfl import data
@@ -753,21 +753,37 @@ class TestColumnarMatchesRecordPipeline:
 
 class TestTrainValidSplit:
     def make_dataset(self, n=10):
+        """Row ``i`` holds features ``[2i, 2i + 1]`` and label ``i % 3``."""
         return ClientDataset(
             "c", SpatialAttribute(45, -66, ("c",)),
             np.arange(2 * n, dtype=np.float64).reshape(n, 2),
-            np.zeros(n, dtype=np.int64), n_classes=2,
+            np.arange(n) % 3, n_classes=3,
         )
 
-    def test_eighty_twenty(self):
-        out = train_valid_split(self.make_dataset(10), 0.8, seed=1)
-        assert (out.split_tags == "train").sum() == 8
-        assert (out.split_tags == "validation").sum() == 2
-
-    def test_same_seed_same_tags(self):
-        a = train_valid_split(self.make_dataset(12), 0.75, seed=9)
-        b = train_valid_split(self.make_dataset(12), 0.75, seed=9)
-        assert np.array_equal(a.split_tags, b.split_tags)
+    @given(n=st.integers(2, 80), ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=10, ratio=0.8, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_halves_partition_the_rows_in_order(self, n, ratio, seed):
+        n_train = math.floor(ratio * n)
+        assume(0 < n_train < n)
+        dataset = self.make_dataset(n)
+        train, valid = train_valid_split(dataset, ratio, seed)
+        assert (train.n_rows, valid.n_rows) == (n_train, n - n_train)
+        # Each half's rows by their index in the client, in the order held.
+        halves = [(half.features[:, 0] // 2).astype(np.int64) for half in (train, valid)]
+        for half, rows in zip((train, valid), halves):
+            assert np.all(np.diff(rows) > 0)
+            assert np.array_equal(half.features, dataset.features[rows])
+            assert np.array_equal(half.labels, dataset.labels[rows])
+            assert (half.client_id, half.spatial, half.n_classes) == ("c", dataset.spatial, 3)
+        assert np.array_equal(np.sort(np.concatenate(halves)), np.arange(n))
+        # The training rows are the first n_train of a seeded permutation.
+        oracle = np.zeros(n, dtype=bool)
+        oracle[np.random.default_rng(seed).permutation(n)[:n_train]] = True
+        assert np.array_equal(halves[0], np.flatnonzero(oracle))
+        again = train_valid_split(self.make_dataset(n), ratio, seed)
+        for half, same in zip((train, valid), again):
+            assert np.array_equal(half.features, same.features) and np.array_equal(half.labels, same.labels)
 
     def test_single_row_rejected(self):
         with pytest.raises(SplitError):

@@ -19,12 +19,14 @@ from helpers import (
     random_buffer,
     random_tree,
     separable_client,
+    split_clients,
     train_alone,
     train_rows,
     vector_params,
+    without_rows_of,
 )
 from reference import params_equal, tree_sum_levels
-from spatialfl.data import SyntheticSpec, generate_synthetic, train_valid_split
+from spatialfl.data import SyntheticSpec, generate_synthetic
 from spatialfl.errors import (
     CorruptModelError,
     DegenerateWeightsError,
@@ -52,7 +54,6 @@ from spatialfl.federation import (
 )
 from spatialfl.harness import evaluate
 from spatialfl.nn import ModelParams, TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
-from spatialfl.seeding import derive_seed
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
 
@@ -172,24 +173,21 @@ class TestLocalTrain:
         ds = separable_client("c", n=20, seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=200, seed=4)
         out, _ = self.first_model(ds, init_params((2, 16, 2), seed=3), config)
-        features, labels = ds.rows("train")
-        assert np.mean(predict_rows(out, *no_encoding(features)) == labels) == 1.0
+        assert np.mean(predict_rows(out, *no_encoding(ds.features)) == ds.labels) == 1.0
 
     def test_no_training_rows_rejected(self):
-        ds = separable_client("c", n=6, seed=0)
-        ds.split_tags[:] = "validation"
+        topo = flat_topology(["c"])
+        rows = without_rows_of(train_rows(topo, {"c": separable_client("c", n=6, seed=0)}), ["c"])
         with pytest.raises(EmptyClientError):
-            self.first_model(ds, init_params((2, 4, 2), 0), TrainingConfig())
+            run_tier_round(topo, rows, init_params((2, 4, 2), 0), AggregationPolicy(), TrainingConfig())
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
-        for c in ("c0", "c3"):
-            ds[c].split_tags[:] = "validation"
         for layout in (flat_topology, interleaved_topology):
             topo = layout(sorted(ds))
             with pytest.raises(EmptyClientError, match="^client 'c0' has no training rows$"):
-                run_tier_round(topo, train_rows(topo, ds), init_params((2, 4, 2), 0), AggregationPolicy(),
-                               TrainingConfig())
+                run_tier_round(topo, without_rows_of(train_rows(topo, ds), ["c0", "c3"]),
+                               init_params((2, 4, 2), 0), AggregationPolicy(), TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
@@ -394,7 +392,7 @@ class TestRunTierRound:
         assert params_equal(models["root"], direct)
         assert params_equal(models["c0"], direct)
         ((params, counts),) = first_round
-        assert params.shape == (1, init.n_params) and counts == [ds["c0"].count("train")]
+        assert params.shape == (1, init.n_params) and counts == [ds["c0"].n_rows]
         assert params_equal(ModelParams(params[0], init.dims), direct)
 
     def test_zero_epochs_returns_init_everywhere(self):
@@ -540,9 +538,8 @@ class TestRunTierRound:
 
     def test_missing_dataset_rejected(self):
         topo = flat_topology(["c0", "c1"])
-        for split in ("train", "validation"):
-            with pytest.raises(MissingClientError, match="c1"):
-                stack_split(topo, {"c0": separable_client("c0", n=8)}, None, split)
+        with pytest.raises(MissingClientError, match="c1"):
+            stack_split(topo, {"c0": separable_client("c0", n=8)}, None)
 
     def test_full_run_bit_reproducible(self):
         rng = np.random.default_rng(13)
@@ -560,17 +557,16 @@ class TestRunTierRound:
     def test_more_rounds_do_not_degrade_root_accuracy(self):
         # Non-degradation smoke check on the separable benchmark.
         datasets, topo, _ = generate_synthetic(SyntheticSpec(3, 2, 100, n_classes=3, seed=4))
-        datasets = {cid: train_valid_split(ds, 0.8, derive_seed(4, "split", cid))
-                    for cid, ds in datasets.items()}
+        train, valid = split_clients(datasets, 4)
         from spatialfl.spatial import build_vocabulary
-        vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
+        vocab = build_vocabulary([train[c].spatial for c in sorted(train)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=5, seed=21)
 
         def root_accuracy(rounds):
-            models = run_tier_round(topo, train_rows(topo, datasets, vocab), init,
+            models = run_tier_round(topo, train_rows(topo, train, vocab), init,
                                     AggregationPolicy("sample_weighted", rounds), config)
-            return evaluate(models[topo.root_id], datasets.values(), vocab)
+            return evaluate(models[topo.root_id], valid.values(), vocab)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02
 

@@ -100,12 +100,11 @@ class TestEvaluate:
     def test_reproduces_hand_computed_accuracy(self):
         model = self.identity_model()
         ds = self.make_identity_client([1, 1, 1, 2, 1], [1, 0, 1, 0, 1])
-        assert evaluate(model, [ds], None, split=None) == 0.6
+        assert evaluate(model, [ds], None) == 0.6
 
     def test_empty_validation_rows_rejected(self):
-        ds = self.make_identity_client([0, 1], [0, 1])
         with pytest.raises(EmptyEvaluationError):
-            evaluate(self.identity_model(), [ds], None, split="validation")
+            evaluate(self.identity_model(), [], None)
 
 
 class TestFoldedAccuracy:
@@ -116,24 +115,25 @@ class TestFoldedAccuracy:
         topo = random_tree(rng, int(rng.integers(2, 12)))
         datasets = {}
         for cid in topo.clients():
+            # Each client's validation rows: about half of n, the first always.
             n = int(rng.integers(2, 14))
-            tags = np.where(rng.random(n) < 0.5, "train", "validation")
-            tags[0] = "validation"
+            validation = rng.random(n) >= 0.5
+            validation[0] = True
             spatial = SpatialAttribute(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)), (cid,))
-            datasets[cid] = ClientDataset(cid, spatial, rng.normal(size=(n, 2)) * 3.0,
-                                          rng.integers(0, 3, n), n_classes=3, split_tags=tags)
+            datasets[cid] = ClientDataset(cid, spatial, (rng.normal(size=(n, 2)) * 3.0)[validation],
+                                          rng.integers(0, 3, n)[validation], n_classes=3)
         vocab = build_vocabulary([datasets[c].spatial for c in sorted(datasets)])
         dims = (vocab.encoding_length + 2, 4, 3)
         model = init_params(dims, seed=int(rng.integers(0, 2 ** 31)))
         members = {f"m{k}": init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for k in range(3)}
 
-        raw, labels, codes, enc, spans = stack_split(topo, datasets, vocab, "validation")
+        raw, labels, codes, enc, spans = stack_split(topo, datasets, vocab)
         single = fold_correct(predict_rows(model, raw, codes, enc), labels, spans)
         voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
             subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
             assert single[node_id] / (hi - lo) == evaluate(model, subtree, vocab)
-            pooled_raw, pooled_labels, pooled_codes, pooled_enc, _ = stack_rows(subtree, vocab, "validation")
+            pooled_raw, pooled_labels, pooled_codes, pooled_enc, _ = stack_rows(subtree, vocab)
             assert voted[node_id] / (hi - lo) == accuracy_score(
                 ensemble_predict_batch(members, pooled_raw, pooled_codes, pooled_enc), pooled_labels)
 

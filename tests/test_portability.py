@@ -1,9 +1,9 @@
 """Report files are portable across BLAS cores and numpy dispatch levels.
 
 Both golden configs (default encoding) run in a fresh interpreter with
-OpenBLAS forced to another core type, or with numpy's AVX-512 dispatch
-switched off, and their four report files must keep the digests that
-``test_golden`` pins. The model files are not compared: those kernels
+OpenBLAS forced to another core type, with numpy's AVX-512 dispatch
+switched off, or with both at once, and their four report files must
+keep the digests that ``test_golden`` pins. The model files are not compared: those kernels
 round the gemm and ``exp`` results differently, so model bytes are pinned
 only for the default kernels of an AVX-512 host.
 """
@@ -36,7 +36,10 @@ print(json.dumps({name: output_digests(raw, work, work / name)
 # Per setting: the environment it adds, and the CPU flag it needs.
 SETTINGS = {
     "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "avx2"),
+    "openblas-haswell-numpy-no-avx512": (
+        {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}, "avx2"),
     "openblas-prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, "pni"),
+    "openblas-sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, "avx"),
     "numpy-no-avx512": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}, None),
 }
 

@@ -107,7 +107,7 @@ def model_inputs(spatial, rows, vocab):
     """One client's rows as the model sees them, ``[enc[codes], raw]``,
     from the row format that :func:`stack_rows` returns."""
     client = ClientDataset("c", spatial, rows, np.zeros(len(rows)), n_classes=2)
-    raw, _, codes, enc, _ = stack_rows([client], vocab, None)
+    raw, _, codes, enc, _ = stack_rows([client], vocab)
     return np.hstack([enc[codes], raw])
 
 
