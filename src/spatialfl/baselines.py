@@ -5,13 +5,11 @@ ensemble.
 The ensemble members and the single-level federated averages (uniform or
 sample-weighted) are not trained here: they are built from the round-1
 ``(K, P)`` parameter buffer and training-row counts that
-:func:`~spatialfl.federation.run_tier_round` passes to its ``first_round``
-callback, so every client is trained once per round. The members are
-views of the buffer's rows, and a flat average is
-:func:`~spatialfl.federation.aggregate` over all of them. The run scores
-them in that callback, before round 2 trains, so round 1's buffer is
-released before round 2's exists. All baselines read the tiered method's
-rows (:func:`~spatialfl.federation.stack_split`), so accuracy differences
+:func:`~spatialfl.federation.run_tier_round` returns, so every client is
+trained once per round. The members are views of the buffer's rows, and
+a flat average is :func:`~spatialfl.federation.aggregate` over all of
+them. All baselines read the tiered method's rows
+(:func:`~spatialfl.federation.stack_split`), so accuracy differences
 isolate the aggregation strategy.
 """
 
@@ -38,12 +36,13 @@ def train_centralized(
     groups: Sequence[Iterable[str]],
     init: ModelParams,
     config: TrainingConfig,
+    seed: int,
     rows: StackedRows,
 ) -> list[ModelParams]:
     """One model per group of client ids, in the order given, each over
     its clients' spans of the training stack ``rows``
     (:func:`~spatialfl.federation.stack_split`) pooled in canonical
-    (client_id, row) order, seeded with ``config.seed`` and deterministic.
+    (client_id, row) order, each seeded with ``seed`` and deterministic.
 
     Every group trains in one call of the training kernel, as one of its
     clients. A group without training rows raises
@@ -55,7 +54,7 @@ def train_centralized(
              for group in groups]
     if any(r.size == 0 for r in pools):
         raise EmptyDatasetError("pooled training set is empty")
-    params, diverged = train_cohort(init, raw, labels, codes, enc, pools, config, [config.seed] * len(pools))
+    params, diverged = train_cohort(init, raw, labels, codes, enc, pools, config, [seed] * len(pools))
     if diverged:
         raise DivergenceError(f"centralized baseline: {diverged[min(diverged)]}")
     return [ModelParams(vector, init.dims) for vector in params]

@@ -71,6 +71,8 @@ def cmd_evaluate_model(args: argparse.Namespace) -> int:
     model_path, data_path = Path(args.model), Path(args.data)
     if not model_path.exists():
         raise FileNotFoundError(f"model file does not exist: {model_path}")
+    if model_path.is_dir():
+        raise IsADirectoryError(f"model file is a directory: {model_path}")
     if not data_path.exists():
         raise DataError(f"data file does not exist: {data_path}")
     if data_path.is_dir():
@@ -126,7 +128,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error{_stage_suffix(exc)}: {exc}", file=sys.stderr)
         return 3
     except (SpatialFLError, OSError) as exc:
-        print(f"error{_stage_suffix(exc)}: {exc}", file=sys.stderr)
+        # An OSError of the system names its file; ours carry a message.
+        message = exc if getattr(exc, "filename", None) is None else f"{exc.strerror}: {exc.filename}"
+        print(f"error{_stage_suffix(exc)}: {message}", file=sys.stderr)
         return 4
     except MemoryError as exc:
         print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)

@@ -16,24 +16,24 @@ streams over the children, holding O(log K) partial sums, never K
 vectors.
 
 A run splits every client into a training and a validation dataset and
-stacks each side's rows once (:func:`stack_split`), for the tiered loop,
-the centralized baselines and scoring alike. Each round trains every
-client on its span of the training stack in one call of the training
-kernel, which cuts the clients into cohorts whose working memory fits
-:data:`~spatialfl.nn.COHORT_BYTES`. The call returns every client's
-parameters as one ``(K, P)`` buffer, row ``k`` the ``k``-th client in
-ascending id order, and :func:`aggregate_tree` reads that buffer as it is:
-there is one aggregation function, :func:`aggregate`, and no per-client
-object until the last round's client models are returned. A round's
-buffer is released before the next round trains, so a run holds one at a
-time.
+stacks each side's rows once (:func:`stack_split`), for the tiered
+rounds, the centralized baselines and scoring alike. One round
+(:func:`run_tier_round`) trains every client on its span of the training
+stack in one call of the training kernel, which cuts the clients into
+cohorts whose working memory fits :data:`~spatialfl.nn.COHORT_BYTES`.
+The call returns every client's parameters as one ``(K, P)`` buffer, row
+``k`` the ``k``-th client in ascending id order, and
+:func:`aggregate_tree` reads that buffer as it is: there is one
+aggregation function, :func:`aggregate`, and no per-client object. The
+loop over rounds, which broadcasts each round's root model to the next,
+is the run's (:func:`spatialfl.harness.run_experiment`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -353,61 +353,43 @@ def aggregate_tree(
 def run_tier_round(
     topology: TierTopology,
     rows: StackedRows,
-    global_init: ModelParams,
-    policy: AggregationPolicy,
+    broadcast: ModelParams,
+    mode: str,
     config: TrainingConfig,
-    first_round: Callable[[np.ndarray, list[int]], None] | None = None,
-) -> dict[str, ModelParams]:
-    """Run the full tiered protocol for ``policy.rounds`` rounds on the
-    training stack ``rows`` (:func:`stack_split`).
+    seed: int,
+    round_index: int,
+) -> tuple[np.ndarray, list[int], dict[str, ModelParams]]:
+    """One round of the tiered protocol on the training stack ``rows``
+    (:func:`stack_split`): every client trains from ``broadcast`` and the
+    round's parameters flow up the tree.
 
-    Each round every client trains from the current broadcast model
-    (round 1 broadcasts ``global_init``), the round's parameters flow up
-    the tree, and the root model becomes the next broadcast. Returns the
-    final model of every node: localized models at tier 0, one aggregate
-    per interior node, the global model at the root.
+    Returns the round's ``(K, P)`` parameter buffer and the clients'
+    training-row counts (their raw weights), both in ascending client
+    order (:meth:`TierTopology.clients`), and the model of every interior
+    node; the root's is the next round's broadcast. Row ``k`` of the
+    buffer is the ``k``-th client's localized model.
 
-    ``first_round``, if given, is called once with round 1's ``(K, P)``
-    parameter buffer and the clients' training-row counts (their raw
-    weights), both in ascending client order (:meth:`TierTopology.clients`),
-    after round 1's aggregation and before round 2 trains. Its rows are
-    the clients' models trained once from ``global_init``; one-round flat
-    federated averaging and the per-client ensemble are built from them.
-    Before each round after the first trains, the previous round's buffer
-    and node models are released (unless the callback kept them), so one
-    round's buffer is held at a time.
-
-    Each round trains every client on its span of ``rows`` in one call
-    of the training kernel, seeded by :func:`round_seed` with
-    ``config.seed`` as the master seed. A client without training rows,
-    or whose training diverges (which fails the round once every client
-    has trained), is named by the lowest such client id; a non-finite
-    aggregate fails the round naming the node.
+    Every client trains on its span of ``rows`` in one call of the
+    training kernel, seeded by :func:`round_seed` with ``seed`` as the
+    master seed. A client without training rows, or whose training
+    diverges (which fails the round once every client has trained), is
+    named by the lowest such client id; a non-finite aggregate fails the
+    round naming the node.
     """
     raw, labels, codes, enc, spans = rows
     clients = topology.clients()
     counts = [spans[c][1] - spans[c][0] for c in clients]
     if 0 in counts:
         raise EmptyClientError(f"client {clients[counts.index(0)]!r} has no training rows")
+    seeds = [round_seed(seed, c, round_index) for c in clients]
     client_rows = [np.arange(*spans[c]) for c in clients]
-    broadcast = global_init
-    for round_index in range(1, policy.rounds + 1):
-        if round_index > 1:
-            # Only the broadcast, a fresh vector, outlives a round.
-            del params, models
-        seeds = [round_seed(config.seed, c, round_index) for c in clients]
-        params, failed = train_cohort(broadcast, raw, labels, codes, enc, client_rows, config, seeds)
-        if failed:
-            i = min(failed)
-            raise DivergenceError(f"client {clients[i]!r} in round {round_index}: {failed[i]}")
-        with DivergenceError.naming(f"round {round_index}"):
-            models = aggregate_tree(topology, params, counts, broadcast.dims, policy.mode)
-        if round_index == 1 and first_round is not None:
-            first_round(params, counts)
-        broadcast = models[topology.root_id]
-    # Views of the last buffer's rows: every kernel call allocates its
-    # buffer afresh and nothing writes it once the call returns.
-    return {**{c: ModelParams(vector, broadcast.dims) for c, vector in zip(clients, params)}, **models}
+    params, failed = train_cohort(broadcast, raw, labels, codes, enc, client_rows, config, seeds)
+    if failed:
+        i = min(failed)
+        raise DivergenceError(f"client {clients[i]!r} in round {round_index}: {failed[i]}")
+    with DivergenceError.naming(f"round {round_index}"):
+        models = aggregate_tree(topology, params, counts, broadcast.dims, mode)
+    return params, counts, models
 
 
 def serialize_model(params: ModelParams) -> bytes:

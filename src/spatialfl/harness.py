@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -519,18 +519,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     clients = topology.clients()
     dims = (enc.shape[1] + raw.shape[1], config.hidden_dim, config.n_classes)
     init = init_params(dims, derive_seed(config.seed, "init"))
-    training = replace(config.training, seed=config.seed)
     node_order = sorted(topology.nodes, key=lambda n: (-n.tier, n.node_id))
 
     def score(model: ModelParams, where: str, lo: int = 0, hi: int = labels.size) -> np.ndarray:
         with DivergenceError.naming(where):
             return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
 
-    # The baselines built from the round-1 client models are scored as soon
-    # as round 1 is aggregated, so that those models need not outlive it.
-    first_round_correct: dict[str, dict[str, int]] = {}
-
-    def score_first_round(params: np.ndarray, counts: list[int]) -> None:
+    def score_first_round(params: np.ndarray, counts: list[int]) -> dict[str, dict[str, int]]:
+        """The correct counts of the baselines built from round 1's client
+        models. A function of its own, so that no model built on the
+        round-1 buffer (an ensemble member is a view of a row) outlives
+        the call and keeps the buffer alive into round 2."""
+        correct = {}
         with _stage("baselines"):
             for kind in config.baselines:
                 if kind is BaselineKind.CENTRALIZED_NN:
@@ -544,10 +544,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         # clients' round-1 models.
                         mode = "sample_weighted" if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else "uniform"
                         predicted = predict_rows(aggregate(params, counts, mode, dims), raw, codes, enc)
-                first_round_correct[kind.value] = fold_correct(predicted, labels, spans)
+                correct[kind.value] = fold_correct(predicted, labels, spans)
+        return correct
 
     with _stage("federated"):
-        node_models = run_tier_round(topology, train, init, config.policy, training, score_first_round)
+        broadcast = init
+        for round_index in range(1, config.policy.rounds + 1):
+            # Only the broadcast, a fresh vector, outlives a round: a run
+            # holds one round's (K, P) buffer at a time.
+            params = models = None
+            params, counts, models = run_tier_round(topology, train, broadcast, config.policy.mode,
+                                                    config.training, config.seed, round_index)
+            if round_index == 1:
+                first_round_correct = score_first_round(params, counts)
+            broadcast = models[topology.root_id]
+        # Views of the last buffer's rows: every kernel call allocates its
+        # buffer afresh and nothing writes it once the call returns.
+        node_models = {**{c: ModelParams(vector, dims) for c, vector in zip(clients, params)}, **models}
 
     with _stage("evaluate"):
         tiered = {nid: score(node_models[nid], f"node {nid!r}", lo, hi) for nid, (lo, hi) in spans.items()}
@@ -567,7 +580,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # on and scoring only its own subtree's rows.
             regions = topology.children(topology.root_id)
             pooled, *regional_models = train_centralized(
-                [clients] + [topology.subtree_clients(region) for region in regions], init, training, train)
+                [clients] + [topology.subtree_clients(region) for region in regions], init, config.training,
+                config.seed, train)
             correct[kind.value] = fold_correct(score(pooled, f"{kind.value} baseline"), labels, spans)
             regional = np.empty_like(labels)
             for region, model in zip(regions, regional_models):

@@ -100,8 +100,6 @@ class TrainingConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    # Derived per run from the master seed, so it is no config key.
-    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
         if self.learning_rate <= 0:

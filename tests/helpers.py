@@ -1,12 +1,10 @@
 """Shared builders for federation-level tests."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from spatialfl.data import ClientDataset, train_valid_split
-from spatialfl.federation import TierNode, TierTopology, round_seed, stack_rows, stack_split
-from spatialfl.nn import ModelParams, TrainingConfig, init_params, train_cohort
+from spatialfl.federation import TierNode, TierTopology, round_seed, run_tier_round, stack_rows, stack_split
+from spatialfl.nn import ModelParams, init_params, train_cohort
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute
 
@@ -73,29 +71,38 @@ def split_clients(datasets, seed):
     return train, valid
 
 
-def per_round_config(config: TrainingConfig, client_id: str, round_index: int) -> TrainingConfig:
-    """``config`` seeded as the tiered loop seeds a client in a given round,
-    with ``config.seed`` as the master seed."""
-    return replace(config, seed=round_seed(config.seed, client_id, round_index))
-
-
-def train_alone(dataset, init, config, vocab=None):
+def train_alone(dataset, init, config, seed, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
-    a cohort of one of the training kernel, seeded with ``config.seed``."""
+    a cohort of one of the training kernel, seeded with ``seed``."""
     raw, labels, codes, enc, offsets = stack_rows([dataset], vocab)
-    params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, [config.seed])
+    params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, [seed])
     assert diverged == {}
     return ModelParams(params[0], init.dims)
 
 
-def alone_round(datasets, init, config, vocab=None):
-    """Round 1 of the clients in ``datasets`` (by client id) as the tiered
-    loop hands it on, with each client trained alone (:func:`train_alone`,
-    with its round-1 seed): the ``(K, P)`` buffer in ascending client order
-    and the clients' training-row counts."""
+def alone_round(datasets, init, config, seed, vocab=None):
+    """Round 1 of the clients in ``datasets`` (by client id) as
+    :func:`run_tier_round` returns it under master seed ``seed``, with each
+    client trained alone (:func:`train_alone`, with its round-1 seed): the
+    ``(K, P)`` buffer in ascending client order and the clients'
+    training-row counts."""
     ids = sorted(datasets)
-    params = np.stack([train_alone(datasets[c], init, per_round_config(config, c, 1), vocab).vector for c in ids])
+    params = np.stack([train_alone(datasets[c], init, config, round_seed(seed, c, 1), vocab).vector for c in ids])
     return params, [datasets[c].n_rows for c in ids]
+
+
+def run_rounds(topology, rows, init, mode, config, seed, rounds):
+    """``rounds`` rounds of :func:`run_tier_round` from ``init``, each
+    broadcasting the last root model, as a run loops them: the final
+    model of every node, clients included, and round 1's buffer and
+    counts."""
+    broadcast = init
+    for round_index in range(1, rounds + 1):
+        params, counts, models = run_tier_round(topology, rows, broadcast, mode, config, seed, round_index)
+        if round_index == 1:
+            first = params, counts
+        broadcast = models[topology.root_id]
+    return {**{c: ModelParams(v, init.dims) for c, v in zip(topology.clients(), params)}, **models}, first
 
 
 def random_buffer(k, dims, rng, max_count=50):

@@ -8,8 +8,8 @@ from helpers import (
     flat_topology,
     interleaved_topology,
     no_encoding,
-    per_round_config,
     separable_client,
+    run_rounds,
     spans,
     split_clients,
     train_alone,
@@ -21,7 +21,7 @@ from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
-from spatialfl.federation import AGGREGATION_MODES, AggregationPolicy, aggregate, run_tier_round, stack_rows
+from spatialfl.federation import AGGREGATION_MODES, aggregate, round_seed, stack_rows
 from spatialfl.harness import evaluate
 from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows, train_cohort
 from spatialfl.spatial import build_vocabulary, encode_spatial
@@ -37,53 +37,53 @@ def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
     return ModelParams(vec, dims)
 
 
-def pooled(groups, init, config, vocab=None, layout=flat_topology):
+def pooled(groups, init, config, seed, vocab=None, layout=flat_topology):
     """:func:`train_centralized` over groups of clients, on the training
     rows of all of them laid out under ``layout``."""
     datasets = {c.client_id: c for group in groups for c in group}
     rows = train_rows(layout(sorted(datasets)), datasets, vocab)
-    return train_centralized([[c.client_id for c in group] for group in groups], init, config, rows)
+    return train_centralized([[c.client_id for c in group] for group in groups], init, config, seed, rows)
 
 
 class TestCentralized:
     def test_single_client_pool_matches_local_train(self):
         ds = separable_client("only", n=14, seed=2)
         init = init_params((2, 4, 2), seed=1)
-        config = TrainingConfig(learning_rate=0.05, epochs=6, seed=33)
-        [model] = pooled([[ds]], init, config)
-        assert params_equal(model, train_alone(ds, init, config))
+        config = TrainingConfig(learning_rate=0.05, epochs=6)
+        [model] = pooled([[ds]], init, config, 33)
+        assert params_equal(model, train_alone(ds, init, config, 33))
 
     def test_zero_epochs_return_init(self):
         ds = separable_client("c", n=8, seed=0)
         init = init_params((2, 4, 2), seed=7)
-        [model] = pooled([[ds]], init, TrainingConfig(epochs=0))
+        [model] = pooled([[ds]], init, TrainingConfig(epochs=0), 0)
         assert params_equal(model, init)
 
     def test_pool_order_does_not_matter(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=0)
-        config = TrainingConfig(learning_rate=0.02, epochs=3, seed=11)
-        [forward_order] = pooled([clients], init, config)
-        [reverse_order] = pooled([list(reversed(clients))], init, config)
+        config = TrainingConfig(learning_rate=0.02, epochs=3)
+        [forward_order] = pooled([clients], init, config, 11)
+        [reverse_order] = pooled([list(reversed(clients))], init, config, 11)
         assert params_equal(forward_order, reverse_order)
 
     def test_empty_pool_rejected(self):
         rows = without_rows_of(train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)}), ["c"])
         with pytest.raises(EmptyDatasetError):
-            train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), rows)
+            train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, rows)
 
     def test_divergence_names_the_baseline(self):
         ds = separable_client("c", n=12, seed=0)
-        config = TrainingConfig(learning_rate=1e300, epochs=2, seed=1)
+        config = TrainingConfig(learning_rate=1e300, epochs=2)
         with pytest.raises(DivergenceError, match="^centralized baseline: training diverged"):
-            pooled([[ds]], init_params((2, 4, 2), 0), config)
+            pooled([[ds]], init_params((2, 4, 2), 0), config, 1)
 
     @staticmethod
-    def pooled_alone(group, init, config, vocab):
+    def pooled_alone(group, init, config, seed, vocab):
         """A group's pooled training rows trained as the only client of a
         kernel call."""
         raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, labels.size]), config, [config.seed])
+        params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, labels.size]), config, [seed])
         assert diverged == {}
         return ModelParams(params[0], init.dims)
 
@@ -98,28 +98,28 @@ class TestCentralized:
         groups = [[c1], [c3, c0], clients, [c2, c1, c3], [c1]]
         vocab = build_vocabulary([c.spatial for c in clients])
         init = init_params((vocab.encoding_length + 2, 5, 2), seed=3)
-        config = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=12)
+        config = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=4)
         if cohort_bytes is not None:
             monkeypatch.setattr(nn, "COHORT_BYTES", cohort_bytes)
         for layout in (flat_topology, interleaved_topology):
-            models = pooled(groups, init, config, vocab, layout)
+            models = pooled(groups, init, config, 12, vocab, layout)
             assert len(models) == len(groups)
             for group, model in zip(groups, models):
-                assert params_equal(model, self.pooled_alone(group, init, config, vocab))
+                assert params_equal(model, self.pooled_alone(group, init, config, 12, vocab))
 
     def test_divergence_in_a_later_group_names_the_baseline(self):
         calm = separable_client("c0", n=12, seed=0)
         wild = separable_client("c1", n=10, seed=1)
         wild.features *= 1e300
         init = init_params((2, 4, 2), 1)
-        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=1)
-        pooled([[calm]], init, config)
+        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4)
+        pooled([[calm]], init, config, 1)
         # The two diverging groups fail in different layers; the first of
         # them in the order given is reported.
         for groups, layer in [([[calm], [calm, wild], [wild]], "layer2_weights"),
                               ([[calm], [wild], [calm, wild]], "layer1_weights")]:
             with pytest.raises(DivergenceError) as info:
-                pooled(groups, init, config)
+                pooled(groups, init, config, 1)
             assert str(info.value) == (
                 f"centralized baseline: training diverged ({layer} contains non-finite entries)")
 
@@ -127,7 +127,7 @@ class TestCentralized:
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1"])}
         rows = without_rows_of(train_rows(flat_topology(sorted(ds)), ds), ["c1"])
         with pytest.raises(EmptyDatasetError):
-            train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), rows)
+            train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, rows)
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
@@ -136,8 +136,8 @@ class TestCentralized:
         train, valid = split_clients(datasets, 6)
         vocab = build_vocabulary([train[c].spatial for c in sorted(train)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
-        config = TrainingConfig(learning_rate=0.05, epochs=100, seed=2)
-        [model] = pooled([train.values()], init, config, vocab)
+        config = TrainingConfig(learning_rate=0.05, epochs=100)
+        [model] = pooled([train.values()], init, config, 2, vocab)
         assert evaluate(model, valid.values(), vocab) >= 0.95
 
 
@@ -233,29 +233,26 @@ class TestFlatFedavg:
     round-1 parameter buffer, and the ensemble members are its rows."""
 
     @staticmethod
-    def one_level_run(clients, init, config, mode="uniform", rounds=1):
+    def one_level_run(clients, init, config, seed, mode="uniform", rounds=1):
         topo = flat_topology([c.client_id for c in clients])
-        first_round = []
-        models = run_tier_round(topo, train_rows(topo, {c.client_id: c for c in clients}), init,
-                                AggregationPolicy(mode, rounds), config,
-                                lambda params, counts: first_round.append((params, counts)))
-        ((params, counts),) = first_round
+        models, (params, counts) = run_rounds(topo, train_rows(topo, {c.client_id: c for c in clients}), init,
+                                              mode, config, seed, rounds)
         return models, params, counts
 
     def test_single_client_returns_its_model(self):
         ds = separable_client("solo", n=12, seed=3)
         init = init_params((2, 4, 2), seed=2)
-        config = TrainingConfig(learning_rate=0.05, epochs=4, seed=19)
-        _, params, counts = self.one_level_run([ds], init, config)
-        direct = train_alone(ds, init, per_round_config(config, "solo", 1))
+        config = TrainingConfig(learning_rate=0.05, epochs=4)
+        _, params, counts = self.one_level_run([ds], init, config, 19)
+        direct = train_alone(ds, init, config, round_seed(19, "solo", 1))
         for mode in AGGREGATION_MODES:
             assert params_equal(aggregate(params, counts, mode, init.dims), direct)
 
     def test_equal_counts_weighted_matches_unweighted(self):
         clients = [separable_client(f"c{i}", n=10, seed=i) for i in range(3)]
         init = init_params((2, 4, 2), seed=0)
-        config = TrainingConfig(learning_rate=0.05, epochs=2, seed=8)
-        _, params, counts = self.one_level_run(clients, init, config)
+        config = TrainingConfig(learning_rate=0.05, epochs=2)
+        _, params, counts = self.one_level_run(clients, init, config, 8)
         plain = aggregate(params, counts, "uniform", init.dims).vector
         weighted = aggregate(params, counts, "sample_weighted", init.dims).vector
         assert np.allclose(np.abs(plain - weighted), 0.0, atol=1e-15)
@@ -266,20 +263,20 @@ class TestFlatFedavg:
         # for both policies; later rounds must not alter the round-1 buffer.
         clients = [separable_client(f"c{i}", n=8 + 2 * i, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=5)
-        config = TrainingConfig(learning_rate=0.03, epochs=3, seed=31)
-        direct, direct_counts = alone_round({c.client_id: c for c in clients}, init, config)
+        config = TrainingConfig(learning_rate=0.03, epochs=3)
+        direct, direct_counts = alone_round({c.client_id: c for c in clients}, init, config, 31)
         expected = {mode: aggregate(direct, direct_counts, mode, init.dims) for mode in AGGREGATION_MODES}
         for mode in AGGREGATION_MODES:
-            tree_models, params, counts = self.one_level_run(clients, init, config, mode)
+            tree_models, params, counts = self.one_level_run(clients, init, config, 31, mode)
             assert params_equal(tree_models["root"], expected[mode])
             assert params_equal(aggregate(params, counts, mode, init.dims), expected[mode])
-            _, kept, kept_counts = self.one_level_run(clients, init, config, mode, rounds=3)
+            _, kept, kept_counts = self.one_level_run(clients, init, config, 31, mode, rounds=3)
             assert kept_counts == counts == direct_counts
             assert np.array_equal(kept, direct)
 
     def test_client_models_use_per_client_seeds(self):
         clients = [separable_client(f"c{i}", n=10, seed=0) for i in range(2)]
         init = init_params((2, 4, 2), seed=0)
-        _, (c0, c1), _ = self.one_level_run(clients, init, TrainingConfig(epochs=2, seed=3))
+        _, (c0, c1), _ = self.one_level_run(clients, init, TrainingConfig(epochs=2), 3)
         # identical data but distinct derived seeds produce distinct models
         assert not np.array_equal(c0, c1)

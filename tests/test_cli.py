@@ -354,6 +354,31 @@ class TestUnreadableInputFile:
             assert len(err) == 1 and err[0].startswith(f"config error: {what} file {problem}: {path} ("), err
 
 
+class TestFileInPlaceOfAnother:
+    """A directory given as the model or as a CSV to write, or a file as
+    the output directory, exits 4 with one line naming the path, and the
+    line carries no raw ``OSError`` text."""
+
+    @pytest.mark.parametrize("case", ["model-directory", "csv-out-directory", "run-out-file"])
+    def test_exits_four_naming_the_path(self, tmp_path, capsys, case):
+        spec = write_json(tmp_path / "spec.json", SPEC)
+        config = synthetic_config_file(tmp_path)
+        folder = tmp_path / "d1"
+        folder.mkdir()
+        taken = tmp_path / "afile"
+        taken.write_text("")
+        argv, path, line = {
+            "model-directory": (["evaluate-model", "--model", str(folder), "--data", str(spec),
+                                 "--config", str(config)], folder, f"error: model file is a directory: {folder}"),
+            "csv-out-directory": (["gen-synthetic", "--spec", str(spec), "--out", str(folder)], folder, None),
+            "run-out-file": (["run", "--config", str(config), "--out", str(taken)], taken, None),
+        }[case]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(f": {path}"), err
+        assert "[Errno" not in err[0] and err[0] == (line or err[0])
+
+
 class TestGenSynthetic:
     def test_writes_ingestable_csv(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "spec.json", SPEC)

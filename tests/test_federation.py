@@ -15,9 +15,9 @@ from helpers import (
     flat_topology,
     interleaved_topology,
     no_encoding,
-    per_round_config,
     random_buffer,
     random_tree,
+    run_rounds,
     separable_client,
     split_clients,
     train_alone,
@@ -26,6 +26,7 @@ from helpers import (
     without_rows_of,
 )
 from reference import params_equal, tree_sum_levels
+from spatialfl.baselines import BaselineKind
 from spatialfl.data import SyntheticSpec, generate_synthetic
 from spatialfl.errors import (
     CorruptModelError,
@@ -48,11 +49,12 @@ from spatialfl.federation import (
     aggregate_tree,
     deserialize_model,
     normalize_weights,
+    round_seed,
     run_tier_round,
     serialize_model,
     stack_split,
 )
-from spatialfl.harness import evaluate
+from spatialfl.harness import ExperimentConfig, SyntheticSource, evaluate, run_experiment
 from spatialfl.nn import ModelParams, TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
@@ -148,14 +150,12 @@ class TestLocalTrain:
     """A client's local training in a tier round: a one-client tree."""
 
     @staticmethod
-    def first_model(ds, init, config):
-        """The client's round-1 model and training-row count, as the
-        ``first_round`` callback receives them."""
+    def first_model(ds, init, config, seed=0):
+        """The client's round-1 model and training-row count, as
+        :func:`run_tier_round` returns them."""
         topo = flat_topology([ds.client_id])
-        first_round = []
-        run_tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, AggregationPolicy(), config,
-                       lambda params, counts: first_round.append((params, counts)))
-        ((params, (count,)),) = first_round
+        params, (count,), _ = run_tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, "sample_weighted",
+                                             config, seed, 1)
         return ModelParams(params[0], init.dims), count
 
     def test_zero_epochs_returns_init_bit_equal(self):
@@ -171,15 +171,15 @@ class TestLocalTrain:
 
     def test_separable_client_reaches_full_training_accuracy(self):
         ds = separable_client("c", n=20, seed=0)
-        config = TrainingConfig(learning_rate=0.05, epochs=200, seed=4)
-        out, _ = self.first_model(ds, init_params((2, 16, 2), seed=3), config)
+        config = TrainingConfig(learning_rate=0.05, epochs=200)
+        out, _ = self.first_model(ds, init_params((2, 16, 2), seed=3), config, seed=4)
         assert np.mean(predict_rows(out, *no_encoding(ds.features)) == ds.labels) == 1.0
 
     def test_no_training_rows_rejected(self):
         topo = flat_topology(["c"])
         rows = without_rows_of(train_rows(topo, {"c": separable_client("c", n=6, seed=0)}), ["c"])
         with pytest.raises(EmptyClientError):
-            run_tier_round(topo, rows, init_params((2, 4, 2), 0), AggregationPolicy(), TrainingConfig())
+            run_tier_round(topo, rows, init_params((2, 4, 2), 0), "sample_weighted", TrainingConfig(), 0, 1)
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
@@ -187,7 +187,7 @@ class TestLocalTrain:
             topo = layout(sorted(ds))
             with pytest.raises(EmptyClientError, match="^client 'c0' has no training rows$"):
                 run_tier_round(topo, without_rows_of(train_rows(topo, ds), ["c0", "c3"]),
-                               init_params((2, 4, 2), 0), AggregationPolicy(), TrainingConfig())
+                               init_params((2, 4, 2), 0), "sample_weighted", TrainingConfig(), 0, 1)
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
@@ -384,14 +384,11 @@ class TestRunTierRound:
         topo = flat_topology(["c0"])
         ds = {"c0": separable_client("c0", n=12, seed=0)}
         init = init_params((2, 4, 2), seed=1)
-        config = TrainingConfig(learning_rate=0.05, epochs=5, seed=42)
-        first_round = []
-        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("uniform", 1), config,
-                                lambda params, counts: first_round.append((params, counts)))
-        direct = train_alone(ds["c0"], init, per_round_config(config, "c0", 1))
+        config = TrainingConfig(learning_rate=0.05, epochs=5)
+        models, (params, counts) = run_rounds(topo, train_rows(topo, ds), init, "uniform", config, 42, 1)
+        direct = train_alone(ds["c0"], init, config, round_seed(42, "c0", 1))
         assert params_equal(models["root"], direct)
         assert params_equal(models["c0"], direct)
-        ((params, counts),) = first_round
         assert params.shape == (1, init.n_params) and counts == [ds["c0"].n_rows]
         assert params_equal(ModelParams(params[0], init.dims), direct)
 
@@ -400,8 +397,7 @@ class TestRunTierRound:
         topo = random_tree(rng, 4)
         ds = {c: separable_client(c, n=8, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=9)
-        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1),
-                                TrainingConfig(epochs=0))
+        models, _ = run_rounds(topo, train_rows(topo, ds), init, "sample_weighted", TrainingConfig(epochs=0), 0, 1)
         for node_id, model in models.items():
             assert params_equal(model, init), node_id
 
@@ -415,10 +411,9 @@ class TestRunTierRound:
         topo = TierTopology(tuple(nodes))
         ds = {c: separable_client(c, n=10, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=0)
-        config = TrainingConfig(learning_rate=0.05, epochs=3, seed=5)
-        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1),
-                                config)
-        params, counts = alone_round(ds, init, config)
+        config = TrainingConfig(learning_rate=0.05, epochs=3)
+        _, _, models = run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 5, 1)
+        params, counts = alone_round(ds, init, config, 5)
         assert np.allclose(models["root"].vector, aggregate(params, counts, "sample_weighted", init.dims).vector,
                            atol=1e-12, rtol=0.0)
 
@@ -431,12 +426,9 @@ class TestRunTierRound:
         topo = interleaved_topology(sorted(ds))
         assert topo.client_order == ("c1", "c3", "c0", "c2")
         init = init_params((2, 4, 2), seed=2)
-        config = TrainingConfig(learning_rate=0.05, epochs=2, seed=6)
-        first_round = []
-        models = run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("sample_weighted", 1), config,
-                                lambda params, counts: first_round.append((params, counts)))
-        ((params, counts),) = first_round
-        direct, direct_counts = alone_round(ds, init, config)
+        config = TrainingConfig(learning_rate=0.05, epochs=2)
+        params, counts, models = run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 6, 1)
+        direct, direct_counts = alone_round(ds, init, config, 6)
         assert counts == direct_counts == [6, 8, 10, 12]
         assert params.tobytes() == direct.tobytes()
         east = aggregate(params[[1, 3]], [8, 12], "sample_weighted", init.dims)
@@ -454,10 +446,10 @@ class TestRunTierRound:
         for c in blown_up:
             ds[c].features *= 1e300
         init = init_params((2, 4, 2), 1)
-        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4, seed=3)
+        config = TrainingConfig(learning_rate=1e9, epochs=2, batch_size=4)
         assert cohort_slices(2, init.dims, config.batch_size) == [slice(0, 2)]
         with pytest.raises(DivergenceError) as info:
-            run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy("uniform", 2), config)
+            run_rounds(topo, train_rows(topo, ds), init, "uniform", config, 3, 2)
         return str(info.value)
 
     def test_divergence_inside_a_cohort_names_the_client(self):
@@ -478,9 +470,9 @@ class TestRunTierRound:
               enumerate([("a", 10), ("b", 12), ("c", 10), ("d", 14), ("e", 12)])}
         topo = flat_topology(sorted(ds))
         init = init_params((2, 4, 2), 1)
-        config = TrainingConfig(epochs=1, batch_size=4, seed=3)
+        config = TrainingConfig(epochs=1, batch_size=4)
         per_client = working_set_bytes(init.dims, config.batch_size)
-        owner = {per_round_config(config, c, 1).seed: c for c in ds}
+        owner = {round_seed(3, c, 1): c for c in ds}
         calls = []
         original = nn._train_part
 
@@ -489,11 +481,11 @@ class TestRunTierRound:
             return original(init, raw, labels, codes, table, rows, config, seeds, scratch)
 
         monkeypatch.setattr(nn, "_train_part", spy)
-        run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy(), config)
+        run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
         assert calls == [(["d", "b", "e", "a", "c"], [14, 12, 12, 10, 10])]
         calls.clear()
         monkeypatch.setattr(nn, "COHORT_BYTES", 2 * per_client + 1)
-        run_tier_round(topo, train_rows(topo, ds), init, AggregationPolicy(), config)
+        run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
         assert calls == [(["d", "b"], [14, 12]), (["e", "a"], [12, 10]), (["c"], [10])]
         assert all(len(ids) * per_client <= nn.COHORT_BYTES for ids, _ in calls)
 
@@ -514,27 +506,27 @@ class TestRunTierRound:
         assert cohort_slices(3, huge, 32) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     def test_holds_one_rounds_buffer_at_a_time(self, monkeypatch):
-        # At each kernel call after the first, no earlier round's (K, P)
-        # buffer, client update or client model is still held.
-        topo = flat_topology([f"c{i}" for i in range(8)])
-        ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(topo.clients())}
-        init = init_params((2, 400, 2), seed=1)
-        buffer = 8 * init.n_params * 8
-        held = []
+        # A run's round loop: at each kernel call after the first, no
+        # earlier round's (K, P) buffer, client model or ensemble member
+        # (a view of a round-1 row) is still held.
+        config = ExperimentConfig(
+            data=SyntheticSource(SyntheticSpec(2, 4, 8, n_classes=2, seed=3)), seed=2,
+            training=TrainingConfig(epochs=1), hidden_dim=400, policy=AggregationPolicy("sample_weighted", 3),
+            baselines=(BaselineKind.ENSEMBLE, BaselineKind.FLAT_FEDAVG))
+        held, shapes = [], []
         original = federation.train_cohort
 
-        def spy(*args):
+        def spy(init, *args):
             held.append(tracemalloc.get_traced_memory()[0])
-            return original(*args)
+            params, failed = original(init, *args)
+            shapes.append((params.shape, init.n_params))
+            return params, failed
 
         monkeypatch.setattr(federation, "train_cohort", spy)
-        seen = []
-        rows = train_rows(topo, ds)
-        traced_peak(lambda: run_tier_round(
-            topo, rows, init, AggregationPolicy("sample_weighted", 3), TrainingConfig(epochs=1, seed=2),
-            lambda params, counts: seen.append(len(params))))
-        assert seen == [8] and len(held) == 3
-        assert all(later - held[0] < buffer / 2 for later in held[1:])
+        traced_peak(lambda: run_experiment(config))
+        ((shape, n_params),) = set(shapes)
+        assert len(held) == 3 and shape == (8, n_params)
+        assert all(later - held[0] < 8 * n_params * 8 / 2 for later in held[1:])
 
     def test_missing_dataset_rejected(self):
         topo = flat_topology(["c0", "c1"])
@@ -546,10 +538,9 @@ class TestRunTierRound:
         topo = random_tree(rng, 5)
         ds = {c: separable_client(c, n=12, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 6, 2), seed=2)
-        config = TrainingConfig(learning_rate=0.03, epochs=4, seed=77)
-        policy = AggregationPolicy("sample_weighted", 3)
-        first = run_tier_round(topo, train_rows(topo, ds), init, policy, config)
-        second = run_tier_round(topo, train_rows(topo, ds), init, policy, config)
+        config = TrainingConfig(learning_rate=0.03, epochs=4)
+        first, _ = run_rounds(topo, train_rows(topo, ds), init, "sample_weighted", config, 77, 3)
+        second, _ = run_rounds(topo, train_rows(topo, ds), init, "sample_weighted", config, 77, 3)
         assert set(first) == set(second)
         for node_id in first:
             assert params_equal(first[node_id], second[node_id])
@@ -561,11 +552,10 @@ class TestRunTierRound:
         from spatialfl.spatial import build_vocabulary
         vocab = build_vocabulary([train[c].spatial for c in sorted(train)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=0)
-        config = TrainingConfig(learning_rate=0.05, epochs=5, seed=21)
+        config = TrainingConfig(learning_rate=0.05, epochs=5)
 
         def root_accuracy(rounds):
-            models = run_tier_round(topo, train_rows(topo, train, vocab), init,
-                                    AggregationPolicy("sample_weighted", rounds), config)
+            models, _ = run_rounds(topo, train_rows(topo, train, vocab), init, "sample_weighted", config, 21, rounds)
             return evaluate(models[topo.root_id], valid.values(), vocab)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

@@ -35,8 +35,8 @@ from spatialfl.harness import (
     run_experiment,
     write_models,
 )
-from spatialfl import nn, spatial
-from spatialfl.federation import AggregationPolicy, deserialize_model, stack_rows, stack_split
+from spatialfl import federation, nn, spatial
+from spatialfl.federation import AggregationPolicy, deserialize_model, round_seed, stack_rows, stack_split
 from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute, build_vocabulary
@@ -407,6 +407,26 @@ class TestRunExperiment:
         assert len(calls) == 3
         assert trained.pop("centralized") == 3
         assert trained == {(c, r): 1 for c in clients for r in (1, 2)}
+
+    def test_reported_seeds_are_the_trained_ones(self, monkeypatch):
+        # seeds.train_round1[c] is the seed client c trains with in round
+        # 1, and round r trains it with round_seed(master, c, r). The
+        # kernel takes one seed per client, in ascending client order.
+        config = synthetic_config(rounds=3)
+        calls = []
+        original = federation.train_cohort
+
+        def spy(init, raw, labels, codes, enc, rows, training, seeds):
+            calls.append(list(seeds))
+            return original(init, raw, labels, codes, enc, rows, training, seeds)
+
+        monkeypatch.setattr(federation, "train_cohort", spy)
+        report = run_experiment(config).report
+        clients = sorted(report.client_predictions)
+        assert len(calls) == 3
+        assert dict(zip(clients, calls[0])) == report.seeds["train_round1"]
+        for round_index, seeds in enumerate(calls, start=1):
+            assert seeds == [round_seed(config.seed, c, round_index) for c in clients]
 
     def test_each_split_is_stacked_once(self, monkeypatch):
         # The tiered loop, the centralized baselines and scoring share one

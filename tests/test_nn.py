@@ -440,11 +440,11 @@ class TestFlattenRoundTrip:
                 ModelParams(vec, (2, 3, 2))
 
 
-def train_one(init, features, labels, config):
+def train_one(init, features, labels, config, seed):
     """``init`` trained on raw rows as a cohort of one, seeded with
-    ``config.seed``; None if training diverged."""
+    ``seed``; None if training diverged."""
     raw, codes, enc = no_encoding(features)
-    params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, len(raw)]), config, [config.seed])
+    params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, len(raw)]), config, [seed])
     return None if diverged else ModelParams(params[0], init.dims)
 
 
@@ -454,27 +454,27 @@ class TestTrain:
     def test_zero_epochs_return_init_bit_equal(self):
         p = init_params((2, 4, 2), seed=1)
         features, labels = separable_toy_set()
-        out = train_one(p, features, labels, TrainingConfig(epochs=0, seed=3))
+        out = train_one(p, features, labels, TrainingConfig(epochs=0), seed=3)
         assert params_equal(p, out)
 
     def test_separable_set_reaches_full_training_accuracy(self):
         features, labels = separable_toy_set(n=20, seed=0)
         init = init_params((2, 16, 2), seed=2)
-        config = TrainingConfig(learning_rate=0.05, epochs=200, batch_size=32, seed=2)
-        model = train_one(init, features, labels, config)
+        config = TrainingConfig(learning_rate=0.05, epochs=200, batch_size=32)
+        model = train_one(init, features, labels, config, seed=2)
         assert np.mean(predict_rows(model, *no_encoding(features)) == labels) == 1.0
 
     def test_training_is_deterministic(self):
         features, labels = separable_toy_set(n=20, seed=1)
         init = init_params((2, 8, 2), seed=5)
-        config = TrainingConfig(learning_rate=0.02, epochs=7, batch_size=8, seed=9)
-        assert params_equal(train_one(init, features, labels, config),
-                            train_one(init, features, labels, config))
+        config = TrainingConfig(learning_rate=0.02, epochs=7, batch_size=8)
+        assert params_equal(train_one(init, features, labels, config, seed=9),
+                            train_one(init, features, labels, config, seed=9))
 
     def test_all_outputs_finite_after_training(self):
         features, labels = separable_toy_set(n=16, seed=3)
         model = train_one(init_params((2, 8, 2), seed=0), features, labels,
-                          TrainingConfig(learning_rate=0.5, epochs=50, seed=1))
+                          TrainingConfig(learning_rate=0.5, epochs=50), seed=1)
         assert model is not None and np.all(np.isfinite(model.vector))
 
 
