@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time the training kernel per step iteration at the benchmark's shapes.
+
+For the model dims of the ``synthetic_rounds`` and ``fanout_eval``
+benchmark workloads, trains cohorts of g = 1, 5, 12 and 19 clients of the
+workload's training-row count (one ``nn.train_cohort`` call of one
+cohort, batch 32, 10 epochs, one encoding per client) and prints one JSON
+line per shape: the median and quartiles of the call's wall time per step
+iteration, in microseconds, over ``--repeats`` calls. A step iteration
+is one step of every client of the cohort.
+
+Given source trees (each a directory that holds ``spatialfl/``), the
+script loads each as its own package and alternates calls between them,
+so that the trees of a before/after pair share one process and the same
+spells of host speed. Without one it times ``src/`` of this checkout.
+
+Example:
+    python scripts/kernel_bench.py
+    OPENBLAS_NUM_THREADS=1 python scripts/kernel_bench.py ../parent/src src
+"""
+
+import argparse
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+# Workload: (input_dim, hidden_dim, n_classes), encoding width, training rows per client.
+SHAPES = {
+    "synthetic_rounds": ((19, 16, 3), 17, 160),
+    "fanout_eval": ((164, 16, 3), 162, 40),
+}
+COHORTS = (1, 5, 12, 19)
+BATCH_SIZE = 32
+EPOCHS = 10
+
+
+def load_nn(src: Path, name: str):
+    """The ``nn`` module of the ``spatialfl`` package under ``src``,
+    imported as the package ``name``."""
+    package = src.resolve() / "spatialfl"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.nn")
+
+
+def cohort_call(nn, dims, e_dim, rows, clients):
+    """A zero-argument call that trains ``clients`` clients of ``rows``
+    rows each at ``dims``, and its number of step iterations."""
+    rng = np.random.default_rng(0)
+    n = clients * rows
+    raw = rng.normal(size=(n, dims[0] - e_dim))
+    labels = rng.integers(0, dims[2], size=n)
+    codes = np.repeat(np.arange(clients), rows)
+    enc = np.eye(clients, e_dim)
+    spans = [np.arange(k * rows, (k + 1) * rows) for k in range(clients)]
+    init = nn.init_params(dims, 0)
+    config = nn.TrainingConfig(learning_rate=0.05, epochs=EPOCHS, batch_size=BATCH_SIZE)
+    seeds = list(range(clients))
+    if len(nn.cohort_slices(clients, dims, BATCH_SIZE)) != 1:
+        raise SystemExit(f"{clients} clients at {dims} do not fit one cohort")
+    return (lambda: nn.train_cohort(init, raw, labels, codes, enc, spans, config, seeds),
+            -(-rows // BATCH_SIZE) * EPOCHS)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("src", nargs="*", type=Path, help="source trees to compare (default: src/)")
+    parser.add_argument("--repeats", type=int, default=41)
+    args = parser.parse_args()
+    trees = args.src or [Path(__file__).resolve().parents[1] / "src"]
+    modules = [load_nn(src, f"spatialfl_tree{i}") for i, src in enumerate(trees)]
+    for workload, (dims, e_dim, rows) in SHAPES.items():
+        for clients in COHORTS:
+            calls = [cohort_call(nn, dims, e_dim, rows, clients) for nn in modules]
+            for call, _ in calls:
+                call()  # warm-up
+            times = [[] for _ in calls]
+            for r in range(args.repeats):
+                # Alternate which tree runs first.
+                for i in (range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))):
+                    call, iterations = calls[i]
+                    start = time.perf_counter()
+                    call()
+                    times[i].append((time.perf_counter() - start) / iterations * 1e6)
+            for src, samples in zip(trees, times):
+                q1, median, q3 = statistics.quantiles(samples, n=4)
+                print(json.dumps({"workload": workload, "dims": dims, "clients": clients,
+                                  "rows": rows, "tree": str(src), "us_per_iteration": round(median, 1),
+                                  "q1": round(q1, 1), "q3": round(q3, 1), "repeats": args.repeats}))
+
+
+if __name__ == "__main__":
+    main()

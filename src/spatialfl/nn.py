@@ -24,6 +24,14 @@ contract is bit-exactness: every client's parameters equal, bit for bit,
 those of a per-step reference chain (forward, softmax cross-entropy,
 backpropagation, Adam; ``tests/reference.py``) run for that client alone
 on its encoded rows, which the tests check on random ragged cohorts.
+A step's arrays are small (a few thousand entries), so numpy's per-call
+cost, not arithmetic, sets its time. The softmax's maximum and sum over
+a short class axis therefore run as elementwise ops over the class
+slices, and the bias gradients' sums over a batch's rows as one
+reduction over a rows-first copy, both cheaper than numpy's reduction
+over that axis. Each keeps the order in which numpy reduces one client's
+rows in the reference, so the reference needs no change. The ReLU mask
+is an AND on the gradient's bits, which gives np.where's bits in place.
 
 All scoring runs through one scorer, :func:`predict_rows`, which reads
 rows in the kernel's format and never assembles them: its first layer is
@@ -166,12 +174,18 @@ def working_set_bytes(dims: Dims, batch_size: int) -> int:
     the Adam step) and a ``P``-byte finiteness mask; the client's row of
     the full-width encoding table; and one minibatch of ``batch_size``
     rows with what a step computes from it: the assembled inputs and
-    their raw part, four hidden-layer arrays, the logits, the ReLU mask
-    and four index vectors.
+    their raw part; four hidden-layer arrays (the pre-activation, the
+    activation, the gradient and, one at a time, the previous step's
+    gradient, the 64-bit ReLU mask or the gradient's rows-first copy for
+    its bias sum); the logits and one more array as wide, which holds
+    their rows-first copy for the bias sum or, one at a time, the class
+    maximum and the class sum; the boolean ReLU mask; and four index
+    vectors (the rows' numbers, their codes, their flat label index and
+    the label base).
     """
     input_dim, hidden_dim, n_classes = dims
     n_params = flat_length(dims)
-    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 4 * hidden_dim + n_classes + 4)
+    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 4 * hidden_dim + 2 * n_classes + 4)
     return 8 * words + n_params + batch_size * hidden_dim
 
 
@@ -383,8 +397,9 @@ def _train_part(
     m.fill(0.0)
     v.fill(0.0)
     order = scratch.order
-    clients = np.arange(k)[:, None]
     positions = np.arange(min(config.batch_size, int(counts[0])))
+    # Where row j of a batch's flat logits starts in scratch.probs.
+    label_base = np.arange(k * positions.size) * c_dim
     w1, b1, w2, b2 = _layer_views(params, init.dims)
     g_w1, g_b1, g_w2, g_b2 = _layer_views(grad, init.dims)
 
@@ -401,7 +416,7 @@ def _train_part(
             # The rows' inputs [enc[codes[idx]], raw[idx]], assembled as
             # one contiguous (clients, rows, input_dim) batch.
             batch = np.take(table, codes[idx], axis=0, mode="clip", out=_view(scratch.batch, g, n, i_dim))
-            batch[..., e_dim:] = raw[idx]
+            batch[..., e_dim:] = np.take(raw, idx, axis=0)
             # Forward, keeping the pre-activation for backward.
             pre_hidden = np.matmul(batch, w1[lo:hi].transpose(0, 2, 1),
                                    out=_view(scratch.pre, g, n, h_dim))
@@ -410,17 +425,29 @@ def _train_part(
             probs = np.matmul(hidden, w2[lo:hi].transpose(0, 2, 1), out=_view(scratch.probs, g, n, c_dim))
             probs += b2[lo:hi, None, :]
             # Softmax cross-entropy gradient w.r.t. the logits, in place.
-            probs -= probs.max(axis=2, keepdims=True)
+            # The class maximum and sum are elementwise ops over the class
+            # slices, cheaper than reductions over so short an axis, taken
+            # in numpy's reduction order: the reference's bits, unchanged.
+            probs -= _class_reduce(np.maximum, probs)[..., None]
             np.exp(probs, out=probs)
-            probs /= probs.sum(axis=2, keepdims=True)
-            probs[clients[:g], positions[:n], labels[idx]] -= 1.0
+            probs /= _class_reduce(np.add, probs)[..., None]
+            # The label entries, by one flat index into the buffer.
+            hit = np.take(labels, idx)
+            hit += label_base[:g * n].reshape(g, n)
+            scratch.probs[hit] -= 1.0
             probs /= n
             # Backward into the flat gradient buffer.
             np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2[lo:hi])
-            np.sum(probs, axis=1, out=g_b2[lo:hi])
-            grad_hidden = np.where(pre_hidden > 0.0, np.matmul(probs, w2[lo:hi]), 0.0)
+            _row_sum(probs, g_b2[lo:hi])
+            # The ReLU gradient, masked in place: its bits ANDed with all
+            # ones where the unit is on and all zeros where it is off. That
+            # is the reference's np.where bit for bit (+0.0 at every masked
+            # entry, inf and NaN too) without allocating its result.
+            grad_hidden = np.matmul(probs, w2[lo:hi])
+            bits = grad_hidden.view(np.int64)
+            np.bitwise_and(bits, np.negative(pre_hidden > 0.0, dtype=np.int64), out=bits)
             np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
-            np.sum(grad_hidden, axis=1, out=g_b1[lo:hi])
+            _row_sum(grad_hidden, g_b1[lo:hi])
         # Bias-corrected Adam over the clients still training, in place,
         # in the reference Adam step's order: each of them has now taken t
         # steps. Once v is updated the gradient rows are free (the next
@@ -446,6 +473,37 @@ def _train_part(
                 if i not in diverged:
                     diverged[i] = _divergence_message(params[i], init.dims)
     return diverged
+
+
+def _class_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` over the class axis of ``x``, for
+    ``np.maximum`` or ``np.add``.
+
+    Below 8 classes it runs as elementwise ops over the class slices,
+    left to right: over so short an axis a reduction costs several times
+    as much. A maximum is exact in any order, and numpy sums fewer than 8
+    contiguous terms left to right (8 or more pairwise), so the result is
+    the reduction's, bit for bit.
+    """
+    classes = x.shape[-1]
+    if classes >= 8:
+        return ufunc.reduce(x, axis=-1)
+    out = ufunc(x[..., 0], x[..., 1]) if classes > 1 else x[..., 0].copy()
+    for c in range(2, classes):
+        ufunc(out, x[..., c], out=out)
+    return out
+
+
+def _row_sum(x: np.ndarray, out: np.ndarray) -> None:
+    """``x.sum(axis=1)`` of a ``(clients, rows, width)`` array into ``out``,
+    each client's equal bit for bit to the sum of its ``(rows, width)``
+    part over axis 0. numpy sums that part row after row, except a single
+    column, which it sums pairwise as a contiguous axis. Row after row
+    runs fastest with the rows outermost, as a contiguous copy."""
+    if x.shape[2] == 1:
+        np.sum(x, axis=1, out=out)
+    else:
+        np.add.reduce(x.transpose(1, 0, 2).copy(), axis=0, out=out)
 
 
 def _divergence_message(vector: np.ndarray, dims: Dims) -> str:

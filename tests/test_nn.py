@@ -580,6 +580,14 @@ class TestTrainCohort:
     # K = 1 over pooled rows of mixed codes.
     @example(case=Cohort(3, (12, 6, 3), 9, 4, [57], 8, 2, 1))
     @example(case=Cohort(4, (160, 16, 3), 150, 4, [40, 33], 32, 1, 0))
+    # One class and two, each with a ragged one-row last batch: the
+    # elementwise class maximum and sum fold one class slice or two.
+    @example(case=Cohort(12, (1, 1, 1), 0, 1, [9, 5], 4, 2, 0))
+    @example(case=Cohort(13, (3, 2, 2), 1, 2, [17, 9], 8, 2, 1))
+    # numpy sums 8 or more classes pairwise.
+    @example(case=Cohort(14, (4, 3, 9), 2, 3, [19, 10], 6, 1, 0))
+    # One hidden unit: numpy sums a single column's rows pairwise.
+    @example(case=Cohort(18, (3, 1, 3), 1, 2, [40, 37], 16, 2, 0))
     @settings(max_examples=60, deadline=None)
     def test_every_member_matches_reference_chain(self, case):
         # Bit-exact, not allclose: BLAS may tile differently as shapes
@@ -641,6 +649,51 @@ class TestTrainCohort:
         for i in (0, 2):
             alone, _ = train_cohort(init, raw, labels, codes, enc, spans(offsets[i:i + 2]), config, [seeds[i]])
             assert params[i].tobytes() == alone[0].tobytes()
+
+    def test_saturated_softmax_matches_reference_chain(self):
+        # Raw features 1e4 times larger saturate the softmax: most
+        # non-maximum exp terms underflow to exactly 0.0, and many masked
+        # hidden-layer gradients are negative, where the reference's
+        # np.where writes +0.0, not -0.0.
+        case = Cohort(16, (6, 8, 3), 2, 2, [24, 11], 8, 2, 0)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw *= 1e4
+        init = init_params(case.dims, case.seed)
+        rows = assembled(raw, codes, enc, offsets[0], offsets[1])
+        logits = forward(init, rows)
+        assert (np.exp(logits - logits.max(axis=1, keepdims=True)) == 0.0).sum() > 30
+        _, grad_logits = loss_and_grad(logits, labels[offsets[0]:offsets[1]])
+        masked = rows @ init.layer1_weights.T + init.layer1_bias <= 0.0
+        assert ((grad_logits @ init.layer2_weights)[masked] < 0.0).sum() > 20
+        config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
+        assert diverged == {}
+        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
+                                       config, seeds[i])
+            assert params[i].tobytes() == expected.vector.tobytes()
+
+    def test_overflowing_masked_gradient_matches_reference_chain(self):
+        # Every hidden unit is off, its pre-activation exactly 0.0 (W1 = 0,
+        # b1 = 0), and W2 is so large that the hidden-layer gradient
+        # overflows at every entry, all of them masked. The reference's
+        # np.where zeroes them and nothing diverges; inf times a zero mask
+        # would be NaN, and a mask of pre >= 0 would pass the inf on.
+        dims = (2, 3, 3)
+        vector = np.zeros(flat_length(dims))
+        vector[9:18] = np.repeat([-1.7e308, 1.7e308, 1.7e308], 3)
+        init = ModelParams(vector, dims)
+        raw = np.random.default_rng(17).normal(size=(6, 2))
+        labels = np.zeros(6, dtype=np.int64)
+        config = TrainingConfig(epochs=2, batch_size=1)
+        with np.errstate(over="ignore"):
+            _, grad_logits = loss_and_grad(forward(init, raw[:1]), labels[:1])
+            assert np.isinf(grad_logits @ init.layer2_weights).all()
+            expected = reference_train(init, raw, labels, config, 5)
+        _, codes, enc = no_encoding(raw)
+        params, diverged = train_cohort(init, raw, labels, codes, enc, [np.arange(6)], config, [5])
+        assert diverged == {}
+        assert params[0].tobytes() == expected.vector.tobytes()
 
     def test_cohort_budget_changes_no_bit(self, monkeypatch):
         # One ragged call cut into cohorts of one, of two (the last one

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from spatialfl import nn
 from spatialfl.harness import config_from_dict
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -24,9 +25,21 @@ def test_run_synthetic_prints_the_global_table():
     assert all(0.0 <= float(line.split()[1]) <= 1.0 for line in table)
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_scale_config_round_trips_through_the_config_reader():
-    spec = importlib.util.spec_from_file_location("scale_run", SCRIPTS / "scale_run.py")
-    scale_run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scale_run)
-    config = scale_run.scale_config(600)
+    config = load_script("scale_run").scale_config(600)
     assert config_from_dict(config.to_json_dict()) == config
+
+
+def test_kernel_bench_trains_one_cohort():
+    kernel_bench = load_script("kernel_bench")
+    call, iterations = kernel_bench.cohort_call(nn, (4, 3, 2), 2, 40, 3)
+    assert iterations == 2 * kernel_bench.EPOCHS
+    params, diverged = call()
+    assert params.shape == (3, nn.flat_length((4, 3, 2))) and diverged == {}
