@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Time the training kernel per step iteration at the benchmark's shapes.
+"""Time the training kernel at the benchmark's shapes: planning a cohort
+apart from training it, per step iteration.
 
 For the model dims of the ``synthetic_rounds`` and ``fanout_eval``
-benchmark workloads, trains cohorts of g = 1, 5, 12 and 19 clients of the
-workload's training-row count (one ``nn.train_cohort`` call of one
-cohort, batch 32, 10 epochs, one encoding per client) and prints one JSON
-line per shape: the median and quartiles of the call's wall time per step
-iteration, in microseconds, over ``--repeats`` calls. A step iteration
-is one step of every client of the cohort.
+benchmark workloads, plans and trains cohorts of g = 1, 5, 12 and 19
+clients of the workload's training-row count (one ``nn.plan_cohort`` and
+one ``nn.train_cohort`` call of one cohort, batch 32, 10 epochs, one
+encoding per client) and prints one JSON line per shape: the median and
+quartiles over ``--repeats`` calls of the training call's wall time per
+step iteration, in microseconds, the plan call's wall time, and the
+two together per step iteration. A step iteration is one step of every
+client of the cohort. A run trains one plan many times, so work moved
+from training into the plan shows as plan time.
 
 Given source trees (each a directory that holds ``spatialfl/``), the
 script loads each as its own package and alternates calls between them,
 so that the trees of a before/after pair share one process and the same
-spells of host speed. Without one it times ``src/`` of this checkout.
+spells of host speed. A tree from before the plan/train split trains in
+one call, timed as training, with no plan time. Without a tree it times
+``src/`` of this checkout.
 
 Example:
     python scripts/kernel_bench.py
@@ -53,8 +59,9 @@ def load_nn(src: Path, name: str):
 
 
 def cohort_call(nn, dims, e_dim, rows, clients):
-    """A zero-argument call that trains ``clients`` clients of ``rows``
-    rows each at ``dims``, and its number of step iterations."""
+    """Two calls that plan and train ``clients`` clients of ``rows`` rows
+    each at ``dims``: a zero-argument call that returns the plan and a
+    call that trains it, and the number of step iterations."""
     rng = np.random.default_rng(0)
     n = clients * rows
     raw = rng.normal(size=(n, dims[0] - e_dim))
@@ -67,8 +74,17 @@ def cohort_call(nn, dims, e_dim, rows, clients):
     seeds = list(range(clients))
     if len(nn.cohort_slices(clients, dims, BATCH_SIZE)) != 1:
         raise SystemExit(f"{clients} clients at {dims} do not fit one cohort")
-    return (lambda: nn.train_cohort(init, raw, labels, codes, enc, spans, config, seeds),
-            -(-rows // BATCH_SIZE) * EPOCHS)
+    iterations = -(-rows // BATCH_SIZE) * EPOCHS
+    if not hasattr(nn, "plan_cohort"):
+        return (lambda: None, lambda _: nn.train_cohort(init, raw, labels, codes, enc, spans, config, seeds),
+                iterations)
+    return (lambda: nn.plan_cohort(raw, labels, codes, enc, spans, dims, config),
+            lambda plan: nn.train_cohort(plan, init, seeds), iterations)
+
+
+def quartiles(samples):
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return round(median, 1), round(q1, 1), round(q3, 1)
 
 
 def main():
@@ -82,21 +98,29 @@ def main():
     for workload, (dims, e_dim, rows) in SHAPES.items():
         for clients in COHORTS:
             calls = [cohort_call(nn, dims, e_dim, rows, clients) for nn in modules]
-            for call, _ in calls:
-                call()  # warm-up
-            times = [[] for _ in calls]
+            for plan, train, _ in calls:
+                train(plan())  # warm-up
+            # Per tree: plan microseconds per call, training and both per step iteration.
+            times = [([], [], []) for _ in calls]
             for r in range(args.repeats):
                 # Alternate which tree runs first.
                 for i in (range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))):
-                    call, iterations = calls[i]
+                    plan, train, iterations = calls[i]
                     start = time.perf_counter()
-                    call()
-                    times[i].append((time.perf_counter() - start) / iterations * 1e6)
-            for src, samples in zip(trees, times):
-                q1, median, q3 = statistics.quantiles(samples, n=4)
-                print(json.dumps({"workload": workload, "dims": dims, "clients": clients,
-                                  "rows": rows, "tree": str(src), "us_per_iteration": round(median, 1),
-                                  "q1": round(q1, 1), "q3": round(q3, 1), "repeats": args.repeats}))
+                    planned = plan()
+                    middle = time.perf_counter()
+                    train(planned)
+                    end = time.perf_counter()
+                    times[i][0].append((middle - start) * 1e6)
+                    times[i][1].append((end - middle) / iterations * 1e6)
+                    times[i][2].append((end - start) / iterations * 1e6)
+            for src, (plan_us, train_us, call_us) in zip(trees, times):
+                median, q1, q3 = quartiles(train_us)
+                print(json.dumps({"workload": workload, "dims": dims, "clients": clients, "rows": rows,
+                                  "tree": str(src), "us_per_iteration": median, "q1": q1, "q3": q3,
+                                  "plan_us": quartiles(plan_us)[0],
+                                  "plan_and_train_us_per_iteration": quartiles(call_us)[0],
+                                  "repeats": args.repeats}))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .harness import (
     vocabulary,
     write_models,
 )
-from .nn import ModelParams, TrainingConfig, init_params, predict_rows, train_cohort
+from .nn import ModelParams, TrainingConfig, init_params, plan_cohort, predict_rows, train_cohort
 
 # What the CLI, scripts/, the benchmark and the README use: the config
 # sections, the pipeline and the model file. Everything else is reached
@@ -41,6 +41,6 @@ __all__ = [
     "run_experiment", "ExperimentResult", "MetricsReport", "emit_report", "write_models",
     "evaluate", "generate_synthetic", "export_csv",
     # Models: the training kernel, the scorer and the model file.
-    "ModelParams", "init_params", "train_cohort", "predict_rows",
+    "ModelParams", "init_params", "plan_cohort", "train_cohort", "predict_rows",
     "serialize_model", "deserialize_model",
 ]

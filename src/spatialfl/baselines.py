@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from .federation import StackedRows
-from .nn import ModelParams, TrainingConfig, predict_rows, train_cohort
+from .nn import ModelParams, TrainingConfig, plan_cohort, predict_rows, train_cohort
 
 
 class BaselineKind(str, Enum):
@@ -54,7 +54,8 @@ def train_centralized(
              for group in groups]
     if any(r.size == 0 for r in pools):
         raise EmptyDatasetError("pooled training set is empty")
-    params, diverged = train_cohort(init, raw, labels, codes, enc, pools, config, [seed] * len(pools))
+    plan = plan_cohort(raw, labels, codes, enc, pools, init.dims, config)
+    params, diverged = train_cohort(plan, init, [seed] * len(pools))
     if diverged:
         raise DivergenceError(f"centralized baseline: {diverged[min(diverged)]}")
     return [ModelParams(vector, init.dims) for vector in params]

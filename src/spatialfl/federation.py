@@ -17,10 +17,12 @@ vectors.
 
 A run splits every client into a training and a validation dataset and
 stacks each side's rows once (:func:`stack_split`), for the tiered
-rounds, the centralized baselines and scoring alike. One round
-(:func:`run_tier_round`) trains every client on its span of the training
-stack in one call of the training kernel, which cuts the clients into
-cohorts whose working memory fits :data:`~spatialfl.nn.COHORT_BYTES`.
+rounds, the centralized baselines and scoring alike. A run plans the
+clients' training once (:func:`plan_rounds`): the kernel's checks, its
+layout and its schedule, with the clients cut into cohorts whose working
+memory fits :data:`~spatialfl.nn.COHORT_BYTES`. Each round
+(:func:`run_tier_round`) then trains every client on its span of the
+training stack in one call of the training kernel on that plan.
 The call returns every client's parameters as one ``(K, P)`` buffer, row
 ``k`` the ``k``-th client in ascending id order, and
 :func:`aggregate_tree` reads that buffer as it is: there is one
@@ -47,7 +49,7 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .nn import Dims, ModelParams, TrainingConfig, flat_length, train_cohort
+from .nn import CohortPlan, Dims, ModelParams, TrainingConfig, flat_length, plan_cohort, train_cohort
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_spatial
 
@@ -350,18 +352,33 @@ def aggregate_tree(
     return models
 
 
+def plan_rounds(topology: TierTopology, rows: StackedRows, dims: Dims, config: TrainingConfig) -> CohortPlan:
+    """The training of every client of ``topology`` on its span of the
+    training stack ``rows`` (:func:`stack_split`) at ``dims`` under
+    ``config``, planned once for every :func:`run_tier_round` of a run,
+    clients in ascending order (:meth:`TierTopology.clients`).
+
+    A client without training rows is named by the lowest such client id.
+    """
+    raw, labels, codes, enc, spans = rows
+    clients = topology.clients()
+    empty = [c for c in clients if spans[c][0] == spans[c][1]]
+    if empty:
+        raise EmptyClientError(f"client {empty[0]!r} has no training rows")
+    return plan_cohort(raw, labels, codes, enc, [np.arange(*spans[c]) for c in clients], dims, config)
+
+
 def run_tier_round(
     topology: TierTopology,
-    rows: StackedRows,
+    plan: CohortPlan,
     broadcast: ModelParams,
     mode: str,
-    config: TrainingConfig,
     seed: int,
     round_index: int,
 ) -> tuple[np.ndarray, list[int], dict[str, ModelParams]]:
-    """One round of the tiered protocol on the training stack ``rows``
-    (:func:`stack_split`): every client trains from ``broadcast`` and the
-    round's parameters flow up the tree.
+    """One round of the tiered protocol, training as ``plan``
+    (:func:`plan_rounds`) says: every client trains from ``broadcast``
+    and the round's parameters flow up the tree.
 
     Returns the round's ``(K, P)`` parameter buffer and the clients'
     training-row counts (their raw weights), both in ascending client
@@ -369,27 +386,20 @@ def run_tier_round(
     node; the root's is the next round's broadcast. Row ``k`` of the
     buffer is the ``k``-th client's localized model.
 
-    Every client trains on its span of ``rows`` in one call of the
-    training kernel, seeded by :func:`round_seed` with ``seed`` as the
-    master seed. A client without training rows, or whose training
-    diverges (which fails the round once every client has trained), is
-    named by the lowest such client id; a non-finite aggregate fails the
-    round naming the node.
+    Every client trains in one call of the training kernel, seeded by
+    :func:`round_seed` with ``seed`` as the master seed. A client whose
+    training diverges (which fails the round once every client has
+    trained) is named by the lowest such client id; a non-finite
+    aggregate fails the round naming the node.
     """
-    raw, labels, codes, enc, spans = rows
     clients = topology.clients()
-    counts = [spans[c][1] - spans[c][0] for c in clients]
-    if 0 in counts:
-        raise EmptyClientError(f"client {clients[counts.index(0)]!r} has no training rows")
-    seeds = [round_seed(seed, c, round_index) for c in clients]
-    client_rows = [np.arange(*spans[c]) for c in clients]
-    params, failed = train_cohort(broadcast, raw, labels, codes, enc, client_rows, config, seeds)
+    params, failed = train_cohort(plan, broadcast, [round_seed(seed, c, round_index) for c in clients])
     if failed:
         i = min(failed)
         raise DivergenceError(f"client {clients[i]!r} in round {round_index}: {failed[i]}")
     with DivergenceError.naming(f"round {round_index}"):
-        models = aggregate_tree(topology, params, counts, broadcast.dims, mode)
-    return params, counts, models
+        models = aggregate_tree(topology, params, plan.counts, broadcast.dims, mode)
+    return params, list(plan.counts), models
 
 
 def serialize_model(params: ModelParams) -> bytes:

@@ -42,6 +42,7 @@ from .federation import (
     TierNode,
     TierTopology,
     aggregate,
+    plan_rounds,
     round_seed,
     run_tier_round,
     serialize_model,
@@ -548,16 +549,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return correct
 
     with _stage("federated"):
+        # Every round trains the same clients on the same rows: their
+        # checks, layout and schedule are planned once.
+        plan = plan_rounds(topology, train, dims, config.training)
         broadcast = init
         for round_index in range(1, config.policy.rounds + 1):
             # Only the broadcast, a fresh vector, outlives a round: a run
             # holds one round's (K, P) buffer at a time.
             params = models = None
-            params, counts, models = run_tier_round(topology, train, broadcast, config.policy.mode,
-                                                    config.training, config.seed, round_index)
+            params, counts, models = run_tier_round(topology, plan, broadcast, config.policy.mode,
+                                                    config.seed, round_index)
             if round_index == 1:
                 first_round_correct = score_first_round(params, counts)
             broadcast = models[topology.root_id]
+        del plan
         # Views of the last buffer's rows: every kernel call allocates its
         # buffer afresh and nothing writes it once the call returns.
         node_models = {**{c: ModelParams(vector, dims) for c, vector in zip(clients, params)}, **models}

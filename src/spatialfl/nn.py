@@ -7,19 +7,24 @@ layer-2 bias) is a contract: the kernel's ``(K, P)`` buffer rows, the
 aggregation algebra and the binary model file all use exactly this
 order, so a model moves between them without conversion.
 
-All training runs through one kernel, :func:`train_cohort`. One call
-trains any number of clients that share ``init`` and config, each with
-its own set of row numbers (any count, in any order, overlapping or not)
-and minibatch seed, and returns their parameters as the rows of one
+All training runs through one kernel in two calls. :func:`plan_cohort`
+checks and lays out the training of any number of clients that share a
+config, each with its own set of row numbers (any count, in any order,
+overlapping or not): it orders them by row count, most first, cuts them
+into consecutive cohorts whose working set fits :data:`COHORT_BYTES`
+and builds each cohort's step schedule, whose runs carry their rows'
+positions. Rows stay raw, each with a code into a table of encodings,
+and the kernel assembles a minibatch's inputs only when it trains on
+them. :func:`train_cohort` then trains a plan from an ``init`` with one
+minibatch seed per client, as often as a caller needs (a run's rounds
+share one plan), and returns the clients' parameters as the rows of one
 freshly allocated ``(K, P)`` buffer, in the order the clients were
-given. Rows arrive raw, each with a code into a table of encodings, and
-the kernel assembles a minibatch's inputs only when it trains on them.
-The call orders its clients by row count, most first, cuts them into
-consecutive cohorts whose working set fits :data:`COHORT_BYTES` and
-trains them one after another in one set of scratch buffers, where Adam
-updates each cohort's parameters in place. Within a cohort training is
-step-aligned: iteration ``g`` takes every client's own ``g``-th step,
-grouping neighbouring clients whose batches have the same size. Its
+given. It trains the cohorts one after another in one set of scratch
+buffers allocated per call, where Adam updates each cohort's parameters
+in place, and builds the views a run of clients steps in once per call.
+Within a cohort training is step-aligned: iteration ``g`` takes every
+client's own ``g``-th step, grouping neighbouring clients whose batches
+have the same size. A plan is only read by training. Its
 contract is bit-exactness: every client's parameters equal, bit for bit,
 those of a per-step reference chain (forward, softmax cross-entropy,
 backpropagation, Adam; ``tests/reference.py``) run for that client alone
@@ -174,27 +179,34 @@ def working_set_bytes(dims: Dims, batch_size: int) -> int:
     the Adam step) and a ``P``-byte finiteness mask; the client's row of
     the full-width encoding table; and one minibatch of ``batch_size``
     rows with what a step computes from it: the assembled inputs and
-    their raw part; four hidden-layer arrays (the pre-activation, the
-    activation, the gradient and, one at a time, the previous step's
-    gradient, the 64-bit ReLU mask or the gradient's rows-first copy for
-    its bias sum); the logits and one more array as wide, which holds
-    their rows-first copy for the bias sum or, one at a time, the class
-    maximum and the class sum; the boolean ReLU mask; and four index
-    vectors (the rows' numbers, their codes, their flat label index and
-    the label base).
+    their raw part; five hidden-layer arrays (the pre-activation, the
+    activation, the gradient and two more: the previous step's gradient,
+    or the 64-bit ReLU mask and numpy's buffer for casting the boolean
+    mask to it, or the gradient's rows-first copy for its bias sum and
+    numpy's buffer for summing that into the strided gradient row); the
+    logits and two more arrays as wide (their rows-first copy for the
+    bias sum and numpy's buffer for summing it, or one at a time the
+    class maximum and the class sum); the boolean ReLU mask; and four
+    index vectors (the rows' numbers, their codes, their flat label index
+    and the label base).
     """
     input_dim, hidden_dim, n_classes = dims
     n_params = flat_length(dims)
-    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 4 * hidden_dim + 2 * n_classes + 4)
+    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 5 * hidden_dim + 3 * n_classes + 4)
     return 8 * words + n_params + batch_size * hidden_dim
 
 
-# Upper bound on the memory one call of the training kernel works in
-# (working_set_bytes per client of a cohort), beyond its rows, its
-# encoding table and its (K, P) result. Training rows are held raw, so this bounds training's
-# memory beyond them whatever the number of clients; a cohort this large
+# Upper bound on the memory one training call works in (working_set_bytes
+# per client of a cohort), beyond its rows, its plan and its (K, P)
+# result. Training rows are held raw, so this bounds training's memory
+# beyond them whatever the number of clients; a cohort this large
 # already shares the per-step numpy overhead among enough clients that
-# larger ones gain little.
+# larger ones gain little. What it cannot bound grows with the rows and
+# the steps, not with the clients of a cohort: the plan's encoding table,
+# its row numbers and its position arrays (8 bytes per row and epoch),
+# the call's epoch orders (8 bytes per row of a cohort), and the Python
+# objects of the plan's schedule and of each cohort's views, a few
+# hundred bytes per run of clients that take a step together.
 COHORT_BYTES = 4 << 20
 
 
@@ -206,9 +218,9 @@ def cohort_slices(n_clients: int, dims: Dims, batch_size: int) -> list[slice]:
 
 
 class _Scratch(NamedTuple):
-    """The working buffers of one kernel call, sized for its first cohort
-    (the most clients, the most rows, the widest batch). Every cohort
-    works in their start."""
+    """The working buffers of one training call, sized for its plan's
+    first cohort (the most clients, the most rows, the widest batch).
+    Every cohort works in their start."""
 
     params: np.ndarray    # (clients, P), like the gradient, Adam moments and step
     grad: np.ndarray
@@ -230,7 +242,7 @@ def _scratch(clients: int, rows: int, width: int, dims: Dims) -> _Scratch:
         *(np.empty(shape) for _ in range(5)), np.empty(shape, dtype=bool),
         np.empty(clients * width * i_dim), np.empty(clients * width * h_dim),
         np.empty(clients * width * h_dim), np.empty(clients * width * c_dim),
-        np.empty(rows, dtype=np.int64))
+        np.empty(rows, dtype=np.intp))
 
 
 def _view(buffer: np.ndarray, clients: int, rows: int, cols: int) -> np.ndarray:
@@ -244,10 +256,10 @@ def _schedule(counts: np.ndarray, batch_size: int, epochs: int) -> list:
     Iteration ``g`` takes the ``g``-th step of every client that still has
     one; those clients are a prefix of the cohort. For each iteration the
     result holds the clients whose step starts an epoch, and the runs
-    ``(lo, hi, rows, starts)`` of neighbouring clients whose batch holds
-    ``rows`` rows, with ``starts[i]`` the position of client ``lo + i``'s
-    batch in the cohort's epoch orders. Its size grows with the number of
-    client steps, not with clients times iterations.
+    ``(lo, hi, rows, positions)`` of neighbouring clients whose batch holds
+    ``rows`` rows, with ``positions[i]`` the positions of client
+    ``lo + i``'s batch in the cohort's epoch orders. Its size grows with
+    the number of client steps, not with clients times iterations.
     """
     steps = -(-counts // batch_size)  # per epoch
     total = steps * epochs
@@ -259,6 +271,7 @@ def _schedule(counts: np.ndarray, batch_size: int, epochs: int) -> list:
     step = g % steps[k]
     size = np.where(step == steps[k] - 1, counts[k] - (steps[k] - 1) * batch_size, batch_size)
     starts = np.cumsum(counts)[k] - counts[k] + step * batch_size
+    within = np.arange(batch_size)
     schedule: list = [([], []) for _ in range(active.size)]
     its, clients, sizes = g.tolist(), k.tolist(), size.tolist()
     for i in np.flatnonzero(step == 0).tolist():
@@ -266,65 +279,84 @@ def _schedule(counts: np.ndarray, batch_size: int, epochs: int) -> list:
     cuts = (np.flatnonzero((g[1:] != g[:-1]) | (size[1:] != size[:-1])) + 1).tolist()
     for i, j in zip([0, *cuts], [*cuts, g.size]):
         if i < j:
-            schedule[its[i]][1].append((clients[i], clients[j - 1] + 1, sizes[i], starts[i:j]))
+            schedule[its[i]][1].append((clients[i], clients[j - 1] + 1, sizes[i],
+                                        starts[i:j, None] + within[:sizes[i]]))
     return schedule
 
 
-def train_cohort(
-    init: ModelParams,
+class _Part(NamedTuple):
+    """One cohort of a :class:`CohortPlan`."""
+
+    members: np.ndarray   # the clients' indices in the call, most rows first
+    rows: np.ndarray      # their row numbers, client after client
+    bounds: list[int]     # member i's rows are rows[bounds[i]:bounds[i + 1]]
+    schedule: list        # its step-aligned schedule (_schedule)
+
+
+class CohortPlan(NamedTuple):
+    """A training call's inputs, checked and laid out once by
+    :func:`plan_cohort` for any number of :func:`train_cohort` calls,
+    which only read it.
+
+    ``raw``, ``labels`` and ``codes`` are the caller's arrays (copied only
+    where their dtype differs), ``table`` the encodings up to the last one
+    the rows use as full-width input rows, whose raw columns each batch
+    overwrites, and ``counts`` every client's row count in the order
+    given. ``parts`` are the cohorts, in training order.
+    """
+
+    raw: np.ndarray
+    labels: np.ndarray
+    codes: np.ndarray
+    table: np.ndarray
+    dims: Dims
+    config: TrainingConfig
+    counts: tuple[int, ...]
+    parts: tuple[_Part, ...]
+
+
+def plan_cohort(
     raw: np.ndarray,
     labels: np.ndarray,
     codes: np.ndarray,
     enc: np.ndarray,
     rows: Sequence[np.ndarray],
+    dims: Dims,
     config: TrainingConfig,
-    seeds: Sequence[int],
-) -> tuple[np.ndarray, dict[int, str]]:
-    """Train K clients from ``init``: the training kernel.
+) -> CohortPlan:
+    """Check and lay out the training of K clients at ``dims`` under
+    ``config``, for :func:`train_cohort`.
 
     Client ``k`` trains on the rows numbered ``rows[k]`` (a 1-D integer
     array, at least one row) of the raw feature matrix ``raw`` ``(N, F)``
     and of ``labels`` ``(N,)``. Clients may come in any order, and their
     row sets may overlap or leave gaps. Row ``i``'s model input is
     ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding table
-    (``E`` is 0 with encoding off) followed by the raw features. Every
-    client shares ``config`` and draws its minibatch order at the start of
-    each of its epochs from a generator seeded with ``seeds[k]``, as a
-    permutation of ``rows[k]``.
+    (``E`` is 0 with encoding off) followed by the raw features.
 
-    The kernel orders the clients by row count, most first (ties keep the
-    order given), and trains them in consecutive cohorts
+    The plan orders the clients by row count, most first (ties keep the
+    order given), cuts them into consecutive cohorts
     (:func:`cohort_slices`) whose working set fits :data:`COHORT_BYTES`,
-    one after another in one set of scratch buffers allocated per call.
-    Within a cohort, training is step-aligned: iteration ``g`` takes
-    every client's own ``g``-th step, so every client still training has
-    taken the same number of Adam steps, and those clients, a prefix of
-    the cohort, take one in-place Adam update over their rows. Forward
-    and backward run once per run of neighbouring clients whose step has
-    the same batch size (a full ``batch_size``, or an epoch's ragged last
-    batch), as 3-D matmuls that make the same BLAS call per client as
-    training it alone.
-
-    Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
-    buffer, in the model-file order, bit-identical to the reference
-    chain's (forward, loss gradient, backward, Adam step) on its
-    assembled rows alone. Every call allocates the buffer afresh. The
-    returned dict maps the index ``k`` of each client whose parameters
-    went non-finite to the message of its first such step; that client's
-    row is garbage.
+    and holds each cohort's step schedule. Shapes, row numbers and codes
+    that disagree raise :class:`ShapeError`, and a label of a row some
+    client trains on outside ``[0, n_classes)`` :class:`InvalidLabelError`.
     """
+    if len(dims) != 3 or min(dims) < 1:
+        raise InvalidDimensionError(f"dims must be three integers >= 1, got {dims}")
+    dims = tuple(dims)
+    input_dim, _, n_classes = dims
     raw = np.asarray(raw, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.intp)
     enc = np.asarray(enc, dtype=np.float64)
     rows = [np.asarray(r, dtype=np.intp) for r in rows]
     k = len(rows)
-    if (raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != init.input_dim
+    if (raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != input_dim
             or labels.shape != raw.shape[:1] or codes.shape != raw.shape[:1]
-            or k == 0 or len(seeds) != k or any(r.ndim != 1 for r in rows)):
+            or k == 0 or any(r.ndim != 1 for r in rows)):
         raise ShapeError(f"cohort raw rows {raw.shape}, labels {labels.shape}, codes "
-                         f"{codes.shape}, encodings {enc.shape}, {k} row sets and "
-                         f"{len(seeds)} seeds disagree for input_dim {init.input_dim}")
+                         f"{codes.shape}, encodings {enc.shape} and {k} row sets "
+                         f"disagree for input_dim {input_dim}")
     counts = np.array([r.size for r in rows])
     if counts.min() < 1:
         raise ShapeError(f"client {int(np.argmin(counts))} has no rows")
@@ -334,96 +366,169 @@ def train_cohort(
         if r.min() < 0 or r.max() >= len(raw):
             raise ShapeError(f"row numbers must lie in [0, {len(raw)})")
         used[r] = True
-    if labels.min(where=used, initial=0) < 0 or labels.max(where=used, initial=0) >= init.n_classes:
-        raise InvalidLabelError(f"labels must lie in [0, {init.n_classes})")
+    if labels.min(where=used, initial=0) < 0 or labels.max(where=used, initial=0) >= n_classes:
+        raise InvalidLabelError(f"labels must lie in [0, {n_classes})")
     last_code = int(codes.max(where=used, initial=0))
     if codes.min(where=used, initial=0) < 0 or last_code >= len(enc):
         raise ShapeError(f"row codes must lie in [0, {len(enc)})")
     # The encodings up to the last one the rows use, as full input rows
     # whose raw columns each batch overwrites: one take then assembles a
     # batch.
-    table = np.zeros((last_code + 1, init.input_dim))
+    table = np.zeros((last_code + 1, input_dim))
     table[:, :enc.shape[1]] = enc[:last_code + 1]
 
     # The schedule needs row counts that do not increase along a cohort.
     order = np.argsort(-counts, kind="stable")
-    parts = cohort_slices(k, init.dims, config.batch_size)
-    first = order[parts[0]]
-    scratch = _scratch(first.size, int(counts[first].sum()),
-                       min(config.batch_size, int(counts[first[0]])), init.dims)
-    params = np.empty((k, init.n_params))
+    parts = []
+    for part in cohort_slices(k, dims, config.batch_size):
+        members = order[part]
+        parts.append(_Part(members, np.concatenate([rows[i] for i in members]),
+                           [0, *np.cumsum(counts[members]).tolist()],
+                           _schedule(counts[members], config.batch_size, config.epochs)))
+    return CohortPlan(raw, labels, codes, table, dims, config, tuple(counts.tolist()), tuple(parts))
+
+
+def train_cohort(
+    plan: CohortPlan,
+    init: ModelParams,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Train the K clients of ``plan`` (:func:`plan_cohort`) from
+    ``init``: the training kernel.
+
+    Client ``k`` draws its minibatch order at the start of each of its
+    epochs from a generator seeded with ``seeds[k]``, as a permutation of
+    its rows. ``init`` dims or a seed count that disagree with the plan
+    raise :class:`ShapeError`. The plan's cohorts train one after another
+    in one set of scratch buffers allocated per call. Within a cohort,
+    training is step-aligned: iteration ``g`` takes every client's own
+    ``g``-th step, so every client still training has taken the same
+    number of Adam steps, and those clients, a prefix of the cohort, take
+    one in-place Adam update over their rows. Forward and backward run
+    once per run of neighbouring clients whose step has the same batch
+    size (a full ``batch_size``, or an epoch's ragged last batch), as 3-D
+    matmuls that make the same BLAS call per client as training it alone.
+
+    Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
+    buffer, in the model-file order, bit-identical to the reference
+    chain's (forward, loss gradient, backward, Adam step) on its
+    assembled rows alone. Every call allocates the buffer afresh. The
+    returned dict maps the index ``k`` of each client whose parameters
+    went non-finite to the message of its first such step; that client's
+    row is garbage.
+    """
+    if tuple(init.dims) != plan.dims or len(seeds) != len(plan.counts):
+        raise ShapeError(f"init dims {init.dims} and {len(seeds)} seeds disagree with a plan "
+                         f"for dims {plan.dims} and {len(plan.counts)} clients")
+    first = plan.parts[0]
+    scratch = _scratch(first.members.size, first.bounds[-1],
+                       min(plan.config.batch_size, first.bounds[1]), plan.dims)
+    params = np.empty((len(plan.counts), init.n_params))
     diverged: dict[int, str] = {}
     # Overflow is reported once, as the client's divergence message, not
     # as numpy warnings along the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for part in parts:
-            members = order[part]
-            failed = _train_part(init, raw, labels, codes, table, [rows[i] for i in members],
-                                 config, [seeds[i] for i in members], scratch)
+        for part in plan.parts:
+            members = part.members
+            failed = _train_part(plan, part, init, [seeds[i] for i in members], scratch)
             params[members] = scratch.params[:members.size]
             diverged.update((int(members[i]), message) for i, message in failed.items())
     return params, diverged
 
 
+class _RunViews(NamedTuple):
+    """What one step of a run of clients ``lo:hi`` with ``n``-row batches
+    works in: views of the scratch buffers and of the clients' layers."""
+
+    batch: np.ndarray       # (clients, n, input_dim)
+    pre_hidden: np.ndarray  # (clients, n, hidden)
+    hidden: np.ndarray
+    probs: np.ndarray       # (clients, n, classes)
+    probs_t: np.ndarray
+    w1_t: np.ndarray
+    b1: np.ndarray          # broadcast over the rows
+    w2_t: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray          # broadcast over the rows
+    g_w1: np.ndarray
+    g_b1: np.ndarray
+    g_w2: np.ndarray
+    g_b2: np.ndarray
+    label_base: np.ndarray  # (clients, n): where each row's logits start in scratch.probs
+
+
+def _run_views(scratch: _Scratch, layers: tuple, grads: tuple, label_base: np.ndarray,
+               dims: Dims, lo: int, hi: int, n: int) -> _RunViews:
+    i_dim, h_dim, c_dim = dims
+    g = hi - lo
+    w1, b1, w2, b2 = (layer[lo:hi] for layer in layers)
+    probs = _view(scratch.probs, g, n, c_dim)
+    return _RunViews(
+        _view(scratch.batch, g, n, i_dim), _view(scratch.pre, g, n, h_dim),
+        _view(scratch.hidden, g, n, h_dim), probs, probs.transpose(0, 2, 1),
+        w1.transpose(0, 2, 1), b1[:, None, :], w2.transpose(0, 2, 1), w2, b2[:, None, :],
+        *(grad[lo:hi] for grad in grads), label_base[:g * n].reshape(g, n))
+
+
 def _train_part(
+    plan: CohortPlan,
+    part: _Part,
     init: ModelParams,
-    raw: np.ndarray,
-    labels: np.ndarray,
-    codes: np.ndarray,
-    table: np.ndarray,
-    rows: Sequence[np.ndarray],
-    config: TrainingConfig,
     seeds: Sequence[int],
     scratch: _Scratch,
 ) -> dict[int, str]:
-    """Train one cohort of :func:`train_cohort` from ``init`` in the start
-    of the call's scratch buffers, leaving client ``i``'s parameters in
+    """Train one cohort of a plan from ``init`` in the start of the call's
+    scratch buffers, leaving member ``i``'s parameters in
     ``scratch.params[i]``.
 
-    The cohort's clients train on the rows ``rows[i]`` of the call, whose
-    counts do not increase; row ``j``'s input is ``table[codes[j]]`` with
-    its raw columns replaced by ``raw[j]``. Returns the divergence
-    messages by client number within the cohort.
+    Row ``j``'s input is ``plan.table[plan.codes[j]]`` with its raw
+    columns replaced by ``plan.raw[j]``. Returns the divergence messages
+    by member number.
     """
-    k = len(rows)
-    counts = np.array([r.size for r in rows])
-    i_dim, h_dim, c_dim = init.dims
-    e_dim = i_dim - raw.shape[1]
-    schedule = _schedule(counts, config.batch_size, config.epochs)
-    bounds = [0, *np.cumsum(counts).tolist()]
+    config, raw, labels, codes, table = plan.config, plan.raw, plan.labels, plan.codes, plan.table
+    rows, bounds = part.rows, part.bounds
+    k = part.members.size
+    e_dim = plan.dims[0] - raw.shape[1]
     # The six (clients, P) buffers, cut to the cohort's clients.
     params, grad, m, v, step, finite = (buf[:k] for buf in scratch[:6])
     params[:] = init.vector
     m.fill(0.0)
     v.fill(0.0)
-    order = scratch.order
-    positions = np.arange(min(config.batch_size, int(counts[0])))
+    order, flat_probs = scratch.order, scratch.probs
+    layers, grads = _layer_views(params, plan.dims), _layer_views(grad, plan.dims)
     # Where row j of a batch's flat logits starts in scratch.probs.
-    label_base = np.arange(k * positions.size) * c_dim
-    w1, b1, w2, b2 = _layer_views(params, init.dims)
-    g_w1, g_b1, g_w2, g_b2 = _layer_views(grad, init.dims)
+    label_base = np.arange(k * min(config.batch_size, bounds[1])) * plan.dims[2]
+    # Each run's views, built at its first step.
+    views: dict[tuple[int, int, int], _RunViews] = {}
 
     lr, beta1, beta2, eps = (config.learning_rate, config.adam_beta1,
                              config.adam_beta2, config.adam_epsilon)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     diverged: dict[int, str] = {}
-    for t, (new, group) in enumerate(schedule, start=1):
+    for t, (new, group) in enumerate(part.schedule, start=1):
         for c in new:
-            np.take(rows[c], rngs[c].permutation(rows[c].size), out=order[bounds[c]:bounds[c + 1]])
-        for lo, hi, n, starts in group:
-            g = hi - lo
-            idx = order[starts[:, None] + positions[:n]]
+            # The client's rows shuffled in place: the same permutation,
+            # and the same draws, as rows[rng.permutation(n)].
+            epoch = order[bounds[c]:bounds[c + 1]]
+            epoch[:] = rows[bounds[c]:bounds[c + 1]]
+            rngs[c].shuffle(epoch)
+        for lo, hi, n, positions in group:
+            run = views.get((lo, hi, n))
+            if run is None:
+                run = views[lo, hi, n] = _run_views(scratch, layers, grads, label_base, plan.dims, lo, hi, n)
+            (batch, pre_hidden, hidden, probs, probs_t, w1_t, b1, w2_t, w2, b2,
+             g_w1, g_b1, g_w2, g_b2, run_base) = run
+            idx = order[positions]
             # The rows' inputs [enc[codes[idx]], raw[idx]], assembled as
             # one contiguous (clients, rows, input_dim) batch.
-            batch = np.take(table, codes[idx], axis=0, mode="clip", out=_view(scratch.batch, g, n, i_dim))
+            np.take(table, codes[idx], axis=0, mode="clip", out=batch)
             batch[..., e_dim:] = np.take(raw, idx, axis=0)
             # Forward, keeping the pre-activation for backward.
-            pre_hidden = np.matmul(batch, w1[lo:hi].transpose(0, 2, 1),
-                                   out=_view(scratch.pre, g, n, h_dim))
-            pre_hidden += b1[lo:hi, None, :]
-            hidden = np.maximum(pre_hidden, 0.0, out=_view(scratch.hidden, g, n, h_dim))
-            probs = np.matmul(hidden, w2[lo:hi].transpose(0, 2, 1), out=_view(scratch.probs, g, n, c_dim))
-            probs += b2[lo:hi, None, :]
+            np.matmul(batch, w1_t, out=pre_hidden)
+            pre_hidden += b1
+            np.maximum(pre_hidden, 0.0, out=hidden)
+            np.matmul(hidden, w2_t, out=probs)
+            probs += b2
             # Softmax cross-entropy gradient w.r.t. the logits, in place.
             # The class maximum and sum are elementwise ops over the class
             # slices, cheaper than reductions over so short an axis, taken
@@ -432,22 +537,22 @@ def _train_part(
             np.exp(probs, out=probs)
             probs /= _class_reduce(np.add, probs)[..., None]
             # The label entries, by one flat index into the buffer.
-            hit = np.take(labels, idx)
-            hit += label_base[:g * n].reshape(g, n)
-            scratch.probs[hit] -= 1.0
+            hit = labels[idx]
+            hit += run_base
+            flat_probs[hit] -= 1.0
             probs /= n
             # Backward into the flat gradient buffer.
-            np.matmul(probs.transpose(0, 2, 1), hidden, out=g_w2[lo:hi])
-            _row_sum(probs, g_b2[lo:hi])
+            np.matmul(probs_t, hidden, out=g_w2)
+            _row_sum(probs, g_b2)
             # The ReLU gradient, masked in place: its bits ANDed with all
             # ones where the unit is on and all zeros where it is off. That
             # is the reference's np.where bit for bit (+0.0 at every masked
             # entry, inf and NaN too) without allocating its result.
-            grad_hidden = np.matmul(probs, w2[lo:hi])
+            grad_hidden = np.matmul(probs, w2)
             bits = grad_hidden.view(np.int64)
             np.bitwise_and(bits, np.negative(pre_hidden > 0.0, dtype=np.int64), out=bits)
-            np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1[lo:hi])
-            _row_sum(grad_hidden, g_b1[lo:hi])
+            np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1)
+            _row_sum(grad_hidden, g_b1)
         # Bias-corrected Adam over the clients still training, in place,
         # in the reference Adam step's order: each of them has now taken t
         # steps. Once v is updated the gradient rows are free (the next
@@ -471,7 +576,7 @@ def _train_part(
         if not np.isfinite(x, out=finite[:live]).all():
             for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
                 if i not in diverged:
-                    diverged[i] = _divergence_message(params[i], init.dims)
+                    diverged[i] = _divergence_message(params[i], plan.dims)
     return diverged
 
 

@@ -3,8 +3,16 @@
 import numpy as np
 
 from spatialfl.data import ClientDataset, train_valid_split
-from spatialfl.federation import TierNode, TierTopology, round_seed, run_tier_round, stack_rows, stack_split
-from spatialfl.nn import ModelParams, init_params, train_cohort
+from spatialfl.federation import (
+    TierNode,
+    TierTopology,
+    plan_rounds,
+    round_seed,
+    run_tier_round,
+    stack_rows,
+    stack_split,
+)
+from spatialfl.nn import ModelParams, init_params, plan_cohort, train_cohort
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute
 
@@ -75,7 +83,8 @@ def train_alone(dataset, init, config, seed, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
     a cohort of one of the training kernel, seeded with ``seed``."""
     raw, labels, codes, enc, offsets = stack_rows([dataset], vocab)
-    params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, [seed])
+    plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+    params, diverged = train_cohort(plan, init, [seed])
     assert diverged == {}
     return ModelParams(params[0], init.dims)
 
@@ -91,14 +100,22 @@ def alone_round(datasets, init, config, seed, vocab=None):
     return params, [datasets[c].n_rows for c in ids]
 
 
+def tier_round(topology, rows, broadcast, mode, config, seed, round_index):
+    """One :func:`run_tier_round` on the training stack ``rows``, planned
+    for it alone."""
+    plan = plan_rounds(topology, rows, broadcast.dims, config)
+    return run_tier_round(topology, plan, broadcast, mode, seed, round_index)
+
+
 def run_rounds(topology, rows, init, mode, config, seed, rounds):
     """``rounds`` rounds of :func:`run_tier_round` from ``init``, each
-    broadcasting the last root model, as a run loops them: the final
-    model of every node, clients included, and round 1's buffer and
-    counts."""
+    broadcasting the last root model, on one plan, as a run loops them:
+    the final model of every node, clients included, and round 1's
+    buffer and counts."""
+    plan = plan_rounds(topology, rows, init.dims, config)
     broadcast = init
     for round_index in range(1, rounds + 1):
-        params, counts, models = run_tier_round(topology, rows, broadcast, mode, config, seed, round_index)
+        params, counts, models = run_tier_round(topology, plan, broadcast, mode, seed, round_index)
         if round_index == 1:
             first = params, counts
         broadcast = models[topology.root_id]

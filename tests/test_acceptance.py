@@ -45,7 +45,7 @@ from spatialfl.harness import (
     run_experiment,
     write_models,
 )
-from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, train_cohort
+from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, plan_cohort, train_cohort
 from spatialfl.spatial import SpatialAttribute
 
 
@@ -91,7 +91,8 @@ def test_gradient_oracle_finite_differences():
         # its seeded generator draws, takes the Adam step of this gradient.
         config = TrainingConfig(epochs=1, batch_size=n)
         raw, codes, enc = no_encoding(batch)
-        params, _ = train_cohort(model, raw, labels, codes, enc, spans([0, n]), config, [instance])
+        plan = plan_cohort(raw, labels, codes, enc, spans([0, n]), model.dims, config)
+        params, _ = train_cohort(plan, model, [instance])
         order = np.random.default_rng(instance).permutation(n)
         _, grad_logits = loss_and_grad(forward(model, batch[order]), labels[order])
         stepped, _ = adam_step(model, backward(model, batch[order], grad_logits),
@@ -152,7 +153,8 @@ def test_adam_oracle_reference_trajectory():
             x[i] -= lr * (m[i] / (1 - b1 ** t)) / (math.sqrt(v[i] / (1 - b2 ** t)) + eps)
         kernel_config = TrainingConfig(learning_rate=lr, epochs=t, batch_size=6, adam_beta1=b1,
                                        adam_beta2=b2, adam_epsilon=eps)
-        trained, _ = train_cohort(init, raw, labels, codes, enc, spans([0, 6]), kernel_config, [11])
+        plan = plan_cohort(raw, labels, codes, enc, spans([0, 6]), init.dims, kernel_config)
+        trained, _ = train_cohort(plan, init, [11])
         kernel_worst = max(kernel_worst, float(np.max(np.abs(trained[0] - x))))
     check("adam oracle: training kernel", kernel_worst <= 1e-12,
           f"max trajectory gap {kernel_worst:.2e}")

@@ -23,7 +23,15 @@ from spatialfl.data import SyntheticSpec, generate_synthetic
 from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
 from spatialfl.federation import AGGREGATION_MODES, aggregate, round_seed, stack_rows
 from spatialfl.harness import evaluate
-from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows, train_cohort
+from spatialfl.nn import (
+    ModelParams,
+    TrainingConfig,
+    flat_length,
+    init_params,
+    plan_cohort,
+    predict_rows,
+    train_cohort,
+)
 from spatialfl.spatial import build_vocabulary, encode_spatial
 
 
@@ -83,7 +91,8 @@ class TestCentralized:
         """A group's pooled training rows trained as the only client of a
         kernel call."""
         raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, labels.size]), config, [seed])
+        plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config)
+        params, diverged = train_cohort(plan, init, [seed])
         assert diverged == {}
         return ModelParams(params[0], init.dims)
 

@@ -20,6 +20,7 @@ from helpers import (
     run_rounds,
     separable_client,
     split_clients,
+    tier_round,
     train_alone,
     train_rows,
     vector_params,
@@ -49,8 +50,8 @@ from spatialfl.federation import (
     aggregate_tree,
     deserialize_model,
     normalize_weights,
+    plan_rounds,
     round_seed,
-    run_tier_round,
     serialize_model,
     stack_split,
 )
@@ -154,7 +155,7 @@ class TestLocalTrain:
         """The client's round-1 model and training-row count, as
         :func:`run_tier_round` returns them."""
         topo = flat_topology([ds.client_id])
-        params, (count,), _ = run_tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, "sample_weighted",
+        params, (count,), _ = tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, "sample_weighted",
                                              config, seed, 1)
         return ModelParams(params[0], init.dims), count
 
@@ -179,15 +180,14 @@ class TestLocalTrain:
         topo = flat_topology(["c"])
         rows = without_rows_of(train_rows(topo, {"c": separable_client("c", n=6, seed=0)}), ["c"])
         with pytest.raises(EmptyClientError):
-            run_tier_round(topo, rows, init_params((2, 4, 2), 0), "sample_weighted", TrainingConfig(), 0, 1)
+            plan_rounds(topo, rows, (2, 4, 2), TrainingConfig())
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
         for layout in (flat_topology, interleaved_topology):
             topo = layout(sorted(ds))
             with pytest.raises(EmptyClientError, match="^client 'c0' has no training rows$"):
-                run_tier_round(topo, without_rows_of(train_rows(topo, ds), ["c0", "c3"]),
-                               init_params((2, 4, 2), 0), "sample_weighted", TrainingConfig(), 0, 1)
+                plan_rounds(topo, without_rows_of(train_rows(topo, ds), ["c0", "c3"]), (2, 4, 2), TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
@@ -412,7 +412,7 @@ class TestRunTierRound:
         ds = {c: separable_client(c, n=10, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=3)
-        _, _, models = run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 5, 1)
+        _, _, models = tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 5, 1)
         params, counts = alone_round(ds, init, config, 5)
         assert np.allclose(models["root"].vector, aggregate(params, counts, "sample_weighted", init.dims).vector,
                            atol=1e-12, rtol=0.0)
@@ -427,7 +427,7 @@ class TestRunTierRound:
         assert topo.client_order == ("c1", "c3", "c0", "c2")
         init = init_params((2, 4, 2), seed=2)
         config = TrainingConfig(learning_rate=0.05, epochs=2)
-        params, counts, models = run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 6, 1)
+        params, counts, models = tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 6, 1)
         direct, direct_counts = alone_round(ds, init, config, 6)
         assert counts == direct_counts == [6, 8, 10, 12]
         assert params.tobytes() == direct.tobytes()
@@ -476,16 +476,16 @@ class TestRunTierRound:
         calls = []
         original = nn._train_part
 
-        def spy(init, raw, labels, codes, table, rows, config, seeds, scratch):
-            calls.append(([owner[s] for s in seeds], [r.size for r in rows]))
-            return original(init, raw, labels, codes, table, rows, config, seeds, scratch)
+        def spy(plan, part, init, seeds, scratch):
+            calls.append(([owner[s] for s in seeds], np.diff(part.bounds).tolist()))
+            return original(plan, part, init, seeds, scratch)
 
         monkeypatch.setattr(nn, "_train_part", spy)
-        run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
+        tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
         assert calls == [(["d", "b", "e", "a", "c"], [14, 12, 12, 10, 10])]
         calls.clear()
         monkeypatch.setattr(nn, "COHORT_BYTES", 2 * per_client + 1)
-        run_tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
+        tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
         assert calls == [(["d", "b"], [14, 12]), (["e", "a"], [12, 10]), (["c"], [10])]
         assert all(len(ids) * per_client <= nn.COHORT_BYTES for ids, _ in calls)
 
@@ -516,9 +516,9 @@ class TestRunTierRound:
         held, shapes = [], []
         original = federation.train_cohort
 
-        def spy(init, *args):
+        def spy(plan, init, seeds):
             held.append(tracemalloc.get_traced_memory()[0])
-            params, failed = original(init, *args)
+            params, failed = original(plan, init, seeds)
             shapes.append((params.shape, init.n_params))
             return params, failed
 

@@ -381,9 +381,9 @@ class TestRunExperiment:
         ``spatialfl`` module alias."""
         original = nn.train_cohort
 
-        def spy(init, raw, labels, codes, enc, rows, config, seeds):
+        def spy(plan, init, seeds):
             calls.append(list(seeds))
-            return original(init, raw, labels, codes, enc, rows, config, seeds)
+            return original(plan, init, seeds)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("spatialfl") and getattr(module, "train_cohort", None) is original:
@@ -408,6 +408,31 @@ class TestRunExperiment:
         assert trained.pop("centralized") == 3
         assert trained == {(c, r): 1 for c in clients for r in (1, 2)}
 
+    def test_rounds_train_one_plan(self, monkeypatch):
+        # The run plans the tier rounds' training once and trains that
+        # plan every round; the centralized baselines plan their own.
+        config = synthetic_config(baselines=("centralized_nn",), rounds=3)
+        plans, trained = [], []
+        plan_cohort, train_cohort = nn.plan_cohort, nn.train_cohort
+
+        def plan_spy(*args):
+            plans.append(plan_cohort(*args))
+            return plans[-1]
+
+        def train_spy(plan, init, seeds):
+            trained.append(plan)
+            return train_cohort(plan, init, seeds)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spatialfl"):
+                for attr, original, spy in [("plan_cohort", plan_cohort, plan_spy),
+                                            ("train_cohort", train_cohort, train_spy)]:
+                    if getattr(module, attr, None) is original:
+                        monkeypatch.setattr(module, attr, spy)
+        run_experiment(config)
+        assert len(plans) == 2
+        assert [id(plan) for plan in trained] == [id(plans[0])] * 3 + [id(plans[1])]
+
     def test_reported_seeds_are_the_trained_ones(self, monkeypatch):
         # seeds.train_round1[c] is the seed client c trains with in round
         # 1, and round r trains it with round_seed(master, c, r). The
@@ -416,9 +441,9 @@ class TestRunExperiment:
         calls = []
         original = federation.train_cohort
 
-        def spy(init, raw, labels, codes, enc, rows, training, seeds):
+        def spy(plan, init, seeds):
             calls.append(list(seeds))
-            return original(init, raw, labels, codes, enc, rows, training, seeds)
+            return original(plan, init, seeds)
 
         monkeypatch.setattr(federation, "train_cohort", spy)
         report = run_experiment(config).report
@@ -450,9 +475,9 @@ class TestRunExperiment:
         calls = []
         original = nn._train_part
 
-        def spy(init, raw, labels, codes, table, rows, config, seeds, scratch):
+        def spy(plan, part, init, seeds, scratch):
             calls.append(list(seeds))
-            return original(init, raw, labels, codes, table, rows, config, seeds, scratch)
+            return original(plan, part, init, seeds, scratch)
 
         monkeypatch.setattr(nn, "_train_part", spy)
         cohort = run_experiment(config).node_models

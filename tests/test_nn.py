@@ -32,6 +32,7 @@ from spatialfl.nn import (
     flat_length,
     hidden_rows,
     init_params,
+    plan_cohort,
     predict_rows,
     train_cohort,
     working_set_bytes,
@@ -444,7 +445,8 @@ def train_one(init, features, labels, config, seed):
     """``init`` trained on raw rows as a cohort of one, seeded with
     ``seed``; None if training diverged."""
     raw, codes, enc = no_encoding(features)
-    params, diverged = train_cohort(init, raw, labels, codes, enc, spans([0, len(raw)]), config, [seed])
+    plan = plan_cohort(raw, labels, codes, enc, spans([0, len(raw)]), init.dims, config)
+    params, diverged = train_cohort(plan, init, [seed])
     return None if diverged else ModelParams(params[0], init.dims)
 
 
@@ -528,6 +530,17 @@ def cohort_arrays(case):
     return raw, labels, codes, enc, offsets, seeds
 
 
+def plan_state(plan):
+    """Every value a plan holds, as bytes and plain values."""
+    state = [a.tobytes() for a in (plan.raw, plan.labels, plan.codes, plan.table)]
+    state += [plan.dims, plan.config, plan.counts]
+    for part in plan.parts:
+        state += [part.members.tobytes(), part.rows.tobytes(), list(part.bounds)]
+        state += [(list(new), [(lo, hi, n, positions.tobytes()) for lo, hi, n, positions in group])
+                  for new, group in part.schedule]
+    return state
+
+
 def assembled(raw, codes, enc, lo, hi):
     """Rows ``lo:hi`` as the model sees them: encoding, then raw features."""
     return np.hstack([enc[codes[lo:hi]], raw[lo:hi]])
@@ -592,16 +605,25 @@ class TestTrainCohort:
     def test_every_member_matches_reference_chain(self, case):
         # Bit-exact, not allclose: BLAS may tile differently as shapes
         # grow, so the shapes are drawn at random and never skipped.
+        # One plan serves three rounds, each from another init with other
+        # seeds, as a fresh plan per round would, and is never written.
         raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
-        init = init_params(case.dims, case.seed)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
-        assert diverged == {}
-        assert params.shape == (len(case.counts), init.n_params)
-        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
-                                       config, seeds[i])
-            assert params[i].tobytes() == expected.vector.tobytes()
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
+        planned = plan_state(plan)
+        for round_index in range(3):
+            init = init_params(case.dims, case.seed + round_index)
+            round_seeds = [seed + round_index for seed in seeds]
+            params, diverged = train_cohort(plan, init, round_seeds)
+            assert diverged == {}
+            assert params.shape == (len(case.counts), init.n_params)
+            fresh = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
+            assert train_cohort(fresh, init, round_seeds)[0].tobytes() == params.tobytes()
+            for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+                expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
+                                           config, round_seeds[i])
+                assert params[i].tobytes() == expected.vector.tobytes()
+        assert plan_state(plan) == planned
 
     @given(case=row_set_calls())
     # Counts rising, tied and falling; the second client diverges.
@@ -623,7 +645,8 @@ class TestTrainCohort:
         seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(rows))]
         init = init_params(case.dims, case.seed)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, rows, config, seeds)
+        plan = plan_cohort(raw, labels, codes, enc, rows, init.dims, config)
+        params, diverged = train_cohort(plan, init, seeds)
         assert params.shape == (len(rows), init.n_params)
         assert sorted(diverged) == list(case.poisoned)
         for k, r in enumerate(rows):
@@ -640,14 +663,16 @@ class TestTrainCohort:
         raw[offsets[1]:offsets[2]] *= 1e300
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+        params, diverged = train_cohort(plan, init, seeds)
         assert diverged == {1: "training diverged (layer1_weights contains non-finite entries)"}
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="^layer1_weights contains non-finite entries$"):
             reference_train(init, assembled(raw, codes, enc, offsets[1], offsets[2]),
                             labels[offsets[1]:offsets[2]], config, seeds[1])
         for i in (0, 2):
-            alone, _ = train_cohort(init, raw, labels, codes, enc, spans(offsets[i:i + 2]), config, [seeds[i]])
+            plan = plan_cohort(raw, labels, codes, enc, spans(offsets[i:i + 2]), init.dims, config)
+            alone, _ = train_cohort(plan, init, [seeds[i]])
             assert params[i].tobytes() == alone[0].tobytes()
 
     def test_saturated_softmax_matches_reference_chain(self):
@@ -666,7 +691,8 @@ class TestTrainCohort:
         masked = rows @ init.layer1_weights.T + init.layer1_bias <= 0.0
         assert ((grad_logits @ init.layer2_weights)[masked] < 0.0).sum() > 20
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+        params, diverged = train_cohort(plan, init, seeds)
         assert diverged == {}
         for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
@@ -691,7 +717,8 @@ class TestTrainCohort:
             assert np.isinf(grad_logits @ init.layer2_weights).all()
             expected = reference_train(init, raw, labels, config, 5)
         _, codes, enc = no_encoding(raw)
-        params, diverged = train_cohort(init, raw, labels, codes, enc, [np.arange(6)], config, [5])
+        plan = plan_cohort(raw, labels, codes, enc, [np.arange(6)], init.dims, config)
+        params, diverged = train_cohort(plan, init, [5])
         assert diverged == {}
         assert params[0].tobytes() == expected.vector.tobytes()
 
@@ -710,7 +737,8 @@ class TestTrainCohort:
         for size, cut in [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (5, [5])]:
             monkeypatch.setattr(nn, "COHORT_BYTES", size * per_client)
             assert [p.stop - p.start for p in cohort_slices(5, init.dims, config.batch_size)] == cut
-            results.append(train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds))
+            plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+            results.append(train_cohort(plan, init, seeds))
         (params, diverged), *others = results
         assert list(diverged) == [1]
         for other, failed in others:
@@ -720,24 +748,42 @@ class TestTrainCohort:
     def test_scratch_is_sized_for_one_cohort(self, monkeypatch):
         # tracemalloc sees numpy's buffers. Twelve clients in cohorts of
         # three: the call's peak is one cohort's working set plus the
-        # (K, P) result and the encoding table, not twelve working sets.
-        case = Cohort(10, (40, 16, 3), 8, 12, [40] * 6 + [33] * 6, 32, 2, 0)
-        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
-        init = init_params(case.dims, seed=2)
-        config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
-        per_client = working_set_bytes(init.dims, config.batch_size)
-        monkeypatch.setattr(nn, "COHORT_BYTES", 3 * per_client)
-        assert len(cohort_slices(12, init.dims, config.batch_size)) == 4
-        tracemalloc.start()
-        try:
-            params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert diverged == {}
-        table = case.tables * case.dims[0] * 8
-        assert peak <= nn.COHORT_BYTES + params.nbytes + table
-        assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + table
+        # (K, P) result and the plan, not twelve working sets. The plan is
+        # the encoding table, the row numbers and their positions, one per
+        # row and epoch, and its schedule's objects, as is what training
+        # adds beyond the working set: one cohort's epoch orders and the
+        # views of its runs.
+        for case in [
+            Cohort(10, (40, 16, 3), 8, 12, [40] * 6 + [33] * 6, 32, 2, 0),
+            # Few inputs and many hidden units or classes, with full
+            # batches: numpy's buffers for casting the ReLU mask and for
+            # summing a rows-first copy into a strided bias gradient are
+            # as large as the arrays they serve.
+            Cohort(10, (3, 40, 2), 1, 12, [100] * 6 + [80] * 6, 64, 2, 0),
+            Cohort(10, (10, 2, 30), 4, 12, [100] * 6 + [80] * 6, 64, 2, 0),
+        ]:
+            raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+            init = init_params(case.dims, seed=2)
+            config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
+            per_client = working_set_bytes(init.dims, config.batch_size)
+            monkeypatch.setattr(nn, "COHORT_BYTES", 3 * per_client)
+            assert len(cohort_slices(12, init.dims, config.batch_size)) == 4
+            tracemalloc.start()
+            try:
+                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+                planned = tracemalloc.get_traced_memory()[0]
+                params, diverged = train_cohort(plan, init, seeds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert diverged == {}
+            table = case.tables * case.dims[0] * 8
+            runs = [[run for _, group in part.schedule for run in group] for part in plan.parts]
+            assert planned <= table + 8 * sum(case.counts) * (case.epochs + 1) + 1024 * sum(map(len, runs))
+            orders = 8 * plan.parts[0].bounds[-1]
+            views = 4096 * max(len({run[:3] for run in part}) for part in runs)
+            assert peak <= nn.COHORT_BYTES + params.nbytes + planned + orders + views
+            assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + table
 
     def test_five_float_scratch_rows_per_client(self):
         # Parameters, gradient, both Adam moments and one Adam step: with a
@@ -753,7 +799,8 @@ class TestTrainCohort:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            params, diverged = train_cohort(init, raw, labels, codes, enc, spans(offsets), config, seeds)
+            plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+            params, diverged = train_cohort(plan, init, seeds)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -761,30 +808,40 @@ class TestTrainCohort:
         assert 6 * buffer < peak < 6.5 * buffer
 
     def test_labels_checked_once_per_call(self):
-        init = init_params((2, 3, 2), seed=0)
         labels = np.zeros(12, dtype=np.int64)
         labels[10] = 2
         args = (np.zeros((12, 2)), labels, np.zeros(12), np.empty((1, 0)))
         with pytest.raises(InvalidLabelError):
-            train_cohort(init, *args, spans([0, 6, 12]), TrainingConfig(epochs=1), [0, 1])
+            plan_cohort(*args, spans([0, 6, 12]), (2, 3, 2), TrainingConfig(epochs=1))
         # Rows outside the cohort are not its labels.
-        train_cohort(init, *args, spans([0, 6]), TrainingConfig(epochs=1), [0])
+        plan_cohort(*args, spans([0, 6]), (2, 3, 2), TrainingConfig(epochs=1))
 
     def test_shape_mismatch_rejected(self):
-        init = init_params((4, 3, 2), seed=0)
+        dims = (4, 3, 2)
         raw, labels, codes, enc = np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1))
         config = TrainingConfig(epochs=1)
-        train_cohort(init, raw, labels, codes, enc, spans([0, 6, 12]), config, [0, 1])
+        plan_cohort(raw, labels, codes, enc, spans([0, 6, 12]), dims, config)
         bad = [
-            (np.zeros((12, 2)), labels, codes, enc, spans([0, 6, 12]), [0, 1]),  # width != input_dim
-            (raw, labels, codes, enc, spans([0, 6, 12]), [0]),                  # one seed for two
-            (raw, labels[:11], codes, enc, spans([0, 6, 12]), [0, 1]),          # labels per row
-            (raw, labels, codes, enc, spans([0, 6, 13]), [0, 1]),               # past the last row
-            (raw, labels, codes, enc, [np.arange(6), [6, -1]], [0, 1]),         # a negative row
-            (raw, labels, codes, enc, [np.arange(6), [12]], [0, 1]),            # row N
-            (raw, labels, codes, enc, spans([0, 6, 6]), [0, 1]),                # a client without rows
-            (raw, labels, codes + 2, enc, spans([0, 6, 12]), [0, 1]),           # code past the table
+            (np.zeros((12, 2)), labels, codes, enc, spans([0, 6, 12])),  # width != input_dim
+            (raw, labels[:11], codes, enc, spans([0, 6, 12])),          # labels per row
+            (raw, labels, codes, enc, spans([0, 6, 13])),               # past the last row
+            (raw, labels, codes, enc, [np.arange(6), [6, -1]]),         # a negative row
+            (raw, labels, codes, enc, [np.arange(6), [12]]),            # row N
+            (raw, labels, codes, enc, spans([0, 6, 6])),                # a client without rows
+            (raw, labels, codes + 2, enc, spans([0, 6, 12])),           # code past the table
         ]
         for case in bad:
             with pytest.raises(ShapeError):
-                train_cohort(init, *case[:5], config, case[5])
+                plan_cohort(*case, dims, config)
+
+    def test_training_disagreeing_with_its_plan_rejected(self):
+        config = TrainingConfig(epochs=1)
+        plan = plan_cohort(np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1)),
+                           spans([0, 6, 12]), (4, 3, 2), config)
+        train_cohort(plan, init_params((4, 3, 2), seed=0), [0, 1])
+        for init, seeds in [(init_params((4, 3, 2), seed=0), [0]),        # one seed for two
+                            (init_params((4, 3, 2), seed=0), [0, 1, 2]),  # three seeds for two
+                            (init_params((4, 5, 2), seed=0), [0, 1]),     # another hidden width
+                            (init_params((4, 3, 3), seed=0), [0, 1])]:    # another class count
+            with pytest.raises(ShapeError):
+                train_cohort(plan, init, seeds)

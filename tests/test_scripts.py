@@ -39,7 +39,7 @@ def test_scale_config_round_trips_through_the_config_reader():
 
 def test_kernel_bench_trains_one_cohort():
     kernel_bench = load_script("kernel_bench")
-    call, iterations = kernel_bench.cohort_call(nn, (4, 3, 2), 2, 40, 3)
+    plan, train, iterations = kernel_bench.cohort_call(nn, (4, 3, 2), 2, 40, 3)
     assert iterations == 2 * kernel_bench.EPOCHS
-    params, diverged = call()
+    params, diverged = train(plan())
     assert params.shape == (3, nn.flat_length((4, 3, 2))) and diverged == {}
