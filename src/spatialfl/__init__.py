@@ -18,7 +18,6 @@ from .harness import (
     SyntheticSource,
     config_from_dict,
     emit_report,
-    evaluate,
     load_config,
     load_datasets,
     run_experiment,
@@ -39,7 +38,7 @@ __all__ = [
     # The pipeline.
     "load_config", "config_from_dict", "synthetic_spec_from_dict", "load_datasets", "vocabulary",
     "run_experiment", "ExperimentResult", "MetricsReport", "emit_report", "write_models",
-    "evaluate", "generate_synthetic", "export_csv",
+    "generate_synthetic", "export_csv",
     # Models: the training kernel, the scorer and the model file.
     "ModelParams", "init_params", "plan_cohort", "train_cohort", "predict_rows",
     "serialize_model", "deserialize_model",

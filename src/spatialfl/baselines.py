@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
+from .errors import DataError, DivergenceError, SpatialFLError
 from .federation import StackedRows
 from .nn import ModelParams, TrainingConfig, plan_cohort, predict_rows, train_cohort
 
@@ -46,14 +46,14 @@ def train_centralized(
 
     Every group trains in one call of the training kernel, as one of its
     clients. A group without training rows raises
-    :class:`EmptyDatasetError`; if training diverges, the first such group
+    :class:`DataError`; if training diverges, the first such group
     in the order given is reported.
     """
     raw, labels, codes, enc, spans = rows
     pools = [np.concatenate([np.arange(*spans[c]) for c in sorted(set(group))] or [np.arange(0)])
              for group in groups]
     if any(r.size == 0 for r in pools):
-        raise EmptyDatasetError("pooled training set is empty")
+        raise DataError("pooled training set is empty")
     plan = plan_cohort(raw, labels, codes, enc, pools, init.dims, config)
     params, diverged = train_cohort(plan, init, [seed] * len(pools))
     if diverged:
@@ -73,10 +73,10 @@ def ensemble_predict_batch(
     member at a time into a classes x rows array. A member whose logits
     are not finite raises :class:`DivergenceError` naming its client."""
     if not models:
-        raise EmptyAggregationError("ensemble needs at least one model")
+        raise SpatialFLError("ensemble needs at least one model")
     dims = next(iter(models.values())).dims
     if any(m.dims != dims for m in models.values()):
-        raise ShapeError("ensemble members disagree on dims")
+        raise SpatialFLError("ensemble members disagree on dims")
     rows = np.arange(len(raw))
     counts = np.zeros((dims[2], rows.size), dtype=np.int64)
     for client_id, m in models.items():

@@ -16,10 +16,9 @@ from pathlib import Path
 from ._version import __version__
 from .data import export_csv, generate_synthetic
 from .errors import ConfigError, DataError, DivergenceError, SpatialFLError
-from .federation import deserialize_model
+from .federation import deserialize_model, stack_split
 from .harness import (
     emit_report,
-    evaluate,
     load_config,
     load_datasets,
     read_json_file,
@@ -28,6 +27,7 @@ from .harness import (
     vocabulary,
     write_models,
 )
+from .nn import predict_rows
 
 
 def _stage_suffix(exc: Exception) -> str:
@@ -78,10 +78,19 @@ def cmd_evaluate_model(args: argparse.Namespace) -> int:
     if data_path.is_dir():
         raise DataError(f"data file is a directory: {data_path}")
     model = deserialize_model(model_path.read_bytes())
-    datasets, _, _ = load_datasets(config, data_path)
+    if model.n_classes != config.n_classes:
+        raise SpatialFLError(f"model {model_path}: n_classes {model.n_classes} does not match "
+                             f"the config's n_classes {config.n_classes}")
+    datasets, topology, _ = load_datasets(config, data_path)
+    # The file's rows in the layout a run scores them in.
+    raw, labels, codes, enc, _ = stack_split(topology, datasets, vocabulary(config, datasets))
+    width = enc.shape[1] + raw.shape[1]
+    if model.input_dim != width:
+        raise SpatialFLError(f"model {model_path}: input_dim {model.input_dim} does not match the "
+                             f"data's {width} columns ({enc.shape[1]} encoding + {raw.shape[1]} raw)")
     with DivergenceError.naming(f"model {model_path}"):
-        accuracy = evaluate(model, datasets.values(), vocabulary(config, datasets))
-    print(f"accuracy={accuracy:.6f}")
+        predicted = predict_rows(model, raw, codes, enc)
+    print(f"accuracy={(predicted == labels).mean():.6f}")
     return 0
 
 

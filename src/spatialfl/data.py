@@ -17,15 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    EmptyCorpusError,
-    InconsistentHierarchyError,
-    RowError,
-    SchemaError,
-    SplitError,
-    ThinClientError,
-    UnitUnusableError,
-)
+from .errors import DataError
 from .federation import TierNode, TierTopology
 from .seeding import derive_seed
 from .spatial import SpatialAttribute, check_coordinates
@@ -181,7 +173,7 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
     Rows are parsed a block at a time, one column at a time. A row is bad
     if it is short a mapped column, or if a label, latitude, longitude,
     coordinate range, reference date, feature or target cell is bad; the
-    first bad row in file order raises a RowError naming its file line and
+    first bad row in file order raises a DataError naming its file line and
     its first bad column in that order. Blank lines are skipped and cells
     beyond the mapped columns are ignored.
     """
@@ -213,7 +205,7 @@ _BLOCK_ROWS = 256
 def _blocks(reader, path: Path):
     """The reader's non-blank rows in lists of up to ``_BLOCK_ROWS``, each
     with its rows' file lines. A failure to read a row is raised as a
-    RowError after the rows read before it have been yielded, so a bad
+    DataError after the rows read before it have been yielded, so a bad
     cell among those rows is reported first."""
     block, lines = [], []
     try:
@@ -234,12 +226,12 @@ def _blocks(reader, path: Path):
         raise error
 
 
-def _read_error(exc: csv.Error | UnicodeDecodeError, reader, path: Path) -> RowError:
-    """A failure to read a row as a RowError naming its line. Text is
+def _read_error(exc: csv.Error | UnicodeDecodeError, reader, path: Path) -> DataError:
+    """A failure to read a row as a DataError naming its line. Text is
     decoded in blocks of the file, ahead of the row being parsed, so a
     byte that is not UTF-8 is located by a scan of the file's bytes."""
     if isinstance(exc, csv.Error):
-        return RowError(f"line {reader.line_num}: {exc}")
+        return DataError(f"line {reader.line_num}: {exc}")
     data = path.read_bytes()
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
@@ -247,9 +239,9 @@ def _read_error(exc: csv.Error | UnicodeDecodeError, reader, path: Path) -> RowE
     except UnicodeDecodeError as scan:
         at = start + scan.start
         line = len(re.findall(rb"\r\n|\r|\n", data[:at])) + 1
-        return RowError(f"line {line}: byte 0x{data[at]:02x} is not UTF-8 text; "
-                        "the file must be UTF-8 encoded")
-    return RowError(f"the file is not UTF-8 text ({exc.reason})")
+        return DataError(f"line {line}: byte 0x{data[at]:02x} is not UTF-8 text; "
+                         "the file must be UTF-8 encoded")
+    return DataError(f"the file is not UTF-8 text ({exc.reason})")
 
 
 class _BlockParser:
@@ -271,7 +263,7 @@ class _BlockParser:
                     schema.ref_date, schema.target, *hierarchy, *features]
         missing = [c for c in required if c not in header]
         if missing:
-            raise SchemaError(f"CSV header is missing mapped columns: {missing}")
+            raise DataError(f"CSV header is missing mapped columns: {missing}")
 
         # A repeated header name maps to its last column, as in csv.DictReader.
         index = {name: i for i, name in enumerate(header)}
@@ -339,7 +331,7 @@ class _BlockParser:
         return np.array([self.ordinals[text] for text in texts], dtype=np.int64)
 
     def raise_first_bad_row(self, block: list[list[str]], lines: list[int]) -> None:
-        """Check a block's rows one at a time and raise a RowError for the
+        """Check a block's rows one at a time and raise a DataError for the
         first bad one."""
         schema = self.schema
         for row, line in zip(block, lines):
@@ -355,9 +347,9 @@ class _BlockParser:
                 _number(row[self.target_i], schema.target, required=False)
             except IndexError:
                 column = next(c for i, c in self.read_order if i >= len(row))
-                raise RowError(f"line {line}: row is short a value for column {column!r}") from None
+                raise DataError(f"line {line}: row is short a value for column {column!r}") from None
             except ValueError as exc:
-                raise RowError(f"line {line}: {exc}") from exc
+                raise DataError(f"line {line}: {exc}") from exc
         raise AssertionError("the column checks rejected a block whose rows all parse")
 
     def table(self) -> GeoTable:
@@ -469,22 +461,22 @@ def preprocess(table: GeoTable, config: PreprocessConfig = PreprocessConfig()) -
     for lo, hi in zip([0, *starts], [*starts, len(table)]):
         unit = leaves[leaf[lo]]
         if np.isnan(targets[lo:hi]).all():
-            raise UnitUnusableError(f"unit {unit!r} has no target values")
+            raise DataError(f"unit {unit!r} has no target values")
         if config.fill_missing:
             targets[lo:hi] = _interpolate(targets[lo:hi])
             for j in range(feats.shape[1]):
                 if np.isnan(feats[lo:hi, j]).all():
-                    raise UnitUnusableError(f"unit {unit!r} has no values for feature {j}")
+                    raise DataError(f"unit {unit!r} has no values for feature {j}")
                 feats[lo:hi, j] = _interpolate(feats[lo:hi, j])
         elif not keep[lo:hi].any():
-            raise UnitUnusableError(f"unit {unit!r} has no complete rows")
+            raise DataError(f"unit {unit!r} has no complete rows")
 
         if config.drop_outliers:
             kept_idx = np.flatnonzero(keep[lo:hi])
             inlier = _outlier_keep(targets[lo:hi][kept_idx], config.outlier_zscore)
             keep[lo + kept_idx[~inlier]] = False
             if not inlier.any():
-                raise UnitUnusableError(
+                raise DataError(
                     f"unit {unit!r} has no rows left after dropping target outliers at z > {config.outlier_zscore}")
     return table.take(np.flatnonzero(keep))
 
@@ -531,9 +523,9 @@ def partition_clients(
     rows in table order.
     """
     if not len(table):
-        raise EmptyCorpusError("cannot partition an empty corpus")
+        raise DataError("cannot partition an empty corpus")
     if len({len(table.paths[c]) for c in np.unique(table.path_index)}) > 1:
-        raise InconsistentHierarchyError("hierarchy paths have mixed lengths")
+        raise DataError("hierarchy paths have mixed lengths")
 
     labels = discretize_target(table.target, n_classes)
     ordinals = table.ordinals.astype(np.float64)
@@ -544,7 +536,7 @@ def partition_clients(
     counts = np.bincount(leaf, minlength=len(leaves))
     thin = [leaves[k] for k in np.flatnonzero((counts > 0) & (counts < min_rows))]
     if thin:
-        raise ThinClientError(f"leaves with fewer than {min_rows} rows: {thin}")
+        raise DataError(f"leaves with fewer than {min_rows} rows: {thin}")
 
     by_leaf = np.argsort(leaf, kind="stable")
     ends = np.cumsum(counts)
@@ -555,7 +547,7 @@ def partition_clients(
         idx = by_leaf[ends[k] - counts[k]:ends[k]]
         leaf_paths = {table.paths[c] for c in np.unique(table.path_index[idx])}
         if len(leaf_paths) > 1:
-            raise InconsistentHierarchyError(f"leaf {leaf_id!r} appears under multiple paths: {sorted(leaf_paths)}")
+            raise DataError(f"leaf {leaf_id!r} appears under multiple paths: {sorted(leaf_paths)}")
         paths[leaf_id] = next(iter(leaf_paths))
         feats = table.features[idx]
         if include_date_feature:
@@ -573,17 +565,17 @@ def topology_from_paths(paths: Mapping[str, tuple[str, ...]]) -> TierTopology:
     """Build the tier tree implied by leaf-to-root hierarchy paths.
 
     A label names one node, so it must sit at one level (level 0 is the
-    leaf) and under one parent; otherwise InconsistentHierarchyError.
+    leaf) and under one parent; otherwise DataError.
     """
     if not paths:
-        raise EmptyCorpusError("no leaves to build a topology from")
+        raise DataError("no leaves to build a topology from")
     levels: dict[str, set[int]] = {}
     for path in paths.values():
         for level, label in enumerate(path):
             levels.setdefault(label, set()).add(level)
     shared = sorted(label for label, at in levels.items() if len(at) > 1)
     if shared:
-        raise InconsistentHierarchyError(f"label {shared[0]!r} is used at levels {sorted(levels[shared[0]])}")
+        raise DataError(f"label {shared[0]!r} is used at levels {sorted(levels[shared[0]])}")
     depth = len(next(iter(paths.values())))
     nodes = [
         TierNode(leaf, 0, paths[leaf][1] if depth > 1 else ROOT_ID)
@@ -596,7 +588,7 @@ def topology_from_paths(paths: Mapping[str, tuple[str, ...]]) -> TierTopology:
             parents.setdefault(path[level], set()).add(parent)
         for label in sorted(parents):
             if len(parents[label]) > 1:
-                raise InconsistentHierarchyError(
+                raise DataError(
                     f"label {label!r} at level {level} has conflicting parents: {sorted(parents[label])}"
                 )
             nodes.append(TierNode(label, level, next(iter(parents[label]))))
@@ -608,13 +600,13 @@ def train_valid_split(dataset: ClientDataset, ratio: float, seed: int) -> tuple[
     """The client's training and validation rows, as two datasets: a
     seeded shuffle picks floor(ratio * n) rows to train on, the rest
     validate, and each half keeps the client's row order. A split that
-    leaves either half empty raises :class:`SplitError`."""
+    leaves either half empty raises :class:`DataError`."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     n = dataset.n_rows
     n_train = int(math.floor(ratio * n))
     if n_train == 0 or n_train == n:
-        raise SplitError(f"client {dataset.client_id!r}: ratio {ratio} leaves an empty split for {n} rows")
+        raise DataError(f"client {dataset.client_id!r}: ratio {ratio} leaves an empty split for {n} rows")
     train = np.zeros(n, dtype=bool)
     train[np.random.default_rng(seed).permutation(n)[:n_train]] = True
     return tuple(
@@ -674,7 +666,7 @@ def export_csv(datasets: Mapping[str, ClientDataset], path: str | Path) -> None:
     """
     datasets = dict(datasets)
     if not datasets:
-        raise EmptyCorpusError("no clients to export")
+        raise DataError("no clients to export")
     first = next(iter(datasets.values()))
     depth = len(first.spatial.hierarchy_path)
     n_features = first.features.shape[1]

@@ -39,16 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CorruptModelError,
-    DegenerateWeightsError,
-    DivergenceError,
-    EmptyAggregationError,
-    EmptyClientError,
-    MissingClientError,
-    ShapeError,
-    TopologyError,
-)
+from .errors import DataError, DivergenceError, SpatialFLError
 from .nn import CohortPlan, Dims, ModelParams, TrainingConfig, flat_length, plan_cohort, train_cohort
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_spatial
@@ -133,37 +124,37 @@ class TierTopology:
 
 
 def validate_topology(topology: TierTopology) -> None:
-    """Raise :class:`TopologyError` unless the node list forms a legal tree."""
+    """Raise :class:`SpatialFLError` unless the node list forms a legal tree."""
     nodes = topology.nodes
     if not nodes:
-        raise TopologyError("topology has no nodes")
+        raise SpatialFLError("topology has no nodes")
     ids = [n.node_id for n in nodes]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise TopologyError(f"duplicate node ids: {dupes}")
+        raise SpatialFLError(f"duplicate node ids: {dupes}")
     by_id = {n.node_id: n for n in nodes}
     roots = [n for n in nodes if n.parent is None]
     if len(roots) != 1:
-        raise TopologyError(f"expected exactly one root, found {len(roots)}")
+        raise SpatialFLError(f"expected exactly one root, found {len(roots)}")
     if any(n.tier < 0 for n in nodes):
-        raise TopologyError("tier levels must be non-negative")
+        raise SpatialFLError("tier levels must be non-negative")
     children: dict[str, int] = {}
     for n in nodes:
         if n.parent is not None:
             parent = by_id.get(n.parent)
             if parent is None:
-                raise TopologyError(f"node {n.node_id!r} references missing parent {n.parent!r}")
+                raise SpatialFLError(f"node {n.node_id!r} references missing parent {n.parent!r}")
             if parent.tier != n.tier + 1:
-                raise TopologyError(
+                raise SpatialFLError(
                     f"parent {parent.node_id!r} at tier {parent.tier} must sit one tier "
                     f"above child {n.node_id!r} at tier {n.tier}"
                 )
             children[n.parent] = children.get(n.parent, 0) + 1
     for n in nodes:
         if n.tier > 0 and children.get(n.node_id, 0) == 0:
-            raise TopologyError(f"aggregator {n.node_id!r} has no children")
+            raise SpatialFLError(f"aggregator {n.node_id!r} has no children")
     if not any(n.tier == 0 for n in nodes):
-        raise TopologyError("topology has no clients (tier-0 nodes)")
+        raise SpatialFLError("topology has no clients (tier-0 nodes)")
 
 
 @dataclass(frozen=True)
@@ -229,10 +220,10 @@ def stack_split(
     client order, with the ``[lo, hi)`` row span of every node, clients
     included. A run stacks its training datasets and its validation
     datasets this way, once each. A topology client without a dataset
-    raises :class:`MissingClientError`."""
+    raises :class:`DataError`."""
     missing = [c for c in topology.clients() if c not in datasets]
     if missing:
-        raise MissingClientError(f"no dataset for clients: {missing}")
+        raise DataError(f"no dataset for clients: {missing}")
     raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab)
     spans = {}
     for node_id in topology.node_ids():
@@ -283,11 +274,11 @@ def aggregate(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, d
 
     The vectors are summed in the order given (see :func:`_tree_sum`), so
     callers pass them in ascending id order. Always a new vector. No
-    vectors raises :class:`EmptyAggregationError`; a non-finite entry (the
+    vectors raises :class:`SpatialFLError`; a non-finite entry (the
     sum overflowed) raises :class:`DivergenceError`.
     """
     if len(vectors) == 0:
-        raise EmptyAggregationError("no vectors to aggregate")
+        raise SpatialFLError("no vectors to aggregate")
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "uniform":
             vector = _tree_sum(vectors) / len(vectors)
@@ -303,12 +294,12 @@ def normalize_weights(raws: Iterable[float]) -> list[float]:
     """Scale non-negative raw weights into a convex combination."""
     raws = [float(r) for r in raws]
     if not raws:
-        raise EmptyAggregationError("no weights to normalise")
+        raise SpatialFLError("no weights to normalise")
     if any(r < 0 for r in raws):
-        raise DegenerateWeightsError("raw weights must be non-negative")
+        raise SpatialFLError("raw weights must be non-negative")
     total = sum(raws)
     if total == 0:
-        raise DegenerateWeightsError("raw weights sum to zero")
+        raise SpatialFLError("raw weights sum to zero")
     return [r / total for r in raws]
 
 
@@ -325,7 +316,7 @@ def aggregate_tree(
     Row ``k`` of ``params`` (the training kernel's ``(K, P)`` buffer) and
     ``counts[k]``, its raw weight, belong to the ``k``-th client of
     :meth:`TierTopology.clients` (ascending id order); a row count or
-    weight count other than the client count raises :class:`ShapeError`.
+    weight count other than the client count raises :class:`SpatialFLError`.
     Interior nodes carry the sum of their descendants' raw weights, so
     with the sample-weighted mode the root equals the flat weighted
     average over all clients (up to rounding). Every interior node
@@ -337,8 +328,8 @@ def aggregate_tree(
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
     clients = topology.clients()
     if not len(params) == len(counts) == len(clients):
-        raise ShapeError(f"{len(params)} parameter rows and {len(counts)} weights "
-                         f"for {len(clients)} clients")
+        raise SpatialFLError(f"{len(params)} parameter rows and {len(counts)} weights "
+                             f"for {len(clients)} clients")
     vectors = dict(zip(clients, params))
     weights = dict(zip(clients, counts))
     models = {}
@@ -364,7 +355,7 @@ def plan_rounds(topology: TierTopology, rows: StackedRows, dims: Dims, config: T
     clients = topology.clients()
     empty = [c for c in clients if spans[c][0] == spans[c][1]]
     if empty:
-        raise EmptyClientError(f"client {empty[0]!r} has no training rows")
+        raise DataError(f"client {empty[0]!r} has no training rows")
     return plan_cohort(raw, labels, codes, enc, [np.arange(*spans[c]) for c in clients], dims, config)
 
 
@@ -417,22 +408,22 @@ def serialize_model(params: ModelParams) -> bytes:
 def deserialize_model(blob: bytes) -> ModelParams:
     """Parse :func:`serialize_model` output; any inconsistency is rejected."""
     if len(blob) < 17:
-        raise CorruptModelError(f"file too short ({len(blob)} bytes) for a model header")
+        raise SpatialFLError(f"file too short ({len(blob)} bytes) for a model header")
     if blob[:4] != MODEL_MAGIC:
-        raise CorruptModelError(f"bad magic {blob[:4]!r}")
+        raise SpatialFLError(f"bad magic {blob[:4]!r}")
     if blob[4] != MODEL_VERSION:
-        raise CorruptModelError(f"unsupported format version {blob[4]}")
+        raise SpatialFLError(f"unsupported format version {blob[4]}")
     dims = struct.unpack("<III", blob[5:17])
     if min(dims) < 1:
-        raise CorruptModelError(f"header declares invalid dims {dims}")
+        raise SpatialFLError(f"header declares invalid dims {dims}")
     expected = 8 * flat_length(dims)
     payload = blob[17:]
     if len(payload) != expected:
-        raise CorruptModelError(
+        raise SpatialFLError(
             f"payload is {len(payload)} bytes, dims {dims} require {expected}"
         )
     vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     try:
         return ModelParams(vector, dims)
-    except (ShapeError, ValueError) as exc:
-        raise CorruptModelError(f"payload rejected: {exc}") from exc
+    except ValueError as exc:
+        raise SpatialFLError(f"payload rejected: {exc}") from exc

@@ -34,19 +34,18 @@ from .data import (
     ingest_csv,
     partition_clients,
     preprocess,
+    topology_from_paths,
     train_valid_split,
 )
-from .errors import ConfigError, DivergenceError, EmptyEvaluationError, SpatialFLError
+from .errors import ConfigError, DivergenceError, SpatialFLError
 from .federation import (
     AggregationPolicy,
-    TierNode,
     TierTopology,
     aggregate,
     plan_rounds,
     round_seed,
     run_tier_round,
     serialize_model,
-    stack_rows,
     stack_split,
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_rows
@@ -149,42 +148,11 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "MetricsReport":
-        return cls(**{f.name: payload[f.name] for f in fields(cls)})
-
 
 @dataclass
 class ExperimentResult:
     report: MetricsReport
     node_models: dict[str, ModelParams]
-
-
-# -- evaluation ----------------------------------------------------------------
-
-def accuracy_score(predicted: Sequence[int], actual: Sequence[int]) -> float:
-    """Fraction of positions where predicted equals actual."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"length mismatch: {predicted.shape} vs {actual.shape}")
-    if predicted.size == 0:
-        raise EmptyEvaluationError("cannot score zero rows")
-    return float(np.mean(predicted == actual))
-
-
-def evaluate(
-    model: ModelParams,
-    datasets: Iterable[ClientDataset],
-    vocab: SpatialVocabulary | None,
-) -> float:
-    """Accuracy of one model over the pooled rows of the given datasets
-    (a run's validation halves, or every row of a scored file). No
-    datasets raises :class:`EmptyEvaluationError`."""
-    raw, labels, codes, enc, _ = stack_rows(list(datasets), vocab)
-    if labels.size == 0:
-        raise EmptyEvaluationError("no rows to evaluate")
-    return accuracy_score(predict_rows(model, raw, codes, enc), labels)
 
 
 # -- config loading -------------------------------------------------------------
@@ -454,10 +422,7 @@ def grouped_topology(leaves: Iterable[str], groups: Mapping[str, Sequence[str]])
     clashes = sorted(set(groups) & set(leaves))
     if clashes:
         raise ConfigError([f"topology group {name!r} has the name of a leaf" for name in clashes])
-    nodes = [TierNode(leaf, 0, assigned[leaf]) for leaf in leaves]
-    nodes += [TierNode(name, 1, ROOT_ID) for name in sorted(groups)]
-    nodes.append(TierNode(ROOT_ID, 2, None))
-    return TierTopology(tuple(nodes))
+    return topology_from_paths({leaf: (leaf, assigned[leaf]) for leaf in leaves})
 
 
 def load_datasets(config: ExperimentConfig, csv_path: str | Path | None = None):

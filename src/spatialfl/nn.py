@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidDimensionError, InvalidLabelError, ShapeError
+from .errors import DivergenceError, SpatialFLError
 
 Dims = tuple[int, int, int]  # (input_dim, hidden_dim, n_classes)
 
@@ -74,11 +74,11 @@ class ModelParams:
 
     def __post_init__(self):
         if len(self.dims) != 3 or min(self.dims) < 1:
-            raise InvalidDimensionError(f"dims must be three integers >= 1, got {self.dims}")
+            raise SpatialFLError(f"dims must be three integers >= 1, got {self.dims}")
         vector = np.asarray(self.vector, dtype=np.float64)
         if vector.shape != (flat_length(self.dims),):
-            raise ShapeError(f"expected flat vector of length {flat_length(self.dims)}, "
-                             f"got shape {vector.shape}")
+            raise SpatialFLError(f"expected flat vector of length {flat_length(self.dims)}, "
+                                 f"got shape {vector.shape}")
         name = _non_finite_layer(vector, self.dims)
         if name is not None:
             raise ValueError(f"{name} contains non-finite entries")
@@ -135,7 +135,7 @@ def flat_length(dims: Dims) -> int:
 def init_params(dims: Dims, seed: int) -> ModelParams:
     """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
     if len(dims) != 3 or min(dims) < 1:
-        raise InvalidDimensionError(f"dims must be three integers >= 1, got {dims}")
+        raise SpatialFLError(f"dims must be three integers >= 1, got {dims}")
     input_dim, hidden_dim, n_classes = dims
     rng = np.random.default_rng(seed)
     vector = np.zeros(flat_length(dims))
@@ -338,11 +338,11 @@ def plan_cohort(
     order given), cuts them into consecutive cohorts
     (:func:`cohort_slices`) whose working set fits :data:`COHORT_BYTES`,
     and holds each cohort's step schedule. Shapes, row numbers and codes
-    that disagree raise :class:`ShapeError`, and a label of a row some
-    client trains on outside ``[0, n_classes)`` :class:`InvalidLabelError`.
+    that disagree, or a label of a row some client trains on outside
+    ``[0, n_classes)``, raise :class:`SpatialFLError`.
     """
     if len(dims) != 3 or min(dims) < 1:
-        raise InvalidDimensionError(f"dims must be three integers >= 1, got {dims}")
+        raise SpatialFLError(f"dims must be three integers >= 1, got {dims}")
     dims = tuple(dims)
     input_dim, _, n_classes = dims
     raw = np.asarray(raw, dtype=np.float64)
@@ -354,23 +354,23 @@ def plan_cohort(
     if (raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != input_dim
             or labels.shape != raw.shape[:1] or codes.shape != raw.shape[:1]
             or k == 0 or any(r.ndim != 1 for r in rows)):
-        raise ShapeError(f"cohort raw rows {raw.shape}, labels {labels.shape}, codes "
-                         f"{codes.shape}, encodings {enc.shape} and {k} row sets "
-                         f"disagree for input_dim {input_dim}")
+        raise SpatialFLError(f"cohort raw rows {raw.shape}, labels {labels.shape}, codes "
+                             f"{codes.shape}, encodings {enc.shape} and {k} row sets "
+                             f"disagree for input_dim {input_dim}")
     counts = np.array([r.size for r in rows])
     if counts.min() < 1:
-        raise ShapeError(f"client {int(np.argmin(counts))} has no rows")
+        raise SpatialFLError(f"client {int(np.argmin(counts))} has no rows")
     # Only the rows some client trains on are checked.
     used = np.zeros(len(raw), dtype=bool)
     for r in rows:
         if r.min() < 0 or r.max() >= len(raw):
-            raise ShapeError(f"row numbers must lie in [0, {len(raw)})")
+            raise SpatialFLError(f"row numbers must lie in [0, {len(raw)})")
         used[r] = True
     if labels.min(where=used, initial=0) < 0 or labels.max(where=used, initial=0) >= n_classes:
-        raise InvalidLabelError(f"labels must lie in [0, {n_classes})")
+        raise SpatialFLError(f"labels must lie in [0, {n_classes})")
     last_code = int(codes.max(where=used, initial=0))
     if codes.min(where=used, initial=0) < 0 or last_code >= len(enc):
-        raise ShapeError(f"row codes must lie in [0, {len(enc)})")
+        raise SpatialFLError(f"row codes must lie in [0, {len(enc)})")
     # The encodings up to the last one the rows use, as full input rows
     # whose raw columns each batch overwrites: one take then assembles a
     # batch.
@@ -399,7 +399,7 @@ def train_cohort(
     Client ``k`` draws its minibatch order at the start of each of its
     epochs from a generator seeded with ``seeds[k]``, as a permutation of
     its rows. ``init`` dims or a seed count that disagree with the plan
-    raise :class:`ShapeError`. The plan's cohorts train one after another
+    raise :class:`SpatialFLError`. The plan's cohorts train one after another
     in one set of scratch buffers allocated per call. Within a cohort,
     training is step-aligned: iteration ``g`` takes every client's own
     ``g``-th step, so every client still training has taken the same
@@ -418,8 +418,8 @@ def train_cohort(
     row is garbage.
     """
     if tuple(init.dims) != plan.dims or len(seeds) != len(plan.counts):
-        raise ShapeError(f"init dims {init.dims} and {len(seeds)} seeds disagree with a plan "
-                         f"for dims {plan.dims} and {len(plan.counts)} clients")
+        raise SpatialFLError(f"init dims {init.dims} and {len(seeds)} seeds disagree with a plan "
+                             f"for dims {plan.dims} and {len(plan.counts)} clients")
     first = plan.parts[0]
     scratch = _scratch(first.members.size, first.bounds[-1],
                        min(plan.config.batch_size, first.bounds[1]), plan.dims)
@@ -631,16 +631,16 @@ def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np
     codes = np.asarray(codes, dtype=np.intp)
     enc = np.asarray(enc, dtype=np.float64)
     if raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != params.input_dim:
-        raise ShapeError(f"rows of {enc.shape[-1]} encoding + {raw.shape[-1]} raw columns do not "
-                         f"fit input_dim {params.input_dim} (raw rows {raw.shape}, encodings {enc.shape})")
+        raise SpatialFLError(f"rows of {enc.shape[-1]} encoding + {raw.shape[-1]} raw columns do not "
+                             f"fit input_dim {params.input_dim} (raw rows {raw.shape}, encodings {enc.shape})")
     if codes.shape != raw.shape[:1]:
-        raise ShapeError(f"{codes.size} row codes for {len(raw)} rows")
+        raise SpatialFLError(f"{codes.size} row codes for {len(raw)} rows")
     e_dim, w1 = enc.shape[1], params.layer1_weights
     pre_hidden = raw @ w1[:, e_dim:].T
     if codes.size:
         first, last = int(codes.min()), int(codes.max())
         if first < 0 or last >= len(enc):
-            raise ShapeError(f"row codes must lie in [0, {len(enc)})")
+            raise SpatialFLError(f"row codes must lie in [0, {len(enc)})")
         if e_dim:
             pre_hidden += np.take(enc[first:last + 1] @ w1[:, :e_dim].T, codes - first, axis=0)
     pre_hidden += params.layer1_bias

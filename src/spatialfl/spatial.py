@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpusError, InconsistentHierarchyError, UnknownRegionError
+from .errors import DataError
 
 
 def check_coordinates(latitude: float, longitude: float) -> None:
@@ -76,7 +76,7 @@ class SpatialVocabulary:
         table = self.levels[level]
         idx = bisect_left(table, label)
         if idx == len(table) or table[idx] != label:
-            raise UnknownRegionError(f"label {label!r} unknown at hierarchy level {level}")
+            raise DataError(f"label {label!r} unknown at hierarchy level {level}")
         return idx
 
     def to_json_dict(self) -> dict:
@@ -97,10 +97,10 @@ def build_vocabulary(
 ) -> SpatialVocabulary:
     """Collect per-level label tables and coordinate bounds from a corpus."""
     if not records:
-        raise EmptyCorpusError("cannot build a vocabulary from zero records")
+        raise DataError("cannot build a vocabulary from zero records")
     depth = len(records[0].hierarchy_path)
     if any(len(r.hierarchy_path) != depth for r in records):
-        raise InconsistentHierarchyError("hierarchy paths have mixed lengths")
+        raise DataError("hierarchy paths have mixed lengths")
     levels = tuple(
         tuple(sorted({r.hierarchy_path[level] for r in records}))
         for level in range(depth)
@@ -134,7 +134,7 @@ def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> np.ndarr
         ]))
     if vocab.include_hierarchy:
         if len(attr.hierarchy_path) != len(vocab.levels):
-            raise InconsistentHierarchyError(
+            raise DataError(
                 f"path depth {len(attr.hierarchy_path)} != vocabulary depth {len(vocab.levels)}"
             )
         for level, label in enumerate(attr.hierarchy_path):

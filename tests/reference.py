@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spatialfl.errors import InvalidLabelError, ShapeError
+from spatialfl.errors import SpatialFLError
 from spatialfl.nn import ModelParams, TrainingConfig
 
 
@@ -41,7 +41,7 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
 def _check_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
-        raise ShapeError(f"batch shape {batch.shape} incompatible with input_dim {params.input_dim}")
+        raise SpatialFLError(f"batch shape {batch.shape} incompatible with input_dim {params.input_dim}")
     return batch
 
 
@@ -66,12 +66,12 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError(f"logits {logits.shape} vs labels {labels.shape}")
+        raise SpatialFLError(f"logits {logits.shape} vs labels {labels.shape}")
     n, n_classes = logits.shape
     if n == 0:
-        raise ShapeError("cannot take the loss of an empty batch")
+        raise SpatialFLError("cannot take the loss of an empty batch")
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise InvalidLabelError(f"labels must lie in [0, {n_classes})")
+        raise SpatialFLError(f"labels must lie in [0, {n_classes})")
     labels = labels.astype(np.int64)
     probs = softmax(logits)
     picked = probs[np.arange(n), labels]
@@ -87,7 +87,7 @@ def backward(params: ModelParams, batch: np.ndarray, grad_logits: np.ndarray) ->
     batch = _check_batch(params, batch)
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != (batch.shape[0], params.n_classes):
-        raise ShapeError(f"grad_logits shape {grad_logits.shape} incompatible with model {params.dims}")
+        raise SpatialFLError(f"grad_logits shape {grad_logits.shape} incompatible with model {params.dims}")
     pre_hidden = batch @ params.layer1_weights.T + params.layer1_bias
     hidden = np.maximum(pre_hidden, 0.0)
     grad_w2 = grad_logits.T @ hidden
@@ -110,7 +110,7 @@ def adam_step(
     first non-finite layer."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (params.n_params,):
-        raise ShapeError(f"gradient length {grad.shape} != parameter count {params.n_params}")
+        raise SpatialFLError(f"gradient length {grad.shape} != parameter count {params.n_params}")
     t = state.step_count + 1
     m = config.adam_beta1 * state.first_moment + (1.0 - config.adam_beta1) * grad
     v = config.adam_beta2 * state.second_moment + (1.0 - config.adam_beta2) * grad * grad

@@ -2,7 +2,7 @@
 
 It parses one row at a time, checking each row's cells in the order
 labels, latitude, longitude, coordinate range, reference date, features,
-target, and raises a RowError for the first bad cell. ``ingest_csv``
+target, and raises a DataError for the first bad cell. ``ingest_csv``
 checks whole columns of a block of rows at once and must return the same
 table, or raise the same error, on every file.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from spatialfl.data import ROOT_ID, CsvSchema, GeoTable
-from spatialfl.errors import RowError, SchemaError
+from spatialfl.errors import DataError
 from spatialfl.spatial import check_coordinates
 
 
@@ -39,7 +39,7 @@ def reference_ingest(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTa
                     schema.ref_date, schema.target, *hierarchy, *features]
         missing = [c for c in required if c not in header]
         if missing:
-            raise SchemaError(f"CSV header is missing mapped columns: {missing}")
+            raise DataError(f"CSV header is missing mapped columns: {missing}")
 
         index = {name: i for i, name in enumerate(header)}
         label_cols = [(index[c], c) for c in (schema.client_label, *hierarchy)]
@@ -64,9 +64,9 @@ def reference_ingest(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTa
                 target = _number(row[target_i], schema.target, required=False)
             except IndexError:
                 column = next(c for i, c in read_order if i >= len(row))
-                raise RowError(f"line {reader.line_num}: row is short a value for column {column!r}") from None
+                raise DataError(f"line {reader.line_num}: row is short a value for column {column!r}") from None
             except ValueError as exc:
-                raise RowError(f"line {reader.line_num}: {exc}") from exc
+                raise DataError(f"line {reader.line_num}: {exc}") from exc
             path_index.append(path_codes.setdefault(row_path, len(path_codes)))
             lats.append(lat)
             lons.append(lon)
@@ -80,7 +80,7 @@ def _read_rows(reader, path: Path):
     try:
         yield from reader
     except csv.Error as exc:
-        raise RowError(f"line {reader.line_num}: {exc}") from None
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         data = path.read_bytes()
         start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
@@ -89,9 +89,9 @@ def _read_rows(reader, path: Path):
         except UnicodeDecodeError as scan:
             at = start + scan.start
             line = len(re.findall(rb"\r\n|\r|\n", data[:at])) + 1
-            raise RowError(f"line {line}: byte 0x{data[at]:02x} is not UTF-8 text; "
-                           "the file must be UTF-8 encoded") from None
-        raise RowError(f"the file is not UTF-8 text ({exc.reason})") from None
+            raise DataError(f"line {line}: byte 0x{data[at]:02x} is not UTF-8 text; "
+                            "the file must be UTF-8 encoded") from None
+        raise DataError(f"the file is not UTF-8 text ({exc.reason})") from None
 
 
 def _label(text: str, column: str) -> str:

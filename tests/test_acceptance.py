@@ -22,8 +22,8 @@ from reference import (
     params_equal,
 )
 from spatialfl.baselines import BaselineKind
-from spatialfl.data import ClientDataset, SyntheticSpec
-from spatialfl.errors import CorruptModelError
+from spatialfl.data import SyntheticSpec
+from spatialfl.errors import SpatialFLError
 from spatialfl.federation import (
     MODEL_MAGIC,
     AGGREGATION_MODES,
@@ -39,14 +39,19 @@ from spatialfl.harness import (
     EncodingConfig,
     ExperimentConfig,
     SyntheticSource,
-    accuracy_score,
     emit_report,
-    evaluate,
     run_experiment,
     write_models,
 )
-from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, plan_cohort, train_cohort
-from spatialfl.spatial import SpatialAttribute
+from spatialfl.nn import (
+    ModelParams,
+    TrainingConfig,
+    flat_length,
+    init_params,
+    plan_cohort,
+    predict_rows,
+    train_cohort,
+)
 
 
 def check(name, ok, detail=""):
@@ -225,17 +230,17 @@ def test_hierarchical_flat_equivalence():
 
 
 def test_per_client_accuracy_vectors():
-    """The evaluate operation reproduces the printed per-client accuracies."""
+    """Scoring reproduces the printed per-client accuracies."""
     cases = [
         ([0, 1, 1, 0, 0], [0, 1, 1, 0, 0], 1.0),   # client 0
         ([1, 1, 1, 1, 1], [1, 1, 1, 1, 0], 0.8),   # client 2
         ([1, 1, 1, 2, 1], [1, 0, 1, 0, 1], 0.6),   # client 8
     ]
-    exact = all(accuracy_score(p, a) == expected for p, a, expected in cases)
+    exact = all(np.mean(np.array(p) == np.array(a)) == expected for p, a, expected in cases)
 
     # Same vectors end to end: one-hot rows through an identity-weight model
-    # reproduce each predicted vector, and evaluate scores it against the
-    # actual labels.
+    # reproduce each predicted vector, and its accuracy against the actual
+    # labels is the printed one.
     n_classes = 3
     dims = (n_classes, n_classes, n_classes)
     vec = np.zeros(flat_length(dims))
@@ -245,11 +250,8 @@ def test_per_client_accuracy_vectors():
     vec[offset:offset + n_classes * n_classes] = eye
     identity_model = ModelParams(vec, dims)
     for predicted, actual, expected in cases:
-        dataset = ClientDataset(
-            "c", SpatialAttribute(0.0, 0.0, ("c",)),
-            np.eye(n_classes)[predicted], np.array(actual), n_classes=n_classes,
-        )
-        exact &= evaluate(identity_model, [dataset], None) == expected
+        scored = predict_rows(identity_model, *no_encoding(np.eye(n_classes)[predicted]))
+        exact &= scored.tolist() == predicted and np.mean(scored == np.array(actual)) == expected
     check("per-client accuracy vectors", exact, "1.0 / 0.8 / 0.6 exact")
 
 
@@ -315,7 +317,8 @@ def test_end_to_end_determinism(tmp_path):
 
 
 def test_model_serialization_contract():
-    """Bit-exact round trips; corrupted files rejected with the named error."""
+    """Bit-exact round trips; corrupted files rejected with the message
+    naming the fault."""
     rng = np.random.default_rng(31337)
     round_trips = True
     for _ in range(25):
@@ -325,19 +328,20 @@ def test_model_serialization_contract():
 
     blob = serialize_model(init_params((2, 3, 2), seed=0))
     corruptions = {
-        "bad magic": b"XXXX" + blob[4:],
-        "bad version": blob[:4] + b"\x09" + blob[5:],
-        "truncated header": blob[:10],
-        "short payload": blob[:-8],
-        "trailing bytes": blob + b"\x00",
-        "zero dims": MODEL_MAGIC + b"\x01" + struct.pack("<III", 0, 3, 2),
+        "bad magic": (b"XXXX" + blob[4:], "bad magic b'XXXX'"),
+        "bad version": (blob[:4] + b"\x09" + blob[5:], "unsupported format version 9"),
+        "truncated header": (blob[:10], "file too short (10 bytes) for a model header"),
+        "short payload": (blob[:-8], "payload is 128 bytes, dims (2, 3, 2) require 136"),
+        "trailing bytes": (blob + b"\x00", "payload is 137 bytes, dims (2, 3, 2) require 136"),
+        "zero dims": (MODEL_MAGIC + b"\x01" + struct.pack("<III", 0, 3, 2),
+                      "header declares invalid dims (0, 3, 2)"),
     }
     rejected = True
-    for label, bad in corruptions.items():
+    for label, (bad, message) in corruptions.items():
         try:
             deserialize_model(bad)
             rejected = False
-        except CorruptModelError:
-            pass
+        except SpatialFLError as exc:
+            rejected &= str(exc) == message
     check("model serialization", round_trips and rejected,
           "25 round trips bit-exact; 6 corruptions rejected")

@@ -20,9 +20,8 @@ from reference import params_equal
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic
-from spatialfl.errors import DivergenceError, EmptyAggregationError, EmptyDatasetError, ShapeError
+from spatialfl.errors import DataError, DivergenceError, SpatialFLError
 from spatialfl.federation import AGGREGATION_MODES, aggregate, round_seed, stack_rows
-from spatialfl.harness import evaluate
 from spatialfl.nn import (
     ModelParams,
     TrainingConfig,
@@ -77,7 +76,7 @@ class TestCentralized:
 
     def test_empty_pool_rejected(self):
         rows = without_rows_of(train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)}), ["c"])
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(DataError, match="^pooled training set is empty$"):
             train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, rows)
 
     def test_divergence_names_the_baseline(self):
@@ -135,7 +134,7 @@ class TestCentralized:
     def test_empty_group_rejected(self):
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1"])}
         rows = without_rows_of(train_rows(flat_topology(sorted(ds)), ds), ["c1"])
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(DataError, match="^pooled training set is empty$"):
             train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, rows)
 
     def test_noiseless_synthetic_reaches_095(self):
@@ -147,7 +146,8 @@ class TestCentralized:
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=100)
         [model] = pooled([train.values()], init, config, 2, vocab)
-        assert evaluate(model, valid.values(), vocab) >= 0.95
+        raw, labels, codes, enc, _ = stack_rows(list(valid.values()), vocab)
+        assert np.mean(predict_rows(model, raw, codes, enc) == labels) >= 0.95
 
 
 def encoded_blocks(clients, vocab):
@@ -228,11 +228,11 @@ class TestEnsemblePredict:
             ensemble_predict_batch(members(constant_class_model(2, 0), huge), *one_row(np.ones(2)))
 
     def test_empty_ensemble_rejected(self):
-        with pytest.raises(EmptyAggregationError):
+        with pytest.raises(SpatialFLError, match="^ensemble needs at least one model$"):
             ensemble_predict_batch({}, *one_row(np.zeros(2)))
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError, match="^ensemble members disagree on dims$"):
             ensemble_predict_batch(members(init_params((2, 3, 2), 0), init_params((3, 3, 2), 0)),
                                    *one_row(np.zeros(2)))
 

@@ -477,12 +477,45 @@ class TestEvaluateModel:
         lines = csv_path.read_text().splitlines()
         leaf_csv = tmp_path / "leaf.csv"
         leaf_csv.write_text("\n".join([lines[0]] + [x for x in lines if x.startswith("r00c00,")]) + "\n")
-        result = run_module("evaluate-model", "--model", str(tmp_path / "out" / "models" / "r00c00.bin"),
-                            "--data", str(leaf_csv), "--config", str(config))
+        model = tmp_path / "out" / "models" / "r00c00.bin"
+        result = run_module("evaluate-model", "--model", str(model), "--data", str(leaf_csv), "--config", str(config))
         assert result.returncode == 4
         assert result.stderr.splitlines() == [
-            "error: rows of 4 encoding + 3 raw columns do not fit input_dim 11 "
-            "(raw rows (30, 3), encodings (1, 4))"]
+            f"error: model {model}: input_dim 11 does not match the data's 7 columns (4 encoding + 3 raw)"]
+
+    def run_on_generated_csv(self, tmp_path, **config):
+        """The generated CSV and the global model a run with ``config`` over
+        it writes."""
+        spec_path = write_json(tmp_path / "spec.json", SPEC)
+        csv_path = tmp_path / "bench.csv"
+        main(["gen-synthetic", "--spec", str(spec_path), "--out", str(csv_path)])
+        run_config = write_json(tmp_path / "run.json", {
+            "seed": 9, "data": {"kind": "csv", "path": str(csv_path)},
+            "training": {"learning_rate": 0.05, "epochs": 1}, "output_dir": str(tmp_path / "out"), **config})
+        assert main(["run", "--config", str(run_config)]) == 0
+        return csv_path, tmp_path / "out" / "models" / "global.bin"
+
+    def test_model_of_other_class_count_exits_four_naming_both_counts(self, tmp_path, capsys):
+        csv_path, model = self.run_on_generated_csv(tmp_path, n_classes=2)
+        config = write_json(tmp_path / "config.json", {"data": {"kind": "csv", "path": str(csv_path)},
+                                                       "n_classes": 3})
+        capsys.readouterr()
+        assert main(["evaluate-model", "--model", str(model),
+                     "--data", str(csv_path), "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: model {model}: n_classes 2 does not match the config's n_classes 3"]
+
+    def test_model_trained_without_encoding_exits_four_naming_both_widths(self, tmp_path, capsys):
+        csv_path, model = self.run_on_generated_csv(tmp_path, n_classes=2, encoding={"enabled": False})
+        config = write_json(tmp_path / "config.json", {"data": {"kind": "csv", "path": str(csv_path)},
+                                                       "n_classes": 2})
+        capsys.readouterr()
+        assert main(["evaluate-model", "--model", str(model),
+                     "--data", str(csv_path), "--config", str(config)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: model {model}: input_dim 3 does not match the data's 11 columns (8 encoding + 3 raw)"]
 
     def test_overflowing_model_exits_four_naming_the_file(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "spec.json", SPEC)
@@ -508,15 +541,11 @@ def error_classes(cls=SpatialFLError):
 
 # The errors of unusable input data; every other error but ConfigError
 # exits 4.
-DATA_ERRORS = {
-    "DataError", "SchemaError", "RowError", "UnitUnusableError", "ThinClientError", "SplitError",
-    "EmptyCorpusError", "InconsistentHierarchyError", "EmptyDatasetError", "MissingClientError",
-    "UnknownRegionError", "EmptyClientError",
-}
+DATA_ERRORS = {"DataError"}
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("cls", sorted(set(error_classes()), key=lambda c: c.__name__),
+    @pytest.mark.parametrize("cls", sorted({SpatialFLError, *error_classes()}, key=lambda c: c.__name__),
                              ids=lambda c: c.__name__)
     def test_every_error_class_exits_with_its_code(self, monkeypatch, capsys, cls):
         def fail(args):

@@ -31,15 +31,7 @@ from spatialfl.data import (
     topology_from_paths,
     train_valid_split,
 )
-from spatialfl.errors import (
-    EmptyCorpusError,
-    InconsistentHierarchyError,
-    RowError,
-    SchemaError,
-    SplitError,
-    ThinClientError,
-    UnitUnusableError,
-)
+from spatialfl.errors import DataError
 from spatialfl.spatial import SpatialAttribute
 
 from reference_csv import reference_ingest
@@ -89,7 +81,7 @@ class TestIngestCsv:
         path = tmp_path / "data.csv"
         path.write_text("client_label,latitude,longitude,ref_date,feature_1\n"
                         "NB,45.0,-66.0,2020-01-01,1.0\n")
-        with pytest.raises(SchemaError, match="target"):
+        with pytest.raises(DataError, match=r"^CSV header is missing mapped columns: \['target'\]$"):
             ingest_csv(path)
 
     def test_empty_feature_cell_is_missing_marker(self, tmp_path):
@@ -115,7 +107,7 @@ class TestIngestCsv:
         path.write_text(self.HEADER
                         + "NB,45.0,-66.0,2020-01-01,10.5,1.0\n"
                         + row + "\n")
-        with pytest.raises(RowError) as info:
+        with pytest.raises(DataError) as info:
             ingest_csv(path)
         assert str(info.value) == message
 
@@ -125,14 +117,14 @@ class TestIngestCsv:
                         + "NB,45.0,-66.0,2020-01-01,10.5,1.0\n"
                         + "\n\n"
                         + "NB,95.0,-66.0,2020-01-02,11.0,1.0\n")
-        with pytest.raises(RowError) as info:
+        with pytest.raises(DataError) as info:
             ingest_csv(path)
         assert str(info.value) == "line 5: latitude 95.0 outside [-90, 90]"
 
     def test_short_row_names_its_first_missing_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(self.HEADER + "NB,45.0,-66.0,2020-01-01\n")
-        with pytest.raises(RowError) as info:
+        with pytest.raises(DataError) as info:
             ingest_csv(path)
         assert str(info.value) == "line 2: row is short a value for column 'feature_1'"
 
@@ -151,7 +143,7 @@ class TestIngestCsv:
         path.write_text(self.HEADER
                         + "NB,45.0,-66.0,2020-01-01,10.5,1.0\n"
                         + f"NB,45.0,-66.0,2020-01-02,11.0,{cell}\n")
-        with pytest.raises(RowError, match="line 3: column 'feature_1'"):
+        with pytest.raises(DataError, match=f"^line 3: column 'feature_1' holds non-finite value '{cell}'$"):
             ingest_csv(path)
 
     @pytest.mark.parametrize("rows, message", [
@@ -168,7 +160,7 @@ class TestIngestCsv:
         path = tmp_path / "data.csv"
         path.write_bytes(b"\n".join([self.HEADER.encode() + b"NB,45.0,-66.0,2020-01-01,10.5,1.0",
                                       *rows, b""]))
-        with pytest.raises(RowError) as info:
+        with pytest.raises(DataError) as info:
             ingest_csv(path)
         assert str(info.value) == message
 
@@ -283,8 +275,8 @@ class TestIngestMatchesPerRowReader:
             patch.setattr(data, "_BLOCK_ROWS", block)
             try:
                 expected = table_bytes(reference_ingest(path))
-            except RowError as exc:
-                with pytest.raises(RowError) as info:
+            except DataError as exc:
+                with pytest.raises(DataError) as info:
                     ingest_csv(path)
                 assert str(info.value) == str(exc)
             else:
@@ -332,7 +324,7 @@ class TestPreprocess:
         assert len(out) == 21
 
     def test_all_missing_target_unusable(self):
-        with pytest.raises(UnitUnusableError):
+        with pytest.raises(DataError, match="^unit 'u' has no target values$"):
             preprocess(table([record("u", 1, math.nan), record("u", 2, math.nan)]))
 
     def test_fill_missing_off_drops_incomplete_rows(self):
@@ -466,7 +458,7 @@ class TestPartitionClients:
 
     def test_thin_leaves_listed(self):
         records = self.make_flat_records(["NB", "ON"]) + [record("PE", 1, 1.0)]
-        with pytest.raises(ThinClientError, match="PE"):
+        with pytest.raises(DataError, match=r"^leaves with fewer than 5 rows: \['PE'\]$"):
             partition_clients(table(records), n_classes=2)
 
     def test_partition_totality(self):
@@ -483,7 +475,7 @@ class TestPartitionClients:
         assert date_col.min() >= 0.0 and date_col.max() <= 1.0
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(DataError, match="^cannot partition an empty corpus$"):
             partition_clients(table([]), n_classes=2)
 
     def test_labels_share_global_scale(self):
@@ -524,13 +516,13 @@ def ref_ingest(path, schema=CsvSchema()):
                     schema.ref_date, schema.target, *hierarchy, *features]
         missing = [c for c in required if c not in header]
         if missing:
-            raise SchemaError(f"CSV header is missing mapped columns: {missing}")
+            raise DataError(f"CSV header is missing mapped columns: {missing}")
         records = []
         for line_no, row in enumerate(reader, start=2):
             try:
                 records.append(ref_parse_row(row, schema, hierarchy, features))
             except (KeyError, TypeError, ValueError) as exc:
-                raise RowError(f"line {line_no}: {exc}") from exc
+                raise DataError(f"line {line_no}: {exc}") from exc
     return records
 
 
@@ -606,19 +598,19 @@ def ref_preprocess(records, config=PreprocessConfig()):
         unit = [r for _, r in rows]
         targets = np.array([r.target for r in unit], dtype=np.float64)
         if np.isnan(targets).all():
-            raise UnitUnusableError(f"unit {leaf!r} has no target values")
+            raise DataError(f"unit {leaf!r} has no target values")
         feats = np.stack([r.features for r in unit])
         if config.fill_missing:
             targets = ref_interpolate(targets)
             for j in range(feats.shape[1]):
                 if np.isnan(feats[:, j]).all():
-                    raise UnitUnusableError(f"unit {leaf!r} has no values for feature {j}")
+                    raise DataError(f"unit {leaf!r} has no values for feature {j}")
                 feats[:, j] = ref_interpolate(feats[:, j])
             keep = np.ones(len(unit), dtype=bool)
         else:
             keep = ~(np.isnan(targets) | np.isnan(feats).any(axis=1))
             if not keep.any():
-                raise UnitUnusableError(f"unit {leaf!r} has no complete rows")
+                raise DataError(f"unit {leaf!r} has no complete rows")
         if config.drop_outliers:
             kept_idx = np.flatnonzero(keep)
             inlier = ref_outlier_keep(targets[kept_idx], config.outlier_zscore)
@@ -630,10 +622,10 @@ def ref_preprocess(records, config=PreprocessConfig()):
 
 def ref_partition(records, n_classes, min_rows=5, include_date_feature=True):
     if not records:
-        raise EmptyCorpusError("cannot partition an empty corpus")
+        raise DataError("cannot partition an empty corpus")
     depth = len(records[0].spatial.hierarchy_path)
     if any(len(r.spatial.hierarchy_path) != depth for r in records):
-        raise InconsistentHierarchyError("hierarchy paths have mixed lengths")
+        raise DataError("hierarchy paths have mixed lengths")
     labels = discretize_target([r.target for r in records], n_classes)
     ordinals = np.array([r.ref_date.toordinal() for r in records], dtype=np.float64)
     lo, hi = ordinals.min(), ordinals.max()
@@ -643,13 +635,13 @@ def ref_partition(records, n_classes, min_rows=5, include_date_feature=True):
         by_leaf.setdefault(record_.spatial.leaf, []).append(i)
     thin = sorted(leaf for leaf, idx in by_leaf.items() if len(idx) < min_rows)
     if thin:
-        raise ThinClientError(f"leaves with fewer than {min_rows} rows: {thin}")
+        raise DataError(f"leaves with fewer than {min_rows} rows: {thin}")
     datasets, paths = {}, {}
     for leaf in sorted(by_leaf):
         idx = by_leaf[leaf]
         leaf_paths = {records[i].spatial.hierarchy_path for i in idx}
         if len(leaf_paths) > 1:
-            raise InconsistentHierarchyError(f"leaf {leaf!r} appears under multiple paths: {sorted(leaf_paths)}")
+            raise DataError(f"leaf {leaf!r} appears under multiple paths: {sorted(leaf_paths)}")
         paths[leaf] = next(iter(leaf_paths))
         feats = np.stack([records[i].features for i in idx])
         if include_date_feature:
@@ -786,7 +778,7 @@ class TestTrainValidSplit:
             assert np.array_equal(half.features, same.features) and np.array_equal(half.labels, same.labels)
 
     def test_single_row_rejected(self):
-        with pytest.raises(SplitError):
+        with pytest.raises(DataError, match="^client 'c': ratio 0.8 leaves an empty split for 1 rows$"):
             train_valid_split(self.make_dataset(1), 0.8, seed=0)
 
     def test_degenerate_ratio_rejected(self):

@@ -29,16 +29,7 @@ from helpers import (
 from reference import params_equal, tree_sum_levels
 from spatialfl.baselines import BaselineKind
 from spatialfl.data import SyntheticSpec, generate_synthetic
-from spatialfl.errors import (
-    CorruptModelError,
-    DegenerateWeightsError,
-    DivergenceError,
-    EmptyAggregationError,
-    EmptyClientError,
-    MissingClientError,
-    ShapeError,
-    TopologyError,
-)
+from spatialfl.errors import DataError, DivergenceError, SpatialFLError
 from spatialfl import federation, nn
 from spatialfl.federation import (
     AGGREGATION_MODES,
@@ -53,9 +44,10 @@ from spatialfl.federation import (
     plan_rounds,
     round_seed,
     serialize_model,
+    stack_rows,
     stack_split,
 )
-from spatialfl.harness import ExperimentConfig, SyntheticSource, evaluate, run_experiment
+from spatialfl.harness import ExperimentConfig, SyntheticSource, run_experiment
 from spatialfl.nn import ModelParams, TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
@@ -124,26 +116,26 @@ class TestTopology:
                 assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(TopologyError, match="duplicate"):
+        with pytest.raises(SpatialFLError, match=r"^duplicate node ids: \['a'\]$"):
             TierTopology((TierNode("a", 0, "r"), TierNode("a", 0, "r"), TierNode("r", 1, None)))
 
     def test_two_roots_rejected(self):
-        with pytest.raises(TopologyError, match="root"):
+        with pytest.raises(SpatialFLError, match="^expected exactly one root, found 2$"):
             TierTopology((TierNode("a", 0, None), TierNode("b", 1, None)))
 
     def test_parent_must_be_one_tier_above(self):
-        with pytest.raises(TopologyError, match="one tier above"):
+        with pytest.raises(SpatialFLError, match="^parent 'r' at tier 2 must sit one tier above child 'a' at tier 0$"):
             TierTopology((TierNode("a", 0, "r"), TierNode("r", 2, None)))
 
     def test_childless_aggregator_rejected(self):
-        with pytest.raises(TopologyError, match="no children"):
+        with pytest.raises(SpatialFLError, match="^aggregator 'm2' has no children$"):
             TierTopology((
                 TierNode("a", 0, "m1"), TierNode("m1", 1, "r"),
                 TierNode("m2", 1, "r"), TierNode("r", 2, None),
             ))
 
     def test_missing_parent_rejected(self):
-        with pytest.raises(TopologyError, match="missing parent"):
+        with pytest.raises(SpatialFLError, match="^node 'a' references missing parent 'ghost'$"):
             TierTopology((TierNode("a", 0, "ghost"), TierNode("r", 1, None)))
 
 
@@ -179,19 +171,19 @@ class TestLocalTrain:
     def test_no_training_rows_rejected(self):
         topo = flat_topology(["c"])
         rows = without_rows_of(train_rows(topo, {"c": separable_client("c", n=6, seed=0)}), ["c"])
-        with pytest.raises(EmptyClientError):
+        with pytest.raises(DataError, match="^client 'c' has no training rows$"):
             plan_rounds(topo, rows, (2, 4, 2), TrainingConfig())
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
         for layout in (flat_topology, interleaved_topology):
             topo = layout(sorted(ds))
-            with pytest.raises(EmptyClientError, match="^client 'c0' has no training rows$"):
+            with pytest.raises(DataError, match="^client 'c0' has no training rows$"):
                 plan_rounds(topo, without_rows_of(train_rows(topo, ds), ["c0", "c3"]), (2, 4, 2), TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError, match=r"^cohort raw rows \(6, 2\), .* disagree for input_dim 5$"):
             self.first_model(ds, init_params((5, 4, 2), 0), TrainingConfig(epochs=1))
 
 
@@ -218,7 +210,7 @@ class TestFedavg:
         assert np.allclose(out.vector, p.vector, atol=1e-15, rtol=0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyAggregationError):
+        with pytest.raises(SpatialFLError, match="^no vectors to aggregate$"):
             aggregate(np.empty((0, 4)), [], "uniform", DIMS)
 
 
@@ -230,11 +222,11 @@ class TestNormalizeWeights:
         assert normalize_weights([5.0]) == [1.0]
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(SpatialFLError, match="^raw weights sum to zero$"):
             normalize_weights([0.0, 0.0])
 
     def test_negative_rejected(self):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(SpatialFLError, match="^raw weights must be non-negative$"):
             normalize_weights([1.0, -0.5])
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=10).filter(lambda w: sum(w) > 0))
@@ -264,7 +256,7 @@ class TestWeightedAggregate:
         assert params_equal(out, p)
 
     def test_zero_total_weight_rejected(self):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(SpatialFLError, match="^raw weights sum to zero$"):
             weighted((0, [1] * 4), (0, [2] * 4))
 
 
@@ -375,7 +367,8 @@ class TestAggregationProperties:
         topo = random_tree(np.random.default_rng(0), 3)
         params, counts = random_buffer(len(topo.clients()), DIMS, np.random.default_rng(1))
         for short in ((params[:-1], counts), (params, counts[:-1]), (params[:-1], counts[:-1])):
-            with pytest.raises(ShapeError):
+            with pytest.raises(SpatialFLError, match=f"^{len(short[0])} parameter rows and {len(short[1])} weights "
+                                                     "for 3 clients$"):
                 aggregate_tree(topo, *short, DIMS, "uniform")
 
 
@@ -530,7 +523,7 @@ class TestRunTierRound:
 
     def test_missing_dataset_rejected(self):
         topo = flat_topology(["c0", "c1"])
-        with pytest.raises(MissingClientError, match="c1"):
+        with pytest.raises(DataError, match=r"^no dataset for clients: \['c1'\]$"):
             stack_split(topo, {"c0": separable_client("c0", n=8)}, None)
 
     def test_full_run_bit_reproducible(self):
@@ -556,7 +549,8 @@ class TestRunTierRound:
 
         def root_accuracy(rounds):
             models, _ = run_rounds(topo, train_rows(topo, train, vocab), init, "sample_weighted", config, 21, rounds)
-            return evaluate(models[topo.root_id], valid.values(), vocab)
+            raw, labels, codes, enc, _ = stack_rows(list(valid.values()), vocab)
+            return np.mean(predict_rows(models[topo.root_id], raw, codes, enc) == labels)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02
 
@@ -579,36 +573,36 @@ class TestModelSerialization:
 
     def test_wrong_magic_rejected(self):
         blob = serialize_model(init_params((2, 3, 2), 0))
-        with pytest.raises(CorruptModelError, match="magic"):
+        with pytest.raises(SpatialFLError, match="^bad magic b'XXXX'$"):
             deserialize_model(b"XXXX" + blob[4:])
 
     def test_wrong_version_rejected(self):
         blob = serialize_model(init_params((2, 3, 2), 0))
-        with pytest.raises(CorruptModelError, match="version"):
+        with pytest.raises(SpatialFLError, match="^unsupported format version 2$"):
             deserialize_model(blob[:4] + b"\x02" + blob[5:])
 
     def test_truncated_header_rejected(self):
-        with pytest.raises(CorruptModelError, match="short"):
+        with pytest.raises(SpatialFLError, match=r"^file too short \(5 bytes\) for a model header$"):
             deserialize_model(b"ESFL\x01")
 
     def test_short_payload_rejected(self):
         header = MODEL_MAGIC + b"\x01" + struct.pack("<III", 2, 3, 2)
-        with pytest.raises(CorruptModelError, match="payload"):
+        with pytest.raises(SpatialFLError, match=r"^payload is 8 bytes, dims \(2, 3, 2\) require 136$"):
             deserialize_model(header + b"\x00" * 8)
 
     def test_trailing_bytes_rejected(self):
         blob = serialize_model(init_params((2, 3, 2), 0))
-        with pytest.raises(CorruptModelError, match="payload"):
+        with pytest.raises(SpatialFLError, match=r"^payload is 137 bytes, dims \(2, 3, 2\) require 136$"):
             deserialize_model(blob + b"\x00")
 
     def test_zero_dimension_header_rejected(self):
         header = MODEL_MAGIC + b"\x01" + struct.pack("<III", 0, 3, 2)
-        with pytest.raises(CorruptModelError, match="dims"):
+        with pytest.raises(SpatialFLError, match=r"^header declares invalid dims \(0, 3, 2\)$"):
             deserialize_model(header)
 
     def test_non_finite_payload_rejected(self):
         p = vector_params(DIMS, [1.0, 2.0, 3.0, 4.0])
         blob = serialize_model(p)
         bad = blob[:17] + struct.pack("<4d", np.nan, 0.0, 0.0, 0.0)
-        with pytest.raises(CorruptModelError):
+        with pytest.raises(SpatialFLError, match="^payload rejected: layer1_weights contains non-finite entries$"):
             deserialize_model(bad)

@@ -17,18 +17,15 @@ from helpers import random_tree
 from reference import params_equal
 from spatialfl.baselines import BaselineKind, ensemble_predict_batch
 from spatialfl.data import ROOT_ID, ClientDataset, SyntheticSpec
-from spatialfl.errors import ConfigError, EmptyEvaluationError
+from spatialfl.errors import ConfigError
 from spatialfl.harness import (
     METHOD_CENTRALIZED_REGIONAL,
     METHOD_TIERED,
     EncodingConfig,
     ExperimentConfig,
-    MetricsReport,
     SyntheticSource,
-    accuracy_score,
     config_from_dict,
     emit_report,
-    evaluate,
     fold_correct,
     grouped_topology,
     load_config,
@@ -36,8 +33,15 @@ from spatialfl.harness import (
     write_models,
 )
 from spatialfl import federation, nn, spatial
-from spatialfl.federation import AggregationPolicy, deserialize_model, round_seed, stack_rows, stack_split
-from spatialfl.nn import ModelParams, TrainingConfig, flat_length, init_params, predict_rows
+from spatialfl.federation import (
+    AggregationPolicy,
+    TierNode,
+    deserialize_model,
+    round_seed,
+    stack_rows,
+    stack_split,
+)
+from spatialfl.nn import TrainingConfig, init_params, predict_rows
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute, build_vocabulary
 
@@ -62,49 +66,6 @@ def minimal_raw_config():
         "data": {"kind": "synthetic",
                  "spec": {"n_regions": 2, "clients_per_region": 2, "rows_per_client": 30}},
     }
-
-
-class TestAccuracyScore:
-    def test_printed_vector_accuracies(self):
-        # Per-client predicted/actual pairs with known hand-computable scores.
-        assert accuracy_score([0, 1, 1, 0, 0], [0, 1, 1, 0, 0]) == 1.0
-        assert accuracy_score([1, 1, 1, 1, 1], [1, 1, 1, 1, 0]) == 0.8
-        assert accuracy_score([1, 1, 1, 2, 1], [1, 0, 1, 0, 1]) == 0.6
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
-            accuracy_score([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_score([0, 1], [0])
-
-
-class TestEvaluate:
-    def make_identity_client(self, predicted, actual, n_classes=3):
-        # One-hot features plus an identity-ish model reproduce any
-        # prediction vector, so evaluate() can be checked end to end.
-        features = np.eye(n_classes)[predicted]
-        return ClientDataset("c", SpatialAttribute(0, 0, ("c",)), features,
-                             np.array(actual), n_classes=n_classes)
-
-    def identity_model(self, n_classes=3):
-        dims = (n_classes, n_classes, n_classes)
-        vec = np.zeros(flat_length(dims))
-        eye = np.eye(n_classes).ravel()
-        vec[:n_classes * n_classes] = eye
-        vec[n_classes * n_classes + n_classes:
-            n_classes * n_classes + n_classes + n_classes * n_classes] = eye
-        return ModelParams(vec, dims)
-
-    def test_reproduces_hand_computed_accuracy(self):
-        model = self.identity_model()
-        ds = self.make_identity_client([1, 1, 1, 2, 1], [1, 0, 1, 0, 1])
-        assert evaluate(model, [ds], None) == 0.6
-
-    def test_empty_validation_rows_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
-            evaluate(self.identity_model(), [], None)
 
 
 class TestFoldedAccuracy:
@@ -132,10 +93,11 @@ class TestFoldedAccuracy:
         voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
             subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
-            assert single[node_id] / (hi - lo) == evaluate(model, subtree, vocab)
             pooled_raw, pooled_labels, pooled_codes, pooled_enc, _ = stack_rows(subtree, vocab)
-            assert voted[node_id] / (hi - lo) == accuracy_score(
-                ensemble_predict_batch(members, pooled_raw, pooled_codes, pooled_enc), pooled_labels)
+            assert single[node_id] / (hi - lo) == np.mean(
+                predict_rows(model, pooled_raw, pooled_codes, pooled_enc) == pooled_labels)
+            assert voted[node_id] / (hi - lo) == np.mean(
+                ensemble_predict_batch(members, pooled_raw, pooled_codes, pooled_enc) == pooled_labels)
 
 
 class TestConfigValidation:
@@ -337,6 +299,12 @@ class TestGroupedTopology:
         assert topo.max_tier == 2
         assert topo.children("g1") == ["a", "b"]
         assert topo.children(topo.root_id) == ["g1", "g2"]
+        # Nodes by tier, each tier in id order, whatever order the groups
+        # and their leaves are given in.
+        topo = grouped_topology(["d", "c", "b", "a"], {"g2": ["d", "a"], "g1": ["c", "b"]})
+        assert topo.nodes == (
+            TierNode("a", 0, "g2"), TierNode("b", 0, "g1"), TierNode("c", 0, "g1"), TierNode("d", 0, "g2"),
+            TierNode("g1", 1, ROOT_ID), TierNode("g2", 1, ROOT_ID), TierNode(ROOT_ID, 2, None))
 
     def test_unknown_leaf_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -519,7 +487,7 @@ class TestRunExperiment:
         report = result.report
         tier0 = {r["node_id"]: r["accuracy"] for r in report.tier_accuracy if r["tier"] == 0}
         for cid, vectors in report.client_predictions.items():
-            recomputed = accuracy_score(vectors["predicted"], vectors["actual"])
+            recomputed = np.mean(np.array(vectors["predicted"]) == np.array(vectors["actual"]))
             assert tier0[cid] == recomputed
 
     def test_noiseless_synthetic_close_to_oracle(self):
@@ -567,8 +535,7 @@ class TestEmitReport:
     def test_json_round_trips_to_equal_report(self, tmp_path):
         report = run_experiment(synthetic_config()).report
         (path,) = emit_report(report, tmp_path, formats=("json",))
-        loaded = MetricsReport.from_json_dict(json.loads(path.read_text()))
-        assert loaded == report
+        assert json.loads(path.read_text()) == report.to_json_dict()
 
     def test_csv_headers(self, tmp_path):
         report = run_experiment(synthetic_config(baselines=("flat_fedavg",))).report

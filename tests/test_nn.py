@@ -24,7 +24,7 @@ from reference import (
 )
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch
-from spatialfl.errors import DivergenceError, InvalidDimensionError, InvalidLabelError, ShapeError
+from spatialfl.errors import DivergenceError, SpatialFLError
 from spatialfl.nn import (
     ModelParams,
     TrainingConfig,
@@ -82,7 +82,7 @@ class TestInitParams:
         assert np.array_equal(p.layer2_bias, np.zeros(2))
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(SpatialFLError, match=r"^dims must be three integers >= 1, got \(0, 3, 2\)$"):
             init_params((0, 3, 2), seed=1)
 
     def test_weights_respect_fan_in_scale(self):
@@ -113,7 +113,7 @@ class TestForward:
 
     def test_wrong_width_rejected(self):
         p = init_params((3, 4, 2), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError, match=r"^batch shape \(5, 4\) incompatible with input_dim 3$"):
             forward(p, np.zeros((5, 4)))
 
 
@@ -127,7 +127,7 @@ class TestLossAndGrad:
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_label_out_of_range(self):
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(SpatialFLError, match=r"^labels must lie in \[0, 3\)$"):
             loss_and_grad(np.zeros((2, 3)), np.array([0, 3]))
 
     def test_grad_matches_finite_differences(self):
@@ -188,7 +188,8 @@ class TestBackward:
 
     def test_shape_mismatch_rejected(self):
         p = init_params((2, 3, 2), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError,
+                           match=r"^grad_logits shape \(4, 3\) incompatible with model \(2, 3, 2\)$"):
             backward(p, np.zeros((4, 2)), np.zeros((4, 3)))
 
 
@@ -247,7 +248,7 @@ class TestAdamStep:
 
     def test_length_mismatch_rejected(self):
         p = init_params((2, 3, 2), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError, match=r"^gradient length \(18,\) != parameter count 17$"):
             adam_step(p, np.zeros(p.n_params + 1), init_optimizer_state(p), TrainingConfig())
 
 
@@ -281,7 +282,7 @@ class TestPredict:
 
     def test_wrong_feature_length_rejected(self):
         p = init_params((3, 2, 2), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError, match=r"^rows of 0 encoding \+ 2 raw columns do not fit input_dim 3 "):
             predict(p, np.zeros(2))
 
 
@@ -389,19 +390,20 @@ class TestPredictRows:
         model = init_params((6, 3, 2), seed=0)
         raw, codes, enc = np.zeros((4, 3)), np.array([0, 1, 1, 0]), np.zeros((2, 3))
         predict_rows(model, raw, codes, enc)
-        with pytest.raises(ShapeError, match=r"^rows of 3 encoding \+ 2 raw columns do not fit input_dim 6 "):
+        with pytest.raises(SpatialFLError, match=r"^rows of 3 encoding \+ 2 raw columns do not fit input_dim 6 "):
             predict_rows(model, raw[:, :2], codes, enc)
-        with pytest.raises(ShapeError, match=r"^rows of 0 encoding \+ 10 raw columns do not fit input_dim 6 "):
+        with pytest.raises(SpatialFLError, match=r"^rows of 0 encoding \+ 10 raw columns do not fit input_dim 6 "):
             predict_rows(model, *no_encoding(np.zeros((5, 10))))
+        fit = r"^rows of 3 encoding \+ 3 raw columns do not fit input_dim 6 "
         bad = [
-            (raw[0], codes, enc),            # one row, not a matrix of rows
-            (raw, codes, enc[0]),            # one encoding, not a table
-            (raw, codes[:3], enc),           # a code per row
-            (raw, codes + 1, enc),           # a code past the table
-            (raw, codes - 1, enc),           # a negative code
+            ((raw[0], codes, enc), fit + r"\(raw rows \(3,\)"),  # one row, not a matrix of rows
+            ((raw, codes, enc[0]), fit + r".*encodings \(3,\)"),  # one encoding, not a table
+            ((raw, codes[:3], enc), r"^3 row codes for 4 rows$"),  # a code per row
+            ((raw, codes + 1, enc), r"^row codes must lie in \[0, 2\)$"),  # a code past the table
+            ((raw, codes - 1, enc), r"^row codes must lie in \[0, 2\)$"),  # a negative code
         ]
-        for case in bad:
-            with pytest.raises(ShapeError):
+        for case, message in bad:
+            with pytest.raises(SpatialFLError, match=message):
                 predict_rows(model, *case)
 
 
@@ -429,7 +431,7 @@ class TestFlattenRoundTrip:
         assert np.concatenate([layer.ravel() for layer in layers]).tobytes() == vec.tobytes()
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpatialFLError, match=r"^expected flat vector of length 17, got shape \(5,\)$"):
             ModelParams(np.zeros(5), (2, 3, 2))
 
     def test_non_finite_entry_names_its_layer(self):
@@ -811,7 +813,7 @@ class TestTrainCohort:
         labels = np.zeros(12, dtype=np.int64)
         labels[10] = 2
         args = (np.zeros((12, 2)), labels, np.zeros(12), np.empty((1, 0)))
-        with pytest.raises(InvalidLabelError):
+        with pytest.raises(SpatialFLError, match=r"^labels must lie in \[0, 2\)$"):
             plan_cohort(*args, spans([0, 6, 12]), (2, 3, 2), TrainingConfig(epochs=1))
         # Rows outside the cohort are not its labels.
         plan_cohort(*args, spans([0, 6]), (2, 3, 2), TrainingConfig(epochs=1))
@@ -821,17 +823,23 @@ class TestTrainCohort:
         raw, labels, codes, enc = np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1))
         config = TrainingConfig(epochs=1)
         plan_cohort(raw, labels, codes, enc, spans([0, 6, 12]), dims, config)
+        disagree = r"^cohort raw rows \(12, {}\), labels \({},\), .* disagree for input_dim 4$"
+        outside = r"^row numbers must lie in \[0, 12\)$"
         bad = [
-            (np.zeros((12, 2)), labels, codes, enc, spans([0, 6, 12])),  # width != input_dim
-            (raw, labels[:11], codes, enc, spans([0, 6, 12])),          # labels per row
-            (raw, labels, codes, enc, spans([0, 6, 13])),               # past the last row
-            (raw, labels, codes, enc, [np.arange(6), [6, -1]]),         # a negative row
-            (raw, labels, codes, enc, [np.arange(6), [12]]),            # row N
-            (raw, labels, codes, enc, spans([0, 6, 6])),                # a client without rows
-            (raw, labels, codes + 2, enc, spans([0, 6, 12])),           # code past the table
+            # width != input_dim
+            ((np.zeros((12, 2)), labels, codes, enc, spans([0, 6, 12])), disagree.format(2, 12)),
+            # labels per row
+            ((raw, labels[:11], codes, enc, spans([0, 6, 12])), disagree.format(3, 11)),
+            ((raw, labels, codes, enc, spans([0, 6, 13])), outside),             # past the last row
+            ((raw, labels, codes, enc, [np.arange(6), [6, -1]]), outside),       # a negative row
+            ((raw, labels, codes, enc, [np.arange(6), [12]]), outside),          # row N
+            # a client without rows
+            ((raw, labels, codes, enc, spans([0, 6, 6])), r"^client 1 has no rows$"),
+            # code past the table
+            ((raw, labels, codes + 2, enc, spans([0, 6, 12])), r"^row codes must lie in \[0, 2\)$"),
         ]
-        for case in bad:
-            with pytest.raises(ShapeError):
+        for case, message in bad:
+            with pytest.raises(SpatialFLError, match=message):
                 plan_cohort(*case, dims, config)
 
     def test_training_disagreeing_with_its_plan_rejected(self):
@@ -843,5 +851,7 @@ class TestTrainCohort:
                             (init_params((4, 3, 2), seed=0), [0, 1, 2]),  # three seeds for two
                             (init_params((4, 5, 2), seed=0), [0, 1]),     # another hidden width
                             (init_params((4, 3, 3), seed=0), [0, 1])]:    # another class count
-            with pytest.raises(ShapeError):
+            message = (rf"^init dims \({', '.join(map(str, init.dims))}\) and {len(seeds)} seeds disagree "
+                       r"with a plan for dims \(4, 3, 2\) and 2 clients$")
+            with pytest.raises(SpatialFLError, match=message):
                 train_cohort(plan, init, seeds)

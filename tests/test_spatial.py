@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialfl.data import ClientDataset
-from spatialfl.errors import EmptyCorpusError, InconsistentHierarchyError, UnknownRegionError
+from spatialfl.errors import DataError
 from spatialfl.federation import stack_rows
 from spatialfl.spatial import (
     SpatialAttribute,
@@ -46,11 +46,11 @@ class TestBuildVocabulary:
         assert np.array_equal(enc, [0.5, 0.5, 1.0, 1.0])
 
     def test_ragged_paths_rejected(self):
-        with pytest.raises(InconsistentHierarchyError):
+        with pytest.raises(DataError, match="^hierarchy paths have mixed lengths$"):
             build_vocabulary([attr(0, 0, "a", "b"), attr(0, 0, "c", "d", "e")])
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(DataError, match="^cannot build a vocabulary from zero records$"):
             build_vocabulary([])
 
     def test_fully_disabled_encoding_rejected(self):
@@ -80,7 +80,7 @@ class TestEncodeSpatial:
 
     def test_unknown_label_rejected(self):
         vocab = build_vocabulary([attr(0, 0, "a", "NB"), attr(0, 0, "b", "ON")])
-        with pytest.raises(UnknownRegionError):
+        with pytest.raises(DataError, match="^label 'YT' unknown at hierarchy level 1$"):
             encode_spatial(attr(0, 0, "a", "YT"), vocab)
 
     def test_coordinates_only_encoding(self):
