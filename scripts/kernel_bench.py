@@ -16,9 +16,8 @@ from training into the plan shows as plan time.
 Given source trees (each a directory that holds ``spatialfl/``), the
 script loads each as its own package and alternates calls between them,
 so that the trees of a before/after pair share one process and the same
-spells of host speed. A tree from before the plan/train split trains in
-one call, timed as training, with no plan time. Without a tree it times
-``src/`` of this checkout.
+spells of host speed. Without a tree it times ``src/`` of this
+checkout.
 
 Example:
     python scripts/kernel_bench.py
@@ -75,9 +74,6 @@ def cohort_call(nn, dims, e_dim, rows, clients):
     if len(nn.cohort_slices(clients, dims, BATCH_SIZE)) != 1:
         raise SystemExit(f"{clients} clients at {dims} do not fit one cohort")
     iterations = -(-rows // BATCH_SIZE) * EPOCHS
-    if not hasattr(nn, "plan_cohort"):
-        return (lambda: None, lambda _: nn.train_cohort(init, raw, labels, codes, enc, spans, config, seeds),
-                iterations)
     return (lambda: nn.plan_cohort(raw, labels, codes, enc, spans, dims, config),
             lambda plan: nn.train_cohort(plan, init, seeds), iterations)
 

@@ -18,11 +18,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .federation import TierNode, TierTopology
+from .federation import ROOT_ID, TierTopology
 from .seeding import derive_seed
 from .spatial import SpatialAttribute, check_coordinates
-
-ROOT_ID = "global"
 
 
 @dataclass(frozen=True)
@@ -516,16 +514,13 @@ def partition_clients(
     """Split a preprocessed corpus into one client per leaf label.
 
     Targets are discretised with corpus-wide thresholds so every client
-    shares one class scale. The tier tree is derived from the hierarchy
-    paths: leaves at tier 0, one node per distinct label above them, and a
-    root on top. The reference date enters the feature matrix as a
-    min-max normalised ordinal unless switched off. Each client keeps its
-    rows in table order.
+    shares one class scale. The tier tree is that of the clients'
+    hierarchy paths (:class:`TierTopology`). The reference date enters
+    the feature matrix as a min-max normalised ordinal unless switched
+    off. Each client keeps its rows in table order.
     """
     if not len(table):
         raise DataError("cannot partition an empty corpus")
-    if len({len(table.paths[c]) for c in np.unique(table.path_index)}) > 1:
-        raise DataError("hierarchy paths have mixed lengths")
 
     labels = discretize_target(table.target, n_classes)
     ordinals = table.ordinals.astype(np.float64)
@@ -541,59 +536,22 @@ def partition_clients(
     by_leaf = np.argsort(leaf, kind="stable")
     ends = np.cumsum(counts)
     datasets: dict[str, ClientDataset] = {}
-    paths: dict[str, tuple[str, ...]] = {}
     for k in np.flatnonzero(counts):
         leaf_id = leaves[k]
         idx = by_leaf[ends[k] - counts[k]:ends[k]]
         leaf_paths = {table.paths[c] for c in np.unique(table.path_index[idx])}
         if len(leaf_paths) > 1:
             raise DataError(f"leaf {leaf_id!r} appears under multiple paths: {sorted(leaf_paths)}")
-        paths[leaf_id] = next(iter(leaf_paths))
         feats = table.features[idx]
         if include_date_feature:
             feats = np.hstack([feats, date_feature[idx][:, None]])
         attr = SpatialAttribute(
             latitude=float(np.mean(table.latitude[idx])),
             longitude=float(np.mean(table.longitude[idx])),
-            hierarchy_path=paths[leaf_id],
+            hierarchy_path=next(iter(leaf_paths)),
         )
         datasets[leaf_id] = ClientDataset(leaf_id, attr, feats, labels[idx], n_classes)
-    return datasets, topology_from_paths(paths)
-
-
-def topology_from_paths(paths: Mapping[str, tuple[str, ...]]) -> TierTopology:
-    """Build the tier tree implied by leaf-to-root hierarchy paths.
-
-    A label names one node, so it must sit at one level (level 0 is the
-    leaf) and under one parent; otherwise DataError.
-    """
-    if not paths:
-        raise DataError("no leaves to build a topology from")
-    levels: dict[str, set[int]] = {}
-    for path in paths.values():
-        for level, label in enumerate(path):
-            levels.setdefault(label, set()).add(level)
-    shared = sorted(label for label, at in levels.items() if len(at) > 1)
-    if shared:
-        raise DataError(f"label {shared[0]!r} is used at levels {sorted(levels[shared[0]])}")
-    depth = len(next(iter(paths.values())))
-    nodes = [
-        TierNode(leaf, 0, paths[leaf][1] if depth > 1 else ROOT_ID)
-        for leaf in sorted(paths)
-    ]
-    for level in range(1, depth):
-        parents: dict[str, set[str]] = {}
-        for path in paths.values():
-            parent = path[level + 1] if level + 1 < depth else ROOT_ID
-            parents.setdefault(path[level], set()).add(parent)
-        for label in sorted(parents):
-            if len(parents[label]) > 1:
-                raise DataError(
-                    f"label {label!r} at level {level} has conflicting parents: {sorted(parents[label])}"
-                )
-            nodes.append(TierNode(label, level, next(iter(parents[label]))))
-    nodes.append(TierNode(ROOT_ID, depth, None))
-    return TierTopology(tuple(nodes))
+    return datasets, TierTopology(ds.spatial.hierarchy_path for ds in datasets.values())
 
 
 def train_valid_split(dataset: ClientDataset, ratio: float, seed: int) -> tuple[ClientDataset, ClientDataset]:
@@ -632,7 +590,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[dict[str, ClientDataset], T
     enlarging the benchmark never changes existing clients' rows.
     """
     datasets: dict[str, ClientDataset] = {}
-    paths: dict[str, tuple[str, ...]] = {}
     for region in range(spec.n_regions):
         direction, threshold = _region_rule(spec, region)
         region_id = f"region{region:02d}"
@@ -653,9 +610,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[dict[str, ClientDataset], T
                 labels[flips] = (labels[flips] + shift) % spec.n_classes
             offset = 2.0 * (c + 1) / (spec.clients_per_region + 1) - 1.0
             attr = SpatialAttribute(base_lat + offset, base_lon + offset, (client_id, region_id))
-            paths[client_id] = attr.hierarchy_path
             datasets[client_id] = ClientDataset(client_id, attr, feats, labels, spec.n_classes)
-    return datasets, topology_from_paths(paths), 1.0 - spec.noise_rate
+    return datasets, TierTopology(ds.spatial.hierarchy_path for ds in datasets.values()), 1.0 - spec.noise_rate
 
 
 def export_csv(datasets: Mapping[str, ClientDataset], path: str | Path) -> None:

@@ -52,6 +52,9 @@ MODEL_VERSION = 1
 
 AGGREGATION_MODES = ("uniform", "sample_weighted")
 
+# The id of every tier tree's root; no hierarchy label may take it.
+ROOT_ID = "global"
+
 
 @dataclass(frozen=True)
 class TierNode:
@@ -62,28 +65,59 @@ class TierNode:
 
 @dataclass(frozen=True)
 class TierTopology:
-    """A tree of nodes: clients at tier 0, one parentless root on top.
+    """The tier tree of leaf-to-root hierarchy paths: a path's ``i``-th
+    label names a node at tier ``i`` (its first, a client at tier 0) whose
+    parent is the next label, and one root, :data:`ROOT_ID`, sits above
+    every path's last label.
 
-    Indexed once on construction: the root, the sorted children of every
-    node, and the clients in depth-first order from the root (children
-    ascending), in which every node's clients form one contiguous span.
+    The paths are stored sorted and without repeats, so equal trees
+    compare equal whatever order their paths came in. No leaves, paths
+    of unequal length, and a label that is :data:`ROOT_ID` or sits at two
+    levels or under two parents each raise :class:`DataError`.
+
+    Indexed once on construction: the nodes (the clients ascending, then
+    each tier's labels ascending, then the root), the sorted children of
+    every node, and the clients in depth-first order from the root
+    (children ascending), in which every node's clients form one
+    contiguous span.
     """
 
-    nodes: tuple[TierNode, ...]
-    root_id: str = field(init=False, repr=False, compare=False)
+    paths: tuple[tuple[str, ...], ...]
+    nodes: tuple[TierNode, ...] = field(init=False, repr=False, compare=False)
+    root_id: str = field(default=ROOT_ID, init=False, repr=False, compare=False)
     client_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
     _client_spans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        validate_topology(self)
-        object.__setattr__(self, "root_id", next(n.node_id for n in self.nodes if n.parent is None))
-        kids: dict[str, list[str]] = {n.node_id: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None:
-                kids[n.parent].append(n.node_id)
-        children = {nid: tuple(sorted(ks)) for nid, ks in kids.items()}
+        paths = tuple(sorted({tuple(path) for path in self.paths}))
+        object.__setattr__(self, "paths", paths)
+        if not any(paths):
+            raise DataError("no leaves to build a topology from")
+        if len({len(path) for path in paths}) > 1:
+            raise DataError("hierarchy paths have mixed lengths")
+        levels: dict[str, set[int]] = {}
+        parents: dict[str, set[str]] = {}
+        for path in paths:
+            for level, (label, parent) in enumerate(zip(path, path[1:] + (ROOT_ID,))):
+                levels.setdefault(label, set()).add(level)
+                parents.setdefault(label, set()).add(parent)
+        if ROOT_ID in levels:
+            raise DataError(f"label {ROOT_ID!r} is the reserved id of the root node")
+        shared = sorted(label for label, at in levels.items() if len(at) > 1)
+        if shared:
+            raise DataError(f"label {shared[0]!r} is used at levels {sorted(levels[shared[0]])}")
+        level_of = {label: min(at) for label, at in levels.items()}
+        conflicts = sorted((level_of[label], label) for label, at in parents.items() if len(at) > 1)
+        if conflicts:
+            level, label = conflicts[0]
+            raise DataError(f"label {label!r} at level {level} has conflicting parents: {sorted(parents[label])}")
+        nodes = [TierNode(label, level_of[label], min(parents[label]))
+                 for label in sorted(levels, key=lambda label: (level_of[label], label))]
+        nodes.append(TierNode(ROOT_ID, len(paths[0]), None))
+        children: dict[str, list[str]] = {n.node_id: [] for n in nodes}
+        for n in nodes[:-1]:
+            children[n.parent].append(n.node_id)  # in node order: ascending
         order: list[str] = []
         spans: dict[str, tuple[int, int]] = {}
 
@@ -95,7 +129,8 @@ class TierTopology:
                 visit(child)
             spans[node_id] = (lo, len(order))
 
-        visit(self.root_id)
+        visit(ROOT_ID)
+        object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "client_order", tuple(order))
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_client_spans", spans)
@@ -104,11 +139,11 @@ class TierTopology:
         return [n.node_id for n in self.nodes]
 
     def clients(self) -> list[str]:
-        return sorted(n.node_id for n in self.nodes if n.tier == 0)
+        return [path[0] for path in self.paths]
 
     @property
     def max_tier(self) -> int:
-        return max(n.tier for n in self.nodes)
+        return len(self.paths[0])
 
     def children(self, node_id: str) -> list[str]:
         return list(self._children[node_id])
@@ -121,40 +156,6 @@ class TierTopology:
         """Client ids below (or at) a node, ascending."""
         lo, hi = self._client_spans[node_id]
         return sorted(self.client_order[lo:hi])
-
-
-def validate_topology(topology: TierTopology) -> None:
-    """Raise :class:`SpatialFLError` unless the node list forms a legal tree."""
-    nodes = topology.nodes
-    if not nodes:
-        raise SpatialFLError("topology has no nodes")
-    ids = [n.node_id for n in nodes]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise SpatialFLError(f"duplicate node ids: {dupes}")
-    by_id = {n.node_id: n for n in nodes}
-    roots = [n for n in nodes if n.parent is None]
-    if len(roots) != 1:
-        raise SpatialFLError(f"expected exactly one root, found {len(roots)}")
-    if any(n.tier < 0 for n in nodes):
-        raise SpatialFLError("tier levels must be non-negative")
-    children: dict[str, int] = {}
-    for n in nodes:
-        if n.parent is not None:
-            parent = by_id.get(n.parent)
-            if parent is None:
-                raise SpatialFLError(f"node {n.node_id!r} references missing parent {n.parent!r}")
-            if parent.tier != n.tier + 1:
-                raise SpatialFLError(
-                    f"parent {parent.node_id!r} at tier {parent.tier} must sit one tier "
-                    f"above child {n.node_id!r} at tier {n.tier}"
-                )
-            children[n.parent] = children.get(n.parent, 0) + 1
-    for n in nodes:
-        if n.tier > 0 and children.get(n.node_id, 0) == 0:
-            raise SpatialFLError(f"aggregator {n.node_id!r} has no children")
-    if not any(n.tier == 0 for n in nodes):
-        raise SpatialFLError("topology has no clients (tier-0 nodes)")
 
 
 @dataclass(frozen=True)
@@ -333,13 +334,14 @@ def aggregate_tree(
     vectors = dict(zip(clients, params))
     weights = dict(zip(clients, counts))
     models = {}
-    for tier in range(1, topology.max_tier + 1):
-        for node in sorted(n.node_id for n in topology.nodes if n.tier == tier):
-            kids = topology.children(node)
-            with DivergenceError.naming(f"node {node!r}"):
-                models[node] = aggregate([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims)
-            vectors[node] = models[node].vector
-            weights[node] = float(sum(weights[k] for k in kids))
+    # Above the clients, the nodes come tiers ascending, ids ascending:
+    # every node after its children.
+    for node in topology.node_ids()[len(clients):]:
+        kids = topology.children(node)
+        with DivergenceError.naming(f"node {node!r}"):
+            models[node] = aggregate([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims)
+        vectors[node] = models[node].vector
+        weights[node] = float(sum(weights[k] for k in kids))
     return models
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from ._version import __version__
 from .baselines import BaselineKind, ensemble_predict_batch, train_centralized
 from .data import (
-    ROOT_ID,
     ClientDataset,
     CsvSchema,
     PreprocessConfig,
@@ -34,11 +33,11 @@ from .data import (
     ingest_csv,
     partition_clients,
     preprocess,
-    topology_from_paths,
     train_valid_split,
 )
 from .errors import ConfigError, DivergenceError, SpatialFLError
 from .federation import (
+    ROOT_ID,
     AggregationPolicy,
     TierTopology,
     aggregate,
@@ -422,7 +421,7 @@ def grouped_topology(leaves: Iterable[str], groups: Mapping[str, Sequence[str]])
     clashes = sorted(set(groups) & set(leaves))
     if clashes:
         raise ConfigError([f"topology group {name!r} has the name of a leaf" for name in clashes])
-    return topology_from_paths({leaf: (leaf, assigned[leaf]) for leaf in leaves})
+    return TierTopology((leaf, assigned[leaf]) for leaf in leaves)
 
 
 def load_datasets(config: ExperimentConfig, csv_path: str | Path | None = None):
@@ -467,10 +466,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("data"):
         datasets, topology, oracle = load_datasets(config)
     with _stage("split"):
+        # Derived once: the splits use these seeds and the report records them.
+        split_seeds = {cid: derive_seed(config.seed, "split", cid) for cid in sorted(datasets)}
         train_sets, valid_sets = {}, {}
-        for cid in sorted(datasets):
-            train_sets[cid], valid_sets[cid] = train_valid_split(
-                datasets[cid], config.split_ratio, derive_seed(config.seed, "split", cid))
+        for cid, seed in split_seeds.items():
+            train_sets[cid], valid_sets[cid] = train_valid_split(datasets[cid], config.split_ratio, seed)
         del datasets
     with _stage("topology"):
         if config.topology_groups is not None:
@@ -564,7 +564,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         seeds = {
             "master": config.seed,
             "init": derive_seed(config.seed, "init"),
-            "split": {cid: derive_seed(config.seed, "split", cid) for cid in clients},
+            "split": split_seeds,
             "train_round1": {cid: round_seed(config.seed, cid, 1) for cid in clients},
         }
         tier_rows = []

@@ -4,7 +4,6 @@ import numpy as np
 
 from spatialfl.data import ClientDataset, train_valid_split
 from spatialfl.federation import (
-    TierNode,
     TierTopology,
     plan_rounds,
     round_seed,
@@ -35,18 +34,14 @@ def spans(offsets):
 
 def flat_topology(client_ids):
     """One root over the given clients: depth-first order is id order."""
-    nodes = [TierNode(c, 0, "root") for c in client_ids]
-    nodes.append(TierNode("root", 1, None))
-    return TierTopology(tuple(nodes))
+    return TierTopology((c,) for c in client_ids)
 
 
 def interleaved_topology(client_ids):
     """Two regions taking every other id of two or more clients, ``east``
     the odd ones, under one root: depth-first order (``east`` first) is
     not id order. For ``c0``..``c3`` it is ``c1, c3, c0, c2``."""
-    nodes = [TierNode(c, 0, "east" if i % 2 else "west") for i, c in enumerate(sorted(client_ids))]
-    nodes += [TierNode("east", 1, "root"), TierNode("west", 1, "root"), TierNode("root", 2, None)]
-    return TierTopology(tuple(nodes))
+    return TierTopology((c, "east" if i % 2 else "west") for i, c in enumerate(sorted(client_ids)))
 
 
 def train_rows(topology, datasets, vocab=None):
@@ -132,8 +127,11 @@ def random_buffer(k, dims, rng, max_count=50):
     return np.stack(rows), counts
 
 
-def random_tree(rng, n_clients):
-    """A random legal tier tree over ``n_clients`` tier-0 nodes."""
+def random_paths(rng, n_clients):
+    """The leaf-to-root paths, in ascending leaf order, of a random tier
+    tree over ``n_clients`` (two or more) clients: each tier above the
+    clients has one to four nodes, fewer than the tier below it, until a
+    tier of one node, which the tree's root stands for."""
     parent_of = {}
     tiers = [[f"t0n{i:02d}" for i in range(n_clients)]]
     while len(tiers[-1]) > 1:
@@ -148,12 +146,20 @@ def random_tree(rng, n_clients):
         for child in shuffled[n_parents:]:
             parent_of[child] = parents[int(rng.integers(0, n_parents))]
         tiers.append(parents)
-    nodes = [
-        TierNode(node_id, tier, parent_of.get(node_id))
-        for tier, ids in enumerate(tiers)
-        for node_id in ids
-    ]
-    return TierTopology(tuple(nodes))
+    paths = []
+    for leaf in tiers[0]:
+        # Up to the last tier's one node, which the tree's root replaces.
+        path = [leaf]
+        while path[-1] in parent_of and parent_of[path[-1]] in parent_of:
+            path.append(parent_of[path[-1]])
+        paths.append(tuple(path))
+    return paths
+
+
+def random_tree(rng, n_clients):
+    """A random tier tree over ``n_clients`` (two or more) clients
+    (:func:`random_paths`)."""
+    return TierTopology(random_paths(rng, n_clients))
 
 
 def separable_client(client_id, n=20, seed=0, flip=False):

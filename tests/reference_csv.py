@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from spatialfl.data import ROOT_ID, CsvSchema, GeoTable
+from spatialfl.data import CsvSchema, GeoTable
 from spatialfl.errors import DataError
+from spatialfl.federation import ROOT_ID
 from spatialfl.spatial import check_coordinates
 
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import no_encoding, random_buffer, random_tree, spans
+from helpers import no_encoding, random_buffer, random_paths, random_tree, spans
 from reference import (
     adam_step,
     backward,
@@ -193,13 +193,14 @@ def test_aggregation_algebra():
     check("aggregation algebra: convexity", convex, f"{cases} cases")
 
     # Rows come in the topology's client order, so invariance is to the
-    # order in which the tree's nodes are listed.
+    # order in which the tree's paths are listed.
     permutation = True
     for _ in range(cases):
         dims = (2, 3, 2)
-        topology = random_tree(rng, int(rng.integers(2, 8)))
+        paths = random_paths(rng, int(rng.integers(2, 8)))
+        topology = TierTopology(paths)
         params, counts = random_buffer(len(topology.clients()), dims, rng)
-        shuffled = TierTopology(tuple(topology.nodes[i] for i in rng.permutation(len(topology.nodes))))
+        shuffled = TierTopology(paths[i] for i in rng.permutation(len(paths)))
         for mode in AGGREGATION_MODES:
             models = aggregate_tree(topology, params, counts, dims, mode)
             again = aggregate_tree(shuffled, params, counts, dims, mode)

@@ -21,7 +21,7 @@ from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic
 from spatialfl.errors import DataError, DivergenceError, SpatialFLError
-from spatialfl.federation import AGGREGATION_MODES, aggregate, round_seed, stack_rows
+from spatialfl.federation import AGGREGATION_MODES, ROOT_ID, aggregate, round_seed, stack_rows
 from spatialfl.nn import (
     ModelParams,
     TrainingConfig,
@@ -277,7 +277,7 @@ class TestFlatFedavg:
         expected = {mode: aggregate(direct, direct_counts, mode, init.dims) for mode in AGGREGATION_MODES}
         for mode in AGGREGATION_MODES:
             tree_models, params, counts = self.one_level_run(clients, init, config, 31, mode)
-            assert params_equal(tree_models["root"], expected[mode])
+            assert params_equal(tree_models[ROOT_ID], expected[mode])
             assert params_equal(aggregate(params, counts, mode, init.dims), expected[mode])
             _, kept, kept_counts = self.one_level_run(clients, init, config, 31, mode, rounds=3)
             assert kept_counts == counts == direct_counts

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from spatialfl import data
 from spatialfl.data import (
-    ROOT_ID,
     ClientDataset,
     CsvSchema,
     GeoTable,
@@ -28,10 +27,10 @@ from spatialfl.data import (
     ingest_csv,
     partition_clients,
     preprocess,
-    topology_from_paths,
     train_valid_split,
 )
 from spatialfl.errors import DataError
+from spatialfl.federation import ROOT_ID, TierTopology
 from spatialfl.spatial import SpatialAttribute
 
 from reference_csv import reference_ingest
@@ -652,7 +651,7 @@ def ref_partition(records, n_classes, min_rows=5, include_date_feature=True):
             hierarchy_path=paths[leaf],
         )
         datasets[leaf] = ClientDataset(leaf, attr, feats, labels[idx], n_classes)
-    return datasets, topology_from_paths(paths)
+    return datasets, TierTopology(paths.values())
 
 
 def random_geo_csv(rng, depth):

@@ -16,6 +16,7 @@ from helpers import (
     interleaved_topology,
     no_encoding,
     random_buffer,
+    random_paths,
     random_tree,
     run_rounds,
     separable_client,
@@ -34,8 +35,8 @@ from spatialfl import federation, nn
 from spatialfl.federation import (
     AGGREGATION_MODES,
     MODEL_MAGIC,
+    ROOT_ID,
     AggregationPolicy,
-    TierNode,
     TierTopology,
     aggregate,
     aggregate_tree,
@@ -66,27 +67,18 @@ def weighted(*pairs):
 
 class TestTopology:
     def test_three_tier_tree_valid(self):
-        topo = TierTopology((
-            TierNode("c1", 0, "m1"), TierNode("c2", 0, "m1"),
-            TierNode("c3", 0, "m2"),
-            TierNode("m1", 1, "root"), TierNode("m2", 1, "root"),
-            TierNode("root", 2, None),
-        ))
+        topo = TierTopology([("c1", "m1"), ("c2", "m1"), ("c3", "m2")])
         assert topo.clients() == ["c1", "c2", "c3"]
-        assert topo.root_id == "root"
+        assert topo.root_id == ROOT_ID
         assert topo.subtree_clients("m1") == ["c1", "c2"]
-        assert topo.subtree_clients("root") == ["c1", "c2", "c3"]
+        assert topo.subtree_clients(ROOT_ID) == ["c1", "c2", "c3"]
 
     def test_depth_first_client_order(self):
-        topo = TierTopology((
-            TierNode("a", 0, "m2"), TierNode("b", 0, "m1"), TierNode("c", 0, "m2"),
-            TierNode("m1", 1, "root"), TierNode("m2", 1, "root"),
-            TierNode("root", 2, None),
-        ))
+        topo = TierTopology([("a", "m2"), ("b", "m1"), ("c", "m2")])
         assert topo.client_order == ("b", "a", "c")
         assert topo.client_span("m1") == (0, 1)
         assert topo.client_span("m2") == (1, 3)
-        assert topo.client_span("root") == (0, 3)
+        assert topo.client_span(ROOT_ID) == (0, 3)
         assert topo.client_span("c") == (2, 3)
         assert topo.subtree_clients("m2") == ["a", "c"]
 
@@ -94,15 +86,25 @@ class TestTopology:
     @settings(max_examples=60, deadline=None)
     def test_depth_first_spans_cover_each_subtree(self, seed):
         rng = np.random.default_rng(seed)
-        topo = random_tree(rng, int(rng.integers(2, 14)))
+        paths = random_paths(rng, int(rng.integers(2, 14)))
+        topo = TierTopology(paths)
+        # The paths in any order, one of them twice, build the same tree.
+        shuffled = TierTopology([paths[i] for i in rng.permutation(len(paths))] + paths[-1:])
+        assert shuffled == topo
+        assert (shuffled.nodes, shuffled.client_order) == (topo.nodes, topo.client_order)
+        assert [shuffled.client_span(n) for n in topo.node_ids()] == [topo.client_span(n) for n in topo.node_ids()]
+        # Nodes by tier, each tier in id order, the root last.
+        assert [(n.tier, n.node_id) for n in topo.nodes] == sorted((n.tier, n.node_id) for n in topo.nodes)
+        assert (topo.nodes[-1].node_id, topo.nodes[-1].tier) == (ROOT_ID, topo.max_tier)
         parent = {n.node_id: n.parent for n in topo.nodes}
+        assert all(parent[path[0]] == (path[1:] or (ROOT_ID,))[0] for path in paths)
 
         def ancestors(node_id):
             while node_id is not None:
                 yield node_id
                 node_id = parent[node_id]
 
-        assert sorted(topo.client_order) == topo.clients()
+        assert sorted(topo.client_order) == topo.clients() == sorted(path[0] for path in paths)
         for node_id in topo.node_ids():
             below = sorted(c for c in topo.clients() if node_id in ancestors(c))
             lo, hi = topo.client_span(node_id)
@@ -115,28 +117,31 @@ class TestTopology:
                 assert bounds[0][0] == lo and bounds[-1][1] == hi
                 assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(SpatialFLError, match=r"^duplicate node ids: \['a'\]$"):
-            TierTopology((TierNode("a", 0, "r"), TierNode("a", 0, "r"), TierNode("r", 1, None)))
+    @pytest.mark.parametrize("paths", [[], [()]])
+    def test_no_leaves_rejected(self, paths):
+        with pytest.raises(DataError, match="^no leaves to build a topology from$"):
+            TierTopology(paths)
 
-    def test_two_roots_rejected(self):
-        with pytest.raises(SpatialFLError, match="^expected exactly one root, found 2$"):
-            TierTopology((TierNode("a", 0, None), TierNode("b", 1, None)))
+    def test_paths_of_unequal_depth_rejected(self):
+        with pytest.raises(DataError, match="^hierarchy paths have mixed lengths$"):
+            TierTopology([("a", "m"), ("b",)])
 
-    def test_parent_must_be_one_tier_above(self):
-        with pytest.raises(SpatialFLError, match="^parent 'r' at tier 2 must sit one tier above child 'a' at tier 0$"):
-            TierTopology((TierNode("a", 0, "r"), TierNode("r", 2, None)))
+    @pytest.mark.parametrize("paths", [[("a", ROOT_ID)], [(ROOT_ID, "m")]])
+    def test_root_id_as_a_label_rejected(self, paths):
+        with pytest.raises(DataError, match=f"^label '{ROOT_ID}' is the reserved id of the root node$"):
+            TierTopology(paths)
 
-    def test_childless_aggregator_rejected(self):
-        with pytest.raises(SpatialFLError, match="^aggregator 'm2' has no children$"):
-            TierTopology((
-                TierNode("a", 0, "m1"), TierNode("m1", 1, "r"),
-                TierNode("m2", 1, "r"), TierNode("r", 2, None),
-            ))
+    def test_label_at_two_levels_rejected(self):
+        with pytest.raises(DataError, match=r"^label 'm' is used at levels \[0, 1\]$"):
+            TierTopology([("a", "m"), ("m", "n")])
 
-    def test_missing_parent_rejected(self):
-        with pytest.raises(SpatialFLError, match="^node 'a' references missing parent 'ghost'$"):
-            TierTopology((TierNode("a", 0, "ghost"), TierNode("r", 1, None)))
+    @pytest.mark.parametrize("paths, message", [
+        ([("a", "m1"), ("a", "m2")], r"label 'a' at level 0 has conflicting parents: \['m1', 'm2'\]"),
+        ([("a", "m", "r1"), ("b", "m", "r2")], r"label 'm' at level 1 has conflicting parents: \['r1', 'r2'\]"),
+    ])
+    def test_label_with_two_parents_rejected(self, paths, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            TierTopology(paths)
 
 
 class TestLocalTrain:
@@ -313,12 +318,13 @@ class TestAggregationProperties:
     @settings(max_examples=100, deadline=None)
     def test_permutation_bit_invariance(self, seed):
         # Rows come in the topology's client order, so invariance is to
-        # the order in which the tree's nodes are listed.
+        # the order in which the tree's paths are listed.
         rng = np.random.default_rng(seed)
         dims = (2, 3, 2)
-        topo = random_tree(rng, int(rng.integers(2, 7)))
+        paths = random_paths(rng, int(rng.integers(2, 7)))
+        topo = TierTopology(paths)
         params, counts = random_buffer(len(topo.clients()), dims, rng)
-        shuffled = TierTopology(tuple(topo.nodes[i] for i in rng.permutation(len(topo.nodes))))
+        shuffled = TierTopology(paths[i] for i in rng.permutation(len(paths)))
         for mode in AGGREGATION_MODES:
             models = aggregate_tree(topo, params, counts, dims, mode)
             again = aggregate_tree(shuffled, params, counts, dims, mode)
@@ -348,13 +354,7 @@ class TestAggregationProperties:
 
     def test_uniform_equals_flat_on_balanced_tree(self):
         rng = np.random.default_rng(3)
-        nodes = []
-        for g in range(2):
-            for c in range(3):
-                nodes.append(TierNode(f"g{g}c{c}", 0, f"g{g}"))
-            nodes.append(TierNode(f"g{g}", 1, "root"))
-        nodes.append(TierNode("root", 2, None))
-        topo = TierTopology(tuple(nodes))
+        topo = TierTopology((f"g{g}c{c}", f"g{g}") for g in range(2) for c in range(3))
         params = np.stack([init_params((2, 3, 2), int(rng.integers(0, 99))).vector for _ in topo.clients()])
         counts = [10.0] * len(params)
         root = aggregate_tree(topo, params, counts, (2, 3, 2), "uniform")[topo.root_id]
@@ -380,7 +380,7 @@ class TestRunTierRound:
         config = TrainingConfig(learning_rate=0.05, epochs=5)
         models, (params, counts) = run_rounds(topo, train_rows(topo, ds), init, "uniform", config, 42, 1)
         direct = train_alone(ds["c0"], init, config, round_seed(42, "c0", 1))
-        assert params_equal(models["root"], direct)
+        assert params_equal(models[ROOT_ID], direct)
         assert params_equal(models["c0"], direct)
         assert params.shape == (1, init.n_params) and counts == [ds["c0"].n_rows]
         assert params_equal(ModelParams(params[0], init.dims), direct)
@@ -395,19 +395,13 @@ class TestRunTierRound:
             assert params_equal(model, init), node_id
 
     def test_balanced_tree_matches_flat_weighted(self):
-        nodes = []
-        for g in range(2):
-            for c in range(2):
-                nodes.append(TierNode(f"g{g}c{c}", 0, f"g{g}"))
-            nodes.append(TierNode(f"g{g}", 1, "root"))
-        nodes.append(TierNode("root", 2, None))
-        topo = TierTopology(tuple(nodes))
+        topo = TierTopology((f"g{g}c{c}", f"g{g}") for g in range(2) for c in range(2))
         ds = {c: separable_client(c, n=10, seed=i) for i, c in enumerate(topo.clients())}
         init = init_params((2, 4, 2), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=3)
         _, _, models = tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 5, 1)
         params, counts = alone_round(ds, init, config, 5)
-        assert np.allclose(models["root"].vector, aggregate(params, counts, "sample_weighted", init.dims).vector,
+        assert np.allclose(models[ROOT_ID].vector, aggregate(params, counts, "sample_weighted", init.dims).vector,
                            atol=1e-12, rtol=0.0)
 
     def test_first_round_buffer_rows_follow_ascending_client_ids(self):
@@ -428,7 +422,7 @@ class TestRunTierRound:
         west = aggregate(params[[0, 2]], [6, 10], "sample_weighted", init.dims)
         root = aggregate([east.vector, west.vector], [20, 16], "sample_weighted", init.dims)
         assert params_equal(models["east"], east) and params_equal(models["west"], west)
-        assert params_equal(models["root"], root)
+        assert params_equal(models[ROOT_ID], root)
 
     def diverging_round(self, blown_up, layout=flat_topology):
         # Adam's step is about the learning rate whatever the gradient's

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import random_tree
 from reference import params_equal
 from spatialfl.baselines import BaselineKind, ensemble_predict_batch
-from spatialfl.data import ROOT_ID, ClientDataset, SyntheticSpec
+from spatialfl.data import ClientDataset, SyntheticSpec
 from spatialfl.errors import ConfigError
 from spatialfl.harness import (
     METHOD_CENTRALIZED_REGIONAL,
@@ -34,8 +34,8 @@ from spatialfl.harness import (
 )
 from spatialfl import federation, nn, spatial
 from spatialfl.federation import (
+    ROOT_ID,
     AggregationPolicy,
-    TierNode,
     deserialize_model,
     round_seed,
     stack_rows,
@@ -302,9 +302,9 @@ class TestGroupedTopology:
         # Nodes by tier, each tier in id order, whatever order the groups
         # and their leaves are given in.
         topo = grouped_topology(["d", "c", "b", "a"], {"g2": ["d", "a"], "g1": ["c", "b"]})
-        assert topo.nodes == (
-            TierNode("a", 0, "g2"), TierNode("b", 0, "g1"), TierNode("c", 0, "g1"), TierNode("d", 0, "g2"),
-            TierNode("g1", 1, ROOT_ID), TierNode("g2", 1, ROOT_ID), TierNode(ROOT_ID, 2, None))
+        assert [(n.node_id, n.tier, n.parent) for n in topo.nodes] == [
+            ("a", 0, "g2"), ("b", 0, "g1"), ("c", 0, "g1"), ("d", 0, "g2"),
+            ("g1", 1, ROOT_ID), ("g2", 1, ROOT_ID), (ROOT_ID, 2, None)]
 
     def test_unknown_leaf_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
