@@ -25,7 +25,6 @@ Example:
 """
 
 import argparse
-import importlib
 import importlib.util
 import json
 import statistics
@@ -45,16 +44,16 @@ BATCH_SIZE = 32
 EPOCHS = 10
 
 
-def load_nn(src: Path, name: str):
-    """The ``nn`` module of the ``spatialfl`` package under ``src``,
-    imported as the package ``name``."""
+def load_package(src: Path, name: str):
+    """The ``spatialfl`` package under ``src``, imported as the package
+    ``name``."""
     package = src.resolve() / "spatialfl"
     spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
                                                   submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.nn")
+    return module
 
 
 def cohort_call(nn, dims, e_dim, rows, clients):
@@ -90,7 +89,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=41)
     args = parser.parse_args()
     trees = args.src or [Path(__file__).resolve().parents[1] / "src"]
-    modules = [load_nn(src, f"spatialfl_tree{i}") for i, src in enumerate(trees)]
+    modules = [load_package(src, f"spatialfl_tree{i}").nn for i, src in enumerate(trees)]
     for workload, (dims, e_dim, rows) in SHAPES.items():
         for clients in COHORTS:
             calls = [cohort_call(nn, dims, e_dim, rows, clients) for nn in modules]

@@ -11,9 +11,8 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,14 +167,27 @@ class SyntheticSpec:
 def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
     """Read geo-tagged rows; empty numeric cells become NaN, never zero.
 
-    Rows are parsed a block at a time, one column at a time. A row is bad
-    if it is short a mapped column, or if a label, latitude, longitude,
-    coordinate range, reference date, feature or target cell is bad; the
-    first bad row in file order raises a DataError naming its file line and
-    its first bad column in that order. Blank lines are skipped and cells
-    beyond the mapped columns are ignored.
+    Rows are parsed a block at a time, one column at a time. A plain file
+    (UTF-8 text with no ``"``, carriage return or NUL, no blank line,
+    every row as wide as the header and no line longer than
+    ``csv.field_size_limit()``) is split on newlines and commas; any other
+    file, and a plain file with a bad row, is read by ``csv.reader``, from
+    the start. Both readers give the same table and the same errors.
+
+    A row is bad if it is short a mapped column, or if a label, latitude,
+    longitude, coordinate range, reference date, feature or target cell is
+    bad; the first bad row in file order raises a DataError naming its
+    file line and its first bad column in that order. Blank lines are
+    skipped and cells beyond the mapped columns are ignored.
     """
     path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            table = _read_plain(handle, schema)
+    except UnicodeDecodeError:
+        table = None
+    if table is not None:
+        return table
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -184,19 +196,76 @@ def ingest_csv(path: str | Path, schema: CsvSchema = CsvSchema()) -> GeoTable:
             raise _read_error(exc, reader, path) from None
         parser = _BlockParser(header, schema)
         for block, lines in _blocks(reader, path):
-            if not parser.parse(block):
+            if min(map(len, block)) < parser.width or not parser.parse_columns(list(zip(*block))):
                 parser.raise_first_bad_row(block, lines)
     return parser.table()
 
 
-# Rows are held a block at a time so that few row lists are alive at once;
-# each one the cyclic GC sees counts toward its next collection. Measured
-# over `run` plus `evaluate-model` on a 12,000-row file (two reads): with
-# every row of the file held at once, the GC ran about 60 generation-0,
-# 5.5 generation-1 and 0.5 generation-2 collections per run, 29 ms, which
-# ate much of what the column passes save; with 1,024-row blocks about
-# 26, 2.3 and 0.25 (8 ms); with 256-row blocks about 4.6, 0.4 and 0.08
-# (2 ms; the per-row reader's run took 0.7 ms).
+# The plain reader's block: about this many characters of text, read on
+# to the end of a line; some 190 rows of the benchmark's geo CSV. Its
+# cells are strings, which the cyclic GC does not track, so a block adds
+# only a few lists to the GC's count.
+_PLAIN_CHARS = 16_384
+
+
+def _read_plain(handle, schema: CsvSchema) -> GeoTable | None:
+    """The table of a plain file (see :func:`ingest_csv`), read a block
+    of lines at a time; None if the file is not plain or has a bad row."""
+    limit = csv.field_size_limit()
+    text = _plain_text(handle.readline(), limit)
+    if text is None:
+        return None
+    header = text[:-1].split(",")
+    parser = _BlockParser(header, schema)
+    while block := handle.read(_PLAIN_CHARS):
+        text = _plain_text(block + handle.readline(), limit)
+        columns = None if text is None else _plain_columns(text, len(header))
+        if columns is None or not parser.parse_columns(columns):
+            return None
+    return parser.table()
+
+
+def _plain_text(text: str, limit: int) -> str | None:
+    """Whole lines of text, ending in a newline; None if a line is blank,
+    longer than ``limit`` or holds a character that ``csv.reader`` treats
+    apart from other text (a quote, a carriage return or NUL)."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if (text.startswith("\n") or "\n\n" in text or '"' in text or "\r" in text or "\0" in text
+            or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+        return None
+    return text
+
+
+def _plain_columns(text: str, width: int) -> list[list[str]] | None:
+    """The cells of ``text``, whole lines each ending in a newline, as
+    ``width`` columns; None unless every line has ``width`` cells."""
+    rows = text.count("\n")
+    # With a comma after each newline, each line's last cell ends in its
+    # newline, and no other cell holds one.
+    cells = text.replace("\n", "\n,").split(",")
+    if len(cells) != rows * width + 1:
+        return None
+    # The cells at the last column's positions hold every newline only if
+    # each of them ends a line.
+    last = "".join(cells[width - 1::width]).split("\n")
+    if len(last) != rows + 1:
+        return None
+    del last[-1]
+    return [cells[i:rows * width:width] for i in range(width - 1)] + [last]
+
+
+# csv.reader's rows are held a block at a time so that few row lists are
+# alive at once; each one the cyclic GC sees counts toward its next
+# collection. Measured over `run` plus `evaluate-model` on a 12,000-row
+# file (two reads): with every row of the file held at once, the GC ran
+# about 60 generation-0, 5.5 generation-1 and 0.5 generation-2
+# collections per run, 29 ms, which ate much of what the column passes
+# save; with 1,024-row blocks about 26, 2.3 and 0.25 (8 ms); with 256-row
+# blocks about 4.6, 0.4 and 0.08 (2 ms; the per-row reader's run took
+# 0.7 ms). Measured again on that file with every cell quoted, 256- and
+# 128-row blocks both ran about 5.5, 0.5 and 0.05 collections per run
+# (0.7 ms), and neither size ran faster.
 _BLOCK_ROWS = 256
 
 
@@ -275,7 +344,6 @@ class _BlockParser:
         self.read_order = [*self.label_cols, (self.lat_i, schema.latitude), (self.lon_i, schema.longitude),
                            (self.date_i, schema.ref_date), *self.feature_cols, (self.target_i, schema.target)]
         self.width = 1 + max(i for i, _ in self.read_order)
-        self.label_cells = itemgetter(*(i for i, _ in self.label_cols))
 
         self.paths: dict[tuple[str, ...], int] = {}
         self.path_codes: dict = {}
@@ -284,49 +352,39 @@ class _BlockParser:
         # then one array per feature.
         self.parts: list[list[np.ndarray]] = [[] for _ in range(5 + len(self.feature_cols))]
 
-    def parse(self, block: list[list[str]]) -> bool:
-        """Convert a block of rows and keep its columns; False if any row
-        of it is bad."""
-        if min(map(len, block)) < self.width:
+    def parse_columns(self, columns: Sequence[Sequence[str]]) -> bool:
+        """Convert a block of rows, given as its cells column by column
+        (at least ``width`` columns of one length), and keep its columns;
+        False if any row of it is bad."""
+        converted = [self._path_codes([columns[i] for i, _ in self.label_cols]),
+                     _floats(columns[self.lat_i], required=True),
+                     _floats(columns[self.lon_i], required=True),
+                     self._ordinals(columns[self.date_i]),
+                     *(_floats(columns[i], required=False)
+                       for i in (self.target_i, *(i for i, _ in self.feature_cols)))]
+        if any(column is None for column in converted):
             return False
-        columns = [self._path_codes(block),
-                   _floats([row[self.lat_i] for row in block], required=True),
-                   _floats([row[self.lon_i] for row in block], required=True),
-                   self._ordinals(block),
-                   *(_floats([row[i] for row in block], required=False)
-                     for i in (self.target_i, *(i for i, _ in self.feature_cols)))]
-        if any(column is None for column in columns):
-            return False
-        _, lat, lon, *_ = columns
+        _, lat, lon, *_ = converted
         try:
             check_coordinates(lat.min(), lon.min())
             check_coordinates(lat.max(), lon.max())
         except ValueError:
             return False
-        for parts, column in zip(self.parts, columns):
+        for parts, column in zip(self.parts, converted):
             parts.append(column)
         return True
 
-    def _path_codes(self, block: list[list[str]]) -> np.ndarray | None:
-        keys = list(map(self.label_cells, block))
-        for key in dict.fromkeys(keys):
-            if key not in self.path_codes:
-                cells = (key,) if isinstance(key, str) else key
-                try:
-                    path = tuple([_label(text, c) for text, (_, c) in zip(cells, self.label_cols)])
-                except ValueError:
-                    return None
-                self.path_codes[key] = self.paths.setdefault(path, len(self.paths))
-        return np.array([self.path_codes[key] for key in keys], dtype=np.int64)
+    def _path_codes(self, labels: list[Sequence[str]]) -> np.ndarray | None:
+        keys = labels[0] if len(labels) == 1 else list(zip(*labels))
+        return _memo_codes(self.path_codes, keys, self._path_code)
 
-    def _ordinals(self, block: list[list[str]]) -> np.ndarray | None:
-        texts = [row[self.date_i] for row in block]
-        for text in set(texts).difference(self.ordinals):
-            try:
-                self.ordinals[text] = _ordinal(text, self.schema.ref_date)
-            except ValueError:
-                return None
-        return np.array([self.ordinals[text] for text in texts], dtype=np.int64)
+    def _path_code(self, key: str | tuple[str, ...]) -> int:
+        cells = (key,) if isinstance(key, str) else key
+        path = tuple([_label(text, c) for text, (_, c) in zip(cells, self.label_cols)])
+        return self.paths.setdefault(path, len(self.paths))
+
+    def _ordinals(self, texts: Sequence[str]) -> np.ndarray | None:
+        return _memo_codes(self.ordinals, texts, lambda text: _ordinal(text, self.schema.ref_date))
 
     def raise_first_bad_row(self, block: list[list[str]], lines: list[int]) -> None:
         """Check a block's rows one at a time and raise a DataError for the
@@ -359,15 +417,37 @@ class _BlockParser:
                         np.stack(features, axis=1) if features else np.empty((len(target), 0)), target)
 
 
-def _floats(cells: list[str], required: bool) -> np.ndarray | None:
+def _memo_codes(memo: dict, keys: Sequence, code) -> np.ndarray | None:
+    """``memo[key]`` for each key, as int64. Keys the memo lacks are first
+    added, in order of first appearance, as ``code(key)``; None if that
+    raises ValueError."""
+    try:
+        return np.fromiter(map(memo.__getitem__, keys), dtype=np.int64, count=len(keys))
+    except KeyError:
+        pass
+    for key in dict.fromkeys(keys):
+        if key not in memo:
+            try:
+                memo[key] = code(key)
+            except ValueError:
+                return None
+    return np.fromiter(map(memo.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _floats(cells: Sequence[str], required: bool) -> np.ndarray | None:
     """The cells as numbers, blank ones as NaN; None if any cell is not a
     number, holds a non-finite value, or (when required) is blank. This
     is :func:`_number` over a column."""
     try:
-        values = np.array([float(text) if (text := cell.strip()) else math.nan for cell in cells],
-                          dtype=np.float64)
+        values = np.fromiter(map(float, [cell or "nan" for cell in cells]), dtype=np.float64, count=len(cells))
     except ValueError:
-        return None
+        # float() strips what str.strip() does, except U+001C to U+001F,
+        # which it rejects; it also rejects a cell of whitespace alone.
+        try:
+            values = np.array([float(text) if (text := cell.strip()) else math.nan for cell in cells],
+                              dtype=np.float64)
+        except ValueError:
+            return None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size and (required or any(cells[k].strip() for k in bad)):
         return None

@@ -5,6 +5,7 @@ import numpy as np
 from spatialfl.data import ClientDataset, train_valid_split
 from spatialfl.federation import (
     TierTopology,
+    aggregate,
     plan_rounds,
     round_seed,
     run_tier_round,
@@ -160,6 +161,24 @@ def random_tree(rng, n_clients):
     """A random tier tree over ``n_clients`` (two or more) clients
     (:func:`random_paths`)."""
     return TierTopology(random_paths(rng, n_clients))
+
+
+def child_order_models(topology, rows, dims, mode):
+    """Every interior node's model as :func:`aggregate` over its
+    children in ascending id order, from ``rows``: client id to
+    (parameter row, raw weight). An interior child brings its own model
+    and the sum of its clients' weights."""
+    models = {}
+
+    def fold(node):
+        if node in rows:
+            return rows[node]
+        parts = [fold(child) for child in sorted(topology.children(node))]
+        models[node] = aggregate([v for v, _ in parts], [w for _, w in parts], mode, dims)
+        return models[node].vector, sum(w for _, w in parts)
+
+    fold(topology.root_id)
+    return models
 
 
 def separable_client(client_id, n=20, seed=0, flip=False):

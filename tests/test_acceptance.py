@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import no_encoding, random_buffer, random_paths, random_tree, spans
+from helpers import child_order_models, no_encoding, random_buffer, random_paths, random_tree, spans
 from reference import (
     adam_step,
     backward,
@@ -192,20 +192,21 @@ def test_aggregation_algebra():
             convex &= bool(np.all(vec <= params.max(axis=0) + 1e-15))
     check("aggregation algebra: convexity", convex, f"{cases} cases")
 
-    # Rows come in the topology's client order, so invariance is to the
-    # order in which the tree's paths are listed.
+    # The order in which the paths are listed does not change the tree,
+    # and each interior node folds its children in ascending id order.
     permutation = True
     for _ in range(cases):
         dims = (2, 3, 2)
         paths = random_paths(rng, int(rng.integers(2, 8)))
         topology = TierTopology(paths)
         params, counts = random_buffer(len(topology.clients()), dims, rng)
-        shuffled = TierTopology(paths[i] for i in rng.permutation(len(paths)))
+        permutation &= TierTopology(paths[i] for i in rng.permutation(len(paths))) == topology
+        rows = dict(zip(topology.clients(), zip(params, counts)))
         for mode in AGGREGATION_MODES:
             models = aggregate_tree(topology, params, counts, dims, mode)
-            again = aggregate_tree(shuffled, params, counts, dims, mode)
-            permutation &= models.keys() == again.keys()
-            permutation &= all(params_equal(models[n], again[n]) for n in models)
+            expected = child_order_models(topology, rows, dims, mode)
+            permutation &= models.keys() == expected.keys()
+            permutation &= all(params_equal(models[n], expected[n]) for n in models)
     check("aggregation algebra: permutation bit-invariance", permutation, f"{cases} cases")
 
     identity = True

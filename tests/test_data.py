@@ -33,6 +33,7 @@ from spatialfl.errors import DataError
 from spatialfl.federation import ROOT_ID, TierTopology
 from spatialfl.spatial import SpatialAttribute
 
+import reference_csv
 from reference_csv import reference_ingest
 
 Row = namedtuple("Row", "path lat lon ref_date features target")
@@ -163,6 +164,22 @@ class TestIngestCsv:
             ingest_csv(path)
         assert str(info.value) == message
 
+    def test_plain_rows_of_the_wrong_width_are_read_by_csv_reader(self, tmp_path):
+        # Eight cells, then six: as many as two rows of the header's seven,
+        # and cut into rows of seven, both rows would pass.
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER.replace("\n", ",note\n")
+                        + "NB,45.0,-66.0,2020-01-01,10.5,1.0,x,NB\n"
+                        + "45.0,-66.0,2020-01-02,11.0,2.0,x\n")
+        with pytest.raises(DataError) as info:
+            ingest_csv(path)
+        assert str(info.value) == "line 3: column 'longitude' holds '2020-01-02', not a number"
+
+    def test_quoted_cells_lose_their_quotes(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + '"NB",45.0,-66.0,2020-01-01,10.5,1.0\n')
+        assert path_of(ingest_csv(path), 0) == ("NB",)
+
     def test_hierarchy_levels_autodetected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("client_label,level_1,latitude,longitude,ref_date,target,feature_1\n"
@@ -180,6 +197,42 @@ class TestIngestCsv:
         assert rows.target[0] == 3.5
 
 
+# Cells on which float() and float(cell.strip()) part ways or nearly do:
+# float() rejects U+001C to U+001F, which str.strip() removes.
+FLOAT_CELLS = ["1.5", " 1.5\t", "\x1c1.5", "2.5\x1d", "\x1e-3\x1f", "\x1f", " ", "", "\u2003",
+               "nan", " nan", "inf", "-inf", "1e400", "-1e400", "1_0", " 1_0 ", "1__0", "-0.0", "\x1c-0.0",
+               "0x10", "1e-400", "1.0.0"]
+
+
+class TestFloats:
+    @pytest.mark.parametrize("required", [True, False])
+    @pytest.mark.parametrize("cell", FLOAT_CELLS)
+    def test_cell_converts_as_the_per_row_reader_does(self, cell, required):
+        try:
+            expected = np.float64(reference_csv._number(cell, "x", required)).tobytes()
+        except ValueError:
+            expected = None
+        got = data._floats([cell], required)
+        assert (None if got is None else got.tobytes()) == expected
+
+    @pytest.mark.parametrize("required", [True, False])
+    def test_column_converts_as_the_per_row_reader_does(self, required):
+        good = [c for c in FLOAT_CELLS if _number_or_none(c, required) is not None]
+        # float() takes the first column's cells as they are, not the second's.
+        for cells in ([c for c in good if c.isprintable() and c.strip()], good):
+            expected = np.array([_number_or_none(c, required) for c in cells]).tobytes()
+            assert data._floats(cells, required).tobytes() == expected
+        for bad in (c for c in FLOAT_CELLS if _number_or_none(c, required) is None):
+            assert data._floats([*good, bad], required) is None
+
+
+def _number_or_none(cell, required):
+    try:
+        return reference_csv._number(cell, "x", required)
+    except ValueError:
+        return None
+
+
 # Cells that strip to nothing, and padding that str.strip() removes
 # although float() alone would reject it (the information separators).
 BLANKS = ["", " ", "\t", "\x1c", " "]
@@ -193,22 +246,26 @@ FAULTS = {
 }
 
 
-def geo_csv_bytes(rng, n_rows, depth, faults):
+def geo_csv_bytes(rng, n_rows, depth, faults, plain=False):
     """A CSV of ``n_rows`` data rows (blank lines, quoted commas and
     newlines, padded and whitespace-only cells among them) with ``faults``
     injected, as ``(row, kind)`` pairs, into the row cell lists.
-    ``rng`` is a ``random.Random``."""
+    ``rng`` is a ``random.Random``. A ``plain`` file quotes no cell, ends
+    its lines in "\n" only, holds no blank line and may lack the last
+    line's newline; only its faults can make it other than plain."""
     header = ["client_label", *(f"level_{k}" for k in range(1, depth + 1)), "latitude", "longitude",
               "ref_date", "note", "target", "feature_1", "feature_2"]
     lat_i = depth + 1
+    tag = " north" if plain else ", north"
+    notes = ["", "plain", "a b", "tab\tstop"] if plain else ["", "plain", "a, b", "two\nlines", '"quoted"']
     rows = []
     for _ in range(n_rows):
         leaf = rng.randrange(12)
-        path = [f"s{leaf}" if leaf % 5 else f"s{leaf}, north", f"c{leaf % 4}", f"p{leaf % 2}"][:depth + 1]
+        path = [f"s{leaf}" if leaf % 5 else f"s{leaf}{tag}", f"c{leaf % 4}", f"p{leaf % 2}"][:depth + 1]
         numbers = [rng.choice(BLANKS) if rng.random() < 0.05 else
                    rng.choice(PADS) + repr(rng.gauss(0.0, 10.0)) + rng.choice(PADS) for _ in range(3)]
         day = date(2021, 3, 1) + timedelta(days=rng.randrange(40))
-        note = rng.choice(["", "plain", "a, b", "two\nlines", '"quoted"'])
+        note = rng.choice(notes)
         rows.append([*path, repr(rng.uniform(-90, 90)), f" {rng.uniform(-180, 180)!r}",
                      rng.choice(PADS) + day.isoformat(), note, *numbers])
     # A row cut short first would leave no cell for a later fault in it.
@@ -227,14 +284,18 @@ def geo_csv_bytes(rng, n_rows, depth, faults):
             row[lat_i + ("latitude", "longitude", "ref_date").index(kind)] = rng.choice(FAULTS[kind])
         else:
             row[rng.randrange(lat_i + 4, len(row))] = rng.choice(FAULTS["number"])
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator=rng.choice(["\n", "\r\n"]))
-    writer.writerow(header)
-    for row in rows:
-        if rng.random() < 0.03:
-            writer.writerow([])
-        writer.writerow(row)
-    return text.getvalue().encode("utf-8", errors="surrogateescape")
+    if plain:
+        text = "\n".join(",".join(row) for row in [header, *rows]) + rng.choice(["\n", ""])
+    else:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator=rng.choice(["\n", "\r\n"]))
+        writer.writerow(header)
+        for row in rows:
+            if rng.random() < 0.03:
+                writer.writerow([])
+            writer.writerow(row)
+        text = out.getvalue()
+    return text.encode("utf-8", errors="surrogateescape")
 
 
 def table_bytes(rows):
@@ -245,7 +306,8 @@ def table_bytes(rows):
 class TestIngestMatchesPerRowReader:
     # Files of two to four blocks, with at most two bad rows; the second is
     # often a few rows after the first, in the same block. Blocks of 16 rows
-    # keep most examples, and every shrink step, to tens of rows.
+    # keep most examples, and every shrink step, to tens of rows. A plain
+    # file's blocks of 1 to 3,000 characters end at many different rows.
     @given(seed=st.integers(0, 2 ** 32 - 1),
            shape=st.sampled_from([16, 256]).flatmap(lambda block: st.tuples(
                st.just(block), st.integers(block + 1, 4 * block))),
@@ -254,32 +316,43 @@ class TestIngestMatchesPerRowReader:
                                      st.sampled_from(["short", "not-utf8", "long-field", "label", "latitude",
                                                       "longitude", "ref_date", "number"])),
                            max_size=2),
-           gap=st.one_of(st.none(), st.integers(1, 8)))
+           gap=st.one_of(st.none(), st.integers(1, 8)),
+           plain=st.one_of(st.none(), st.integers(1, 3000)))
     # A failure is shrunk and reported alone, without the explain phase:
     # shrinking each distinct failure and explaining it re-ran thousands of
     # examples, most of the time a failure took to report.
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
               phases=[phase for phase in Phase if phase is not Phase.explain], report_multiple_bugs=False)
     # Two bad rows, 10 and 13, in the first block.
-    @example(seed=5, shape=(16, 40), depth=1, faults=[(0.25, "latitude"), (0.5, "number")], gap=3)
-    def test_same_table_or_same_error_as_per_row_reader(self, tmp_path, seed, shape, depth, faults, gap):
+    @example(seed=5, shape=(16, 40), depth=1, faults=[(0.25, "latitude"), (0.5, "number")], gap=3, plain=None)
+    @example(seed=5, shape=(16, 40), depth=1, faults=[(0.25, "latitude"), (0.5, "number")], gap=3, plain=200)
+    @example(seed=6, shape=(256, 600), depth=2, faults=[], gap=None, plain=1)
+    def test_same_table_or_same_error_as_per_row_reader(self, tmp_path, seed, shape, depth, faults, gap, plain):
         block, n_rows = shape
         rows = [int(at * n_rows) for at, _ in faults]
         if gap is not None and len(rows) == 2:
             rows[1] = min(rows[0] + gap, n_rows - 1)
         path = tmp_path / "geo.csv"
         path.write_bytes(geo_csv_bytes(random.Random(seed), n_rows, depth,
-                                       [(i, kind) for i, (_, kind) in zip(rows, faults)]))
+                                       [(i, kind) for i, (_, kind) in zip(rows, faults)], plain=plain is not None))
+        try:
+            expected = table_bytes(reference_ingest(path))
+        except DataError as exc:
+            expected = exc
+        readers = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data, "_BLOCK_ROWS", block)
-            try:
-                expected = table_bytes(reference_ingest(path))
-            except DataError as exc:
+            patch.setattr(data, "_PLAIN_CHARS", plain or data._PLAIN_CHARS)
+            patch.setattr(csv, "reader", lambda *args, reader=csv.reader: readers.append(1) or reader(*args))
+            if isinstance(expected, DataError):
                 with pytest.raises(DataError) as info:
                     ingest_csv(path)
-                assert str(info.value) == str(exc)
+                assert str(info.value) == str(expected)
             else:
                 assert table_bytes(ingest_csv(path)) == expected
+        # A plain file without faults never reaches the csv module.
+        if plain is not None and not faults:
+            assert readers == []
 
 
 class TestPreprocess:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     alone_round,
+    child_order_models,
     flat_topology,
     interleaved_topology,
     no_encoding,
@@ -317,19 +318,21 @@ class TestAggregationProperties:
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=100, deadline=None)
     def test_permutation_bit_invariance(self, seed):
-        # Rows come in the topology's client order, so invariance is to
-        # the order in which the tree's paths are listed.
+        # The order in which the paths are listed does not change the
+        # tree, and each interior node folds its children in ascending id
+        # order, whatever order the tree holds them in.
         rng = np.random.default_rng(seed)
         dims = (2, 3, 2)
         paths = random_paths(rng, int(rng.integers(2, 7)))
         topo = TierTopology(paths)
         params, counts = random_buffer(len(topo.clients()), dims, rng)
-        shuffled = TierTopology(paths[i] for i in rng.permutation(len(paths)))
+        assert TierTopology(paths[i] for i in rng.permutation(len(paths))) == topo
+        rows = dict(zip(topo.clients(), zip(params, counts)))
         for mode in AGGREGATION_MODES:
             models = aggregate_tree(topo, params, counts, dims, mode)
-            again = aggregate_tree(shuffled, params, counts, dims, mode)
-            assert models.keys() == again.keys()
-            assert all(params_equal(models[n], again[n]) for n in models)
+            expected = child_order_models(topo, rows, dims, mode)
+            assert models.keys() == expected.keys()
+            assert all(params_equal(models[n], expected[n]) for n in models)
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 configs in code rather than from JSON."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,15 @@ def test_kernel_bench_trains_one_cohort():
     assert iterations == 2 * kernel_bench.EPOCHS
     params, diverged = train(plan())
     assert params.shape == (3, nn.flat_length((4, 3, 2))) and diverged == {}
+
+
+def test_op_bench_alternates_a_tree_with_itself():
+    src = str(SCRIPTS.parent / "src")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "op_bench.py"), "--workload", "csv_deep", "--pairs", "2", src, src],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    *trees, summary = map(json.loads, done.stdout.splitlines())
+    assert [tree["pairs"] for tree in trees] == [2, 2] and sum(tree["won"] for tree in trees) == 2
+    assert trees[0]["digest"] == trees[1]["digest"] and summary["digests_equal"] is True
