@@ -49,12 +49,12 @@ def train_centralized(
     :class:`DataError`; if training diverges, the first such group
     in the order given is reported.
     """
-    raw, labels, codes, enc, spans = rows
+    raw, labels, codes, enc, columns, spans = rows
     pools = [np.concatenate([np.arange(*spans[c]) for c in sorted(set(group))] or [np.arange(0)])
              for group in groups]
     if any(r.size == 0 for r in pools):
         raise DataError("pooled training set is empty")
-    plan = plan_cohort(raw, labels, codes, enc, pools, init.dims, config)
+    plan = plan_cohort(raw, labels, codes, enc, pools, init.dims, config, columns)
     params, diverged = train_cohort(plan, init, [seed] * len(pools))
     if diverged:
         raise DivergenceError(f"centralized baseline: {diverged[min(diverged)]}")

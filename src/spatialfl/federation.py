@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DataError, DivergenceError, SpatialFLError
 from .nn import CohortPlan, Dims, ModelParams, TrainingConfig, flat_length, plan_cohort, train_cohort
 from .seeding import derive_seed
-from .spatial import SpatialVocabulary, encode_spatial
+from .spatial import SpatialVocabulary, encode_spatial, encoding_columns
 
 if TYPE_CHECKING:
     from .data import ClientDataset
@@ -184,32 +184,39 @@ def round_seed(master: int, client_id: str, round_index: int) -> int:
 def stack_rows(
     clients: Sequence["ClientDataset"],
     vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The clients' rows in the format the training kernel and the scorer
     read.
 
     Returns the raw ``(N, F)`` feature rows and labels of the clients, in
     the order given, each row's code (the index of its client), the
     ``(K, E)`` table of the clients' encodings (``E`` is 0 with
-    ``vocab=None``) and the client row offsets (client ``k`` owns rows
-    ``offsets[k]:offsets[k + 1]``). Nothing is encoded per row: row
-    ``i``'s model input is ``[enc[codes[i]], raw[i]]``.
+    ``vocab=None``), its layout (row ``k`` of the ``(K, A)`` array lists
+    the columns of encoding ``k`` that may be non-zero,
+    :func:`~spatialfl.spatial.encoding_columns`) and the client row
+    offsets (client ``k`` owns rows ``offsets[k]:offsets[k + 1]``).
+    Nothing is encoded per row: row ``i``'s model input is
+    ``[enc[codes[i]], raw[i]]``.
     """
     offsets = np.cumsum([0] + [c.n_rows for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
     raw = np.empty((offsets[-1], n_raw))
     labels = np.empty(offsets[-1], dtype=np.int64)
     enc = np.empty((len(clients), vocab.encoding_length if vocab is not None else 0))
+    columns = [[]] * len(clients)
     for i, (client, lo, hi) in enumerate(zip(clients, offsets, offsets[1:])):
         raw[lo:hi], labels[lo:hi] = client.features, client.labels
         if vocab is not None:
             enc[i] = encode_spatial(client.spatial, vocab)
+            columns[i] = encoding_columns(client.spatial, vocab)
     codes = np.repeat(np.arange(len(clients)), np.diff(offsets))
-    return raw, labels, codes, enc, offsets
+    columns = np.array(columns, dtype=np.intp).reshape(len(clients), len(columns[0]) if clients else 0)
+    return raw, labels, codes, enc, columns, offsets
 
 
-# :func:`stack_split`'s raw rows, labels, codes, encodings and node spans.
-StackedRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]
+# :func:`stack_split`'s raw rows, labels, codes, encodings, their layout
+# and node spans.
+StackedRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]
 
 
 def stack_split(
@@ -225,12 +232,12 @@ def stack_split(
     missing = [c for c in topology.clients() if c not in datasets]
     if missing:
         raise DataError(f"no dataset for clients: {missing}")
-    raw, labels, codes, enc, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab)
+    raw, labels, codes, enc, columns, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab)
     spans = {}
     for node_id in topology.node_ids():
         first, last = topology.client_span(node_id)
         spans[node_id] = (int(offsets[first]), int(offsets[last]))
-    return raw, labels, codes, enc, spans
+    return raw, labels, codes, enc, columns, spans
 
 
 def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
@@ -353,12 +360,13 @@ def plan_rounds(topology: TierTopology, rows: StackedRows, dims: Dims, config: T
 
     A client without training rows is named by the lowest such client id.
     """
-    raw, labels, codes, enc, spans = rows
+    raw, labels, codes, enc, columns, spans = rows
     clients = topology.clients()
     empty = [c for c in clients if spans[c][0] == spans[c][1]]
     if empty:
         raise DataError(f"client {empty[0]!r} has no training rows")
-    return plan_cohort(raw, labels, codes, enc, [np.arange(*spans[c]) for c in clients], dims, config)
+    return plan_cohort(raw, labels, codes, enc, [np.arange(*spans[c]) for c in clients], dims, config,
+                       columns)
 
 
 def run_tier_round(

@@ -480,7 +480,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # The one row layout of the run: each side of the split stacked
         # once, in depth-first client order, every node's rows one span.
         train = stack_split(topology, train_sets, vocab)
-        raw, labels, codes, enc, spans = stack_split(topology, valid_sets, vocab)
+        raw, labels, codes, enc, _, spans = stack_split(topology, valid_sets, vocab)
 
     clients = topology.clients()
     dims = (enc.shape[1] + raw.shape[1], config.hidden_dim, config.n_classes)

@@ -10,25 +10,37 @@ order, so a model moves between them without conversion.
 All training runs through one kernel in two calls. :func:`plan_cohort`
 checks and lays out the training of any number of clients that share a
 config, each with its own set of row numbers (any count, in any order,
-overlapping or not): it orders them by row count, most first, cuts them
-into consecutive cohorts whose working set fits :data:`COHORT_BYTES`
-and builds each cohort's step schedule, whose runs carry their rows'
-positions. Rows stay raw, each with a code into a table of encodings,
-and the kernel assembles a minibatch's inputs only when it trains on
-them. :func:`train_cohort` then trains a plan from an ``init`` with one
+overlapping or not). Rows stay raw, each with a code into a table of
+encodings whose layout (which columns of each encoding may be non-zero)
+comes with it, and a client trains only its active input columns: every
+raw column and the encoding columns its codes list. Every other
+first-layer weight multiplies exact zeros, so it gets a zero gradient
+and Adam never moves it. The plan groups the clients by active width,
+orders each group by row count, most first, cuts it into consecutive
+cohorts whose working set at the group's compact dims fits
+:data:`COHORT_BYTES`, and builds per cohort the places of its members'
+compact parameters in the model vector, a compact encoding table and the
+step schedule, whose runs carry their rows' positions; the kernel
+assembles a minibatch's compact inputs only when it trains on them.
+:func:`train_cohort` then trains a plan from an ``init`` with one
 minibatch seed per client, as often as a caller needs (a run's rounds
 share one plan), and returns the clients' parameters as the rows of one
 freshly allocated ``(K, P)`` buffer, in the order the clients were
-given. It trains the cohorts one after another in one set of scratch
-buffers allocated per call, where Adam updates each cohort's parameters
+given: ``init`` everywhere but at each client's active parameters. It
+trains the cohorts one after another in one set of scratch buffers
+allocated per call, where Adam updates each cohort's compact parameters
 in place, and builds the views a run of clients steps in once per call.
 Within a cohort training is step-aligned: iteration ``g`` takes every
 client's own ``g``-th step, grouping neighbouring clients whose batches
-have the same size. A plan is only read by training. Its
-contract is bit-exactness: every client's parameters equal, bit for bit,
-those of a per-step reference chain (forward, softmax cross-entropy,
+have the same size. A plan is only read by training. Its contract is
+bit-exactness: every client's parameters equal, bit for bit, those of a
+per-step reference chain (forward, softmax cross-entropy,
 backpropagation, Adam; ``tests/reference.py``) run for that client alone
-on its encoded rows, which the tests check on random ragged cohorts.
+on its encoded rows cut down to its active columns, from ``init`` cut
+down to them, which the tests check on random ragged cohorts. In exact
+arithmetic that is the dense model's training; in floating point only
+the forward pass's dot products are shorter, so the parameters differ
+from a dense chain's in the last bits.
 A step's arrays are small (a few thousand entries), so numpy's per-call
 cost, not arithmetic, sets its time. The softmax's maximum and sum over
 a short class axis therefore run as elementwise ops over the class
@@ -172,41 +184,45 @@ def _non_finite_layer(vector: np.ndarray, dims: Dims) -> str | None:
 
 
 def working_set_bytes(dims: Dims, batch_size: int) -> int:
-    """Bytes :func:`train_cohort` works in per client of a cohort whose
-    clients each use one encoding, beyond the rows themselves.
+    """Bytes :func:`train_cohort` works in per client of a cohort at
+    ``dims`` (its compact dims, see :func:`plan_cohort`) whose clients
+    each use one encoding, beyond the rows themselves.
 
     Five rows of ``P`` floats (parameters, gradient, both Adam moments and
     the Adam step) and a ``P``-byte finiteness mask; the client's row of
-    the full-width encoding table; and one minibatch of ``batch_size``
-    rows with what a step computes from it: the assembled inputs and
-    their raw part; five hidden-layer arrays (the pre-activation, the
-    activation, the gradient and two more: the previous step's gradient,
-    or the 64-bit ReLU mask and numpy's buffer for casting the boolean
-    mask to it, or the gradient's rows-first copy for its bias sum and
-    numpy's buffer for summing that into the strided gradient row); the
-    logits and two more arrays as wide (their rows-first copy for the
-    bias sum and numpy's buffer for summing it, or one at a time the
-    class maximum and the class sum); the boolean ReLU mask; and four
-    index vectors (the rows' numbers, their codes, their flat label index
-    and the label base).
+    its cohort's encoding table; and one minibatch of ``batch_size`` rows
+    with what a step computes from it: the assembled inputs and, while
+    they are assembled, their raw part; five hidden-layer arrays (the
+    pre-activation, the activation, the gradient, a spare one that holds
+    the 64-bit ReLU mask and then the gradient's rows-first copy for its
+    bias sum, and numpy's buffer for adding the bias across a batch's
+    rows, as large as the pre-activation up to 64 KiB); the logits and one
+    more array as wide (numpy's buffer for adding their bias, their class
+    maximum or sum, or their rows-first copy for the bias sum, one at a
+    time); the one-byte ReLU mask; and four index vectors (the rows'
+    positions, their numbers, their table rows or flat label index, and
+    the label base).
     """
     input_dim, hidden_dim, n_classes = dims
     n_params = flat_length(dims)
-    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 5 * hidden_dim + 3 * n_classes + 4)
+    words = 5 * n_params + input_dim + batch_size * (2 * input_dim + 5 * hidden_dim + 2 * n_classes + 4)
     return 8 * words + n_params + batch_size * hidden_dim
 
 
 # Upper bound on the memory one training call works in (working_set_bytes
-# per client of a cohort), beyond its rows, its plan and its (K, P)
-# result. Training rows are held raw, so this bounds training's memory
-# beyond them whatever the number of clients; a cohort this large
-# already shares the per-step numpy overhead among enough clients that
-# larger ones gain little. What it cannot bound grows with the rows and
-# the steps, not with the clients of a cohort: the plan's encoding table,
-# its row numbers and its position arrays (8 bytes per row and epoch),
-# the call's epoch orders (8 bytes per row of a cohort), and the Python
-# objects of the plan's schedule and of each cohort's views, a few
-# hundred bytes per run of clients that take a step together.
+# per client of a cohort, at the cohort's compact dims), beyond its rows,
+# its plan and its (K, P) result. Training rows are held raw, so this
+# bounds training's memory beyond them whatever the number of clients; a
+# cohort this large already shares the per-step numpy overhead among
+# enough clients that larger ones gain little. What it cannot bound grows
+# with the rows, the steps and the active parameters, not with the
+# clients of a cohort: the plan's compact encoding tables, its parameter
+# indices (8 bytes per active parameter of every client), its row
+# numbers, their table rows and their position arrays (8 bytes per row
+# and epoch), the call's epoch orders and their identity (16 bytes per
+# row of a cohort), and the Python objects of the plan's schedule, of a
+# cohort's minibatch generators and of its views, about a KB per client
+# and a few KB per run of clients that take a step together.
 COHORT_BYTES = 4 << 20
 
 
@@ -218,31 +234,44 @@ def cohort_slices(n_clients: int, dims: Dims, batch_size: int) -> list[slice]:
 
 
 class _Scratch(NamedTuple):
-    """The working buffers of one training call, sized for its plan's
-    first cohort (the most clients, the most rows, the widest batch).
-    Every cohort works in their start."""
+    """The working buffers of one training call, each sized for the
+    plan's cohort that needs most of it. Every cohort carves its buffers
+    from their start (:func:`_carve`), so that a step allocates no array
+    as large as its minibatch's hidden layer."""
 
-    params: np.ndarray    # (clients, P), like the gradient, Adam moments and step
-    grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: np.ndarray
-    finite: np.ndarray    # (clients, P) bool
-    batch: np.ndarray     # one minibatch per client, flat, viewed per run
-    pre: np.ndarray
-    hidden: np.ndarray
-    probs: np.ndarray
-    order: np.ndarray     # each client's epoch order, as row numbers of the call
+    floats: np.ndarray    # parameters, gradient, Adam moments and step, then the batch arrays
+    finite: np.ndarray    # bool, one entry per compact parameter of the cohort
+    on: np.ndarray        # the ReLU mask's bytes: one per hidden unit of a minibatch row
+    order: np.ndarray     # each client's epoch order, as positions of its part's rows
+    positions: np.ndarray  # arange: the positions in order
 
 
-def _scratch(clients: int, rows: int, width: int, dims: Dims) -> _Scratch:
-    i_dim, h_dim, c_dim = dims
-    shape = (clients, flat_length(dims))
-    return _Scratch(
-        *(np.empty(shape) for _ in range(5)), np.empty(shape, dtype=bool),
-        np.empty(clients * width * i_dim), np.empty(clients * width * h_dim),
-        np.empty(clients * width * h_dim), np.empty(clients * width * c_dim),
-        np.empty(rows, dtype=np.intp))
+def _sizes(part: "_Part", batch_size: int) -> tuple[int, list[int]]:
+    """A cohort's compact parameter count per client and the floats of
+    its buffers: five ``(clients, P_w)`` rows, then one minibatch per
+    client of its inputs, pre-activations, activations, logits, hidden
+    gradient and one spare array as wide (the int64 ReLU mask, then the
+    gradient's rows-first copy for its bias sum)."""
+    k, (i_dim, h_dim, c_dim) = part.members.size, part.dims
+    n_params, width = flat_length(part.dims), k * min(batch_size, part.bounds[1])
+    return n_params, [k * n_params] * 5 + [width * w for w in (i_dim, h_dim, h_dim, c_dim, h_dim, h_dim)]
+
+
+def _scratch(parts: Sequence["_Part"], batch_size: int) -> _Scratch:
+    sizes = [_sizes(part, batch_size)[1] for part in parts]
+    rows = max(part.bounds[-1] for part in parts)
+    return _Scratch(np.empty(max(map(sum, sizes))), np.empty(max(size[0] for size in sizes), dtype=bool),
+                    np.empty(max(size[6] for size in sizes), dtype=bool), np.empty(rows, dtype=np.intp),
+                    np.arange(rows))
+
+
+def _carve(scratch: _Scratch, part: "_Part", batch_size: int) -> list[np.ndarray]:
+    """A cohort's five ``(clients, P_w)`` buffers, then its six flat
+    minibatch buffers, as consecutive views of ``scratch.floats``."""
+    n_params, sizes = _sizes(part, batch_size)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    views = [scratch.floats[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return [view.reshape(-1, n_params) for view in views[:5]] + views[5:]
 
 
 def _view(buffer: np.ndarray, clients: int, rows: int, cols: int) -> np.ndarray:
@@ -285,10 +314,15 @@ def _schedule(counts: np.ndarray, batch_size: int, epochs: int) -> list:
 
 
 class _Part(NamedTuple):
-    """One cohort of a :class:`CohortPlan`."""
+    """One cohort of a :class:`CohortPlan`: clients that train at the same
+    compact dims."""
 
     members: np.ndarray   # the clients' indices in the call, most rows first
-    rows: np.ndarray      # their row numbers, client after client
+    dims: Dims            # (active input columns, hidden, classes) of every member
+    index: np.ndarray     # (members, P_w): where each compact parameter sits in the model vector
+    table: np.ndarray     # compact encoding rows as input rows, whose raw columns each batch overwrites
+    rows: np.ndarray      # the members' row numbers, client after client
+    slots: np.ndarray     # the table row of each position of rows
     bounds: list[int]     # member i's rows are rows[bounds[i]:bounds[i + 1]]
     schedule: list        # its step-aligned schedule (_schedule)
 
@@ -298,17 +332,14 @@ class CohortPlan(NamedTuple):
     :func:`plan_cohort` for any number of :func:`train_cohort` calls,
     which only read it.
 
-    ``raw``, ``labels`` and ``codes`` are the caller's arrays (copied only
-    where their dtype differs), ``table`` the encodings up to the last one
-    the rows use as full-width input rows, whose raw columns each batch
-    overwrites, and ``counts`` every client's row count in the order
-    given. ``parts`` are the cohorts, in training order.
+    ``raw`` and ``labels`` are the caller's arrays (copied only where
+    their dtype differs), and ``counts`` every client's row count in the
+    order given. ``parts`` are the cohorts, in training order, each with
+    its own compact encoding table.
     """
 
     raw: np.ndarray
     labels: np.ndarray
-    codes: np.ndarray
-    table: np.ndarray
     dims: Dims
     config: TrainingConfig
     counts: tuple[int, ...]
@@ -323,6 +354,7 @@ def plan_cohort(
     rows: Sequence[np.ndarray],
     dims: Dims,
     config: TrainingConfig,
+    columns: np.ndarray | None = None,
 ) -> CohortPlan:
     """Check and lay out the training of K clients at ``dims`` under
     ``config``, for :func:`train_cohort`.
@@ -334,17 +366,33 @@ def plan_cohort(
     ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding table
     (``E`` is 0 with encoding off) followed by the raw features.
 
-    The plan orders the clients by row count, most first (ties keep the
-    order given), cuts them into consecutive cohorts
-    (:func:`cohort_slices`) whose working set fits :data:`COHORT_BYTES`,
-    and holds each cohort's step schedule. Shapes, row numbers and codes
-    that disagree, or a label of a row some client trains on outside
+    ``columns`` is the table's layout: row ``c`` of the ``(C, A)`` array
+    lists, ascending, the columns of ``enc[c]`` that may be non-zero
+    (:func:`~spatialfl.federation.stack_rows` takes it from the
+    vocabulary); every other entry must be 0.0. None means every column.
+    A client's active input columns are every raw column and the columns
+    its rows' codes list. Every other first-layer weight multiplies only
+    exact zeros in its inputs, so its gradient is zero and Adam never
+    moves it: the client trains a compact model over its active columns
+    from ``init`` cut down to them, and its other parameters stay
+    ``init``'s.
+
+    The plan groups the clients by active width, then orders each group
+    by row count, most first (ties keep the order given), and cuts it into
+    consecutive cohorts (:func:`cohort_slices`, at the group's compact
+    dims) whose working set fits :data:`COHORT_BYTES`. Per cohort it
+    holds its members' compact parameters' places in the model vector,
+    its compact encoding table (a cohort whose members use every column
+    reads one table of full input rows, shared by every such cohort) with
+    the table row of each of its rows, and its step schedule. Shapes, row
+    numbers, codes and columns that disagree, an encoding entry outside
+    its row's columns, or a label of a row some client trains on outside
     ``[0, n_classes)``, raise :class:`SpatialFLError`.
     """
     if len(dims) != 3 or min(dims) < 1:
         raise SpatialFLError(f"dims must be three integers >= 1, got {dims}")
     dims = tuple(dims)
-    input_dim, _, n_classes = dims
+    input_dim, hidden_dim, n_classes = dims
     raw = np.asarray(raw, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.intp)
@@ -361,31 +409,117 @@ def plan_cohort(
     if counts.min() < 1:
         raise SpatialFLError(f"client {int(np.argmin(counts))} has no rows")
     # Only the rows some client trains on are checked.
-    used = np.zeros(len(raw), dtype=bool)
-    for r in rows:
-        if r.min() < 0 or r.max() >= len(raw):
-            raise SpatialFLError(f"row numbers must lie in [0, {len(raw)})")
-        used[r] = True
-    if labels.min(where=used, initial=0) < 0 or labels.max(where=used, initial=0) >= n_classes:
+    every = np.concatenate(rows)
+    if every.min() < 0 or every.max() >= len(raw):
+        raise SpatialFLError(f"row numbers must lie in [0, {len(raw)})")
+    if labels[every].min() < 0 or labels[every].max() >= n_classes:
         raise SpatialFLError(f"labels must lie in [0, {n_classes})")
-    last_code = int(codes.max(where=used, initial=0))
-    if codes.min(where=used, initial=0) < 0 or last_code >= len(enc):
+    every_code = codes[every]
+    if every_code.min() < 0 or every_code.max() >= len(enc):
         raise SpatialFLError(f"row codes must lie in [0, {len(enc)})")
-    # The encodings up to the last one the rows use, as full input rows
-    # whose raw columns each batch overwrites: one take then assembles a
-    # batch.
-    table = np.zeros((last_code + 1, input_dim))
-    table[:, :enc.shape[1]] = enc[:last_code + 1]
+    e_dim = enc.shape[1]
+    if columns is None:
+        columns = np.broadcast_to(np.arange(e_dim), enc.shape)
+    else:
+        columns = np.asarray(columns, dtype=np.intp)
+        if (columns.ndim != 2 or len(columns) != len(enc) or columns.shape[1] > e_dim
+                or (columns.size and (columns.min() < 0 or columns.max() >= e_dim))
+                or (np.diff(columns, axis=1) <= 0).any()):
+            raise SpatialFLError(f"encoding columns {columns.shape} must list, ascending, columns in "
+                                 f"[0, {e_dim}) of each of the {len(enc)} encodings")
+        outside = np.count_nonzero(enc, axis=1) != np.count_nonzero(np.take_along_axis(enc, columns, axis=1), axis=1)
+        if outside.any():
+            raise SpatialFLError(f"encoding {int(np.argmax(outside))} has a non-zero entry outside its columns")
 
-    # The schedule needs row counts that do not increase along a cohort.
+    # Each client's active encoding columns: those of its code, or for a
+    # client whose rows use several codes, the union of theirs. (Masks,
+    # not np.unique, which imports numpy.ma: a lasting MiB of memory.)
+    starts = np.cumsum(counts) - counts
+    first = np.minimum.reduceat(every_code, starts)
+    pooled = np.flatnonzero(first != np.maximum.reduceat(every_code, starts)).tolist()
+    widths = np.full(k, columns.shape[1])
+    union = {}  # a pooled client's codes, ascending, and its columns
+    for i in pooled:
+        used = np.zeros(len(enc), dtype=bool)
+        used[every_code[starts[i]:starts[i] + counts[i]]] = True
+        active = np.zeros(e_dim, dtype=bool)
+        active[columns[used]] = True
+        union[i] = np.flatnonzero(used), np.flatnonzero(active)
+        widths[i] = union[i][1].size
+    # Row-long and no longer needed: freed before the cohorts' own arrays.
+    del every, every_code
+    one_code = np.ones(k, dtype=bool)
+    one_code[pooled] = False
+
+    # Grouped by width, then ordered by row count, most first: the
+    # schedule needs row counts that do not increase along a cohort.
     order = np.argsort(-counts, kind="stable")
+    order = order[np.argsort(widths[order], kind="stable")]
+    cuts = [0, *(np.flatnonzero(np.diff(widths[order])) + 1).tolist(), k]
+    shared = []  # the table of full input rows, once a cohort needs it
     parts = []
-    for part in cohort_slices(k, dims, config.batch_size):
-        members = order[part]
-        parts.append(_Part(members, np.concatenate([rows[i] for i in members]),
-                           [0, *np.cumsum(counts[members]).tolist()],
-                           _schedule(counts[members], config.batch_size, config.epochs)))
-    return CohortPlan(raw, labels, codes, table, dims, config, tuple(counts.tolist()), tuple(parts))
+    for lo, hi in zip(cuts, cuts[1:]):
+        width = int(widths[order[lo]])
+        part_dims = (width + raw.shape[1], hidden_dim, n_classes)
+        for part in cohort_slices(hi - lo, part_dims, config.batch_size):
+            members = order[lo:hi][part]
+            part_rows = np.concatenate([rows[i] for i in members])
+            bounds = [0, *np.cumsum(counts[members]).tolist()]
+            cols = np.empty((members.size, width), dtype=np.intp)
+            single = one_code[members]
+            if width == columns.shape[1]:  # the width of every client of one code
+                cols[single] = columns[first[members[single]]]
+            for j in np.flatnonzero(~single).tolist():
+                cols[j] = union[int(members[j])][1]
+            if width == e_dim:
+                # Every column is active: the compact rows are the full rows.
+                if not shared:
+                    shared.append(np.zeros((len(enc), input_dim)))
+                    shared[0][:, :e_dim] = enc
+                table, slots = shared[0], codes[part_rows]
+            else:
+                table, slots = _compact_table(enc, codes, first, union, members, single, cols, part_rows,
+                                              bounds, part_dims[0])
+            parts.append(_Part(members, part_dims, _compact_index(cols, e_dim, dims), table, part_rows, slots,
+                               bounds, _schedule(counts[members], config.batch_size, config.epochs)))
+    return CohortPlan(raw, labels, dims, config, tuple(counts.tolist()), tuple(parts))
+
+
+def _compact_index(cols: np.ndarray, e_dim: int, dims: Dims) -> np.ndarray:
+    """Where each client's compact parameters sit in the model vector,
+    ``(clients, P_w)``: its first-layer weights at its active encoding
+    columns ``cols`` and at every raw column (those from ``e_dim`` on),
+    row by row, then every bias and second-layer weight."""
+    input_dim, hidden_dim, _ = dims
+    k = cols.shape[0]
+    raw_cols = np.broadcast_to(np.arange(e_dim, input_dim), (k, input_dim - e_dim))
+    w1 = np.arange(hidden_dim)[:, None] * input_dim + np.concatenate([cols, raw_cols], axis=1)[:, None, :]
+    tail = np.arange(hidden_dim * input_dim, flat_length(dims))
+    return np.concatenate([w1.reshape(k, -1), np.broadcast_to(tail, (k, tail.size))], axis=1)
+
+
+def _compact_table(enc: np.ndarray, codes: np.ndarray, first: np.ndarray, union: dict,
+                   members: np.ndarray, single: np.ndarray, cols: np.ndarray, rows: np.ndarray,
+                   bounds: list[int], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cohort's compact encoding table, as input rows ``width`` wide
+    whose raw columns are zero, and the table row of each position of its
+    ``rows``: one table row per member of one code (``single``), then one
+    per code of each member whose rows use several (``union``)."""
+    blocks = [enc[first[members[single]][:, None], cols[single]]]
+    slot = np.zeros(members.size, dtype=np.intp)
+    slot[single] = np.arange(blocks[0].shape[0])
+    slots = np.repeat(slot, np.diff(bounds))
+    n = blocks[0].shape[0]
+    for j in np.flatnonzero(~single).tolist():
+        used = union[int(members[j])][0]
+        rank = np.zeros(len(enc), dtype=np.intp)
+        rank[used] = np.arange(n, n + used.size)
+        slots[bounds[j]:bounds[j + 1]] = rank[codes[rows[bounds[j]:bounds[j + 1]]]]
+        blocks.append(enc[used[:, None], cols[j]])
+        n += used.size
+    table = np.zeros((n, width))
+    table[:, :cols.shape[1]] = np.concatenate(blocks)
+    return table, slots
 
 
 def train_cohort(
@@ -400,38 +534,40 @@ def train_cohort(
     epochs from a generator seeded with ``seeds[k]``, as a permutation of
     its rows. ``init`` dims or a seed count that disagree with the plan
     raise :class:`SpatialFLError`. The plan's cohorts train one after another
-    in one set of scratch buffers allocated per call. Within a cohort,
-    training is step-aligned: iteration ``g`` takes every client's own
-    ``g``-th step, so every client still training has taken the same
-    number of Adam steps, and those clients, a prefix of the cohort, take
-    one in-place Adam update over their rows. Forward and backward run
+    in one set of scratch buffers allocated per call, each member from
+    ``init`` cut down to its active columns. Within a cohort, training is
+    step-aligned: iteration ``g`` takes every client's own ``g``-th step,
+    so every client still training has taken the same number of Adam
+    steps, and those clients, a prefix of the cohort, take one in-place
+    Adam update over their compact parameters. Forward and backward run
     once per run of neighbouring clients whose step has the same batch
     size (a full ``batch_size``, or an epoch's ragged last batch), as 3-D
     matmuls that make the same BLAS call per client as training it alone.
 
     Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
-    buffer, in the model-file order, bit-identical to the reference
-    chain's (forward, loss gradient, backward, Adam step) on its
-    assembled rows alone. Every call allocates the buffer afresh. The
-    returned dict maps the index ``k`` of each client whose parameters
-    went non-finite to the message of its first such step; that client's
-    row is garbage.
+    buffer, in the model-file order: at its active parameters
+    bit-identical to the reference chain's (forward, loss gradient,
+    backward, Adam step) on its assembled rows cut down to its active
+    columns, alone, and everywhere else ``init``'s. Every call allocates
+    the buffer afresh. The returned dict maps the index ``k`` of each
+    client whose parameters went non-finite to the message of its first
+    such step, which names the first non-finite layer; that client's row
+    is garbage.
     """
     if tuple(init.dims) != plan.dims or len(seeds) != len(plan.counts):
         raise SpatialFLError(f"init dims {init.dims} and {len(seeds)} seeds disagree with a plan "
                              f"for dims {plan.dims} and {len(plan.counts)} clients")
-    first = plan.parts[0]
-    scratch = _scratch(first.members.size, first.bounds[-1],
-                       min(plan.config.batch_size, first.bounds[1]), plan.dims)
+    scratch = _scratch(plan.parts, plan.config.batch_size)
     params = np.empty((len(plan.counts), init.n_params))
+    params[:] = init.vector
     diverged: dict[int, str] = {}
     # Overflow is reported once, as the client's divergence message, not
     # as numpy warnings along the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for part in plan.parts:
             members = part.members
-            failed = _train_part(plan, part, init, [seeds[i] for i in members], scratch)
-            params[members] = scratch.params[:members.size]
+            compact, failed = _train_part(plan, part, init, [seeds[i] for i in members], scratch)
+            params[members[:, None], part.index] = compact
             diverged.update((int(members[i]), message) for i, message in failed.items())
     return params, diverged
 
@@ -454,20 +590,30 @@ class _RunViews(NamedTuple):
     g_b1: np.ndarray
     g_w2: np.ndarray
     g_b2: np.ndarray
-    label_base: np.ndarray  # (clients, n): where each row's logits start in scratch.probs
+    label_base: np.ndarray  # (clients, n): where each row's logits start in the flat logits buffer
+    grad_hidden: np.ndarray  # (clients, n, hidden)
+    grad_hidden_t: np.ndarray
+    grad_bits: np.ndarray   # grad_hidden's bits, as int64
+    on: np.ndarray          # (clients, n, hidden) bool
+    on_bytes: np.ndarray    # on, as int8
+    mask: np.ndarray        # (clients, n, hidden) int64, in the spare buffer
+    grad_rows: np.ndarray   # (n, clients, hidden), in the spare buffer
 
 
-def _run_views(scratch: _Scratch, layers: tuple, grads: tuple, label_base: np.ndarray,
+def _run_views(buffers: list, on: np.ndarray, layers: tuple, grads: tuple, label_base: np.ndarray,
                dims: Dims, lo: int, hi: int, n: int) -> _RunViews:
     i_dim, h_dim, c_dim = dims
     g = hi - lo
     w1, b1, w2, b2 = (layer[lo:hi] for layer in layers)
-    probs = _view(scratch.probs, g, n, c_dim)
+    batch, pre, hidden, probs, grad_hidden, spare = buffers
+    probs, grad_hidden = _view(probs, g, n, c_dim), _view(grad_hidden, g, n, h_dim)
     return _RunViews(
-        _view(scratch.batch, g, n, i_dim), _view(scratch.pre, g, n, h_dim),
-        _view(scratch.hidden, g, n, h_dim), probs, probs.transpose(0, 2, 1),
+        _view(batch, g, n, i_dim), _view(pre, g, n, h_dim),
+        _view(hidden, g, n, h_dim), probs, probs.transpose(0, 2, 1),
         w1.transpose(0, 2, 1), b1[:, None, :], w2.transpose(0, 2, 1), w2, b2[:, None, :],
-        *(grad[lo:hi] for grad in grads), label_base[:g * n].reshape(g, n))
+        *(grad[lo:hi] for grad in grads), label_base[:g * n].reshape(g, n),
+        grad_hidden, grad_hidden.transpose(0, 2, 1), grad_hidden.view(np.int64), _view(on, g, n, h_dim), _view(on.view(np.int8), g, n, h_dim),
+        _view(spare.view(np.int64), g, n, h_dim), _view(spare, n, g, h_dim))
 
 
 def _train_part(
@@ -476,28 +622,29 @@ def _train_part(
     init: ModelParams,
     seeds: Sequence[int],
     scratch: _Scratch,
-) -> dict[int, str]:
-    """Train one cohort of a plan from ``init`` in the start of the call's
-    scratch buffers, leaving member ``i``'s parameters in
-    ``scratch.params[i]``.
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Train one cohort of a plan from ``init`` at its compact dims in the
+    start of the call's scratch buffers.
 
-    Row ``j``'s input is ``plan.table[plan.codes[j]]`` with its raw
-    columns replaced by ``plan.raw[j]``. Returns the divergence messages
+    Row position ``j``'s input is ``part.table[part.slots[j]]`` with its
+    raw columns replaced by ``plan.raw[part.rows[j]]``. Returns the
+    members' compact parameters, ``(members, P_w)`` in the order of
+    ``part.index``, as a view of the scratch, and the divergence messages
     by member number.
     """
-    config, raw, labels, codes, table = plan.config, plan.raw, plan.labels, plan.codes, plan.table
-    rows, bounds = part.rows, part.bounds
+    config, raw, labels = plan.config, plan.raw, plan.labels
+    rows, slots, table, bounds, dims = part.rows, part.slots, part.table, part.bounds, part.dims
     k = part.members.size
-    e_dim = plan.dims[0] - raw.shape[1]
-    # The six (clients, P) buffers, cut to the cohort's clients.
-    params, grad, m, v, step, finite = (buf[:k] for buf in scratch[:6])
-    params[:] = init.vector
+    e_dim = dims[0] - raw.shape[1]
+    params, grad, m, v, step, *buffers = _carve(scratch, part, config.batch_size)
+    finite = scratch.finite[:params.size].reshape(params.shape)
+    np.take(init.vector, part.index, mode="clip", out=params)
     m.fill(0.0)
     v.fill(0.0)
-    order, flat_probs = scratch.order, scratch.probs
-    layers, grads = _layer_views(params, plan.dims), _layer_views(grad, plan.dims)
-    # Where row j of a batch's flat logits starts in scratch.probs.
-    label_base = np.arange(k * min(config.batch_size, bounds[1])) * plan.dims[2]
+    order, flat_probs = scratch.order, buffers[3]
+    layers, grads = _layer_views(params, dims), _layer_views(grad, dims)
+    # Where row j of a batch's flat logits starts in the logits buffer.
+    label_base = np.arange(k * min(config.batch_size, bounds[1])) * dims[2]
     # Each run's views, built at its first step.
     views: dict[tuple[int, int, int], _RunViews] = {}
 
@@ -507,21 +654,24 @@ def _train_part(
     diverged: dict[int, str] = {}
     for t, (new, group) in enumerate(part.schedule, start=1):
         for c in new:
-            # The client's rows shuffled in place: the same permutation,
-            # and the same draws, as rows[rng.permutation(n)].
+            # The client's row positions shuffled in place: the same
+            # permutation, and the same draws, as rng.permutation(n).
             epoch = order[bounds[c]:bounds[c + 1]]
-            epoch[:] = rows[bounds[c]:bounds[c + 1]]
+            epoch[:] = scratch.positions[bounds[c]:bounds[c + 1]]
             rngs[c].shuffle(epoch)
         for lo, hi, n, positions in group:
             run = views.get((lo, hi, n))
             if run is None:
-                run = views[lo, hi, n] = _run_views(scratch, layers, grads, label_base, plan.dims, lo, hi, n)
+                run = views[lo, hi, n] = _run_views(buffers, scratch.on, layers, grads, label_base, dims,
+                                                    lo, hi, n)
             (batch, pre_hidden, hidden, probs, probs_t, w1_t, b1, w2_t, w2, b2,
-             g_w1, g_b1, g_w2, g_b2, run_base) = run
-            idx = order[positions]
-            # The rows' inputs [enc[codes[idx]], raw[idx]], assembled as
-            # one contiguous (clients, rows, input_dim) batch.
-            np.take(table, codes[idx], axis=0, mode="clip", out=batch)
+             g_w1, g_b1, g_w2, g_b2, run_base, grad_hidden, grad_hidden_t, grad_bits, on, on_bytes,
+             mask, grad_rows) = run
+            at = order[positions]
+            idx = rows[at]
+            # The rows' compact inputs, assembled as one contiguous
+            # (clients, rows, input_dim) batch.
+            np.take(table, slots[at], axis=0, mode="clip", out=batch)
             batch[..., e_dim:] = np.take(raw, idx, axis=0)
             # Forward, keeping the pre-activation for backward.
             np.matmul(batch, w1_t, out=pre_hidden)
@@ -543,16 +693,20 @@ def _train_part(
             probs /= n
             # Backward into the flat gradient buffer.
             np.matmul(probs_t, hidden, out=g_w2)
-            _row_sum(probs, g_b2)
+            _row_sum(probs, g_b2, np.empty((n, hi - lo, dims[2])))
             # The ReLU gradient, masked in place: its bits ANDed with all
             # ones where the unit is on and all zeros where it is off. That
             # is the reference's np.where bit for bit (+0.0 at every masked
             # entry, inf and NaN too) without allocating its result.
-            grad_hidden = np.matmul(probs, w2)
-            bits = grad_hidden.view(np.int64)
-            np.bitwise_and(bits, np.negative(pre_hidden > 0.0, dtype=np.int64), out=bits)
-            np.matmul(grad_hidden.transpose(0, 2, 1), batch, out=g_w1)
-            _row_sum(grad_hidden, g_b1)
+            # The mask is built as int8 0 / -1 and widened, which numpy
+            # does without the buffer a cast inside a ufunc would take.
+            np.matmul(probs, w2, out=grad_hidden)
+            np.greater(pre_hidden, 0.0, out=on)
+            np.negative(on_bytes, out=on_bytes)
+            np.copyto(mask, on_bytes)
+            np.bitwise_and(grad_bits, mask, out=grad_bits)
+            np.matmul(grad_hidden_t, batch, out=g_w1)
+            _row_sum(grad_hidden, g_b1, grad_rows)
         # Bias-corrected Adam over the clients still training, in place,
         # in the reference Adam step's order: each of them has now taken t
         # steps. Once v is updated the gradient rows are free (the next
@@ -576,8 +730,8 @@ def _train_part(
         if not np.isfinite(x, out=finite[:live]).all():
             for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
                 if i not in diverged:
-                    diverged[i] = _divergence_message(params[i], plan.dims)
-    return diverged
+                    diverged[i] = _divergence_message(params[i], dims)
+    return params, diverged
 
 
 def _class_reduce(ufunc, x: np.ndarray) -> np.ndarray:
@@ -599,16 +753,20 @@ def _class_reduce(ufunc, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_sum(x: np.ndarray, out: np.ndarray) -> None:
+def _row_sum(x: np.ndarray, out: np.ndarray, rows_first: np.ndarray) -> None:
     """``x.sum(axis=1)`` of a ``(clients, rows, width)`` array into ``out``,
     each client's equal bit for bit to the sum of its ``(rows, width)``
     part over axis 0. numpy sums that part row after row, except a single
     column, which it sums pairwise as a contiguous axis. Row after row
-    runs fastest with the rows outermost, as a contiguous copy."""
+    runs fastest with the rows outermost, as a contiguous copy (into the
+    ``(rows, clients, width)`` buffer ``rows_first``), summed into a
+    contiguous ``(clients, width)`` array and then assigned: numpy would
+    buffer the whole copy to sum it into the strided ``out``."""
     if x.shape[2] == 1:
         np.sum(x, axis=1, out=out)
     else:
-        np.add.reduce(x.transpose(1, 0, 2).copy(), axis=0, out=out)
+        np.copyto(rows_first, x.transpose(1, 0, 2))
+        out[...] = np.add.reduce(rows_first, axis=0)
 
 
 def _divergence_message(vector: np.ndarray, dims: Dims) -> str:

@@ -4,6 +4,8 @@ A client is identified by coordinates and a hierarchy path ordered leaf
 to root (e.g. ``[station, city]``). Its encoding is two min-max
 normalised coordinates followed by one one-hot block per hierarchy
 level, leaf level first; the encoding is prepended to raw model inputs.
+Only the coordinates and one column per block can be non-zero
+(:func:`encoding_columns`), which the training kernel relies on.
 Coordinates and hierarchy blocks can each be switched off when the
 vocabulary is built.
 """
@@ -142,3 +144,18 @@ def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> np.ndarr
             block[vocab.level_index(level, label)] = 1.0
             parts.append(block)
     return np.concatenate(parts)
+
+
+def encoding_columns(attr: SpatialAttribute, vocab: SpatialVocabulary) -> list[int]:
+    """The columns of :func:`encode_spatial`'s vector that may be non-zero,
+    ascending: both coordinates, then the attribute's label column in each
+    level's block. Every other entry is exactly 0.0. A coordinate at its
+    bound encodes 0.0 too, and is listed all the same: the columns follow
+    from the vocabulary's layout, never from values."""
+    columns = [0, 1] if vocab.include_coordinates else []
+    if vocab.include_hierarchy:
+        start = len(columns)
+        for level, label in enumerate(attr.hierarchy_path):
+            columns.append(start + vocab.level_index(level, label))
+            start += len(vocab.levels[level])
+    return columns

@@ -56,12 +56,12 @@ def without_rows_of(rows, client_ids):
     clients removed and every node's span shrunk to match: those clients'
     spans are empty, which no stack of datasets (each holding at least one
     row) gives."""
-    raw, labels, codes, enc, node_spans = rows
+    raw, labels, codes, enc, columns, node_spans = rows
     keep = np.ones(labels.size, dtype=bool)
     for c in client_ids:
         keep[slice(*node_spans[c])] = False
     kept = np.concatenate(([0], np.cumsum(keep)))
-    return (raw[keep], labels[keep], codes[keep], enc,
+    return (raw[keep], labels[keep], codes[keep], enc, columns,
             {node_id: (int(kept[lo]), int(kept[hi])) for node_id, (lo, hi) in node_spans.items()})
 
 
@@ -78,8 +78,8 @@ def split_clients(datasets, seed):
 def train_alone(dataset, init, config, seed, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
     a cohort of one of the training kernel, seeded with ``seed``."""
-    raw, labels, codes, enc, offsets = stack_rows([dataset], vocab)
-    plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+    raw, labels, codes, enc, columns, offsets = stack_rows([dataset], vocab)
+    plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
     params, diverged = train_cohort(plan, init, [seed])
     assert diverged == {}
     return ModelParams(params[0], init.dims)

@@ -6,7 +6,8 @@ gradient, hand-written backpropagation to the flat gradient vector, and
 one bias-corrected Adam step over the flat parameter vector. Every
 function works on one client's assembled rows and allocates freely. The
 finite-difference and Adam oracles check this chain, and the kernel must
-reproduce it bit for bit.
+reproduce it bit for bit on each client's active input columns
+(:func:`compact_reference_train`).
 """
 
 from __future__ import annotations
@@ -135,6 +136,23 @@ def reference_train(init, features, labels, config, seed):
             grad = backward(params, features[idx], grad_logits)
             params, state = adam_step(params, grad, state, config)
     return params
+
+
+def compact_reference_train(init, features, labels, config, seed, active):
+    """The kernel's contract: :func:`reference_train` on the assembled rows
+    cut down to the input columns ``active`` (ascending), from ``init`` cut
+    down to them, with the result scattered back into ``init``. Every
+    other first-layer weight keeps ``init``'s value."""
+    active = np.asarray(active, dtype=np.intp)
+    input_dim, hidden_dim, n_classes = init.dims
+    w1_end = hidden_dim * input_dim
+    compact = ModelParams(np.concatenate([init.layer1_weights[:, active].ravel(), init.vector[w1_end:]]),
+                          (active.size, hidden_dim, n_classes))
+    trained = reference_train(compact, features[:, active], labels, config, seed)
+    vector = init.vector.copy()
+    vector[:w1_end].reshape(hidden_dim, input_dim)[:, active] = trained.layer1_weights
+    vector[w1_end:] = trained.vector[hidden_dim * active.size:]
+    return ModelParams(vector, init.dims)
 
 
 def tree_sum_levels(vectors: list[np.ndarray]) -> np.ndarray:

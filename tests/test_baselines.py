@@ -31,7 +31,7 @@ from spatialfl.nn import (
     predict_rows,
     train_cohort,
 )
-from spatialfl.spatial import build_vocabulary, encode_spatial
+from spatialfl.spatial import build_vocabulary, encode_spatial, encoding_columns
 
 
 def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
@@ -89,8 +89,8 @@ class TestCentralized:
     def pooled_alone(group, init, config, seed, vocab):
         """A group's pooled training rows trained as the only client of a
         kernel call."""
-        raw, labels, codes, enc, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
-        plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config)
+        raw, labels, codes, enc, columns, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
+        plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config, columns)
         params, diverged = train_cohort(plan, init, [seed])
         assert diverged == {}
         return ModelParams(params[0], init.dims)
@@ -146,7 +146,7 @@ class TestCentralized:
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=100)
         [model] = pooled([train.values()], init, config, 2, vocab)
-        raw, labels, codes, enc, _ = stack_rows(list(valid.values()), vocab)
+        raw, labels, codes, enc, _, _ = stack_rows(list(valid.values()), vocab)
         assert np.mean(predict_rows(model, raw, codes, enc) == labels) >= 0.95
 
 
@@ -167,19 +167,21 @@ class TestStackRows:
         clients = [separable_client(f"c{i}", n=6 + i, seed=i) for i in range(4)]
         vocab = build_vocabulary([c.spatial for c in clients])
         for v in (vocab, None):
-            raw, labels, codes, enc, offsets = stack_rows(clients, v)
+            raw, labels, codes, enc, columns, offsets = stack_rows(clients, v)
             blocks = encoded_blocks(clients, v)
             assert np.array_equal(np.hstack([enc[codes], raw]), np.vstack(blocks))
             assert np.array_equal(labels, np.concatenate([c.labels for c in clients]))
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
             assert enc.shape == (len(clients), v.encoding_length if v is not None else 0)
             assert codes.tolist() == np.repeat(np.arange(len(clients)), np.diff(offsets)).tolist()
+            assert columns.tolist() == [encoding_columns(c.spatial, v) if v else [] for c in clients]
 
     def test_no_rows_gives_an_empty_matrix(self):
         vocab = build_vocabulary([separable_client("c0", n=4, seed=0).spatial])
-        raw, labels, codes, enc, offsets = stack_rows([], vocab)
+        raw, labels, codes, enc, columns, offsets = stack_rows([], vocab)
         assert raw.shape == (0, 0) and enc.shape == (0, vocab.encoding_length)
         assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0]
+        assert columns.shape[0] == 0
 
 
 def members(*models):

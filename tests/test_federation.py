@@ -546,7 +546,7 @@ class TestRunTierRound:
 
         def root_accuracy(rounds):
             models, _ = run_rounds(topo, train_rows(topo, train, vocab), init, "sample_weighted", config, 21, rounds)
-            raw, labels, codes, enc, _ = stack_rows(list(valid.values()), vocab)
+            raw, labels, codes, enc, _, _ = stack_rows(list(valid.values()), vocab)
             return np.mean(predict_rows(models[topo.root_id], raw, codes, enc) == labels)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

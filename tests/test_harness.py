@@ -88,12 +88,12 @@ class TestFoldedAccuracy:
         model = init_params(dims, seed=int(rng.integers(0, 2 ** 31)))
         members = {f"m{k}": init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for k in range(3)}
 
-        raw, labels, codes, enc, spans = stack_split(topo, datasets, vocab)
+        raw, labels, codes, enc, _, spans = stack_split(topo, datasets, vocab)
         single = fold_correct(predict_rows(model, raw, codes, enc), labels, spans)
         voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
             subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
-            pooled_raw, pooled_labels, pooled_codes, pooled_enc, _ = stack_rows(subtree, vocab)
+            pooled_raw, pooled_labels, pooled_codes, pooled_enc, _, _ = stack_rows(subtree, vocab)
             assert single[node_id] / (hi - lo) == np.mean(
                 predict_rows(model, pooled_raw, pooled_codes, pooled_enc) == pooled_labels)
             assert voted[node_id] / (hi - lo) == np.mean(
@@ -449,6 +449,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(nn, "_train_part", spy)
         cohort = run_experiment(config).node_models
+        # Every client's rows have one code, so all four train at one
+        # active width: one cohort per round.
         assert [len(seeds) for seeds in calls] == [4, 4]
         calls.clear()
         monkeypatch.setattr(nn, "COHORT_BYTES", 1)

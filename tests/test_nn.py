@@ -15,6 +15,7 @@ from helpers import no_encoding, spans
 from reference import (
     adam_step,
     backward,
+    compact_reference_train,
     forward,
     init_optimizer_state,
     loss_and_grad,
@@ -485,7 +486,9 @@ class TestTrain:
 class Cohort(NamedTuple):
     """Shape of a random ragged cohort: clients with ``counts`` rows (not
     increasing) after ``lead`` rows of other clients, rows coded into a
-    table of ``tables`` encodings ``e_dim`` wide."""
+    table of ``tables`` encodings ``e_dim`` wide. Every row of a client
+    has one code, except for the clients in ``pooled``, whose rows draw
+    theirs at random."""
 
     seed: int
     dims: tuple
@@ -495,6 +498,7 @@ class Cohort(NamedTuple):
     batch_size: int
     epochs: int
     lead: int
+    pooled: tuple = ()
 
 
 @st.composite
@@ -515,29 +519,60 @@ def ragged_cohorts(draw):
         batch_size=batch_size,
         epochs=draw(st.integers(1, 3)),
         lead=draw(st.integers(0, 3)),
+        pooled=tuple(sorted(draw(st.sets(st.integers(0, len(counts) - 1))))),
     )
 
 
+def encoding_layout(rng, tables, e_dim):
+    """A table of ``tables`` encodings ``e_dim`` wide laid out as the
+    vocabulary lays them out, and the columns of each that may be
+    non-zero: up to two coordinate columns (one at its minimum, 0.0, in
+    some rows), then one-hot blocks of random sizes, one set column each."""
+    coords = min(2, e_dim)
+    cuts = np.sort(rng.choice(np.arange(coords + 1, e_dim), size=min(2, max(0, e_dim - coords - 1)),
+                              replace=False)).tolist()
+    blocks = [(lo, hi) for lo, hi in zip([coords, *cuts], [*cuts, e_dim]) if lo < hi]
+    enc = np.zeros((tables, e_dim))
+    enc[:, :coords] = rng.uniform(0.0, 1.0, size=(tables, coords)) * rng.integers(0, 2, size=(tables, coords))
+    columns = np.empty((tables, coords + len(blocks)), dtype=np.intp)
+    columns[:, :coords] = np.arange(coords)
+    for j, (lo, hi) in enumerate(blocks):
+        columns[:, coords + j] = rng.integers(lo, hi, size=tables)
+    enc[np.arange(tables)[:, None], columns[:, coords:]] = 1.0
+    return enc, columns
+
+
 def cohort_arrays(case):
-    """Raw rows, labels, codes, encoding table, offsets and seeds of a case;
-    two rows of no client trail the cohort's."""
+    """Raw rows, labels, codes, encoding table and its columns (see
+    :func:`encoding_layout`), offsets and seeds of a case; two rows of no
+    client trail the cohort's."""
     rng = np.random.default_rng(case.seed)
     offsets = case.lead + np.cumsum([0] + case.counts)
     n = int(offsets[-1]) + 2
     raw = rng.normal(size=(n, case.dims[0] - case.e_dim))
     labels = rng.integers(0, case.dims[2], size=n)
     codes = rng.integers(0, case.tables, size=n)
-    enc = rng.normal(size=(case.tables, case.e_dim))
+    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        if k not in case.pooled:
+            codes[lo:hi] = codes[lo]
+    enc, columns = encoding_layout(rng, case.tables, case.e_dim)
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(case.counts))]
-    return raw, labels, codes, enc, offsets, seeds
+    return raw, labels, codes, enc, columns, offsets, seeds
+
+
+def active_columns(codes, columns, e_dim, input_dim, rows):
+    """The input columns a client on ``rows`` trains: those its rows'
+    codes list, then every raw column."""
+    return np.concatenate([np.unique(columns[codes[rows]]), np.arange(e_dim, input_dim)]).astype(np.intp)
 
 
 def plan_state(plan):
     """Every value a plan holds, as bytes and plain values."""
-    state = [a.tobytes() for a in (plan.raw, plan.labels, plan.codes, plan.table)]
+    state = [a.tobytes() for a in (plan.raw, plan.labels)]
     state += [plan.dims, plan.config, plan.counts]
     for part in plan.parts:
-        state += [part.members.tobytes(), part.rows.tobytes(), list(part.bounds)]
+        state += [part.dims, list(part.bounds)]
+        state += [a.tobytes() for a in (part.members, part.index, part.table, part.rows, part.slots)]
         state += [(list(new), [(lo, hi, n, positions.tobytes()) for lo, hi, n, positions in group])
                   for new, group in part.schedule]
     return state
@@ -593,25 +628,28 @@ class TestTrainCohort:
     # among them, a short client, no encoding.
     @example(case=Cohort(2, (5, 8, 3), 0, 1, [23, 16, 8, 5], 8, 3, 2))
     # K = 1 over pooled rows of mixed codes.
-    @example(case=Cohort(3, (12, 6, 3), 9, 4, [57], 8, 2, 1))
-    @example(case=Cohort(4, (160, 16, 3), 150, 4, [40, 33], 32, 1, 0))
+    @example(case=Cohort(3, (12, 6, 3), 9, 4, [57], 8, 2, 1, (0,)))
+    # Clients of one code and pooled ones, in cohorts of several widths.
+    @example(case=Cohort(4, (160, 16, 3), 150, 4, [40, 33, 21, 12], 32, 1, 0, (1, 3)))
     # One class and two, each with a ragged one-row last batch: the
     # elementwise class maximum and sum fold one class slice or two.
     @example(case=Cohort(12, (1, 1, 1), 0, 1, [9, 5], 4, 2, 0))
-    @example(case=Cohort(13, (3, 2, 2), 1, 2, [17, 9], 8, 2, 1))
+    @example(case=Cohort(13, (3, 2, 2), 1, 2, [17, 9], 8, 2, 1, (1,)))
     # numpy sums 8 or more classes pairwise.
     @example(case=Cohort(14, (4, 3, 9), 2, 3, [19, 10], 6, 1, 0))
     # One hidden unit: numpy sums a single column's rows pairwise.
     @example(case=Cohort(18, (3, 1, 3), 1, 2, [40, 37], 16, 2, 0))
+    # Only encoding columns: a client's compact input is its active ones.
+    @example(case=Cohort(19, (9, 5, 3), 9, 3, [14, 11, 6], 4, 2, 1, (2,)))
     @settings(max_examples=60, deadline=None)
     def test_every_member_matches_reference_chain(self, case):
         # Bit-exact, not allclose: BLAS may tile differently as shapes
         # grow, so the shapes are drawn at random and never skipped.
         # One plan serves three rounds, each from another init with other
         # seeds, as a fresh plan per round would, and is never written.
-        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
-        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
         planned = plan_state(plan)
         for round_index in range(3):
             init = init_params(case.dims, case.seed + round_index)
@@ -619,13 +657,36 @@ class TestTrainCohort:
             params, diverged = train_cohort(plan, init, round_seeds)
             assert diverged == {}
             assert params.shape == (len(case.counts), init.n_params)
-            fresh = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
+            fresh = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
             assert train_cohort(fresh, init, round_seeds)[0].tobytes() == params.tobytes()
             for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-                expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
-                                           config, round_seeds[i])
+                active = active_columns(codes, columns, case.e_dim, case.dims[0], np.arange(lo, hi))
+                expected = compact_reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
+                                                   config, round_seeds[i], active)
                 assert params[i].tobytes() == expected.vector.tobytes()
         assert plan_state(plan) == planned
+
+    @given(case=ragged_cohorts())
+    @example(case=Cohort(4, (160, 16, 3), 150, 4, [40, 33, 21, 12], 32, 1, 0, (1, 3)))
+    @settings(max_examples=25, deadline=None)
+    def test_dense_chain_leaves_inactive_parameters_at_init(self, case):
+        # The dense chain on the full rows: every weight of a column the
+        # client's codes do not list multiplies only exact zeros, so its
+        # gradient is zero and Adam leaves it at init, bit for bit. The
+        # rest differ from the compact chain only by the rounding of a
+        # longer dot product.
+        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+        config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
+        init = init_params(case.dims, case.seed)
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
+        params, diverged = train_cohort(plan, init, seeds)
+        assert diverged == {}
+        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            dense = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi], config, seeds[i])
+            inactive = np.ones(case.dims[0], dtype=bool)
+            inactive[active_columns(codes, columns, case.e_dim, case.dims[0], np.arange(lo, hi))] = False
+            assert dense.layer1_weights[:, inactive].tobytes() == init.layer1_weights[:, inactive].tobytes()
+            assert np.abs(dense.vector - params[i]).max() <= 1e-12
 
     @given(case=row_set_calls())
     # Counts rising, tied and falling; the second client diverges.
@@ -661,7 +722,7 @@ class TestTrainCohort:
         # A member diverging leaves the others' rows equal to training alone.
         # Its message is the one the per-step chain raises for it alone.
         case = Cohort(8, (3, 4, 2), 1, 3, [14, 12, 9], 5, 2, 0)
-        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
         raw[offsets[1]:offsets[2]] *= 1e300
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
@@ -683,7 +744,7 @@ class TestTrainCohort:
         # hidden-layer gradients are negative, where the reference's
         # np.where writes +0.0, not -0.0.
         case = Cohort(16, (6, 8, 3), 2, 2, [24, 11], 8, 2, 0)
-        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
         raw *= 1e4
         init = init_params(case.dims, case.seed)
         rows = assembled(raw, codes, enc, offsets[0], offsets[1])
@@ -730,7 +791,7 @@ class TestTrainCohort:
         # cohort, so Adam moments or other scratch carried into a later
         # cohort would change its clients' rows or spread the divergence.
         case = Cohort(9, (3, 4, 2), 1, 3, [14, 12, 9, 7, 5], 5, 2, 0)
-        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
         raw[offsets[1]:offsets[2]] *= 1e300
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
@@ -747,67 +808,112 @@ class TestTrainCohort:
             assert failed == diverged
             assert other.tobytes() == params.tobytes()
 
+    def test_cohorts_train_at_their_active_width(self, monkeypatch):
+        # Two coordinate columns and two blocks of two one-hot columns,
+        # then two raw columns. Clients 0 and 1 have one code each and
+        # train 4 + 2 inputs, client 2 pools two codes (5 + 2), clients 3
+        # and 4 pool every code and train every input: each cohort of one
+        # of them reads the one shared table of full input rows.
+        enc = np.array([[0.5, 0.0, 1, 0, 1, 0], [0.25, 1.0, 0, 1, 1, 0],
+                        [0.0, 0.5, 1, 0, 0, 1], [1.0, 0.75, 0, 1, 0, 1]])
+        columns = np.array([[0, 1, 2, 4], [0, 1, 3, 4], [0, 1, 2, 5], [0, 1, 3, 5]])
+        rng = np.random.default_rng(21)
+        codes = np.repeat(np.arange(4), 5)
+        raw, labels = rng.normal(size=(20, 2)), rng.integers(0, 2, size=20)
+        rows = [np.arange(5), np.arange(5, 10), np.arange(10), np.arange(20), np.arange(15, 0, -1)]
+        config = TrainingConfig(epochs=2, batch_size=4)
+        plan = plan_cohort(raw, labels, codes, enc, rows, (8, 3, 2), config, columns)
+        assert [(part.members.tolist(), part.dims) for part in plan.parts] == [
+            ([0, 1], (6, 3, 2)), ([2], (7, 3, 2)), ([3, 4], (8, 3, 2))]
+        assert plan.parts[0].table.tolist() == [[0.5, 0.0, 1, 1, 0, 0], [0.25, 1.0, 1, 1, 0, 0]]
+        assert plan.parts[1].table.tolist() == [[0.5, 0.0, 1, 0, 1, 0, 0], [0.25, 1.0, 0, 1, 1, 0, 0]]
+        init = init_params((8, 3, 2), seed=4)
+        params, diverged = train_cohort(plan, init, [1, 2, 3, 4, 5])
+        assert diverged == {}
+        for k, active in enumerate([[0, 1, 2, 4, 6, 7], [0, 1, 3, 4, 6, 7], [0, 1, 2, 3, 4, 6, 7],
+                                    range(8), range(8)]):
+            expected = compact_reference_train(init, np.hstack([enc[codes[rows[k]]], raw[rows[k]]]),
+                                               labels[rows[k]], config, k + 1, list(active))
+            assert params[k].tobytes() == expected.vector.tobytes()
+        monkeypatch.setattr(nn, "COHORT_BYTES", 1)
+        single = plan_cohort(raw, labels, codes, enc, rows, (8, 3, 2), config, columns)
+        assert [part.members.tolist() for part in single.parts] == [[0], [1], [2], [3], [4]]
+        assert single.parts[3].table is single.parts[4].table
+        assert single.parts[3].table.shape == (4, 8)
+        assert train_cohort(single, init, [1, 2, 3, 4, 5])[0].tobytes() == params.tobytes()
+
     def test_scratch_is_sized_for_one_cohort(self, monkeypatch):
-        # tracemalloc sees numpy's buffers. Twelve clients in cohorts of
-        # three: the call's peak is one cohort's working set plus the
-        # (K, P) result and the plan, not twelve working sets. The plan is
-        # the encoding table, the row numbers and their positions, one per
+        # tracemalloc sees numpy's buffers. Twelve clients of one code each
+        # in cohorts of three at their compact dims: the call's peak is
+        # one cohort's working set plus the (K, P) result and the plan,
+        # not twelve working sets. The plan is the compact encoding tables,
+        # the parameter indices (one per active parameter of each client),
+        # the row numbers, their table rows and their positions, one per
         # row and epoch, and its schedule's objects, as is what training
-        # adds beyond the working set: one cohort's epoch orders and the
-        # views of its runs.
+        # adds beyond the working set: one cohort's epoch orders and their
+        # identity, and the views of its runs.
         for case in [
             Cohort(10, (40, 16, 3), 8, 12, [40] * 6 + [33] * 6, 32, 2, 0),
             # Few inputs and many hidden units or classes, with full
-            # batches: numpy's buffers for casting the ReLU mask and for
-            # summing a rows-first copy into a strided bias gradient are
-            # as large as the arrays they serve.
+            # batches: numpy's buffer for adding the bias across the
+            # rows is as large as the array it serves.
             Cohort(10, (3, 40, 2), 1, 12, [100] * 6 + [80] * 6, 64, 2, 0),
             Cohort(10, (10, 2, 30), 4, 12, [100] * 6 + [80] * 6, 64, 2, 0),
         ]:
-            raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
+            raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
             init = init_params(case.dims, seed=2)
             config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
-            per_client = working_set_bytes(init.dims, config.batch_size)
+            compact = (columns.shape[1] + raw.shape[1], *case.dims[1:])
+            per_client = working_set_bytes(compact, config.batch_size)
             monkeypatch.setattr(nn, "COHORT_BYTES", 3 * per_client)
-            assert len(cohort_slices(12, init.dims, config.batch_size)) == 4
+            assert len(cohort_slices(12, compact, config.batch_size)) == 4
             tracemalloc.start()
             try:
-                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
+                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
                 planned = tracemalloc.get_traced_memory()[0]
                 params, diverged = train_cohort(plan, init, seeds)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert diverged == {}
-            table = case.tables * case.dims[0] * 8
+            assert [part.dims for part in plan.parts] == [compact] * 4
+            tables = sum(part.table.nbytes for part in plan.parts)
+            index = 12 * flat_length(compact) * 8
             runs = [[run for _, group in part.schedule for run in group] for part in plan.parts]
-            assert planned <= table + 8 * sum(case.counts) * (case.epochs + 1) + 1024 * sum(map(len, runs))
-            orders = 8 * plan.parts[0].bounds[-1]
+            assert planned <= (tables + index + 8 * sum(case.counts) * (case.epochs + 2)
+                               + 1024 * sum(map(len, runs)))
+            orders = 16 * plan.parts[0].bounds[-1]
             views = 4096 * max(len({run[:3] for run in part}) for part in runs)
             assert peak <= nn.COHORT_BYTES + params.nbytes + planned + orders + views
-            assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + table
+            assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + tables + index
 
     def test_five_float_scratch_rows_per_client(self):
-        # Parameters, gradient, both Adam moments and one Adam step: with a
-        # wide model and one-row batches the call's peak is those five
-        # (K, P) rows, the (K, P) result and the finiteness mask. A sixth
-        # float row would add another buffer's worth.
-        case = Cohort(11, (400, 25, 2), 0, 1, [1] * 8, 1, 2, 0)
-        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
-        init = init_params(case.dims, seed=3)
-        config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
-        assert len(cohort_slices(8, init.dims, config.batch_size)) == 1
-        buffer = 8 * flat_length(init.dims) * 8
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
-            params, diverged = train_cohort(plan, init, seeds)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert diverged == {} and params.nbytes == buffer
-        assert 6 * buffer < peak < 6.5 * buffer
+        # Parameters, gradient, both Adam moments and one Adam step at the
+        # compact dims: with wide models and one-row batches the call's
+        # peak beyond the (K, P) result is those five (K, P_w) rows, the
+        # plan's (K, P_w) parameter indices and the finiteness mask. A
+        # sixth float row would add another compact buffer's worth. With
+        # no encoding every column is active and P_w is P.
+        for case in [Cohort(11, (400, 25, 2), 0, 1, [1] * 8, 1, 2, 0),
+                     Cohort(11, (400, 400, 2), 390, 8, [1] * 8, 1, 2, 0)]:
+            raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+            init = init_params(case.dims, seed=3)
+            config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
+            dims = (columns.shape[1] + raw.shape[1], *case.dims[1:])
+            assert len(cohort_slices(8, dims, config.batch_size)) == 1
+            buffer = 8 * flat_length(init.dims) * 8
+            compact = 8 * flat_length(dims) * 8
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
+                params, diverged = train_cohort(plan, init, seeds)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert diverged == {} and params.nbytes == buffer
+            assert [part.dims for part in plan.parts] == [dims]
+            assert 6 * compact < peak - buffer < 6.5 * compact
 
     def test_labels_checked_once_per_call(self):
         labels = np.zeros(12, dtype=np.int64)
@@ -841,6 +947,15 @@ class TestTrainCohort:
         for case, message in bad:
             with pytest.raises(SpatialFLError, match=message):
                 plan_cohort(*case, dims, config)
+        # The table's layout: one row of columns per encoding, ascending, inside it.
+        enc = np.array([[0.0, 1.0], [0.5, 0.0]])
+        plan_cohort(raw[:, 1:], labels, codes, enc, spans([0, 12]), dims, config, [[1], [0]])
+        layout = r"^encoding columns \({}, {}\) must list, ascending, columns in \[0, 2\) of each of the 2 encodings$"
+        for columns, message in [([[1]], layout.format(1, 1)), ([[1, 0], [0, 1]], layout.format(2, 2)),
+                                 ([[2], [0]], layout.format(2, 1)), ([[0, 1, 1]] * 2, layout.format(2, 3)),
+                                 ([[0], [0]], r"^encoding 0 has a non-zero entry outside its columns$")]:
+            with pytest.raises(SpatialFLError, match=message):
+                plan_cohort(raw[:, 1:], labels, codes, enc, spans([0, 12]), dims, config, columns)
 
     def test_training_disagreeing_with_its_plan_rejected(self):
         config = TrainingConfig(epochs=1)

@@ -12,6 +12,7 @@ from spatialfl.spatial import (
     SpatialAttribute,
     build_vocabulary,
     encode_spatial,
+    encoding_columns,
 )
 
 
@@ -107,7 +108,7 @@ def model_inputs(spatial, rows, vocab):
     """One client's rows as the model sees them, ``[enc[codes], raw]``,
     from the row format that :func:`stack_rows` returns."""
     client = ClientDataset("c", spatial, rows, np.zeros(len(rows)), n_classes=2)
-    raw, _, codes, enc, _ = stack_rows([client], vocab)
+    raw, _, codes, enc, _, _ = stack_rows([client], vocab)
     return np.hstack([enc[codes], raw])
 
 
@@ -169,6 +170,30 @@ class TestProperties:
         region_block = blocks[len(vocab.levels[0]):]
         assert leaf_block.sum() == 1.0
         assert region_block.sum() == 1.0
+
+    @given(st.integers(0, 2 ** 31), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_entries_outside_the_encoding_columns_are_zero(self, seed, coordinates, hierarchy):
+        if not (coordinates or hierarchy):
+            hierarchy = True
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        records = [attr(float(rng.uniform(-80, 80)), float(rng.uniform(-170, 170)),
+                        f"leaf{i}", f"region{i % 3}") for i in range(n)]
+        vocab = build_vocabulary(records, include_coordinates=coordinates, include_hierarchy=hierarchy)
+        for record in records:
+            enc, columns = encode_spatial(record, vocab), encoding_columns(record, vocab)
+            assert columns == sorted(set(columns))
+            assert len(columns) == 2 * coordinates + len(vocab.levels) * hierarchy
+            assert not np.delete(enc, columns).any()
+
+    def test_encoding_columns_come_from_the_layout_not_the_values(self):
+        # The record at both coordinate minimums encodes 0.0 there, and
+        # both coordinate columns are still its columns.
+        records = [attr(40.0, -70.0, "a", "x"), attr(50.0, -60.0, "b", "y"), attr(45.0, -65.0, "c", "x")]
+        vocab = build_vocabulary(records)
+        assert encode_spatial(records[0], vocab)[:2].tolist() == [0.0, 0.0]
+        assert [encoding_columns(r, vocab) for r in records] == [[0, 1, 2, 5], [0, 1, 3, 6], [0, 1, 4, 5]]
 
     def test_encoding_is_pure(self):
         vocab = build_vocabulary([attr(1, 2, "a", "x"), attr(3, 4, "b", "y")])
