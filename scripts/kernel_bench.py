@@ -11,10 +11,11 @@ two coordinates, then one set column in each level's one-hot block) and
 prints one JSON line per shape: the median and quartiles over
 ``--repeats`` calls of the training call's wall time per step iteration,
 in microseconds, the plan call's wall time, the two together per step
-iteration, and the input width the cohort trains at (its active
-columns, or every column for a tree whose ``plan_cohort`` takes no
-encoding columns). A step iteration is one step of every client of the
-cohort. A run trains one plan many times, so work moved from training
+iteration, the input width the cohort trains at (its active columns, or
+every column for a tree whose ``plan_cohort`` takes no encoding
+columns), and the floats the training call returns (the cohort's
+compact values, or a dense ``(K, P)`` buffer for a tree that returns
+one). A step iteration is one step of every client of the cohort. A run trains one plan many times, so work moved from training
 into the plan shows as plan time.
 
 Given source trees (each a directory that holds ``spatialfl/``), the
@@ -116,6 +117,12 @@ def active_width(nn, dims, e_dim, levels):
     return dims[0] - e_dim + min(2, e_dim) + len(levels) if takes_columns(nn) else dims[0]
 
 
+def result_floats(result) -> int:
+    """The floats a training call's models hold: each cohort's compact
+    values (``nn.ClientModels``), or every entry of a dense buffer."""
+    return sum(values.size for values in result.values) if hasattr(result, "values") else result.size
+
+
 def quartiles(samples):
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return round(median, 1), round(q1, 1), round(q3, 1)
@@ -132,8 +139,7 @@ def main():
     for workload, (dims, e_dim, rows, levels) in SHAPES.items():
         for clients in COHORTS:
             calls = [cohort_call(nn, dims, e_dim, rows, clients, levels) for nn in modules]
-            for plan, train, _ in calls:
-                train(plan())  # warm-up
+            floats = [result_floats(train(plan())[0]) for plan, train, _ in calls]  # warm-up
             # Per tree: plan microseconds per call, training and both per step iteration.
             times = [([], [], []) for _ in calls]
             for r in range(args.repeats):
@@ -148,14 +154,14 @@ def main():
                     times[i][0].append((middle - start) * 1e6)
                     times[i][1].append((end - middle) / iterations * 1e6)
                     times[i][2].append((end - start) / iterations * 1e6)
-            for src, nn, (plan_us, train_us, call_us) in zip(trees, modules, times):
+            for src, nn, (plan_us, train_us, call_us), returned in zip(trees, modules, times, floats):
                 median, q1, q3 = quartiles(train_us)
                 print(json.dumps({"workload": workload, "dims": dims, "clients": clients, "rows": rows,
                                   "active_width": active_width(nn, dims, e_dim, levels),
                                   "tree": str(src), "us_per_iteration": median, "q1": q1, "q3": q3,
                                   "plan_us": quartiles(plan_us)[0],
                                   "plan_and_train_us_per_iteration": quartiles(call_us)[0],
-                                  "repeats": args.repeats}))
+                                  "result_floats": returned, "repeats": args.repeats}))
 
 
 if __name__ == "__main__":

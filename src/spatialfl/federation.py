@@ -23,24 +23,28 @@ layout and its schedule, with the clients cut into cohorts whose working
 memory fits :data:`~spatialfl.nn.COHORT_BYTES`. Each round
 (:func:`run_tier_round`) then trains every client on its span of the
 training stack in one call of the training kernel on that plan.
-The call returns every client's parameters as one ``(K, P)`` buffer, row
-``k`` the ``k``-th client in ascending id order, and
-:func:`aggregate_tree` reads that buffer as it is: there is one
-aggregation function, :func:`aggregate`, and no per-client object. The
-loop over rounds, which broadcasts each round's root model to the next,
-is the run's (:func:`spatialfl.harness.run_experiment`).
+The call returns the clients' models compactly, as
+:class:`~spatialfl.nn.ClientModels` (client ``k`` the ``k``-th in
+ascending id order): each moved only its active parameters away from
+the broadcast. :func:`aggregate_tree` streams each client's vector,
+rebuilt and weighted as the sum takes it, into the pairwise reduction,
+so a round never holds a dense vector per client, and there is one
+aggregation function, :func:`aggregate`. :class:`NodeModels` maps node
+ids to models, rebuilding a client's on each lookup. The loop over
+rounds, which broadcasts each round's root model to the next, is the
+run's (:func:`spatialfl.harness.run_experiment`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, DivergenceError, SpatialFLError
-from .nn import CohortPlan, Dims, ModelParams, TrainingConfig, flat_length, plan_cohort, train_cohort
+from .nn import ClientModels, CohortPlan, Dims, ModelParams, TrainingConfig, flat_length, plan_cohort, train_cohort
 from .seeding import derive_seed
 from .spatial import SpatialVocabulary, encode_spatial, encoding_columns
 
@@ -274,24 +278,40 @@ def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
     return total
 
 
-def aggregate(vectors: Sequence[np.ndarray], raws: Sequence[float], mode: str, dims: Dims) -> ModelParams:
-    """The aggregate of parameter vectors (a ``(K, P)`` buffer or a list of
-    rows) as a model of ``dims``: their mean, or with ``sample_weighted``
-    their convex combination by the normalised raw weights ``raws``, one
-    per vector, each weighted vector formed only when the sum takes it.
+def _terms(vectors: ClientModels | Sequence[np.ndarray], weights: Sequence[float] | None) -> Iterator[np.ndarray]:
+    """Each vector, or with ``weights`` each times its weight, formed only
+    when the sum takes it; a client of :class:`~spatialfl.nn.ClientModels`
+    rebuilt afresh."""
+    if isinstance(vectors, ClientModels):
+        if weights is None:
+            return (vectors.vector(k) for k in range(len(vectors)))
+        return (vectors.scaled(k, w) for k, w in enumerate(weights))
+    return iter(vectors) if weights is None else (w * v for w, v in zip(weights, vectors))
+
+
+def aggregate(vectors: ClientModels | Sequence[np.ndarray], raws: Sequence[float], mode: str,
+              dims: Dims) -> ModelParams:
+    """The aggregate of parameter vectors (a list of vectors, the rows of a
+    2-D array, or clients' models as :class:`~spatialfl.nn.ClientModels`)
+    as a model of ``dims``: their mean, or with ``sample_weighted`` their
+    convex combination by the normalised raw weights ``raws``, one per
+    vector, each weighted vector formed only when the sum takes it.
 
     The vectors are summed in the order given (see :func:`_tree_sum`), so
-    callers pass them in ascending id order. Always a new vector. No
-    vectors raises :class:`SpatialFLError`; a non-finite entry (the
-    sum overflowed) raises :class:`DivergenceError`.
+    callers pass them in ascending id order. A client's vector rebuilt
+    from :class:`~spatialfl.nn.ClientModels` is bit for bit its dense
+    vector, and so is its weighted vector, so the aggregate does not
+    depend on which form the clients come in. Always a new vector. No
+    vectors raises :class:`SpatialFLError`; a non-finite entry (the sum
+    overflowed) raises :class:`DivergenceError`.
     """
     if len(vectors) == 0:
         raise SpatialFLError("no vectors to aggregate")
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "uniform":
-            vector = _tree_sum(vectors) / len(vectors)
+            vector = _tree_sum(_terms(vectors, None)) / len(vectors)
         else:
-            vector = _tree_sum(w * v for w, v in zip(normalize_weights(raws), vectors))
+            vector = _tree_sum(_terms(vectors, normalize_weights(raws)))
     try:
         return ModelParams(vector, dims)
     except ValueError as exc:  # ModelParams' only ValueError: a non-finite entry
@@ -313,7 +333,7 @@ def normalize_weights(raws: Iterable[float]) -> list[float]:
 
 def aggregate_tree(
     topology: TierTopology,
-    params: Sequence[np.ndarray],
+    params: ClientModels | Sequence[np.ndarray],
     counts: Sequence[float],
     dims: Dims,
     mode: str = "sample_weighted",
@@ -321,16 +341,19 @@ def aggregate_tree(
     """Fold a round's client parameters up the tree; returns the model of
     every interior node.
 
-    Row ``k`` of ``params`` (the training kernel's ``(K, P)`` buffer) and
-    ``counts[k]``, its raw weight, belong to the ``k``-th client of
-    :meth:`TierTopology.clients` (ascending id order); a row count or
-    weight count other than the client count raises :class:`SpatialFLError`.
+    Client ``k`` of ``params`` (the training kernel's
+    :class:`~spatialfl.nn.ClientModels`, or any sequence of dense vectors)
+    and ``counts[k]``, its raw weight, belong to the ``k``-th client of
+    :meth:`TierTopology.clients` (ascending id order); a client count or
+    weight count other than the topology's raises :class:`SpatialFLError`.
     Interior nodes carry the sum of their descendants' raw weights, so
     with the sample-weighted mode the root equals the flat weighted
     average over all clients (up to rounding). Every interior node
     combines its children's vectors in ascending id order, exactly as
-    :func:`aggregate` over their vectors would. An aggregate with a
-    non-finite entry raises :class:`DivergenceError` naming the node.
+    :func:`aggregate` over their vectors would; a client's vector is
+    rebuilt only when the sum takes it, so O(log K) of them are held at
+    once. An aggregate with a non-finite entry raises
+    :class:`DivergenceError` naming the node.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -338,15 +361,22 @@ def aggregate_tree(
     if not len(params) == len(counts) == len(clients):
         raise SpatialFLError(f"{len(params)} parameter rows and {len(counts)} weights "
                              f"for {len(clients)} clients")
-    vectors = dict(zip(clients, params))
+    number = {c: k for k, c in enumerate(clients)}
+    vectors = {}  # every interior node's, once aggregated
     weights = dict(zip(clients, counts))
     models = {}
     # Above the clients, the nodes come tiers ascending, ids ascending:
     # every node after its children.
     for node in topology.node_ids()[len(clients):]:
         kids = topology.children(node)
+        if kids[0] in number:
+            # A tier-1 node: every path has one length, so every child is a client.
+            ks = [number[k] for k in kids]
+            children = params.select(ks) if isinstance(params, ClientModels) else [params[k] for k in ks]
+        else:
+            children = [vectors[k] for k in kids]
         with DivergenceError.naming(f"node {node!r}"):
-            models[node] = aggregate([vectors[k] for k in kids], [weights[k] for k in kids], mode, dims)
+            models[node] = aggregate(children, [weights[k] for k in kids], mode, dims)
         vectors[node] = models[node].vector
         weights[node] = float(sum(weights[k] for k in kids))
     return models
@@ -376,16 +406,16 @@ def run_tier_round(
     mode: str,
     seed: int,
     round_index: int,
-) -> tuple[np.ndarray, list[int], dict[str, ModelParams]]:
+) -> tuple[ClientModels, list[int], dict[str, ModelParams]]:
     """One round of the tiered protocol, training as ``plan``
     (:func:`plan_rounds`) says: every client trains from ``broadcast``
     and the round's parameters flow up the tree.
 
-    Returns the round's ``(K, P)`` parameter buffer and the clients'
-    training-row counts (their raw weights), both in ascending client
-    order (:meth:`TierTopology.clients`), and the model of every interior
-    node; the root's is the next round's broadcast. Row ``k`` of the
-    buffer is the ``k``-th client's localized model.
+    Returns the round's client models (:class:`~spatialfl.nn.ClientModels`)
+    and the clients' training-row counts (their raw weights), both in
+    ascending client order (:meth:`TierTopology.clients`), and the model
+    of every interior node; the root's is the next round's broadcast.
+    Client ``k``'s model is the ``k``-th client's localized model.
 
     Every client trains in one call of the training kernel, seeded by
     :func:`round_seed` with ``seed`` as the master seed. A client whose
@@ -401,6 +431,58 @@ def run_tier_round(
     with DivergenceError.naming(f"round {round_index}"):
         models = aggregate_tree(topology, params, plan.counts, broadcast.dims, mode)
     return params, list(plan.counts), models
+
+
+class NodeModels(Mapping[str, ModelParams]):
+    """Models by node id, read-only: the clients' from the training
+    kernel's :class:`~spatialfl.nn.ClientModels`, ``clients[k]`` the id of
+    client ``k``, and ``interior``, every other node's by id.
+
+    A lookup of a client builds its model afresh, so no two lookups share
+    a buffer and writing into one changes nothing else; an interior
+    node's model is the one given. Iteration gives the clients in the
+    order given, then the interior nodes. :meth:`in_turn` rebuilds the
+    clients one after another in one buffer instead.
+    """
+
+    def __init__(self, clients: Sequence[str], trained: ClientModels,
+                 interior: Mapping[str, ModelParams] | None = None):
+        self._number = {c: k for k, c in enumerate(clients)}
+        self._trained = trained
+        self._interior = dict(interior or {})
+
+    def __getitem__(self, node_id: str) -> ModelParams:
+        k = self._number.get(node_id)
+        return self._interior[node_id] if k is None else self._trained[k]
+
+    def __contains__(self, node_id) -> bool:
+        return node_id in self._number or node_id in self._interior
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self._number
+        yield from self._interior
+
+    def __len__(self) -> int:
+        return len(self._number) + len(self._interior)
+
+    def in_turn(self, node_ids: Iterable[str]) -> Iterator[tuple[str, ModelParams]]:
+        """``(id, model)`` for ``node_ids`` in the order given. The
+        clients' models share one buffer, rebuilt for each
+        (:meth:`~spatialfl.nn.ClientModels.each`): a client's model is
+        valid only until the next pair is taken."""
+        node_ids = list(node_ids)
+        clients = self._trained.each([self._number[n] for n in node_ids if n in self._number])
+        for node_id in node_ids:
+            yield node_id, next(clients) if node_id in self._number else self._interior[node_id]
+
+
+def models_in_turn(models: Mapping[str, ModelParams], node_ids: Iterable[str]) -> Iterator[tuple[str, ModelParams]]:
+    """``(id, model)`` for ``node_ids`` in the order given: by
+    :meth:`NodeModels.in_turn` from :class:`NodeModels` (a model is valid
+    only until the next pair is taken), by lookup from any other mapping."""
+    if isinstance(models, NodeModels):
+        return models.in_turn(node_ids)
+    return ((node_id, models[node_id]) for node_id in node_ids)
 
 
 def serialize_model(params: ModelParams) -> bytes:

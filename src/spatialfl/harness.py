@@ -39,8 +39,10 @@ from .errors import ConfigError, DivergenceError, SpatialFLError
 from .federation import (
     ROOT_ID,
     AggregationPolicy,
+    NodeModels,
     TierTopology,
     aggregate,
+    models_in_turn,
     plan_rounds,
     round_seed,
     run_tier_round,
@@ -150,8 +152,12 @@ class MetricsReport:
 
 @dataclass
 class ExperimentResult:
+    """A run's report and every node's final model by id: a read-only
+    :class:`~spatialfl.federation.NodeModels`, which rebuilds a client's
+    model afresh on each lookup."""
+
     report: MetricsReport
-    node_models: dict[str, ModelParams]
+    node_models: Mapping[str, ModelParams]
 
 
 # -- config loading -------------------------------------------------------------
@@ -491,49 +497,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         with DivergenceError.naming(where):
             return predict_rows(model, raw[lo:hi], codes[lo:hi], enc)
 
-    def score_first_round(params: np.ndarray, counts: list[int]) -> dict[str, dict[str, int]]:
-        """The correct counts of the baselines built from round 1's client
-        models. A function of its own, so that no model built on the
-        round-1 buffer (an ensemble member is a view of a row) outlives
-        the call and keeps the buffer alive into round 2."""
-        correct = {}
-        with _stage("baselines"):
-            for kind in config.baselines:
-                if kind is BaselineKind.CENTRALIZED_NN:
-                    continue
-                with DivergenceError.naming(f"{kind.value} baseline"):
-                    if kind is BaselineKind.ENSEMBLE:
-                        members = {c: ModelParams(vector, dims) for c, vector in zip(clients, params)}
-                        predicted = ensemble_predict_batch(members, raw, codes, enc)
-                    else:
-                        # One round of flat federated averaging over the
-                        # clients' round-1 models.
-                        mode = "sample_weighted" if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else "uniform"
-                        predicted = predict_rows(aggregate(params, counts, mode, dims), raw, codes, enc)
-                correct[kind.value] = fold_correct(predicted, labels, spans)
-        return correct
-
     with _stage("federated"):
         # Every round trains the same clients on the same rows: their
         # checks, layout and schedule are planned once.
         plan = plan_rounds(topology, train, dims, config.training)
         broadcast = init
         for round_index in range(1, config.policy.rounds + 1):
-            # Only the broadcast, a fresh vector, outlives a round: a run
-            # holds one round's (K, P) buffer at a time.
-            params = models = None
-            params, counts, models = run_tier_round(topology, plan, broadcast, config.policy.mode,
-                                                    config.seed, round_index)
+            trained, counts, models = run_tier_round(topology, plan, broadcast, config.policy.mode,
+                                                     config.seed, round_index)
             if round_index == 1:
-                first_round_correct = score_first_round(params, counts)
+                first_round = trained
             broadcast = models[topology.root_id]
         del plan
-        # Views of the last buffer's rows: every kernel call allocates its
-        # buffer afresh and nothing writes it once the call returns.
-        node_models = {**{c: ModelParams(vector, dims) for c, vector in zip(clients, params)}, **models}
+        node_models = NodeModels(clients, trained, models)
+
+    first_round_correct = {}
+    with _stage("baselines"):
+        # The baselines built from round 1's client models, scored before
+        # the tiered models, so that a failure of theirs is the one a run
+        # reports.
+        for kind in config.baselines:
+            if kind is BaselineKind.CENTRALIZED_NN:
+                continue
+            with DivergenceError.naming(f"{kind.value} baseline"):
+                if kind is BaselineKind.ENSEMBLE:
+                    predicted = ensemble_predict_batch(NodeModels(clients, first_round), raw, codes, enc)
+                else:
+                    # One round of flat federated averaging over the
+                    # clients' round-1 models.
+                    mode = "sample_weighted" if kind is BaselineKind.FLAT_FEDAVG_WEIGHTED else "uniform"
+                    predicted = predict_rows(aggregate(first_round, counts, mode, dims), raw, codes, enc)
+            first_round_correct[kind.value] = fold_correct(predicted, labels, spans)
 
     with _stage("evaluate"):
-        tiered = {nid: score(node_models[nid], f"node {nid!r}", lo, hi) for nid, (lo, hi) in spans.items()}
+        tiered = {nid: score(model, f"node {nid!r}", *spans[nid]) for nid, model in node_models.in_turn(spans)}
         correct = {METHOD_TIERED: {nid: int(np.count_nonzero(tiered[nid] == labels[lo:hi]))
                                    for nid, (lo, hi) in spans.items()}}
         client_predictions = {}
@@ -549,12 +546,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # The pooled network, and one per child of the root, trained
             # on and scoring only its own subtree's rows.
             regions = topology.children(topology.root_id)
-            pooled, *regional_models = train_centralized(
+            centralized = train_centralized(
                 [clients] + [topology.subtree_clients(region) for region in regions], init, config.training,
-                config.seed, train)
-            correct[kind.value] = fold_correct(score(pooled, f"{kind.value} baseline"), labels, spans)
+                config.seed, train).each()
+            correct[kind.value] = fold_correct(score(next(centralized), f"{kind.value} baseline"), labels, spans)
             regional = np.empty_like(labels)
-            for region, model in zip(regions, regional_models):
+            for region, model in zip(regions, centralized):
                 lo, hi = spans[region]
                 regional[lo:hi] = score(model, f"{METHOD_CENTRALIZED_REGIONAL} baseline: node {region!r}",
                                         lo, hi)
@@ -633,12 +630,14 @@ def emit_report(
 def write_models(node_models: Mapping[str, ModelParams], out_dir: str | Path) -> list[Path]:
     """Serialize every node's final model under ``out_dir/models/``, one
     file per node named by its percent-encoded id, so that distinct ids
-    never share a file."""
+    never share a file. The clients of a
+    :class:`~spatialfl.federation.NodeModels` are rebuilt one at a time
+    into one buffer."""
     models_dir = Path(out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for node_id in sorted(node_models):
+    for node_id, model in models_in_turn(node_models, sorted(node_models)):
         path = models_dir / f"{quote(node_id, safe='')}.bin"
-        path.write_bytes(serialize_model(node_models[node_id]))
+        path.write_bytes(serialize_model(model))
         written.append(path)
     return written

@@ -3,8 +3,8 @@
 Everything here is plain float64 numpy. A model is one flat parameter
 vector (:class:`ModelParams`) whose layers are views of it. Its order
 (layer-1 weights row-major, layer-1 bias, layer-2 weights row-major,
-layer-2 bias) is a contract: the kernel's ``(K, P)`` buffer rows, the
-aggregation algebra and the binary model file all use exactly this
+layer-2 bias) is a contract: the vectors the kernel's results rebuild,
+the aggregation algebra and the binary model file all use exactly this
 order, so a model moves between them without conversion.
 
 All training runs through one kernel in two calls. :func:`plan_cohort`
@@ -24,12 +24,15 @@ step schedule, whose runs carry their rows' positions; the kernel
 assembles a minibatch's compact inputs only when it trains on them.
 :func:`train_cohort` then trains a plan from an ``init`` with one
 minibatch seed per client, as often as a caller needs (a run's rounds
-share one plan), and returns the clients' parameters as the rows of one
-freshly allocated ``(K, P)`` buffer, in the order the clients were
-given: ``init`` everywhere but at each client's active parameters. It
-trains the cohorts one after another in one set of scratch buffers
-allocated per call, where Adam updates each cohort's compact parameters
-in place, and builds the views a run of clients steps in once per call.
+share one plan), and returns the clients' models compactly, as
+:class:`ClientModels`: per cohort its members' trained ``(k, P_w)``
+values and the plan's index of where they sit in the model vector, over
+``init``, which every client keeps everywhere else. That type alone
+knows the layout; it rebuilds one client's dense vector at a time, so no
+call holds a dense vector per client. Training runs the cohorts one
+after another in one set of scratch buffers allocated per call, where
+Adam updates each cohort's compact parameters in place, and builds the
+views a run of clients steps in once per call.
 Within a cohort training is step-aligned: iteration ``g`` takes every
 client's own ``g``-th step, grouping neighbouring clients whose batches
 have the same size. A plan is only read by training. Its contract is
@@ -62,8 +65,9 @@ may differ in the last bits; the golden digests pin the predictions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,7 +167,7 @@ _LAYERS = ("layer1_weights", "layer1_bias", "layer2_weights", "layer2_bias")
 
 
 def _layer_views(buffer: np.ndarray, dims: Dims) -> tuple[np.ndarray, ...]:
-    """The layers of a flat vector, or of every row of a ``(K, P)``
+    """The layers of a flat vector, or of every row of a ``(clients, P)``
     buffer, as views in the model-file order: ``W1, b1, W2, b2``."""
     input_dim, hidden_dim, n_classes = dims
     a = hidden_dim * input_dim
@@ -211,7 +215,7 @@ def working_set_bytes(dims: Dims, batch_size: int) -> int:
 
 # Upper bound on the memory one training call works in (working_set_bytes
 # per client of a cohort, at the cohort's compact dims), beyond its rows,
-# its plan and its (K, P) result. Training rows are held raw, so this
+# its plan and its compact result. Training rows are held raw, so this
 # bounds training's memory beyond them whatever the number of clients; a
 # cohort this large already shares the per-step numpy overhead among
 # enough clients that larger ones gain little. What it cannot bound grows
@@ -260,6 +264,8 @@ def _sizes(part: "_Part", batch_size: int) -> tuple[int, list[int]]:
 def _scratch(parts: Sequence["_Part"], batch_size: int) -> _Scratch:
     sizes = [_sizes(part, batch_size)[1] for part in parts]
     rows = max(part.bounds[-1] for part in parts)
+    # The finiteness mask is as long as a (clients, P_w) row, the ReLU
+    # mask as a minibatch's pre-activations.
     return _Scratch(np.empty(max(map(sum, sizes))), np.empty(max(size[0] for size in sizes), dtype=bool),
                     np.empty(max(size[6] for size in sizes), dtype=bool), np.empty(rows, dtype=np.intp),
                     np.arange(rows))
@@ -526,7 +532,7 @@ def train_cohort(
     plan: CohortPlan,
     init: ModelParams,
     seeds: Sequence[int],
-) -> tuple[np.ndarray, dict[int, str]]:
+) -> tuple["ClientModels", dict[int, str]]:
     """Train the K clients of ``plan`` (:func:`plan_cohort`) from
     ``init``: the training kernel.
 
@@ -544,32 +550,113 @@ def train_cohort(
     size (a full ``batch_size``, or an epoch's ragged last batch), as 3-D
     matmuls that make the same BLAS call per client as training it alone.
 
-    Client ``k``'s parameters are row ``k`` of the returned ``(K, P)``
-    buffer, in the model-file order: at its active parameters
-    bit-identical to the reference chain's (forward, loss gradient,
-    backward, Adam step) on its assembled rows cut down to its active
-    columns, alone, and everywhere else ``init``'s. Every call allocates
-    the buffer afresh. The returned dict maps the index ``k`` of each
-    client whose parameters went non-finite to the message of its first
-    such step, which names the first non-finite layer; that client's row
-    is garbage.
+    Returns the clients' models as :class:`ClientModels`: each cohort's
+    trained ``(k, P_w)`` values, freshly allocated per call, with the
+    plan's index of them, over ``init``. Client ``k``'s model, in the
+    model-file order, is at its active parameters bit-identical to the
+    reference chain's (forward, loss gradient, backward, Adam step) on its
+    assembled rows cut down to its active columns, alone, and everywhere
+    else ``init``'s. The returned dict maps the index ``k`` of each client
+    whose parameters went non-finite to the message of its first such
+    step, which names the first non-finite layer; that client's model is
+    garbage.
     """
     if tuple(init.dims) != plan.dims or len(seeds) != len(plan.counts):
         raise SpatialFLError(f"init dims {init.dims} and {len(seeds)} seeds disagree with a plan "
                              f"for dims {plan.dims} and {len(plan.counts)} clients")
+    # The results outlive the call, so they are allocated before the
+    # scratch: freeing the scratch then leaves no hole below them.
+    sizes = [part.members.size * flat_length(part.dims) for part in plan.parts]
+    results = np.empty(sum(sizes))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    values = [results[lo:hi].reshape(part.members.size, -1)
+              for part, lo, hi in zip(plan.parts, bounds, bounds[1:])]
     scratch = _scratch(plan.parts, plan.config.batch_size)
-    params = np.empty((len(plan.counts), init.n_params))
-    params[:] = init.vector
     diverged: dict[int, str] = {}
     # Overflow is reported once, as the client's divergence message, not
     # as numpy warnings along the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for part in plan.parts:
+        for part, out in zip(plan.parts, values):
             members = part.members
-            compact, failed = _train_part(plan, part, init, [seeds[i] for i in members], scratch)
-            params[members[:, None], part.index] = compact
+            failed = _train_part(plan, part, init, [seeds[i] for i in members], scratch, out)
             diverged.update((int(members[i]), message) for i, message in failed.items())
-    return params, diverged
+    return ClientModels(init, [part.members for part in plan.parts], [part.index for part in plan.parts],
+                        values), diverged
+
+
+class ClientModels:
+    """The models of the K clients of one :func:`train_cohort` call, held
+    compactly: the one place that knows their layout.
+
+    A client moves only its active parameters, so its model is the
+    broadcast it started from, :attr:`broadcast`, everywhere else. Per
+    cohort of the plan this holds its members' trained ``(k, P_w)``
+    values (:attr:`values`) and the plan's ``(k, P_w)`` index of where
+    they sit in the model vector (:attr:`index`), and it rebuilds one
+    client's dense vector at a time: afresh as a checked model
+    (``models[k]``, also by iteration) or a vector (:meth:`vector`),
+    weighted (:meth:`scaled`), or in turn into one reused buffer
+    (:meth:`each`). Clients are numbered as the call numbered them.
+    Nothing writes the arrays it holds.
+    """
+
+    def __init__(self, broadcast: ModelParams, members: Sequence[np.ndarray], index: Sequence[np.ndarray],
+                 values: Sequence[np.ndarray]):
+        self.broadcast = broadcast
+        self.index = tuple(index)
+        self.values = tuple(values)
+        # Client k's rows of its cohort's index and values.
+        self._rows: list = [None] * sum(m.size for m in members)
+        for m, where, trained in zip(members, self.index, self.values):
+            for row, k in enumerate(m.tolist()):
+                self._rows[k] = where[row], trained[row]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k: int) -> ModelParams:
+        """Client ``k``'s model, built afresh and checked: a non-finite
+        entry raises ValueError as :class:`ModelParams` does."""
+        return ModelParams(self.vector(k), self.broadcast.dims)
+
+    def vector(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Client ``k``'s dense vector, written into ``out`` if given, else
+        into a new vector."""
+        index, values = self._rows[k]
+        if out is None:
+            out = self.broadcast.vector.copy()
+        else:
+            np.copyto(out, self.broadcast.vector)
+        out[index] = values
+        return out
+
+    def scaled(self, k: int, weight: float) -> np.ndarray:
+        """``weight`` times client ``k``'s dense vector, as a new vector:
+        ``weight * broadcast`` with ``weight * values`` written at the
+        client's index, which equals the product of the rebuilt vector
+        element for element."""
+        index, values = self._rows[k]
+        out = weight * self.broadcast.vector
+        out[index] = weight * values
+        return out
+
+    def select(self, clients: Sequence[int]) -> "ClientModels":
+        """The models of ``clients``, numbered in the order given, sharing
+        this object's arrays."""
+        picked = copy.copy(self)
+        picked._rows = [self._rows[k] for k in clients]
+        return picked
+
+    def each(self, clients: Iterable[int] | None = None) -> Iterator[ModelParams]:
+        """The models of ``clients`` (default: all), in the order given, as
+        one model whose vector is rebuilt in place for each: a model it
+        yields is valid only until it yields the next, and is never
+        checked. A caller that keeps or writes a model takes
+        ``models[k]`` instead."""
+        model = ModelParams(self.broadcast.vector.copy(), self.broadcast.dims)
+        for k in range(len(self)) if clients is None else clients:
+            self.vector(k, model.vector)
+            yield model
 
 
 class _RunViews(NamedTuple):
@@ -622,15 +709,16 @@ def _train_part(
     init: ModelParams,
     seeds: Sequence[int],
     scratch: _Scratch,
-) -> tuple[np.ndarray, dict[int, str]]:
+    out: np.ndarray,
+) -> dict[int, str]:
     """Train one cohort of a plan from ``init`` at its compact dims in the
     start of the call's scratch buffers.
 
     Row position ``j``'s input is ``part.table[part.slots[j]]`` with its
-    raw columns replaced by ``plan.raw[part.rows[j]]``. Returns the
-    members' compact parameters, ``(members, P_w)`` in the order of
-    ``part.index``, as a view of the scratch, and the divergence messages
-    by member number.
+    raw columns replaced by ``plan.raw[part.rows[j]]``. Copies the
+    members' compact parameters into ``out``, ``(members, P_w)`` in the
+    order of ``part.index``, and returns the divergence messages by member
+    number.
     """
     config, raw, labels = plan.config, plan.raw, plan.labels
     rows, slots, table, bounds, dims = part.rows, part.slots, part.table, part.bounds, part.dims
@@ -731,7 +819,8 @@ def _train_part(
             for i in np.flatnonzero(~finite[:live].all(axis=1)).tolist():
                 if i not in diverged:
                     diverged[i] = _divergence_message(params[i], dims)
-    return params, diverged
+    np.copyto(out, params)
+    return diverged
 
 
 def _class_reduce(ufunc, x: np.ndarray) -> np.ndarray:

@@ -80,9 +80,9 @@ def train_alone(dataset, init, config, seed, vocab=None):
     a cohort of one of the training kernel, seeded with ``seed``."""
     raw, labels, codes, enc, columns, offsets = stack_rows([dataset], vocab)
     plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
-    params, diverged = train_cohort(plan, init, [seed])
+    models, diverged = train_cohort(plan, init, [seed])
     assert diverged == {}
-    return ModelParams(params[0], init.dims)
+    return models[0]
 
 
 def alone_round(datasets, init, config, seed, vocab=None):
@@ -107,7 +107,7 @@ def run_rounds(topology, rows, init, mode, config, seed, rounds):
     """``rounds`` rounds of :func:`run_tier_round` from ``init``, each
     broadcasting the last root model, on one plan, as a run loops them:
     the final model of every node, clients included, and round 1's
-    buffer and counts."""
+    client models and counts."""
     plan = plan_rounds(topology, rows, init.dims, config)
     broadcast = init
     for round_index in range(1, rounds + 1):
@@ -115,7 +115,13 @@ def run_rounds(topology, rows, init, mode, config, seed, rounds):
         if round_index == 1:
             first = params, counts
         broadcast = models[topology.root_id]
-    return {**{c: ModelParams(v, init.dims) for c, v in zip(topology.clients(), params)}, **models}, first
+    return {**dict(zip(topology.clients(), params)), **models}, first
+
+
+def dense(models):
+    """Client models (:class:`~spatialfl.nn.ClientModels`) as the rows of
+    one ``(K, P)`` array, each rebuilt on its own."""
+    return np.stack([models.vector(k) for k in range(len(models))])
 
 
 def random_buffer(k, dims, rng, max_count=50):

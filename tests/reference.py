@@ -7,7 +7,9 @@ one bias-corrected Adam step over the flat parameter vector. Every
 function works on one client's assembled rows and allocates freely. The
 finite-difference and Adam oracles check this chain, and the kernel must
 reproduce it bit for bit on each client's active input columns
-(:func:`compact_reference_train`).
+(:func:`compact_reference_train`). :func:`dense_rows` is the dense
+layout of the kernel's results, which every rebuilt client vector must
+equal.
 """
 
 from __future__ import annotations
@@ -153,6 +155,18 @@ def compact_reference_train(init, features, labels, config, seed, active):
     vector[:w1_end].reshape(hidden_dim, input_dim)[:, active] = trained.layer1_weights
     vector[w1_end:] = trained.vector[hidden_dim * active.size:]
     return ModelParams(vector, init.dims)
+
+
+def dense_rows(plan, models) -> np.ndarray:
+    """The dense path that the kernel's compact results replace: a
+    ``(K, P)`` buffer filled with the broadcast, each cohort's trained
+    values (``models.values``) scattered at the plan's index of them, row
+    ``k`` the ``k``-th client of the call."""
+    buffer = np.empty((len(plan.counts), models.broadcast.n_params))
+    buffer[:] = models.broadcast.vector
+    for part, values in zip(plan.parts, models.values):
+        buffer[part.members[:, None], part.index] = values
+    return buffer
 
 
 def tree_sum_levels(vectors: list[np.ndarray]) -> np.ndarray:

@@ -102,7 +102,7 @@ def test_gradient_oracle_finite_differences():
         _, grad_logits = loss_and_grad(forward(model, batch[order]), labels[order])
         stepped, _ = adam_step(model, backward(model, batch[order], grad_logits),
                                init_optimizer_state(model), config)
-        kernel_exact &= params[0].tobytes() == stepped.vector.tobytes()
+        kernel_exact &= params[0].vector.tobytes() == stepped.vector.tobytes()
     elapsed = time.perf_counter() - start
     check("gradient oracle", worst < 1e-5 and elapsed < 5.0,
           f"max rel err {worst:.2e}, {elapsed:.2f}s")
@@ -160,7 +160,7 @@ def test_adam_oracle_reference_trajectory():
                                        adam_beta2=b2, adam_epsilon=eps)
         plan = plan_cohort(raw, labels, codes, enc, spans([0, 6]), init.dims, kernel_config)
         trained, _ = train_cohort(plan, init, [11])
-        kernel_worst = max(kernel_worst, float(np.max(np.abs(trained[0] - x))))
+        kernel_worst = max(kernel_worst, float(np.max(np.abs(trained[0].vector - x))))
     check("adam oracle: training kernel", kernel_worst <= 1e-12,
           f"max trajectory gap {kernel_worst:.2e}")
 

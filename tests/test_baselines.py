@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     alone_round,
+    dense,
     flat_topology,
     interleaved_topology,
     no_encoding,
@@ -91,9 +92,9 @@ class TestCentralized:
         kernel call."""
         raw, labels, codes, enc, columns, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
         plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config, columns)
-        params, diverged = train_cohort(plan, init, [seed])
+        models, diverged = train_cohort(plan, init, [seed])
         assert diverged == {}
-        return ModelParams(params[0], init.dims)
+        return models[0]
 
     @pytest.mark.parametrize("cohort_bytes", [None, 1])
     def test_each_group_matches_it_trained_alone(self, monkeypatch, cohort_bytes):
@@ -241,7 +242,7 @@ class TestEnsemblePredict:
 
 class TestFlatFedavg:
     """The flat baselines are one aggregation step over the tiered run's
-    round-1 parameter buffer, and the ensemble members are its rows."""
+    round-1 client models, which are also the ensemble's members."""
 
     @staticmethod
     def one_level_run(clients, init, config, seed, mode="uniform", rounds=1):
@@ -271,7 +272,7 @@ class TestFlatFedavg:
     def test_matches_degenerate_tier_round_bit_exact(self):
         # One round over a one-level tree must equal one aggregation step
         # over clients trained directly from the init with round-1 seeds,
-        # for both policies; later rounds must not alter the round-1 buffer.
+        # for both policies; later rounds must not alter the round-1 models.
         clients = [separable_client(f"c{i}", n=8 + 2 * i, seed=i) for i in range(4)]
         init = init_params((2, 4, 2), seed=5)
         config = TrainingConfig(learning_rate=0.03, epochs=3)
@@ -283,11 +284,11 @@ class TestFlatFedavg:
             assert params_equal(aggregate(params, counts, mode, init.dims), expected[mode])
             _, kept, kept_counts = self.one_level_run(clients, init, config, 31, mode, rounds=3)
             assert kept_counts == counts == direct_counts
-            assert np.array_equal(kept, direct)
+            assert np.array_equal(dense(kept), direct)
 
     def test_client_models_use_per_client_seeds(self):
         clients = [separable_client(f"c{i}", n=10, seed=0) for i in range(2)]
         init = init_params((2, 4, 2), seed=0)
         _, (c0, c1), _ = self.one_level_run(clients, init, TrainingConfig(epochs=2), 3)
         # identical data but distinct derived seeds produce distinct models
-        assert not np.array_equal(c0, c1)
+        assert not np.array_equal(c0.vector, c1.vector)

@@ -4,6 +4,7 @@ the binary model format."""
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     alone_round,
+    dense,
     child_order_models,
     flat_topology,
     interleaved_topology,
@@ -28,9 +30,9 @@ from helpers import (
     vector_params,
     without_rows_of,
 )
-from reference import params_equal, tree_sum_levels
+from reference import dense_rows, params_equal, tree_sum_levels
 from spatialfl.baselines import BaselineKind
-from spatialfl.data import SyntheticSpec, generate_synthetic
+from spatialfl.data import ClientDataset, SyntheticSpec, generate_synthetic
 from spatialfl.errors import DataError, DivergenceError, SpatialFLError
 from spatialfl import federation, nn
 from spatialfl.federation import (
@@ -45,12 +47,14 @@ from spatialfl.federation import (
     normalize_weights,
     plan_rounds,
     round_seed,
+    run_tier_round,
     serialize_model,
     stack_rows,
     stack_split,
 )
 from spatialfl.harness import ExperimentConfig, SyntheticSource, run_experiment
-from spatialfl.nn import ModelParams, TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
+from spatialfl.nn import TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
+from spatialfl.spatial import SpatialAttribute, build_vocabulary
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
 
@@ -155,7 +159,7 @@ class TestLocalTrain:
         topo = flat_topology([ds.client_id])
         params, (count,), _ = tier_round(topo, train_rows(topo, {ds.client_id: ds}), init, "sample_weighted",
                                              config, seed, 1)
-        return ModelParams(params[0], init.dims), count
+        return params[0], count
 
     def test_zero_epochs_returns_init_bit_equal(self):
         ds = separable_client("c", n=10, seed=1)
@@ -375,6 +379,85 @@ class TestAggregationProperties:
                 aggregate_tree(topo, *short, DIMS, "uniform")
 
 
+@st.composite
+def compact_rounds(draw):
+    """A random ragged tier tree of depth 1 to 3 (the length of every
+    hierarchy path) over one to nine clients of 1 to 30 training rows,
+    an aggregation mode, encoding on or off, and a cohort budget that
+    cuts the clients into cohorts of one or leaves them in one."""
+    depth = draw(st.integers(1, 3))
+    n_clients = draw(st.integers(1, 9))
+    below = [f"c{i}" for i in range(n_clients)]
+    paths = [[c] for c in below]
+    for level in range(1, depth):
+        parents = [f"t{level}n{j}" for j in range(draw(st.integers(1, min(3, len(below)))))]
+        parent_of = {node: parents[draw(st.integers(0, len(parents) - 1))] for node in below}
+        for path in paths:
+            path.append(parent_of[path[-1]])
+        below = sorted(set(parent_of.values()))
+    return dict(paths=[tuple(path) for path in paths],
+                counts=draw(st.lists(st.integers(1, 30), min_size=n_clients, max_size=n_clients)),
+                mode=draw(st.sampled_from(AGGREGATION_MODES)), encoding=draw(st.booleans()),
+                cohort_bytes=draw(st.sampled_from([None, 1])), seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestCompactClientModels:
+    """A round's client models are compact rows over the broadcast; every
+    client vector they rebuild and every aggregate over them is bit for bit
+    that of the dense path (``reference.dense_rows``, then the fold over
+    dense vectors)."""
+
+    @given(case=compact_rounds())
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilt_vectors_and_aggregates_equal_the_dense_path(self, case):
+        rng = np.random.default_rng(case["seed"])
+        topo = TierTopology(case["paths"])
+        datasets = {path[0]: ClientDataset(path[0], SpatialAttribute(rng.uniform(-60, 60), rng.uniform(-170, 170),
+                                                                     path),
+                                           rng.normal(size=(n, 2)), rng.integers(0, 3, size=n), 3)
+                    for path, n in zip(case["paths"], case["counts"])}
+        vocab = build_vocabulary([ds.spatial for ds in datasets.values()]) if case["encoding"] else None
+        rows = train_rows(topo, datasets, vocab)
+        dims = (rows[3].shape[1] + 2, 4, 3)
+        config = TrainingConfig(learning_rate=0.05, epochs=2, batch_size=8)
+        mode, clients = case["mode"], topo.clients()
+        with mock.patch.object(nn, "COHORT_BYTES", case["cohort_bytes"] or nn.COHORT_BYTES):
+            plan = plan_rounds(topo, rows, dims, config)
+        broadcast = init_params(dims, seed=case["seed"] % 1000)
+        # Two rounds: the second starts from the first's root, not from init.
+        for round_index in (1, 2):
+            models, counts, interior = run_tier_round(topo, plan, broadcast, mode, case["seed"], round_index)
+            buffer = dense_rows(plan, models)
+            assert len(models) == len(clients) == len(buffer)
+            for k, model in enumerate(models.each()):
+                assert models.vector(k).tobytes() == buffer[k].tobytes()
+                assert models[k].vector.tobytes() == model.vector.tobytes() == buffer[k].tobytes()
+                assert models.scaled(k, 0.3).tobytes() == (0.3 * buffer[k]).tobytes()
+            folded = child_order_models(topo, {c: (buffer[k], counts[k]) for k, c in enumerate(clients)}, dims, mode)
+            assert sorted(folded) == sorted(interior)
+            for node, model in interior.items():
+                assert model.vector.tobytes() == folded[node].vector.tobytes(), node
+            for flat_mode in AGGREGATION_MODES:
+                assert (aggregate(models, counts, flat_mode, dims).vector.tobytes()
+                        == aggregate(buffer, counts, flat_mode, dims).vector.tobytes())
+            broadcast = interior[ROOT_ID]
+
+    @pytest.mark.parametrize("mode", AGGREGATION_MODES)
+    def test_aggregate_tree_holds_logarithmically_many_client_vectors(self, mode):
+        # 64 clients of about 10,000 parameters, each of which moved 500,
+        # under one root: a dense buffer alone would be 64 vectors.
+        dims = (400, 24, 16)
+        n = nn.flat_length(dims)
+        rng = np.random.default_rng(2)
+        index = np.sort(np.stack([rng.choice(n, 500, replace=False) for _ in range(64)]), axis=1)
+        models = nn.ClientModels(init_params(dims, seed=0), [np.arange(64)], [index], [rng.standard_normal((64, 500))])
+        topo = flat_topology([f"c{i:02d}" for i in range(64)])
+        raws = [1.0 + i for i in range(64)]
+        root, peak = traced_peak(lambda: aggregate_tree(topo, models, raws, dims, mode)[ROOT_ID])
+        assert peak < (math.log2(64) + 3) * 8 * n
+        assert root.vector.tobytes() == aggregate(dense(models), raws, mode, dims).vector.tobytes()
+
+
 class TestRunTierRound:
     def test_single_client_root_is_client_model(self):
         topo = flat_topology(["c0"])
@@ -385,8 +468,8 @@ class TestRunTierRound:
         direct = train_alone(ds["c0"], init, config, round_seed(42, "c0", 1))
         assert params_equal(models[ROOT_ID], direct)
         assert params_equal(models["c0"], direct)
-        assert params.shape == (1, init.n_params) and counts == [ds["c0"].n_rows]
-        assert params_equal(ModelParams(params[0], init.dims), direct)
+        assert len(params) == 1 and counts == [ds["c0"].n_rows]
+        assert params_equal(params[0], direct)
 
     def test_zero_epochs_returns_init_everywhere(self):
         rng = np.random.default_rng(7)
@@ -409,8 +492,8 @@ class TestRunTierRound:
 
     def test_first_round_buffer_rows_follow_ascending_client_ids(self):
         # The interleaved tree trains in depth-first order c1, c3, c0, c2,
-        # yet row k of the buffer and counts[k] belong to the k-th client
-        # in ascending id order, and every node aggregates its own rows.
+        # yet client model k and counts[k] belong to the k-th client in
+        # ascending id order, and every node aggregates its own clients.
         ds = {c: separable_client(c, n=n, seed=i) for i, (c, n) in
               enumerate([("c0", 6), ("c1", 8), ("c2", 10), ("c3", 12)])}
         topo = interleaved_topology(sorted(ds))
@@ -420,9 +503,9 @@ class TestRunTierRound:
         params, counts, models = tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 6, 1)
         direct, direct_counts = alone_round(ds, init, config, 6)
         assert counts == direct_counts == [6, 8, 10, 12]
-        assert params.tobytes() == direct.tobytes()
-        east = aggregate(params[[1, 3]], [8, 12], "sample_weighted", init.dims)
-        west = aggregate(params[[0, 2]], [6, 10], "sample_weighted", init.dims)
+        assert dense(params).tobytes() == direct.tobytes()
+        east = aggregate(params.select([1, 3]), [8, 12], "sample_weighted", init.dims)
+        west = aggregate(params.select([0, 2]), [6, 10], "sample_weighted", init.dims)
         root = aggregate([east.vector, west.vector], [20, 16], "sample_weighted", init.dims)
         assert params_equal(models["east"], east) and params_equal(models["west"], west)
         assert params_equal(models[ROOT_ID], root)
@@ -466,9 +549,9 @@ class TestRunTierRound:
         calls = []
         original = nn._train_part
 
-        def spy(plan, part, init, seeds, scratch):
+        def spy(plan, part, init, seeds, scratch, out):
             calls.append(([owner[s] for s in seeds], np.diff(part.bounds).tolist()))
-            return original(plan, part, init, seeds, scratch)
+            return original(plan, part, init, seeds, scratch, out)
 
         monkeypatch.setattr(nn, "_train_part", spy)
         tier_round(topo, train_rows(topo, ds), init, "sample_weighted", config, 3, 1)
@@ -496,27 +579,29 @@ class TestRunTierRound:
         assert cohort_slices(3, huge, 32) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     def test_holds_one_rounds_buffer_at_a_time(self, monkeypatch):
-        # A run's round loop: at each kernel call after the first, no
-        # earlier round's (K, P) buffer, client model or ensemble member
-        # (a view of a round-1 row) is still held.
+        # A run's round loop: every kernel call returns compact client
+        # models, never a dense (K, P) buffer, and what the loop holds at
+        # a call stops growing after round 2. Beyond the first call it
+        # holds round 1's compact models (the baselines' input), the last
+        # round's and that round's interior models, not every round's.
         config = ExperimentConfig(
             data=SyntheticSource(SyntheticSpec(2, 4, 8, n_classes=2, seed=3)), seed=2,
-            training=TrainingConfig(epochs=1), hidden_dim=400, policy=AggregationPolicy("sample_weighted", 3),
+            training=TrainingConfig(epochs=1), hidden_dim=400, policy=AggregationPolicy("sample_weighted", 4),
             baselines=(BaselineKind.ENSEMBLE, BaselineKind.FLAT_FEDAVG))
-        held, shapes = [], []
+        held, widths = [], []
         original = federation.train_cohort
 
         def spy(plan, init, seeds):
             held.append(tracemalloc.get_traced_memory()[0])
-            params, failed = original(plan, init, seeds)
-            shapes.append((params.shape, init.n_params))
-            return params, failed
+            models, failed = original(plan, init, seeds)
+            widths.append(({values.shape[1] for values in models.values}, len(models), init.n_params))
+            return models, failed
 
         monkeypatch.setattr(federation, "train_cohort", spy)
         traced_peak(lambda: run_experiment(config))
-        ((shape, n_params),) = set(shapes)
-        assert len(held) == 3 and shape == (8, n_params)
-        assert all(later - held[0] < 8 * n_params * 8 / 2 for later in held[1:])
+        ((width, k, n_params),) = {(tuple(w), k, n) for w, k, n in widths}
+        assert len(held) == 4 and k == 8 and all(w < n_params for w in width)
+        assert abs(held[3] - held[2]) < n_params * 8
 
     def test_missing_dataset_rejected(self):
         topo = flat_topology(["c0", "c1"])

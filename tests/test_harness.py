@@ -6,6 +6,7 @@ import json
 import re
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,11 @@ from spatialfl.federation import (
     AggregationPolicy,
     deserialize_model,
     round_seed,
+    serialize_model,
     stack_rows,
     stack_split,
 )
-from spatialfl.nn import TrainingConfig, init_params, predict_rows
+from spatialfl.nn import ModelParams, TrainingConfig, init_params, predict_rows
 from spatialfl.seeding import derive_seed
 from spatialfl.spatial import SpatialAttribute, build_vocabulary
 
@@ -443,9 +445,9 @@ class TestRunExperiment:
         calls = []
         original = nn._train_part
 
-        def spy(plan, part, init, seeds, scratch):
+        def spy(plan, part, init, seeds, scratch, out):
             calls.append(list(seeds))
-            return original(plan, part, init, seeds, scratch)
+            return original(plan, part, init, seeds, scratch, out)
 
         monkeypatch.setattr(nn, "_train_part", spy)
         cohort = run_experiment(config).node_models
@@ -563,6 +565,28 @@ class TestEmitReport:
         for node_id in result.node_models:
             blob = (tmp_path / "models" / f"{node_id}.bin").read_bytes()
             assert params_equal(deserialize_model(blob), result.node_models[node_id])
+
+    def test_node_models_hand_out_no_shared_buffer(self, tmp_path):
+        # A client's model is rebuilt on every lookup: two lookups are equal
+        # but independent, and writing into one changes neither the next
+        # lookup nor the bytes write_models writes.
+        result = run_experiment(synthetic_config(baselines=("ensemble",)))
+        models = result.node_models
+        assert isinstance(models, Mapping) and not isinstance(models, dict)
+        client = sorted(result.report.client_predictions)[0]
+        first, second = models[client], models[client]
+        assert params_equal(first, second) and not np.shares_memory(first.vector, second.vector)
+        expected = first.vector.copy()
+        first.vector[:] = 0.0
+        second.layer1_weights[...] = 1.0
+        assert models[client].vector.tobytes() == expected.tobytes()
+        write_models(models, tmp_path)
+        blob = (tmp_path / "models" / f"{client}.bin").read_bytes()
+        assert blob == serialize_model(ModelParams(expected, first.dims))
+        for node_id in models:
+            assert (tmp_path / "models" / f"{node_id}.bin").read_bytes() == serialize_model(models[node_id])
+        with pytest.raises(TypeError):
+            models[client] = second
 
     def test_ids_differing_in_unsafe_characters_get_files_of_their_own(self, tmp_path):
         ids = ["st 1", "st_1", "st%201", "a/b"]

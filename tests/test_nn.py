@@ -16,6 +16,7 @@ from reference import (
     adam_step,
     backward,
     compact_reference_train,
+    dense_rows,
     forward,
     init_optimizer_state,
     loss_and_grad,
@@ -449,8 +450,8 @@ def train_one(init, features, labels, config, seed):
     ``seed``; None if training diverged."""
     raw, codes, enc = no_encoding(features)
     plan = plan_cohort(raw, labels, codes, enc, spans([0, len(raw)]), init.dims, config)
-    params, diverged = train_cohort(plan, init, [seed])
-    return None if diverged else ModelParams(params[0], init.dims)
+    models, diverged = train_cohort(plan, init, [seed])
+    return None if diverged else models[0]
 
 
 class TestTrain:
@@ -654,16 +655,19 @@ class TestTrainCohort:
         for round_index in range(3):
             init = init_params(case.dims, case.seed + round_index)
             round_seeds = [seed + round_index for seed in seeds]
-            params, diverged = train_cohort(plan, init, round_seeds)
+            models, diverged = train_cohort(plan, init, round_seeds)
             assert diverged == {}
-            assert params.shape == (len(case.counts), init.n_params)
+            assert [values.shape for values in models.values] == [
+                (part.members.size, flat_length(part.dims)) for part in plan.parts]
+            params = dense_rows(plan, models)
             fresh = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
-            assert train_cohort(fresh, init, round_seeds)[0].tobytes() == params.tobytes()
+            assert dense_rows(fresh, train_cohort(fresh, init, round_seeds)[0]).tobytes() == params.tobytes()
             for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
                 active = active_columns(codes, columns, case.e_dim, case.dims[0], np.arange(lo, hi))
                 expected = compact_reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
                                                    config, round_seeds[i], active)
                 assert params[i].tobytes() == expected.vector.tobytes()
+                assert models[i].vector.tobytes() == expected.vector.tobytes()
         assert plan_state(plan) == planned
 
     @given(case=ragged_cohorts())
@@ -679,8 +683,9 @@ class TestTrainCohort:
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
         init = init_params(case.dims, case.seed)
         plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
-        params, diverged = train_cohort(plan, init, seeds)
+        models, diverged = train_cohort(plan, init, seeds)
         assert diverged == {}
+        params = dense_rows(plan, models)
         for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             dense = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi], config, seeds[i])
             inactive = np.ones(case.dims[0], dtype=bool)
@@ -709,8 +714,9 @@ class TestTrainCohort:
         init = init_params(case.dims, case.seed)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
         plan = plan_cohort(raw, labels, codes, enc, rows, init.dims, config)
-        params, diverged = train_cohort(plan, init, seeds)
-        assert params.shape == (len(rows), init.n_params)
+        models, diverged = train_cohort(plan, init, seeds)
+        assert len(models) == len(rows)
+        params = dense_rows(plan, models)
         assert sorted(diverged) == list(case.poisoned)
         for k, r in enumerate(rows):
             if k not in diverged:
@@ -727,7 +733,7 @@ class TestTrainCohort:
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
         plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
-        params, diverged = train_cohort(plan, init, seeds)
+        models, diverged = train_cohort(plan, init, seeds)
         assert diverged == {1: "training diverged (layer1_weights contains non-finite entries)"}
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="^layer1_weights contains non-finite entries$"):
@@ -736,7 +742,7 @@ class TestTrainCohort:
         for i in (0, 2):
             plan = plan_cohort(raw, labels, codes, enc, spans(offsets[i:i + 2]), init.dims, config)
             alone, _ = train_cohort(plan, init, [seeds[i]])
-            assert params[i].tobytes() == alone[0].tobytes()
+            assert models[i].vector.tobytes() == alone[0].vector.tobytes()
 
     def test_saturated_softmax_matches_reference_chain(self):
         # Raw features 1e4 times larger saturate the softmax: most
@@ -755,12 +761,12 @@ class TestTrainCohort:
         assert ((grad_logits @ init.layer2_weights)[masked] < 0.0).sum() > 20
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
         plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
-        params, diverged = train_cohort(plan, init, seeds)
+        models, diverged = train_cohort(plan, init, seeds)
         assert diverged == {}
         for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             expected = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
                                        config, seeds[i])
-            assert params[i].tobytes() == expected.vector.tobytes()
+            assert models[i].vector.tobytes() == expected.vector.tobytes()
 
     def test_overflowing_masked_gradient_matches_reference_chain(self):
         # Every hidden unit is off, its pre-activation exactly 0.0 (W1 = 0,
@@ -781,9 +787,9 @@ class TestTrainCohort:
             expected = reference_train(init, raw, labels, config, 5)
         _, codes, enc = no_encoding(raw)
         plan = plan_cohort(raw, labels, codes, enc, [np.arange(6)], init.dims, config)
-        params, diverged = train_cohort(plan, init, [5])
+        models, diverged = train_cohort(plan, init, [5])
         assert diverged == {}
-        assert params[0].tobytes() == expected.vector.tobytes()
+        assert models[0].vector.tobytes() == expected.vector.tobytes()
 
     def test_cohort_budget_changes_no_bit(self, monkeypatch):
         # One ragged call cut into cohorts of one, of two (the last one
@@ -801,7 +807,8 @@ class TestTrainCohort:
             monkeypatch.setattr(nn, "COHORT_BYTES", size * per_client)
             assert [p.stop - p.start for p in cohort_slices(5, init.dims, config.batch_size)] == cut
             plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
-            results.append(train_cohort(plan, init, seeds))
+            models, failed = train_cohort(plan, init, seeds)
+            results.append((dense_rows(plan, models), failed))
         (params, diverged), *others = results
         assert list(diverged) == [1]
         for other, failed in others:
@@ -828,8 +835,9 @@ class TestTrainCohort:
         assert plan.parts[0].table.tolist() == [[0.5, 0.0, 1, 1, 0, 0], [0.25, 1.0, 1, 1, 0, 0]]
         assert plan.parts[1].table.tolist() == [[0.5, 0.0, 1, 0, 1, 0, 0], [0.25, 1.0, 0, 1, 1, 0, 0]]
         init = init_params((8, 3, 2), seed=4)
-        params, diverged = train_cohort(plan, init, [1, 2, 3, 4, 5])
+        models, diverged = train_cohort(plan, init, [1, 2, 3, 4, 5])
         assert diverged == {}
+        params = dense_rows(plan, models)
         for k, active in enumerate([[0, 1, 2, 4, 6, 7], [0, 1, 3, 4, 6, 7], [0, 1, 2, 3, 4, 6, 7],
                                     range(8), range(8)]):
             expected = compact_reference_train(init, np.hstack([enc[codes[rows[k]]], raw[rows[k]]]),
@@ -840,13 +848,14 @@ class TestTrainCohort:
         assert [part.members.tolist() for part in single.parts] == [[0], [1], [2], [3], [4]]
         assert single.parts[3].table is single.parts[4].table
         assert single.parts[3].table.shape == (4, 8)
-        assert train_cohort(single, init, [1, 2, 3, 4, 5])[0].tobytes() == params.tobytes()
+        assert dense_rows(single, train_cohort(single, init, [1, 2, 3, 4, 5])[0]).tobytes() == params.tobytes()
 
     def test_scratch_is_sized_for_one_cohort(self, monkeypatch):
         # tracemalloc sees numpy's buffers. Twelve clients of one code each
         # in cohorts of three at their compact dims: the call's peak is
-        # one cohort's working set plus the (K, P) result and the plan,
-        # not twelve working sets. The plan is the compact encoding tables,
+        # one cohort's working set plus the compact result (one block and
+        # a view of it per cohort) and the plan, not twelve working sets.
+        # The plan is the compact encoding tables,
         # the parameter indices (one per active parameter of each client),
         # the row numbers, their table rows and their positions, one per
         # row and epoch, and its schedule's objects, as is what training
@@ -871,11 +880,12 @@ class TestTrainCohort:
             try:
                 plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
                 planned = tracemalloc.get_traced_memory()[0]
-                params, diverged = train_cohort(plan, init, seeds)
+                models, diverged = train_cohort(plan, init, seeds)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert diverged == {}
+            result = sum(values.nbytes for values in models.values)
             assert [part.dims for part in plan.parts] == [compact] * 4
             tables = sum(part.table.nbytes for part in plan.parts)
             index = 12 * flat_length(compact) * 8
@@ -883,17 +893,18 @@ class TestTrainCohort:
             assert planned <= (tables + index + 8 * sum(case.counts) * (case.epochs + 2)
                                + 1024 * sum(map(len, runs)))
             orders = 16 * plan.parts[0].bounds[-1]
-            views = 4096 * max(len({run[:3] for run in part}) for part in runs)
-            assert peak <= nn.COHORT_BYTES + params.nbytes + planned + orders + views
-            assert 12 * per_client > nn.COHORT_BYTES + params.nbytes + tables + index
+            views = 4096 * max(len({run[:3] for run in part}) for part in runs) + 1024 * len(plan.parts)
+            assert peak <= nn.COHORT_BYTES + result + planned + orders + views
+            assert 12 * per_client > nn.COHORT_BYTES + result + tables + index
 
     def test_five_float_scratch_rows_per_client(self):
         # Parameters, gradient, both Adam moments and one Adam step at the
         # compact dims: with wide models and one-row batches the call's
-        # peak beyond the (K, P) result is those five (K, P_w) rows, the
-        # plan's (K, P_w) parameter indices and the finiteness mask. A
-        # sixth float row would add another compact buffer's worth. With
-        # no encoding every column is active and P_w is P.
+        # peak is those five (K, P_w) rows, the compact result copied out
+        # of them, the plan's (K, P_w) parameter indices and the
+        # finiteness mask. A sixth float row would add another compact
+        # buffer's worth, and a dense (K, P) result far more. With no
+        # encoding every column is active and P_w is P.
         for case in [Cohort(11, (400, 25, 2), 0, 1, [1] * 8, 1, 2, 0),
                      Cohort(11, (400, 400, 2), 390, 8, [1] * 8, 1, 2, 0)]:
             raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
@@ -901,19 +912,18 @@ class TestTrainCohort:
             config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
             dims = (columns.shape[1] + raw.shape[1], *case.dims[1:])
             assert len(cohort_slices(8, dims, config.batch_size)) == 1
-            buffer = 8 * flat_length(init.dims) * 8
             compact = 8 * flat_length(dims) * 8
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
                 plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
-                params, diverged = train_cohort(plan, init, seeds)
+                models, diverged = train_cohort(plan, init, seeds)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            assert diverged == {} and params.nbytes == buffer
+            assert diverged == {} and [values.nbytes for values in models.values] == [compact]
             assert [part.dims for part in plan.parts] == [dims]
-            assert 6 * compact < peak - buffer < 6.5 * compact
+            assert 7 * compact < peak < 7.5 * compact
 
     def test_labels_checked_once_per_call(self):
         labels = np.zeros(12, dtype=np.int64)

@@ -40,10 +40,16 @@ def test_scale_config_round_trips_through_the_config_reader():
 
 def test_kernel_bench_trains_one_cohort():
     kernel_bench = load_script("kernel_bench")
-    plan, train, iterations = kernel_bench.cohort_call(nn, (4, 3, 2), 2, 40, 3)
+    dims = (7, 3, 2)
+    plan, train, iterations = kernel_bench.cohort_call(nn, dims, 5, 40, 3, (3,))
     assert iterations == 2 * kernel_bench.EPOCHS
-    params, diverged = train(plan())
-    assert params.shape == (3, nn.flat_length((4, 3, 2))) and diverged == {}
+    models, diverged = train(plan())
+    assert diverged == {} and len(models) == 3
+    # Each client trains 5 of the 7 inputs (two coordinates, one of three
+    # one-hot columns, two raw columns): 26 of a model's 32 parameters.
+    assert [values.shape for values in models.values] == [(3, nn.flat_length((5, 3, 2)))]
+    assert kernel_bench.result_floats(models) == 3 * 26
+    assert models.vector(2).shape == (nn.flat_length(dims),) == (32,)
 
 
 def test_op_bench_alternates_a_tree_with_itself():
