@@ -39,11 +39,13 @@ def train_centralized(
     config: TrainingConfig,
     seed: int,
     rows: StackedRows,
+    table: tuple[np.ndarray, np.ndarray],
 ) -> ClientModels:
     """One model per group of client ids, in the order given, each over
     its clients' spans of the training stack ``rows``
     (:func:`~spatialfl.federation.stack_split`) pooled in canonical
     (client_id, row) order, each seeded with ``seed`` and deterministic.
+    ``table`` is the encodings its codes index (:func:`~spatialfl.spatial.encoding_table`).
 
     Every group trains in one call of the training kernel, as one of its
     clients, and the call's :class:`~spatialfl.nn.ClientModels` are
@@ -51,7 +53,8 @@ def train_centralized(
     :class:`DataError`; if training diverges, the first such group
     in the order given is reported.
     """
-    raw, labels, codes, enc, columns, spans = rows
+    raw, labels, codes, spans = rows
+    enc, columns = table
     pools = [np.concatenate([np.arange(*spans[c]) for c in sorted(set(group))] or [np.arange(0)])
              for group in groups]
     if any(r.size == 0 for r in pools):

@@ -28,6 +28,7 @@ from .harness import (
     write_models,
 )
 from .nn import predict_rows
+from .spatial import encoding_table
 
 
 def _stage_suffix(exc: Exception) -> str:
@@ -83,7 +84,8 @@ def cmd_evaluate_model(args: argparse.Namespace) -> int:
                              f"the config's n_classes {config.n_classes}")
     datasets, topology, _ = load_datasets(config, data_path)
     # The file's rows in the layout a run scores them in.
-    raw, labels, codes, enc, _, _ = stack_split(topology, datasets, vocabulary(config, datasets))
+    raw, labels, codes, _ = stack_split(topology, datasets)
+    enc, _ = encoding_table([datasets[c].spatial for c in topology.client_order], vocabulary(config, datasets))
     width = enc.shape[1] + raw.shape[1]
     if model.input_dim != width:
         raise SpatialFLError(f"model {model_path}: input_dim {model.input_dim} does not match the "

@@ -16,8 +16,9 @@ streams over the children, holding O(log K) partial sums, never K
 vectors.
 
 A run splits every client into a training and a validation dataset and
-stacks each side's rows once (:func:`stack_split`), for the tiered
-rounds, the centralized baselines and scoring alike. A run plans the
+stacks each side's raw rows once (:func:`stack_split`), for the tiered
+rounds, the centralized baselines and scoring alike; a row's code picks
+its client's row of the run's one table of encodings. A run plans the
 clients' training once (:func:`plan_rounds`): the kernel's checks, its
 layout and its schedule, with the clients cut into cohorts whose working
 memory fits :data:`~spatialfl.nn.COHORT_BYTES`. Each round
@@ -46,7 +47,6 @@ import numpy as np
 from .errors import DataError, DivergenceError, SpatialFLError
 from .nn import ClientModels, CohortPlan, Dims, ModelParams, TrainingConfig, flat_length, plan_cohort, train_cohort
 from .seeding import derive_seed
-from .spatial import SpatialVocabulary, encode_spatial, encoding_columns
 
 if TYPE_CHECKING:
     from .data import ClientDataset
@@ -187,61 +187,47 @@ def round_seed(master: int, client_id: str, round_index: int) -> int:
 
 def stack_rows(
     clients: Sequence["ClientDataset"],
-    vocab: SpatialVocabulary | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The clients' rows in the format the training kernel and the scorer
     read.
 
     Returns the raw ``(N, F)`` feature rows and labels of the clients, in
-    the order given, each row's code (the index of its client), the
-    ``(K, E)`` table of the clients' encodings (``E`` is 0 with
-    ``vocab=None``), its layout (row ``k`` of the ``(K, A)`` array lists
-    the columns of encoding ``k`` that may be non-zero,
-    :func:`~spatialfl.spatial.encoding_columns`) and the client row
-    offsets (client ``k`` owns rows ``offsets[k]:offsets[k + 1]``).
-    Nothing is encoded per row: row ``i``'s model input is
-    ``[enc[codes[i]], raw[i]]``.
+    the order given, each row's code (the index of its client) and the
+    client row offsets (client ``k`` owns rows ``offsets[k]:offsets[k + 1]``).
+    Nothing is encoded here: row ``i``'s model input is
+    ``[enc[codes[i]], raw[i]]``, ``enc`` the clients' encodings in the same
+    order (:func:`~spatialfl.spatial.encoding_table`).
     """
     offsets = np.cumsum([0] + [c.n_rows for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
     raw = np.empty((offsets[-1], n_raw))
     labels = np.empty(offsets[-1], dtype=np.int64)
-    enc = np.empty((len(clients), vocab.encoding_length if vocab is not None else 0))
-    columns = [[]] * len(clients)
-    for i, (client, lo, hi) in enumerate(zip(clients, offsets, offsets[1:])):
+    for client, lo, hi in zip(clients, offsets, offsets[1:]):
         raw[lo:hi], labels[lo:hi] = client.features, client.labels
-        if vocab is not None:
-            enc[i] = encode_spatial(client.spatial, vocab)
-            columns[i] = encoding_columns(client.spatial, vocab)
     codes = np.repeat(np.arange(len(clients)), np.diff(offsets))
-    columns = np.array(columns, dtype=np.intp).reshape(len(clients), len(columns[0]) if clients else 0)
-    return raw, labels, codes, enc, columns, offsets
+    return raw, labels, codes, offsets
 
 
-# :func:`stack_split`'s raw rows, labels, codes, encodings, their layout
-# and node spans.
-StackedRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]
+# :func:`stack_split`'s raw rows, labels, codes and node spans.
+StackedRows = tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, tuple[int, int]]]
 
 
-def stack_split(
-    topology: TierTopology,
-    datasets: Mapping[str, "ClientDataset"],
-    vocab: SpatialVocabulary | None,
-) -> StackedRows:
+def stack_split(topology: TierTopology, datasets: Mapping[str, "ClientDataset"]) -> StackedRows:
     """Every topology client's rows (:func:`stack_rows`), in depth-first
-    client order, with the ``[lo, hi)`` row span of every node, clients
+    client order (:attr:`TierTopology.client_order`, which the row codes
+    count in), with the ``[lo, hi)`` row span of every node, clients
     included. A run stacks its training datasets and its validation
-    datasets this way, once each. A topology client without a dataset
-    raises :class:`DataError`."""
+    datasets this way, once each, and both index one table of encodings.
+    A topology client without a dataset raises :class:`DataError`."""
     missing = [c for c in topology.clients() if c not in datasets]
     if missing:
         raise DataError(f"no dataset for clients: {missing}")
-    raw, labels, codes, enc, columns, offsets = stack_rows([datasets[c] for c in topology.client_order], vocab)
+    raw, labels, codes, offsets = stack_rows([datasets[c] for c in topology.client_order])
     spans = {}
     for node_id in topology.node_ids():
         first, last = topology.client_span(node_id)
         spans[node_id] = (int(offsets[first]), int(offsets[last]))
-    return raw, labels, codes, enc, columns, spans
+    return raw, labels, codes, spans
 
 
 def _tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray:
@@ -382,15 +368,18 @@ def aggregate_tree(
     return models
 
 
-def plan_rounds(topology: TierTopology, rows: StackedRows, dims: Dims, config: TrainingConfig) -> CohortPlan:
+def plan_rounds(topology: TierTopology, rows: StackedRows, table: tuple[np.ndarray, np.ndarray],
+                dims: Dims, config: TrainingConfig) -> CohortPlan:
     """The training of every client of ``topology`` on its span of the
     training stack ``rows`` (:func:`stack_split`) at ``dims`` under
     ``config``, planned once for every :func:`run_tier_round` of a run,
-    clients in ascending order (:meth:`TierTopology.clients`).
+    clients in ascending order (:meth:`TierTopology.clients`), ``table``
+    the encodings the codes index (:func:`~spatialfl.spatial.encoding_table`).
 
     A client without training rows is named by the lowest such client id.
     """
-    raw, labels, codes, enc, columns, spans = rows
+    raw, labels, codes, spans = rows
+    enc, columns = table
     clients = topology.clients()
     empty = [c for c in clients if spans[c][0] == spans[c][1]]
     if empty:

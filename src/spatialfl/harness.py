@@ -51,7 +51,7 @@ from .federation import (
 )
 from .nn import ModelParams, TrainingConfig, init_params, predict_rows
 from .seeding import derive_seed
-from .spatial import SpatialVocabulary, build_vocabulary
+from .spatial import SpatialVocabulary, build_vocabulary, encoding_table
 
 METHOD_TIERED = "n_tier_fl"
 METHOD_CENTRALIZED_REGIONAL = "centralized_nn_regional"
@@ -484,9 +484,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("encoding"):
         vocab = vocabulary(config, train_sets)
         # The one row layout of the run: each side of the split stacked
-        # once, in depth-first client order, every node's rows one span.
-        train = stack_split(topology, train_sets, vocab)
-        raw, labels, codes, enc, _, spans = stack_split(topology, valid_sets, vocab)
+        # once, in depth-first client order, every node's rows one span;
+        # the codes of both index one encoding per client, in that order.
+        train = stack_split(topology, train_sets)
+        raw, labels, codes, spans = stack_split(topology, valid_sets)
+        table = encoding_table([train_sets[c].spatial for c in topology.client_order], vocab)
+        enc = table[0]
 
     clients = topology.clients()
     dims = (enc.shape[1] + raw.shape[1], config.hidden_dim, config.n_classes)
@@ -500,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("federated"):
         # Every round trains the same clients on the same rows: their
         # checks, layout and schedule are planned once.
-        plan = plan_rounds(topology, train, dims, config.training)
+        plan = plan_rounds(topology, train, table, dims, config.training)
         broadcast = init
         for round_index in range(1, config.policy.rounds + 1):
             trained, counts, models = run_tier_round(topology, plan, broadcast, config.policy.mode,
@@ -548,7 +551,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             regions = topology.children(topology.root_id)
             centralized = train_centralized(
                 [clients] + [topology.subtree_clients(region) for region in regions], init, config.training,
-                config.seed, train).each()
+                config.seed, train, table).each()
             correct[kind.value] = fold_correct(score(next(centralized), f"{kind.value} baseline"), labels, spans)
             regional = np.empty_like(labels)
             for region, model in zip(regions, centralized):

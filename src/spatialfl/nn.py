@@ -374,8 +374,9 @@ def plan_cohort(
 
     ``columns`` is the table's layout: row ``c`` of the ``(C, A)`` array
     lists, ascending, the columns of ``enc[c]`` that may be non-zero
-    (:func:`~spatialfl.federation.stack_rows` takes it from the
-    vocabulary); every other entry must be 0.0. None means every column.
+    (:func:`~spatialfl.spatial.encoding_table` builds it with the table,
+    from the vocabulary); every other entry must be 0.0. None means every
+    column.
     A client's active input columns are every raw column and the columns
     its rows' codes list. Every other first-layer weight multiplies only
     exact zeros in its inputs, so its gradient is zero and Adam never

@@ -4,8 +4,10 @@ A client is identified by coordinates and a hierarchy path ordered leaf
 to root (e.g. ``[station, city]``). Its encoding is two min-max
 normalised coordinates followed by one one-hot block per hierarchy
 level, leaf level first; the encoding is prepended to raw model inputs.
-Only the coordinates and one column per block can be non-zero
-(:func:`encoding_columns`), which the training kernel relies on.
+A run builds one table of them, a row per client (:func:`encoding_table`),
+which its row codes index. Only the coordinates and one column per block
+can be non-zero, and the table comes with that layout, which the
+training kernel relies on.
 Coordinates and hierarchy blocks can each be switched off when the
 vocabulary is built.
 """
@@ -125,37 +127,34 @@ def _normalise(value: float, bounds: tuple[float, float]) -> float:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def encode_spatial(attr: SpatialAttribute, vocab: SpatialVocabulary) -> np.ndarray:
-    """Encode one attribute against a vocabulary as a vector of
-    ``vocab.encoding_length`` floats; pure and deterministic."""
-    parts = []
-    if vocab.include_coordinates:
-        parts.append(np.array([
-            _normalise(attr.latitude, vocab.lat_bounds),
-            _normalise(attr.longitude, vocab.lon_bounds),
-        ]))
-    if vocab.include_hierarchy:
-        if len(attr.hierarchy_path) != len(vocab.levels):
-            raise DataError(
-                f"path depth {len(attr.hierarchy_path)} != vocabulary depth {len(vocab.levels)}"
-            )
-        for level, label in enumerate(attr.hierarchy_path):
-            block = np.zeros(len(vocab.levels[level]))
-            block[vocab.level_index(level, label)] = 1.0
-            parts.append(block)
-    return np.concatenate(parts)
-
-
-def encoding_columns(attr: SpatialAttribute, vocab: SpatialVocabulary) -> list[int]:
-    """The columns of :func:`encode_spatial`'s vector that may be non-zero,
-    ascending: both coordinates, then the attribute's label column in each
-    level's block. Every other entry is exactly 0.0. A coordinate at its
-    bound encodes 0.0 too, and is listed all the same: the columns follow
-    from the vocabulary's layout, never from values."""
-    columns = [0, 1] if vocab.include_coordinates else []
-    if vocab.include_hierarchy:
-        start = len(columns)
-        for level, label in enumerate(attr.hierarchy_path):
-            columns.append(start + vocab.level_index(level, label))
-            start += len(vocab.levels[level])
-    return columns
+def encoding_table(attrs: list[SpatialAttribute],
+                   vocab: SpatialVocabulary | None) -> tuple[np.ndarray, np.ndarray]:
+    """The encodings of ``attrs`` against ``vocab`` as a ``(K, E)`` table
+    (``E`` is ``vocab.encoding_length``), in the order given, and its
+    ``(K, A)`` layout; pure and deterministic. Row ``k`` of the layout
+    lists, ascending, the columns of encoding ``k`` that may be non-zero:
+    both coordinates, then the attribute's label column in each level's
+    block, which holds 1.0. Every other entry is exactly 0.0. A coordinate
+    at its bound encodes 0.0 too, and is listed all the same: the columns
+    follow from the vocabulary's layout, never from values. With
+    ``vocab=None`` both arrays are ``K`` rows of width 0. An unknown label
+    or a path of another depth raises :class:`DataError`."""
+    if vocab is None:
+        return np.empty((len(attrs), 0)), np.empty((len(attrs), 0), dtype=np.intp)
+    head = 2 if vocab.include_coordinates else 0
+    # Each level's block starts after the coordinates and the blocks before it.
+    starts = np.cumsum([head] + [len(level) for level in vocab.levels])[:-1]
+    table = np.zeros((len(attrs), vocab.encoding_length))
+    columns = np.empty((len(attrs), head + len(starts) * vocab.include_hierarchy), dtype=np.intp)
+    columns[:, :head] = np.arange(head)
+    for k, attr in enumerate(attrs):
+        if vocab.include_coordinates:
+            table[k, :2] = (_normalise(attr.latitude, vocab.lat_bounds),
+                            _normalise(attr.longitude, vocab.lon_bounds))
+        if vocab.include_hierarchy:
+            path = attr.hierarchy_path
+            if len(path) != len(vocab.levels):
+                raise DataError(f"path depth {len(path)} != vocabulary depth {len(vocab.levels)}")
+            columns[k, head:] = starts + [vocab.level_index(level, label) for level, label in enumerate(path)]
+            table[k, columns[k, head:]] = 1.0
+    return table, columns

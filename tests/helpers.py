@@ -14,7 +14,7 @@ from spatialfl.federation import (
 )
 from spatialfl.nn import ModelParams, init_params, plan_cohort, train_cohort
 from spatialfl.seeding import derive_seed
-from spatialfl.spatial import SpatialAttribute
+from spatialfl.spatial import SpatialAttribute, encoding_table
 
 
 def vector_params(dims, values):
@@ -47,8 +47,11 @@ def interleaved_topology(client_ids):
 
 def train_rows(topology, datasets, vocab=None):
     """``datasets`` (by client id) laid out under ``topology`` as a run
-    lays out its training rows (:func:`stack_split`)."""
-    return stack_split(topology, datasets, vocab)
+    lays out its training rows (:func:`stack_split`), and the table of the
+    clients' encodings that the rows' codes index
+    (:func:`~spatialfl.spatial.encoding_table`)."""
+    return stack_split(topology, datasets), encoding_table(
+        [datasets[c].spatial for c in topology.client_order], vocab)
 
 
 def without_rows_of(rows, client_ids):
@@ -56,12 +59,12 @@ def without_rows_of(rows, client_ids):
     clients removed and every node's span shrunk to match: those clients'
     spans are empty, which no stack of datasets (each holding at least one
     row) gives."""
-    raw, labels, codes, enc, columns, node_spans = rows
+    raw, labels, codes, node_spans = rows
     keep = np.ones(labels.size, dtype=bool)
     for c in client_ids:
         keep[slice(*node_spans[c])] = False
     kept = np.concatenate(([0], np.cumsum(keep)))
-    return (raw[keep], labels[keep], codes[keep], enc, columns,
+    return (raw[keep], labels[keep], codes[keep],
             {node_id: (int(kept[lo]), int(kept[hi])) for node_id, (lo, hi) in node_spans.items()})
 
 
@@ -78,7 +81,8 @@ def split_clients(datasets, seed):
 def train_alone(dataset, init, config, seed, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
     a cohort of one of the training kernel, seeded with ``seed``."""
-    raw, labels, codes, enc, columns, offsets = stack_rows([dataset], vocab)
+    raw, labels, codes, offsets = stack_rows([dataset])
+    enc, columns = encoding_table([dataset.spatial], vocab)
     plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
     models, diverged = train_cohort(plan, init, [seed])
     assert diverged == {}
@@ -96,19 +100,20 @@ def alone_round(datasets, init, config, seed, vocab=None):
     return params, [datasets[c].n_rows for c in ids]
 
 
-def tier_round(topology, rows, broadcast, mode, config, seed, round_index):
-    """One :func:`run_tier_round` on the training stack ``rows``, planned
-    for it alone."""
-    plan = plan_rounds(topology, rows, broadcast.dims, config)
+def tier_round(topology, stacked, broadcast, mode, config, seed, round_index):
+    """One :func:`run_tier_round` on the training stack and encoding table
+    ``stacked`` (:func:`train_rows`), planned for it alone."""
+    plan = plan_rounds(topology, *stacked, broadcast.dims, config)
     return run_tier_round(topology, plan, broadcast, mode, seed, round_index)
 
 
-def run_rounds(topology, rows, init, mode, config, seed, rounds):
+def run_rounds(topology, stacked, init, mode, config, seed, rounds):
     """``rounds`` rounds of :func:`run_tier_round` from ``init``, each
-    broadcasting the last root model, on one plan, as a run loops them:
-    the final model of every node, clients included, and round 1's
+    broadcasting the last root model, on one plan of the training stack
+    and encoding table ``stacked`` (:func:`train_rows`), as a run loops
+    them: the final model of every node, clients included, and round 1's
     client models and counts."""
-    plan = plan_rounds(topology, rows, init.dims, config)
+    plan = plan_rounds(topology, *stacked, init.dims, config)
     broadcast = init
     for round_index in range(1, rounds + 1):
         params, counts, models = run_tier_round(topology, plan, broadcast, mode, seed, round_index)

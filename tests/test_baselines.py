@@ -32,7 +32,7 @@ from spatialfl.nn import (
     predict_rows,
     train_cohort,
 )
-from spatialfl.spatial import build_vocabulary, encode_spatial, encoding_columns
+from spatialfl.spatial import build_vocabulary, encoding_table
 
 
 def constant_class_model(n_classes, winner, input_dim=2, hidden=2):
@@ -49,8 +49,8 @@ def pooled(groups, init, config, seed, vocab=None, layout=flat_topology):
     """:func:`train_centralized` over groups of clients, on the training
     rows of all of them laid out under ``layout``."""
     datasets = {c.client_id: c for group in groups for c in group}
-    rows = train_rows(layout(sorted(datasets)), datasets, vocab)
-    return train_centralized([[c.client_id for c in group] for group in groups], init, config, seed, rows)
+    rows, table = train_rows(layout(sorted(datasets)), datasets, vocab)
+    return train_centralized([[c.client_id for c in group] for group in groups], init, config, seed, rows, table)
 
 
 class TestCentralized:
@@ -76,9 +76,10 @@ class TestCentralized:
         assert params_equal(forward_order, reverse_order)
 
     def test_empty_pool_rejected(self):
-        rows = without_rows_of(train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)}), ["c"])
+        rows, table = train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)})
         with pytest.raises(DataError, match="^pooled training set is empty$"):
-            train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, rows)
+            train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, without_rows_of(rows, ["c"]),
+                              table)
 
     def test_divergence_names_the_baseline(self):
         ds = separable_client("c", n=12, seed=0)
@@ -90,7 +91,9 @@ class TestCentralized:
     def pooled_alone(group, init, config, seed, vocab):
         """A group's pooled training rows trained as the only client of a
         kernel call."""
-        raw, labels, codes, enc, columns, _ = stack_rows(sorted(group, key=lambda c: c.client_id), vocab)
+        group = sorted(group, key=lambda c: c.client_id)
+        raw, labels, codes, _ = stack_rows(group)
+        enc, columns = encoding_table([c.spatial for c in group], vocab)
         plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config, columns)
         models, diverged = train_cohort(plan, init, [seed])
         assert diverged == {}
@@ -134,9 +137,10 @@ class TestCentralized:
 
     def test_empty_group_rejected(self):
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1"])}
-        rows = without_rows_of(train_rows(flat_topology(sorted(ds)), ds), ["c1"])
+        rows, table = train_rows(flat_topology(sorted(ds)), ds)
         with pytest.raises(DataError, match="^pooled training set is empty$"):
-            train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, rows)
+            train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), 0,
+                              without_rows_of(rows, ["c1"]), table)
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
@@ -147,7 +151,8 @@ class TestCentralized:
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=1)
         config = TrainingConfig(learning_rate=0.05, epochs=100)
         [model] = pooled([train.values()], init, config, 2, vocab)
-        raw, labels, codes, enc, _, _ = stack_rows(list(valid.values()), vocab)
+        raw, labels, codes, _ = stack_rows(list(valid.values()))
+        enc, _ = encoding_table([c.spatial for c in valid.values()], vocab)
         assert np.mean(predict_rows(model, raw, codes, enc) == labels) >= 0.95
 
 
@@ -157,7 +162,7 @@ def encoded_blocks(clients, vocab):
     blocks = []
     for c in clients:
         feats = c.features
-        head = encode_spatial(c.spatial, vocab) if vocab is not None else np.empty(0)
+        [head], _ = encoding_table([c.spatial], vocab)
         rows = [np.concatenate([head, row]) for row in feats]
         blocks.append(np.array(rows).reshape(len(feats), head.size + feats.shape[1]))
     return blocks
@@ -168,18 +173,20 @@ class TestStackRows:
         clients = [separable_client(f"c{i}", n=6 + i, seed=i) for i in range(4)]
         vocab = build_vocabulary([c.spatial for c in clients])
         for v in (vocab, None):
-            raw, labels, codes, enc, columns, offsets = stack_rows(clients, v)
+            raw, labels, codes, offsets = stack_rows(clients)
+            enc, columns = encoding_table([c.spatial for c in clients], v)
             blocks = encoded_blocks(clients, v)
             assert np.array_equal(np.hstack([enc[codes], raw]), np.vstack(blocks))
             assert np.array_equal(labels, np.concatenate([c.labels for c in clients]))
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
             assert enc.shape == (len(clients), v.encoding_length if v is not None else 0)
             assert codes.tolist() == np.repeat(np.arange(len(clients)), np.diff(offsets)).tolist()
-            assert columns.tolist() == [encoding_columns(c.spatial, v) if v else [] for c in clients]
+            assert columns.tolist() == [encoding_table([c.spatial], v)[1][0].tolist() for c in clients]
 
     def test_no_rows_gives_an_empty_matrix(self):
         vocab = build_vocabulary([separable_client("c0", n=4, seed=0).spatial])
-        raw, labels, codes, enc, columns, offsets = stack_rows([], vocab)
+        raw, labels, codes, offsets = stack_rows([])
+        enc, columns = encoding_table([], vocab)
         assert raw.shape == (0, 0) and enc.shape == (0, vocab.encoding_length)
         assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0]
         assert columns.shape[0] == 0

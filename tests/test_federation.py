@@ -54,7 +54,7 @@ from spatialfl.federation import (
 )
 from spatialfl.harness import ExperimentConfig, SyntheticSource, run_experiment
 from spatialfl.nn import TrainingConfig, cohort_slices, init_params, predict_rows, working_set_bytes
-from spatialfl.spatial import SpatialAttribute, build_vocabulary
+from spatialfl.spatial import SpatialAttribute, build_vocabulary, encoding_table
 
 DIMS = (1, 1, 1)  # four flat parameters; enough for aggregation algebra
 
@@ -180,16 +180,17 @@ class TestLocalTrain:
 
     def test_no_training_rows_rejected(self):
         topo = flat_topology(["c"])
-        rows = without_rows_of(train_rows(topo, {"c": separable_client("c", n=6, seed=0)}), ["c"])
+        rows, table = train_rows(topo, {"c": separable_client("c", n=6, seed=0)})
         with pytest.raises(DataError, match="^client 'c' has no training rows$"):
-            plan_rounds(topo, rows, (2, 4, 2), TrainingConfig())
+            plan_rounds(topo, without_rows_of(rows, ["c"]), table, (2, 4, 2), TrainingConfig())
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
         for layout in (flat_topology, interleaved_topology):
             topo = layout(sorted(ds))
+            rows, table = train_rows(topo, ds)
             with pytest.raises(DataError, match="^client 'c0' has no training rows$"):
-                plan_rounds(topo, without_rows_of(train_rows(topo, ds), ["c0", "c3"]), (2, 4, 2), TrainingConfig())
+                plan_rounds(topo, without_rows_of(rows, ["c0", "c3"]), table, (2, 4, 2), TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
@@ -417,12 +418,12 @@ class TestCompactClientModels:
                                            rng.normal(size=(n, 2)), rng.integers(0, 3, size=n), 3)
                     for path, n in zip(case["paths"], case["counts"])}
         vocab = build_vocabulary([ds.spatial for ds in datasets.values()]) if case["encoding"] else None
-        rows = train_rows(topo, datasets, vocab)
-        dims = (rows[3].shape[1] + 2, 4, 3)
+        rows, table = train_rows(topo, datasets, vocab)
+        dims = (table[0].shape[1] + 2, 4, 3)
         config = TrainingConfig(learning_rate=0.05, epochs=2, batch_size=8)
         mode, clients = case["mode"], topo.clients()
         with mock.patch.object(nn, "COHORT_BYTES", case["cohort_bytes"] or nn.COHORT_BYTES):
-            plan = plan_rounds(topo, rows, dims, config)
+            plan = plan_rounds(topo, rows, table, dims, config)
         broadcast = init_params(dims, seed=case["seed"] % 1000)
         # Two rounds: the second starts from the first's root, not from init.
         for round_index in (1, 2):
@@ -606,7 +607,7 @@ class TestRunTierRound:
     def test_missing_dataset_rejected(self):
         topo = flat_topology(["c0", "c1"])
         with pytest.raises(DataError, match=r"^no dataset for clients: \['c1'\]$"):
-            stack_split(topo, {"c0": separable_client("c0", n=8)}, None)
+            stack_split(topo, {"c0": separable_client("c0", n=8)})
 
     def test_full_run_bit_reproducible(self):
         rng = np.random.default_rng(13)
@@ -624,14 +625,14 @@ class TestRunTierRound:
         # Non-degradation smoke check on the separable benchmark.
         datasets, topo, _ = generate_synthetic(SyntheticSpec(3, 2, 100, n_classes=3, seed=4))
         train, valid = split_clients(datasets, 4)
-        from spatialfl.spatial import build_vocabulary
         vocab = build_vocabulary([train[c].spatial for c in sorted(train)])
         init = init_params((vocab.encoding_length + 2, 16, 3), seed=0)
         config = TrainingConfig(learning_rate=0.05, epochs=5)
 
         def root_accuracy(rounds):
             models, _ = run_rounds(topo, train_rows(topo, train, vocab), init, "sample_weighted", config, 21, rounds)
-            raw, labels, codes, enc, _, _ = stack_rows(list(valid.values()), vocab)
+            raw, labels, codes, _ = stack_rows(list(valid.values()))
+            enc, _ = encoding_table([c.spatial for c in valid.values()], vocab)
             return np.mean(predict_rows(models[topo.root_id], raw, codes, enc) == labels)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

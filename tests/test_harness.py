@@ -30,6 +30,7 @@ from spatialfl.harness import (
     fold_correct,
     grouped_topology,
     load_config,
+    load_datasets,
     run_experiment,
     write_models,
 )
@@ -45,7 +46,7 @@ from spatialfl.federation import (
 )
 from spatialfl.nn import ModelParams, TrainingConfig, init_params, predict_rows
 from spatialfl.seeding import derive_seed
-from spatialfl.spatial import SpatialAttribute, build_vocabulary
+from spatialfl.spatial import SpatialAttribute, build_vocabulary, encoding_table
 
 FAST_TRAINING = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=32)
 
@@ -90,12 +91,14 @@ class TestFoldedAccuracy:
         model = init_params(dims, seed=int(rng.integers(0, 2 ** 31)))
         members = {f"m{k}": init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for k in range(3)}
 
-        raw, labels, codes, enc, _, spans = stack_split(topo, datasets, vocab)
+        raw, labels, codes, spans = stack_split(topo, datasets)
+        enc, _ = encoding_table([datasets[c].spatial for c in topo.client_order], vocab)
         single = fold_correct(predict_rows(model, raw, codes, enc), labels, spans)
         voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
             subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
-            pooled_raw, pooled_labels, pooled_codes, pooled_enc, _, _ = stack_rows(subtree, vocab)
+            pooled_raw, pooled_labels, pooled_codes, _ = stack_rows(subtree)
+            pooled_enc, _ = encoding_table([c.spatial for c in subtree], vocab)
             assert single[node_id] / (hi - lo) == np.mean(
                 predict_rows(model, pooled_raw, pooled_codes, pooled_enc) == pooled_labels)
             assert voted[node_id] / (hi - lo) == np.mean(
@@ -425,20 +428,27 @@ class TestRunExperiment:
 
     def test_each_split_is_stacked_once(self, monkeypatch):
         # The tiered loop, the centralized baselines and scoring share one
-        # stack per split: two stackings, each encoding every client once.
+        # stack per split, and both stacks one table of encodings: two
+        # stackings, and one table over every client in depth-first order.
         config = synthetic_config(baselines=("centralized_nn", "ensemble", "flat_fedavg",
                                              "flat_fedavg_weighted"), rounds=2)
-        calls = Counter()
-        for function in (stack_rows, spatial.encode_spatial):
+        datasets, topology, _ = load_datasets(config)
+        calls = []
+        for function in (stack_rows, spatial.encoding_table):
             def spy(*args, original=function):
-                calls[original.__name__] += 1
+                calls.append((original.__name__, args))
                 return original(*args)
 
             for name, module in list(sys.modules.items()):
                 if name.startswith("spatialfl") and getattr(module, function.__name__, None) is function:
                     monkeypatch.setattr(module, function.__name__, spy)
-        result = run_experiment(config)
-        assert calls == {"stack_rows": 2, "encode_spatial": 2 * len(result.report.client_predictions)}
+        run_experiment(config)
+        assert [name for name, _ in calls] == ["stack_rows", "stack_rows", "encoding_table"]
+        for _, (clients,) in calls[:2]:
+            assert [c.client_id for c in clients] == list(topology.client_order)
+        attrs, vocab = calls[2][1]
+        assert attrs == [datasets[c].spatial for c in topology.client_order]
+        assert vocab is not None and len(attrs) == len(topology.clients())
 
     def test_cohorts_of_one_give_identical_models(self, monkeypatch):
         config = synthetic_config(rounds=2)

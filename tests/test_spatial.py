@@ -11,13 +11,18 @@ from spatialfl.federation import stack_rows
 from spatialfl.spatial import (
     SpatialAttribute,
     build_vocabulary,
-    encode_spatial,
-    encoding_columns,
+    encoding_table,
 )
 
 
 def attr(lat, lon, *path):
     return SpatialAttribute(lat, lon, tuple(path))
+
+
+def encode(record, vocab):
+    """One attribute's row of :func:`encoding_table`."""
+    table, _ = encoding_table([record], vocab)
+    return table[0]
 
 
 class TestSpatialAttribute:
@@ -43,7 +48,7 @@ class TestBuildVocabulary:
         vocab = build_vocabulary([attr(45.0, -66.0, "only", "NB")])
         assert all(len(level) == 1 for level in vocab.levels)
         assert vocab.lat_bounds == (45.0, 45.0)
-        enc = encode_spatial(attr(45.0, -66.0, "only", "NB"), vocab)
+        enc = encode(attr(45.0, -66.0, "only", "NB"), vocab)
         assert np.array_equal(enc, [0.5, 0.5, 1.0, 1.0])
 
     def test_ragged_paths_rejected(self):
@@ -63,52 +68,64 @@ class TestEncodeSpatial:
     def test_coordinate_endpoints_map_to_unit_interval(self):
         records = [attr(40.0, -70.0, "a"), attr(50.0, -60.0, "b")]
         vocab = build_vocabulary(records)
-        low = encode_spatial(records[0], vocab)
-        high = encode_spatial(records[1], vocab)
+        low, high = encoding_table(records, vocab)[0]
         assert low[0] == 0.0 and low[1] == 0.0
         assert high[0] == 1.0 and high[1] == 1.0
 
     def test_out_of_bounds_coordinates_clamp(self):
         vocab = build_vocabulary([attr(40.0, -70.0, "a"), attr(50.0, -60.0, "a")])
-        enc = encode_spatial(attr(55.0, -75.0, "a"), vocab)
+        enc = encode(attr(55.0, -75.0, "a"), vocab)
         assert enc[0] == 1.0 and enc[1] == 0.0
 
     def test_one_hot_block_position(self):
         records = [attr(0, 0, leaf) for leaf in ("a", "b", "c", "d")]
         vocab = build_vocabulary(records)
-        enc = encode_spatial(attr(0, 0, "c"), vocab)
+        enc = encode(attr(0, 0, "c"), vocab)
         assert np.array_equal(enc[2:], [0.0, 0.0, 1.0, 0.0])
 
     def test_unknown_label_rejected(self):
         vocab = build_vocabulary([attr(0, 0, "a", "NB"), attr(0, 0, "b", "ON")])
         with pytest.raises(DataError, match="^label 'YT' unknown at hierarchy level 1$"):
-            encode_spatial(attr(0, 0, "a", "YT"), vocab)
+            encoding_table([attr(0, 0, "a", "NB"), attr(0, 0, "a", "YT")], vocab)
+
+    def test_depth_mismatch_rejected(self):
+        vocab = build_vocabulary([attr(0, 0, "a", "NB"), attr(0, 0, "b", "ON")])
+        with pytest.raises(DataError, match="^path depth 3 != vocabulary depth 2$"):
+            encoding_table([attr(0, 0, "a", "NB", "CA")], vocab)
+        # The depth is a hierarchy check: without hierarchy blocks it is not made.
+        coordinates = build_vocabulary([attr(0, 0, "a", "NB")], include_hierarchy=False)
+        assert encode(attr(0, 0, "a", "NB", "CA"), coordinates).tolist() == [0.5, 0.5]
 
     def test_coordinates_only_encoding(self):
         vocab = build_vocabulary([attr(40, -70, "a"), attr(50, -60, "b")],
                                  include_hierarchy=False)
+        table, columns = encoding_table([attr(45, -65, "a"), attr(50, -60, "b")], vocab)
         assert vocab.encoding_length == 2
-        assert encode_spatial(attr(45, -65, "a"), vocab).shape == (2,)
+        assert table.shape == (2, 2) and columns.tolist() == [[0, 1], [0, 1]]
 
     def test_hierarchy_only_encoding(self):
         vocab = build_vocabulary([attr(40, -70, "a"), attr(50, -60, "b")],
                                  include_coordinates=False)
+        table, columns = encoding_table([attr(40, -70, "b"), attr(50, -60, "a")], vocab)
         assert vocab.encoding_length == 2
-        assert np.array_equal(encode_spatial(attr(40, -70, "b"), vocab), [0.0, 1.0])
+        assert table.tolist() == [[0.0, 1.0], [1.0, 0.0]] and columns.tolist() == [[1], [0]]
 
     def test_total_length_matches_contract(self):
         records = [attr(0, 0, leaf, region) for leaf, region in
                    [("a", "r1"), ("b", "r1"), ("c", "r2")]]
         vocab = build_vocabulary(records)
         assert vocab.encoding_length == 2 + 3 + 2
-        assert len(encode_spatial(records[0], vocab)) == vocab.encoding_length
+        table, columns = encoding_table(records, vocab)
+        assert table.shape == (3, vocab.encoding_length) and columns.shape == (3, 2 + 2)
 
 
 def model_inputs(spatial, rows, vocab):
     """One client's rows as the model sees them, ``[enc[codes], raw]``,
-    from the row format that :func:`stack_rows` returns."""
+    from the row format that :func:`stack_rows` returns and the table of
+    encodings its codes index."""
     client = ClientDataset("c", spatial, rows, np.zeros(len(rows)), n_classes=2)
-    raw, _, codes, enc, _, _ = stack_rows([client], vocab)
+    raw, _, codes, _ = stack_rows([client])
+    enc, _ = encoding_table([client.spatial], vocab)
     return np.hstack([enc[codes], raw])
 
 
@@ -119,7 +136,7 @@ class TestFeatureVector:
         out = model_inputs(attr(0, 0, "b"), rows, vocab)
         assert out.shape == (3, vocab.encoding_length + 1)
         assert np.array_equal(out[:, -1], [1.0, 2.0, 3.0])
-        assert np.array_equal(out[0, :-1], encode_spatial(attr(0, 0, "b"), vocab))
+        assert np.array_equal(out[0, :-1], encode(attr(0, 0, "b"), vocab))
         assert np.array_equal(out[0, :-1], out[2, :-1])
 
     def test_stacked_rows_without_vocab_are_raw(self):
@@ -141,16 +158,14 @@ class TestProperties:
     def test_distinct_hierarchy_labels_encode_distinctly(self, case):
         labels, first, second = case
         vocab = build_vocabulary([attr(0, 0, label) for label in labels])
-        enc_a = encode_spatial(attr(0, 0, first), vocab)
-        enc_b = encode_spatial(attr(0, 0, second), vocab)
+        enc_a, enc_b = encoding_table([attr(0, 0, first), attr(0, 0, second)], vocab)[0]
         assert not np.array_equal(enc_a, enc_b)
 
     @given(st.floats(40.0, 50.0), st.floats(40.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_normalised_latitude_monotonic(self, lat_a, lat_b):
         vocab = build_vocabulary([attr(40, 0, "a"), attr(50, 0, "b")])
-        enc_a = encode_spatial(attr(lat_a, 0, "a"), vocab)
-        enc_b = encode_spatial(attr(lat_b, 0, "a"), vocab)
+        enc_a, enc_b = encoding_table([attr(lat_a, 0, "a"), attr(lat_b, 0, "a")], vocab)[0]
         if lat_a <= lat_b:
             assert enc_a[0] <= enc_b[0]
         else:
@@ -164,7 +179,7 @@ class TestProperties:
         records = [attr(float(rng.uniform(-80, 80)), float(rng.uniform(-170, 170)),
                         f"leaf{i}", f"region{i % 3}") for i in range(n)]
         vocab = build_vocabulary(records)
-        enc = encode_spatial(records[int(rng.integers(0, n))], vocab)
+        enc = encoding_table(records, vocab)[0][int(rng.integers(0, n))]
         blocks = enc[2:]
         leaf_block = blocks[:len(vocab.levels[0])]
         region_block = blocks[len(vocab.levels[0]):]
@@ -181,10 +196,10 @@ class TestProperties:
         records = [attr(float(rng.uniform(-80, 80)), float(rng.uniform(-170, 170)),
                         f"leaf{i}", f"region{i % 3}") for i in range(n)]
         vocab = build_vocabulary(records, include_coordinates=coordinates, include_hierarchy=hierarchy)
-        for record in records:
-            enc, columns = encode_spatial(record, vocab), encoding_columns(record, vocab)
+        table, layout = encoding_table(records, vocab)
+        assert layout.shape == (n, 2 * coordinates + len(vocab.levels) * hierarchy)
+        for enc, columns in zip(table, layout.tolist()):
             assert columns == sorted(set(columns))
-            assert len(columns) == 2 * coordinates + len(vocab.levels) * hierarchy
             assert not np.delete(enc, columns).any()
 
     def test_encoding_columns_come_from_the_layout_not_the_values(self):
@@ -192,11 +207,33 @@ class TestProperties:
         # both coordinate columns are still its columns.
         records = [attr(40.0, -70.0, "a", "x"), attr(50.0, -60.0, "b", "y"), attr(45.0, -65.0, "c", "x")]
         vocab = build_vocabulary(records)
-        assert encode_spatial(records[0], vocab)[:2].tolist() == [0.0, 0.0]
-        assert [encoding_columns(r, vocab) for r in records] == [[0, 1, 2, 5], [0, 1, 3, 6], [0, 1, 4, 5]]
+        table, columns = encoding_table(records, vocab)
+        assert table[0, :2].tolist() == [0.0, 0.0]
+        assert columns.tolist() == [[0, 1, 2, 5], [0, 1, 3, 6], [0, 1, 4, 5]]
 
     def test_encoding_is_pure(self):
         vocab = build_vocabulary([attr(1, 2, "a", "x"), attr(3, 4, "b", "y")])
-        a1 = encode_spatial(attr(1, 2, "a", "x"), vocab)
-        a2 = encode_spatial(attr(1, 2, "a", "x"), vocab)
-        assert np.array_equal(a1, a2)
+        records = [attr(1, 2, "a", "x"), attr(3, 4, "b", "y")]
+        first, second = encoding_table(records, vocab), encoding_table(records, vocab)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert records == [attr(1, 2, "a", "x"), attr(3, 4, "b", "y")]
+
+    @given(st.integers(0, 2 ** 31), st.sampled_from([(True, True), (True, False), (False, True)]))
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_does_not_depend_on_the_other_records(self, seed, parts):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        records = [attr(float(rng.uniform(-80, 80)), float(rng.uniform(-170, 170)),
+                        f"leaf{i}", f"region{int(rng.integers(0, 3))}") for i in range(n)]
+        vocab = build_vocabulary(records, include_coordinates=parts[0], include_hierarchy=parts[1])
+        table, columns = encoding_table(records, vocab)
+        for k, record in enumerate(records):
+            row, row_columns = encoding_table([record], vocab)
+            assert row.tobytes() == table[k:k + 1].tobytes()
+            assert row_columns.tolist() == columns[k:k + 1].tolist()
+
+    def test_no_vocabulary_gives_rows_of_width_zero(self):
+        records = [attr(0, 0, "a", "x"), attr(1, 1, "b", "y"), attr(2, 2, "c", "x")]
+        table, columns = encoding_table(records, None)
+        assert table.shape == columns.shape == (3, 0)
+        assert table.dtype == np.float64 and columns.dtype == np.intp
