@@ -12,11 +12,15 @@ prints one JSON line per shape: the median and quartiles over
 ``--repeats`` calls of the training call's wall time per step iteration,
 in microseconds, the plan call's wall time, the two together per step
 iteration, the input width the cohort trains at (its active columns, or
-every column for a tree whose ``plan_cohort`` takes no encoding
-columns), and the floats the training call returns (the cohort's
+every column for a tree whose kernel takes a dense encoding table with
+no layout), and the floats the training call returns (the cohort's
 compact values, or a dense ``(K, P)`` buffer for a tree that returns
-one). A step iteration is one step of every client of the cohort. A run trains one plan many times, so work moved from training
-into the plan shows as plan time.
+one). A step iteration is one step of every client of the cohort. A run
+trains one plan many times, so work moved from training into the plan
+shows as plan time. Each tree gets the encodings in the form its
+``plan_cohort`` takes: its ``spatial.Encodings``, or for an older tree
+a dense ``(K, E)`` table, with its ``(K, A)`` layout where the tree's
+``plan_cohort`` takes one as ``columns``.
 
 Given source trees (each a directory that holds ``spatialfl/``), the
 script loads each as its own package and alternates calls between them,
@@ -30,6 +34,7 @@ Example:
 """
 
 import argparse
+import importlib
 import importlib.util
 import inspect
 import json
@@ -64,34 +69,43 @@ def load_package(src: Path, name: str):
     return module
 
 
-def encoding_table(clients, e_dim, levels):
-    """Client ``k``'s encoding as a vocabulary lays it out, and its
-    layout: two coordinates in [0, 1), then in each one-hot block of
-    ``levels`` (``e_dim`` columns in all) the column of label
-    ``k % size`` set to 1.0."""
-    if e_dim != 2 + sum(levels) and not (e_dim < 2 and not levels):
+def encoding_form(nn) -> str:
+    """The encodings a tree's ``plan_cohort`` takes: ``"structure"`` (its
+    ``spatial.Encodings``), ``"layout"`` (a dense table and its layout as
+    ``columns``) or ``"dense"`` (a dense table alone)."""
+    if hasattr(importlib.import_module(f"{nn.__package__}.spatial"), "Encodings"):
+        return "structure"
+    return "layout" if "columns" in inspect.signature(nn.plan_cohort).parameters else "dense"
+
+
+def encodings(nn, clients, e_dim, levels):
+    """Client ``k``'s encoding as a vocabulary lays it out: two
+    coordinates in [0, 1), then in each one-hot block of ``levels``
+    (``e_dim`` columns in all) label ``k % size``. Returns the encodings in
+    the form the tree of ``nn`` takes and the extra arguments its
+    ``plan_cohort`` takes after ``config``."""
+    if e_dim not in (0, 2 + sum(levels)) or (e_dim == 0 and levels):
         raise SystemExit(f"encoding width {e_dim} is not two coordinates and blocks {levels}")
-    coords = min(2, e_dim)
-    columns = np.empty((clients, coords + len(levels)), dtype=np.intp)
-    columns[:, :coords] = np.arange(coords)
-    start = coords
+    head = min(2, e_dim)
+    labels = np.empty((clients, len(levels)), dtype=np.intp)
+    start = head
     for j, size in enumerate(levels):
-        columns[:, coords + j] = start + np.arange(clients) % size
+        labels[:, j] = start + np.arange(clients) % size
         start += size
+    coords = np.random.default_rng(1).uniform(size=(clients, head))
+    form = encoding_form(nn)
+    if form == "structure":
+        return importlib.import_module(f"{nn.__package__}.spatial").Encodings(coords, labels, e_dim), ()
     enc = np.zeros((clients, e_dim))
-    enc[:, :coords] = np.random.default_rng(1).uniform(size=(clients, coords))
-    enc[np.arange(clients)[:, None], columns[:, coords:]] = 1.0
-    return enc, columns
-
-
-def takes_columns(nn) -> bool:
-    """Whether a tree's ``plan_cohort`` takes the encoding's layout."""
-    return "columns" in inspect.signature(nn.plan_cohort).parameters
+    enc[:, :head] = coords
+    enc[np.arange(clients)[:, None], labels] = 1.0
+    columns = np.hstack([np.broadcast_to(np.arange(head), (clients, head)), labels])
+    return enc, (columns,) if form == "layout" else ()
 
 
 def cohort_call(nn, dims, e_dim, rows, clients, levels=()):
     """Two calls that plan and train ``clients`` clients of ``rows`` rows
-    each at ``dims``, encoded as :func:`encoding_table` lays them out: a
+    each at ``dims``, encoded as :func:`encodings` lays them out: a
     zero-argument call that returns the plan and a call that trains it,
     and the number of step iterations."""
     rng = np.random.default_rng(0)
@@ -99,8 +113,7 @@ def cohort_call(nn, dims, e_dim, rows, clients, levels=()):
     raw = rng.normal(size=(n, dims[0] - e_dim))
     labels = rng.integers(0, dims[2], size=n)
     codes = np.repeat(np.arange(clients), rows)
-    enc, columns = encoding_table(clients, e_dim, levels)
-    layout = (columns,) if takes_columns(nn) else ()
+    enc, layout = encodings(nn, clients, e_dim, levels)
     spans = [np.arange(k * rows, (k + 1) * rows) for k in range(clients)]
     init = nn.init_params(dims, 0)
     config = nn.TrainingConfig(learning_rate=0.05, epochs=EPOCHS, batch_size=BATCH_SIZE)
@@ -113,8 +126,8 @@ def cohort_call(nn, dims, e_dim, rows, clients, levels=()):
 
 
 def active_width(nn, dims, e_dim, levels):
-    """The input width a tree trains a client of :func:`encoding_table` at."""
-    return dims[0] - e_dim + min(2, e_dim) + len(levels) if takes_columns(nn) else dims[0]
+    """The input width a tree trains a client of :func:`encodings` at."""
+    return dims[0] - e_dim + min(2, e_dim) + len(levels) if encoding_form(nn) != "dense" else dims[0]
 
 
 def result_floats(result) -> int:

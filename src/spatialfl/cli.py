@@ -85,11 +85,11 @@ def cmd_evaluate_model(args: argparse.Namespace) -> int:
     datasets, topology, _ = load_datasets(config, data_path)
     # The file's rows in the layout a run scores them in.
     raw, labels, codes, _ = stack_split(topology, datasets)
-    enc, _ = encoding_table([datasets[c].spatial for c in topology.client_order], vocabulary(config, datasets))
-    width = enc.shape[1] + raw.shape[1]
+    enc = encoding_table([datasets[c].spatial for c in topology.client_order], vocabulary(config, datasets))
+    width = enc.width + raw.shape[1]
     if model.input_dim != width:
         raise SpatialFLError(f"model {model_path}: input_dim {model.input_dim} does not match the "
-                             f"data's {width} columns ({enc.shape[1]} encoding + {raw.shape[1]} raw)")
+                             f"data's {width} columns ({enc.width} encoding + {raw.shape[1]} raw)")
     with DivergenceError.naming(f"model {model_path}"):
         predicted = predict_rows(model, raw, codes, enc)
     print(f"accuracy={(predicted == labels).mean():.6f}")

@@ -18,10 +18,12 @@ vectors.
 A run splits every client into a training and a validation dataset and
 stacks each side's raw rows once (:func:`stack_split`), for the tiered
 rounds, the centralized baselines and scoring alike; a row's code picks
-its client's row of the run's one table of encodings. A run plans the
-clients' training once (:func:`plan_rounds`): the kernel's checks, its
-layout and its schedule, with the clients cut into cohorts whose working
-memory fits :data:`~spatialfl.nn.COHORT_BYTES`. Each round
+its client's encoding of the run's one
+:class:`~spatialfl.spatial.Encodings`, which the kernel and the scorer
+read as coordinates and label columns, never as dense rows. A run plans
+the clients' training once (:func:`plan_rounds`): the kernel's checks,
+its layout and its schedule, with the clients cut into cohorts whose
+working memory fits :data:`~spatialfl.nn.COHORT_BYTES`. Each round
 (:func:`run_tier_round`) then trains every client on its span of the
 training stack in one call of the training kernel on that plan.
 The call returns the clients' models compactly, as
@@ -31,9 +33,10 @@ the broadcast. :func:`aggregate_tree` streams each client's vector,
 rebuilt and weighted as the sum takes it, into the pairwise reduction,
 so a round never holds a dense vector per client, and there is one
 aggregation function, :func:`aggregate`. :class:`NodeModels` maps node
-ids to models, rebuilding a client's on each lookup. The loop over
-rounds, which broadcasts each round's root model to the next, is the
-run's (:func:`spatialfl.harness.run_experiment`).
+ids to models, rebuilding a client's on each lookup, so a caller that
+looks them up one at a time holds one client model at once. The loop
+over rounds, which broadcasts each round's root model to the next, is
+the run's (:func:`spatialfl.harness.run_experiment`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .seeding import derive_seed
 
 if TYPE_CHECKING:
     from .data import ClientDataset
+    from .spatial import Encodings
 
 MODEL_MAGIC = b"ESFL"
 MODEL_VERSION = 1
@@ -194,9 +198,9 @@ def stack_rows(
     Returns the raw ``(N, F)`` feature rows and labels of the clients, in
     the order given, each row's code (the index of its client) and the
     client row offsets (client ``k`` owns rows ``offsets[k]:offsets[k + 1]``).
-    Nothing is encoded here: row ``i``'s model input is
-    ``[enc[codes[i]], raw[i]]``, ``enc`` the clients' encodings in the same
-    order (:func:`~spatialfl.spatial.encoding_table`).
+    Nothing is encoded here: row ``i``'s model input is encoding
+    ``codes[i]`` of the clients' encodings in the same order
+    (:func:`~spatialfl.spatial.encoding_table`), then ``raw[i]``.
     """
     offsets = np.cumsum([0] + [c.n_rows for c in clients])
     n_raw = clients[0].features.shape[1] if clients else 0
@@ -217,7 +221,7 @@ def stack_split(topology: TierTopology, datasets: Mapping[str, "ClientDataset"])
     client order (:attr:`TierTopology.client_order`, which the row codes
     count in), with the ``[lo, hi)`` row span of every node, clients
     included. A run stacks its training datasets and its validation
-    datasets this way, once each, and both index one table of encodings.
+    datasets this way, once each, and both index one set of encodings.
     A topology client without a dataset raises :class:`DataError`."""
     missing = [c for c in topology.clients() if c not in datasets]
     if missing:
@@ -368,24 +372,22 @@ def aggregate_tree(
     return models
 
 
-def plan_rounds(topology: TierTopology, rows: StackedRows, table: tuple[np.ndarray, np.ndarray],
-                dims: Dims, config: TrainingConfig) -> CohortPlan:
+def plan_rounds(topology: TierTopology, rows: StackedRows, enc: "Encodings", dims: Dims,
+                config: TrainingConfig) -> CohortPlan:
     """The training of every client of ``topology`` on its span of the
     training stack ``rows`` (:func:`stack_split`) at ``dims`` under
     ``config``, planned once for every :func:`run_tier_round` of a run,
-    clients in ascending order (:meth:`TierTopology.clients`), ``table``
+    clients in ascending order (:meth:`TierTopology.clients`), ``enc``
     the encodings the codes index (:func:`~spatialfl.spatial.encoding_table`).
 
     A client without training rows is named by the lowest such client id.
     """
     raw, labels, codes, spans = rows
-    enc, columns = table
     clients = topology.clients()
     empty = [c for c in clients if spans[c][0] == spans[c][1]]
     if empty:
         raise DataError(f"client {empty[0]!r} has no training rows")
-    return plan_cohort(raw, labels, codes, enc, [np.arange(*spans[c]) for c in clients], dims, config,
-                       columns)
+    return plan_cohort(raw, labels, codes, enc, [np.arange(*spans[c]) for c in clients], dims, config)
 
 
 def run_tier_round(
@@ -430,8 +432,7 @@ class NodeModels(Mapping[str, ModelParams]):
     A lookup of a client builds its model afresh, so no two lookups share
     a buffer and writing into one changes nothing else; an interior
     node's model is the one given. Iteration gives the clients in the
-    order given, then the interior nodes. :meth:`in_turn` rebuilds the
-    clients one after another in one buffer instead.
+    order given, then the interior nodes.
     """
 
     def __init__(self, clients: Sequence[str], trained: ClientModels,
@@ -453,25 +454,6 @@ class NodeModels(Mapping[str, ModelParams]):
 
     def __len__(self) -> int:
         return len(self._number) + len(self._interior)
-
-    def in_turn(self, node_ids: Iterable[str]) -> Iterator[tuple[str, ModelParams]]:
-        """``(id, model)`` for ``node_ids`` in the order given. The
-        clients' models share one buffer, rebuilt for each
-        (:meth:`~spatialfl.nn.ClientModels.each`): a client's model is
-        valid only until the next pair is taken."""
-        node_ids = list(node_ids)
-        clients = self._trained.each([self._number[n] for n in node_ids if n in self._number])
-        for node_id in node_ids:
-            yield node_id, next(clients) if node_id in self._number else self._interior[node_id]
-
-
-def models_in_turn(models: Mapping[str, ModelParams], node_ids: Iterable[str]) -> Iterator[tuple[str, ModelParams]]:
-    """``(id, model)`` for ``node_ids`` in the order given: by
-    :meth:`NodeModels.in_turn` from :class:`NodeModels` (a model is valid
-    only until the next pair is taken), by lookup from any other mapping."""
-    if isinstance(models, NodeModels):
-        return models.in_turn(node_ids)
-    return ((node_id, models[node_id]) for node_id in node_ids)
 
 
 def serialize_model(params: ModelParams) -> bytes:

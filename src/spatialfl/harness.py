@@ -42,7 +42,6 @@ from .federation import (
     NodeModels,
     TierTopology,
     aggregate,
-    models_in_turn,
     plan_rounds,
     round_seed,
     run_tier_round,
@@ -488,11 +487,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # the codes of both index one encoding per client, in that order.
         train = stack_split(topology, train_sets)
         raw, labels, codes, spans = stack_split(topology, valid_sets)
-        table = encoding_table([train_sets[c].spatial for c in topology.client_order], vocab)
-        enc = table[0]
+        enc = encoding_table([train_sets[c].spatial for c in topology.client_order], vocab)
 
     clients = topology.clients()
-    dims = (enc.shape[1] + raw.shape[1], config.hidden_dim, config.n_classes)
+    dims = (enc.width + raw.shape[1], config.hidden_dim, config.n_classes)
     init = init_params(dims, derive_seed(config.seed, "init"))
     node_order = sorted(topology.nodes, key=lambda n: (-n.tier, n.node_id))
 
@@ -503,7 +501,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with _stage("federated"):
         # Every round trains the same clients on the same rows: their
         # checks, layout and schedule are planned once.
-        plan = plan_rounds(topology, train, table, dims, config.training)
+        plan = plan_rounds(topology, train, enc, dims, config.training)
         broadcast = init
         for round_index in range(1, config.policy.rounds + 1):
             trained, counts, models = run_tier_round(topology, plan, broadcast, config.policy.mode,
@@ -533,7 +531,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             first_round_correct[kind.value] = fold_correct(predicted, labels, spans)
 
     with _stage("evaluate"):
-        tiered = {nid: score(model, f"node {nid!r}", *spans[nid]) for nid, model in node_models.in_turn(spans)}
+        tiered = {nid: score(node_models[nid], f"node {nid!r}", *spans[nid]) for nid in spans}
         correct = {METHOD_TIERED: {nid: int(np.count_nonzero(tiered[nid] == labels[lo:hi]))
                                    for nid, (lo, hi) in spans.items()}}
         client_predictions = {}
@@ -551,12 +549,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             regions = topology.children(topology.root_id)
             centralized = train_centralized(
                 [clients] + [topology.subtree_clients(region) for region in regions], init, config.training,
-                config.seed, train, table).each()
-            correct[kind.value] = fold_correct(score(next(centralized), f"{kind.value} baseline"), labels, spans)
+                config.seed, train, enc)
+            correct[kind.value] = fold_correct(score(centralized[0], f"{kind.value} baseline"), labels, spans)
             regional = np.empty_like(labels)
-            for region, model in zip(regions, centralized):
+            for k, region in enumerate(regions, start=1):
                 lo, hi = spans[region]
-                regional[lo:hi] = score(model, f"{METHOD_CENTRALIZED_REGIONAL} baseline: node {region!r}",
+                regional[lo:hi] = score(centralized[k], f"{METHOD_CENTRALIZED_REGIONAL} baseline: node {region!r}",
                                         lo, hi)
             correct[METHOD_CENTRALIZED_REGIONAL] = fold_correct(regional, labels, spans)
 
@@ -633,14 +631,13 @@ def emit_report(
 def write_models(node_models: Mapping[str, ModelParams], out_dir: str | Path) -> list[Path]:
     """Serialize every node's final model under ``out_dir/models/``, one
     file per node named by its percent-encoded id, so that distinct ids
-    never share a file. The clients of a
-    :class:`~spatialfl.federation.NodeModels` are rebuilt one at a time
-    into one buffer."""
+    never share a file. The models are looked up one at a time, so a
+    :class:`~spatialfl.federation.NodeModels` holds one client's at once."""
     models_dir = Path(out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for node_id, model in models_in_turn(node_models, sorted(node_models)):
+    for node_id in sorted(node_models):
         path = models_dir / f"{quote(node_id, safe='')}.bin"
-        path.write_bytes(serialize_model(model))
+        path.write_bytes(serialize_model(node_models[node_id]))
         written.append(path)
     return written

@@ -10,18 +10,20 @@ order, so a model moves between them without conversion.
 All training runs through one kernel in two calls. :func:`plan_cohort`
 checks and lays out the training of any number of clients that share a
 config, each with its own set of row numbers (any count, in any order,
-overlapping or not). Rows stay raw, each with a code into a table of
-encodings whose layout (which columns of each encoding may be non-zero)
-comes with it, and a client trains only its active input columns: every
-raw column and the encoding columns its codes list. Every other
-first-layer weight multiplies exact zeros, so it gets a zero gradient
-and Adam never moves it. The plan groups the clients by active width,
-orders each group by row count, most first, cuts it into consecutive
-cohorts whose working set at the group's compact dims fits
+overlapping or not). Rows stay raw, each with a code into the run's
+encodings, held as their structure
+(:class:`~spatialfl.spatial.Encodings`: coordinates and one label
+column per hierarchy level), and a client trains only its active input
+columns: every raw column, the coordinates and its codes' label columns.
+Every other first-layer weight multiplies exact zeros, so it gets a zero
+gradient and Adam never moves it. The plan groups the clients by active
+width, orders each group by row count, most first, cuts it into
+consecutive cohorts whose working set at the group's compact dims fits
 :data:`COHORT_BYTES`, and builds per cohort the places of its members'
-compact parameters in the model vector, a compact encoding table and the
-step schedule, whose runs carry their rows' positions; the kernel
-assembles a minibatch's compact inputs only when it trains on them.
+compact parameters in the model vector, a compact encoding table built
+from the structure, and the step schedule, whose runs carry their rows'
+positions; the kernel assembles a minibatch's compact inputs only when
+it trains on them.
 :func:`train_cohort` then trains a plan from an ``init`` with one
 minibatch seed per client, as often as a caller needs (a run's rounds
 share one plan), and returns the clients' models compactly, as
@@ -56,22 +58,25 @@ is an AND on the gradient's bits, which gives np.where's bits in place.
 All scoring runs through one scorer, :func:`predict_rows`, which reads
 rows in the kernel's format and never assembles them: its first layer is
 factored into a matmul over the raw columns plus, per row, its code's
-row of ``enc @ W1_enc'``, computed once per call for the table rows the
-codes span. With no encoding (``E = 0``) it makes the same float
-operations as a dense forward pass. With an encoding, the factored sums
-round differently from a dense pass over the assembled rows, so logits
-may differ in the last bits; the golden digests pin the predictions.
+encoding term, computed once per call for the encodings the codes span
+as a matmul over their coordinates plus, level by level, the ``W1``
+column of each one's label. With no encoding (``E = 0``) it makes the
+same float operations as a dense forward pass. With an encoding, the
+factored sums round differently from a dense pass over the assembled
+rows, so logits may differ in the last bits; the golden digests pin the
+predictions.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, SpatialFLError
+from .spatial import Encodings
 
 Dims = tuple[int, int, int]  # (input_dim, hidden_dim, n_classes)
 
@@ -356,11 +361,10 @@ def plan_cohort(
     raw: np.ndarray,
     labels: np.ndarray,
     codes: np.ndarray,
-    enc: np.ndarray,
+    enc: Encodings,
     rows: Sequence[np.ndarray],
     dims: Dims,
     config: TrainingConfig,
-    columns: np.ndarray | None = None,
 ) -> CohortPlan:
     """Check and lay out the training of K clients at ``dims`` under
     ``config``, for :func:`train_cohort`.
@@ -369,31 +373,26 @@ def plan_cohort(
     array, at least one row) of the raw feature matrix ``raw`` ``(N, F)``
     and of ``labels`` ``(N,)``. Clients may come in any order, and their
     row sets may overlap or leave gaps. Row ``i``'s model input is
-    ``[enc[codes[i]], raw[i]]``: a row of the ``(C, E)`` encoding table
-    (``E`` is 0 with encoding off) followed by the raw features.
+    encoding ``codes[i]`` of ``enc`` (:class:`~spatialfl.spatial.Encodings`,
+    ``E`` columns wide, 0 with encoding off) followed by the raw features.
 
-    ``columns`` is the table's layout: row ``c`` of the ``(C, A)`` array
-    lists, ascending, the columns of ``enc[c]`` that may be non-zero
-    (:func:`~spatialfl.spatial.encoding_table` builds it with the table,
-    from the vocabulary); every other entry must be 0.0. None means every
-    column.
-    A client's active input columns are every raw column and the columns
-    its rows' codes list. Every other first-layer weight multiplies only
-    exact zeros in its inputs, so its gradient is zero and Adam never
-    moves it: the client trains a compact model over its active columns
-    from ``init`` cut down to them, and its other parameters stay
-    ``init``'s.
+    A client's active input columns are every raw column and, of each
+    code its rows use, the coordinates and the label columns. Every other
+    first-layer weight multiplies only exact zeros in its inputs, so its
+    gradient is zero and Adam never moves it: the client trains a compact
+    model over its active columns from ``init`` cut down to them, and its
+    other parameters stay ``init``'s.
 
     The plan groups the clients by active width, then orders each group
     by row count, most first (ties keep the order given), and cuts it into
     consecutive cohorts (:func:`cohort_slices`, at the group's compact
     dims) whose working set fits :data:`COHORT_BYTES`. Per cohort it
     holds its members' compact parameters' places in the model vector,
-    its compact encoding table (a cohort whose members use every column
-    reads one table of full input rows, shared by every such cohort) with
-    the table row of each of its rows, and its step schedule. Shapes, row
-    numbers, codes and columns that disagree, an encoding entry outside
-    its row's columns, or a label of a row some client trains on outside
+    its compact encoding table, built from the encodings' structure (a
+    cohort whose members use every column reads one table of full input
+    rows, shared by every such cohort), with the table row of each of its
+    rows, and its step schedule. Shapes, row numbers and codes that
+    disagree, or a label of a row some client trains on outside
     ``[0, n_classes)``, raise :class:`SpatialFLError`.
     """
     if len(dims) != 3 or min(dims) < 1:
@@ -403,14 +402,13 @@ def plan_cohort(
     raw = np.asarray(raw, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.intp)
-    enc = np.asarray(enc, dtype=np.float64)
     rows = [np.asarray(r, dtype=np.intp) for r in rows]
-    k = len(rows)
-    if (raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != input_dim
+    k, e_dim, head = len(rows), enc.width, enc.head
+    if (raw.ndim != 2 or e_dim + raw.shape[1] != input_dim
             or labels.shape != raw.shape[:1] or codes.shape != raw.shape[:1]
             or k == 0 or any(r.ndim != 1 for r in rows)):
         raise SpatialFLError(f"cohort raw rows {raw.shape}, labels {labels.shape}, codes "
-                             f"{codes.shape}, encodings {enc.shape} and {k} row sets "
+                             f"{codes.shape}, encodings of width {e_dim} and {k} row sets "
                              f"disagree for input_dim {input_dim}")
     counts = np.array([r.size for r in rows])
     if counts.min() < 1:
@@ -424,33 +422,23 @@ def plan_cohort(
     every_code = codes[every]
     if every_code.min() < 0 or every_code.max() >= len(enc):
         raise SpatialFLError(f"row codes must lie in [0, {len(enc)})")
-    e_dim = enc.shape[1]
-    if columns is None:
-        columns = np.broadcast_to(np.arange(e_dim), enc.shape)
-    else:
-        columns = np.asarray(columns, dtype=np.intp)
-        if (columns.ndim != 2 or len(columns) != len(enc) or columns.shape[1] > e_dim
-                or (columns.size and (columns.min() < 0 or columns.max() >= e_dim))
-                or (np.diff(columns, axis=1) <= 0).any()):
-            raise SpatialFLError(f"encoding columns {columns.shape} must list, ascending, columns in "
-                                 f"[0, {e_dim}) of each of the {len(enc)} encodings")
-        outside = np.count_nonzero(enc, axis=1) != np.count_nonzero(np.take_along_axis(enc, columns, axis=1), axis=1)
-        if outside.any():
-            raise SpatialFLError(f"encoding {int(np.argmax(outside))} has a non-zero entry outside its columns")
 
-    # Each client's active encoding columns: those of its code, or for a
-    # client whose rows use several codes, the union of theirs. (Masks,
-    # not np.unique, which imports numpy.ma: a lasting MiB of memory.)
+    # Each client's active encoding columns: the coordinates and its
+    # code's label columns, or for a client whose rows use several codes,
+    # the union of theirs. (Masks, not np.unique, which imports numpy.ma:
+    # a lasting MiB of memory.)
     starts = np.cumsum(counts) - counts
     first = np.minimum.reduceat(every_code, starts)
     pooled = np.flatnonzero(first != np.maximum.reduceat(every_code, starts)).tolist()
-    widths = np.full(k, columns.shape[1])
+    one_width = head + enc.labels.shape[1]
+    widths = np.full(k, one_width)
     union = {}  # a pooled client's codes, ascending, and its columns
     for i in pooled:
         used = np.zeros(len(enc), dtype=bool)
         used[every_code[starts[i]:starts[i] + counts[i]]] = True
         active = np.zeros(e_dim, dtype=bool)
-        active[columns[used]] = True
+        active[:head] = True
+        active[enc.labels[used]] = True
         union[i] = np.flatnonzero(used), np.flatnonzero(active)
         widths[i] = union[i][1].size
     # Row-long and no longer needed: freed before the cohorts' own arrays.
@@ -474,15 +462,17 @@ def plan_cohort(
             bounds = [0, *np.cumsum(counts[members]).tolist()]
             cols = np.empty((members.size, width), dtype=np.intp)
             single = one_code[members]
-            if width == columns.shape[1]:  # the width of every client of one code
-                cols[single] = columns[first[members[single]]]
+            if width == one_width:
+                cols[single, :head] = np.arange(head)
+                cols[single, head:] = enc.labels[first[members[single]]]
             for j in np.flatnonzero(~single).tolist():
                 cols[j] = union[int(members[j])][1]
             if width == e_dim:
                 # Every column is active: the compact rows are the full rows.
                 if not shared:
                     shared.append(np.zeros((len(enc), input_dim)))
-                    shared[0][:, :e_dim] = enc
+                    shared[0][:, :head] = enc.coords
+                    np.put_along_axis(shared[0], enc.labels, 1.0, axis=1)
                 table, slots = shared[0], codes[part_rows]
             else:
                 table, slots = _compact_table(enc, codes, first, union, members, single, cols, part_rows,
@@ -505,27 +495,32 @@ def _compact_index(cols: np.ndarray, e_dim: int, dims: Dims) -> np.ndarray:
     return np.concatenate([w1.reshape(k, -1), np.broadcast_to(tail, (k, tail.size))], axis=1)
 
 
-def _compact_table(enc: np.ndarray, codes: np.ndarray, first: np.ndarray, union: dict,
+def _compact_table(enc: Encodings, codes: np.ndarray, first: np.ndarray, union: dict,
                    members: np.ndarray, single: np.ndarray, cols: np.ndarray, rows: np.ndarray,
                    bounds: list[int], width: int) -> tuple[np.ndarray, np.ndarray]:
     """A cohort's compact encoding table, as input rows ``width`` wide
     whose raw columns are zero, and the table row of each position of its
-    ``rows``: one table row per member of one code (``single``), then one
-    per code of each member whose rows use several (``union``)."""
-    blocks = [enc[first[members[single]][:, None], cols[single]]]
+    ``rows``: one table row per member of one code (``single``), its
+    coordinates and then 1.0 per level, then one per code of each member
+    whose rows use several (``union``), its coordinates and 1.0 at its
+    label columns among the member's ``cols``."""
+    head, n = enc.head, int(np.count_nonzero(single))
+    pooled = np.flatnonzero(~single).tolist()
+    table = np.zeros((n + sum(union[int(members[j])][0].size for j in pooled), width))
+    table[:n, :head] = enc.coords[first[members[single]]]
+    table[:n, head:cols.shape[1]] = 1.0
     slot = np.zeros(members.size, dtype=np.intp)
-    slot[single] = np.arange(blocks[0].shape[0])
+    slot[single] = np.arange(n)
     slots = np.repeat(slot, np.diff(bounds))
-    n = blocks[0].shape[0]
-    for j in np.flatnonzero(~single).tolist():
+    for j in pooled:
         used = union[int(members[j])][0]
         rank = np.zeros(len(enc), dtype=np.intp)
         rank[used] = np.arange(n, n + used.size)
         slots[bounds[j]:bounds[j + 1]] = rank[codes[rows[bounds[j]:bounds[j + 1]]]]
-        blocks.append(enc[used[:, None], cols[j]])
+        block = table[n:n + used.size]
+        block[:, :head] = enc.coords[used]
+        np.put_along_axis(block, np.searchsorted(cols[j], enc.labels[used]), 1.0, axis=1)
         n += used.size
-    table = np.zeros((n, width))
-    table[:, :cols.shape[1]] = np.concatenate(blocks)
     return table, slots
 
 
@@ -594,11 +589,10 @@ class ClientModels:
     cohort of the plan this holds its members' trained ``(k, P_w)``
     values (:attr:`values`) and the plan's ``(k, P_w)`` index of where
     they sit in the model vector (:attr:`index`), and it rebuilds one
-    client's dense vector at a time: afresh as a checked model
-    (``models[k]``, also by iteration) or a vector (:meth:`vector`),
-    weighted (:meth:`scaled`), or in turn into one reused buffer
-    (:meth:`each`). Clients are numbered as the call numbered them.
-    Nothing writes the arrays it holds.
+    client's dense vector at a time, afresh: as a checked model
+    (``models[k]``, also by iteration), a vector (:meth:`vector`) or
+    weighted (:meth:`scaled`). Clients are numbered as the call numbered
+    them. Nothing writes the arrays it holds.
     """
 
     def __init__(self, broadcast: ModelParams, members: Sequence[np.ndarray], index: Sequence[np.ndarray],
@@ -620,14 +614,10 @@ class ClientModels:
         entry raises ValueError as :class:`ModelParams` does."""
         return ModelParams(self.vector(k), self.broadcast.dims)
 
-    def vector(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Client ``k``'s dense vector, written into ``out`` if given, else
-        into a new vector."""
+    def vector(self, k: int) -> np.ndarray:
+        """Client ``k``'s dense vector, as a new vector."""
         index, values = self._rows[k]
-        if out is None:
-            out = self.broadcast.vector.copy()
-        else:
-            np.copyto(out, self.broadcast.vector)
+        out = self.broadcast.vector.copy()
         out[index] = values
         return out
 
@@ -647,17 +637,6 @@ class ClientModels:
         picked = copy.copy(self)
         picked._rows = [self._rows[k] for k in clients]
         return picked
-
-    def each(self, clients: Iterable[int] | None = None) -> Iterator[ModelParams]:
-        """The models of ``clients`` (default: all), in the order given, as
-        one model whose vector is rebuilt in place for each: a model it
-        yields is valid only until it yields the next, and is never
-        checked. A caller that keeps or writes a model takes
-        ``models[k]`` instead."""
-        model = ModelParams(self.broadcast.vector.copy(), self.broadcast.dims)
-        for k in range(len(self)) if clients is None else clients:
-            self.vector(k, model.vector)
-            yield model
 
 
 class _RunViews(NamedTuple):
@@ -863,13 +842,15 @@ def _divergence_message(vector: np.ndarray, dims: Dims) -> str:
     return f"training diverged ({_non_finite_layer(vector, dims)} contains non-finite entries)"
 
 
-def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np.ndarray) -> np.ndarray:
+def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: Encodings) -> np.ndarray:
     """The hidden layer, ``relu(x W1' + b1)``, of rows in the training
-    kernel's format: row ``i``'s input is ``[enc[codes[i]], raw[i]]``.
+    kernel's format: row ``i``'s input is encoding ``codes[i]`` of ``enc``
+    followed by ``raw[i]``.
 
     The first layer is factored, so no row is ever assembled: the raw
-    columns are one matmul over the rows, and the encoding columns one
-    matmul over the table rows ``first:last + 1`` that the codes span,
+    columns are one matmul over the rows, and the encoding term of the
+    encodings ``first:last + 1`` that the codes span is their coordinates'
+    matmul plus, level by level, the ``W1`` column of each one's label,
     gathered per row. With ``E = 0`` this is exactly a dense forward
     pass's first layer; with ``E > 0`` sums are grouped differently from
     a dense pass over the assembled rows, so they may differ in the last
@@ -877,25 +858,28 @@ def hidden_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np
     """
     raw = np.asarray(raw, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.intp)
-    enc = np.asarray(enc, dtype=np.float64)
-    if raw.ndim != 2 or enc.ndim != 2 or enc.shape[1] + raw.shape[1] != params.input_dim:
-        raise SpatialFLError(f"rows of {enc.shape[-1]} encoding + {raw.shape[-1]} raw columns do not "
-                             f"fit input_dim {params.input_dim} (raw rows {raw.shape}, encodings {enc.shape})")
+    e_dim, w1 = enc.width, params.layer1_weights
+    if raw.ndim != 2 or e_dim + raw.shape[1] != params.input_dim:
+        raise SpatialFLError(f"rows of {e_dim} encoding + {raw.shape[-1]} raw columns do not "
+                             f"fit input_dim {params.input_dim} (raw rows {raw.shape})")
     if codes.shape != raw.shape[:1]:
         raise SpatialFLError(f"{codes.size} row codes for {len(raw)} rows")
-    e_dim, w1 = enc.shape[1], params.layer1_weights
     pre_hidden = raw @ w1[:, e_dim:].T
     if codes.size:
         first, last = int(codes.min()), int(codes.max())
         if first < 0 or last >= len(enc):
             raise SpatialFLError(f"row codes must lie in [0, {len(enc)})")
         if e_dim:
-            pre_hidden += np.take(enc[first:last + 1] @ w1[:, :e_dim].T, codes - first, axis=0)
+            span = slice(first, last + 1)
+            term = enc.coords[span] @ w1[:, :enc.head].T
+            for level in enc.labels[span].T:
+                term += w1[:, level].T
+            pre_hidden += np.take(term, codes - first, axis=0)
     pre_hidden += params.layer1_bias
     return np.maximum(pre_hidden, 0.0, out=pre_hidden)
 
 
-def predict_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: np.ndarray) -> np.ndarray:
+def predict_rows(params: ModelParams, raw: np.ndarray, codes: np.ndarray, enc: Encodings) -> np.ndarray:
     """Argmax class per row of the training kernel's format (see
     :func:`hidden_rows`); ties resolve to the lowest index. A non-finite
     logit (the forward pass overflowed) raises :class:`DivergenceError`."""

@@ -4,10 +4,10 @@ A client is identified by coordinates and a hierarchy path ordered leaf
 to root (e.g. ``[station, city]``). Its encoding is two min-max
 normalised coordinates followed by one one-hot block per hierarchy
 level, leaf level first; the encoding is prepended to raw model inputs.
-A run builds one table of them, a row per client (:func:`encoding_table`),
-which its row codes index. Only the coordinates and one column per block
-can be non-zero, and the table comes with that layout, which the
-training kernel relies on.
+A run builds the encodings once, a row per client (:func:`encoding_table`),
+which its row codes index, and holds them as their structure
+(:class:`Encodings`): the coordinates and the one set column of each
+level, never the dense row, whose width grows with the number of leaves.
 Coordinates and hierarchy blocks can each be switched off when the
 vocabulary is built.
 """
@@ -127,34 +127,64 @@ def _normalise(value: float, bounds: tuple[float, float]) -> float:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def encoding_table(attrs: list[SpatialAttribute],
-                   vocab: SpatialVocabulary | None) -> tuple[np.ndarray, np.ndarray]:
-    """The encodings of ``attrs`` against ``vocab`` as a ``(K, E)`` table
-    (``E`` is ``vocab.encoding_length``), in the order given, and its
-    ``(K, A)`` layout; pure and deterministic. Row ``k`` of the layout
-    lists, ascending, the columns of encoding ``k`` that may be non-zero:
-    both coordinates, then the attribute's label column in each level's
-    block, which holds 1.0. Every other entry is exactly 0.0. A coordinate
-    at its bound encodes 0.0 too, and is listed all the same: the columns
-    follow from the vocabulary's layout, never from values. With
-    ``vocab=None`` both arrays are ``K`` rows of width 0. An unknown label
-    or a path of another depth raises :class:`DataError`."""
+@dataclass(frozen=True)
+class Encodings:
+    """The encodings of K clients as their structure, checked on
+    construction. Encoding ``k`` is ``width`` columns wide: ``coords[k]``
+    in its first ``head`` columns (``coords`` is ``(K, 2)``, or ``(K, 0)``
+    without coordinates), 1.0 in each column ``labels[k]`` lists (one per
+    hierarchy level, ascending, after the coordinates) and 0.0 in every
+    other. A label column among the coordinates or at or past ``width``,
+    labels that do not ascend, or row counts that differ raise
+    ValueError."""
+
+    coords: np.ndarray  # (K, head) float64
+    labels: np.ndarray  # (K, L) intp
+    width: int
+
+    def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.intp)
+        if coords.ndim != 2 or coords.shape[1] not in (0, 2) or labels.ndim != 2 or self.width < coords.shape[1]:
+            raise ValueError(f"coordinates {coords.shape} must be (K, 2) or (K, 0) and labels (K, L) "
+                             f"{labels.shape}, in width {self.width}")
+        if len(labels) != len(coords):
+            raise ValueError(f"{len(coords)} rows of coordinates and {len(labels)} of labels")
+        if labels.size and (labels.min() < coords.shape[1] or labels.max() >= self.width):
+            raise ValueError(f"label columns must lie in [{coords.shape[1]}, {self.width})")
+        if (np.diff(labels, axis=1) <= 0).any():
+            raise ValueError("label columns must ascend along each row")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "labels", labels)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    @property
+    def head(self) -> int:
+        """The number of coordinate columns, 2 or 0."""
+        return self.coords.shape[1]
+
+
+def encoding_table(attrs: list[SpatialAttribute], vocab: SpatialVocabulary | None) -> Encodings:
+    """The encodings of ``attrs`` against ``vocab``, in the order given,
+    as :class:`Encodings` of width ``vocab.encoding_length``; pure and
+    deterministic. Level ``l``'s label column is its block's start (after
+    the coordinates and the blocks before it) plus the label's index in
+    the level. With ``vocab=None`` they are ``K`` rows of width 0. An
+    unknown label or a path of another depth raises :class:`DataError`."""
+    k = len(attrs)
     if vocab is None:
-        return np.empty((len(attrs), 0)), np.empty((len(attrs), 0), dtype=np.intp)
-    head = 2 if vocab.include_coordinates else 0
-    # Each level's block starts after the coordinates and the blocks before it.
-    starts = np.cumsum([head] + [len(level) for level in vocab.levels])[:-1]
-    table = np.zeros((len(attrs), vocab.encoding_length))
-    columns = np.empty((len(attrs), head + len(starts) * vocab.include_hierarchy), dtype=np.intp)
-    columns[:, :head] = np.arange(head)
-    for k, attr in enumerate(attrs):
-        if vocab.include_coordinates:
-            table[k, :2] = (_normalise(attr.latitude, vocab.lat_bounds),
-                            _normalise(attr.longitude, vocab.lon_bounds))
-        if vocab.include_hierarchy:
-            path = attr.hierarchy_path
-            if len(path) != len(vocab.levels):
-                raise DataError(f"path depth {len(path)} != vocabulary depth {len(vocab.levels)}")
-            columns[k, head:] = starts + [vocab.level_index(level, label) for level, label in enumerate(path)]
-            table[k, columns[k, head:]] = 1.0
-    return table, columns
+        return Encodings(np.empty((k, 0)), np.empty((k, 0), dtype=np.intp), 0)
+    coords = np.empty((k, 0))
+    if vocab.include_coordinates:
+        coords = np.array([(_normalise(a.latitude, vocab.lat_bounds), _normalise(a.longitude, vocab.lon_bounds))
+                           for a in attrs]).reshape(k, 2)
+    starts = np.cumsum([coords.shape[1]] + [len(level) for level in vocab.levels])[:-1]
+    labels = np.empty((k, len(starts) if vocab.include_hierarchy else 0), dtype=np.intp)
+    for row, attr in zip(labels, attrs if vocab.include_hierarchy else ()):
+        path = attr.hierarchy_path
+        if len(path) != len(vocab.levels):
+            raise DataError(f"path depth {len(path)} != vocabulary depth {len(vocab.levels)}")
+        row[:] = starts + [vocab.level_index(level, label) for level, label in enumerate(path)]
+    return Encodings(coords, labels, vocab.encoding_length)

@@ -14,7 +14,7 @@ from spatialfl.federation import (
 )
 from spatialfl.nn import ModelParams, init_params, plan_cohort, train_cohort
 from spatialfl.seeding import derive_seed
-from spatialfl.spatial import SpatialAttribute, encoding_table
+from spatialfl.spatial import Encodings, SpatialAttribute, encoding_table
 
 
 def vector_params(dims, values):
@@ -24,7 +24,12 @@ def vector_params(dims, values):
 def no_encoding(batch):
     """Rows of raw features in the row format with no encoding."""
     batch = np.asarray(batch, dtype=np.float64)
-    return batch, np.zeros(len(batch), dtype=np.intp), np.empty((1, 0))
+    return batch, np.zeros(len(batch), dtype=np.intp), empty_encodings(1)
+
+
+def empty_encodings(k):
+    """``k`` encodings of width 0: encoding off."""
+    return Encodings(np.empty((k, 0)), np.empty((k, 0), dtype=np.intp), 0)
 
 
 def spans(offsets):
@@ -47,8 +52,8 @@ def interleaved_topology(client_ids):
 
 def train_rows(topology, datasets, vocab=None):
     """``datasets`` (by client id) laid out under ``topology`` as a run
-    lays out its training rows (:func:`stack_split`), and the table of the
-    clients' encodings that the rows' codes index
+    lays out its training rows (:func:`stack_split`), and the clients'
+    encodings that the rows' codes index
     (:func:`~spatialfl.spatial.encoding_table`)."""
     return stack_split(topology, datasets), encoding_table(
         [datasets[c].spatial for c in topology.client_order], vocab)
@@ -82,8 +87,8 @@ def train_alone(dataset, init, config, seed, vocab=None):
     """A client's model trained from ``init`` on its training rows alone:
     a cohort of one of the training kernel, seeded with ``seed``."""
     raw, labels, codes, offsets = stack_rows([dataset])
-    enc, columns = encoding_table([dataset.spatial], vocab)
-    plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
+    enc = encoding_table([dataset.spatial], vocab)
+    plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
     models, diverged = train_cohort(plan, init, [seed])
     assert diverged == {}
     return models[0]
@@ -101,7 +106,7 @@ def alone_round(datasets, init, config, seed, vocab=None):
 
 
 def tier_round(topology, stacked, broadcast, mode, config, seed, round_index):
-    """One :func:`run_tier_round` on the training stack and encoding table
+    """One :func:`run_tier_round` on the training stack and encodings
     ``stacked`` (:func:`train_rows`), planned for it alone."""
     plan = plan_rounds(topology, *stacked, broadcast.dims, config)
     return run_tier_round(topology, plan, broadcast, mode, seed, round_index)
@@ -110,7 +115,7 @@ def tier_round(topology, stacked, broadcast, mode, config, seed, round_index):
 def run_rounds(topology, stacked, init, mode, config, seed, rounds):
     """``rounds`` rounds of :func:`run_tier_round` from ``init``, each
     broadcasting the last root model, on one plan of the training stack
-    and encoding table ``stacked`` (:func:`train_rows`), as a run loops
+    and encodings ``stacked`` (:func:`train_rows`), as a run loops
     them: the final model of every node, clients included, and round 1's
     client models and counts."""
     plan = plan_rounds(topology, *stacked, init.dims, config)

@@ -9,7 +9,8 @@ finite-difference and Adam oracles check this chain, and the kernel must
 reproduce it bit for bit on each client's active input columns
 (:func:`compact_reference_train`). :func:`dense_rows` is the dense
 layout of the kernel's results, which every rebuilt client vector must
-equal.
+equal, and :func:`dense_encodings` the dense layout of the encodings,
+the rows the chain and :func:`forward` read.
 """
 
 from __future__ import annotations
@@ -167,6 +168,16 @@ def dense_rows(plan, models) -> np.ndarray:
     for part, values in zip(plan.parts, models.values):
         buffer[part.members[:, None], part.index] = values
     return buffer
+
+
+def dense_encodings(enc) -> np.ndarray:
+    """The ``(K, E)`` dense rows of :class:`~spatialfl.spatial.Encodings`,
+    which the program never builds: each row's coordinates, then 1.0 at
+    each of its label columns and 0.0 everywhere else."""
+    dense = np.zeros((len(enc), enc.width))
+    dense[:, :enc.head] = enc.coords
+    np.put_along_axis(dense, enc.labels, 1.0, axis=1)
+    return dense
 
 
 def tree_sum_levels(vectors: list[np.ndarray]) -> np.ndarray:

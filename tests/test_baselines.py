@@ -17,7 +17,7 @@ from helpers import (
     train_rows,
     without_rows_of,
 )
-from reference import params_equal
+from reference import dense_encodings, params_equal
 from spatialfl import nn
 from spatialfl.baselines import ensemble_predict_batch, train_centralized
 from spatialfl.data import SyntheticSpec, generate_synthetic
@@ -49,8 +49,8 @@ def pooled(groups, init, config, seed, vocab=None, layout=flat_topology):
     """:func:`train_centralized` over groups of clients, on the training
     rows of all of them laid out under ``layout``."""
     datasets = {c.client_id: c for group in groups for c in group}
-    rows, table = train_rows(layout(sorted(datasets)), datasets, vocab)
-    return train_centralized([[c.client_id for c in group] for group in groups], init, config, seed, rows, table)
+    rows, enc = train_rows(layout(sorted(datasets)), datasets, vocab)
+    return train_centralized([[c.client_id for c in group] for group in groups], init, config, seed, rows, enc)
 
 
 class TestCentralized:
@@ -76,10 +76,10 @@ class TestCentralized:
         assert params_equal(forward_order, reverse_order)
 
     def test_empty_pool_rejected(self):
-        rows, table = train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)})
+        rows, enc = train_rows(flat_topology(["c"]), {"c": separable_client("c", n=6, seed=0)})
         with pytest.raises(DataError, match="^pooled training set is empty$"):
             train_centralized([["c"]], init_params((2, 4, 2), 0), TrainingConfig(), 0, without_rows_of(rows, ["c"]),
-                              table)
+                              enc)
 
     def test_divergence_names_the_baseline(self):
         ds = separable_client("c", n=12, seed=0)
@@ -93,8 +93,8 @@ class TestCentralized:
         kernel call."""
         group = sorted(group, key=lambda c: c.client_id)
         raw, labels, codes, _ = stack_rows(group)
-        enc, columns = encoding_table([c.spatial for c in group], vocab)
-        plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config, columns)
+        enc = encoding_table([c.spatial for c in group], vocab)
+        plan = plan_cohort(raw, labels, codes, enc, spans([0, labels.size]), init.dims, config)
         models, diverged = train_cohort(plan, init, [seed])
         assert diverged == {}
         return models[0]
@@ -137,10 +137,10 @@ class TestCentralized:
 
     def test_empty_group_rejected(self):
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1"])}
-        rows, table = train_rows(flat_topology(sorted(ds)), ds)
+        rows, enc = train_rows(flat_topology(sorted(ds)), ds)
         with pytest.raises(DataError, match="^pooled training set is empty$"):
             train_centralized([["c0", "c1"], ["c1"]], init_params((2, 4, 2), 0), TrainingConfig(), 0,
-                              without_rows_of(rows, ["c1"]), table)
+                              without_rows_of(rows, ["c1"]), enc)
 
     def test_noiseless_synthetic_reaches_095(self):
         # The construction is separable given region identity, so a pooled
@@ -152,7 +152,7 @@ class TestCentralized:
         config = TrainingConfig(learning_rate=0.05, epochs=100)
         [model] = pooled([train.values()], init, config, 2, vocab)
         raw, labels, codes, _ = stack_rows(list(valid.values()))
-        enc, _ = encoding_table([c.spatial for c in valid.values()], vocab)
+        enc = encoding_table([c.spatial for c in valid.values()], vocab)
         assert np.mean(predict_rows(model, raw, codes, enc) == labels) >= 0.95
 
 
@@ -162,7 +162,7 @@ def encoded_blocks(clients, vocab):
     blocks = []
     for c in clients:
         feats = c.features
-        [head], _ = encoding_table([c.spatial], vocab)
+        [head] = dense_encodings(encoding_table([c.spatial], vocab))
         rows = [np.concatenate([head, row]) for row in feats]
         blocks.append(np.array(rows).reshape(len(feats), head.size + feats.shape[1]))
     return blocks
@@ -174,22 +174,22 @@ class TestStackRows:
         vocab = build_vocabulary([c.spatial for c in clients])
         for v in (vocab, None):
             raw, labels, codes, offsets = stack_rows(clients)
-            enc, columns = encoding_table([c.spatial for c in clients], v)
+            enc = encoding_table([c.spatial for c in clients], v)
             blocks = encoded_blocks(clients, v)
-            assert np.array_equal(np.hstack([enc[codes], raw]), np.vstack(blocks))
+            assert np.array_equal(np.hstack([dense_encodings(enc)[codes], raw]), np.vstack(blocks))
             assert np.array_equal(labels, np.concatenate([c.labels for c in clients]))
             assert offsets.tolist() == np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
-            assert enc.shape == (len(clients), v.encoding_length if v is not None else 0)
+            assert (len(enc), enc.width) == (len(clients), v.encoding_length if v is not None else 0)
             assert codes.tolist() == np.repeat(np.arange(len(clients)), np.diff(offsets)).tolist()
-            assert columns.tolist() == [encoding_table([c.spatial], v)[1][0].tolist() for c in clients]
+            assert enc.labels.tolist() == [encoding_table([c.spatial], v).labels[0].tolist() for c in clients]
 
     def test_no_rows_gives_an_empty_matrix(self):
         vocab = build_vocabulary([separable_client("c0", n=4, seed=0).spatial])
         raw, labels, codes, offsets = stack_rows([])
-        enc, columns = encoding_table([], vocab)
-        assert raw.shape == (0, 0) and enc.shape == (0, vocab.encoding_length)
+        enc = encoding_table([], vocab)
+        assert raw.shape == (0, 0) and (len(enc), enc.width) == (0, vocab.encoding_length)
         assert labels.shape == codes.shape == (0,) and offsets.tolist() == [0]
-        assert columns.shape[0] == 0
+        assert enc.coords.shape == (0, 2) and enc.labels.shape == (0, 1)
 
 
 def members(*models):

@@ -180,17 +180,17 @@ class TestLocalTrain:
 
     def test_no_training_rows_rejected(self):
         topo = flat_topology(["c"])
-        rows, table = train_rows(topo, {"c": separable_client("c", n=6, seed=0)})
+        rows, enc = train_rows(topo, {"c": separable_client("c", n=6, seed=0)})
         with pytest.raises(DataError, match="^client 'c' has no training rows$"):
-            plan_rounds(topo, without_rows_of(rows, ["c"]), table, (2, 4, 2), TrainingConfig())
+            plan_rounds(topo, without_rows_of(rows, ["c"]), enc, (2, 4, 2), TrainingConfig())
         # The lowest id without rows is named, also where depth-first order
         # (c1, c3, c0, c2 in the interleaved tree) reaches another first.
         ds = {c: separable_client(c, n=6, seed=i) for i, c in enumerate(["c0", "c1", "c2", "c3"])}
         for layout in (flat_topology, interleaved_topology):
             topo = layout(sorted(ds))
-            rows, table = train_rows(topo, ds)
+            rows, enc = train_rows(topo, ds)
             with pytest.raises(DataError, match="^client 'c0' has no training rows$"):
-                plan_rounds(topo, without_rows_of(rows, ["c0", "c3"]), table, (2, 4, 2), TrainingConfig())
+                plan_rounds(topo, without_rows_of(rows, ["c0", "c3"]), enc, (2, 4, 2), TrainingConfig())
 
     def test_dim_mismatch_rejected(self):
         ds = separable_client("c", n=6, seed=0)
@@ -418,19 +418,19 @@ class TestCompactClientModels:
                                            rng.normal(size=(n, 2)), rng.integers(0, 3, size=n), 3)
                     for path, n in zip(case["paths"], case["counts"])}
         vocab = build_vocabulary([ds.spatial for ds in datasets.values()]) if case["encoding"] else None
-        rows, table = train_rows(topo, datasets, vocab)
-        dims = (table[0].shape[1] + 2, 4, 3)
+        rows, enc = train_rows(topo, datasets, vocab)
+        dims = (enc.width + 2, 4, 3)
         config = TrainingConfig(learning_rate=0.05, epochs=2, batch_size=8)
         mode, clients = case["mode"], topo.clients()
         with mock.patch.object(nn, "COHORT_BYTES", case["cohort_bytes"] or nn.COHORT_BYTES):
-            plan = plan_rounds(topo, rows, table, dims, config)
+            plan = plan_rounds(topo, rows, enc, dims, config)
         broadcast = init_params(dims, seed=case["seed"] % 1000)
         # Two rounds: the second starts from the first's root, not from init.
         for round_index in (1, 2):
             models, counts, interior = run_tier_round(topo, plan, broadcast, mode, case["seed"], round_index)
             buffer = dense_rows(plan, models)
             assert len(models) == len(clients) == len(buffer)
-            for k, model in enumerate(models.each()):
+            for k, model in enumerate(models):
                 assert models.vector(k).tobytes() == buffer[k].tobytes()
                 assert models[k].vector.tobytes() == model.vector.tobytes() == buffer[k].tobytes()
                 assert models.scaled(k, 0.3).tobytes() == (0.3 * buffer[k]).tobytes()
@@ -632,7 +632,7 @@ class TestRunTierRound:
         def root_accuracy(rounds):
             models, _ = run_rounds(topo, train_rows(topo, train, vocab), init, "sample_weighted", config, 21, rounds)
             raw, labels, codes, _ = stack_rows(list(valid.values()))
-            enc, _ = encoding_table([c.spatial for c in valid.values()], vocab)
+            enc = encoding_table([c.spatial for c in valid.values()], vocab)
             return np.mean(predict_rows(models[topo.root_id], raw, codes, enc) == labels)
 
         assert root_accuracy(5) >= root_accuracy(1) - 0.02

@@ -92,13 +92,13 @@ class TestFoldedAccuracy:
         members = {f"m{k}": init_params(dims, seed=int(rng.integers(0, 2 ** 31))) for k in range(3)}
 
         raw, labels, codes, spans = stack_split(topo, datasets)
-        enc, _ = encoding_table([datasets[c].spatial for c in topo.client_order], vocab)
+        enc = encoding_table([datasets[c].spatial for c in topo.client_order], vocab)
         single = fold_correct(predict_rows(model, raw, codes, enc), labels, spans)
         voted = fold_correct(ensemble_predict_batch(members, raw, codes, enc), labels, spans)
         for node_id, (lo, hi) in spans.items():
             subtree = [datasets[c] for c in topo.subtree_clients(node_id)]
             pooled_raw, pooled_labels, pooled_codes, _ = stack_rows(subtree)
-            pooled_enc, _ = encoding_table([c.spatial for c in subtree], vocab)
+            pooled_enc = encoding_table([c.spatial for c in subtree], vocab)
             assert single[node_id] / (hi - lo) == np.mean(
                 predict_rows(model, pooled_raw, pooled_codes, pooled_enc) == pooled_labels)
             assert voted[node_id] / (hi - lo) == np.mean(

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import no_encoding, spans
+from helpers import empty_encodings, no_encoding, spans
 from reference import (
     adam_step,
     backward,
     compact_reference_train,
+    dense_encodings,
     dense_rows,
     forward,
     init_optimizer_state,
@@ -39,6 +40,7 @@ from spatialfl.nn import (
     train_cohort,
     working_set_bytes,
 )
+from spatialfl.spatial import Encodings
 
 
 def numerical_gradient(f, x0, h=1e-6):
@@ -289,30 +291,49 @@ class TestPredict:
 
 
 class Scoring(NamedTuple):
-    """A random scoring case: ``rows`` rows coded into a table of
-    ``tables`` encodings ``e_dim`` wide, of which rows ``lo:hi`` are
-    scored by a model and an ensemble of ``members``."""
+    """A random scoring case: ``rows`` rows of ``raw`` raw columns coded
+    into ``tables`` encodings, with two coordinates or none and one
+    one-hot block per size in ``blocks``; the codes of rows ``lo:hi``,
+    drawn from ``first:last + 1``, are scored by a model and an ensemble
+    of ``members``."""
 
     seed: int
-    dims: tuple
-    e_dim: int
+    hidden: int
+    classes: int
+    raw: int
+    coordinates: bool
+    blocks: tuple
     tables: int
+    first: int
+    last: int
     rows: int
     lo: int
     hi: int
     members: int
 
+    @property
+    def dims(self):
+        return (2 * self.coordinates + sum(self.blocks) + self.raw, self.hidden, self.classes)
+
 
 @st.composite
 def scoring_cases(draw):
-    input_dim = draw(st.integers(1, 48))
+    coordinates = draw(st.booleans())
+    blocks = tuple(draw(st.lists(st.integers(1, 100), min_size=0 if coordinates else 1, max_size=3)))
+    tables = draw(st.integers(1, 40))
+    first = draw(st.integers(0, tables - 1))
     rows = draw(st.integers(0, 60))
     lo = draw(st.integers(0, rows))
     return Scoring(
         seed=draw(st.integers(0, 2 ** 32 - 1)),
-        dims=(input_dim, draw(st.integers(1, 24)), draw(st.integers(1, 4))),
-        e_dim=draw(st.one_of(st.just(0), st.integers(0, input_dim))),
-        tables=draw(st.integers(1, 6)),
+        hidden=draw(st.integers(1, 24)),
+        classes=draw(st.integers(1, 4)),
+        raw=draw(st.integers(1 if not (coordinates or blocks) else 0, 8)),
+        coordinates=coordinates,
+        blocks=blocks,
+        tables=tables,
+        first=first,
+        last=draw(st.integers(first, tables - 1)),
         rows=rows,
         lo=lo,
         hi=draw(st.integers(lo, rows)),
@@ -325,36 +346,51 @@ def random_model(dims, rng):
     return ModelParams(rng.normal(size=flat_length(dims)), dims)
 
 
+def random_encodings(rng, tables, coordinates, blocks):
+    """``tables`` encodings with two random coordinates (or none) and one
+    random label in each one-hot block of the sizes ``blocks``."""
+    head = 2 * coordinates
+    starts = np.cumsum([head, *blocks])[:-1]
+    labels = starts + rng.integers(0, blocks, size=(tables, len(blocks)))
+    return Encodings(rng.uniform(size=(tables, head)), labels.reshape(tables, len(blocks)), head + sum(blocks))
+
+
 class TestPredictRows:
     @given(case=scoring_cases())
-    # The fan-out shape: one-hot-wide encodings, many table rows, a span.
-    @example(case=Scoring(1, (164, 16, 3), 160, 40, 60, 10, 55, 5))
-    @example(case=Scoring(2, (5, 4, 3), 0, 1, 30, 0, 30, 3))
+    # The fan-out shape: one-hot-wide encodings, many encodings, a span.
+    @example(case=Scoring(1, 16, 3, 2, True, (150, 10), 40, 0, 39, 60, 10, 55, 5))
+    # The 600-client scale shape: 622 encoding columns.
+    @example(case=Scoring(3, 16, 3, 2, True, (600, 20), 60, 5, 50, 80, 0, 80, 2))
+    # Coordinates only, and no encoding at all.
+    @example(case=Scoring(4, 8, 3, 3, True, (), 5, 1, 3, 30, 0, 30, 2))
+    @example(case=Scoring(2, 4, 3, 5, False, (), 1, 0, 0, 30, 0, 30, 3))
     @settings(max_examples=80, deadline=None)
     def test_matches_forward_on_assembled_rows(self, case):
+        # The differential test of the factored scorer: its hidden layer
+        # against reference.forward's on the dense rows of the encodings.
         rng = np.random.default_rng(case.seed)
-        raw = rng.normal(size=(case.rows, case.dims[0] - case.e_dim)) * 3.0
-        codes = rng.integers(0, case.tables, size=case.rows)
-        enc = rng.normal(size=(case.tables, case.e_dim))
+        raw = rng.normal(size=(case.rows, case.raw)) * 3.0
+        codes = rng.integers(case.first, case.last + 1, size=case.rows)
+        enc = random_encodings(rng, case.tables, case.coordinates, case.blocks)
         model = random_model(case.dims, rng)
         members = [random_model(case.dims, rng) for _ in range(case.members)]
         raw, codes = raw[case.lo:case.hi], codes[case.lo:case.hi]
-        batch = np.hstack([enc[codes], raw])
+        batch = np.hstack([dense_encodings(enc)[codes], raw])
 
         hidden = hidden_rows(model, raw, codes, enc)
         logits = hidden @ model.layer2_weights.T + model.layer2_bias
         predicted = predict_rows(model, raw, codes, enc)
         expected = forward(model, batch)
+        reference = np.maximum(batch @ model.layer1_weights.T + model.layer1_bias, 0.0)
         assert np.array_equal(predicted, np.argmax(logits, axis=1))
-        if case.e_dim == 0:
+        assert np.abs(hidden - reference).max(initial=0.0) <= 1e-12
+        assert np.allclose(logits, expected, rtol=1e-9)
+        if enc.width == 0:
             # The same float operations as forward, so the same bits.
-            reference = np.maximum(batch @ model.layer1_weights.T + model.layer1_bias, 0.0)
             assert hidden.tobytes() == reference.tobytes()
             assert logits.tobytes() == expected.tobytes()
             assert predicted.tobytes() == np.argmax(expected, axis=1).tobytes()
             assert predict_rows(model, *no_encoding(batch)).tobytes() == predicted.tobytes()
-        else:
-            assert np.allclose(logits, expected, rtol=1e-9)
         # Predictions agree wherever the top two logits are not within
         # rounding of each other.
         top = np.sort(expected, axis=1)
@@ -371,7 +407,7 @@ class TestPredictRows:
         vec = np.zeros(flat_length(dims))
         vec[-3:] = [0.5, 0.5, 0.1]
         model = ModelParams(vec, dims)
-        raw, enc = np.array([[3.0, -1.0], [0.0, 2.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        raw, enc = np.array([[3.0, -1.0], [0.0, 2.0]]), Encodings(np.empty((2, 0)), [[0], [1]], 2)
         assert predict_rows(model, raw, np.array([1, 0]), enc).tolist() == [0, 0]
 
     def test_overflowing_logits_raise_divergence_without_warning(self):
@@ -379,7 +415,7 @@ class TestPredictRows:
         # a zero first layer, only the logits) overflow. Pytest turns any
         # numpy warning into a failure.
         dims = (2, 2, 2)
-        raw, codes, enc = np.array([[1.0, 1.0]]), np.array([0]), np.zeros((1, 0))
+        raw, codes, enc = np.array([[1.0, 1.0]]), np.array([0]), empty_encodings(1)
         huge = np.full(flat_length(dims), 1e308)
         hidden_overflow = ModelParams(huge, dims)
         logit_overflow = ModelParams(np.where(np.arange(huge.size) < 4, 0.0, huge), dims)
@@ -390,7 +426,7 @@ class TestPredictRows:
 
     def test_shape_errors_name_both_widths(self):
         model = init_params((6, 3, 2), seed=0)
-        raw, codes, enc = np.zeros((4, 3)), np.array([0, 1, 1, 0]), np.zeros((2, 3))
+        raw, codes, enc = np.zeros((4, 3)), np.array([0, 1, 1, 0]), Encodings(np.zeros((2, 2)), [[2], [2]], 3)
         predict_rows(model, raw, codes, enc)
         with pytest.raises(SpatialFLError, match=r"^rows of 3 encoding \+ 2 raw columns do not fit input_dim 6 "):
             predict_rows(model, raw[:, :2], codes, enc)
@@ -398,8 +434,7 @@ class TestPredictRows:
             predict_rows(model, *no_encoding(np.zeros((5, 10))))
         fit = r"^rows of 3 encoding \+ 3 raw columns do not fit input_dim 6 "
         bad = [
-            ((raw[0], codes, enc), fit + r"\(raw rows \(3,\)"),  # one row, not a matrix of rows
-            ((raw, codes, enc[0]), fit + r".*encodings \(3,\)"),  # one encoding, not a table
+            ((raw[0], codes, enc), fit + r"\(raw rows \(3,\)\)$"),  # one row, not a matrix of rows
             ((raw, codes[:3], enc), r"^3 row codes for 4 rows$"),  # a code per row
             ((raw, codes + 1, enc), r"^row codes must lie in \[0, 2\)$"),  # a code past the table
             ((raw, codes - 1, enc), r"^row codes must lie in \[0, 2\)$"),  # a negative code
@@ -486,10 +521,10 @@ class TestTrain:
 
 class Cohort(NamedTuple):
     """Shape of a random ragged cohort: clients with ``counts`` rows (not
-    increasing) after ``lead`` rows of other clients, rows coded into a
-    table of ``tables`` encodings ``e_dim`` wide. Every row of a client
-    has one code, except for the clients in ``pooled``, whose rows draw
-    theirs at random."""
+    increasing) after ``lead`` rows of other clients, rows coded into
+    ``tables`` encodings ``e_dim`` wide (:func:`encoding_layout`). Every
+    row of a client has one code, except for the clients in ``pooled``,
+    whose rows draw theirs at random."""
 
     seed: int
     dims: tuple
@@ -525,28 +560,25 @@ def ragged_cohorts(draw):
 
 
 def encoding_layout(rng, tables, e_dim):
-    """A table of ``tables`` encodings ``e_dim`` wide laid out as the
-    vocabulary lays them out, and the columns of each that may be
-    non-zero: up to two coordinate columns (one at its minimum, 0.0, in
-    some rows), then one-hot blocks of random sizes, one set column each."""
-    coords = min(2, e_dim)
-    cuts = np.sort(rng.choice(np.arange(coords + 1, e_dim), size=min(2, max(0, e_dim - coords - 1)),
+    """``tables`` encodings ``e_dim`` wide as a vocabulary lays them out:
+    two coordinates unless ``e_dim`` is below 2 (each at its minimum, 0.0,
+    in some rows), then up to three one-hot blocks of random sizes, one
+    label column each."""
+    head = 2 if e_dim >= 2 else 0
+    cuts = np.sort(rng.choice(np.arange(head + 1, e_dim), size=min(2, max(0, e_dim - head - 1)),
                               replace=False)).tolist()
-    blocks = [(lo, hi) for lo, hi in zip([coords, *cuts], [*cuts, e_dim]) if lo < hi]
-    enc = np.zeros((tables, e_dim))
-    enc[:, :coords] = rng.uniform(0.0, 1.0, size=(tables, coords)) * rng.integers(0, 2, size=(tables, coords))
-    columns = np.empty((tables, coords + len(blocks)), dtype=np.intp)
-    columns[:, :coords] = np.arange(coords)
+    blocks = [(lo, hi) for lo, hi in zip([head, *cuts], [*cuts, e_dim]) if lo < hi]
+    coords = rng.uniform(0.0, 1.0, size=(tables, head)) * rng.integers(0, 2, size=(tables, head))
+    labels = np.empty((tables, len(blocks)), dtype=np.intp)
     for j, (lo, hi) in enumerate(blocks):
-        columns[:, coords + j] = rng.integers(lo, hi, size=tables)
-    enc[np.arange(tables)[:, None], columns[:, coords:]] = 1.0
-    return enc, columns
+        labels[:, j] = rng.integers(lo, hi, size=tables)
+    return Encodings(coords, labels, e_dim)
 
 
 def cohort_arrays(case):
-    """Raw rows, labels, codes, encoding table and its columns (see
-    :func:`encoding_layout`), offsets and seeds of a case; two rows of no
-    client trail the cohort's."""
+    """Raw rows, labels, codes, encodings (see :func:`encoding_layout`),
+    offsets and seeds of a case; two rows of no client trail the
+    cohort's."""
     rng = np.random.default_rng(case.seed)
     offsets = case.lead + np.cumsum([0] + case.counts)
     n = int(offsets[-1]) + 2
@@ -556,15 +588,31 @@ def cohort_arrays(case):
     for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         if k not in case.pooled:
             codes[lo:hi] = codes[lo]
-    enc, columns = encoding_layout(rng, case.tables, case.e_dim)
+    enc = encoding_layout(rng, case.tables, case.e_dim)
     seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(case.counts))]
-    return raw, labels, codes, enc, columns, offsets, seeds
+    return raw, labels, codes, enc, offsets, seeds
 
 
-def active_columns(codes, columns, e_dim, input_dim, rows):
-    """The input columns a client on ``rows`` trains: those its rows'
-    codes list, then every raw column."""
-    return np.concatenate([np.unique(columns[codes[rows]]), np.arange(e_dim, input_dim)]).astype(np.intp)
+def active_columns(codes, enc, input_dim, rows):
+    """The input columns a client on ``rows`` trains: the coordinates and
+    its rows' codes' label columns, then every raw column."""
+    return np.concatenate([np.arange(enc.head), np.unique(enc.labels[codes[rows]]),
+                           np.arange(enc.width, input_dim)]).astype(np.intp)
+
+
+def assert_tables_cut_dense_rows(plan, codes, enc):
+    """Every row position's compact table row is its code's dense
+    encoding cut down to its member's active encoding columns (the first
+    of the member's compact first-layer places), bit for bit, then zeros
+    where the kernel writes the raw features."""
+    dense = dense_encodings(enc)
+    for part in plan.parts:
+        width = part.dims[0] - plan.raw.shape[1]
+        for i in range(part.members.size):
+            at = slice(part.bounds[i], part.bounds[i + 1])
+            compact = part.table[part.slots[at]]
+            assert compact[:, :width].tobytes() == dense[codes[part.rows[at]]][:, part.index[i, :width]].tobytes()
+            assert not compact[:, width:].any()
 
 
 def plan_state(plan):
@@ -580,16 +628,17 @@ def plan_state(plan):
 
 
 def assembled(raw, codes, enc, lo, hi):
-    """Rows ``lo:hi`` as the model sees them: encoding, then raw features."""
-    return np.hstack([enc[codes[lo:hi]], raw[lo:hi]])
+    """Rows ``lo:hi`` as the model sees them: dense encoding, then raw features."""
+    return np.hstack([dense_encodings(enc)[codes[lo:hi]], raw[lo:hi]])
 
 
 class RowSets(NamedTuple):
     """Shape of a random call whose clients come in no order of size:
-    ``rows`` rows coded into a table of ``tables`` encodings ``e_dim``
-    wide; client ``k`` trains on ``counts[k]`` of them drawn at random, so
-    row sets overlap and leave gaps, and the clients in ``poisoned`` also
-    train on one more row, of NaNs."""
+    ``rows`` rows coded into ``tables`` encodings of ``e_dim`` coordinates
+    (two or none, so every column is active); client ``k`` trains on
+    ``counts[k]`` of them drawn at random, so row sets overlap and leave
+    gaps, and the clients in ``poisoned`` also train on one more row, of
+    NaNs."""
 
     seed: int
     dims: tuple
@@ -605,13 +654,14 @@ class RowSets(NamedTuple):
 @st.composite
 def row_set_calls(draw):
     rows = draw(st.integers(1, 70))
-    input_dim = draw(st.integers(1, 48))
+    e_dim = draw(st.sampled_from([0, 2]))
+    # At least one raw column, which the poisoned row fills with NaN.
+    input_dim = draw(st.integers(e_dim + 1, 48))
     counts = draw(st.lists(st.integers(1, rows), min_size=1, max_size=6))
     return RowSets(
         seed=draw(st.integers(0, 2 ** 32 - 1)),
         dims=(input_dim, draw(st.integers(1, 24)), draw(st.integers(1, 4))),
-        # At least one raw column, which the poisoned row fills with NaN.
-        e_dim=draw(st.one_of(st.just(0), st.integers(0, input_dim - 1))),
+        e_dim=e_dim,
         tables=draw(st.integers(1, 4)),
         rows=rows,
         counts=counts,
@@ -648,10 +698,11 @@ class TestTrainCohort:
         # grow, so the shapes are drawn at random and never skipped.
         # One plan serves three rounds, each from another init with other
         # seeds, as a fresh plan per round would, and is never written.
-        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
-        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
         planned = plan_state(plan)
+        assert_tables_cut_dense_rows(plan, codes, enc)
         for round_index in range(3):
             init = init_params(case.dims, case.seed + round_index)
             round_seeds = [seed + round_index for seed in seeds]
@@ -660,10 +711,10 @@ class TestTrainCohort:
             assert [values.shape for values in models.values] == [
                 (part.members.size, flat_length(part.dims)) for part in plan.parts]
             params = dense_rows(plan, models)
-            fresh = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
+            fresh = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
             assert dense_rows(fresh, train_cohort(fresh, init, round_seeds)[0]).tobytes() == params.tobytes()
             for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-                active = active_columns(codes, columns, case.e_dim, case.dims[0], np.arange(lo, hi))
+                active = active_columns(codes, enc, case.dims[0], np.arange(lo, hi))
                 expected = compact_reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi],
                                                    config, round_seeds[i], active)
                 assert params[i].tobytes() == expected.vector.tobytes()
@@ -679,17 +730,17 @@ class TestTrainCohort:
         # gradient is zero and Adam leaves it at init, bit for bit. The
         # rest differ from the compact chain only by the rounding of a
         # longer dot product.
-        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
         init = init_params(case.dims, case.seed)
-        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config, columns)
+        plan = plan_cohort(raw, labels, codes, enc, spans(offsets), case.dims, config)
         models, diverged = train_cohort(plan, init, seeds)
         assert diverged == {}
         params = dense_rows(plan, models)
         for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             dense = reference_train(init, assembled(raw, codes, enc, lo, hi), labels[lo:hi], config, seeds[i])
             inactive = np.ones(case.dims[0], dtype=bool)
-            inactive[active_columns(codes, columns, case.e_dim, case.dims[0], np.arange(lo, hi))] = False
+            inactive[active_columns(codes, enc, case.dims[0], np.arange(lo, hi))] = False
             assert dense.layer1_weights[:, inactive].tobytes() == init.layer1_weights[:, inactive].tobytes()
             assert np.abs(dense.vector - params[i]).max() <= 1e-12
 
@@ -706,7 +757,7 @@ class TestTrainCohort:
         raw[n] = np.nan
         labels = rng.integers(0, case.dims[2], size=n + 1)
         codes = rng.integers(0, case.tables, size=n + 1)
-        enc = rng.normal(size=(case.tables, case.e_dim))
+        enc = Encodings(rng.normal(size=(case.tables, case.e_dim)), np.empty((case.tables, 0)), case.e_dim)
         rows = [rng.choice(n, size=count, replace=False) for count in case.counts]
         for k in case.poisoned:
             rows[k] = np.insert(rows[k], rng.integers(0, rows[k].size + 1), n)
@@ -714,13 +765,14 @@ class TestTrainCohort:
         init = init_params(case.dims, case.seed)
         config = TrainingConfig(learning_rate=0.05, epochs=case.epochs, batch_size=case.batch_size)
         plan = plan_cohort(raw, labels, codes, enc, rows, init.dims, config)
+        assert_tables_cut_dense_rows(plan, codes, enc)
         models, diverged = train_cohort(plan, init, seeds)
         assert len(models) == len(rows)
         params = dense_rows(plan, models)
         assert sorted(diverged) == list(case.poisoned)
         for k, r in enumerate(rows):
             if k not in diverged:
-                expected = reference_train(init, np.hstack([enc[codes[r]], raw[r]]), labels[r],
+                expected = reference_train(init, np.hstack([dense_encodings(enc)[codes[r]], raw[r]]), labels[r],
                                            config, seeds[k])
                 assert params[k].tobytes() == expected.vector.tobytes()
 
@@ -728,7 +780,7 @@ class TestTrainCohort:
         # A member diverging leaves the others' rows equal to training alone.
         # Its message is the one the per-step chain raises for it alone.
         case = Cohort(8, (3, 4, 2), 1, 3, [14, 12, 9], 5, 2, 0)
-        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
         raw[offsets[1]:offsets[2]] *= 1e300
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
@@ -750,7 +802,7 @@ class TestTrainCohort:
         # hidden-layer gradients are negative, where the reference's
         # np.where writes +0.0, not -0.0.
         case = Cohort(16, (6, 8, 3), 2, 2, [24, 11], 8, 2, 0)
-        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
         raw *= 1e4
         init = init_params(case.dims, case.seed)
         rows = assembled(raw, codes, enc, offsets[0], offsets[1])
@@ -797,7 +849,7 @@ class TestTrainCohort:
         # cohort, so Adam moments or other scratch carried into a later
         # cohort would change its clients' rows or spread the divergence.
         case = Cohort(9, (3, 4, 2), 1, 3, [14, 12, 9, 7, 5], 5, 2, 0)
-        raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+        raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
         raw[offsets[1]:offsets[2]] *= 1e300
         init = init_params(case.dims, seed=1)
         config = TrainingConfig(learning_rate=1e9, epochs=case.epochs, batch_size=case.batch_size)
@@ -821,30 +873,29 @@ class TestTrainCohort:
         # train 4 + 2 inputs, client 2 pools two codes (5 + 2), clients 3
         # and 4 pool every code and train every input: each cohort of one
         # of them reads the one shared table of full input rows.
-        enc = np.array([[0.5, 0.0, 1, 0, 1, 0], [0.25, 1.0, 0, 1, 1, 0],
-                        [0.0, 0.5, 1, 0, 0, 1], [1.0, 0.75, 0, 1, 0, 1]])
-        columns = np.array([[0, 1, 2, 4], [0, 1, 3, 4], [0, 1, 2, 5], [0, 1, 3, 5]])
+        enc = Encodings([[0.5, 0.0], [0.25, 1.0], [0.0, 0.5], [1.0, 0.75]], [[2, 4], [3, 4], [2, 5], [3, 5]], 6)
         rng = np.random.default_rng(21)
         codes = np.repeat(np.arange(4), 5)
         raw, labels = rng.normal(size=(20, 2)), rng.integers(0, 2, size=20)
         rows = [np.arange(5), np.arange(5, 10), np.arange(10), np.arange(20), np.arange(15, 0, -1)]
         config = TrainingConfig(epochs=2, batch_size=4)
-        plan = plan_cohort(raw, labels, codes, enc, rows, (8, 3, 2), config, columns)
+        plan = plan_cohort(raw, labels, codes, enc, rows, (8, 3, 2), config)
         assert [(part.members.tolist(), part.dims) for part in plan.parts] == [
             ([0, 1], (6, 3, 2)), ([2], (7, 3, 2)), ([3, 4], (8, 3, 2))]
         assert plan.parts[0].table.tolist() == [[0.5, 0.0, 1, 1, 0, 0], [0.25, 1.0, 1, 1, 0, 0]]
         assert plan.parts[1].table.tolist() == [[0.5, 0.0, 1, 0, 1, 0, 0], [0.25, 1.0, 0, 1, 1, 0, 0]]
+        assert plan.parts[2].table.tolist() == np.hstack([dense_encodings(enc), np.zeros((4, 2))]).tolist()
         init = init_params((8, 3, 2), seed=4)
         models, diverged = train_cohort(plan, init, [1, 2, 3, 4, 5])
         assert diverged == {}
         params = dense_rows(plan, models)
         for k, active in enumerate([[0, 1, 2, 4, 6, 7], [0, 1, 3, 4, 6, 7], [0, 1, 2, 3, 4, 6, 7],
                                     range(8), range(8)]):
-            expected = compact_reference_train(init, np.hstack([enc[codes[rows[k]]], raw[rows[k]]]),
-                                               labels[rows[k]], config, k + 1, list(active))
+            inputs = np.hstack([dense_encodings(enc)[codes[rows[k]]], raw[rows[k]]])
+            expected = compact_reference_train(init, inputs, labels[rows[k]], config, k + 1, list(active))
             assert params[k].tobytes() == expected.vector.tobytes()
         monkeypatch.setattr(nn, "COHORT_BYTES", 1)
-        single = plan_cohort(raw, labels, codes, enc, rows, (8, 3, 2), config, columns)
+        single = plan_cohort(raw, labels, codes, enc, rows, (8, 3, 2), config)
         assert [part.members.tolist() for part in single.parts] == [[0], [1], [2], [3], [4]]
         assert single.parts[3].table is single.parts[4].table
         assert single.parts[3].table.shape == (4, 8)
@@ -869,16 +920,16 @@ class TestTrainCohort:
             Cohort(10, (3, 40, 2), 1, 12, [100] * 6 + [80] * 6, 64, 2, 0),
             Cohort(10, (10, 2, 30), 4, 12, [100] * 6 + [80] * 6, 64, 2, 0),
         ]:
-            raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+            raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
             init = init_params(case.dims, seed=2)
             config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
-            compact = (columns.shape[1] + raw.shape[1], *case.dims[1:])
+            compact = (enc.head + enc.labels.shape[1] + raw.shape[1], *case.dims[1:])
             per_client = working_set_bytes(compact, config.batch_size)
             monkeypatch.setattr(nn, "COHORT_BYTES", 3 * per_client)
             assert len(cohort_slices(12, compact, config.batch_size)) == 4
             tracemalloc.start()
             try:
-                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
+                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
                 planned = tracemalloc.get_traced_memory()[0]
                 models, diverged = train_cohort(plan, init, seeds)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -907,16 +958,16 @@ class TestTrainCohort:
         # encoding every column is active and P_w is P.
         for case in [Cohort(11, (400, 25, 2), 0, 1, [1] * 8, 1, 2, 0),
                      Cohort(11, (400, 400, 2), 390, 8, [1] * 8, 1, 2, 0)]:
-            raw, labels, codes, enc, columns, offsets, seeds = cohort_arrays(case)
+            raw, labels, codes, enc, offsets, seeds = cohort_arrays(case)
             init = init_params(case.dims, seed=3)
             config = TrainingConfig(epochs=case.epochs, batch_size=case.batch_size)
-            dims = (columns.shape[1] + raw.shape[1], *case.dims[1:])
+            dims = (enc.head + enc.labels.shape[1] + raw.shape[1], *case.dims[1:])
             assert len(cohort_slices(8, dims, config.batch_size)) == 1
             compact = 8 * flat_length(dims) * 8
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config, columns)
+                plan = plan_cohort(raw, labels, codes, enc, spans(offsets), init.dims, config)
                 models, diverged = train_cohort(plan, init, seeds)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
@@ -928,7 +979,7 @@ class TestTrainCohort:
     def test_labels_checked_once_per_call(self):
         labels = np.zeros(12, dtype=np.int64)
         labels[10] = 2
-        args = (np.zeros((12, 2)), labels, np.zeros(12), np.empty((1, 0)))
+        args = (np.zeros((12, 2)), labels, np.zeros(12), empty_encodings(1))
         with pytest.raises(SpatialFLError, match=r"^labels must lie in \[0, 2\)$"):
             plan_cohort(*args, spans([0, 6, 12]), (2, 3, 2), TrainingConfig(epochs=1))
         # Rows outside the cohort are not its labels.
@@ -936,7 +987,9 @@ class TestTrainCohort:
 
     def test_shape_mismatch_rejected(self):
         dims = (4, 3, 2)
-        raw, labels, codes, enc = np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1))
+        # Two encodings one column wide, that column a label's.
+        enc = Encodings(np.empty((2, 0)), [[0], [0]], 1)
+        raw, labels, codes = np.zeros((12, 3)), np.zeros(12), np.zeros(12)
         config = TrainingConfig(epochs=1)
         plan_cohort(raw, labels, codes, enc, spans([0, 6, 12]), dims, config)
         disagree = r"^cohort raw rows \(12, {}\), labels \({},\), .* disagree for input_dim 4$"
@@ -957,20 +1010,11 @@ class TestTrainCohort:
         for case, message in bad:
             with pytest.raises(SpatialFLError, match=message):
                 plan_cohort(*case, dims, config)
-        # The table's layout: one row of columns per encoding, ascending, inside it.
-        enc = np.array([[0.0, 1.0], [0.5, 0.0]])
-        plan_cohort(raw[:, 1:], labels, codes, enc, spans([0, 12]), dims, config, [[1], [0]])
-        layout = r"^encoding columns \({}, {}\) must list, ascending, columns in \[0, 2\) of each of the 2 encodings$"
-        for columns, message in [([[1]], layout.format(1, 1)), ([[1, 0], [0, 1]], layout.format(2, 2)),
-                                 ([[2], [0]], layout.format(2, 1)), ([[0, 1, 1]] * 2, layout.format(2, 3)),
-                                 ([[0], [0]], r"^encoding 0 has a non-zero entry outside its columns$")]:
-            with pytest.raises(SpatialFLError, match=message):
-                plan_cohort(raw[:, 1:], labels, codes, enc, spans([0, 12]), dims, config, columns)
 
     def test_training_disagreeing_with_its_plan_rejected(self):
         config = TrainingConfig(epochs=1)
-        plan = plan_cohort(np.zeros((12, 3)), np.zeros(12), np.zeros(12), np.zeros((2, 1)),
-                           spans([0, 6, 12]), (4, 3, 2), config)
+        enc = Encodings(np.empty((2, 0)), [[0], [0]], 1)
+        plan = plan_cohort(np.zeros((12, 3)), np.zeros(12), np.zeros(12), enc, spans([0, 6, 12]), (4, 3, 2), config)
         train_cohort(plan, init_params((4, 3, 2), seed=0), [0, 1])
         for init, seeds in [(init_params((4, 3, 2), seed=0), [0]),        # one seed for two
                             (init_params((4, 3, 2), seed=0), [0, 1, 2]),  # three seeds for two

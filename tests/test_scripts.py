@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under ``scripts/``, which build their
 configs in code rather than from JSON."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 from spatialfl import nn
-from spatialfl.harness import config_from_dict
+from spatialfl.harness import config_from_dict, emit_report, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -36,6 +37,16 @@ def load_script(name):
 def test_scale_config_round_trips_through_the_config_reader():
     config = load_script("scale_run").scale_config(600)
     assert config_from_dict(config.to_json_dict()) == config
+
+
+def test_scale_config_600_report_digest(tmp_path):
+    # 622 encoding columns, where the golden configs have at most 20:
+    # the widest encoding that tier-1 trains and scores, pinned by its
+    # report's digest.
+    result = run_experiment(load_script("scale_run").scale_config(600))
+    emit_report(result.report, tmp_path, formats=("json",))
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == (
+        "516730c150982e95c7d9872adda5ea8f52fe40b679f1a75426bbd3967af76f6e")
 
 
 def test_kernel_bench_trains_one_cohort():
